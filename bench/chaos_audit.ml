@@ -22,25 +22,31 @@ let audit_cell protocol preset ~seed =
     Chaos.Audit.nemesis_schedule protocol preset ~duration_s ~seed
   in
   let failover = Chaos.Nemesis.requires_failover preset in
-  let r = Chaos.Audit.run protocol ~schedule ~failover ~duration_s ~seed () in
-  let verdict =
-    match r.Chaos.Audit.check with
-    | Ok () -> "ok"
-    | Error m -> Fmt.str "VIOLATION %s" m
+  let r =
+    Harness.audit
+      ~env:Harness.Env.(default |> with_chaos schedule |> with_failover failover)
+      protocol ~duration_s ~seed ()
   in
-  let live = if Chaos.Audit.liveness_ok r then "live" else "STALLED" in
+  let c = Harness.Run.counter r in
+  let verdict =
+    match r.Harness.Run.check with
+    | Harness.Run.Pass -> "ok"
+    | Harness.Run.Fail m | Harness.Run.Unknown m -> Fmt.str "VIOLATION %s" m
+  in
+  let live = Harness.liveness_ok r in
   let failover_summary =
     if failover then
       Fmt.str " vc=%d retries=%d indoubt=%d elect=%dus"
-        r.Chaos.Audit.view_changes r.Chaos.Audit.rpc_retries
-        r.Chaos.Audit.in_doubt_resolved r.Chaos.Audit.max_election_us
+        (c "failover.view_changes") (c "failover.rpc_retries")
+        (c "failover.in_doubt_resolved") (c "failover.max_election_us")
     else ""
   in
   Fmt.pr "  %s  %-10s %-8s ops=%-6d unacked=%-4d drops=%d/%d/%d%s@." name
-    verdict live r.Chaos.Audit.ops_completed r.Chaos.Audit.unacked_commits
-    r.Chaos.Audit.dropped_crash r.Chaos.Audit.dropped_partition
-    r.Chaos.Audit.dropped_loss failover_summary;
-  (r.Chaos.Audit.check = Ok (), Chaos.Audit.liveness_ok r)
+    verdict
+    (if live then "live" else "STALLED")
+    (c "op.completed") (c "op.unacked_commits_swept") (c "fault.dropped_crash")
+    (c "fault.dropped_partition") (c "fault.dropped_loss") failover_summary;
+  (Harness.Run.passed r, live)
 
 let battery seeds =
   Fmt.pr "== nemesis battery (%g s simulated per cell) ==@." duration_s;

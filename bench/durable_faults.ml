@@ -64,32 +64,41 @@ let measure ?disk_faults ~name ~protocol ~preset ~duration_s ~seed () =
     match disk_faults with Some df -> df | None -> disk_faults_for preset ~seed
   in
   let n_migrations = if Chaos.Nemesis.requires_reshard preset then 2 else 0 in
-  let t0 = Sys.time () in
-  let r =
-    Chaos.Audit.run protocol ~schedule ~disk_faults ~failover:true ~n_migrations
-      ~duration_s ~seed ()
+  let env =
+    Harness.Env.(
+      default |> with_chaos schedule |> with_disk_faults disk_faults
+      |> with_failover true
+      |> with_reshard
+           (Harness.audit_migrations ~n_keys:(Harness.audit_keys protocol)
+              n_migrations))
   in
+  let t0 = Sys.time () in
+  let r = Harness.audit ~env protocol ~duration_s ~seed () in
   let cpu_s = Sys.time () -. t0 in
+  let c = Harness.Run.counter r in
   {
     name;
-    verdict = (match r.Chaos.Audit.check with Ok () -> "pass" | Error _ -> "fail");
-    detail = (match r.Chaos.Audit.check with Ok () -> "" | Error m -> m);
-    live = Chaos.Audit.liveness_ok r;
-    digest = Digest.to_hex (Digest.string r.Chaos.Audit.trace);
-    n_ops = r.Chaos.Audit.history_len;
+    verdict = (if Harness.Run.passed r then "pass" else "fail");
+    detail =
+      (match r.Harness.Run.check with
+      | Harness.Run.Pass -> ""
+      | Harness.Run.Fail m | Harness.Run.Unknown m -> m);
+    live = Harness.liveness_ok r;
+    digest = Digest.to_hex (Digest.string (Harness.audit_trace r));
+    n_ops = Harness.Run.n_records r;
     cpu_s;
-    disk_torn = r.Chaos.Audit.disk_torn;
-    disk_corrupt = r.Chaos.Audit.disk_corrupt;
-    disk_resurfaced = r.Chaos.Audit.disk_resurfaced;
-    disk_lost_ints = r.Chaos.Audit.disk_lost_ints;
-    disk_crashes = r.Chaos.Audit.disk_crashes;
-    scrub_passes = r.Chaos.Audit.scrub_passes;
-    scrub_flagged = r.Chaos.Audit.scrub_flagged;
-    repairs_torn = r.Chaos.Audit.repairs_torn;
-    repairs_quarantined = r.Chaos.Audit.repairs_quarantined;
-    repairs_peer = r.Chaos.Audit.repairs_peer;
-    place_repairs = r.Chaos.Audit.place_repairs;
-    unrepaired = r.Chaos.Audit.unrepaired;
+    disk_torn = c "durable.fault.torn";
+    disk_corrupt = c "durable.fault.corrupt";
+    disk_resurfaced = c "durable.fault.resurfaced";
+    disk_lost_ints = c "durable.fault.lost_ints";
+    disk_crashes = c "durable.fault.crashes";
+    scrub_passes = c "durable.scrub.passes";
+    scrub_flagged = c "durable.scrub.flagged";
+    repairs_torn = c "durable.repair.torn";
+    repairs_quarantined = c "durable.repair.quarantined";
+    repairs_peer = c "durable.repair.peer";
+    place_repairs = c "durable.repair.place";
+    unrepaired = c "durable.repair.unrepaired";
   }
 
 (* The broken-control configuration: checksum-blind stores under a crafted
@@ -141,13 +150,17 @@ let integrity_control ~base_seed ~max_tries =
     in
     let name = Printf.sprintf "integrity-off/seed=%d" seed in
     match
-      Chaos.Audit.run Chaos.Audit.Spanner_rss ~schedule:control_schedule
-        ~disk_faults:df ~failover:true ~duration_s:10.0 ~seed ()
+      Harness.audit
+        ~env:
+          Harness.Env.(
+            default |> with_chaos control_schedule |> with_disk_faults df
+            |> with_failover true)
+        Chaos.Audit.Spanner_rss ~duration_s:10.0 ~seed ()
     with
     | r -> (
-      match r.Chaos.Audit.check with
-      | Ok () -> None
-      | Error m -> Some (name, m))
+      match r.Harness.Run.check with
+      | Harness.Run.Pass -> None
+      | Harness.Run.Fail m | Harness.Run.Unknown m -> Some (name, m))
     | exception e -> Some (name, "replay raised: " ^ Printexc.to_string e)
   in
   let rec scan i =

@@ -106,16 +106,19 @@ let () =
         i.Explore.Exec.preset ~duration_s ~seed:i.Explore.Exec.nemesis_seed
     in
     let run =
-      Chaos.Audit.run i.Explore.Exec.protocol ~schedule
+      Harness.audit
+        ~env:
+          Harness.Env.(
+            default |> with_chaos schedule
+            |> with_failover
+                 (Chaos.Nemesis.requires_failover i.Explore.Exec.preset))
         ~n_slots:i.Explore.Exec.n_slots ~n_keys:i.Explore.Exec.n_keys
         ~timeout_us:(i.Explore.Exec.timeout_ms * 1_000)
         ~conflict:(float_of_int i.Explore.Exec.conflict_pct /. 100.0)
         ~write_ratio:(float_of_int i.Explore.Exec.write_pct /. 100.0)
-        ~failover:
-          (Chaos.Nemesis.requires_failover i.Explore.Exec.preset)
-        ~duration_s ~seed:i.Explore.Exec.seed ()
+        i.Explore.Exec.protocol ~duration_s ~seed:i.Explore.Exec.seed ()
     in
-    Digest.to_hex (Digest.string run.Chaos.Audit.trace)
+    Digest.to_hex (Digest.string (Harness.audit_trace run))
   in
   let off = Explore.Exec.run base_in in
   let off_identical =

@@ -608,16 +608,6 @@ let chaos_cmd =
     let failover = failover || Chaos.Nemesis.requires_failover nemesis in
     let nseed = Option.value nemesis_seed ~default:seed in
     let disk_faults =
-      let scale r (s : Sim.Durable.Faults.spec) =
-        let p x = min 1.0 (x *. r) in
-        {
-          s with
-          Sim.Durable.Faults.tear_prob = p s.Sim.Durable.Faults.tear_prob;
-          corrupt_prob = p s.Sim.Durable.Faults.corrupt_prob;
-          stale_prob = p s.Sim.Durable.Faults.stale_prob;
-          lost_int_prob = p s.Sim.Durable.Faults.lost_int_prob;
-        }
-      in
       let tuned = Chaos.Nemesis.disk_spec nemesis in
       match disk_fault_rate with
       | Some r when r < 0.0 ->
@@ -628,7 +618,10 @@ let chaos_cmd =
         let base =
           match tuned with Some s -> s | None -> Sim.Durable.Faults.default_spec
         in
-        Some (Chaos.Audit.default_disk_faults ~spec:(scale r base) ~seed:nseed ())
+        Some
+          (Chaos.Audit.default_disk_faults
+             ~spec:(Sim.Durable.Faults.scale r base)
+             ~seed:nseed ())
       | None -> (
         match tuned with
         | Some s -> Some (Chaos.Audit.default_disk_faults ~spec:s ~seed:nseed ())
@@ -645,22 +638,33 @@ let chaos_cmd =
          (fun a b -> compare a.Chaos.Schedule.at_us b.Chaos.Schedule.at_us)
          schedule);
     let tracer = tracer_for trace_out in
-    let r =
-      Chaos.Audit.run protocol ~tracer ~schedule ?disk_faults ~n_slots:slots
-        ?timeout_us:deadline_us ~failover ~n_migrations ~duration_s:duration
-        ~seed ()
+    let env =
+      {
+        Harness.Env.default with
+        chaos = Some schedule;
+        disk_faults;
+        failover;
+        trace = tracer;
+        reshard =
+          Harness.audit_migrations ~n_keys:(Harness.audit_keys protocol)
+            n_migrations;
+      }
     in
-    Chaos.Audit.print_report r;
+    let r =
+      Harness.audit ~env ~n_slots:slots ?timeout_us:deadline_us protocol
+        ~duration_s:duration ~seed ()
+    in
+    Harness.print_audit protocol r;
     save_trace tracer trace_out;
-    match (r.Chaos.Audit.check, Chaos.Audit.liveness_ok r) with
-    | Ok (), true ->
-      if r.Chaos.Audit.unrepaired > 0 then begin
-        Fmt.epr "error: %d members still quarantined at run end@."
-          r.Chaos.Audit.unrepaired;
+    match (r.Harness.Run.check, Harness.liveness_ok r) with
+    | Harness.Run.Pass, true ->
+      let unrepaired = Harness.Run.counter r "durable.repair.unrepaired" in
+      if unrepaired > 0 then begin
+        Fmt.epr "error: %d members still quarantined at run end@." unrepaired;
         exit 4
       end
-    | Error _, _ -> exit 2
-    | Ok (), false -> exit 3
+    | (Harness.Run.Fail _ | Harness.Run.Unknown _), _ -> exit 2
+    | Harness.Run.Pass, false -> exit 3
   in
   Cmd.v
     (Cmd.info "chaos"

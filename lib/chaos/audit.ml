@@ -59,15 +59,6 @@ let default_disk_faults ?spec ~seed () =
     df_integrity = true;
   }
 
-let zero_disk_stats =
-  {
-    Sim.Durable.Faults.fs_torn = 0;
-    fs_corrupt = 0;
-    fs_resurfaced = 0;
-    fs_lost_ints = 0;
-    fs_crashes = 0;
-  }
-
 (* Install the control before the cluster exists — stores register with the
    ambient control at creation time. *)
 let install_disk_faults = function
@@ -88,123 +79,6 @@ let arm_scrub engine ~tracer ~dctl ~disk_faults ~duration_s =
          ~period_us:df.df_scrub_period_us
          ~until_us:(Sim.Engine.sec duration_s) ())
   | _ -> None
-
-(* The raw per-protocol history, exposed so callers (the schedule explorer
-   in particular) can re-judge a run with [Rss_core.Check_online] or other
-   oracles without re-executing the simulation. *)
-type records =
-  | Spanner_records of Rss_core.Witness.txn array
-  | Gryff_records of Gryff.Cluster.record array
-
-type run = {
-  protocol : protocol;
-  check : (unit, string) result;
-  records : records;
-  stale_control : unit -> (unit, string) result option;
-  trace : string;
-  history_len : int;
-  ops_completed : int;
-  ops_timed_out : int;
-  timed_out_by_kind : (string * int) list;
-  post_quiet_completed : int;
-  post_quiet_timed_out : int;
-  aborted_attempts : int;
-  unacked_commits : int;
-  faults_injected : int;
-  msgs_sent : int;
-  dropped_crash : int;
-  dropped_partition : int;
-  dropped_loss : int;
-  duplicated : int;
-  delayed : int;
-  latency : Stats.Recorder.t;
-  duration_us : int;
-  view_changes : int;
-  rpc_retries : int;
-  in_doubt_resolved : int;
-  max_election_us : int;
-  migrations : int;
-  migration_retries : int;
-  redirects : int;
-  disk_torn : int;
-  disk_corrupt : int;
-  disk_resurfaced : int;
-  disk_lost_ints : int;
-  disk_crashes : int;
-  scrub_passes : int;
-  scrub_entries : int;
-  scrub_flagged : int;
-  repairs_torn : int;
-  repairs_quarantined : int;
-  repairs_peer : int;
-  place_repairs : int;
-  unrepaired : int;
-}
-
-(* Drive [n_slots] session slots against [issue_op]. Each slot runs one
-   session at a time; an operation that misses [timeout_us] abandons the
-   session (its process id is never reused, so session-order checking stays
-   sound) and a fresh session takes the slot. [quiet_us] is when the
-   schedule's cleanup fires — completions of ops invoked after it prove
-   liveness resumed. *)
-type slot_stats = {
-  mutable completed : int;
-  mutable timed_out : int;
-  mutable post_quiet_completed : int;
-  mutable post_quiet_timed_out : int;
-  timed_out_kinds : (string, int) Hashtbl.t;
-      (* which op kinds the timeouts hit (ro/rw for Spanner,
-         read/write/rmw for Gryff) — a schedule that only starves one kind
-         (e.g. ROs stuck behind a gray leader) shows up here, where the
-         aggregate hides it *)
-}
-
-let timed_out_by_kind stats =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) stats.timed_out_kinds []
-  |> List.sort compare
-
-let drive_slots engine ~n_slots ~until ~timeout_us ~quiet_us ~latency
-    ~(new_session : int -> 'c)
-    ~(issue_op : 'c -> kind:(string -> unit) -> finish:(unit -> unit) -> unit) =
-  let stats =
-    { completed = 0; timed_out = 0; post_quiet_completed = 0;
-      post_quiet_timed_out = 0; timed_out_kinds = Hashtbl.create 8 }
-  in
-  let gen = Array.make n_slots 0 in
-  let slot_kind = Array.make n_slots "?" in
-  let rec start_session slot =
-    if Sim.Engine.now engine < until then run_op slot (new_session slot)
-  and run_op slot session =
-    let g = gen.(slot) in
-    let t0 = Sim.Engine.now engine in
-    let finished = ref false in
-    Sim.Engine.schedule engine ~after:timeout_us (fun () ->
-        if (not !finished) && gen.(slot) = g then begin
-          stats.timed_out <- stats.timed_out + 1;
-          (let k = slot_kind.(slot) in
-           let prev = try Hashtbl.find stats.timed_out_kinds k with Not_found -> 0 in
-           Hashtbl.replace stats.timed_out_kinds k (prev + 1));
-          if t0 >= quiet_us then
-            stats.post_quiet_timed_out <- stats.post_quiet_timed_out + 1;
-          gen.(slot) <- g + 1;
-          start_session slot
-        end);
-    issue_op session
-      ~kind:(fun k -> slot_kind.(slot) <- k)
-      ~finish:(fun () ->
-        finished := true;
-        if gen.(slot) = g then begin
-          stats.completed <- stats.completed + 1;
-          Stats.Recorder.add latency (Sim.Engine.now engine - t0);
-          if t0 >= quiet_us then
-            stats.post_quiet_completed <- stats.post_quiet_completed + 1;
-          if Sim.Engine.now engine < until then run_op slot session
-        end)
-  in
-  for slot = 0 to n_slots - 1 do
-    start_session slot
-  done;
-  stats
 
 (* ------------------------------------------------------------------ *)
 (* Sweeps for operations whose acknowledgement a fault swallowed        *)
@@ -248,7 +122,7 @@ let sweep_gryff_write cluster ~proc ~inv ~key ~value ~cs =
     }
 
 (* ------------------------------------------------------------------ *)
-(* Spanner / Spanner-RSS                                               *)
+(* Trace serialization and stale-read controls: Spanner               *)
 (* ------------------------------------------------------------------ *)
 
 let spanner_trace records =
@@ -266,253 +140,60 @@ let spanner_trace records =
     records;
   Buffer.contents buf
 
-(* Corrupt one read to the key's previous version and re-check: the audit's
-   "control" proving the checker catches stale reads. *)
-let spanner_stale_control ~mode records =
-  let records = Array.copy records in
-  let writes_by_key : (string, (int * int) list) Hashtbl.t = Hashtbl.create 256 in
-  Array.iter
-    (fun (w : Rss_core.Witness.txn) ->
-      List.iter
-        (fun (k, v) ->
-          let prev = try Hashtbl.find writes_by_key k with Not_found -> [] in
-          Hashtbl.replace writes_by_key k ((w.Rss_core.Witness.ts, v) :: prev))
-        w.Rss_core.Witness.writes)
-    records;
-  let prev_version k v =
-    match Hashtbl.find_opt writes_by_key k with
-    | None -> None
-    | Some ws -> (
-      let ws = List.sort compare ws in
-      let rec walk prev = function
-        | (_, v') :: _ when v' = v -> prev
-        | (_, v') :: rest -> walk (Some v') rest
-        | [] -> None
-      in
-      match walk None ws with
-      | Some v' when v' <> v -> Some v'
-      | _ -> None)
-  in
-  (* A value no transaction ever wrote — corrupting a read to it is illegal
-     in any serialization, the fallback when no older version exists. *)
-  let phantom =
-    1
-    + Array.fold_left
-        (fun acc (w : Rss_core.Witness.txn) ->
-          List.fold_left (fun acc (_, v) -> max acc v) acc w.Rss_core.Witness.writes)
-        0 records
-  in
-  let corrupt k ov =
-    match ov with
-    | Some v -> (
-      match prev_version k v with Some stale -> Some stale | None -> Some phantom)
-    | None -> Some phantom
-  in
-  let exception Found of int * (string * int option) list in
-  try
-    Array.iteri
-      (fun i (w : Rss_core.Witness.txn) ->
-        if w.Rss_core.Witness.resp <> max_int then
-          match w.Rss_core.Witness.reads with
-          | (k, ov) :: rest -> raise (Found (i, (k, corrupt k ov) :: rest))
-          | [] -> ())
-      records;
-    None
-  with Found (i, reads) ->
-    records.(i) <- { (records.(i)) with Rss_core.Witness.reads };
-    Some (Rss_core.Witness.check ~mode records)
-
-type pending_rw = {
-  pr_proc : int;
-  pr_inv : int;
-  pr_writes : (int * int) list;
-  mutable pr_last_txn : int;
-  mutable pr_done : bool;
-}
-
-let spanner ?config ?(tracer = Obs.Trace.disabled) ?prepare ~mode ~schedule
-    ?disk_faults ?(n_slots = 12) ?(theta = 0.5) ?(n_keys = 5_000)
-    ?(timeout_us = 2_000_000) ?(failover = false) ?(n_migrations = 0)
-    ~duration_s ~seed () =
-  let engine = Sim.Engine.create () in
-  let rng = Sim.Rng.make seed in
-  let dctl = install_disk_faults disk_faults in
-  Fun.protect ~finally:(fun () -> Option.iter Sim.Durable.Faults.retire dctl)
-  @@ fun () ->
-  let config = match config with Some c -> c | None -> Spanner.Config.wan3 ~mode () in
-  let cluster = Spanner.Cluster.create engine ~rng config in
-  (match prepare with
-  | Some f -> f engine (Spanner.Cluster.net cluster)
-  | None -> ());
-  if Obs.Trace.enabled tracer then Spanner.Cluster.set_tracer cluster tracer;
-  if failover then
-    (* A dedicated seeded stream for retry jitter: the workload stream stays
-       untouched, and the failover timers stop at the horizon so the engine
-       queue still drains. *)
-    Spanner.Cluster.enable_failover cluster
-      ~rng:(Sim.Rng.make (0xfa11 + seed))
-      ~until_us:(Sim.Engine.sec duration_s + Sim.Engine.sec 4.0)
-      ();
-  let deadline_us = if failover then Some (timeout_us - 200_000) else None in
-  let faults = ref 0 in
-  (* Wherever the nemesis crashes a site, the same event damages the site's
-     durable stores; when the directory replica's site recovers, its
-     assignment log is re-verified and healed from the overlay. *)
-  let on_disk_fault (ev : Schedule.event) =
-    match dctl with
-    | None -> ()
-    | Some ctl -> (
-      match ev.Schedule.fault with
-      | Schedule.Crash ss ->
-        List.iter (Sim.Durable.Faults.crash_site ctl) ss
-      | Schedule.Recover ss when List.mem 0 ss ->
-        ignore (Place.Directory.recover (Spanner.Cluster.directory cluster))
-      | _ -> ())
-  in
-  ignore
-    (Schedule.apply schedule ~engine ~net:(Spanner.Cluster.net cluster)
-       ~tt:(Spanner.Cluster.truetime cluster) ~tracer
-       ~on_fault:(fun ev ->
-         incr faults;
-         (* Gray failures live in the protocol deployment's stations, which
-            the network-level injector cannot see — apply them here, like
-            the Crash-coupled disk damage below. *)
-         (match ev.Schedule.fault with
-         | Schedule.Slow { site; factor } ->
-           Spanner.Cluster.set_site_slowdown cluster ~site ~factor
-         | Schedule.Slow_clear -> Spanner.Cluster.clear_slowdowns cluster
-         | _ -> ());
-         on_disk_fault ev)
-       ());
-  let scrub_stats = arm_scrub engine ~tracer ~dctl ~disk_faults ~duration_s in
-  let retwis = Workload.Retwis.create ~rng:(Sim.Rng.split rng) ~n_keys ~theta in
-  let until = Sim.Engine.sec duration_s in
-  (* Live migrations of the Zipfian head — the hottest eighth of the
-     keyspace — spread over the run, each to a different destination shard.
-     Scheduling them here (not in the nemesis) keeps Schedule.t purely about
-     network/clock faults. *)
-  let n_shards = config.Spanner.Config.n_shards in
-  for i = 0 to n_migrations - 1 do
-    let at =
-      int_of_float ((0.30 +. (0.25 *. float_of_int i)) *. float_of_int until)
-    in
-    let dst = (i + 1) mod n_shards in
-    Sim.Engine.schedule engine ~kind:"chaos.migrate" ~after:at (fun () ->
-        Spanner.Cluster.migrate cluster ~lo:0 ~hi:(max 1 (n_keys / 8)) ~dst
-          (fun _ -> ()))
-  done;
-  let quiet_us = Schedule.end_of_faults schedule in
-  let latency = Stats.Recorder.create () in
-  let pending : pending_rw list ref = ref [] in
-  let client_sites = config.Spanner.Config.client_sites in
-  let n_sites = Array.length client_sites in
-  let stats =
-    drive_slots engine ~n_slots ~until ~timeout_us ~quiet_us ~latency
-      ~new_session:(fun slot ->
-        Spanner.Client.create cluster ~site:client_sites.(slot mod n_sites))
-      ~issue_op:(fun c ~kind ~finish ->
-        let txn = Workload.Retwis.sample retwis in
-        if Workload.Retwis.is_read_only txn then begin
-          kind "ro";
-          Spanner.Client.ro ?deadline_us c ~keys:txn.Workload.Retwis.read_keys
-            (fun _ -> finish ())
-        end
-        else begin
-          kind "rw";
-          let writes =
-            List.map
-              (fun key -> (key, Spanner.Cluster.fresh_value cluster))
-              txn.Workload.Retwis.write_keys
-          in
-          let info =
-            {
-              pr_proc = Spanner.Client.proc c;
-              pr_inv = Sim.Engine.now engine;
-              pr_writes = writes;
-              pr_last_txn = -1;
-              pr_done = false;
-            }
-          in
-          pending := info :: !pending;
-          Spanner.Client.rw_kv ?deadline_us c
-            ~on_attempt:(fun id -> info.pr_last_txn <- id)
-            ~read_keys:txn.Workload.Retwis.read_keys ~writes
-            (fun _ ->
-              info.pr_done <- true;
-              finish ())
-        end)
-  in
-  Sim.Engine.run ~max_events:600_000_000 engine;
-  (* Sweep committed-but-unacknowledged transactions into the history: their
-     writes are visible at the shards, so the witness must know about them.
-     resp = max_int marks them incomplete (no real-time obligations, reads
-     not checked) — exactly how complete(α) treats a stopped client. *)
-  let unacked = ref 0 in
+(* The stale-read controls corrupt the first completed read to the version
+   its key held just before the one it saw — or, when none exists, to a
+   value no op wrote, illegal in any serialization — and re-check: the
+   audit's proof that the checker catches stale reads. [writes] lists
+   (key, (order, value)) for every write; [compare] orders versions. *)
+let stale_read_control ~writes ~compare ~eligible ~corrupt ~check records =
+  let by_key = Hashtbl.create 256 in
   List.iter
-    (fun info ->
-      if (not info.pr_done) && info.pr_last_txn >= 0 then
-        if
-          sweep_spanner_txn cluster ~proc:info.pr_proc ~inv:info.pr_inv
-            ~writes:info.pr_writes ~txn:info.pr_last_txn
-        then incr unacked)
-    (List.rev !pending);
-  let records = Spanner.Cluster.records cluster in
-  let net = Spanner.Cluster.net cluster in
-  let fstats = Spanner.Cluster.failover_stats cluster in
-  let pstats = Spanner.Cluster.place_stats cluster in
-  let dstats =
-    match dctl with
-    | Some ctl -> Sim.Durable.Faults.stats ctl
-    | None -> zero_disk_stats
+    (fun (k, ov) ->
+      let prev = Option.value (Hashtbl.find_opt by_key k) ~default:[] in
+      Hashtbl.replace by_key k (ov :: prev))
+    writes;
+  let phantom = 1 + List.fold_left (fun acc (_, (_, v)) -> max acc v) 0 writes in
+  let stale k observed =
+    let rec walk prev = function
+      | (_, v') :: _ when Some v' = observed -> prev
+      | (_, v') :: rest -> walk (Some v') rest
+      | [] -> None
+    in
+    match Hashtbl.find_opt by_key k with
+    | Some ws when observed <> None -> (
+      match walk None (List.sort compare ws) with
+      | Some v' when Some v' <> observed -> v'
+      | _ -> phantom)
+    | _ -> phantom
   in
-  let wmode = match mode with Spanner.Config.Strict -> `Strict | Spanner.Config.Rss -> `Rss in
-  {
-    protocol = (match mode with Spanner.Config.Strict -> Spanner_strict | Spanner.Config.Rss -> Spanner_rss);
-    check = Spanner.Cluster.check_history cluster;
-    records = Spanner_records records;
-    stale_control = (fun () -> spanner_stale_control ~mode:wmode records);
-    trace = spanner_trace records;
-    history_len = Array.length records;
-    ops_completed = stats.completed;
-    ops_timed_out = stats.timed_out;
-    timed_out_by_kind = timed_out_by_kind stats;
-    post_quiet_completed = stats.post_quiet_completed;
-    post_quiet_timed_out = stats.post_quiet_timed_out;
-    aborted_attempts = (Spanner.Cluster.ctx cluster).Spanner.Protocol.n_rw_aborted_attempts;
-    unacked_commits = !unacked;
-    faults_injected = !faults;
-    msgs_sent = Sim.Net.messages_sent net;
-    dropped_crash = Sim.Net.dropped_crash net;
-    dropped_partition = Sim.Net.dropped_partition net;
-    dropped_loss = Sim.Net.dropped_loss net;
-    duplicated = Sim.Net.messages_duplicated net;
-    delayed = Sim.Net.messages_delayed net;
-    latency;
-    duration_us = Sim.Engine.now engine;
-    view_changes = fstats.Spanner.Cluster.view_changes;
-    rpc_retries = fstats.Spanner.Cluster.rpc_retries;
-    in_doubt_resolved = fstats.Spanner.Cluster.in_doubt_resolved;
-    max_election_us = fstats.Spanner.Cluster.max_election_us;
-    migrations = pstats.Spanner.Cluster.migrations;
-    migration_retries = pstats.Spanner.Cluster.migration_retries;
-    redirects = pstats.Spanner.Cluster.redirects;
-    disk_torn = dstats.Sim.Durable.Faults.fs_torn;
-    disk_corrupt = dstats.Sim.Durable.Faults.fs_corrupt;
-    disk_resurfaced = dstats.Sim.Durable.Faults.fs_resurfaced;
-    disk_lost_ints = dstats.Sim.Durable.Faults.fs_lost_ints;
-    disk_crashes = dstats.Sim.Durable.Faults.fs_crashes;
-    scrub_passes = (match scrub_stats with Some s -> s.Sim.Scrub.passes | None -> 0);
-    scrub_entries = (match scrub_stats with Some s -> s.Sim.Scrub.entries | None -> 0);
-    scrub_flagged = (match scrub_stats with Some s -> s.Sim.Scrub.flagged | None -> 0);
-    repairs_torn = fstats.Spanner.Cluster.torn_repaired;
-    repairs_quarantined = fstats.Spanner.Cluster.corrupt_quarantined;
-    repairs_peer = fstats.Spanner.Cluster.peer_repairs;
-    place_repairs = Place.Directory.repairs (Spanner.Cluster.directory cluster);
-    unrepaired = fstats.Spanner.Cluster.unrepaired;
-  }
+  let records = Array.copy records in
+  let rec first i =
+    if i = Array.length records then None
+    else if eligible records.(i) then begin
+      records.(i) <- corrupt stale records.(i);
+      Some (check records)
+    end
+    else first (i + 1)
+  in
+  first 0
+
+let spanner_stale_control ~mode records =
+  let open Rss_core.Witness in
+  stale_read_control
+    ~writes:
+      (List.concat_map
+         (fun w -> List.map (fun (k, v) -> (k, (w.ts, v))) w.writes)
+         (Array.to_list records))
+    ~compare:Stdlib.compare
+    ~eligible:(fun w -> w.resp <> max_int && w.reads <> [])
+    ~corrupt:(fun stale w ->
+      match w.reads with
+      | (k, ov) :: rest -> { w with reads = (k, Some (stale k ov)) :: rest }
+      | [] -> w)
+    ~check:(check ~mode) records
 
 (* ------------------------------------------------------------------ *)
-(* Gryff / Gryff-RSC                                                   *)
+(* Trace serialization and stale-read controls: Gryff                 *)
 (* ------------------------------------------------------------------ *)
 
 let gryff_trace records =
@@ -534,302 +215,16 @@ let gryff_trace records =
     records;
   Buffer.contents buf
 
-let gryff_stale_control cluster records =
-  let records = Array.copy records in
-  let writes_by_key : (int, (Gryff.Carstamp.t * int) list) Hashtbl.t =
-    Hashtbl.create 256
-  in
-  Array.iter
-    (fun (r : Gryff.Cluster.record) ->
-      match r.Gryff.Cluster.g_written with
-      | Some v ->
-        let k = r.Gryff.Cluster.g_key in
-        let prev = try Hashtbl.find writes_by_key k with Not_found -> [] in
-        Hashtbl.replace writes_by_key k ((r.Gryff.Cluster.g_cs, v) :: prev)
-      | None -> ())
-    records;
-  let prev_version k v =
-    match Hashtbl.find_opt writes_by_key k with
-    | None -> None
-    | Some ws -> (
-      let ws =
-        List.sort (fun (a, _) (b, _) -> Gryff.Carstamp.compare a b) ws
-      in
-      let rec walk prev = function
-        | (_, v') :: _ when v' = v -> prev
-        | (_, v') :: rest -> walk (Some v') rest
-        | [] -> None
-      in
-      match walk None ws with Some v' when v' <> v -> Some v' | _ -> None)
-  in
-  let phantom =
-    1
-    + Array.fold_left
-        (fun acc (r : Gryff.Cluster.record) ->
-          match r.Gryff.Cluster.g_written with Some v -> max acc v | None -> acc)
-        0 records
-  in
-  let exception Found of int * int in
-  try
-    Array.iteri
-      (fun i (r : Gryff.Cluster.record) ->
-        if r.Gryff.Cluster.g_kind = Gryff.Cluster.Read && r.Gryff.Cluster.g_resp <> max_int
-        then
-          match r.Gryff.Cluster.g_observed with
-          | Some v -> (
-            match prev_version r.Gryff.Cluster.g_key v with
-            | Some stale -> raise (Found (i, stale))
-            | None -> raise (Found (i, phantom)))
-          | None -> raise (Found (i, phantom)))
-      records;
-    None
-  with Found (i, stale) ->
-    records.(i) <- { (records.(i)) with Gryff.Cluster.g_observed = Some stale };
-    Some (Gryff.Cluster.check_history_of cluster (Array.to_list records))
-
-type pending_write = {
-  pw_proc : int;
-  pw_inv : int;
-  pw_key : int;
-  pw_value : int;
-  mutable pw_cs : Gryff.Carstamp.t option;
-  mutable pw_done : bool;
-}
-
-let gryff ?config ?client_sites ?(tracer = Obs.Trace.disabled) ?prepare ~mode
-    ~schedule ?disk_faults ?(n_slots = 10) ?(write_ratio = 0.3) ?(conflict = 0.1)
-    ?(n_keys = 2_000) ?(timeout_us = 2_000_000) ?(unsafe_no_deps = false)
-    ?(failover = false) ~duration_s ~seed () =
-  let engine = Sim.Engine.create () in
-  let rng = Sim.Rng.make seed in
-  (* Gryff keeps no durable stores, so the control registers nothing and
-     every disk counter stays zero — but accepting the spec keeps the
-     battery uniform across protocols. *)
-  let dctl = install_disk_faults disk_faults in
-  Fun.protect ~finally:(fun () -> Option.iter Sim.Durable.Faults.retire dctl)
-  @@ fun () ->
-  let config = match config with Some c -> c | None -> Gryff.Config.wan5 ~mode () in
-  let cluster = Gryff.Cluster.create engine ~rng config in
-  (match prepare with
-  | Some f -> f engine (Gryff.Cluster.net cluster)
-  | None -> ());
-  if Obs.Trace.enabled tracer then Gryff.Cluster.set_tracer cluster tracer;
-  if failover then
-    Gryff.Cluster.enable_retrans cluster ~rng:(Sim.Rng.make (0xfa11 + seed)) ();
-  let faults = ref 0 in
-  ignore
-    (Schedule.apply schedule ~engine ~net:(Gryff.Cluster.net cluster) ~tracer
-       ~on_fault:(fun ev ->
-         incr faults;
-         match (dctl, ev.Schedule.fault) with
-         | Some ctl, Schedule.Crash ss ->
-           List.iter (Sim.Durable.Faults.crash_site ctl) ss
-         | _, Schedule.Slow { site; factor } ->
-           Gryff.Cluster.set_site_slowdown cluster ~site ~factor
-         | _, Schedule.Slow_clear -> Gryff.Cluster.clear_slowdowns cluster
-         | _ -> ())
-       ());
-  let scrub_stats = arm_scrub engine ~tracer ~dctl ~disk_faults ~duration_s in
-  let ycsb =
-    Workload.Ycsb.create ~rng:(Sim.Rng.split rng) ~n_keys ~write_ratio ~conflict
-  in
-  let until = Sim.Engine.sec duration_s in
-  let quiet_us = Schedule.end_of_faults schedule in
-  let latency = Stats.Recorder.create () in
-  let pending : pending_write list ref = ref [] in
-  let next_val = ref 0 in
-  let client_sites =
-    match client_sites with
-    | Some a -> a
-    | None -> Array.init config.Gryff.Config.n_replicas (fun i -> i)
-  in
-  let n_sites = Array.length client_sites in
-  let stats =
-    drive_slots engine ~n_slots ~until ~timeout_us ~quiet_us ~latency
-      ~new_session:(fun slot ->
-        Gryff.Client.create ~unsafe_no_deps cluster
-          ~site:client_sites.(slot mod n_sites))
-      ~issue_op:(fun c ~kind ~finish ->
-        let op = Workload.Ycsb.sample ycsb in
-        if op.Workload.Ycsb.is_write then begin
-          kind "write";
-          incr next_val;
-          let info =
-            {
-              pw_proc = Gryff.Client.proc c;
-              pw_inv = Sim.Engine.now engine;
-              pw_key = op.Workload.Ycsb.key;
-              pw_value = !next_val;
-              pw_cs = None;
-              pw_done = false;
-            }
-          in
-          pending := info :: !pending;
-          Gryff.Client.write c
-            ~on_apply:(fun cs -> info.pw_cs <- Some cs)
-            ~key:op.Workload.Ycsb.key ~value:info.pw_value
-            (fun _ ->
-              info.pw_done <- true;
-              finish ())
-        end
-        else begin
-          kind "read";
-          Gryff.Client.read c ~key:op.Workload.Ycsb.key (fun _ -> finish ())
-        end)
-  in
-  Sim.Engine.run ~max_events:600_000_000 engine;
-  (* Sweep writes whose propagate phase started but whose acks never came
-     back: the value may sit at some replicas and be observed, so the
-     history must carry it (incomplete, resp = max_int). *)
-  let unacked = ref 0 in
-  List.iter
-    (fun info ->
-      match (info.pw_done, info.pw_cs) with
-      | false, Some cs ->
-        incr unacked;
-        sweep_gryff_write cluster ~proc:info.pw_proc ~inv:info.pw_inv
-          ~key:info.pw_key ~value:info.pw_value ~cs
-      | _ -> ())
-    (List.rev !pending);
-  let records = Gryff.Cluster.records cluster in
-  let net = Gryff.Cluster.net cluster in
-  {
-    protocol = (match mode with Gryff.Config.Lin -> Gryff_lin | Gryff.Config.Rsc -> Gryff_rsc);
-    check = Gryff.Cluster.check_history cluster;
-    records = Gryff_records records;
-    stale_control = (fun () -> gryff_stale_control cluster records);
-    trace = gryff_trace records;
-    history_len = Array.length records;
-    ops_completed = stats.completed;
-    ops_timed_out = stats.timed_out;
-    timed_out_by_kind = timed_out_by_kind stats;
-    post_quiet_completed = stats.post_quiet_completed;
-    post_quiet_timed_out = stats.post_quiet_timed_out;
-    aborted_attempts = 0;
-    unacked_commits = !unacked;
-    faults_injected = !faults;
-    msgs_sent = Sim.Net.messages_sent net;
-    dropped_crash = Sim.Net.dropped_crash net;
-    dropped_partition = Sim.Net.dropped_partition net;
-    dropped_loss = Sim.Net.dropped_loss net;
-    duplicated = Sim.Net.messages_duplicated net;
-    delayed = Sim.Net.messages_delayed net;
-    latency;
-    duration_us = Sim.Engine.now engine;
-    view_changes = 0;
-    rpc_retries = (Gryff.Cluster.retrans_stats cluster).Gryff.Cluster.rpc_retries;
-    in_doubt_resolved = 0;
-    max_election_us = 0;
-    migrations = 0;
-    migration_retries = 0;
-    redirects = 0;
-    disk_torn =
-      (match dctl with
-      | Some ctl -> (Sim.Durable.Faults.stats ctl).Sim.Durable.Faults.fs_torn
-      | None -> 0);
-    disk_corrupt = 0;
-    disk_resurfaced = 0;
-    disk_lost_ints = 0;
-    disk_crashes = 0;
-    scrub_passes = (match scrub_stats with Some s -> s.Sim.Scrub.passes | None -> 0);
-    scrub_entries = (match scrub_stats with Some s -> s.Sim.Scrub.entries | None -> 0);
-    scrub_flagged = (match scrub_stats with Some s -> s.Sim.Scrub.flagged | None -> 0);
-    repairs_torn = 0;
-    repairs_quarantined = 0;
-    repairs_peer = 0;
-    place_repairs = 0;
-    unrepaired = 0;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Dispatch and reporting                                              *)
-(* ------------------------------------------------------------------ *)
-
-let run protocol ?tracer ?prepare ~schedule ?disk_faults ?n_slots ?n_keys
-    ?timeout_us ?conflict ?write_ratio ?unsafe_no_deps ?failover ?n_migrations
-    ~duration_s ~seed () =
-  match protocol with
-  | Spanner_strict ->
-    spanner ?tracer ?prepare ~mode:Spanner.Config.Strict ~schedule ?disk_faults
-      ?n_slots ?n_keys ?timeout_us ?failover ?n_migrations ~duration_s ~seed ()
-  | Spanner_rss ->
-    spanner ?tracer ?prepare ~mode:Spanner.Config.Rss ~schedule ?disk_faults
-      ?n_slots ?n_keys ?timeout_us ?failover ?n_migrations ~duration_s ~seed ()
-  | Gryff_lin ->
-    gryff ?tracer ?prepare ~mode:Gryff.Config.Lin ~schedule ?disk_faults
-      ?n_slots ?n_keys ?timeout_us ?conflict ?write_ratio ?unsafe_no_deps
-      ?failover ~duration_s ~seed ()
-  | Gryff_rsc ->
-    gryff ?tracer ?prepare ~mode:Gryff.Config.Rsc ~schedule ?disk_faults
-      ?n_slots ?n_keys ?timeout_us ?conflict ?write_ratio ?unsafe_no_deps
-      ?failover ~duration_s ~seed ()
-
-let liveness_ok ?(min_post_quiet = 1) (r : run) =
-  r.post_quiet_completed >= min_post_quiet
-
-(* The audit report rides the one metrics-table renderer: the run record's
-   counters become a registry snapshot, the latency recorder a histogram. *)
-let metrics_of_run r =
-  {
-    Obs.Metrics.counters =
-      List.sort compare
-        (List.map
-           (fun (k, v) -> ("op.timed_out." ^ k, v))
-           r.timed_out_by_kind
-        @ [
-          ("op.completed", r.ops_completed);
-          ("op.timed_out", r.ops_timed_out);
-          ("op.post_heal_completed", r.post_quiet_completed);
-          ("op.post_heal_timed_out", r.post_quiet_timed_out);
-          ("op.aborted_attempts", r.aborted_attempts);
-          ("op.unacked_commits_swept", r.unacked_commits);
-          ("op.history_records", r.history_len);
-          ("fault.injected", r.faults_injected);
-          ("net.messages", r.msgs_sent);
-          ("fault.dropped_crash", r.dropped_crash);
-          ("fault.dropped_partition", r.dropped_partition);
-          ("fault.dropped_loss", r.dropped_loss);
-          ("fault.duplicated", r.duplicated);
-          ("fault.delayed", r.delayed);
-          ("failover.view_changes", r.view_changes);
-          ("failover.rpc_retries", r.rpc_retries);
-          ("failover.in_doubt_resolved", r.in_doubt_resolved);
-          ("failover.max_election_us", r.max_election_us);
-          ("place.migrations", r.migrations);
-          ("place.migration_retries", r.migration_retries);
-          ("place.redirects", r.redirects);
-          ("durable.fault.torn", r.disk_torn);
-          ("durable.fault.corrupt", r.disk_corrupt);
-          ("durable.fault.resurfaced", r.disk_resurfaced);
-          ("durable.fault.lost_ints", r.disk_lost_ints);
-          ("durable.fault.crashes", r.disk_crashes);
-          ("durable.scrub.passes", r.scrub_passes);
-          ("durable.scrub.entries", r.scrub_entries);
-          ("durable.scrub.flagged", r.scrub_flagged);
-          ("durable.repair.torn", r.repairs_torn);
-          ("durable.repair.quarantined", r.repairs_quarantined);
-          ("durable.repair.peer", r.repairs_peer);
-          ("durable.repair.place", r.place_repairs);
-          ("durable.repair.unrepaired", r.unrepaired);
-        ]);
-    gauges = [];
-    histograms =
-      (if Stats.Recorder.is_empty r.latency then [] else [ ("ops", r.latency) ]);
-  }
-
-let print_report r =
-  Fmt.pr "chaos audit: %s — model: %s@." (protocol_name r.protocol)
-    (model_name r.protocol);
-  Obs.Metrics.print_table ~header:"chaos audit" (metrics_of_run r);
-  (match r.check with
-  | Ok () -> Fmt.pr "history: verified (%s)@." (model_name r.protocol)
-  | Error m -> Fmt.pr "history: VIOLATION — %s@." m);
-  Fmt.pr "liveness: %s (%d ops completed after heal)@."
-    (if liveness_ok r then "ok" else "STALLED")
-    r.post_quiet_completed;
-  if r.disk_crashes > 0 || r.unrepaired > 0 then
-    Fmt.pr
-      "storage: %d crash-damage events — %d torn-tail repairs, %d quarantined \
-       (%d healed by peer transfer, %d place re-persists), %d UNREPAIRED@."
-      r.disk_crashes r.repairs_torn r.repairs_quarantined r.repairs_peer
-      r.place_repairs r.unrepaired
+let gryff_stale_control ~mode history =
+  let open Gryff.Cluster in
+  stale_read_control
+    ~writes:
+      (List.filter_map
+         (fun r -> Option.map (fun v -> (r.g_key, (r.g_cs, v))) r.g_written)
+         (Array.to_list history))
+    ~compare:(fun (a, _) (b, _) -> Gryff.Carstamp.compare a b)
+    ~eligible:(fun r -> r.g_kind = Read && r.g_resp <> max_int)
+    ~corrupt:(fun stale r ->
+      { r with g_observed = Some (stale r.g_key r.g_observed) })
+    ~check:(fun rs -> check_records ~mode (Array.to_list rs))
+    history

@@ -1,15 +1,15 @@
-(** Nemesis-driven consistency audits.
+(** What the nemesis-driven consistency audits share below the driver.
 
     An audit runs one protocol under a fault {!Schedule.t} with a
     timeout-respawning workload, collects the execution history — including
     operations whose acknowledgement a fault swallowed, swept in as
     incomplete records — and checks it against the protocol's consistency
-    model. Liveness is asserted separately: operations invoked after the
-    schedule's final heal must complete.
-
-    Every run is a pure function of (workload [seed], [schedule]); the
-    [trace] field is a canonical serialization of the history, so two runs
-    with identical inputs can be compared byte for byte. *)
+    model. The run itself goes through the one driver core,
+    [Harness.audit], which returns a [Harness.Run.t]; this module keeps the
+    pieces that sit below it: protocol names and nemesis sizing, disk-fault
+    installation and scrubbing, the two sweeps, the stale-read controls,
+    and the canonical trace serialization that lets two runs with
+    identical inputs be compared byte for byte. *)
 
 type protocol = Spanner_strict | Spanner_rss | Gryff_lin | Gryff_rsc
 
@@ -59,7 +59,7 @@ val default_disk_faults :
 val install_disk_faults : disk_faults option -> Sim.Durable.Faults.ctl option
 (** Install the control — call {e before} building the cluster, and
     {!Sim.Durable.Faults.retire} the result even on exceptional exit.
-    Shared by the audit drivers and the chaos-enabled harness drivers. *)
+    Used by the driver core. *)
 
 val arm_scrub :
   Sim.Engine.t -> tracer:Obs.Trace.t -> dctl:Sim.Durable.Faults.ctl option ->
@@ -67,75 +67,12 @@ val arm_scrub :
 (** Arm the background scrub pass on a dedicated station; [None] without an
     installed control or with a zero scrub period. *)
 
-(** The raw collected history, exposed so callers (notably the schedule
-    explorer) can re-judge a finished run with {!Rss_core.Check_online} or
-    other oracles without re-executing the simulation. Spanner runs carry
-    witness transactions; Gryff runs carry per-key register records. *)
-type records =
-  | Spanner_records of Rss_core.Witness.txn array
-  | Gryff_records of Gryff.Cluster.record array
-
-type run = {
-  protocol : protocol;
-  check : (unit, string) result;  (** the consistency verdict *)
-  records : records;  (** the raw history behind [check] and [trace] *)
-  stale_control : unit -> (unit, string) result option;
-      (** Corrupt one read in the collected history to an older version and
-          re-check. [None] if no eligible read exists; otherwise the result
-          should be [Error _] — the audit's proof that the checker has
-          teeth. *)
-  trace : string;  (** canonical history serialization, for determinism diffs *)
-  history_len : int;
-  ops_completed : int;
-  ops_timed_out : int;  (** abandoned after [timeout_us]; session retired *)
-  timed_out_by_kind : (string * int) list;
-      (** the timeouts split by op kind, sorted — ["ro"]/["rw"] for
-          Spanner, ["read"]/["write"]/["rmw"] for Gryff. A fault that only
-          starves one kind (ROs stuck behind a gray leader, say) is
-          visible here and invisible in the aggregate. *)
-  post_quiet_completed : int;
-      (** ops invoked after {!Schedule.end_of_faults} that completed *)
-  post_quiet_timed_out : int;
-  aborted_attempts : int;  (** wound-wait retries (Spanner only) *)
-  unacked_commits : int;  (** committed-but-unacknowledged ops swept in *)
-  faults_injected : int;
-  msgs_sent : int;
-  dropped_crash : int;
-  dropped_partition : int;
-  dropped_loss : int;
-  duplicated : int;
-  delayed : int;
-  latency : Stats.Recorder.t;  (** completed-op latency *)
-  duration_us : int;
-  view_changes : int;  (** leader elections across all shard groups *)
-  rpc_retries : int;  (** request retransmissions (terminate / retrans) *)
-  in_doubt_resolved : int;  (** 2PC participants settled via status queries *)
-  max_election_us : int;  (** worst detection-to-activation gap *)
-  migrations : int;  (** completed live migrations (Spanner only) *)
-  migration_retries : int;  (** per-source fence/ship re-attempts *)
-  redirects : int;  (** client ops bounced off a non-owning shard *)
-  disk_torn : int;  (** log entries lost to tail tears *)
-  disk_corrupt : int;  (** misdirected-write corruptions injected *)
-  disk_resurfaced : int;  (** stale truncated entries resurfaced *)
-  disk_lost_ints : int;  (** register writes lost at crashes *)
-  disk_crashes : int;  (** crash events that damaged ≥1 store *)
-  scrub_passes : int;  (** background store scans completed *)
-  scrub_entries : int;  (** log entries the scrub verified *)
-  scrub_flagged : int;  (** logs the scrub caught damaged *)
-  repairs_torn : int;  (** torn/suspect suffixes truncated and refetched *)
-  repairs_quarantined : int;  (** members quarantined for mid-log damage *)
-  repairs_peer : int;  (** quarantines healed by peer state transfer *)
-  place_repairs : int;  (** directory assignments re-persisted *)
-  unrepaired : int;  (** members still quarantined at run end (fail-stop) *)
-}
-
 val sweep_spanner_txn :
   Spanner.Cluster.t -> proc:int -> inv:int -> writes:(int * int) list ->
   txn:int -> bool
 (** If attempt [txn] committed, record it as an incomplete transaction
     (resp = max_int) — a committed-but-unacknowledged op whose writes are
-    visible. Returns whether it was recorded. Shared by the audit drivers
-    and the chaos-enabled harness drivers. *)
+    visible. Returns whether it was recorded. *)
 
 val sweep_gryff_write :
   Gryff.Cluster.t -> proc:int -> inv:int -> key:int -> value:int ->
@@ -143,54 +80,23 @@ val sweep_gryff_write :
 (** Record a write whose propagate phase started but whose acknowledgement
     never arrived, as an incomplete operation. *)
 
-val spanner :
-  ?config:Spanner.Config.t -> ?tracer:Obs.Trace.t ->
-  ?prepare:(Sim.Engine.t -> Sim.Net.t -> unit) ->
-  mode:Spanner.Config.mode -> schedule:Schedule.t -> ?disk_faults:disk_faults ->
-  ?n_slots:int -> ?theta:float -> ?n_keys:int -> ?timeout_us:int ->
-  ?failover:bool -> ?n_migrations:int -> duration_s:float -> seed:int ->
-  unit -> run
-(** Retwis over Spanner. [n_slots] concurrent session slots; a slot whose
-    operation misses [timeout_us] abandons that session (fresh process id —
-    session-order checking stays sound) and continues with a new one.
-    [failover] (default false) arms {!Spanner.Cluster.enable_failover} and
-    puts client deadlines on every operation — required for liveness under
-    leader-killing schedules. [n_migrations] (default 0) schedules that many
-    live migrations of the Zipfian-hot eighth of the keyspace, spread over
-    the run, each to a different destination shard — the workload for
-    {!Nemesis.Reshard} / {!Nemesis.Hot_split} schedules. [prepare] runs
-    right after the cluster is built, before any fault or workload event is
-    scheduled — the schedule explorer uses it to install perturbation hooks
-    and batching policies on the engine/net. *)
+val spanner_trace : Rss_core.Witness.txn array -> string
+(** Canonical serialization of a Spanner history, one line per
+    transaction — what determinism checks digest. *)
 
-val gryff :
-  ?config:Gryff.Config.t -> ?client_sites:int array -> ?tracer:Obs.Trace.t ->
-  ?prepare:(Sim.Engine.t -> Sim.Net.t -> unit) ->
-  mode:Gryff.Config.mode -> schedule:Schedule.t -> ?disk_faults:disk_faults ->
-  ?n_slots:int ->
-  ?write_ratio:float -> ?conflict:float -> ?n_keys:int -> ?timeout_us:int ->
-  ?unsafe_no_deps:bool -> ?failover:bool -> duration_s:float -> seed:int ->
-  unit -> run
-(** YCSB-style reads/writes over Gryff. [client_sites] restricts where
-    clients run (e.g. off a crash victim); default all replica sites.
-    [unsafe_no_deps] runs the broken control client (RSC fence disabled).
-    [failover] arms {!Gryff.Cluster.enable_retrans}. *)
+val gryff_trace : Gryff.Cluster.record array -> string
+(** Canonical serialization of a Gryff history, one line per operation. *)
 
-val run :
-  protocol -> ?tracer:Obs.Trace.t ->
-  ?prepare:(Sim.Engine.t -> Sim.Net.t -> unit) -> schedule:Schedule.t ->
-  ?disk_faults:disk_faults -> ?n_slots:int -> ?n_keys:int -> ?timeout_us:int ->
-  ?conflict:float -> ?write_ratio:float -> ?unsafe_no_deps:bool ->
-  ?failover:bool -> ?n_migrations:int -> duration_s:float -> seed:int ->
-  unit -> run
-(** Dispatch on {!protocol} with that protocol's default deployment.
-    [tracer] (default disabled) records spans cluster-wide plus a
-    [Fault]-kind instant per injected event. [n_migrations] applies to the
-    Spanner protocols only (Gryff has no elastic placement); [conflict],
-    [write_ratio] and [unsafe_no_deps] apply to the Gryff protocols only. *)
+val spanner_stale_control :
+  mode:Rss_core.Witness.mode -> Rss_core.Witness.txn array ->
+  (unit, string) result option
+(** Corrupt one completed read in the history to an older version (or a
+    value nobody wrote) and re-check. [None] if no eligible read exists;
+    otherwise the result should be [Error _] — the audit's proof that the
+    checker has teeth. *)
 
-val liveness_ok : ?min_post_quiet:int -> run -> bool
-(** True when at least [min_post_quiet] (default 1) operations invoked after
-    the schedule's last event completed. *)
-
-val print_report : run -> unit
+val gryff_stale_control :
+  mode:Gryff.Config.mode -> Gryff.Cluster.record array ->
+  (unit, string) result option
+(** The same control for a Gryff history, checked per key against
+    [mode]'s model. *)

@@ -96,12 +96,12 @@ let equal a b =
 
 type outcome = {
   verdict : Rss_core.Check_online.verdict;
-  offline_check : (unit, string) result;
+  offline_check : Harness.Run.verdict;
   signature : string;
   trace_digest : string;
   checker_work : int;
   checker_displacement : int;
-  run : Chaos.Audit.run;
+  run : Harness.Run.t;
 }
 
 let verdict_string = function
@@ -119,90 +119,26 @@ let witness_mode = function
   | Chaos.Audit.Spanner_strict | Chaos.Audit.Gryff_lin -> `Strict
   | Chaos.Audit.Spanner_rss | Chaos.Audit.Gryff_rsc -> `Rss
 
-let make_checker ~mode ~check_budget =
+let make_checker ~mode ~check_budget () =
   if check_budget > 0 then
     Rss_core.Check_online.create ~work_budget:check_budget
       ~fallback_states:check_budget ~mode ()
   else Rss_core.Check_online.create ~mode ()
 
-(* Same conversion the harness's online arm uses: a Gryff register record
-   as a one-op witness transaction, reads ranked above writes at equal
-   carstamps. *)
-let gryff_witness_txn (r : Gryff.Cluster.record) =
-  let key = string_of_int r.Gryff.Cluster.g_key in
-  let reads =
-    match r.Gryff.Cluster.g_kind with
-    | Gryff.Cluster.Read | Gryff.Cluster.Rmw ->
-      [ (key, r.Gryff.Cluster.g_observed) ]
-    | Gryff.Cluster.Write -> []
-  in
-  let writes =
-    match (r.Gryff.Cluster.g_kind, r.Gryff.Cluster.g_written) with
-    | (Gryff.Cluster.Write | Gryff.Cluster.Rmw), Some v -> [ (key, v) ]
-    | _ -> []
-  in
-  {
-    Rss_core.Witness.proc = r.Gryff.Cluster.g_proc;
-    reads;
-    writes;
-    inv = r.Gryff.Cluster.g_inv;
-    resp = r.Gryff.Cluster.g_resp;
-    ts = Gryff.Carstamp.pack r.Gryff.Cluster.g_cs;
-    rank = (match r.Gryff.Cluster.g_kind with Gryff.Cluster.Read -> 1 | _ -> 0);
-  }
-
-(* Registers are per-key: carstamp order is only meaningful within a key,
-   so each key gets its own online checker (mirroring the harness). Keys
-   are settled in sorted order so the combined verdict — in particular
-   which key a Fail message names — is canonical. *)
 let judge ~protocol ~check_budget records =
-  let mode = witness_mode protocol in
+  let checker = make_checker ~mode:(witness_mode protocol) ~check_budget in
   match records with
-  | Chaos.Audit.Spanner_records arr ->
-    let oc = make_checker ~mode ~check_budget in
+  | Harness.Run.Spanner_txns arr ->
+    let oc = checker () in
     Array.iter (Rss_core.Check_online.add oc) arr;
     ( Rss_core.Check_online.result oc,
       Rss_core.Check_online.work oc,
       Rss_core.Check_online.max_displacement oc )
-  | Chaos.Audit.Gryff_records arr ->
-    let tbl : (int, Rss_core.Check_online.t) Hashtbl.t = Hashtbl.create 64 in
-    Array.iter
-      (fun (r : Gryff.Cluster.record) ->
-        let oc =
-          match Hashtbl.find_opt tbl r.Gryff.Cluster.g_key with
-          | Some oc -> oc
-          | None ->
-            let oc = make_checker ~mode ~check_budget in
-            Hashtbl.add tbl r.Gryff.Cluster.g_key oc;
-            oc
-        in
-        Rss_core.Check_online.add oc (gryff_witness_txn r))
-      arr;
-    let keys =
-      List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) tbl [])
-    in
-    List.fold_left
-      (fun (verdict, work, disp) key ->
-        let oc = Hashtbl.find tbl key in
-        let work = work + Rss_core.Check_online.work oc in
-        let disp = max disp (Rss_core.Check_online.max_displacement oc) in
-        let verdict =
-          match verdict with
-          | Rss_core.Check_online.Fail _ -> verdict
-          | Rss_core.Check_online.Pass | Rss_core.Check_online.Unknown _ -> (
-            match Rss_core.Check_online.result oc with
-            | Rss_core.Check_online.Pass -> verdict
-            | Rss_core.Check_online.Fail m ->
-              Rss_core.Check_online.Fail (Fmt.str "key %d: %s" key m)
-            | Rss_core.Check_online.Unknown m -> (
-              match verdict with
-              | Rss_core.Check_online.Unknown _ -> verdict
-              | _ -> Rss_core.Check_online.Unknown (Fmt.str "key %d: %s" key m)
-              ))
-        in
-        (verdict, work, disp))
-      (Rss_core.Check_online.Pass, 0, 0)
-      keys
+  | Harness.Run.Gryff_ops arr ->
+    let j = Harness.Gryff_check.create checker in
+    Array.iter (Harness.Gryff_check.add j) arr;
+    let _, work, disp = Harness.Gryff_check.stats j in
+    (Harness.Gryff_check.result j, work, disp)
 
 (* ------------------------------------------------------------------ *)
 (* Coverage signature                                                  *)
@@ -222,37 +158,51 @@ let bucket v =
     !b
   end
 
-let signature_of_run ~displacement (r : Chaos.Audit.run) =
-  let b = bucket in
+let signature_of_run ~displacement r =
+  let b name = bucket (Harness.Run.counter r name) in
+  let b2 x y = bucket (Harness.Run.counter r x + Harness.Run.counter r y) in
   Fmt.str "v%d c%d p%d l%d d%d y%d q%d m%d r%d t%d u%d s%d w%d"
-    (b r.Chaos.Audit.view_changes)
-    (b r.Chaos.Audit.dropped_crash)
-    (b r.Chaos.Audit.dropped_partition)
-    (b r.Chaos.Audit.dropped_loss)
-    (b r.Chaos.Audit.duplicated)
-    (b r.Chaos.Audit.delayed)
-    (b r.Chaos.Audit.in_doubt_resolved)
-    (b (r.Chaos.Audit.migrations + r.Chaos.Audit.migration_retries))
-    (b r.Chaos.Audit.redirects)
-    (b r.Chaos.Audit.ops_timed_out)
-    (b r.Chaos.Audit.unacked_commits)
-    (b (r.Chaos.Audit.disk_crashes + r.Chaos.Audit.scrub_flagged))
-    (b displacement)
+    (b "failover.view_changes") (b "fault.dropped_crash")
+    (b "fault.dropped_partition") (b "fault.dropped_loss")
+    (b "fault.duplicated") (b "fault.delayed")
+    (b "failover.in_doubt_resolved")
+    (b2 "place.migrations" "place.migration_retries")
+    (b "place.redirects") (b "op.timed_out") (b "op.unacked_commits_swept")
+    (b2 "durable.fault.crashes" "durable.scrub.flagged")
+    (bucket displacement)
+
+let assess ~protocol ~preset ~check_budget run =
+  let verdict, work, displacement =
+    judge ~protocol ~check_budget run.Harness.Run.records
+  in
+  let signature =
+    (* Protocol and preset belong in the dedup key — the same counter
+       buckets under a different fault mix are a different behaviour. *)
+    let v =
+      match verdict with
+      | Rss_core.Check_online.Pass -> "P"
+      | Rss_core.Check_online.Fail _ -> "F"
+      | Rss_core.Check_online.Unknown _ -> "U"
+    in
+    Fmt.str "%s|%s|%s|%s"
+      (Chaos.Audit.protocol_name protocol)
+      (Chaos.Nemesis.preset_name preset)
+      (signature_of_run ~displacement run)
+      v
+  in
+  {
+    verdict;
+    offline_check = run.Harness.Run.check;
+    signature;
+    trace_digest = Digest.to_hex (Digest.string (Harness.audit_trace run));
+    checker_work = work;
+    checker_displacement = displacement;
+    run;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Execution                                                           *)
 (* ------------------------------------------------------------------ *)
-
-let scale_spec pct (s : Sim.Durable.Faults.spec) =
-  let r = float_of_int pct /. 100.0 in
-  let p x = min 1.0 (x *. r) in
-  {
-    s with
-    Sim.Durable.Faults.tear_prob = p s.Sim.Durable.Faults.tear_prob;
-    corrupt_prob = p s.Sim.Durable.Faults.corrupt_prob;
-    stale_prob = p s.Sim.Durable.Faults.stale_prob;
-    lost_int_prob = p s.Sim.Durable.Faults.lost_int_prob;
-  }
 
 let run i =
   (match validate i with
@@ -263,7 +213,6 @@ let run i =
     Chaos.Audit.nemesis_schedule i.protocol i.preset ~duration_s
       ~seed:i.nemesis_seed
   in
-  let failover = Chaos.Nemesis.requires_failover i.preset in
   let n_migrations =
     match i.protocol with
     | Chaos.Audit.Spanner_strict | Chaos.Audit.Spanner_rss ->
@@ -280,53 +229,36 @@ let run i =
       in
       Some
         (Chaos.Audit.default_disk_faults
-           ~spec:(scale_spec i.disk_rate_pct base)
+           ~spec:
+             (Sim.Durable.Faults.scale
+                (float_of_int i.disk_rate_pct /. 100.0)
+                base)
            ~seed:i.nemesis_seed ())
   in
-  let prepare engine net =
-    Perturb.install i.perturb ~engine ~net;
-    if i.batch_us > 0 then
-      Sim.Net.set_batching net
-        (Some
-           {
-             Sim.Net.batch_us = i.batch_us;
-             batch_max = i.batch_max;
-             adaptive = false;
-           })
+  let env =
+    {
+      Harness.Env.default with
+      chaos = Some schedule;
+      disk_faults;
+      failover = Chaos.Nemesis.requires_failover i.preset;
+      reshard = Harness.audit_migrations ~n_keys:i.n_keys n_migrations;
+      batching =
+        (if i.batch_us > 0 then
+           Some
+             {
+               Sim.Net.batch_us = i.batch_us;
+               batch_max = i.batch_max;
+               adaptive = false;
+             }
+         else None);
+    }
   in
-  let conflict = float_of_int i.conflict_pct /. 100.0 in
-  let write_ratio = float_of_int i.write_pct /. 100.0 in
   let run =
-    Chaos.Audit.run i.protocol ~prepare ~schedule ?disk_faults
+    Harness.audit ~env
+      ~prepare:(fun engine net -> Perturb.install i.perturb ~engine ~net)
       ~n_slots:i.n_slots ~n_keys:i.n_keys ~timeout_us:(i.timeout_ms * 1_000)
-      ~conflict ~write_ratio ~unsafe_no_deps:i.unsafe ~failover ~n_migrations
-      ~duration_s ~seed:i.seed ()
+      ~conflict:(float_of_int i.conflict_pct /. 100.0)
+      ~write_ratio:(float_of_int i.write_pct /. 100.0)
+      ~unsafe_no_deps:i.unsafe i.protocol ~duration_s ~seed:i.seed ()
   in
-  let verdict, work, displacement =
-    judge ~protocol:i.protocol ~check_budget:i.check_budget
-      run.Chaos.Audit.records
-  in
-  let signature =
-    (* Protocol and preset belong in the dedup key — the same counter
-       buckets under a different fault mix are a different behaviour. *)
-    let v =
-      match verdict with
-      | Rss_core.Check_online.Pass -> "P"
-      | Rss_core.Check_online.Fail _ -> "F"
-      | Rss_core.Check_online.Unknown _ -> "U"
-    in
-    Fmt.str "%s|%s|%s|%s"
-      (Chaos.Audit.protocol_name i.protocol)
-      (Chaos.Nemesis.preset_name i.preset)
-      (signature_of_run ~displacement run)
-      v
-  in
-  {
-    verdict;
-    offline_check = run.Chaos.Audit.check;
-    signature;
-    trace_digest = Digest.to_hex (Digest.string run.Chaos.Audit.trace);
-    checker_work = work;
-    checker_displacement = displacement;
-    run;
-  }
+  assess ~protocol:i.protocol ~preset:i.preset ~check_budget:i.check_budget run

@@ -4,11 +4,11 @@
     preset, both seeds, workload shape, Env-style knobs (batching, disk
     fault rate, online-checker budget), the seeded-bug control toggle and
     the {!Perturb} vectors — as plain integers/strings so it serializes
-    to a corpus line set and shrinks by simple arithmetic. {!run} builds
-    the cluster through {!Chaos.Audit}, installs the perturbation via the
+    to a corpus line set and shrinks by simple arithmetic. {!run} drives
+    the trial through [Harness.audit], installs the perturbation via the
     audit's [prepare] hook, re-judges the collected history with
     {!Rss_core.Check_online} (the oracle verdict), and condenses the
-    run's behaviour into a coverage {!signature}. Same input, same
+    run's behaviour into a coverage signature. Same input, same
     binary → byte-identical outcome. *)
 
 type input = {
@@ -51,7 +51,7 @@ val equal : input -> input -> bool
 type outcome = {
   verdict : Rss_core.Check_online.verdict;
       (** the oracle: the history re-judged by the online checker *)
-  offline_check : (unit, string) result;
+  offline_check : Harness.Run.verdict;
       (** the audit's own offline verdict, kept as a cross-check *)
   signature : string;
       (** coverage signature — bucketized behaviour counters; two runs
@@ -59,11 +59,18 @@ type outcome = {
   trace_digest : string;  (** MD5 of the canonical history serialization *)
   checker_work : int;
   checker_displacement : int;  (** feeds the signature *)
-  run : Chaos.Audit.run;  (** full counters for reporting *)
+  run : Harness.Run.t;  (** full counters for reporting *)
 }
 
 val run : input -> outcome
 (** Execute the trial. Deterministic: a pure function of [input]. *)
+
+val assess :
+  protocol:Chaos.Audit.protocol -> preset:Chaos.Nemesis.preset ->
+  check_budget:int -> Harness.Run.t -> outcome
+(** Judge a finished audit run as {!run} does: re-check its history with
+    {!Rss_core.Check_online} under [check_budget] (0 = unlimited) and
+    compute its coverage signature and trace digest. *)
 
 val verdict_string : Rss_core.Check_online.verdict -> string
 (** Canonical wire form ["pass"], ["fail: m"], ["unknown: m"] — what

@@ -311,7 +311,7 @@ let run (cfg : config) =
           Obs.Trace.begin_span cfg.tracer ~kind:Obs.Trace.Search ~name
             ~ts:!trace_clock
         in
-        trace_clock := !trace_clock + max 1 out.Exec.run.Chaos.Audit.duration_us;
+        trace_clock := !trace_clock + max 1 out.Exec.run.Harness.Run.duration_us;
         Obs.Trace.end_span cfg.tracer sp ~ts:!trace_clock
       end;
       (match out.Exec.verdict with

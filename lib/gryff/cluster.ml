@@ -67,14 +67,14 @@ let records t = Array.of_list (List.rev t.record_list)
 
 (* Verify each key's subhistory in carstamp order. Carstamps are dense-ranked
    into witness timestamps; mutators sort before the reads of their value. *)
-let check_history_of t records =
+let check_records ~mode records =
   let by_key = Hashtbl.create 64 in
   List.iter
     (fun r ->
       let prev = try Hashtbl.find by_key r.g_key with Not_found -> [] in
       Hashtbl.replace by_key r.g_key (r :: prev))
     records;
-  let mode = match t.config.Config.mode with Config.Lin -> `Strict | Config.Rsc -> `Rss in
+  let mode = match mode with Config.Lin -> `Strict | Config.Rsc -> `Rss in
   let check_key key rs =
     let stamps =
       List.map (fun r -> r.g_cs) rs
@@ -125,7 +125,7 @@ let check_history_of t records =
     (fun key rs acc -> match acc with Error _ -> acc | Ok () -> check_key key rs)
     by_key (Ok ())
 
-let check_history t = check_history_of t t.record_list
+let check_history t = check_records ~mode:t.config.Config.mode t.record_list
 
 type stats = {
   reads : int;

@@ -45,10 +45,11 @@ val records : t -> record array
 
 val check_history : t -> (unit, string) result
 
-val check_history_of : t -> record list -> (unit, string) result
-(** Check an explicit record set instead of the collected history — chaos
-    audits use this to verify deliberately corrupted ("control") histories
-    are caught, proving the checker has teeth. *)
+val check_records : mode:Config.mode -> record list -> (unit, string) result
+(** Check an explicit record set against [mode]'s model instead of a
+    cluster's collected history — chaos audits use this to verify
+    deliberately corrupted ("control") histories are caught, proving the
+    checker has teeth. *)
 
 (** {2 Tracing} *)
 

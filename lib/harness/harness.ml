@@ -1,5 +1,6 @@
-(* Shared experiment drivers for the benchmark suite: each returns one
-   {!Run.t} — latency recorders, a metrics-registry snapshot, the run's
+(* Experiment drivers: every run — the paper's four experiments and the
+   chaos audits — goes through one driver core ([drive]) and returns one
+   {!Run.t}: latency recorders, a metrics-registry snapshot, the run's
    history, and the history-verification verdict (a bench that produced an
    inconsistent run would be measuring a broken system). *)
 
@@ -59,268 +60,19 @@ module Run = struct
 
   let print_metrics ?header t = Obs.Metrics.print_table ?header t.metrics
 
+  let report_check name = function
+    | Pass -> ()
+    | Fail m ->
+      Fmt.pr "  !! %s: consistency violation in run history: %s@." name m
+    | Unknown m -> Fmt.pr "  ?? %s: consistency verdict unknown: %s@." name m
+
   let print_summary ?(header = "run") t =
     print_latencies ~header:(header ^ " latency (ms)") t;
     print_metrics ~header t;
-    match t.check with
-    | Pass -> ()
-    | Fail m ->
-      Fmt.pr "  !! %s: consistency violation in run history: %s@." header m
-    | Unknown m -> Fmt.pr "  ?? %s: consistency verdict unknown: %s@." header m
+    report_check header t.check
 end
 
 type check_mode = [ `Offline | `Online | `No_check ]
-
-(* Arm a chaos schedule on the run's engine; returns the injected-event
-   counter to read after the run. With a disk-fault control installed
-   ([dctl]), every Crash event also damages the crashed sites' durable
-   stores, and [on_recover] lets drivers re-verify site-local storage (the
-   placement directory) as sites come back. [Slow]/[Slow_clear] events are
-   applied through [on_slow]/[on_slow_clear] — stations live in the
-   protocol deployments, so the schedule itself cannot reach them. *)
-let arm_chaos ?chaos ?(tracer = Obs.Trace.disabled) ?dctl ?on_recover ?on_slow
-    ?on_slow_clear ~engine ~net ?tt () =
-  match chaos with
-  | None -> ref 0
-  | Some schedule ->
-    let faults = ref 0 in
-    ignore
-      (Chaos.Schedule.apply schedule ~engine ~net ?tt ~tracer
-         ~on_fault:(fun (ev : Chaos.Schedule.event) ->
-           incr faults;
-           (match ev.Chaos.Schedule.fault with
-           | Chaos.Schedule.Slow { site; factor } -> (
-             match on_slow with Some f -> f ~site ~factor | None -> ())
-           | Chaos.Schedule.Slow_clear -> (
-             match on_slow_clear with Some f -> f () | None -> ())
-           | _ -> ());
-           match (dctl, ev.Chaos.Schedule.fault) with
-           | Some ctl, Chaos.Schedule.Crash ss ->
-             List.iter (Sim.Durable.Faults.crash_site ctl) ss
-           | Some _, Chaos.Schedule.Recover ss -> (
-             match on_recover with Some f -> f ss | None -> ())
-           | _ -> ())
-         ());
-    faults
-
-(* Disk-fault and scrub accounting for chaos-enabled drivers. Fault-free
-   runs never install a control, so the counters stay absent. *)
-let durable_metrics reg ~dctl ~scrub =
-  match dctl with
-  | None -> ()
-  | Some ctl ->
-    let c name v = Obs.Metrics.add (Obs.Metrics.counter reg name) v in
-    let ds = Sim.Durable.Faults.stats ctl in
-    c "durable.fault.torn" ds.Sim.Durable.Faults.fs_torn;
-    c "durable.fault.corrupt" ds.Sim.Durable.Faults.fs_corrupt;
-    c "durable.fault.resurfaced" ds.Sim.Durable.Faults.fs_resurfaced;
-    c "durable.fault.lost_ints" ds.Sim.Durable.Faults.fs_lost_ints;
-    c "durable.fault.crashes" ds.Sim.Durable.Faults.fs_crashes;
-    (match scrub with
-    | Some (s : Sim.Scrub.stats) ->
-      c "durable.scrub.passes" s.Sim.Scrub.passes;
-      c "durable.scrub.entries" s.Sim.Scrub.entries;
-      c "durable.scrub.flagged" s.Sim.Scrub.flagged
-    | None -> ())
-
-(* Fold the network/fault accounting into a registry. All-zero counters are
-   harmless: snapshots keep them, the table renderer filters them. *)
-let net_metrics reg ~faults net =
-  let c name v = Obs.Metrics.add (Obs.Metrics.counter reg name) v in
-  c "net.messages" (Sim.Net.messages_sent net);
-  c "net.bytes" (Sim.Net.bytes_sent net);
-  c "fault.injected" faults;
-  c "fault.dropped_crash" (Sim.Net.dropped_crash net);
-  c "fault.dropped_partition" (Sim.Net.dropped_partition net);
-  c "fault.dropped_loss" (Sim.Net.dropped_loss net);
-  c "fault.duplicated" (Sim.Net.messages_duplicated net);
-  c "fault.delayed" (Sim.Net.messages_delayed net);
-  (* Batching accounting — absent on unbatched runs. *)
-  if Sim.Net.batch_envelopes net > 0 then begin
-    c "batch.envelopes" (Sim.Net.batch_envelopes net);
-    c "batch.members" (Sim.Net.batch_members net);
-    c "batch.flush.deadline" (Sim.Net.batch_flush_deadline net);
-    c "batch.flush.size" (Sim.Net.batch_flush_size net);
-    c "batch.flush.idle" (Sim.Net.batch_flush_idle net);
-    c "batch.max_members" (Sim.Net.batch_max_members net);
-    (* Members-per-envelope distribution. Registry histograms follow the
-       µs convention and render in ms, so sizes are stored ×1000: the
-       printed table and [Recorder.percentile_ms] read directly in whole
-       members. *)
-    let h = Obs.Metrics.histogram reg "batch.size" in
-    Array.iter
-      (fun n -> Stats.Recorder.add h (n * 1000))
-      (Stats.Recorder.to_sorted_array (Sim.Net.batch_sizes net))
-  end
-
-let spanner_metrics ~faults ~failover cluster =
-  let reg = Obs.Metrics.create () in
-  let c name v = Obs.Metrics.add (Obs.Metrics.counter reg name) v in
-  let s = Spanner.Cluster.stats cluster in
-  c "rw.committed" s.Spanner.Cluster.rw_committed;
-  c "rw.aborted_attempts" s.Spanner.Cluster.rw_aborted_attempts;
-  c "rw.wounds" s.Spanner.Cluster.wounds;
-  c "ro.count" s.Spanner.Cluster.ro_count;
-  c "ro.slow" s.Spanner.Cluster.ro_slow;
-  c "ro.blocked_at_shards" s.Spanner.Cluster.ro_blocked_at_shards;
-  net_metrics reg ~faults (Spanner.Cluster.net cluster);
-  let ps = Spanner.Cluster.place_stats cluster in
-  c "place.epoch" ps.Spanner.Cluster.epoch;
-  c "place.migrations" ps.Spanner.Cluster.migrations;
-  c "place.migrations_failed" ps.Spanner.Cluster.migrations_failed;
-  c "place.migration_retries" ps.Spanner.Cluster.migration_retries;
-  c "place.keys_moved" ps.Spanner.Cluster.keys_moved;
-  c "place.redirects" ps.Spanner.Cluster.redirects;
-  c "place.fence_blocked" ps.Spanner.Cluster.fence_blocked;
-  c "place.fence_hold_us" ps.Spanner.Cluster.fence_hold_us;
-  c "place.max_fence_hold_us" ps.Spanner.Cluster.max_fence_hold_us;
-  c "place.directory_appends" ps.Spanner.Cluster.directory_appends;
-  if failover then begin
-    let fs = Spanner.Cluster.failover_stats cluster in
-    c "failover.view_changes" fs.Spanner.Cluster.view_changes;
-    c "failover.heartbeats" fs.Spanner.Cluster.heartbeats;
-    c "failover.catchups" fs.Spanner.Cluster.catchups;
-    c "failover.dup_acks" fs.Spanner.Cluster.dup_acks;
-    c "failover.max_election_us" fs.Spanner.Cluster.max_election_us;
-    c "failover.terminates" fs.Spanner.Cluster.terminates;
-    c "failover.terminate_commits" fs.Spanner.Cluster.terminate_commits;
-    c "failover.in_doubt_resolved" fs.Spanner.Cluster.in_doubt_resolved;
-    c "failover.rpc_retries" fs.Spanner.Cluster.rpc_retries;
-    c "failover.rpc_exhausted" fs.Spanner.Cluster.rpc_exhausted;
-    c "failover.durable_appends" fs.Spanner.Cluster.durable_appends;
-    c "failover.durable_bytes" fs.Spanner.Cluster.durable_bytes;
-    c "durable.repair.torn" fs.Spanner.Cluster.torn_repaired;
-    c "durable.repair.quarantined" fs.Spanner.Cluster.corrupt_quarantined;
-    c "durable.repair.peer" fs.Spanner.Cluster.peer_repairs;
-    c "durable.repair.unrepaired" fs.Spanner.Cluster.unrepaired;
-    c "durable.repair.place"
-      (Place.Directory.repairs (Spanner.Cluster.directory cluster))
-  end;
-  reg
-
-let gryff_metrics ~faults ~failover cluster =
-  let reg = Obs.Metrics.create () in
-  let c name v = Obs.Metrics.add (Obs.Metrics.counter reg name) v in
-  let s = Gryff.Cluster.stats cluster in
-  c "read.count" s.Gryff.Cluster.reads;
-  c "read.second_round" s.Gryff.Cluster.read_second_round;
-  c "read.deps_created" s.Gryff.Cluster.deps_created;
-  c "write.count" s.Gryff.Cluster.writes;
-  c "rmw.count" s.Gryff.Cluster.rmws;
-  c "rmw.slow" s.Gryff.Cluster.rmw_slow;
-  net_metrics reg ~faults (Gryff.Cluster.net cluster);
-  if failover then begin
-    let rs = Gryff.Cluster.retrans_stats cluster in
-    c "failover.rpc_calls" rs.Gryff.Cluster.rpc_calls;
-    c "failover.rpc_retries" rs.Gryff.Cluster.rpc_retries;
-    c "failover.rpc_exhausted" rs.Gryff.Cluster.rpc_exhausted
-  end;
-  reg
-
-(* {2 Consistency checking}
-
-   [`Offline] buffers the whole history and verifies post-hoc
-   (Cluster.check_history, as before). [`Online] hooks the cluster's record
-   stream into {!Rss_core.Check_online} so verification overlaps the run and
-   stays near-linear at million-op scale. [`No_check] skips verification —
-   for benchmarking raw simulator speed; the verdict reports [Unknown]. *)
-
-let verdict_of_result = function Ok () -> Run.Pass | Error m -> Run.Fail m
-
-let arm_spanner_online cluster =
-  let mode =
-    match (Spanner.Cluster.config cluster).Spanner.Config.mode with
-    | Spanner.Config.Strict -> `Strict
-    | Spanner.Config.Rss -> `Rss
-  in
-  let oc = Rss_core.Check_online.create ~mode () in
-  Spanner.Cluster.set_record_hook cluster (Rss_core.Check_online.add oc);
-  oc
-
-let gryff_witness_txn (r : Gryff.Cluster.record) =
-  let key = string_of_int r.Gryff.Cluster.g_key in
-  let reads =
-    match r.Gryff.Cluster.g_kind with
-    | Gryff.Cluster.Read | Gryff.Cluster.Rmw ->
-      [ (key, r.Gryff.Cluster.g_observed) ]
-    | Gryff.Cluster.Write -> []
-  in
-  let writes =
-    match (r.Gryff.Cluster.g_kind, r.Gryff.Cluster.g_written) with
-    | (Gryff.Cluster.Write | Gryff.Cluster.Rmw), Some v -> [ (key, v) ]
-    | _ -> []
-  in
-  {
-    Rss_core.Witness.proc = r.Gryff.Cluster.g_proc;
-    reads;
-    writes;
-    inv = r.Gryff.Cluster.g_inv;
-    resp = r.Gryff.Cluster.g_resp;
-    ts = Gryff.Carstamp.pack r.Gryff.Cluster.g_cs;
-    rank = (match r.Gryff.Cluster.g_kind with Gryff.Cluster.Read -> 1 | _ -> 0);
-  }
-
-(* Registers are per-key: carstamp order — hence the mode's real-time
-   constraint — is only meaningful within a key, so each key gets its own
-   online checker, mirroring Gryff.Cluster.check_history's per-key split. *)
-let arm_gryff_online cluster =
-  let mode =
-    match (Gryff.Cluster.config cluster).Gryff.Config.mode with
-    | Gryff.Config.Lin -> `Strict
-    | Gryff.Config.Rsc -> `Rss
-  in
-  let tbl : (int, Rss_core.Check_online.t) Hashtbl.t = Hashtbl.create 256 in
-  Gryff.Cluster.set_record_hook cluster (fun r ->
-      let oc =
-        match Hashtbl.find_opt tbl r.Gryff.Cluster.g_key with
-        | Some oc -> oc
-        | None ->
-          let oc = Rss_core.Check_online.create ~mode () in
-          Hashtbl.add tbl r.Gryff.Cluster.g_key oc;
-          oc
-      in
-      Rss_core.Check_online.add oc (gryff_witness_txn r));
-  tbl
-
-let gryff_online_result tbl =
-  Hashtbl.fold
-    (fun key oc acc ->
-      match acc with
-      | Run.Fail _ -> acc
-      | Run.Pass | Run.Unknown _ -> (
-        match Rss_core.Check_online.result oc with
-        | Rss_core.Check_online.Pass -> acc
-        | Rss_core.Check_online.Fail m -> Run.Fail (Fmt.str "key %d: %s" key m)
-        | Rss_core.Check_online.Unknown m -> (
-          match acc with
-          | Run.Unknown _ -> acc
-          | _ -> Run.Unknown (Fmt.str "key %d: %s" key m))))
-    tbl Run.Pass
-
-let gryff_online_stats tbl =
-  Hashtbl.fold
-    (fun _ oc (a, w, d) ->
-      ( a + Rss_core.Check_online.n_added oc,
-        w + Rss_core.Check_online.work oc,
-        max d (Rss_core.Check_online.max_displacement oc) ))
-    tbl (0, 0, 0)
-
-let online_counters reg ~added ~work ~max_displacement =
-  let c name v = Obs.Metrics.add (Obs.Metrics.counter reg name) v in
-  c "check.added" added;
-  c "check.work" work;
-  c "check.max_displacement" max_displacement
-
-(* Chaos runs must sweep committed-but-unacknowledged attempts into the
-   history before checking it (see Chaos.Audit); both trackers below record
-   via the audit's shared sweep convention. *)
-type pending_rw = {
-  pr_proc : int;
-  pr_inv : int;
-  pr_writes : (int * int) list;
-  mutable pr_last_txn : int;
-  mutable pr_done : bool;
-}
 
 (* One live migration armed partway through a run: move [rs_lo, rs_hi) to
    [rs_dst] at fraction [rs_at] of the run. [rs_no_fence] skips the t_m
@@ -356,9 +108,8 @@ let flow_default =
     fl_gryff_fanout = None;
   }
 
-(* One record for the cross-cutting run environment every driver used to
-   take as six separate optional keywords. Drivers accept [?env]; the old
-   keywords survive as thin shims that override the corresponding field. *)
+(* The cross-cutting run environment, applied by the driver core the same
+   way on every deployment. *)
 module Env = struct
   type t = {
     chaos : Chaos.Schedule.t option;
@@ -401,63 +152,119 @@ module Env = struct
     { t with deadline_us = d }
 
   let with_flow f t = { t with flow = f }
-
-  (* Fold the deprecated per-driver keywords over [?env]: an explicitly
-     passed keyword wins, otherwise the env field stands. Exposed so the
-     shim semantics can be property-tested directly. [batching],
-     [deadline_us] and [flow] predate no keyword, so they pass through. *)
-  let resolve ?env ?chaos ?disk_faults ?failover ?trace ?check ?reshard () =
-    let e = Option.value env ~default in
-    {
-      chaos = (match chaos with Some _ -> chaos | None -> e.chaos);
-      disk_faults =
-        (match disk_faults with Some _ -> disk_faults | None -> e.disk_faults);
-      failover = Option.value failover ~default:e.failover;
-      trace = Option.value trace ~default:e.trace;
-      check = Option.value check ~default:e.check;
-      reshard = Option.value reshard ~default:e.reshard;
-      batching = e.batching;
-      deadline_us = e.deadline_us;
-      flow = e.flow;
-    }
 end
 
-let resolve_env = Env.resolve
+(* {2 Metrics} *)
 
-let apply_batching env net = Sim.Net.set_batching net env.Env.batching
+let add reg name v = Obs.Metrics.add (Obs.Metrics.counter reg name) v
 
-(* Build the run's retry bucket (if the policy asks for one) on the run's
-   engine — returned so the driver can read taken/denied after the run. *)
-let flow_budget env engine =
-  match env.Env.flow with
-  | None -> None
-  | Some f ->
-    Option.map
-      (fun (capacity, refill_period_us) ->
-        Sim.Rpc.Budget.create engine ~capacity ~refill_period_us)
-      f.fl_budget
-
-let apply_flow_spanner env ~budget cluster =
-  match env.Env.flow with
+(* Disk-fault and scrub accounting. Runs without disk faults never install
+   a control, so the counters stay absent. *)
+let durable_metrics reg ~dctl ~scrub =
+  match dctl with
   | None -> ()
-  | Some f ->
-    Spanner.Cluster.set_admission cluster f.fl_admission;
-    Spanner.Cluster.set_drop_expired cluster f.fl_drop_expired;
-    if f.fl_hedge_us > 0 then
-      Spanner.Cluster.set_hedge_us cluster f.fl_hedge_us;
-    Spanner.Cluster.set_retry_budget cluster budget
+  | Some ctl ->
+    let c = add reg in
+    let ds = Sim.Durable.Faults.stats ctl in
+    c "durable.fault.torn" ds.Sim.Durable.Faults.fs_torn;
+    c "durable.fault.corrupt" ds.Sim.Durable.Faults.fs_corrupt;
+    c "durable.fault.resurfaced" ds.Sim.Durable.Faults.fs_resurfaced;
+    c "durable.fault.lost_ints" ds.Sim.Durable.Faults.fs_lost_ints;
+    c "durable.fault.crashes" ds.Sim.Durable.Faults.fs_crashes;
+    (match scrub with
+    | Some (s : Sim.Scrub.stats) ->
+      c "durable.scrub.passes" s.Sim.Scrub.passes;
+      c "durable.scrub.entries" s.Sim.Scrub.entries;
+      c "durable.scrub.flagged" s.Sim.Scrub.flagged
+    | None -> ())
 
-let apply_flow_gryff env ~budget cluster =
-  match env.Env.flow with
-  | None -> ()
-  | Some f ->
-    Gryff.Cluster.set_admission cluster f.fl_admission;
-    Gryff.Cluster.set_drop_expired cluster f.fl_drop_expired;
-    if f.fl_hedge_us > 0 then Gryff.Cluster.set_hedge_us cluster f.fl_hedge_us;
-    (match f.fl_gryff_fanout with
-    | Some fanout -> Gryff.Cluster.set_read_fanout cluster fanout
-    | None -> ());
-    Gryff.Cluster.set_retry_budget cluster budget
+(* Fold the network/fault accounting into a registry. All-zero counters are
+   harmless: snapshots keep them, the table renderer filters them. *)
+let net_metrics reg ~faults net =
+  let c = add reg in
+  c "net.messages" (Sim.Net.messages_sent net);
+  c "net.bytes" (Sim.Net.bytes_sent net);
+  c "fault.injected" faults;
+  c "fault.dropped_crash" (Sim.Net.dropped_crash net);
+  c "fault.dropped_partition" (Sim.Net.dropped_partition net);
+  c "fault.dropped_loss" (Sim.Net.dropped_loss net);
+  c "fault.duplicated" (Sim.Net.messages_duplicated net);
+  c "fault.delayed" (Sim.Net.messages_delayed net);
+  (* Batching accounting — absent on unbatched runs. *)
+  if Sim.Net.batch_envelopes net > 0 then begin
+    c "batch.envelopes" (Sim.Net.batch_envelopes net);
+    c "batch.members" (Sim.Net.batch_members net);
+    c "batch.flush.deadline" (Sim.Net.batch_flush_deadline net);
+    c "batch.flush.size" (Sim.Net.batch_flush_size net);
+    c "batch.flush.idle" (Sim.Net.batch_flush_idle net);
+    c "batch.max_members" (Sim.Net.batch_max_members net);
+    (* Members-per-envelope distribution. Registry histograms follow the
+       µs convention and render in ms, so sizes are stored ×1000: the
+       printed table and [Recorder.percentile_ms] read directly in whole
+       members. *)
+    let h = Obs.Metrics.histogram reg "batch.size" in
+    Array.iter
+      (fun n -> Stats.Recorder.add h (n * 1000))
+      (Stats.Recorder.to_sorted_array (Sim.Net.batch_sizes net))
+  end
+
+let spanner_metrics reg ~failover cluster =
+  let c = add reg in
+  let s = Spanner.Cluster.stats cluster in
+  c "rw.committed" s.Spanner.Cluster.rw_committed;
+  c "rw.aborted_attempts" s.Spanner.Cluster.rw_aborted_attempts;
+  c "rw.wounds" s.Spanner.Cluster.wounds;
+  c "ro.count" s.Spanner.Cluster.ro_count;
+  c "ro.slow" s.Spanner.Cluster.ro_slow;
+  c "ro.blocked_at_shards" s.Spanner.Cluster.ro_blocked_at_shards;
+  let ps = Spanner.Cluster.place_stats cluster in
+  c "place.epoch" ps.Spanner.Cluster.epoch;
+  c "place.migrations" ps.Spanner.Cluster.migrations;
+  c "place.migrations_failed" ps.Spanner.Cluster.migrations_failed;
+  c "place.migration_retries" ps.Spanner.Cluster.migration_retries;
+  c "place.keys_moved" ps.Spanner.Cluster.keys_moved;
+  c "place.redirects" ps.Spanner.Cluster.redirects;
+  c "place.fence_blocked" ps.Spanner.Cluster.fence_blocked;
+  c "place.fence_hold_us" ps.Spanner.Cluster.fence_hold_us;
+  c "place.max_fence_hold_us" ps.Spanner.Cluster.max_fence_hold_us;
+  c "place.directory_appends" ps.Spanner.Cluster.directory_appends;
+  if failover then begin
+    let fs = Spanner.Cluster.failover_stats cluster in
+    c "failover.view_changes" fs.Spanner.Cluster.view_changes;
+    c "failover.heartbeats" fs.Spanner.Cluster.heartbeats;
+    c "failover.catchups" fs.Spanner.Cluster.catchups;
+    c "failover.dup_acks" fs.Spanner.Cluster.dup_acks;
+    c "failover.max_election_us" fs.Spanner.Cluster.max_election_us;
+    c "failover.terminates" fs.Spanner.Cluster.terminates;
+    c "failover.terminate_commits" fs.Spanner.Cluster.terminate_commits;
+    c "failover.in_doubt_resolved" fs.Spanner.Cluster.in_doubt_resolved;
+    c "failover.rpc_retries" fs.Spanner.Cluster.rpc_retries;
+    c "failover.rpc_exhausted" fs.Spanner.Cluster.rpc_exhausted;
+    c "failover.durable_appends" fs.Spanner.Cluster.durable_appends;
+    c "failover.durable_bytes" fs.Spanner.Cluster.durable_bytes;
+    c "durable.repair.torn" fs.Spanner.Cluster.torn_repaired;
+    c "durable.repair.quarantined" fs.Spanner.Cluster.corrupt_quarantined;
+    c "durable.repair.peer" fs.Spanner.Cluster.peer_repairs;
+    c "durable.repair.unrepaired" fs.Spanner.Cluster.unrepaired;
+    c "durable.repair.place"
+      (Place.Directory.repairs (Spanner.Cluster.directory cluster))
+  end
+
+let gryff_metrics reg ~failover cluster =
+  let c = add reg in
+  let s = Gryff.Cluster.stats cluster in
+  c "read.count" s.Gryff.Cluster.reads;
+  c "read.second_round" s.Gryff.Cluster.read_second_round;
+  c "read.deps_created" s.Gryff.Cluster.deps_created;
+  c "write.count" s.Gryff.Cluster.writes;
+  c "rmw.count" s.Gryff.Cluster.rmws;
+  c "rmw.slow" s.Gryff.Cluster.rmw_slow;
+  if failover then begin
+    let rs = Gryff.Cluster.retrans_stats cluster in
+    c "failover.rpc_calls" rs.Gryff.Cluster.rpc_calls;
+    c "failover.rpc_retries" rs.Gryff.Cluster.rpc_retries;
+    c "failover.rpc_exhausted" rs.Gryff.Cluster.rpc_exhausted
+  end
 
 (* Flow-control accounting — absent unless a protection is armed or fired,
    mirroring the batch.* convention. Queue-depth samples follow the ×1000
@@ -466,7 +273,7 @@ let apply_flow_gryff env ~budget cluster =
 let flow_metrics reg ~armed ~budget ~stations ~expired ~shed ~abandoned
     ~hedges ~hedge_wins =
   if armed || expired > 0 || shed > 0 || abandoned > 0 || hedges > 0 then begin
-    let c name v = Obs.Metrics.add (Obs.Metrics.counter reg name) v in
+    let c = add reg in
     c "flow.expired" expired;
     c "flow.shed" shed;
     c "flow.abandoned" abandoned;
@@ -490,546 +297,746 @@ let flow_metrics reg ~armed ~budget ~stations ~expired ~shed ~abandoned
       stations
   end
 
-let spanner_flow_metrics reg ~env ~budget cluster =
-  let fs = Spanner.Cluster.flow_stats cluster in
-  flow_metrics reg
-    ~armed:(env.Env.flow <> None)
-    ~budget
-    ~stations:(Spanner.Cluster.stations cluster)
-    ~expired:fs.Spanner.Cluster.expired ~shed:fs.Spanner.Cluster.shed
-    ~abandoned:fs.Spanner.Cluster.abandoned ~hedges:fs.Spanner.Cluster.hedges
-    ~hedge_wins:fs.Spanner.Cluster.hedge_wins
+(* {2 Consistency checking}
 
-let gryff_flow_metrics reg ~env ~budget cluster =
-  let fs = Gryff.Cluster.flow_stats cluster in
-  flow_metrics reg
-    ~armed:(env.Env.flow <> None)
-    ~budget
-    ~stations:(Gryff.Cluster.stations cluster)
-    ~expired:fs.Gryff.Cluster.expired ~shed:fs.Gryff.Cluster.shed
-    ~abandoned:fs.Gryff.Cluster.abandoned ~hedges:fs.Gryff.Cluster.hedges
-    ~hedge_wins:fs.Gryff.Cluster.hedge_wins
+   [`Offline] buffers the whole history and verifies post-hoc. [`Online]
+   hooks the cluster's record stream into {!Rss_core.Check_online} so
+   verification overlaps the run and stays near-linear at million-op scale.
+   [`No_check] skips verification — for benchmarking raw simulator speed;
+   the verdict reports [Unknown]. *)
 
-(* The paper's §6.1 wide-area Retwis experiment: partly-open clients
-   (sessions at [arrival_rate_per_sec], stay probability 0.9, zero think
-   time, a fresh t_min per session), Zipfian keys. *)
-let spanner_wan ?(config = None) ?env ?chaos ?disk_faults ?failover ?trace
-    ?check ?reshard ~mode ~theta ~n_keys ~arrival_rate_per_sec ~duration_s
-    ~seed () =
-  let env =
-    resolve_env ?env ?chaos ?disk_faults ?failover ?trace ?check ?reshard ()
+let verdict_of_result = function Ok () -> Run.Pass | Error m -> Run.Fail m
+
+(* An armed online checker: its verdict and its (added, work,
+   max_displacement) totals. *)
+type online = { result : unit -> Run.verdict; stats : unit -> int * int * int }
+
+let spanner_witness_mode = function
+  | Spanner.Config.Strict -> `Strict
+  | Spanner.Config.Rss -> `Rss
+
+let gryff_witness_mode = function Gryff.Config.Lin -> `Strict | Gryff.Config.Rsc -> `Rss
+
+(* A Gryff register record as a one-op witness transaction, carstamp as the
+   claimed serialization order, reads ranked above writes at equal
+   carstamps. *)
+let gryff_witness_txn (r : Gryff.Cluster.record) =
+  let key = string_of_int r.Gryff.Cluster.g_key in
+  let reads =
+    match r.Gryff.Cluster.g_kind with
+    | Gryff.Cluster.Read | Gryff.Cluster.Rmw ->
+      [ (key, r.Gryff.Cluster.g_observed) ]
+    | Gryff.Cluster.Write -> []
   in
-  let chaos = env.Env.chaos in
-  let disk_faults = env.Env.disk_faults in
-  let failover = env.Env.failover in
-  let trace = env.Env.trace in
-  let check = env.Env.check in
-  let reshard = env.Env.reshard in
-  let engine = Sim.Engine.create () in
-  let rng = Sim.Rng.make seed in
-  let dctl = Chaos.Audit.install_disk_faults disk_faults in
-  Fun.protect ~finally:(fun () -> Option.iter Sim.Durable.Faults.retire dctl)
-  @@ fun () ->
-  let config =
-    match config with Some c -> c | None -> Spanner.Config.wan3 ~mode ()
+  let writes =
+    match (r.Gryff.Cluster.g_kind, r.Gryff.Cluster.g_written) with
+    | (Gryff.Cluster.Write | Gryff.Cluster.Rmw), Some v -> [ (key, v) ]
+    | _ -> []
   in
-  let cluster = Spanner.Cluster.create engine ~rng config in
-  apply_batching env (Spanner.Cluster.net cluster);
-  let budget = flow_budget env engine in
-  apply_flow_spanner env ~budget cluster;
-  if Obs.Trace.enabled trace then Spanner.Cluster.set_tracer cluster trace;
-  if failover then
-    Spanner.Cluster.enable_failover cluster
-      ~rng:(Sim.Rng.make (0xfa11 + seed))
-      ~until_us:(Sim.Engine.sec duration_s + Sim.Engine.sec 4.0) ();
-  (* The failover fallback deadline exists to settle operations orphaned by
-     a coordinator crash, not to bound normal latency — it must sit well
-     above the workload's fault-free tail or deadline-aborts amplify load
-     into congestion collapse. An explicit [Env.deadline_us] overrides it:
-     that is the knob the overload experiments turn, with servers dropping
-     already-expired work when [flow.fl_drop_expired] is armed. *)
-  let deadline_us =
-    match env.Env.deadline_us with
-    | Some _ as d -> d
-    | None -> if failover then Some 10_000_000 else None
-  in
-  let faults =
-    arm_chaos ?chaos ~tracer:trace ?dctl
-      ~on_recover:(fun ss ->
-        if List.mem 0 ss then
-          ignore (Place.Directory.recover (Spanner.Cluster.directory cluster)))
-      ~on_slow:(fun ~site ~factor ->
-        Spanner.Cluster.set_site_slowdown cluster ~site ~factor)
-      ~on_slow_clear:(fun () -> Spanner.Cluster.clear_slowdowns cluster)
-      ~engine ~net:(Spanner.Cluster.net cluster)
-      ~tt:(Spanner.Cluster.truetime cluster) ()
-  in
-  let scrub =
-    Chaos.Audit.arm_scrub engine ~tracer:trace ~dctl ~disk_faults ~duration_s
-  in
-  let online =
-    match check with `Online -> Some (arm_spanner_online cluster) | _ -> None
-  in
-  let pending : pending_rw list ref = ref [] in
-  let retwis = Workload.Retwis.create ~rng:(Sim.Rng.split rng) ~n_keys ~theta in
-  let ro = Stats.Recorder.create () and rw = Stats.Recorder.create () in
-  let n_sites = Array.length config.Spanner.Config.client_sites in
-  let sessions : (int, Spanner.Client.t) Hashtbl.t = Hashtbl.create 1024 in
-  let session_client s =
-    match Hashtbl.find_opt sessions s with
-    | Some c -> c
-    | None ->
-      let c =
-        Spanner.Client.create cluster
-          ~site:config.Spanner.Config.client_sites.(s mod n_sites)
-      in
-      Hashtbl.add sessions s c;
-      c
-  in
-  let until = Sim.Engine.sec duration_s in
-  let warmup = Sim.Engine.sec (duration_s /. 10.0) in
-  List.iter
-    (fun spec ->
-      Sim.Engine.schedule engine ~kind:"place.reshard"
-        ~after:(int_of_float (spec.rs_at *. float_of_int until))
-        (fun () ->
-          Spanner.Cluster.migrate ~no_fence:spec.rs_no_fence cluster
-            ~lo:spec.rs_lo ~hi:spec.rs_hi ~dst:spec.rs_dst (fun _ -> ())))
-    reshard;
-  let body ~client k =
-    let c = session_client client in
-    let txn = Workload.Retwis.sample retwis in
-    let t0 = Sim.Engine.now engine in
-    let finish recorder () =
-      if t0 >= warmup then Stats.Recorder.add recorder (Sim.Engine.now engine - t0);
-      k ()
+  {
+    Rss_core.Witness.proc = r.Gryff.Cluster.g_proc;
+    reads;
+    writes;
+    inv = r.Gryff.Cluster.g_inv;
+    resp = r.Gryff.Cluster.g_resp;
+    ts = Gryff.Carstamp.pack r.Gryff.Cluster.g_cs;
+    rank = (match r.Gryff.Cluster.g_kind with Gryff.Cluster.Read -> 1 | _ -> 0);
+  }
+
+(* Registers are per-key: carstamp order — hence the mode's real-time
+   constraint — is only meaningful within a key, so each key gets its own
+   online checker, mirroring Gryff.Cluster.check_history's per-key split.
+   Keys settle in sorted order, so a combined [Fail] names the smallest
+   failing key whatever the table's layout. *)
+module Gryff_check = struct
+  type t = {
+    checker : unit -> Rss_core.Check_online.t;
+    keys : (int, Rss_core.Check_online.t) Hashtbl.t;
+  }
+
+  let create checker = { checker; keys = Hashtbl.create 256 }
+
+  let add t (r : Gryff.Cluster.record) =
+    let key = r.Gryff.Cluster.g_key in
+    let oc =
+      match Hashtbl.find_opt t.keys key with
+      | Some oc -> oc
+      | None ->
+        let oc = t.checker () in
+        Hashtbl.add t.keys key oc;
+        oc
     in
-    if Workload.Retwis.is_read_only txn then
-      Spanner.Client.ro ?deadline_us c ~keys:txn.Workload.Retwis.read_keys
-        (fun _ -> finish ro ())
-    else if chaos = None then
-      Spanner.Client.rw ?deadline_us c ~read_keys:txn.Workload.Retwis.read_keys
-        ~write_keys:txn.Workload.Retwis.write_keys (fun _ -> finish rw ())
-    else begin
-      (* Same fresh values Client.rw would pick; tracked so an attempt whose
-         acknowledgement a fault swallows can be swept into the history. *)
-      let writes =
-        List.map
-          (fun key -> (key, Spanner.Cluster.fresh_value cluster))
-          txn.Workload.Retwis.write_keys
-      in
-      let info =
-        {
-          pr_proc = Spanner.Client.proc c;
-          pr_inv = t0;
-          pr_writes = writes;
-          pr_last_txn = -1;
-          pr_done = false;
-        }
-      in
-      pending := info :: !pending;
-      Spanner.Client.rw_kv ?deadline_us c
-        ~on_attempt:(fun id -> info.pr_last_txn <- id)
-        ~read_keys:txn.Workload.Retwis.read_keys ~writes
-        (fun _ ->
-          info.pr_done <- true;
-          finish rw ())
-    end
-  in
-  ignore
-    (Workload.Client_model.partly_open engine ~rng:(Sim.Rng.split rng)
-       ~arrival_rate_per_sec ~stay:0.9 ~body ~until ());
-  Sim.Engine.run ~max_events:600_000_000 engine;
-  List.iter
-    (fun info ->
-      if (not info.pr_done) && info.pr_last_txn >= 0 then
-        ignore
-          (Chaos.Audit.sweep_spanner_txn cluster ~proc:info.pr_proc
-             ~inv:info.pr_inv ~writes:info.pr_writes ~txn:info.pr_last_txn))
-    (List.rev !pending);
-  let reg = spanner_metrics ~faults:!faults ~failover cluster in
-  spanner_flow_metrics reg ~env ~budget cluster;
-  durable_metrics reg ~dctl ~scrub;
-  let t0_check = Sys.time () in
-  let verdict =
-    match (check, online) with
-    | `No_check, _ -> Run.Unknown "checking disabled"
-    | `Online, Some oc -> Rss_core.Check_online.result oc
-    | `Online, None -> assert false
-    | `Offline, _ -> verdict_of_result (Spanner.Cluster.check_history cluster)
-  in
-  Obs.Metrics.set_gauge reg "check.finish_s" (Sys.time () -. t0_check);
-  (match online with
-  | Some oc ->
-    online_counters reg
-      ~added:(Rss_core.Check_online.n_added oc)
-      ~work:(Rss_core.Check_online.work oc)
-      ~max_displacement:(Rss_core.Check_online.max_displacement oc)
-  | None -> ());
-  {
-    Run.latencies = [ ("ro", ro); ("rw", rw) ];
-    metrics = Obs.Metrics.snapshot reg;
-    check = verdict;
-    records = Run.Spanner_txns (Spanner.Cluster.records cluster);
-    duration_us = Sim.Engine.now engine;
-  }
+    Rss_core.Check_online.add oc (gryff_witness_txn r)
 
-(* The §6.2 single-data-center saturation experiment: closed-loop clients,
-   uniform keys, ε = 0, per-message CPU cost at shard leaders. *)
-let spanner_dc ?env ?chaos ?trace ?check ~mode ~n_shards ~service_time_us
-    ~n_clients ~n_keys ~duration_s ~seed () =
-  let env = resolve_env ?env ?chaos ?trace ?check () in
-  let chaos = env.Env.chaos in
-  let trace = env.Env.trace in
-  let check = env.Env.check in
-  let engine = Sim.Engine.create () in
-  let rng = Sim.Rng.make seed in
-  let config = Spanner.Config.single_dc ~mode ~n_shards ~service_time_us () in
-  let cluster = Spanner.Cluster.create engine ~rng config in
-  apply_batching env (Spanner.Cluster.net cluster);
-  let budget = flow_budget env engine in
-  apply_flow_spanner env ~budget cluster;
-  let deadline_us = env.Env.deadline_us in
-  if Obs.Trace.enabled trace then Spanner.Cluster.set_tracer cluster trace;
-  let faults =
-    arm_chaos ?chaos ~tracer:trace ~engine ~net:(Spanner.Cluster.net cluster)
-      ~on_slow:(fun ~site ~factor ->
-        Spanner.Cluster.set_site_slowdown cluster ~site ~factor)
-      ~on_slow_clear:(fun () -> Spanner.Cluster.clear_slowdowns cluster)
-      ~tt:(Spanner.Cluster.truetime cluster) ()
-  in
-  let online =
-    match check with `Online -> Some (arm_spanner_online cluster) | _ -> None
-  in
-  let pending : pending_rw list ref = ref [] in
-  let retwis = Workload.Retwis.create ~rng:(Sim.Rng.split rng) ~n_keys ~theta:0.0 in
-  let lat = Stats.Recorder.create () in
-  let completed = ref 0 in
-  let until = Sim.Engine.sec duration_s in
-  let warmup = Sim.Engine.sec (duration_s /. 5.0) in
-  let clients = Array.init n_clients (fun _ -> Spanner.Client.create cluster ~site:0) in
-  Workload.Client_model.closed_loop engine ~n_clients
-    ~body:(fun ~client k ->
-      let c = clients.(client) in
-      let txn = Workload.Retwis.sample retwis in
-      let t0 = Sim.Engine.now engine in
-      let finish () =
-        if t0 >= warmup && t0 < until then begin
-          incr completed;
-          Stats.Recorder.add lat (Sim.Engine.now engine - t0)
-        end;
-        k ()
-      in
-      if Workload.Retwis.is_read_only txn then
-        Spanner.Client.ro ?deadline_us c ~keys:txn.Workload.Retwis.read_keys
-          (fun _ -> finish ())
-      else if chaos = None then
-        Spanner.Client.rw ?deadline_us c ~read_keys:txn.Workload.Retwis.read_keys
-          ~write_keys:txn.Workload.Retwis.write_keys (fun _ -> finish ())
-      else begin
-        let writes =
-          List.map
-            (fun key -> (key, Spanner.Cluster.fresh_value cluster))
-            txn.Workload.Retwis.write_keys
-        in
-        let info =
-          { pr_proc = Spanner.Client.proc c; pr_inv = t0; pr_writes = writes;
-            pr_last_txn = -1; pr_done = false }
-        in
-        pending := info :: !pending;
-        Spanner.Client.rw_kv ?deadline_us c
-          ~on_attempt:(fun id -> info.pr_last_txn <- id)
-          ~read_keys:txn.Workload.Retwis.read_keys ~writes
-          (fun _ ->
-            info.pr_done <- true;
-            finish ())
-      end)
-    ~until ();
-  Sim.Engine.run ~max_events:600_000_000 engine;
-  List.iter
-    (fun info ->
-      if (not info.pr_done) && info.pr_last_txn >= 0 then
-        ignore
-          (Chaos.Audit.sweep_spanner_txn cluster ~proc:info.pr_proc
-             ~inv:info.pr_inv ~writes:info.pr_writes ~txn:info.pr_last_txn))
-    (List.rev !pending);
-  let measured_us = until - warmup in
-  let reg = spanner_metrics ~faults:!faults ~failover:false cluster in
-  spanner_flow_metrics reg ~env ~budget cluster;
-  let stats = Spanner.Cluster.stats cluster in
-  let total_txns =
-    stats.Spanner.Cluster.rw_committed + stats.Spanner.Cluster.ro_count
-  in
-  Obs.Metrics.set_gauge reg "throughput_tps"
-    (Stats.Summary.throughput ~count:!completed ~duration_us:measured_us);
-  Obs.Metrics.set_gauge reg "p50_ms"
-    (match Stats.Recorder.percentile_ms_opt lat 50.0 with
-    | Some m -> m
-    | None -> Float.nan);
-  Obs.Metrics.set_gauge reg "msgs_per_txn"
-    (if total_txns = 0 then 0.0
-     else
-       float_of_int stats.Spanner.Cluster.messages /. float_of_int total_txns);
-  let t0_check = Sys.time () in
-  let verdict =
-    match (check, online) with
-    | `No_check, _ -> Run.Unknown "checking disabled"
-    | `Online, Some oc -> Rss_core.Check_online.result oc
-    | `Online, None -> assert false
-    | `Offline, _ -> verdict_of_result (Spanner.Cluster.check_history cluster)
-  in
-  Obs.Metrics.set_gauge reg "check.finish_s" (Sys.time () -. t0_check);
-  (match online with
-  | Some oc ->
-    online_counters reg
-      ~added:(Rss_core.Check_online.n_added oc)
-      ~work:(Rss_core.Check_online.work oc)
-      ~max_displacement:(Rss_core.Check_online.max_displacement oc)
-  | None -> ());
-  {
-    Run.latencies = [ ("txn", lat) ];
-    metrics = Obs.Metrics.snapshot reg;
-    check = verdict;
-    records = Run.Spanner_txns (Spanner.Cluster.records cluster);
-    duration_us = Sim.Engine.now engine;
-  }
+  let sorted t =
+    Hashtbl.fold (fun k oc acc -> (k, oc) :: acc) t.keys []
+    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+
+  let result t =
+    List.fold_left
+      (fun acc (key, oc) ->
+        match acc with
+        | Run.Fail _ -> acc
+        | Run.Pass | Run.Unknown _ -> (
+          match Rss_core.Check_online.result oc with
+          | Run.Pass -> acc
+          | Run.Fail m -> Run.Fail (Fmt.str "key %d: %s" key m)
+          | Run.Unknown m -> (
+            match acc with
+            | Run.Unknown _ -> acc
+            | _ -> Run.Unknown (Fmt.str "key %d: %s" key m))))
+      Run.Pass (sorted t)
+
+  let stats t =
+    Hashtbl.fold
+      (fun _ oc (a, w, d) ->
+        ( a + Rss_core.Check_online.n_added oc,
+          w + Rss_core.Check_online.work oc,
+          max d (Rss_core.Check_online.max_displacement oc) ))
+      t.keys (0, 0, 0)
+end
+
+(* {2 Unacknowledged operations}
+
+   A write whose acknowledgement a fault swallowed may still be visible, so
+   before checking, the driver sweeps it into the history as an incomplete
+   op (resp = max_int: no real-time obligations, reads not checked) —
+   exactly how complete(α) treats a stopped client. The tracker holds only
+   ops not yet acknowledged; the sweep visits them in issue order. *)
+module Unacked = struct
+  type 'a t = { live : (int, 'a) Hashtbl.t; mutable next : int }
+
+  let create () = { live = Hashtbl.create 64; next = 0 }
+
+  let add t x =
+    let id = t.next in
+    t.next <- id + 1;
+    Hashtbl.add t.live id x;
+    id
+
+  let ack t id = Hashtbl.remove t.live id
+
+  let in_issue_order t =
+    Hashtbl.fold (fun id x acc -> (id, x) :: acc) t.live []
+    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+    |> List.map snd
+end
+
+type pending_rw = {
+  pr_proc : int;
+  pr_inv : int;
+  pr_writes : (int * int) list;
+  mutable pr_last_txn : int;  (** latest attempt id; -1 before the first *)
+}
 
 type pending_write = {
   pw_proc : int;
   pw_inv : int;
   pw_key : int;
   pw_value : int;
-  mutable pw_cs : Gryff.Carstamp.t option;
-  mutable pw_done : bool;
+  mutable pw_cs : Gryff.Carstamp.t option;  (** set once propagation starts *)
 }
 
-let sweep_gryff cluster pending =
+(* {2 Protocol adapters}
+
+   What the driver core needs from one deployment, built over a fresh
+   cluster on the run's engine: the primitives each [Env.t] field maps to,
+   the client/op vocabulary (ops of kind [kinds.(kind op)] issued with
+   unacknowledged-op tracking), the sweep, and the run's accounting. *)
+type ('c, 'op) deployment = {
+  net : Sim.Net.t;
+  tt : Sim.Truetime.t option;
+  kinds : string array;
+  failover_deadline_us : int option;
+      (* the client deadline armed failover implies when [Env.deadline_us]
+         names none *)
+  set_flow : flow_spec -> Sim.Rpc.Budget.t option -> unit;
+  set_tracer : Obs.Trace.t -> unit;
+  enable_failover : rng:Sim.Rng.t -> until_us:int -> unit;
+  slow : site:int -> factor:int -> unit;
+  clear_slow : unit -> unit;
+  on_recover : int list -> unit;
+  migrate : reshard_spec -> unit;
+  arm_online : unit -> online;
+  check_offline : unit -> (unit, string) result;
+  workload : Sim.Rng.t -> unit -> 'op;
+  new_client : site:int -> 'c;
+  kind : 'op -> int;
+  issue : 'c -> 'op -> deadline_us:int option -> (unit -> unit) -> unit;
+  sweep : unit -> int;
+  metrics :
+    Obs.Metrics.t -> failover:bool -> armed:bool -> Sim.Rpc.Budget.t option ->
+    unit;
+  records : unit -> Run.history;
+}
+
+let spanner ~config ~n_keys ~theta engine ~rng =
+  let cluster = Spanner.Cluster.create engine ~rng config in
+  let pending = Unacked.create () in
+  {
+    net = Spanner.Cluster.net cluster;
+    tt = Some (Spanner.Cluster.truetime cluster);
+    kinds = [| "ro"; "rw" |];
+    (* The fallback deadline exists to settle operations orphaned by a
+       coordinator crash, not to bound normal latency — it must sit well
+       above the workload's fault-free tail or deadline-aborts amplify load
+       into congestion collapse. *)
+    failover_deadline_us = Some 10_000_000;
+    set_flow =
+      (fun f budget ->
+        Spanner.Cluster.set_admission cluster f.fl_admission;
+        Spanner.Cluster.set_drop_expired cluster f.fl_drop_expired;
+        if f.fl_hedge_us > 0 then Spanner.Cluster.set_hedge_us cluster f.fl_hedge_us;
+        Spanner.Cluster.set_retry_budget cluster budget);
+    set_tracer = Spanner.Cluster.set_tracer cluster;
+    enable_failover =
+      (fun ~rng ~until_us -> Spanner.Cluster.enable_failover cluster ~rng ~until_us ());
+    slow = Spanner.Cluster.set_site_slowdown cluster;
+    clear_slow = (fun () -> Spanner.Cluster.clear_slowdowns cluster);
+    (* When the directory replica's site recovers, its assignment log is
+       re-verified and healed from the overlay. *)
+    on_recover =
+      (fun ss ->
+        if List.mem 0 ss then
+          ignore (Place.Directory.recover (Spanner.Cluster.directory cluster)));
+    migrate =
+      (fun spec ->
+        Spanner.Cluster.migrate ~no_fence:spec.rs_no_fence cluster ~lo:spec.rs_lo
+          ~hi:spec.rs_hi ~dst:spec.rs_dst (fun _ -> ()));
+    arm_online =
+      (fun () ->
+        let mode = spanner_witness_mode config.Spanner.Config.mode in
+        let oc = Rss_core.Check_online.create ~mode () in
+        Spanner.Cluster.set_record_hook cluster (Rss_core.Check_online.add oc);
+        {
+          result = (fun () -> Rss_core.Check_online.result oc);
+          stats =
+            (fun () ->
+              ( Rss_core.Check_online.n_added oc,
+                Rss_core.Check_online.work oc,
+                Rss_core.Check_online.max_displacement oc ));
+        });
+    check_offline = (fun () -> Spanner.Cluster.check_history cluster);
+    workload =
+      (fun rng ->
+        let retwis = Workload.Retwis.create ~rng ~n_keys ~theta in
+        fun () -> Workload.Retwis.sample retwis);
+    new_client = (fun ~site -> Spanner.Client.create cluster ~site);
+    kind = (fun txn -> if Workload.Retwis.is_read_only txn then 0 else 1);
+    issue =
+      (fun c txn ~deadline_us k ->
+        if Workload.Retwis.is_read_only txn then
+          Spanner.Client.ro ?deadline_us c ~keys:txn.Workload.Retwis.read_keys
+            (fun _ -> k ())
+        else begin
+          (* The same fresh values Client.rw would draw, kept so an attempt
+             whose acknowledgement a fault swallows can be swept. *)
+          let writes =
+            List.map
+              (fun key -> (key, Spanner.Cluster.fresh_value cluster))
+              txn.Workload.Retwis.write_keys
+          in
+          let p =
+            {
+              pr_proc = Spanner.Client.proc c;
+              pr_inv = Sim.Engine.now engine;
+              pr_writes = writes;
+              pr_last_txn = -1;
+            }
+          in
+          let id = Unacked.add pending p in
+          Spanner.Client.rw_kv ?deadline_us c
+            ~on_attempt:(fun t -> p.pr_last_txn <- t)
+            ~read_keys:txn.Workload.Retwis.read_keys ~writes
+            (fun _ ->
+              Unacked.ack pending id;
+              k ())
+        end);
+    sweep =
+      (fun () ->
+        List.fold_left
+          (fun n p ->
+            if
+              p.pr_last_txn >= 0
+              && Chaos.Audit.sweep_spanner_txn cluster ~proc:p.pr_proc
+                   ~inv:p.pr_inv ~writes:p.pr_writes ~txn:p.pr_last_txn
+            then n + 1
+            else n)
+          0
+          (Unacked.in_issue_order pending));
+    metrics =
+      (fun reg ~failover ~armed budget ->
+        spanner_metrics reg ~failover cluster;
+        let fs = Spanner.Cluster.flow_stats cluster in
+        flow_metrics reg ~armed ~budget
+          ~stations:(Spanner.Cluster.stations cluster)
+          ~expired:fs.Spanner.Cluster.expired ~shed:fs.Spanner.Cluster.shed
+          ~abandoned:fs.Spanner.Cluster.abandoned
+          ~hedges:fs.Spanner.Cluster.hedges
+          ~hedge_wins:fs.Spanner.Cluster.hedge_wins);
+    records = (fun () -> Run.Spanner_txns (Spanner.Cluster.records cluster));
+  }
+
+let gryff ~config ~n_keys ~write_ratio ~conflict ~unsafe_no_deps engine ~rng =
+  let cluster = Gryff.Cluster.create engine ~rng config in
+  let pending = Unacked.create () in
+  {
+    net = Gryff.Cluster.net cluster;
+    tt = None;
+    kinds = [| "read"; "write" |];
+    failover_deadline_us = None;
+    set_flow =
+      (fun f budget ->
+        Gryff.Cluster.set_admission cluster f.fl_admission;
+        Gryff.Cluster.set_drop_expired cluster f.fl_drop_expired;
+        if f.fl_hedge_us > 0 then Gryff.Cluster.set_hedge_us cluster f.fl_hedge_us;
+        Option.iter (Gryff.Cluster.set_read_fanout cluster) f.fl_gryff_fanout;
+        Gryff.Cluster.set_retry_budget cluster budget);
+    set_tracer = Gryff.Cluster.set_tracer cluster;
+    enable_failover =
+      (fun ~rng ~until_us:_ -> Gryff.Cluster.enable_retrans cluster ~rng ());
+    slow = Gryff.Cluster.set_site_slowdown cluster;
+    clear_slow = (fun () -> Gryff.Cluster.clear_slowdowns cluster);
+    (* Gryff keeps no durable stores and has no elastic placement. *)
+    on_recover = ignore;
+    migrate = ignore;
+    arm_online =
+      (fun () ->
+        let mode = gryff_witness_mode config.Gryff.Config.mode in
+        let j =
+          Gryff_check.create (fun () -> Rss_core.Check_online.create ~mode ())
+        in
+        Gryff.Cluster.set_record_hook cluster (Gryff_check.add j);
+        {
+          result = (fun () -> Gryff_check.result j);
+          stats = (fun () -> Gryff_check.stats j);
+        });
+    check_offline = (fun () -> Gryff.Cluster.check_history cluster);
+    workload =
+      (fun rng ->
+        let ycsb = Workload.Ycsb.create ~rng ~n_keys ~write_ratio ~conflict in
+        fun () -> Workload.Ycsb.sample ycsb);
+    new_client = (fun ~site -> Gryff.Client.create ~unsafe_no_deps cluster ~site);
+    kind = (fun op -> if op.Workload.Ycsb.is_write then 1 else 0);
+    issue =
+      (fun c op ~deadline_us k ->
+        let key = op.Workload.Ycsb.key in
+        if op.Workload.Ycsb.is_write then begin
+          let value = Gryff.Cluster.fresh_value cluster in
+          let p =
+            {
+              pw_proc = Gryff.Client.proc c;
+              pw_inv = Sim.Engine.now engine;
+              pw_key = key;
+              pw_value = value;
+              pw_cs = None;
+            }
+          in
+          let id = Unacked.add pending p in
+          Gryff.Client.write ?deadline_us c
+            ~on_apply:(fun cs -> p.pw_cs <- Some cs)
+            ~key ~value
+            (fun _ ->
+              Unacked.ack pending id;
+              k ())
+        end
+        else Gryff.Client.read ?deadline_us c ~key (fun _ -> k ()));
+    sweep =
+      (fun () ->
+        List.fold_left
+          (fun n p ->
+            match p.pw_cs with
+            | Some cs ->
+              Chaos.Audit.sweep_gryff_write cluster ~proc:p.pw_proc ~inv:p.pw_inv
+                ~key:p.pw_key ~value:p.pw_value ~cs;
+              n + 1
+            | None -> n)
+          0
+          (Unacked.in_issue_order pending));
+    metrics =
+      (fun reg ~failover ~armed budget ->
+        gryff_metrics reg ~failover cluster;
+        let fs = Gryff.Cluster.flow_stats cluster in
+        flow_metrics reg ~armed ~budget
+          ~stations:(Gryff.Cluster.stations cluster)
+          ~expired:fs.Gryff.Cluster.expired ~shed:fs.Gryff.Cluster.shed
+          ~abandoned:fs.Gryff.Cluster.abandoned ~hedges:fs.Gryff.Cluster.hedges
+          ~hedge_wins:fs.Gryff.Cluster.hedge_wins);
+    records = (fun () -> Run.Gryff_ops (Gryff.Cluster.records cluster));
+  }
+
+(* {2 The driver core}
+
+   One path for every run: build the deployment, apply each [Env.t] field,
+   arm the nemesis (network/clock faults, gray nodes, disk damage, live
+   migrations), drive the workload through a client model, drain the
+   engine, sweep unacknowledged ops and judge the history. *)
+
+type client_model =
+  | Closed_loop of int  (* clients *)
+  | Partly_open of float  (* session arrivals per second; stay 0.9 *)
+  | Slots of { n_slots : int; timeout_us : int }
+
+(* A client session: its current op's kind and invocation time, and
+   whether the slots model abandoned it. *)
+type 'c session = {
+  client : 'c;
+  mutable kind : int;
+  mutable t0 : int;
+  mutable dead : bool;
+}
+
+(* [latencies]: [None] records per op kind, [Some name] into one recorder.
+   Ops invoked in the first [warmup_s] are executed and checked but not
+   recorded. [site_of] places a client model's client ids. [prepare] runs
+   right after the cluster is built. *)
+let drive ~env ?prepare ~seed ~duration_s ~model ~site_of ~latencies ~warmup_s
+    adapter =
+  let engine = Sim.Engine.create () in
+  let rng = Sim.Rng.make seed in
+  (* Stores register with the ambient control at creation, so it goes in
+     before the cluster. *)
+  let dctl = Chaos.Audit.install_disk_faults env.Env.disk_faults in
+  Fun.protect ~finally:(fun () -> Option.iter Sim.Durable.Faults.retire dctl)
+  @@ fun () ->
+  let d = adapter engine ~rng in
+  Sim.Net.set_batching d.net env.Env.batching;
+  Option.iter (fun f -> f engine d.net) prepare;
+  let budget =
+    match env.Env.flow with
+    | None -> None
+    | Some f ->
+      let budget =
+        Option.map
+          (fun (capacity, refill_period_us) ->
+            Sim.Rpc.Budget.create engine ~capacity ~refill_period_us)
+          f.fl_budget
+      in
+      d.set_flow f budget;
+      budget
+  in
+  let trace = env.Env.trace in
+  if Obs.Trace.enabled trace then d.set_tracer trace;
+  let until = Sim.Engine.sec duration_s in
+  (* A dedicated seeded stream for retry jitter keeps the workload stream
+     untouched; failover timers stop past the horizon so the queue drains. *)
+  if env.Env.failover then
+    d.enable_failover ~rng:(Sim.Rng.make (0xfa11 + seed))
+      ~until_us:(until + Sim.Engine.sec 4.0);
+  let deadline_us =
+    match env.Env.deadline_us with
+    | Some _ as dl -> dl
+    | None -> if env.Env.failover then d.failover_deadline_us else None
+  in
+  let faults = ref 0 in
+  let quiet_us =
+    match env.Env.chaos with
+    | None -> 0
+    | Some schedule ->
+      (* Gray failures live in the deployment's stations and storage damage
+         in its durable stores, which the network-level injector cannot
+         see — both ride the schedule's events here. *)
+      ignore
+        (Chaos.Schedule.apply schedule ~engine ~net:d.net ?tt:d.tt ~tracer:trace
+           ~on_fault:(fun (ev : Chaos.Schedule.event) ->
+             incr faults;
+             match (ev.Chaos.Schedule.fault, dctl) with
+             | Chaos.Schedule.Slow { site; factor }, _ -> d.slow ~site ~factor
+             | Chaos.Schedule.Slow_clear, _ -> d.clear_slow ()
+             | Chaos.Schedule.Crash ss, Some ctl ->
+               List.iter (Sim.Durable.Faults.crash_site ctl) ss
+             | Chaos.Schedule.Recover ss, Some _ -> d.on_recover ss
+             | _ -> ())
+           ());
+      Chaos.Schedule.end_of_faults schedule
+  in
+  let scrub =
+    Chaos.Audit.arm_scrub engine ~tracer:trace ~dctl
+      ~disk_faults:env.Env.disk_faults ~duration_s
+  in
+  let online =
+    match env.Env.check with `Online -> Some (d.arm_online ()) | _ -> None
+  in
+  let sample = d.workload (Sim.Rng.split rng) in
   List.iter
-    (fun info ->
-      match (info.pw_done, info.pw_cs) with
-      | false, Some cs ->
-        Chaos.Audit.sweep_gryff_write cluster ~proc:info.pw_proc
-          ~inv:info.pw_inv ~key:info.pw_key ~value:info.pw_value ~cs
-      | _ -> ())
-    (List.rev pending)
+    (fun spec ->
+      Sim.Engine.schedule engine ~kind:"place.reshard"
+        ~after:(int_of_float (spec.rs_at *. float_of_int until))
+        (fun () -> d.migrate spec))
+    env.Env.reshard;
+  let recorders =
+    match latencies with
+    | None -> Array.map (fun _ -> Stats.Recorder.create ()) d.kinds
+    | Some _ -> Array.make (Array.length d.kinds) (Stats.Recorder.create ())
+  in
+  let warmup = Sim.Engine.sec warmup_s in
+  (* Op accounting: "post-heal" ops were invoked after the schedule's last
+     event, so their completions prove liveness resumed. *)
+  let reg = Obs.Metrics.create () in
+  let count name = Obs.Metrics.incr (Obs.Metrics.counter reg name) in
+  let completed = Obs.Metrics.counter reg "op.completed" in
+  let post_heal = Obs.Metrics.counter reg "op.post_heal_completed" in
+  let sessions = Hashtbl.create 64 in
+  let session client =
+    match Hashtbl.find sessions client with
+    | s -> s
+    | exception Not_found ->
+      let client' = d.new_client ~site:(site_of client) in
+      let s = { client = client'; kind = 0; t0 = 0; dead = false } in
+      Hashtbl.add sessions client s;
+      s
+  in
+  let body ~client k =
+    let s = session client in
+    let op = sample () in
+    let kind = d.kind op in
+    let t0 = Sim.Engine.now engine in
+    s.kind <- kind;
+    s.t0 <- t0;
+    d.issue s.client op ~deadline_us (fun () ->
+        if not s.dead then begin
+          if t0 >= warmup then
+            Stats.Recorder.add recorders.(kind) (Sim.Engine.now engine - t0);
+          Obs.Metrics.incr completed;
+          if t0 >= quiet_us then Obs.Metrics.incr post_heal
+        end;
+        k ())
+  in
+  (match model with
+  | Closed_loop n_clients ->
+    Workload.Client_model.closed_loop engine ~n_clients ~body ~until ()
+  | Partly_open arrival_rate_per_sec ->
+    ignore
+      (Workload.Client_model.partly_open engine ~rng:(Sim.Rng.split rng)
+         ~arrival_rate_per_sec ~stay:0.9 ~body ~until ())
+  | Slots { n_slots; timeout_us } ->
+    Workload.Client_model.slots engine ~n_slots ~timeout_us ~body ~until
+      ~on_timeout:(fun ~client ->
+        let s = Hashtbl.find sessions client in
+        s.dead <- true;
+        count "op.timed_out";
+        count ("op.timed_out." ^ d.kinds.(s.kind));
+        if s.t0 >= quiet_us then count "op.post_heal_timed_out")
+      ());
+  Sim.Engine.run ~max_events:600_000_000 engine;
+  add reg "op.unacked_commits_swept" (d.sweep ());
+  d.metrics reg ~failover:env.Env.failover ~armed:(env.Env.flow <> None) budget;
+  net_metrics reg ~faults:!faults d.net;
+  durable_metrics reg ~dctl ~scrub;
+  let records = d.records () in
+  add reg "op.history_records"
+    (match records with
+    | Run.Spanner_txns a -> Array.length a
+    | Run.Gryff_ops a -> Array.length a);
+  let t0_check = Sys.time () in
+  let check =
+    match (online, env.Env.check) with
+    | Some o, _ -> o.result ()
+    | None, `No_check -> Run.Unknown "checking disabled"
+    | None, _ -> verdict_of_result (d.check_offline ())
+  in
+  Obs.Metrics.set_gauge reg "check.finish_s" (Sys.time () -. t0_check);
+  Option.iter
+    (fun o ->
+      let added, work, max_displacement = o.stats () in
+      add reg "check.added" added;
+      add reg "check.work" work;
+      add reg "check.max_displacement" max_displacement)
+    online;
+  {
+    Run.latencies =
+      (match latencies with
+      | Some name -> [ (name, recorders.(0)) ]
+      | None ->
+        Array.to_list (Array.mapi (fun i name -> (name, recorders.(i))) d.kinds));
+    metrics = Obs.Metrics.snapshot reg;
+    check;
+    records;
+    duration_us = Sim.Engine.now engine;
+  }
+
+(* {2 The paper's experiments} *)
+
+(* The single-DC drivers report saturation gauges over their measured
+   window: completions per second, the median, and (Spanner) messages per
+   committed transaction. *)
+let with_gauges (r : Run.t) gauges =
+  let m = r.Run.metrics in
+  let gauges = List.sort compare (gauges @ m.Obs.Metrics.gauges) in
+  { r with Run.metrics = { m with Obs.Metrics.gauges } }
+
+let saturation_gauges r ~name ~duration_s =
+  let lat = Run.latency r name in
+  let measured_us =
+    Sim.Engine.sec duration_s - Sim.Engine.sec (duration_s /. 5.0)
+  in
+  [
+    ( "throughput_tps",
+      Stats.Summary.throughput ~count:(Stats.Recorder.count lat)
+        ~duration_us:measured_us );
+    ( "p50_ms",
+      Option.value (Stats.Recorder.percentile_ms_opt lat 50.0) ~default:Float.nan );
+  ]
+
+(* The paper's §6.1 wide-area Retwis experiment: partly-open clients
+   (sessions at [arrival_rate_per_sec], stay probability 0.9, zero think
+   time, a fresh t_min per session), Zipfian keys. *)
+let spanner_wan ?(config = None) ?(env = Env.default) ~mode ~theta ~n_keys
+    ~arrival_rate_per_sec ~duration_s ~seed () =
+  let config =
+    match config with Some c -> c | None -> Spanner.Config.wan3 ~mode () in
+  let sites = config.Spanner.Config.client_sites in
+  drive ~env ~seed ~duration_s ~model:(Partly_open arrival_rate_per_sec)
+    ~site_of:(fun s -> sites.(s mod Array.length sites))
+    ~latencies:None ~warmup_s:(duration_s /. 10.0)
+    (spanner ~config ~n_keys ~theta)
+
+(* The §6.2 single-data-center saturation experiment: closed-loop clients,
+   uniform keys, ε = 0, per-message CPU cost at shard leaders. *)
+let spanner_dc ?(env = Env.default) ~mode ~n_shards ~service_time_us ~n_clients
+    ~n_keys ~duration_s ~seed () =
+  let config = Spanner.Config.single_dc ~mode ~n_shards ~service_time_us () in
+  let r =
+    drive ~env ~seed ~duration_s ~model:(Closed_loop n_clients)
+      ~site_of:(fun _ -> 0) ~latencies:(Some "txn") ~warmup_s:(duration_s /. 5.0)
+      (spanner ~config ~n_keys ~theta:0.0)
+  in
+  let txns = Run.counter r "rw.committed" + Run.counter r "ro.count" in
+  with_gauges r
+    (( "msgs_per_txn",
+       if txns = 0 then 0.0
+       else float_of_int (Run.counter r "net.messages") /. float_of_int txns )
+    :: saturation_gauges r ~name:"txn" ~duration_s)
 
 (* The §7.2 YCSB experiment: 16 closed-loop clients spread over five
    regions, tunable conflict percentage and write ratio. [client_sites]
    restricts where clients run (e.g. off a gray node); the default spreads
-   them over all five regions exactly as before. *)
-let gryff_wan ?(n_clients = 16) ?(client_sites = [| 0; 1; 2; 3; 4 |]) ?env
-    ?chaos ?disk_faults ?failover ?trace ?check ~mode ~conflict ~write_ratio
-    ~n_keys ~duration_s ~seed () =
-  let env = resolve_env ?env ?chaos ?disk_faults ?failover ?trace ?check () in
-  let chaos = env.Env.chaos in
-  let disk_faults = env.Env.disk_faults in
-  let failover = env.Env.failover in
-  let trace = env.Env.trace in
-  let check = env.Env.check in
-  let engine = Sim.Engine.create () in
-  let rng = Sim.Rng.make seed in
-  (* Gryff keeps no durable stores; the control registers nothing, but
-     accepting the spec keeps chaos batteries uniform across protocols. *)
-  let dctl = Chaos.Audit.install_disk_faults disk_faults in
-  Fun.protect ~finally:(fun () -> Option.iter Sim.Durable.Faults.retire dctl)
-  @@ fun () ->
-  let config = Gryff.Config.wan5 ~mode () in
-  let cluster = Gryff.Cluster.create engine ~rng config in
-  apply_batching env (Gryff.Cluster.net cluster);
-  let budget = flow_budget env engine in
-  apply_flow_gryff env ~budget cluster;
-  let deadline_us = env.Env.deadline_us in
-  if Obs.Trace.enabled trace then Gryff.Cluster.set_tracer cluster trace;
-  if failover then
-    Gryff.Cluster.enable_retrans cluster ~rng:(Sim.Rng.make (0xfa11 + seed)) ();
-  let faults =
-    arm_chaos ?chaos ~tracer:trace ?dctl ~engine
-      ~on_slow:(fun ~site ~factor ->
-        Gryff.Cluster.set_site_slowdown cluster ~site ~factor)
-      ~on_slow_clear:(fun () -> Gryff.Cluster.clear_slowdowns cluster)
-      ~net:(Gryff.Cluster.net cluster) ()
-  in
-  let scrub =
-    Chaos.Audit.arm_scrub engine ~tracer:trace ~dctl ~disk_faults ~duration_s
-  in
-  let online =
-    match check with `Online -> Some (arm_gryff_online cluster) | _ -> None
-  in
-  let pending : pending_write list ref = ref [] in
-  let ycsb = Workload.Ycsb.create ~rng:(Sim.Rng.split rng) ~n_keys ~write_ratio ~conflict in
-  let read_lat = Stats.Recorder.create () and write_lat = Stats.Recorder.create () in
-  let until = Sim.Engine.sec duration_s in
-  let warmup = Sim.Engine.sec (duration_s /. 10.0) in
-  let clients =
-    Array.init n_clients (fun i ->
-        Gryff.Client.create cluster
-          ~site:client_sites.(i mod Array.length client_sites))
-  in
-  Workload.Client_model.closed_loop engine ~n_clients
-    ~body:(fun ~client k ->
-      let c = clients.(client) in
-      let op = Workload.Ycsb.sample ycsb in
-      let t0 = Sim.Engine.now engine in
-      let finish recorder () =
-        if t0 >= warmup then Stats.Recorder.add recorder (Sim.Engine.now engine - t0);
-        k ()
-      in
-      if op.Workload.Ycsb.is_write then begin
-        let value = Gryff.Cluster.fresh_value cluster in
-        if chaos = None then
-          Gryff.Client.write ?deadline_us c ~key:op.Workload.Ycsb.key ~value
-            (fun _ -> finish write_lat ())
-        else begin
-          let info =
-            { pw_proc = Gryff.Client.proc c; pw_inv = t0;
-              pw_key = op.Workload.Ycsb.key; pw_value = value;
-              pw_cs = None; pw_done = false }
-          in
-          pending := info :: !pending;
-          Gryff.Client.write ?deadline_us c
-            ~on_apply:(fun cs -> info.pw_cs <- Some cs)
-            ~key:op.Workload.Ycsb.key ~value:info.pw_value
-            (fun _ ->
-              info.pw_done <- true;
-              finish write_lat ())
-        end
-      end
-      else
-        Gryff.Client.read ?deadline_us c ~key:op.Workload.Ycsb.key (fun _ ->
-            finish read_lat ()))
-    ~until ();
-  Sim.Engine.run ~max_events:600_000_000 engine;
-  sweep_gryff cluster !pending;
-  let reg = gryff_metrics ~faults:!faults ~failover cluster in
-  gryff_flow_metrics reg ~env ~budget cluster;
-  durable_metrics reg ~dctl ~scrub;
-  let t0_check = Sys.time () in
-  let verdict =
-    match (check, online) with
-    | `No_check, _ -> Run.Unknown "checking disabled"
-    | `Online, Some tbl -> gryff_online_result tbl
-    | `Online, None -> assert false
-    | `Offline, _ -> verdict_of_result (Gryff.Cluster.check_history cluster)
-  in
-  Obs.Metrics.set_gauge reg "check.finish_s" (Sys.time () -. t0_check);
-  (match online with
-  | Some tbl ->
-    let added, work, max_displacement = gryff_online_stats tbl in
-    online_counters reg ~added ~work ~max_displacement
-  | None -> ());
-  {
-    Run.latencies = [ ("read", read_lat); ("write", write_lat) ];
-    metrics = Obs.Metrics.snapshot reg;
-    check = verdict;
-    records = Run.Gryff_ops (Gryff.Cluster.records cluster);
-    duration_us = Sim.Engine.now engine;
-  }
+   them over all five regions. *)
+let gryff_wan ?(n_clients = 16) ?(client_sites = [| 0; 1; 2; 3; 4 |])
+    ?(env = Env.default) ~mode ~conflict ~write_ratio ~n_keys ~duration_s ~seed
+    () =
+  drive ~env ~seed ~duration_s ~model:(Closed_loop n_clients)
+    ~site_of:(fun i -> client_sites.(i mod Array.length client_sites))
+    ~latencies:None ~warmup_s:(duration_s /. 10.0)
+    (gryff ~config:(Gryff.Config.wan5 ~mode ()) ~n_keys ~write_ratio ~conflict
+       ~unsafe_no_deps:false)
 
 (* The §7.4 overhead experiment: in-DC latencies, per-message CPU cost. *)
-let gryff_dc ?env ?chaos ?trace ?check ~mode ~service_time_us ~n_clients
-    ~conflict ~write_ratio ~n_keys ~duration_s ~seed () =
-  let env = resolve_env ?env ?chaos ?trace ?check () in
-  let chaos = env.Env.chaos in
-  let trace = env.Env.trace in
-  let check = env.Env.check in
-  let engine = Sim.Engine.create () in
-  let rng = Sim.Rng.make seed in
-  let config = Gryff.Config.single_dc ~mode ~service_time_us () in
-  let cluster = Gryff.Cluster.create engine ~rng config in
-  apply_batching env (Gryff.Cluster.net cluster);
-  let budget = flow_budget env engine in
-  apply_flow_gryff env ~budget cluster;
-  let deadline_us = env.Env.deadline_us in
-  if Obs.Trace.enabled trace then Gryff.Cluster.set_tracer cluster trace;
-  let faults =
-    arm_chaos ?chaos ~tracer:trace ~engine
-      ~on_slow:(fun ~site ~factor ->
-        Gryff.Cluster.set_site_slowdown cluster ~site ~factor)
-      ~on_slow_clear:(fun () -> Gryff.Cluster.clear_slowdowns cluster)
-      ~net:(Gryff.Cluster.net cluster) ()
+let gryff_dc ?(env = Env.default) ~mode ~service_time_us ~n_clients ~conflict
+    ~write_ratio ~n_keys ~duration_s ~seed () =
+  let r =
+    drive ~env ~seed ~duration_s ~model:(Closed_loop n_clients)
+      ~site_of:(fun i -> i mod 5) ~latencies:(Some "op")
+      ~warmup_s:(duration_s /. 5.0)
+      (gryff
+         ~config:(Gryff.Config.single_dc ~mode ~service_time_us ())
+         ~n_keys ~write_ratio ~conflict ~unsafe_no_deps:false)
   in
-  let online =
-    match check with `Online -> Some (arm_gryff_online cluster) | _ -> None
-  in
-  let pending : pending_write list ref = ref [] in
-  let ycsb = Workload.Ycsb.create ~rng:(Sim.Rng.split rng) ~n_keys ~write_ratio ~conflict in
-  let lat = Stats.Recorder.create () in
-  let completed = ref 0 in
-  let until = Sim.Engine.sec duration_s in
-  let warmup = Sim.Engine.sec (duration_s /. 5.0) in
-  let clients = Array.init n_clients (fun i -> Gryff.Client.create cluster ~site:(i mod 5)) in
-  Workload.Client_model.closed_loop engine ~n_clients
-    ~body:(fun ~client k ->
-      let c = clients.(client) in
-      let op = Workload.Ycsb.sample ycsb in
-      let t0 = Sim.Engine.now engine in
-      let finish () =
-        if t0 >= warmup && t0 < until then begin
-          incr completed;
-          Stats.Recorder.add lat (Sim.Engine.now engine - t0)
-        end;
-        k ()
-      in
-      if op.Workload.Ycsb.is_write then begin
-        let value = Gryff.Cluster.fresh_value cluster in
-        if chaos = None then
-          Gryff.Client.write ?deadline_us c ~key:op.Workload.Ycsb.key ~value
-            (fun _ -> finish ())
-        else begin
-          let info =
-            { pw_proc = Gryff.Client.proc c; pw_inv = t0;
-              pw_key = op.Workload.Ycsb.key; pw_value = value;
-              pw_cs = None; pw_done = false }
-          in
-          pending := info :: !pending;
-          Gryff.Client.write ?deadline_us c
-            ~on_apply:(fun cs -> info.pw_cs <- Some cs)
-            ~key:op.Workload.Ycsb.key ~value:info.pw_value
-            (fun _ ->
-              info.pw_done <- true;
-              finish ())
-        end
-      end
-      else
-        Gryff.Client.read ?deadline_us c ~key:op.Workload.Ycsb.key (fun _ ->
-            finish ()))
-    ~until ();
-  Sim.Engine.run ~max_events:600_000_000 engine;
-  sweep_gryff cluster !pending;
-  let measured_us = until - warmup in
-  let reg = gryff_metrics ~faults:!faults ~failover:false cluster in
-  gryff_flow_metrics reg ~env ~budget cluster;
-  Obs.Metrics.set_gauge reg "throughput_tps"
-    (Stats.Summary.throughput ~count:!completed ~duration_us:measured_us);
-  Obs.Metrics.set_gauge reg "p50_ms"
-    (match Stats.Recorder.percentile_ms_opt lat 50.0 with
-    | Some m -> m
-    | None -> Float.nan);
-  let t0_check = Sys.time () in
-  let verdict =
-    match (check, online) with
-    | `No_check, _ -> Run.Unknown "checking disabled"
-    | `Online, Some tbl -> gryff_online_result tbl
-    | `Online, None -> assert false
-    | `Offline, _ -> verdict_of_result (Gryff.Cluster.check_history cluster)
-  in
-  Obs.Metrics.set_gauge reg "check.finish_s" (Sys.time () -. t0_check);
-  (match online with
-  | Some tbl ->
-    let added, work, max_displacement = gryff_online_stats tbl in
-    online_counters reg ~added ~work ~max_displacement
-  | None -> ());
-  {
-    Run.latencies = [ ("op", lat) ];
-    metrics = Obs.Metrics.snapshot reg;
-    check = verdict;
-    records = Run.Gryff_ops (Gryff.Cluster.records cluster);
-    duration_us = Sim.Engine.now engine;
-  }
+  with_gauges r (saturation_gauges r ~name:"op" ~duration_s)
 
-let report_check name = function
-  | Run.Pass -> ()
-  | Run.Fail m ->
-    Fmt.pr "  !! %s: consistency violation in run history: %s@." name m
-  | Run.Unknown m ->
-    Fmt.pr "  ?? %s: consistency verdict unknown: %s@." name m
+(* {2 Chaos audits} *)
+
+let audit_keys = function
+  | Chaos.Audit.Spanner_strict | Chaos.Audit.Spanner_rss -> 5_000
+  | Chaos.Audit.Gryff_lin | Chaos.Audit.Gryff_rsc -> 2_000
+
+(* Live migrations of the Zipfian head — the hottest eighth of the
+   keyspace — spread over the run, each to a different destination shard
+   of the default three-shard deployment. *)
+let audit_migrations ~n_keys n =
+  let config = Spanner.Config.wan3 ~mode:Spanner.Config.Rss () in
+  let n_shards = config.Spanner.Config.n_shards in
+  List.init n (fun i ->
+      {
+        rs_at = 0.30 +. (0.25 *. float_of_int i);
+        rs_lo = 0;
+        rs_hi = max 1 (n_keys / 8);
+        rs_dst = (i + 1) mod n_shards;
+        rs_no_fence = false;
+      })
+
+let audit ?(env = Env.default) ?prepare ?config ?client_sites ?n_slots ?n_keys
+    ?(timeout_us = 2_000_000) ?(conflict = 0.1) ?(write_ratio = 0.3)
+    ?(unsafe_no_deps = false) protocol ~duration_s ~seed () =
+  let n_keys = Option.value n_keys ~default:(audit_keys protocol) in
+  (* Armed failover puts a deadline on every op, just inside the slot
+     timeout, so a coordinator crash settles the op before its session is
+     abandoned. *)
+  let env =
+    if env.Env.failover && env.Env.deadline_us = None then
+      { env with Env.deadline_us = Some (timeout_us - 200_000) }
+    else env
+  in
+  let run ~n_slots ~sites adapter =
+    drive ~env ?prepare ~seed ~duration_s
+      ~model:(Slots { n_slots; timeout_us })
+      ~site_of:(fun s -> sites.(s mod n_slots mod Array.length sites))
+      ~latencies:(Some "ops") ~warmup_s:0.0 adapter
+  in
+  match protocol with
+  | Chaos.Audit.Spanner_strict | Chaos.Audit.Spanner_rss ->
+    let mode =
+      if protocol = Chaos.Audit.Spanner_strict then Spanner.Config.Strict
+      else Spanner.Config.Rss
+    in
+    let config =
+      match config with Some c -> c | None -> Spanner.Config.wan3 ~mode ()
+    in
+    run
+      ~n_slots:(Option.value n_slots ~default:12)
+      ~sites:config.Spanner.Config.client_sites
+      (spanner ~config ~n_keys ~theta:0.5)
+  | Chaos.Audit.Gryff_lin | Chaos.Audit.Gryff_rsc ->
+    let mode =
+      if protocol = Chaos.Audit.Gryff_lin then Gryff.Config.Lin
+      else Gryff.Config.Rsc
+    in
+    let config = Gryff.Config.wan5 ~mode () in
+    run
+      ~n_slots:(Option.value n_slots ~default:10)
+      ~sites:
+        (match client_sites with
+        | Some a -> a
+        | None -> Array.init config.Gryff.Config.n_replicas Fun.id)
+      (gryff ~config ~n_keys ~write_ratio ~conflict ~unsafe_no_deps)
+
+let audit_trace (r : Run.t) =
+  match r.Run.records with
+  | Run.Spanner_txns a -> Chaos.Audit.spanner_trace a
+  | Run.Gryff_ops a -> Chaos.Audit.gryff_trace a
+
+let stale_control protocol (r : Run.t) =
+  match (r.Run.records, protocol) with
+  | Run.Spanner_txns a, Chaos.Audit.Spanner_strict ->
+    Chaos.Audit.spanner_stale_control ~mode:`Strict a
+  | Run.Spanner_txns a, _ -> Chaos.Audit.spanner_stale_control ~mode:`Rss a
+  | Run.Gryff_ops a, Chaos.Audit.Gryff_lin ->
+    Chaos.Audit.gryff_stale_control ~mode:Gryff.Config.Lin a
+  | Run.Gryff_ops a, _ -> Chaos.Audit.gryff_stale_control ~mode:Gryff.Config.Rsc a
+
+let liveness_ok ?(min_post_quiet = 1) r =
+  Run.counter r "op.post_heal_completed" >= min_post_quiet
+
+let print_audit protocol r =
+  let model = Chaos.Audit.model_name protocol in
+  Fmt.pr "chaos audit: %s — model: %s@." (Chaos.Audit.protocol_name protocol)
+    model;
+  Run.print_latencies ~header:"chaos audit latency (ms)" r;
+  Run.print_metrics ~header:"chaos audit" r;
+  (match r.Run.check with
+  | Run.Pass -> Fmt.pr "history: verified (%s)@." model
+  | Run.Fail m -> Fmt.pr "history: VIOLATION — %s@." m
+  | Run.Unknown m -> Fmt.pr "history: verdict UNKNOWN — %s@." m);
+  Fmt.pr "liveness: %s (%d ops completed after heal)@."
+    (if liveness_ok r then "ok" else "STALLED")
+    (Run.counter r "op.post_heal_completed");
+  let c = Run.counter r in
+  if c "durable.fault.crashes" > 0 || c "durable.repair.unrepaired" > 0 then
+    Fmt.pr
+      "storage: %d crash-damage events — %d torn-tail repairs, %d quarantined \
+       (%d healed by peer transfer, %d place re-persists), %d UNREPAIRED@."
+      (c "durable.fault.crashes") (c "durable.repair.torn")
+      (c "durable.repair.quarantined") (c "durable.repair.peer")
+      (c "durable.repair.place") (c "durable.repair.unrepaired")
+
+let report_check = Run.report_check

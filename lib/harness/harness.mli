@@ -1,18 +1,24 @@
-(** Experiment drivers shared by the benchmark harness (bench/) and the CLI
-    (bin/): run one configured simulation to completion and return a single
-    {!Run.t} — latency recorders, a metrics-registry snapshot, the run's
-    history, and the history-verification verdict.
+(** Experiment drivers shared by the benchmarks (bench/), the CLI (bin/),
+    the schedule explorer and the tests: run one configured simulation to
+    completion and return a single {!Run.t} — latency recorders, a
+    metrics-registry snapshot, the run's history, and the
+    history-verification verdict.
 
-    Every driver takes an optional [?chaos] fault schedule. With one armed,
-    the driver (a) injects the schedule's faults into the run's network and
-    TrueTime, (b) tracks in-flight writes so attempts whose acknowledgement
-    a fault swallowed can be swept into the history before checking (see
-    {!Chaos.Audit}), and (c) reports fault accounting in the run's metrics.
+    Every driver is a thin wrapper over one driver core, split the way
+    Jepsen-style harnesses split a test: a {e generator} (the protocol's
+    workload, issued by a client model — closed-loop, partly-open, or the
+    audits' timeout-respawning slots), a {e nemesis} (the [Env.t] fault
+    schedule, gray nodes, disk damage and live migrations) and a
+    {e checker} (offline, online, or none). The core applies every
+    {!Env.t} field the same way on every deployment, and always tracks
+    unacknowledged writes: an attempt whose acknowledgement a fault
+    swallowed is swept into the history as an incomplete op before
+    checking (the complete(α) convention). On a fault-free run the tracker
+    empties as ops are acknowledged, so nothing is swept.
 
-    Every driver also takes an optional [?trace] span sink
-    ({!Obs.Trace.t}, default disabled). Tracing is passive — it never draws
-    randomness or schedules events — so a traced run follows the exact
-    seeded schedule of an untraced one. *)
+    Tracing ([Env.trace]) is passive — it never draws randomness or
+    schedules events — so a traced run follows the exact seeded schedule of
+    an untraced one. *)
 
 module Run : sig
   (** The run's execution history, protocol-shaped. *)
@@ -126,18 +132,14 @@ val flow_default : flow_spec
 (** No admission limits, no expiry drops, no hedging, no budget, default
     fan-out. *)
 
-(** The cross-cutting run environment. Every driver used to take the same
-    six optional keywords ([?chaos ?disk_faults ?failover ?trace ?check
-    ?reshard]); they are one record now, built with {!Env.default} and the
-    [with_*] combinators:
+(** The cross-cutting run environment, one record built with
+    {!Env.default} and the [with_*] combinators:
 
     {[ Harness.spanner_dc
          ~env:Env.(default |> with_check `Online
                    |> with_batching (Some policy)) ... ]}
 
-    The old keywords remain as thin deprecated shims for one release: an
-    explicitly passed keyword overrides the corresponding [env] field.
-    [batching] has no legacy keyword — it is reachable only through [Env]. *)
+    The driver core applies every field the same way on every deployment. *)
 module Env : sig
   type t = {
     chaos : Chaos.Schedule.t option;
@@ -146,15 +148,16 @@ module Env : sig
     trace : Obs.Trace.t;
     check : check_mode;
     reshard : reshard_spec list;
-        (** consumed by [spanner_wan] only; other drivers ignore it *)
+        (** live migrations; Gryff has no elastic placement and ignores
+            them *)
     batching : Sim.Net.policy option;
         (** installed on the run's network before any traffic flows; [None]
             keeps seeded schedules byte-identical to unbatched runs *)
     deadline_us : int option;
         (** client deadline put on every operation. [None] (the default)
-            keeps the historical behavior: no deadline, except the 10 s
-            failover fallback [spanner_wan] arms with [failover]. An
-            explicit value overrides that fallback too. *)
+            means no deadline, except the 10 s fallback Spanner deployments
+            arm with [failover] (and the audits' [timeout_us - 200_000]).
+            An explicit value overrides those fallbacks too. *)
     flow : flow_spec option;
         (** overload protections applied to the cluster before any traffic
             flows; [None] runs unprotected and byte-identical to before *)
@@ -176,71 +179,120 @@ module Env : sig
   (** Raises [Invalid_argument] on a non-positive deadline. *)
 
   val with_flow : flow_spec option -> t -> t
-
-  val resolve :
-    ?env:t -> ?chaos:Chaos.Schedule.t -> ?disk_faults:Chaos.Audit.disk_faults ->
-    ?failover:bool -> ?trace:Obs.Trace.t -> ?check:check_mode ->
-    ?reshard:reshard_spec list -> unit -> t
-  (** The exact deprecated-keyword shim every driver applies: fold the
-      legacy keywords over [?env] (default {!default}), an explicitly
-      passed keyword winning over the corresponding field. [batching],
-      [deadline_us] and [flow] have no keyword, so they always pass
-      through. Exposed so the shim semantics can be property-tested —
-      drivers behave as if called with [~env:(resolve ?env ?chaos ... ())]
-      and no keywords. *)
 end
 
 val spanner_wan :
-  ?config:Spanner.Config.t option -> ?env:Env.t -> ?chaos:Chaos.Schedule.t ->
-  ?disk_faults:Chaos.Audit.disk_faults ->
-  ?failover:bool -> ?trace:Obs.Trace.t -> ?check:check_mode ->
-  ?reshard:reshard_spec list -> mode:Spanner.Config.mode ->
+  ?config:Spanner.Config.t option -> ?env:Env.t -> mode:Spanner.Config.mode ->
   theta:float -> n_keys:int -> arrival_rate_per_sec:float ->
   duration_s:float -> seed:int -> unit -> Run.t
 (** §6.1: Retwis over the CA/VA/IR deployment with partly-open clients
     (a fresh session — and t_min — per arrival, stay probability 0.9).
-    The first 10% of the run is warm-up and is not recorded. [failover]
-    (default false) arms {!Spanner.Cluster.enable_failover} and puts client
-    deadlines on every operation — required for liveness under
-    leader-killing schedules. [reshard] (default none) arms live key-range
-    migrations via {!Spanner.Cluster.migrate}; reshard statistics land in
-    the run's [place.*] counters. [disk_faults] installs a
-    {!Sim.Durable.Faults} control before the cluster is built, ties storage
-    damage to the schedule's crash events, and arms the background scrub
-    pass; accounting lands in the run's [durable.*] counters.
+    The first 10% of the run is warm-up and is not recorded.
     Latencies: ["ro"], ["rw"]. *)
 
 val spanner_dc :
-  ?env:Env.t -> ?chaos:Chaos.Schedule.t -> ?trace:Obs.Trace.t ->
-  ?check:check_mode -> mode:Spanner.Config.mode ->
-  n_shards:int -> service_time_us:int -> n_clients:int -> n_keys:int ->
-  duration_s:float -> seed:int -> unit -> Run.t
-(** §6.2 saturation. Latencies: ["txn"]; gauges: ["throughput_tps"],
+  ?env:Env.t -> mode:Spanner.Config.mode -> n_shards:int ->
+  service_time_us:int -> n_clients:int -> n_keys:int -> duration_s:float ->
+  seed:int -> unit -> Run.t
+(** §6.2 saturation: closed-loop clients at one site, uniform keys. The
+    first 20% is warm-up. Latencies: ["txn"]; gauges: ["throughput_tps"],
     ["p50_ms"], ["msgs_per_txn"]. *)
 
 val gryff_wan :
   ?n_clients:int -> ?client_sites:int array -> ?env:Env.t ->
-  ?chaos:Chaos.Schedule.t ->
-  ?disk_faults:Chaos.Audit.disk_faults -> ?failover:bool ->
-  ?trace:Obs.Trace.t -> ?check:check_mode -> mode:Gryff.Config.mode ->
-  conflict:float ->
-  write_ratio:float -> n_keys:int -> duration_s:float -> seed:int -> unit ->
-  Run.t
+  mode:Gryff.Config.mode -> conflict:float -> write_ratio:float ->
+  n_keys:int -> duration_s:float -> seed:int -> unit -> Run.t
 (** §7.2: YCSB over the five-region deployment, closed-loop clients.
     [client_sites] restricts where clients run (e.g. off a slow-node
-    victim); the default spreads them over all five regions. [failover]
-    (default false) arms {!Gryff.Cluster.enable_retrans}. [disk_faults] is
-    accepted for battery uniformity — Gryff keeps no durable stores, so
-    the control registers nothing. Latencies: ["read"], ["write"]. *)
+    victim); the default spreads them over all five regions.
+    Latencies: ["read"], ["write"]. *)
 
 val gryff_dc :
-  ?env:Env.t -> ?chaos:Chaos.Schedule.t -> ?trace:Obs.Trace.t ->
-  ?check:check_mode -> mode:Gryff.Config.mode ->
-  service_time_us:int -> n_clients:int -> conflict:float ->
-  write_ratio:float -> n_keys:int -> duration_s:float -> seed:int -> unit ->
-  Run.t
+  ?env:Env.t -> mode:Gryff.Config.mode -> service_time_us:int ->
+  n_clients:int -> conflict:float -> write_ratio:float -> n_keys:int ->
+  duration_s:float -> seed:int -> unit -> Run.t
 (** §7.4 overhead. Latencies: ["op"]; gauges: ["throughput_tps"],
     ["p50_ms"]. *)
+
+(** {1 Chaos audits}
+
+    An audit runs one protocol's default deployment under [Env.chaos] with
+    timeout-respawning session slots, and judges the history against the
+    protocol's model ({!Chaos.Audit.model_name}). Liveness is asserted
+    separately: ops invoked after the schedule's final heal must complete
+    ([op.post_heal_completed]). Every audit is a pure function of its
+    inputs; {!audit_trace} serializes the history canonically so two runs
+    can be compared byte for byte. *)
+
+val audit :
+  ?env:Env.t -> ?prepare:(Sim.Engine.t -> Sim.Net.t -> unit) ->
+  ?config:Spanner.Config.t -> ?client_sites:int array -> ?n_slots:int ->
+  ?n_keys:int -> ?timeout_us:int -> ?conflict:float -> ?write_ratio:float ->
+  ?unsafe_no_deps:bool -> Chaos.Audit.protocol -> duration_s:float ->
+  seed:int -> unit -> Run.t
+(** Spanner protocols run Retwis (Zipf 0.5, [config] defaulting to wan3);
+    Gryff protocols run YCSB reads and writes ([conflict] 0.1,
+    [write_ratio] 0.3) with clients at [client_sites] (default every
+    replica site). [n_slots] concurrent session slots (12 Spanner, 10
+    Gryff); a slot whose op misses [timeout_us] (2 s) abandons that session
+    — its process id is never reused, so session-order checking stays
+    sound — and continues with a fresh one. [n_keys] defaults to
+    {!audit_keys}. With [env.failover] and no [env.deadline_us], every op
+    carries the deadline [timeout_us - 200_000]. [unsafe_no_deps] runs the
+    broken Gryff control client (RSC fence disabled). [prepare] runs right
+    after the cluster is built, before any fault or workload event is
+    scheduled — the schedule explorer installs its perturbation hooks
+    there. Latencies: ["ops"], every completed op, no warm-up. *)
+
+val audit_keys : Chaos.Audit.protocol -> int
+(** The audit workload's default keyspace: 5 000 (Spanner), 2 000 (Gryff). *)
+
+val audit_migrations : n_keys:int -> int -> reshard_spec list
+(** [audit_migrations ~n_keys n]: [n] live migrations of the Zipfian-hot
+    eighth of an [n_keys] keyspace, at 30%, 55%, ... of the run, each to a
+    different shard of the default deployment — the workload for the
+    reshard, hot-split and torn-migration presets. *)
+
+val audit_trace : Run.t -> string
+(** The canonical history serialization ({!Chaos.Audit.spanner_trace} /
+    {!Chaos.Audit.gryff_trace}). *)
+
+val stale_control :
+  Chaos.Audit.protocol -> Run.t -> (unit, string) result option
+(** Corrupt one completed read of the run's history to an older version and
+    re-check against the protocol's model: [Some (Error _)] proves the
+    checker has teeth; [None] when no read is eligible. *)
+
+val liveness_ok : ?min_post_quiet:int -> Run.t -> bool
+(** At least [min_post_quiet] (default 1) ops invoked after the schedule's
+    last event completed. *)
+
+val print_audit : Chaos.Audit.protocol -> Run.t -> unit
+(** The audit report: latency and metrics tables, the verdict, liveness,
+    and a storage-repair summary when disk damage occurred. *)
+
+(** {1 Shared checking} *)
+
+module Gryff_check : sig
+  type t
+  (** One online checker per key: carstamp order is only meaningful within
+      a register. *)
+
+  val create : (unit -> Rss_core.Check_online.t) -> t
+  (** The constructor builds each key's checker (so callers choose its
+      mode and work budget). *)
+
+  val add : t -> Gryff.Cluster.record -> unit
+  (** Feed one record as a one-op witness transaction (carstamp as the
+      claimed order, reads ranked above writes at equal carstamps). *)
+
+  val result : t -> Run.verdict
+  (** Keys settle in sorted order: the first failing key's [Fail], else
+      the first [Unknown], else [Pass]. *)
+
+  val stats : t -> int * int * int
+  (** Records added, total work, and the maximum displacement. *)
+end
 
 val report_check : string -> Run.verdict -> unit
 (** Print a loud warning if a run's history failed verification (or an

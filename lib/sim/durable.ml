@@ -333,6 +333,16 @@ module Faults = struct
       lost_int_prob = 0.1;
     }
 
+  let scale r s =
+    let p x = min 1.0 (x *. r) in
+    {
+      s with
+      tear_prob = p s.tear_prob;
+      corrupt_prob = p s.corrupt_prob;
+      stale_prob = p s.stale_prob;
+      lost_int_prob = p s.lost_int_prob;
+    }
+
   let install ?(spec = default_spec) ?(integrity = true) ~seed () =
     let c =
       {

@@ -139,6 +139,10 @@ module Faults : sig
 
   val default_spec : spec
 
+  val scale : float -> spec -> spec
+  (** [scale r s] multiplies every damage probability of [s] by [r],
+      capped at 1; the size caps ([max_tear], [max_stale]) stay. *)
+
   val install : ?spec:spec -> ?integrity:bool -> seed:int -> unit -> ctl
   (** Install the ambient control: stores created from now on register with
       it. [integrity:false] builds stores whose {!read_verified} is blind

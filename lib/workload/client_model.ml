@@ -37,3 +37,25 @@ let partly_open engine ~rng ~arrival_rate_per_sec ~stay ?(think_us = 0) ~body
   Sim.Engine.schedule engine ~after:0 arrivals;
   (* Upper bound: arrivals cannot outpace one per microsecond. *)
   min (until + 1) (int_of_float (arrival_rate_per_sec *. Sim.Engine.to_sec until) * 4 + 16)
+
+let slots engine ~n_slots ~timeout_us ~on_timeout ~body ~until () =
+  if n_slots <= 0 then invalid_arg "Client_model.slots: n_slots must be positive";
+  let gen = Array.make n_slots 0 in
+  let rec start slot =
+    if Sim.Engine.now engine < until then run slot (slot + (n_slots * gen.(slot)))
+  and run slot client =
+    let g = gen.(slot) in
+    let finished = ref false in
+    Sim.Engine.schedule engine ~after:timeout_us (fun () ->
+        if (not !finished) && gen.(slot) = g then begin
+          on_timeout ~client;
+          gen.(slot) <- g + 1;
+          start slot
+        end);
+    body ~client (fun () ->
+        finished := true;
+        if gen.(slot) = g && Sim.Engine.now engine < until then run slot client)
+  in
+  for slot = 0 to n_slots - 1 do
+    start slot
+  done

@@ -8,6 +8,10 @@
       with probability [p] (thinking for [think_us]) or departs. The paper's
       Spanner experiments use p = 0.9 (mean session length 10) and H = 0,
       with a fresh t_min per session.
+    - {!slots}: the chaos audits' timeout-respawning sessions — a fixed
+      number of slots, each running one session at a time; a session whose
+      operation misses its timeout is abandoned and a fresh one takes the
+      slot.
 
     The [body] callback issues exactly one operation/transaction and invokes
     the given continuation when it completes. *)
@@ -27,3 +31,16 @@ val partly_open :
     have been created by [until]. The [client] id passed to [body] is the
     session id (fresh per session). Raises [Invalid_argument] for a
     non-positive arrival rate or a stay probability outside [\[0, 1)]. *)
+
+val slots :
+  Sim.Engine.t -> n_slots:int -> timeout_us:int ->
+  on_timeout:(client:int -> unit) -> body:body -> until:int -> unit -> unit
+(** [n_slots] session slots, each issuing its session's next operation as
+    soon as the previous one completes. An operation still outstanding
+    [timeout_us] after it was issued abandons its session: [on_timeout] is
+    told, the session is never used again (its late acknowledgement is
+    ignored) and a fresh session takes the slot. The [client] id passed to
+    [body] is the session id: slot [s]'s [k]-th session is
+    [s + k * n_slots], so [client mod n_slots] is its slot. The first
+    operations are issued synchronously, at the call; stops issuing at
+    [until]. *)

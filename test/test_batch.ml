@@ -145,9 +145,8 @@ let test_policy_validation () =
 (* {1 Batching off is byte-identical}
 
    The same golden digests as test_scale, but reached through the
-   [Harness.Env] record with batching explicitly off — pinning both that
-   the Env refactor is a pure repackaging of the legacy keywords and that
-   an uninstalled policy leaves the seeded schedule untouched. *)
+   [Harness.Env] record with batching explicitly off — pinning that an
+   uninstalled policy leaves the seeded schedule untouched. *)
 
 let digest_spanner ~env () =
   let r =

@@ -255,6 +255,21 @@ let battery ~n =
       ( "eps-inflate", [ at_s 1.0 (Epsilon 80_000); at_s 3.0 Epsilon_reset ] );
     ]
 
+(* One audit run through the harness's driver core. *)
+let audit ?config ?client_sites ?n_slots ?(failover = false) protocol ~schedule
+    ~duration_s ~seed =
+  Harness.audit ?config ?client_sites ?n_slots
+    ~env:Harness.Env.(default |> with_chaos schedule |> with_failover failover)
+    protocol ~duration_s ~seed ()
+
+let counter = Harness.Run.counter
+
+let check_verified label r =
+  match r.Harness.Run.check with
+  | Harness.Run.Pass -> ()
+  | Harness.Run.Fail m | Harness.Run.Unknown m ->
+    Alcotest.failf "%s: consistency violation: %s" label m
+
 let test_audit_battery () =
   List.iter
     (fun protocol ->
@@ -262,31 +277,21 @@ let test_audit_battery () =
       List.iter
         (fun (kind, schedule) ->
           let label = Chaos.Audit.protocol_name protocol ^ "/" ^ kind in
-          let r =
-            Chaos.Audit.run protocol ~schedule ~n_slots:6 ~duration_s:5.0
-              ~seed:7 ()
-          in
-          (match r.Chaos.Audit.check with
-          | Ok () -> ()
-          | Error m -> Alcotest.failf "%s: consistency violation: %s" label m);
+          let r = audit protocol ~schedule ~n_slots:6 ~duration_s:5.0 ~seed:7 in
+          check_verified label r;
           check bool (label ^ ": liveness resumed after heal") true
-            (Chaos.Audit.liveness_ok ~min_post_quiet:5 r);
+            (Harness.liveness_ok ~min_post_quiet:5 r);
           check int
             (label ^ ": every schedule event injected")
-            (List.length schedule) r.Chaos.Audit.faults_injected;
+            (List.length schedule) (counter r "fault.injected");
+          let counted what name =
+            check bool (label ^ ": " ^ what ^ " counted") true (counter r name > 0)
+          in
           match kind with
-          | "partition-heal" ->
-            check bool (label ^ ": partition drops counted") true
-              (r.Chaos.Audit.dropped_partition > 0)
-          | "link-loss" ->
-            check bool (label ^ ": loss drops counted") true
-              (r.Chaos.Audit.dropped_loss > 0)
-          | "crash-recover" ->
-            check bool (label ^ ": crash drops counted") true
-              (r.Chaos.Audit.dropped_crash > 0)
-          | "latency-spike" ->
-            check bool (label ^ ": delayed messages counted") true
-              (r.Chaos.Audit.delayed > 0)
+          | "partition-heal" -> counted "partition drops" "fault.dropped_partition"
+          | "link-loss" -> counted "loss drops" "fault.dropped_loss"
+          | "crash-recover" -> counted "crash drops" "fault.dropped_crash"
+          | "latency-spike" -> counted "delayed messages" "fault.delayed"
           | _ -> ())
         (battery ~n))
     Chaos.Audit.protocols
@@ -294,33 +299,27 @@ let test_audit_battery () =
 let test_audit_determinism () =
   (* Same (workload seed, nemesis seed) must reproduce the run down to the
      last history record — run twice and diff the canonical traces. *)
-  let go () =
+  let go nemesis_seed =
     let schedule =
       Chaos.Audit.nemesis_schedule Chaos.Audit.Spanner_rss Chaos.Nemesis.Mixed
-        ~duration_s:6.0 ~seed:5
+        ~duration_s:6.0 ~seed:nemesis_seed
     in
-    Chaos.Audit.run Chaos.Audit.Spanner_rss ~schedule ~n_slots:6 ~duration_s:6.0
-      ~seed:9 ()
+    audit Chaos.Audit.Spanner_rss ~schedule ~n_slots:6 ~duration_s:6.0 ~seed:9
   in
-  let a = go () and b = go () in
-  check bool "histories byte-identical" true
-    (String.equal a.Chaos.Audit.trace b.Chaos.Audit.trace);
-  check bool "history non-trivial" true (a.Chaos.Audit.history_len > 50);
-  check int "same message count" a.Chaos.Audit.msgs_sent b.Chaos.Audit.msgs_sent;
-  check int "same drop counts"
-    (a.Chaos.Audit.dropped_partition + a.Chaos.Audit.dropped_crash
-   + a.Chaos.Audit.dropped_loss)
-    (b.Chaos.Audit.dropped_partition + b.Chaos.Audit.dropped_crash
-   + b.Chaos.Audit.dropped_loss);
-  let c =
-    Chaos.Audit.run Chaos.Audit.Spanner_rss
-      ~schedule:
-        (Chaos.Audit.nemesis_schedule Chaos.Audit.Spanner_rss
-           Chaos.Nemesis.Mixed ~duration_s:6.0 ~seed:6)
-      ~n_slots:6 ~duration_s:6.0 ~seed:9 ()
+  let a = go 5 and b = go 5 in
+  let trace = Harness.audit_trace in
+  check bool "histories byte-identical" true (String.equal (trace a) (trace b));
+  check bool "history non-trivial" true (Harness.Run.n_records a > 50);
+  check int "same message count" (counter a "net.messages")
+    (counter b "net.messages");
+  let drops r =
+    counter r "fault.dropped_partition"
+    + counter r "fault.dropped_crash"
+    + counter r "fault.dropped_loss"
   in
+  check int "same drop counts" (drops a) (drops b);
   check bool "different nemesis seed, different run" true
-    (not (String.equal a.Chaos.Audit.trace c.Chaos.Audit.trace))
+    (not (String.equal (trace a) (trace (go 6))))
 
 (* ------------------------------------------------------------------ *)
 (* Quorum ride-through: a minority crash must not stop commits         *)
@@ -344,64 +343,59 @@ let crash_only = Chaos.Schedule.[ at_s 1.0 (Crash [ 4 ]) ]
 
 let test_spanner_quorum_ride_through () =
   List.iter
-    (fun mode ->
+    (fun (label, mode, protocol) ->
       let r =
-        Chaos.Audit.spanner ~config:(spanner5 ~mode) ~mode ~schedule:crash_only
-          ~n_slots:8 ~duration_s:5.0 ~seed:3 ()
+        audit ~config:(spanner5 ~mode) protocol ~schedule:crash_only ~n_slots:8
+          ~duration_s:5.0 ~seed:3
       in
-      let label =
-        match mode with Spanner.Config.Strict -> "strict" | Spanner.Config.Rss -> "rss"
-      in
-      (match r.Chaos.Audit.check with
-      | Ok () -> ()
-      | Error m -> Alcotest.failf "spanner(%s) under crash: %s" label m);
+      check_verified ("spanner(" ^ label ^ ") under crash") r;
       check int (label ^ ": no operation stalls on a minority crash") 0
-        r.Chaos.Audit.ops_timed_out;
+        (counter r "op.timed_out");
       check bool (label ^ ": commits continue during the crash") true
-        (r.Chaos.Audit.post_quiet_completed > 50);
+        (counter r "op.post_heal_completed" > 50);
       check bool (label ^ ": the dead replica's traffic is dropped") true
-        (r.Chaos.Audit.dropped_crash > 0))
-    [ Spanner.Config.Strict; Spanner.Config.Rss ]
+        (counter r "fault.dropped_crash" > 0))
+    [
+      ("strict", Spanner.Config.Strict, Chaos.Audit.Spanner_strict);
+      ("rss", Spanner.Config.Rss, Chaos.Audit.Spanner_rss);
+    ]
 
 let test_gryff_quorum_ride_through () =
   (* One of five replicas down: quorum 3 still reachable from the four
      surviving client sites, so reads and writes complete and RSC holds. *)
   let r =
-    Chaos.Audit.gryff ~mode:Gryff.Config.Rsc ~client_sites:[| 0; 1; 2; 3 |]
-      ~schedule:crash_only ~n_slots:8 ~duration_s:5.0 ~seed:3 ()
+    audit Chaos.Audit.Gryff_rsc ~client_sites:[| 0; 1; 2; 3 |]
+      ~schedule:crash_only ~n_slots:8 ~duration_s:5.0 ~seed:3
   in
-  (match r.Chaos.Audit.check with
-  | Ok () -> ()
-  | Error m -> Alcotest.failf "gryff-rsc under crash: %s" m);
-  check int "no operation stalls on a minority crash" 0 r.Chaos.Audit.ops_timed_out;
+  check_verified "gryff-rsc under crash" r;
+  check int "no operation stalls on a minority crash" 0
+    (counter r "op.timed_out");
   check bool "ops continue during the crash" true
-    (r.Chaos.Audit.post_quiet_completed > 100);
+    (counter r "op.post_heal_completed" > 100);
   check bool "the dead replica's traffic is dropped" true
-    (r.Chaos.Audit.dropped_crash > 0)
+    (counter r "fault.dropped_crash" > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Broken controls: the checkers must catch deliberate violations      *)
 (* ------------------------------------------------------------------ *)
 
 let test_stale_read_controls () =
-  let sp =
-    Chaos.Audit.run Chaos.Audit.Spanner_rss
-      ~schedule:(List.assoc "partition-heal" (battery ~n:3))
-      ~n_slots:6 ~duration_s:5.0 ~seed:7 ()
-  in
-  (match sp.Chaos.Audit.stale_control () with
-  | Some (Error _) -> ()
-  | Some (Ok ()) -> Alcotest.fail "spanner checker accepted a stale read"
-  | None -> Alcotest.fail "spanner history had no read to corrupt");
-  let gr =
-    Chaos.Audit.run Chaos.Audit.Gryff_rsc
-      ~schedule:(List.assoc "link-loss" (battery ~n:5))
-      ~n_slots:6 ~duration_s:5.0 ~seed:7 ()
-  in
-  match gr.Chaos.Audit.stale_control () with
-  | Some (Error _) -> ()
-  | Some (Ok ()) -> Alcotest.fail "gryff checker accepted a stale read"
-  | None -> Alcotest.fail "gryff history had no read to corrupt"
+  List.iter
+    (fun (protocol, kind, n) ->
+      let r =
+        audit protocol
+          ~schedule:(List.assoc kind (battery ~n))
+          ~n_slots:6 ~duration_s:5.0 ~seed:7
+      in
+      let name = Chaos.Audit.protocol_name protocol in
+      match Harness.stale_control protocol r with
+      | Some (Error _) -> ()
+      | Some (Ok ()) -> Alcotest.failf "%s checker accepted a stale read" name
+      | None -> Alcotest.failf "%s history had no read to corrupt" name)
+    [
+      (Chaos.Audit.Spanner_rss, "partition-heal", 3);
+      (Chaos.Audit.Gryff_rsc, "link-loss", 5);
+    ]
 
 (* Protocol-level control: a Gryff-RSC client that discards its read
    dependencies (RSC fence disabled). Deterministic anomaly: a write from JP
@@ -498,16 +492,13 @@ let test_failover_battery () =
                   ~seed
               in
               let r =
-                Chaos.Audit.run protocol ~schedule
+                audit protocol ~schedule
                   ~failover:(Chaos.Nemesis.requires_failover preset)
-                  ~duration_s:8.0 ~seed ()
+                  ~duration_s:8.0 ~seed
               in
-              (match r.Chaos.Audit.check with
-              | Ok () -> ()
-              | Error m ->
-                Alcotest.failf "%s: consistency violation: %s" label m);
+              check_verified label r;
               check bool (label ^ ": liveness resumed after recovery") true
-                (Chaos.Audit.liveness_ok r))
+                (Harness.liveness_ok r))
             [ 3; 5; 9 ])
         [ Chaos.Nemesis.Leader_kill; Chaos.Nemesis.Rolling_crash ])
     Chaos.Audit.protocols
@@ -520,21 +511,22 @@ let test_failover_determinism () =
       Chaos.Audit.nemesis_schedule Chaos.Audit.Spanner_rss
         Chaos.Nemesis.Leader_kill ~duration_s:8.0 ~seed:nemesis_seed
     in
-    Chaos.Audit.run Chaos.Audit.Spanner_rss ~schedule ~failover:true
-      ~duration_s:8.0 ~seed:11 ()
+    audit Chaos.Audit.Spanner_rss ~schedule ~failover:true ~duration_s:8.0
+      ~seed:11
   in
   let a = go 4 and b = go 4 in
   check bool "failover histories byte-identical" true
-    (String.equal a.Chaos.Audit.trace b.Chaos.Audit.trace);
-  check int "same view changes" a.Chaos.Audit.view_changes
-    b.Chaos.Audit.view_changes;
-  check int "same rpc retries" a.Chaos.Audit.rpc_retries
-    b.Chaos.Audit.rpc_retries;
+    (String.equal (Harness.audit_trace a) (Harness.audit_trace b));
+  check int "same view changes"
+    (counter a "failover.view_changes")
+    (counter b "failover.view_changes");
+  check int "same rpc retries"
+    (counter a "failover.rpc_retries")
+    (counter b "failover.rpc_retries");
   check bool "elections actually happened" true
-    (a.Chaos.Audit.view_changes > 0);
-  let c = go 5 in
+    (counter a "failover.view_changes" > 0);
   check bool "different nemesis seed, different run" true
-    (not (String.equal a.Chaos.Audit.trace c.Chaos.Audit.trace))
+    (not (String.equal (Harness.audit_trace a) (Harness.audit_trace (go 5))))
 
 let test_spanner_leader_crash_rides_through () =
   (* Crash a Spanner shard-leader site outright mid-run. Without failover
@@ -551,16 +543,90 @@ let test_spanner_leader_crash_rides_through () =
       [ at_s 1.5 (Crash [ victim ]); at_s 4.5 (Recover [ victim ]) ]
   in
   let r =
-    Chaos.Audit.run Chaos.Audit.Spanner_rss ~schedule ~failover:true
-      ~duration_s:8.0 ~seed:13 ()
+    audit Chaos.Audit.Spanner_rss ~schedule ~failover:true ~duration_s:8.0
+      ~seed:13
   in
-  (match r.Chaos.Audit.check with
-  | Ok () -> ()
-  | Error m -> Alcotest.failf "consistency violation: %s" m);
+  check_verified "leader crash" r;
   check bool "commits continue after the leader crash" true
-    (Chaos.Audit.liveness_ok ~min_post_quiet:5 r);
+    (Harness.liveness_ok ~min_post_quiet:5 r);
   check bool "the crash forced an election" true
-    (r.Chaos.Audit.view_changes >= 1)
+    (counter r "failover.view_changes" >= 1)
+
+(* ------------------------------------------------------------------ *)
+(* Pinned audit traces: the audit path's seeded schedules across commits *)
+(* ------------------------------------------------------------------ *)
+
+(* (protocol, preset, trace digest, explorer coverage signature) for a 6 s
+   audit at seed 5 under the preset's nemesis schedule, failover armed when
+   the preset requires it, and — for disk-tear — the preset's disk faults
+   plus two hot-range migrations. Any change to the seeded schedule of an
+   audit run shows up here; re-baseline only for a deliberate semantic
+   change, and say so in the same commit. *)
+let audit_pins =
+  [
+    ( "spanner", "partition-heal",
+      "0e6f76d9a449bdb7b61e6a19d32c922a",
+      "spanner|partition-heal|v0 c0 p6 l0 d0 y0 q0 m0 r0 t5 u2 s0 w7|P" );
+    ( "spanner-rss", "partition-heal",
+      "2fc0263179d85f7e7bb6cd564de63b54",
+      "spanner-rss|partition-heal|v0 c0 p6 l0 d0 y0 q0 m0 r0 t5 u2 s0 w6|P" );
+    ( "gryff", "partition-heal",
+      "022ef4633db3bdcff39ceb1f924b077f",
+      "gryff|partition-heal|v0 c0 p8 l0 d0 y0 q0 m0 r0 t3 u1 s0 w2|P" );
+    ( "gryff-rsc", "partition-heal",
+      "08b2e4f08a4733b6f1457614291b8dd3",
+      "gryff-rsc|partition-heal|v0 c0 p8 l0 d0 y0 q0 m0 r0 t3 u1 s0 w2|P" );
+    ( "spanner", "leader-kill",
+      "f5d7dc60b57492260e328189927630f6",
+      "spanner|leader-kill|v2 c8 p0 l0 d0 y0 q5 m0 r0 t4 u0 s0 w4|P" );
+    ( "spanner-rss", "leader-kill",
+      "c8fde92ecd28ed4b7ace9c70a04a0a23",
+      "spanner-rss|leader-kill|v2 c8 p0 l0 d0 y0 q5 m0 r0 t4 u0 s0 w7|P" );
+    ( "gryff", "leader-kill",
+      "da80fa235c1e74307f05f8f534490a19",
+      "gryff|leader-kill|v0 c9 p0 l0 d0 y0 q0 m0 r0 t0 u0 s0 w3|P" );
+    ( "gryff-rsc", "leader-kill",
+      "0916cb90e589d22e352a459d6c7512ed",
+      "gryff-rsc|leader-kill|v0 c9 p0 l0 d0 y0 q0 m0 r0 t0 u0 s0 w2|P" );
+    ( "spanner-rss", "disk-tear",
+      "424a73afdc7460e537040dcc36262c78",
+      "spanner-rss|disk-tear|v2 c8 p0 l0 d0 y0 q5 m3 r5 t4 u0 s3 w8|P" );
+  ]
+
+let test_audit_pins () =
+  List.iter
+    (fun (proto, preset, digest, signature) ->
+      let protocol = Option.get (Chaos.Audit.protocol_of_string proto) in
+      let preset = Option.get (Chaos.Nemesis.preset_of_string preset) in
+      let duration_s = 6.0 and seed = 5 in
+      let env =
+        Harness.Env.(
+          default
+          |> with_chaos
+               (Chaos.Audit.nemesis_schedule protocol preset ~duration_s ~seed)
+          |> with_failover (Chaos.Nemesis.requires_failover preset))
+      in
+      let env =
+        match Chaos.Nemesis.disk_spec preset with
+        | None -> env
+        | Some spec ->
+          Harness.Env.(
+            env
+            |> with_disk_faults (Chaos.Audit.default_disk_faults ~spec ~seed ())
+            |> with_reshard
+                 (Harness.audit_migrations
+                    ~n_keys:(Harness.audit_keys protocol) 2))
+      in
+      let o =
+        Explore.Exec.assess ~protocol ~preset ~check_budget:0
+          (Harness.audit ~env protocol ~duration_s ~seed ())
+      in
+      let label = proto ^ "/" ^ Chaos.Nemesis.preset_name preset in
+      check Alcotest.string (label ^ ": trace digest") digest
+        o.Explore.Exec.trace_digest;
+      check Alcotest.string (label ^ ": coverage signature") signature
+        o.Explore.Exec.signature)
+    audit_pins
 
 let suites =
   [
@@ -609,5 +675,10 @@ let suites =
           test_failover_determinism;
         Alcotest.test_case "spanner leader-crash ride-through" `Quick
           test_spanner_leader_crash_rides_through;
+      ] );
+    ( "chaos.pins",
+      [
+        Alcotest.test_case "audit traces and signatures pinned" `Quick
+          test_audit_pins;
       ] );
   ]

@@ -317,6 +317,24 @@ let lost_prefix_schedule =
       at_s 3.5 (Recover [ 0 ]);
     ]
 
+(* A Spanner-RSS audit with failover armed and [df]'s disk faults. *)
+let disk_audit ?n_slots ~schedule df ~duration_s ~seed =
+  Harness.audit ?n_slots
+    ~env:
+      {
+        Harness.Env.default with
+        chaos = Some schedule;
+        failover = true;
+        disk_faults = df;
+      }
+    Chaos.Audit.Spanner_rss ~duration_s ~seed ()
+
+let check_verified what r =
+  match r.Harness.Run.check with
+  | Harness.Run.Pass -> ()
+  | Harness.Run.Fail m | Harness.Run.Unknown m ->
+    Alcotest.failf "history failed under %s: %s" what m
+
 let test_torn_tail_recovery_converges () =
   let seed = 5 in
   let df =
@@ -326,16 +344,12 @@ let test_torn_tail_recovery_converges () =
     Chaos.Audit.nemesis_schedule Chaos.Audit.Spanner_rss
       Chaos.Nemesis.Rolling_crash ~duration_s:6.0 ~seed
   in
-  let r =
-    Chaos.Audit.run Chaos.Audit.Spanner_rss ~schedule ~disk_faults:df
-      ~failover:true ~n_slots:6 ~duration_s:6.0 ~seed ()
-  in
-  (match r.Chaos.Audit.check with
-  | Ok () -> ()
-  | Error m -> Alcotest.failf "history failed under torn tails: %s" m);
-  check bool "tails torn" true (r.Chaos.Audit.disk_torn > 0);
-  check bool "torn suffixes repaired" true (r.Chaos.Audit.repairs_torn > 0);
-  check int "no member left quarantined" 0 r.Chaos.Audit.unrepaired
+  let r = disk_audit ~n_slots:6 ~schedule (Some df) ~duration_s:6.0 ~seed in
+  let c = Harness.Run.counter r in
+  check_verified "torn tails" r;
+  check bool "tails torn" true (c "durable.fault.torn" > 0);
+  check bool "torn suffixes repaired" true (c "durable.repair.torn" > 0);
+  check int "no member left quarantined" 0 (c "durable.repair.unrepaired")
 
 let test_corruption_quarantined_and_peer_repaired () =
   let seed = 42 in
@@ -343,17 +357,15 @@ let test_corruption_quarantined_and_peer_repaired () =
     Chaos.Audit.default_disk_faults ~spec:(spec ~corrupt:1.0 ()) ~seed ()
   in
   let r =
-    Chaos.Audit.run Chaos.Audit.Spanner_rss ~schedule:repair_schedule
-      ~disk_faults:df ~failover:true ~duration_s:6.0 ~seed ()
+    disk_audit ~schedule:repair_schedule (Some df) ~duration_s:6.0 ~seed
   in
-  (match r.Chaos.Audit.check with
-  | Ok () -> ()
-  | Error m -> Alcotest.failf "history failed under mid-log corruption: %s" m);
-  check bool "writes misdirected" true (r.Chaos.Audit.disk_corrupt > 0);
-  check bool "members quarantined" true (r.Chaos.Audit.repairs_quarantined > 0);
+  let c = Harness.Run.counter r in
+  check_verified "mid-log corruption" r;
+  check bool "writes misdirected" true (c "durable.fault.corrupt" > 0);
+  check bool "members quarantined" true (c "durable.repair.quarantined" > 0);
   check bool "peer state transfer repaired them" true
-    (r.Chaos.Audit.repairs_peer > 0);
-  check int "no member left quarantined" 0 r.Chaos.Audit.unrepaired
+    (c "durable.repair.peer" > 0);
+  check int "no member left quarantined" 0 (c "durable.repair.unrepaired")
 
 let test_integrity_disabled_control_caught () =
   (* Same damage against checksum-blind stores: recovery replays a
@@ -372,13 +384,13 @@ let test_integrity_disabled_control_caught () =
       }
     in
     (match
-       Chaos.Audit.run Chaos.Audit.Spanner_rss ~schedule:lost_prefix_schedule
-         ~disk_faults:df ~failover:true ~duration_s:10.0 ~seed:!seed ()
+       disk_audit ~schedule:lost_prefix_schedule (Some df) ~duration_s:10.0
+         ~seed:!seed
      with
     | r -> (
-      match r.Chaos.Audit.check with
-      | Error m -> caught := Some m
-      | Ok () -> ())
+      match r.Harness.Run.check with
+      | Harness.Run.Fail m | Harness.Run.Unknown m -> caught := Some m
+      | Harness.Run.Pass -> ())
     | exception e -> caught := Some (Printexc.to_string e));
     incr seed
   done;
@@ -422,16 +434,14 @@ let test_armed_but_undamaged_is_byte_identical () =
   (* Installing the fault control and the scrub pass without any crash must
      not perturb the schedule: the history trace is byte-identical to a run
      with no storage-fault machinery at all. *)
-  let run df =
-    Chaos.Audit.run Chaos.Audit.Spanner_rss ~schedule:[] ?disk_faults:df
-      ~failover:true ~n_slots:6 ~duration_s:4.0 ~seed:21 ()
-  in
+  let run df = disk_audit ~n_slots:6 ~schedule:[] df ~duration_s:4.0 ~seed:21 in
   let plain = run None in
   let armed = run (Some (Chaos.Audit.default_disk_faults ~seed:21 ())) in
   check bool "trace digests equal" true
-    (Digest.string plain.Chaos.Audit.trace
-    = Digest.string armed.Chaos.Audit.trace);
-  check int "no damage recorded" 0 armed.Chaos.Audit.disk_crashes
+    (Digest.string (Harness.audit_trace plain)
+    = Digest.string (Harness.audit_trace armed));
+  check int "no damage recorded" 0
+    (Harness.Run.counter armed "durable.fault.crashes")
 
 let suites =
   [

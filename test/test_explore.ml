@@ -1,7 +1,7 @@
 (* Schedule-space exploration: the perturbation layer's byte-identity
    contract, coverage-signature stability, the shrinker on the seeded-bug
-   control, corpus round trips (including the checked-in repros), the
-   Env.resolve keyword shim, and Sim.Rpc retry determinism. *)
+   control, corpus round trips (including the checked-in repros), and
+   Sim.Rpc retry determinism. *)
 
 let check = Alcotest.check
 let string = Alcotest.string
@@ -21,7 +21,7 @@ let small_input =
     duration_ms = 800;
   }
 
-(* The reference: what Chaos.Audit.run produces with the explorer entirely
+(* The reference: what Harness.audit produces with the explorer entirely
    out of the loop (no [prepare] hook installed at all). *)
 let raw_digest (i : Explore.Exec.input) =
   let duration_s = float_of_int i.Explore.Exec.duration_ms /. 1_000.0 in
@@ -30,15 +30,18 @@ let raw_digest (i : Explore.Exec.input) =
       ~duration_s ~seed:i.Explore.Exec.nemesis_seed
   in
   let r =
-    Chaos.Audit.run i.Explore.Exec.protocol ~schedule
+    Harness.audit
+      ~env:
+        Harness.Env.(
+          default |> with_chaos schedule
+          |> with_failover (Chaos.Nemesis.requires_failover i.Explore.Exec.preset))
       ~n_slots:i.Explore.Exec.n_slots ~n_keys:i.Explore.Exec.n_keys
       ~timeout_us:(i.Explore.Exec.timeout_ms * 1_000)
       ~conflict:(float_of_int i.Explore.Exec.conflict_pct /. 100.0)
       ~write_ratio:(float_of_int i.Explore.Exec.write_pct /. 100.0)
-      ~failover:(Chaos.Nemesis.requires_failover i.Explore.Exec.preset)
-      ~duration_s ~seed:i.Explore.Exec.seed ()
+      i.Explore.Exec.protocol ~duration_s ~seed:i.Explore.Exec.seed ()
   in
-  Digest.to_hex (Digest.string r.Chaos.Audit.trace)
+  Digest.to_hex (Digest.string (Harness.audit_trace r))
 
 let test_perturb_off_identity () =
   let reference = raw_digest small_input in
@@ -255,110 +258,6 @@ let test_search_deterministic_and_clean () =
     (List.length r1.Explore.Search.failures)
 
 (* ------------------------------------------------------------------ *)
-(* Satellite: Harness.Env.resolve keyword shim                         *)
-(* ------------------------------------------------------------------ *)
-
-(* Distinct per-field values so "which one won" is unambiguous. *)
-let kw_chaos = Chaos.Schedule.[ at_s 0.5 (Crash [ 0 ]) ]
-let env_chaos = Chaos.Schedule.[ at_s 0.25 Heal ]
-let kw_trace = Obs.Trace.create ()
-let env_trace = Obs.Trace.create ()
-let kw_reshard =
-  [ { Harness.rs_at = 0.5; rs_lo = 0; rs_hi = 10; rs_dst = 1; rs_no_fence = false } ]
-
-let env_reshard =
-  [ { Harness.rs_at = 0.75; rs_lo = 0; rs_hi = 5; rs_dst = 0; rs_no_fence = false } ]
-
-let kw_disk () = Chaos.Audit.default_disk_faults ~seed:1 ()
-let env_disk () = Chaos.Audit.default_disk_faults ~seed:2 ()
-
-let test_env_resolve_keyword_wins () =
-  let kw_disk = kw_disk () and env_disk = env_disk () in
-  let env =
-    Harness.Env.default
-    |> Harness.Env.with_chaos env_chaos
-    |> Harness.Env.with_disk_faults env_disk
-    |> Harness.Env.with_failover false
-    |> Harness.Env.with_trace env_trace
-    |> Harness.Env.with_check `No_check
-    |> Harness.Env.with_reshard env_reshard
-    |> Harness.Env.with_batching
-         (Some { Sim.Net.batch_us = 40; batch_max = 8; adaptive = false })
-  in
-  (* All 2^6 combinations of supplying / omitting each legacy keyword. *)
-  for mask = 0 to 63 do
-    let on bit = mask land (1 lsl bit) <> 0 in
-    let r =
-      Harness.Env.resolve ~env
-        ?chaos:(if on 0 then Some kw_chaos else None)
-        ?disk_faults:(if on 1 then Some kw_disk else None)
-        ?failover:(if on 2 then Some true else None)
-        ?trace:(if on 3 then Some kw_trace else None)
-        ?check:(if on 4 then Some `Offline else None)
-        ?reshard:(if on 5 then Some kw_reshard else None)
-        ()
-    in
-    let ctx = Printf.sprintf "mask %d" mask in
-    check bool (ctx ^ ": chaos") true
-      (r.Harness.Env.chaos == Some (if on 0 then kw_chaos else env_chaos)
-      || r.Harness.Env.chaos = Some (if on 0 then kw_chaos else env_chaos));
-    check bool (ctx ^ ": disk_faults") true
-      (match r.Harness.Env.disk_faults with
-      | Some d -> d == (if on 1 then kw_disk else env_disk)
-      | None -> false);
-    check bool (ctx ^ ": failover") (on 2) r.Harness.Env.failover;
-    check bool (ctx ^ ": trace") true
-      (r.Harness.Env.trace == if on 3 then kw_trace else env_trace);
-    check bool (ctx ^ ": check") true
-      (r.Harness.Env.check = if on 4 then `Offline else `No_check);
-    check bool (ctx ^ ": reshard") true
-      (r.Harness.Env.reshard == if on 5 then kw_reshard else env_reshard);
-    (* batching has no legacy keyword: always the env's. *)
-    check bool (ctx ^ ": batching passes through") true
-      (r.Harness.Env.batching = env.Harness.Env.batching)
-  done;
-  (* No env at all: keywords land on the defaults. *)
-  let bare = Harness.Env.resolve ~failover:true () in
-  check bool "bare resolve keeps defaults" true
-    (bare.Harness.Env.chaos = None
-    && bare.Harness.Env.failover
-    && bare.Harness.Env.check = `Offline
-    && bare.Harness.Env.batching = None)
-
-(* The shim is not just structurally right — a driver run behaves
-   identically whichever spelling picked the setting (golden equality
-   between the two paths). *)
-let test_env_resolve_digest_pinned () =
-  let digest r =
-    let b = Buffer.create 4096 in
-    (match r.Harness.Run.records with
-    | Harness.Run.Gryff_ops a ->
-      Array.iter
-        (fun (g : Gryff.Cluster.record) ->
-          Buffer.add_string b
-            (Printf.sprintf "p%d k%d i%d r%d\n" g.Gryff.Cluster.g_proc
-               g.Gryff.Cluster.g_key g.Gryff.Cluster.g_inv
-               g.Gryff.Cluster.g_resp))
-        a
-    | Harness.Run.Spanner_txns _ -> assert false);
-    Buffer.add_string b (Printf.sprintf "d=%d" r.Harness.Run.duration_us);
-    Digest.to_hex (Digest.string (Buffer.contents b))
-  in
-  let via_env =
-    Harness.gryff_wan
-      ~env:(Harness.Env.default |> Harness.Env.with_failover true)
-      ~check:`No_check ~n_clients:4 ~mode:Gryff.Config.Rsc ~conflict:0.3
-      ~write_ratio:0.4 ~n_keys:64 ~duration_s:0.6 ~seed:21 ()
-  in
-  let via_keyword =
-    Harness.gryff_wan ~failover:true ~check:`No_check ~n_clients:4
-      ~mode:Gryff.Config.Rsc ~conflict:0.3 ~write_ratio:0.4 ~n_keys:64
-      ~duration_s:0.6 ~seed:21 ()
-  in
-  check string "builder and keyword spellings produce identical schedules"
-    (digest via_env) (digest via_keyword)
-
-(* ------------------------------------------------------------------ *)
 (* Satellite: Sim.Rpc retry/backoff properties                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -468,13 +367,6 @@ let suites =
           test_shrinker_minimal_still_failing;
         Alcotest.test_case "safe search is deterministic and clean" `Quick
           test_search_deterministic_and_clean;
-      ] );
-    ( "explore.env",
-      [
-        Alcotest.test_case "resolve: keyword wins for all 64 combinations"
-          `Quick test_env_resolve_keyword_wins;
-        Alcotest.test_case "resolve: spellings produce identical schedules"
-          `Quick test_env_resolve_digest_pinned;
       ] );
     ( "explore.rpc",
       [

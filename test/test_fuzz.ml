@@ -127,17 +127,19 @@ let test_chaos_fuzz protocol () =
             seed
         in
         let r =
-          Chaos.Audit.run protocol ~schedule ~n_slots:6 ~failover:true
-            ~duration_s ~seed ()
+          Harness.audit
+            ~env:Harness.Env.(default |> with_chaos schedule |> with_failover true)
+            ~n_slots:6 protocol ~duration_s ~seed ()
         in
-        (match r.Chaos.Audit.check with
-        | Ok () -> ()
-        | Error m -> Alcotest.failf "%s: consistency violation: %s" label m);
+        (match r.Harness.Run.check with
+        | Harness.Run.Pass -> ()
+        | Harness.Run.Fail m | Harness.Run.Unknown m ->
+          Alcotest.failf "%s: consistency violation: %s" label m);
         check bool (label ^ ": liveness resumed after heal") true
-          (Chaos.Audit.liveness_ok r);
+          (Harness.liveness_ok r);
         (* The checker must keep its teeth under chaos: corrupting one read
            to a stale version has to flip the verdict. *)
-        match r.Chaos.Audit.stale_control () with
+        match Harness.stale_control protocol r with
         | None | Some (Error _) -> ()
         | Some (Ok ()) ->
           Alcotest.failf "%s: stale-read corruption went undetected" label

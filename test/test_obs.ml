@@ -310,8 +310,10 @@ let test_profiling_is_passive () =
 (* Traced harness runs: determinism, passivity, acceptance criterion   *)
 (* ------------------------------------------------------------------ *)
 
-let spanner_run ?trace () =
-  Harness.spanner_wan ?trace ~mode:Spanner.Config.Rss ~theta:0.75 ~n_keys:5_000
+let spanner_run ?(trace = Obs.Trace.disabled) () =
+  Harness.spanner_wan
+    ~env:(Harness.Env.with_trace trace Harness.Env.default)
+    ~mode:Spanner.Config.Rss ~theta:0.75 ~n_keys:5_000
     ~arrival_rate_per_sec:30.0 ~duration_s:3.0 ~seed:11 ()
 
 let test_metrics_deterministic_across_seeds () =
@@ -402,7 +404,9 @@ let test_ro_span_decomposes_into_hops () =
 let test_gryff_traced_wan () =
   let tr = Obs.Trace.create () in
   let r =
-    Harness.gryff_wan ~trace:tr ~n_clients:4 ~mode:Gryff.Config.Rsc
+    Harness.gryff_wan
+      ~env:(Harness.Env.with_trace tr Harness.Env.default)
+      ~n_clients:4 ~mode:Gryff.Config.Rsc
       ~conflict:0.1 ~write_ratio:0.3 ~n_keys:2_000 ~duration_s:2.0 ~seed:5 ()
   in
   check bool "run verified" true (Harness.Run.passed r);

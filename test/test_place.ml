@@ -123,17 +123,20 @@ let test_view_convergence_after_many_commits () =
 
 let reshard_run ?(no_fence = false) seed =
   let n_keys = 4_000 in
-  Harness.spanner_wan ~check:`Online
-    ~reshard:
-      [
-        {
-          Harness.rs_at = 0.45;
-          rs_lo = 0;
-          rs_hi = n_keys / 8;
-          rs_dst = 1;
-          rs_no_fence = no_fence;
-        };
-      ]
+  Harness.spanner_wan
+    ~env:
+      Harness.Env.(
+        default |> with_check `Online
+        |> with_reshard
+             [
+               {
+                 Harness.rs_at = 0.45;
+                 rs_lo = 0;
+                 rs_hi = n_keys / 8;
+                 rs_dst = 1;
+                 rs_no_fence = no_fence;
+               };
+             ])
     ~mode:Spanner.Config.Rss ~theta:0.9 ~n_keys ~arrival_rate_per_sec:60.0
     ~duration_s:6.0 ~seed ()
 

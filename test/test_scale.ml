@@ -273,9 +273,11 @@ let test_in_order_feed_is_linear () =
    duration. If a deliberate semantic change to the protocols or drivers
    lands, re-baseline these constants in the same commit and say so. *)
 
+let no_check = Harness.Env.(with_check `No_check default)
+
 let digest_spanner () =
   let r =
-    Harness.spanner_dc ~check:`No_check ~mode:Spanner.Config.Rss ~n_shards:3
+    Harness.spanner_dc ~env:no_check ~mode:Spanner.Config.Rss ~n_shards:3
       ~service_time_us:20 ~n_clients:16 ~n_keys:200 ~duration_s:2.0 ~seed:11 ()
   in
   let b = Buffer.create 65536 in
@@ -303,7 +305,7 @@ let digest_spanner () =
 
 let digest_gryff () =
   let r =
-    Harness.gryff_wan ~check:`No_check ~n_clients:8 ~mode:Gryff.Config.Rsc
+    Harness.gryff_wan ~env:no_check ~n_clients:8 ~mode:Gryff.Config.Rsc
       ~conflict:0.2 ~write_ratio:0.4 ~n_keys:500 ~duration_s:2.0 ~seed:13 ()
   in
   let b = Buffer.create 65536 in
@@ -349,7 +351,9 @@ let test_golden_gryff_trace () =
    and the online verdict must agree with the offline one on real runs. *)
 let test_online_checking_is_passive () =
   let run chk =
-    Harness.spanner_dc ~check:chk ~mode:Spanner.Config.Rss ~n_shards:3
+    Harness.spanner_dc
+      ~env:(Harness.Env.with_check chk Harness.Env.default)
+      ~mode:Spanner.Config.Rss ~n_shards:3
       ~service_time_us:20 ~n_clients:8 ~n_keys:100 ~duration_s:1.0 ~seed:7 ()
   in
   let off = run `Offline and on = run `Online in
@@ -360,7 +364,9 @@ let test_online_checking_is_passive () =
   check int "same record count" (Harness.Run.n_records off)
     (Harness.Run.n_records on);
   let g cm =
-    Harness.gryff_wan ~check:cm ~n_clients:6 ~mode:Gryff.Config.Rsc
+    Harness.gryff_wan
+      ~env:(Harness.Env.with_check cm Harness.Env.default)
+      ~n_clients:6 ~mode:Gryff.Config.Rsc
       ~conflict:0.3 ~write_ratio:0.5 ~n_keys:50 ~duration_s:1.0 ~seed:9 ()
   in
   let goff = g `Offline and gon = g `Online in
