@@ -17,15 +17,6 @@
    a full (non-smoke) run's best policy missed the >= 15% spanner-dc
    saturation-throughput gain this suite exists to defend. *)
 
-let verdict_name = function
-  | Harness.Run.Pass -> "pass"
-  | Harness.Run.Fail _ -> "fail"
-  | Harness.Run.Unknown _ -> "unknown"
-
-let verdict_detail = function
-  | Harness.Run.Pass -> ""
-  | Harness.Run.Fail m | Harness.Run.Unknown m -> m
-
 type measured = {
   check : string;  (* "none" | "online" *)
   n_ops : int;
@@ -36,8 +27,7 @@ type measured = {
   cpu_s : float;
   batch_envelopes : int;
   batch_members : int;
-  verdict : string;
-  detail : string;
+  verdict : Harness.Run.verdict;
 }
 
 let measure ~check_name (f : unit -> Harness.Run.t) =
@@ -58,8 +48,7 @@ let measure ~check_name (f : unit -> Harness.Run.t) =
     cpu_s;
     batch_envelopes = Harness.Run.counter r "batch.envelopes";
     batch_members = Harness.Run.counter r "batch.members";
-    verdict = verdict_name r.Harness.Run.check;
-    detail = verdict_detail r.Harness.Run.check;
+    verdict = r.Harness.Run.check;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -107,146 +96,106 @@ let scenarios ~seed =
     };
   ]
 
-(* ------------------------------------------------------------------ *)
-(* JSON emission (hand-rolled; the repo deliberately has no JSON dep)   *)
-(* ------------------------------------------------------------------ *)
+let measured_json m =
+  let open Obs.Json in
+  Obj
+    ([ ("check", Str m.check); ("n_ops", Report.int m.n_ops);
+       ("throughput_tps", Num m.tput); ("p50_ms", Report.num_opt m.p50_ms);
+       ("msgs_per_txn", Report.num_opt m.msgs_per_txn);
+       ("msgs_per_op", Num m.msgs_per_op); ("cpu_s", Num m.cpu_s);
+       ("batch_envelopes", Report.int m.batch_envelopes);
+       ("batch_members", Report.int m.batch_members) ]
+    @ Report.verdict_fields m.verdict)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 32 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_float f = if Float.is_nan f then "null" else Printf.sprintf "%.6f" f
-
-let json_float_opt = function None -> "null" | Some f -> json_float f
-
-let measured_json b m =
-  Printf.bprintf b
-    "{\"check\": \"%s\", \"n_ops\": %d, \"throughput_tps\": %s, \"p50_ms\": \
-     %s, \"msgs_per_txn\": %s, \"msgs_per_op\": %s, \"cpu_s\": %s, \
-     \"batch_envelopes\": %d, \"batch_members\": %d, \"verdict\": \"%s\", \
-     \"detail\": \"%s\"}"
-    m.check m.n_ops (json_float m.tput) (json_float_opt m.p50_ms)
-    (json_float_opt m.msgs_per_txn) (json_float m.msgs_per_op)
-    (json_float m.cpu_s) m.batch_envelopes m.batch_members m.verdict
-    (json_escape m.detail)
+let raw_online raw online =
+  [ ("raw", measured_json raw); ("online", measured_json online) ]
 
 (* ------------------------------------------------------------------ *)
 (* Main                                                                *)
 (* ------------------------------------------------------------------ *)
 
 let () =
-  let smoke = ref false in
-  let out = ref "BENCH_batch.json" in
-  let seed = ref 42 in
-  Arg.parse
-    [
-      ("--smoke", Arg.Set smoke, " CI sizes (seconds, not minutes)");
-      ("--out", Arg.Set_string out, "FILE output path (default BENCH_batch.json)");
-      ("--seed", Arg.Set_int seed, "N workload seed (default 42)");
-    ]
-    (fun a -> raise (Arg.Bad ("unexpected argument: " ^ a)))
-    "batch [--smoke] [--out FILE] [--seed N]";
+  let cli = Report.cli "batch" in
+  let smoke = cli.Report.smoke and seed = Option.get cli.Report.seed in
   let failed = ref false in
-  let b = Buffer.create 4096 in
-  Printf.bprintf b
-    "{\n  \"schema\": \"rss-repro/batch/v1\",\n  \"smoke\": %b,\n  \"seed\": \
-     %d,\n  \"scenarios\": [\n"
-    !smoke !seed;
   let spanner_gain = ref nan in
-  let scs = scenarios ~seed:!seed in
-  List.iteri
-    (fun i sc ->
-      let duration_s = if !smoke then sc.smoke_duration_s else sc.duration_s in
-      Printf.printf "== %s (%.1f simulated s) ==\n%!" sc.name duration_s;
-      let run_pair env_of_check =
-        let raw =
-          measure ~check_name:"none" (fun () ->
-              sc.run ~env:(env_of_check `No_check) ~duration_s)
-        in
-        let online =
-          measure ~check_name:"online" (fun () ->
-              sc.run ~env:(env_of_check `Online) ~duration_s)
-        in
-        if online.verdict = "fail" then begin
-          Printf.printf "   CONSISTENCY FAILURE: %s\n%!" online.detail;
-          failed := true
-        end;
-        (raw, online)
-      in
-      let base_raw, base_online =
-        run_pair (fun check -> Harness.Env.(default |> with_check check))
-      in
-      Printf.printf "   baseline:       %8.0f tps  %6.2f msgs/op\n%!"
-        base_online.tput base_online.msgs_per_op;
-      Printf.bprintf b
-        "    {\"name\": \"%s\", \"baseline\": {\"raw\": " sc.name;
-      measured_json b base_raw;
-      Buffer.add_string b ", \"online\": ";
-      measured_json b base_online;
-      Buffer.add_string b "},\n     \"sweep\": [\n";
-      let best = ref neg_infinity in
-      List.iteri
-        (fun j (pname, policy) ->
-          let raw, online =
-            run_pair (fun check ->
-                Harness.Env.(
-                  default |> with_check check |> with_batching (Some policy)))
+  let scenario_reports =
+    List.map
+      (fun sc ->
+        let duration_s = if smoke then sc.smoke_duration_s else sc.duration_s in
+        Printf.printf "== %s (%.1f simulated s) ==\n%!" sc.name duration_s;
+        let run_pair env_of_check =
+          let raw =
+            measure ~check_name:"none" (fun () ->
+                sc.run ~env:(env_of_check `No_check) ~duration_s)
           in
-          Printf.printf
-            "   %-15s %8.0f tps  %6.2f msgs/op  avg batch %4.1f  verdict=%s\n%!"
-            pname online.tput online.msgs_per_op
-            (float_of_int online.batch_members
-            /. float_of_int (max 1 online.batch_envelopes))
-            online.verdict;
-          if online.tput > !best then best := online.tput;
-          if sc.name = "spanner-dc-rss" then begin
-            match (online.msgs_per_txn, base_online.msgs_per_txn) with
-            | Some m, Some base when m >= base ->
+          let online =
+            measure ~check_name:"online" (fun () ->
+                sc.run ~env:(env_of_check `Online) ~duration_s)
+          in
+          (match online.verdict with
+          | Harness.Run.Fail m ->
+            Printf.printf "   CONSISTENCY FAILURE: %s\n%!" m;
+            failed := true
+          | Harness.Run.Pass | Harness.Run.Unknown _ -> ());
+          (raw, online)
+        in
+        let base_raw, base_online =
+          run_pair (fun check -> Harness.Env.(default |> with_check check))
+        in
+        Printf.printf "   baseline:       %8.0f tps  %6.2f msgs/op\n%!"
+          base_online.tput base_online.msgs_per_op;
+        let best = ref neg_infinity in
+        let sweep =
+          List.map
+            (fun (pname, policy) ->
+              let raw, online =
+                run_pair (fun check ->
+                    Harness.Env.(
+                      default |> with_check check |> with_batching (Some policy)))
+              in
               Printf.printf
-                "   MESSAGE REGRESSION: %s msgs_per_txn %.2f >= baseline %.2f\n%!"
-                pname m base;
-              failed := true
-            | _ -> ()
-          end;
-          Printf.bprintf b
-            "      {\"policy\": \"%s\", \"batch_us\": %d, \"batch_max\": %d, \
-             \"adaptive\": %b, \"raw\": "
-            pname policy.Sim.Net.batch_us policy.Sim.Net.batch_max
-            policy.Sim.Net.adaptive;
-          measured_json b raw;
-          Buffer.add_string b ", \"online\": ";
-          measured_json b online;
-          Printf.bprintf b "}%s\n"
-            (if j < List.length policies - 1 then "," else ""))
-        policies;
-      let gain = (!best -. base_online.tput) /. Float.max 1e-9 base_online.tput in
-      Printf.printf "   best gain over baseline: %+.1f%%\n%!" (gain *. 100.0);
-      if sc.name = "spanner-dc-rss" then begin
-        spanner_gain := gain;
-        if (not !smoke) && gain < 0.15 then begin
-          Printf.printf
-            "   THROUGHPUT REGRESSION: best batched gain %.1f%% < required 15%%\n%!"
-            (gain *. 100.0);
-          failed := true
-        end
-      end;
-      Printf.bprintf b "     ],\n     \"best_gain\": %s}%s\n" (json_float gain)
-        (if i < List.length scs - 1 then "," else ""))
-    scs;
-  Printf.bprintf b "  ],\n  \"spanner_dc_gain\": %s\n}\n"
-    (json_float !spanner_gain);
-  let oc = open_out !out in
-  output_string oc (Buffer.contents b);
-  close_out oc;
-  Printf.printf "wrote %s\n%!" !out;
-  if !failed then exit 1
+                "   %-15s %8.0f tps  %6.2f msgs/op  avg batch %4.1f  verdict=%s\n%!"
+                pname online.tput online.msgs_per_op
+                (float_of_int online.batch_members
+                /. float_of_int (max 1 online.batch_envelopes))
+                (Report.verdict online.verdict);
+              if online.tput > !best then best := online.tput;
+              if sc.name = "spanner-dc-rss" then begin
+                match (online.msgs_per_txn, base_online.msgs_per_txn) with
+                | Some m, Some base when m >= base ->
+                  Printf.printf
+                    "   MESSAGE REGRESSION: %s msgs_per_txn %.2f >= baseline %.2f\n%!"
+                    pname m base;
+                  failed := true
+                | _ -> ()
+              end;
+              Obs.Json.Obj
+                ([ ("policy", Obs.Json.Str pname);
+                   ("batch_us", Report.int policy.Sim.Net.batch_us);
+                   ("batch_max", Report.int policy.Sim.Net.batch_max);
+                   ("adaptive", Obs.Json.Bool policy.Sim.Net.adaptive) ]
+                @ raw_online raw online))
+            policies
+        in
+        let gain = (!best -. base_online.tput) /. Float.max 1e-9 base_online.tput in
+        Printf.printf "   best gain over baseline: %+.1f%%\n%!" (gain *. 100.0);
+        if sc.name = "spanner-dc-rss" then begin
+          spanner_gain := gain;
+          if (not smoke) && gain < 0.15 then begin
+            Printf.printf
+              "   THROUGHPUT REGRESSION: best batched gain %.1f%% < required 15%%\n%!"
+              (gain *. 100.0);
+            failed := true
+          end
+        end;
+        Obs.Json.(
+          Obj
+            [ ("name", Str sc.name);
+              ("baseline", Obj (raw_online base_raw base_online));
+              ("sweep", Arr sweep); ("best_gain", Num gain) ]))
+      (scenarios ~seed)
+  in
+  Report.write cli ~schema:"rss-repro/batch/v1" ~ok:(not !failed)
+    [ ("scenarios", Obs.Json.Arr scenario_reports);
+      ("spanner_dc_gain", Obs.Json.Num !spanner_gain) ]

@@ -33,8 +33,7 @@ let presets =
 
 type measured = {
   name : string;
-  verdict : string;  (* pass / fail *)
-  detail : string;
+  verdict : Harness.Run.verdict;
   live : bool;
   digest : string;  (* MD5 of the canonical history trace *)
   n_ops : int;
@@ -78,11 +77,7 @@ let measure ?disk_faults ~name ~protocol ~preset ~duration_s ~seed () =
   let c = Harness.Run.counter r in
   {
     name;
-    verdict = (if Harness.Run.passed r then "pass" else "fail");
-    detail =
-      (match r.Harness.Run.check with
-      | Harness.Run.Pass -> ""
-      | Harness.Run.Fail m | Harness.Run.Unknown m -> m);
+    verdict = r.Harness.Run.check;
     live = Harness.liveness_ok r;
     digest = Digest.to_hex (Digest.string (Harness.audit_trace r));
     n_ops = Harness.Run.n_records r;
@@ -172,62 +167,31 @@ let integrity_control ~base_seed ~max_tries =
   in
   scan 0
 
-(* ------------------------------------------------------------------ *)
-(* JSON emission (hand-rolled; the repo deliberately has no JSON dep)   *)
-(* ------------------------------------------------------------------ *)
-
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 32 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_float f = if Float.is_nan f then "null" else Printf.sprintf "%.6f" f
-
-let measured_json b m =
-  Printf.bprintf b
-    "{\"name\": \"%s\", \"verdict\": \"%s\", \"detail\": \"%s\", \
-     \"live\": %b, \"digest\": \"%s\", \"n_ops\": %d, \"cpu_s\": %s, \
-     \"disk_torn\": %d, \"disk_corrupt\": %d, \"disk_resurfaced\": %d, \
-     \"disk_lost_ints\": %d, \"disk_crashes\": %d, \"scrub_passes\": %d, \
-     \"scrub_flagged\": %d, \"repairs_torn\": %d, \
-     \"repairs_quarantined\": %d, \"repairs_peer\": %d, \
-     \"place_repairs\": %d, \"unrepaired\": %d}"
-    m.name m.verdict (json_escape m.detail) m.live m.digest m.n_ops
-    (json_float m.cpu_s) m.disk_torn m.disk_corrupt m.disk_resurfaced
-    m.disk_lost_ints m.disk_crashes m.scrub_passes m.scrub_flagged
-    m.repairs_torn m.repairs_quarantined m.repairs_peer m.place_repairs
-    m.unrepaired
+let measured_json m =
+  let open Obs.Json in
+  let int = Report.int in
+  Obj
+    ((("name", Str m.name) :: Report.verdict_fields m.verdict)
+    @ [ ("live", Bool m.live); ("digest", Str m.digest); ("n_ops", int m.n_ops);
+        ("cpu_s", Num m.cpu_s); ("disk_torn", int m.disk_torn);
+        ("disk_corrupt", int m.disk_corrupt);
+        ("disk_resurfaced", int m.disk_resurfaced);
+        ("disk_lost_ints", int m.disk_lost_ints);
+        ("disk_crashes", int m.disk_crashes); ("scrub_passes", int m.scrub_passes);
+        ("scrub_flagged", int m.scrub_flagged); ("repairs_torn", int m.repairs_torn);
+        ("repairs_quarantined", int m.repairs_quarantined);
+        ("repairs_peer", int m.repairs_peer);
+        ("place_repairs", int m.place_repairs); ("unrepaired", int m.unrepaired) ])
 
 (* ------------------------------------------------------------------ *)
 (* Main                                                                *)
 (* ------------------------------------------------------------------ *)
 
 let () =
-  let smoke = ref false in
-  let out = ref "BENCH_durable.json" in
-  let seed = ref 42 in
-  Arg.parse
-    [
-      ("--smoke", Arg.Set smoke, " CI sizes (seconds, not minutes)");
-      ( "--out",
-        Arg.Set_string out,
-        "FILE output path (default BENCH_durable.json)" );
-      ("--seed", Arg.Set_int seed, "N base seed (default 42)");
-    ]
-    (fun a -> raise (Arg.Bad ("unexpected argument: " ^ a)))
-    "durable_faults [--smoke] [--out FILE] [--seed N]";
-  let base_seed = !seed in
-  let duration_s = if !smoke then 6.0 else 10.0 in
-  let n_seeds = if !smoke then 1 else 3 in
+  let cli = Report.cli "durable" in
+  let smoke = cli.Report.smoke and base_seed = Option.get cli.Report.seed in
+  let duration_s = if smoke then 6.0 else 10.0 in
+  let n_seeds = if smoke then 1 else 3 in
   let seeds = List.init n_seeds (fun i -> base_seed + i) in
   Printf.printf
     "== durable-fault battery (%d protocols x %d presets x %d seeds, %.0f \
@@ -240,7 +204,8 @@ let () =
       "   %-36s verdict=%-5s live=%b  damage(torn=%d corrupt=%d stale=%d)  \
        repairs(torn=%d quar=%d peer=%d place=%d)  unrepaired=%d\n\
        %!"
-      m.name m.verdict m.live m.disk_torn m.disk_corrupt m.disk_resurfaced
+      m.name (Report.verdict m.verdict) m.live m.disk_torn m.disk_corrupt
+      m.disk_resurfaced
       m.repairs_torn m.repairs_quarantined m.repairs_peer m.place_repairs
       m.unrepaired
   in
@@ -284,7 +249,9 @@ let () =
        else detail)
   | None -> Printf.printf "   integrity-off control NOT caught\n%!");
   let all_pass =
-    List.for_all (fun m -> m.verdict = "pass" && m.live && m.unrepaired = 0) runs
+    List.for_all
+      (fun m -> m.verdict = Harness.Run.Pass && m.live && m.unrepaired = 0)
+      runs
   in
   let repaired =
     List.exists (fun m -> m.repairs_torn + m.repairs_peer + m.place_repairs > 0) runs
@@ -295,30 +262,13 @@ let () =
      caught: %b   ok: %b\n\
      %!"
     all_pass repaired deterministic control_caught ok;
-  let b = Buffer.create 8192 in
-  Printf.bprintf b
-    "{\n  \"schema\": \"rss-repro/durable/v1\",\n  \"smoke\": %b,\n  \
-     \"seed\": %d,\n  \"duration_s\": %s,\n  \"runs\": [\n"
-    !smoke base_seed (json_float duration_s);
-  let n = List.length runs in
-  List.iteri
-    (fun i m ->
-      Buffer.add_string b "    ";
-      measured_json b m;
-      Buffer.add_string b (if i < n - 1 then ",\n" else "\n"))
-    runs;
-  Printf.bprintf b
-    "  ],\n  \"all_pass\": %b,\n  \"repairs_exercised\": %b,\n  \
-     \"deterministic\": %b,\n  \"control_caught\": %b,\n  \
-     \"control_detail\": \"%s\",\n  \"ok\": %b\n}\n"
-    all_pass repaired deterministic control_caught
-    (json_escape
-       (match control with
-       | Some (name, detail) -> name ^ ": " ^ detail
-       | None -> "not caught"))
-    ok;
-  let oc = open_out !out in
-  output_string oc (Buffer.contents b);
-  close_out oc;
-  Printf.printf "wrote %s\n%!" !out;
-  if not ok then exit 1
+  let open Obs.Json in
+  Report.write cli ~schema:"rss-repro/durable/v1" ~ok
+    [ ("duration_s", Num duration_s); ("runs", Arr (List.map measured_json runs));
+      ("all_pass", Bool all_pass); ("repairs_exercised", Bool repaired);
+      ("deterministic", Bool deterministic); ("control_caught", Bool control_caught);
+      ( "control_detail",
+        Str
+          (match control with
+          | Some (name, detail) -> name ^ ": " ^ detail
+          | None -> "not caught") ) ]

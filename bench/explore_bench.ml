@@ -19,74 +19,54 @@
 
    Output is machine-readable JSON (default BENCH_explore.json):
 
-     dune exec bench/explore.exe --                 # full budget, ~2 min
-     dune exec bench/explore.exe -- --smoke         # CI budget, ~30 s
+     dune exec bench/explore.exe --                 # full budget, ~2 s
+     dune exec bench/explore.exe -- --smoke         # CI budget, ~1 s
      dune exec bench/explore.exe -- --corpus DIR    # keep shrunk repros
+
+   The module is not named Explore because that would shadow the explore
+   library; bench/dune installs it as bench/explore.exe.
 
    Exit status 1 unless: all three determinism checks hold, the control
    bug is found, the shrunk repro is no costlier than the find and still
    fails, and its corpus file replays byte-identically twice. *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let input_json b (i : Explore.Exec.input) =
+let input_json (i : Explore.Exec.input) =
   let tie, jitter = Explore.Perturb.to_string i.Explore.Exec.perturb in
-  Printf.bprintf b
-    "{\"protocol\":\"%s\",\"preset\":\"%s\",\"seed\":%d,\"nemesis_seed\":%d,\
-     \"duration_ms\":%d,\"slots\":%d,\"keys\":%d,\"batch_us\":%d,\
-     \"disk_rate_pct\":%d,\"unsafe\":%b,\"tie\":\"%s\",\"jitter\":\"%s\",\
-     \"cost\":%d}"
-    (Chaos.Audit.protocol_name i.Explore.Exec.protocol)
-    (Chaos.Nemesis.preset_name i.Explore.Exec.preset)
-    i.Explore.Exec.seed i.Explore.Exec.nemesis_seed i.Explore.Exec.duration_ms
-    i.Explore.Exec.n_slots i.Explore.Exec.n_keys i.Explore.Exec.batch_us
-    i.Explore.Exec.disk_rate_pct i.Explore.Exec.unsafe (json_escape tie)
-    (json_escape jitter)
-    (Explore.Search.cost i)
+  let open Obs.Json in
+  let int = Report.int in
+  Obj
+    [ ("protocol", Str (Chaos.Audit.protocol_name i.Explore.Exec.protocol));
+      ("preset", Str (Chaos.Nemesis.preset_name i.Explore.Exec.preset));
+      ("seed", int i.Explore.Exec.seed);
+      ("nemesis_seed", int i.Explore.Exec.nemesis_seed);
+      ("duration_ms", int i.Explore.Exec.duration_ms);
+      ("slots", int i.Explore.Exec.n_slots); ("keys", int i.Explore.Exec.n_keys);
+      ("batch_us", int i.Explore.Exec.batch_us);
+      ("disk_rate_pct", int i.Explore.Exec.disk_rate_pct);
+      ("unsafe", Bool i.Explore.Exec.unsafe); ("tie", Str tie);
+      ("jitter", Str jitter); ("cost", int (Explore.Search.cost i)) ]
 
 let () =
-  let smoke = ref false in
-  let out = ref "BENCH_explore.json" in
-  let corpus_dir = ref "" in
-  let budget = ref 0 in
-  let argv = Array.to_list Sys.argv in
-  let rec parse = function
-    | [] -> ()
-    | "--smoke" :: rest ->
-      smoke := true;
-      parse rest
-    | "--out" :: v :: rest ->
-      out := v;
-      parse rest
-    | "--corpus" :: v :: rest ->
-      corpus_dir := v;
-      parse rest
-    | "--budget" :: v :: rest ->
-      budget := int_of_string v;
-      parse rest
-    | a :: rest ->
-      if String.length a > 0 && a.[0] = '-' then begin
-        Printf.eprintf "unknown flag %s\n" a;
-        exit 2
-      end;
-      parse rest
+  let corpus_dir = ref None in
+  let budget = ref None in
+  let cli =
+    Report.cli ~seeded:false
+      ~extra:
+        [
+          ( "--corpus",
+            Arg.String (fun d -> corpus_dir := Some d),
+            "DIR keep shrunk repros in DIR" );
+          ( "--budget",
+            Arg.Int
+              (fun n ->
+                if n <= 0 then raise (Arg.Bad "--budget must be positive");
+                budget := Some n),
+            "N executions per search (default: 150/1500 smoke, 400/3000 full)" );
+        ]
+      "explore"
   in
-  parse (List.tl argv);
-  let corpus_dir =
-    if String.length !corpus_dir > 0 then Some !corpus_dir else None
-  in
+  let smoke = cli.Report.smoke in
+  let corpus_dir = !corpus_dir in
   let t0 = Sys.time () in
 
   (* --- determinism ------------------------------------------------- *)
@@ -144,7 +124,9 @@ let () =
     off_identical perturb_changes perturb_replay;
 
   (* --- safe sweep --------------------------------------------------- *)
-  let safe_budget = if !budget > 0 then !budget else if !smoke then 150 else 400 in
+  let safe_budget =
+    Option.value !budget ~default:(if smoke then 150 else 400)
+  in
   Printf.printf "safe sweep: budget %d\n%!" safe_budget;
   let safe_cfg =
     { (Explore.Search.default_config ()) with
@@ -165,7 +147,7 @@ let () =
 
   (* --- seeded-bug control ------------------------------------------- *)
   let control_budget =
-    if !budget > 0 then !budget else if !smoke then 1_500 else 3_000
+    Option.value !budget ~default:(if smoke then 1_500 else 3_000)
   in
   Printf.printf "control hunt: unsafe_no_deps, budget %d\n%!" control_budget;
   let metrics = Obs.Metrics.create () in
@@ -201,9 +183,9 @@ let () =
   in
   let control = Explore.Search.run control_cfg in
   let found = control.Explore.Search.failures <> [] in
-  let shrink_ok, replay_ok, corpus_file, failure_json =
+  let shrink_ok, replay_ok, corpus_file, failure =
     match control.Explore.Search.failures with
-    | [] -> (false, false, "", "null")
+    | [] -> (false, false, "", Obs.Json.Null)
     | f :: _ ->
       let shrunk_fails =
         String.length f.Explore.Search.shrunk_verdict >= 4
@@ -229,19 +211,16 @@ let () =
               path )
           | _ -> (false, path))
       in
-      let b = Buffer.create 512 in
-      Printf.bprintf b
-        "{\"found_at\":%d,\"verdict\":\"%s\",\"shrink_execs\":%d,\
-         \"shrunk_verdict\":\"%s\",\"input\":"
-        f.Explore.Search.found_at
-        (json_escape f.Explore.Search.verdict)
-        f.Explore.Search.shrink_execs
-        (json_escape f.Explore.Search.shrunk_verdict);
-      input_json b f.Explore.Search.input;
-      Printf.bprintf b ",\"shrunk\":";
-      input_json b f.Explore.Search.shrunk;
-      Printf.bprintf b "}";
-      (shrunk_fails && no_costlier, replay_ok, path, Buffer.contents b)
+      let failure =
+        Obs.Json.Obj
+          [ ("found_at", Report.int f.Explore.Search.found_at);
+            ("verdict", Obs.Json.Str f.Explore.Search.verdict);
+            ("shrink_execs", Report.int f.Explore.Search.shrink_execs);
+            ("shrunk_verdict", Obs.Json.Str f.Explore.Search.shrunk_verdict);
+            ("input", input_json f.Explore.Search.input);
+            ("shrunk", input_json f.Explore.Search.shrunk) ]
+      in
+      (shrunk_fails && no_costlier, replay_ok, path, failure)
   in
   Printf.printf "  found %b (execs %d), shrink_ok %b, replay_ok %b\n%!" found
     control.Explore.Search.execs shrink_ok replay_ok;
@@ -256,33 +235,35 @@ let () =
   let ok = determinism_ok && found && shrink_ok && replay_ok in
   let snap = Obs.Metrics.snapshot metrics in
   let mc name = Obs.Metrics.counter_value snap name in
-  let b = Buffer.create 4096 in
-  Printf.bprintf b "{\n  \"schema\": \"rss-repro/explore/v1\",\n";
-  Printf.bprintf b "  \"smoke\": %b,\n" !smoke;
-  Printf.bprintf b
-    "  \"determinism\": {\"perturb_off_identical\": %b, \
-     \"perturb_changes_schedule\": %b, \"perturb_replay_identical\": %b},\n"
-    off_identical perturb_changes perturb_replay;
-  Printf.bprintf b
-    "  \"safe\": {\"execs\": %d, \"signatures\": %d, \"novel\": %d, \
-     \"fails\": %d, \"unknowns\": %d},\n"
-    safe.Explore.Search.execs safe.Explore.Search.signatures
-    safe.Explore.Search.novel
-    (List.length safe.Explore.Search.failures)
-    safe.Explore.Search.unknowns;
-  Printf.bprintf b
-    "  \"control\": {\"execs\": %d, \"signatures\": %d, \"found\": %b, \
-     \"shrink_ok\": %b, \"replay_deterministic\": %b, \"corpus_file\": \
-     \"%s\", \"metrics\": {\"execs\": %d, \"novel\": %d, \"fails\": %d, \
-     \"shrink_execs\": %d, \"corpus_saved\": %d}, \"failure\": %s},\n"
-    control.Explore.Search.execs control.Explore.Search.signatures found
-    shrink_ok replay_ok (json_escape corpus_file) (mc "explore.execs")
-    (mc "explore.novel") (mc "explore.fails") (mc "explore.shrink_execs")
-    (mc "explore.corpus_saved") failure_json;
-  Printf.bprintf b "  \"cpu_s\": %.3f,\n" (Sys.time () -. t0);
-  Printf.bprintf b "  \"ok\": %b\n}\n" ok;
-  let oc = open_out !out in
-  Buffer.output_buffer oc b;
-  close_out oc;
-  Printf.printf "wrote %s (ok=%b, %.1fs cpu)\n%!" !out ok (Sys.time () -. t0);
-  exit (if ok then 0 else 1)
+  let cpu_s = Sys.time () -. t0 in
+  Printf.printf "ok=%b, %.1fs cpu\n%!" ok cpu_s;
+  let open Obs.Json in
+  let bools fields = Obj (List.map (fun (k, v) -> (k, Bool v)) fields) in
+  let ints fields = Obj (List.map (fun (k, v) -> (k, Report.int v)) fields) in
+  let safe =
+    let open Explore.Search in
+    ints
+      [ ("execs", safe.execs); ("signatures", safe.signatures);
+        ("novel", safe.novel); ("fails", List.length safe.failures);
+        ("unknowns", safe.unknowns) ]
+  in
+  let metrics =
+    List.map (fun k -> (k, mc ("explore." ^ k)))
+      [ "execs"; "novel"; "fails"; "shrink_execs"; "corpus_saved" ]
+  in
+  Report.write cli ~schema:"rss-repro/explore/v1" ~ok
+    [ ( "determinism",
+        bools
+          [ ("perturb_off_identical", off_identical);
+            ("perturb_changes_schedule", perturb_changes);
+            ("perturb_replay_identical", perturb_replay) ] );
+      ("safe", safe);
+      ( "control",
+        Obj
+          [ ("execs", Report.int control.Explore.Search.execs);
+            ("signatures", Report.int control.Explore.Search.signatures);
+            ("found", Bool found); ("shrink_ok", Bool shrink_ok);
+            ("replay_deterministic", Bool replay_ok);
+            ("corpus_file", Str corpus_file); ("metrics", ints metrics);
+            ("failure", failure) ] );
+      ("cpu_s", Num cpu_s) ]

@@ -30,15 +30,6 @@
    missed (full runs only), sheds observed with protections off, or a
    repeat-determinism mismatch. *)
 
-let verdict_name = function
-  | Harness.Run.Pass -> "pass"
-  | Harness.Run.Fail _ -> "fail"
-  | Harness.Run.Unknown _ -> "unknown"
-
-let verdict_detail = function
-  | Harness.Run.Pass -> ""
-  | Harness.Run.Fail m | Harness.Run.Unknown m -> m
-
 (* ------------------------------------------------------------------ *)
 (* Measurement                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -55,8 +46,7 @@ type measured = {
   budget_denied : int;
   hedges : int;
   hedge_wins : int;
-  verdict : string;
-  detail : string;
+  verdict : Harness.Run.verdict;
 }
 
 (* Completions within [deadline_us], across every latency recorder. The
@@ -92,8 +82,7 @@ let measure ~deadline_us ~measured_s (r : Harness.Run.t) =
     budget_denied = Harness.Run.counter r "flow.budget.denied";
     hedges = Harness.Run.counter r "flow.hedges";
     hedge_wins = Harness.Run.counter r "flow.hedge_wins";
-    verdict = verdict_name r.Harness.Run.check;
-    detail = verdict_detail r.Harness.Run.check;
+    verdict = r.Harness.Run.check;
   }
 
 (* A canonical digest of a run's observable outcome: every completion
@@ -210,64 +199,30 @@ let hedge_run ~fanout ~duration_s ~seed =
   Harness.gryff_wan ~client_sites ~env ~mode:Gryff.Config.Rsc ~conflict:0.05
     ~write_ratio:0.2 ~n_keys:50_000 ~duration_s ~seed ()
 
-(* ------------------------------------------------------------------ *)
-(* JSON emission (hand-rolled; the repo deliberately has no JSON dep)   *)
-(* ------------------------------------------------------------------ *)
-
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 32 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_float f = if Float.is_nan f then "null" else Printf.sprintf "%.6f" f
-
-let json_float_opt = function None -> "null" | Some f -> json_float f
-
-let measured_json b m =
-  Printf.bprintf b
-    "{\"completed\": %d, \"good\": %d, \"goodput_tps\": %s, \"p50_ms\": %s, \
-     \"p99_ms\": %s, \"shed\": %d, \"expired\": %d, \"abandoned\": %d, \
-     \"budget_denied\": %d, \"hedges\": %d, \"hedge_wins\": %d, \
-     \"verdict\": \"%s\", \"detail\": \"%s\"}"
-    m.completed m.good (json_float m.goodput_tps) (json_float_opt m.p50_ms)
-    (json_float_opt m.p99_ms) m.shed m.expired m.abandoned m.budget_denied
-    m.hedges m.hedge_wins m.verdict (json_escape m.detail)
+let measured_json m =
+  let open Obs.Json in
+  let int = Report.int in
+  Obj
+    ([ ("completed", int m.completed); ("good", int m.good);
+       ("goodput_tps", Num m.goodput_tps); ("p50_ms", Report.num_opt m.p50_ms);
+       ("p99_ms", Report.num_opt m.p99_ms); ("shed", int m.shed);
+       ("expired", int m.expired); ("abandoned", int m.abandoned);
+       ("budget_denied", int m.budget_denied); ("hedges", int m.hedges);
+       ("hedge_wins", int m.hedge_wins) ]
+    @ Report.verdict_fields m.verdict)
 
 (* ------------------------------------------------------------------ *)
 (* Main                                                                *)
 (* ------------------------------------------------------------------ *)
 
 let () =
-  let smoke = ref false in
-  let out = ref "BENCH_overload.json" in
-  let seed = ref 42 in
-  Arg.parse
-    [
-      ("--smoke", Arg.Set smoke, " CI sizes (seconds, not minutes)");
-      ("--out", Arg.Set_string out, "FILE output path (default BENCH_overload.json)");
-      ("--seed", Arg.Set_int seed, "N workload seed (default 42)");
-    ]
-    (fun a -> raise (Arg.Bad ("unexpected argument: " ^ a)))
-    "overload [--smoke] [--out FILE] [--seed N]";
+  let cli = Report.cli "overload" in
+  let smoke = cli.Report.smoke and seed = Option.get cli.Report.seed in
   let failed = ref false in
   let fail fmt = Printf.ksprintf (fun m -> Printf.printf "   %s\n%!" m; failed := true) fmt in
-  let b = Buffer.create 8192 in
-  Printf.bprintf b
-    "{\n  \"schema\": \"rss-repro/overload/v1\",\n  \"smoke\": %b,\n  \
-     \"seed\": %d,\n"
-    !smoke !seed;
 
   (* --- Experiment 1: offered-load ramp --- *)
-  let duration_s = if !smoke then 2.0 else 5.0 in
+  let duration_s = if smoke then 2.0 else 5.0 in
   let measured_s = duration_s *. 0.9 in
   (* Rates in sessions/s; a session issues ~10 Retwis transactions. The
      knee of this deployment sits at the third point; the last point is
@@ -280,11 +235,11 @@ let () =
       (fun rate ->
         let control =
           measure ~deadline_us:ramp_deadline_us ~measured_s
-            (ramp_run ~protected:false ~rate ~duration_s ~seed:!seed)
+            (ramp_run ~protected:false ~rate ~duration_s ~seed)
         in
         let protected_ =
           measure ~deadline_us:ramp_deadline_us ~measured_s
-            (ramp_run ~protected:true ~rate ~duration_s ~seed:!seed)
+            (ramp_run ~protected:true ~rate ~duration_s ~seed)
         in
         Printf.printf
           "   rate %6.0f/s  control %8.0f good tps (p99 %s ms)   protected \
@@ -294,7 +249,7 @@ let () =
           | Some p -> Printf.sprintf "%.1f" p
           | None -> "n/a")
           protected_.goodput_tps protected_.shed protected_.expired
-          protected_.verdict;
+          (Report.verdict protected_.verdict);
         (rate, control, protected_))
       rates
   in
@@ -311,7 +266,7 @@ let () =
     List.fold_left (fun acc (_, c, _) -> acc + c.shed + c.expired) 0 points
   in
   let protected_verdicts_pass =
-    List.for_all (fun (_, _, p) -> p.verdict = "pass") points
+    List.for_all (fun (_, _, p) -> p.verdict = Harness.Run.Pass) points
   in
   Printf.printf
     "   peak %8.0f good tps; control at top rate %.0f%%; protected at top \
@@ -328,39 +283,34 @@ let () =
     fail "UNARMED SHEDS: %d sheds/expiries with protections off" control_sheds;
   if not protected_verdicts_pass then
     fail "CONSISTENCY FAILURE in a protected ramp run";
-  Printf.bprintf b
-    "  \"ramp\": {\n    \"deadline_us\": %d,\n    \"rates\": [%s],\n    \
-     \"points\": [\n"
-    ramp_deadline_us
-    (String.concat ", " (List.map (fun r -> json_float r) rates));
-  List.iteri
-    (fun i (rate, c, p) ->
-      Printf.bprintf b "      {\"rate\": %s, \"control\": " (json_float rate);
-      measured_json b c;
-      Buffer.add_string b ", \"protected\": ";
-      measured_json b p;
-      Printf.bprintf b "}%s\n" (if i < List.length points - 1 then "," else ""))
-    points;
-  Printf.bprintf b
-    "    ],\n    \"peak_goodput_tps\": %s,\n    \"control_min_frac\": %s,\n    \
-     \"control_collapse\": %b,\n    \"protected_top_frac\": %s,\n    \
-     \"protected_ok\": %b,\n    \"control_sheds\": %d,\n    \
-     \"protected_verdicts_pass\": %b\n  },\n"
-    (json_float peak) (json_float control_min_frac) control_collapse
-    (json_float protected_top_frac)
-    (protected_top_frac >= 0.70)
-    control_sheds protected_verdicts_pass;
+  let ramp =
+    let open Obs.Json in
+    let point (rate, c, p) =
+      Obj
+        [ ("rate", Num rate); ("control", measured_json c);
+          ("protected", measured_json p) ]
+    in
+    Obj
+      [ ("deadline_us", Report.int ramp_deadline_us);
+        ("rates", Arr (List.map (fun r -> Num r) rates));
+        ("points", Arr (List.map point points)); ("peak_goodput_tps", Num peak);
+        ("control_min_frac", Num control_min_frac);
+        ("control_collapse", Bool control_collapse);
+        ("protected_top_frac", Num protected_top_frac);
+        ("protected_ok", Bool (protected_top_frac >= 0.70));
+        ("control_sheds", Report.int control_sheds);
+        ("protected_verdicts_pass", Bool protected_verdicts_pass) ]
+  in
 
   (* --- Experiment 2: hedged reads under a slow node --- *)
-  let hduration_s = if !smoke then 8.0 else 20.0 in
+  let hduration_s = if smoke then 8.0 else 20.0 in
   Printf.printf "== hedged reads under slow-node (gryff, %g simulated s) ==\n%!"
     hduration_s;
   let unhedged =
-    hedge_run ~fanout:Gryff.Protocol.Fan_quorum ~duration_s:hduration_s
-      ~seed:!seed
+    hedge_run ~fanout:Gryff.Protocol.Fan_quorum ~duration_s:hduration_s ~seed
   in
   let hedged =
-    hedge_run ~fanout:Gryff.Protocol.Hedged ~duration_s:hduration_s ~seed:!seed
+    hedge_run ~fanout:Gryff.Protocol.Hedged ~duration_s:hduration_s ~seed
   in
   let read_p99 r = Stats.Recorder.percentile_ms_opt (Harness.Run.latency r "read") 99.0 in
   let un_p99 = read_p99 unhedged and h_p99 = read_p99 hedged in
@@ -380,27 +330,29 @@ let () =
     (match un_p99 with Some p -> Printf.sprintf "%.1f" p | None -> "n/a")
     (match h_p99 with Some p -> Printf.sprintf "%.1f" p | None -> "n/a")
     ratio hedges hedge_wins
-    (verdict_name unhedged.Harness.Run.check)
-    (verdict_name hedged.Harness.Run.check);
+    (Report.verdict unhedged.Harness.Run.check)
+    (Report.verdict hedged.Harness.Run.check);
   if Float.is_nan ratio || ratio < 3.0 then
     fail "HEDGE RATIO MISSED: bare-quorum p99 only %.1fx the hedged p99" ratio;
   if hedges = 0 || hedge_wins = 0 then
     fail "HEDGING INERT: %d hedges, %d wins" hedges hedge_wins;
   if not hedge_verdicts_pass then
     fail "CONSISTENCY FAILURE in a slow-node hedging run";
-  Printf.bprintf b
-    "  \"hedge\": {\n    \"preset\": \"slow-node\",\n    \"hedge_us\": %d,\n    \
-     \"unhedged_p99_ms\": %s,\n    \"hedged_p99_ms\": %s,\n    \"ratio\": \
-     %s,\n    \"hedges\": %d,\n    \"hedge_wins\": %d,\n    \
-     \"verdicts_pass\": %b,\n    \"ok\": %b\n  },\n"
-    hedge_us (json_float_opt un_p99) (json_float_opt h_p99) (json_float ratio)
-    hedges hedge_wins hedge_verdicts_pass
-    ((not (Float.is_nan ratio)) && ratio >= 3.0);
+  let hedge =
+    let open Obs.Json in
+    Obj
+      [ ("preset", Str "slow-node"); ("hedge_us", Report.int hedge_us);
+        ("unhedged_p99_ms", Report.num_opt un_p99);
+        ("hedged_p99_ms", Report.num_opt h_p99); ("ratio", Num ratio);
+        ("hedges", Report.int hedges); ("hedge_wins", Report.int hedge_wins);
+        ("verdicts_pass", Bool hedge_verdicts_pass);
+        ("ok", Bool ((not (Float.is_nan ratio)) && ratio >= 3.0)) ]
+  in
 
   (* --- Repeat determinism --- *)
   let det_rate = List.nth rates (List.length rates - 1) in
   let digest_of () =
-    run_digest (ramp_run ~protected:true ~rate:det_rate ~duration_s ~seed:!seed)
+    run_digest (ramp_run ~protected:true ~rate:det_rate ~duration_s ~seed)
   in
   let d1 = digest_of () in
   let d2 = digest_of () in
@@ -408,13 +360,8 @@ let () =
     (if d1 = d2 then "==" else "!=")
     d2;
   if d1 <> d2 then fail "NON-DETERMINISM: protected run digests differ";
-  Printf.bprintf b
-    "  \"determinism\": {\"digest_a\": \"%s\", \"digest_b\": \"%s\", \"ok\": \
-     %b},\n  \"failed\": %b\n}\n"
-    d1 d2 (d1 = d2) !failed;
-
-  let oc = open_out !out in
-  output_string oc (Buffer.contents b);
-  close_out oc;
-  Printf.printf "wrote %s\n%!" !out;
-  if !failed then exit 1
+  let open Obs.Json in
+  Report.write cli ~schema:"rss-repro/overload/v1" ~ok:(not !failed)
+    [ ("ramp", ramp); ("hedge", hedge);
+      ( "determinism",
+        Obj [ ("digest_a", Str d1); ("digest_b", Str d2); ("ok", Bool (d1 = d2)) ] ) ]

@@ -24,27 +24,17 @@
    migration completes (>= 1 completed, 0 failed, keys actually moved),
    the repeated run is byte-identical, and the no-fence control fails. *)
 
-let verdict_name = function
-  | Harness.Run.Pass -> "pass"
-  | Harness.Run.Fail _ -> "fail"
-  | Harness.Run.Unknown _ -> "unknown"
-
-let verdict_detail = function
-  | Harness.Run.Pass -> ""
-  | Harness.Run.Fail m | Harness.Run.Unknown m -> m
-
 type measured = {
   name : string;
-  verdict : string;
-  detail : string;
+  verdict : Harness.Run.verdict;
   digest : string;  (* MD5 of the marshalled history: determinism witness *)
   n_ops : int;
   sim_s : float;
   cpu_s : float;
-  ro_p50_us : float;
-  ro_p99_us : float;
-  rw_p50_us : float;
-  rw_p99_us : float;
+  ro_p50_us : float option;  (* [None] (JSON null) for an empty recorder *)
+  ro_p99_us : float option;
+  rw_p50_us : float option;
+  rw_p99_us : float option;
   epoch : int;
   migrations : int;
   migrations_failed : int;
@@ -62,9 +52,6 @@ let history_digest (r : Harness.Run.t) =
   | Harness.Run.Spanner_txns a -> Digest.to_hex (Digest.string (Marshal.to_string a []))
   | Harness.Run.Gryff_ops a -> Digest.to_hex (Digest.string (Marshal.to_string a []))
 
-let pct rec_ p =
-  match Stats.Recorder.percentile_opt rec_ p with Some v -> v | None -> 0.0
-
 let measure ~name ~reshard ~theta ~n_keys ~rate ~duration_s ~seed =
   let t0 = Sys.time () in
   let r =
@@ -79,16 +66,15 @@ let measure ~name ~reshard ~theta ~n_keys ~rate ~duration_s ~seed =
   ( r,
     {
       name;
-      verdict = verdict_name r.Harness.Run.check;
-      detail = verdict_detail r.Harness.Run.check;
+      verdict = r.Harness.Run.check;
       digest = history_digest r;
       n_ops = Harness.Run.n_records r;
       sim_s = Sim.Engine.to_sec r.Harness.Run.duration_us;
       cpu_s;
-      ro_p50_us = pct ro 50.0;
-      ro_p99_us = pct ro 99.0;
-      rw_p50_us = pct rw 50.0;
-      rw_p99_us = pct rw 99.0;
+      ro_p50_us = Stats.Recorder.percentile_opt ro 50.0;
+      ro_p99_us = Stats.Recorder.percentile_opt ro 99.0;
+      rw_p50_us = Stats.Recorder.percentile_opt rw 50.0;
+      rw_p99_us = Stats.Recorder.percentile_opt rw 99.0;
       epoch = c "place.epoch";
       migrations = c "place.migrations";
       migrations_failed = c "place.migrations_failed";
@@ -101,65 +87,34 @@ let measure ~name ~reshard ~theta ~n_keys ~rate ~duration_s ~seed =
       directory_appends = c "place.directory_appends";
     } )
 
-(* ------------------------------------------------------------------ *)
-(* JSON emission (hand-rolled; the repo deliberately has no JSON dep)   *)
-(* ------------------------------------------------------------------ *)
-
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 32 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_float f = if Float.is_nan f then "null" else Printf.sprintf "%.6f" f
-
-let measured_json b m =
-  Printf.bprintf b
-    "{\"name\": \"%s\", \"verdict\": \"%s\", \"detail\": \"%s\", \
-     \"digest\": \"%s\", \"n_ops\": %d, \"sim_s\": %s, \"cpu_s\": %s, \
-     \"ro_p50_us\": %s, \"ro_p99_us\": %s, \"rw_p50_us\": %s, \
-     \"rw_p99_us\": %s, \"epoch\": %d, \"migrations\": %d, \
-     \"migrations_failed\": %d, \"migration_retries\": %d, \
-     \"keys_moved\": %d, \"redirects\": %d, \"fence_blocked\": %d, \
-     \"fence_hold_us\": %d, \"max_fence_hold_us\": %d, \
-     \"directory_appends\": %d}"
-    m.name m.verdict (json_escape m.detail) m.digest m.n_ops
-    (json_float m.sim_s) (json_float m.cpu_s) (json_float m.ro_p50_us)
-    (json_float m.ro_p99_us) (json_float m.rw_p50_us) (json_float m.rw_p99_us)
-    m.epoch m.migrations m.migrations_failed m.migration_retries m.keys_moved
-    m.redirects m.fence_blocked m.fence_hold_us m.max_fence_hold_us
-    m.directory_appends
+let measured_json m =
+  let open Obs.Json in
+  let int = Report.int and opt = Report.num_opt in
+  Obj
+    ((("name", Str m.name) :: Report.verdict_fields m.verdict)
+    @ [ ("digest", Str m.digest); ("n_ops", int m.n_ops); ("sim_s", Num m.sim_s);
+        ("cpu_s", Num m.cpu_s); ("ro_p50_us", opt m.ro_p50_us);
+        ("ro_p99_us", opt m.ro_p99_us); ("rw_p50_us", opt m.rw_p50_us);
+        ("rw_p99_us", opt m.rw_p99_us); ("epoch", int m.epoch);
+        ("migrations", int m.migrations);
+        ("migrations_failed", int m.migrations_failed);
+        ("migration_retries", int m.migration_retries);
+        ("keys_moved", int m.keys_moved); ("redirects", int m.redirects);
+        ("fence_blocked", int m.fence_blocked);
+        ("fence_hold_us", int m.fence_hold_us);
+        ("max_fence_hold_us", int m.max_fence_hold_us);
+        ("directory_appends", int m.directory_appends) ])
 
 (* ------------------------------------------------------------------ *)
 (* Main                                                                *)
 (* ------------------------------------------------------------------ *)
 
 let () =
-  let smoke = ref false in
-  let out = ref "BENCH_reshard.json" in
-  let seed = ref 42 in
-  Arg.parse
-    [
-      ("--smoke", Arg.Set smoke, " CI sizes (seconds, not a minute)");
-      ( "--out",
-        Arg.Set_string out,
-        "FILE output path (default BENCH_reshard.json)" );
-      ("--seed", Arg.Set_int seed, "N workload seed (default 42)");
-    ]
-    (fun a -> raise (Arg.Bad ("unexpected argument: " ^ a)))
-    "reshard [--smoke] [--out FILE] [--seed N]";
-  let seed = !seed in
-  let n_keys = if !smoke then 4_000 else 20_000 in
-  let duration_s = if !smoke then 6.0 else 20.0 in
-  let rate = if !smoke then 60.0 else 120.0 in
+  let cli = Report.cli "reshard" in
+  let smoke = cli.Report.smoke and seed = Option.get cli.Report.seed in
+  let n_keys = if smoke then 4_000 else 20_000 in
+  let duration_s = if smoke then 6.0 else 20.0 in
+  let rate = if smoke then 60.0 else 120.0 in
   let theta = 0.9 in
   let hot_hi = n_keys / 8 in
   let spec no_fence =
@@ -178,7 +133,7 @@ let () =
       "   %-10s verdict=%-7s ops=%6d  migrations=%d/%d  keys=%5d  \
        redirects=%4d  fence=%d us (max %d)\n\
        %!"
-      m.name m.verdict m.n_ops m.migrations
+      m.name (Report.verdict m.verdict) m.n_ops m.migrations
       (m.migrations + m.migrations_failed)
       m.keys_moved m.redirects m.fence_hold_us m.max_fence_hold_us
   in
@@ -208,35 +163,20 @@ let () =
     live.migrations >= 1 && live.migrations_failed = 0 && live.keys_moved >= 1
     && live.epoch >= 1
   in
+  let no_fence_caught =
+    match nofence.verdict with Harness.Run.Fail _ -> true | _ -> false
+  in
   let ok =
-    base.verdict = "pass" && live.verdict = "pass" && migrated_ok
-    && deterministic
-    && nofence.verdict = "fail"
+    base.verdict = Harness.Run.Pass
+    && live.verdict = Harness.Run.Pass
+    && migrated_ok && deterministic && no_fence_caught
   in
   Printf.printf "deterministic: %b   no-fence caught: %b   ok: %b\n%!"
-    deterministic
-    (nofence.verdict = "fail")
-    ok;
-  let b = Buffer.create 4096 in
-  Printf.bprintf b
-    "{\n  \"schema\": \"rss-repro/reshard/v1\",\n  \"smoke\": %b,\n  \
-     \"seed\": %d,\n  \"n_keys\": %d,\n  \"hot_range\": [0, %d],\n  \
-     \"runs\": [\n"
-    !smoke seed n_keys hot_hi;
-  List.iteri
-    (fun i m ->
-      Buffer.add_string b "    ";
-      measured_json b m;
-      Buffer.add_string b (if i < 3 then ",\n" else "\n"))
-    [ base; live; live2; nofence ];
-  Printf.bprintf b
-    "  ],\n  \"deterministic\": %b,\n  \"no_fence_caught\": %b,\n  \
-     \"ok\": %b\n}\n"
-    deterministic
-    (nofence.verdict = "fail")
-    ok;
-  let oc = open_out !out in
-  output_string oc (Buffer.contents b);
-  close_out oc;
-  Printf.printf "wrote %s\n%!" !out;
-  if not ok then exit 1
+    deterministic no_fence_caught ok;
+  let open Obs.Json in
+  Report.write cli ~schema:"rss-repro/reshard/v1" ~ok
+    [ ("n_keys", Report.int n_keys);
+      ("hot_range", Arr [ Report.int 0; Report.int hot_hi ]);
+      ("runs", Arr (List.map measured_json [ base; live; live2; nofence ]));
+      ("deterministic", Bool deterministic);
+      ("no_fence_caught", Bool no_fence_caught) ]

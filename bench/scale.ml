@@ -25,15 +25,6 @@
    run missed its minimum op count — so CI and local runs alike catch both
    consistency and throughput regressions. *)
 
-let verdict_name = function
-  | Harness.Run.Pass -> "pass"
-  | Harness.Run.Fail _ -> "fail"
-  | Harness.Run.Unknown _ -> "unknown"
-
-let verdict_detail = function
-  | Harness.Run.Pass -> ""
-  | Harness.Run.Fail m | Harness.Run.Unknown m -> m
-
 type measured = {
   check : string;  (* "none" | "online" *)
   n_ops : int;
@@ -45,8 +36,7 @@ type measured = {
   checker_max_displacement : int;
   live_words : int;
   heap_growth_words : int;
-  verdict : string;
-  detail : string;
+  verdict : Harness.Run.verdict;
 }
 
 let measure ~check_name (f : unit -> Harness.Run.t) =
@@ -78,8 +68,7 @@ let measure ~check_name (f : unit -> Harness.Run.t) =
       checker_max_displacement = Harness.Run.counter r "check.max_displacement";
       live_words = st.Gc.live_words;
       heap_growth_words = st.Gc.top_heap_words - st0.Gc.top_heap_words;
-      verdict = verdict_name r.Harness.Run.check;
-      detail = verdict_detail r.Harness.Run.check;
+      verdict = r.Harness.Run.check;
     } )
 
 (* ------------------------------------------------------------------ *)
@@ -157,133 +146,100 @@ let fitted_exponent points ~y =
   let den = List.fold_left (fun a x -> a +. ((x -. xm) ** 2.0)) 0.0 xs in
   if den <= 0.0 then nan else num /. den
 
-(* ------------------------------------------------------------------ *)
-(* JSON emission (hand-rolled; the repo deliberately has no JSON dep)   *)
-(* ------------------------------------------------------------------ *)
-
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 32 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_float f = if Float.is_nan f then "null" else Printf.sprintf "%.6f" f
-
-let measured_json b m =
-  Printf.bprintf b
-    "{\"check\": \"%s\", \"n_ops\": %d, \"sim_s\": %s, \"cpu_s\": %s, \
-     \"ops_per_cpu_s\": %s, \"cpu_per_sim_s\": %s, \"checker_finish_s\": %s, \
-     \"checker_work\": %d, \"checker_added\": %d, \
-     \"checker_max_displacement\": %d, \"live_words\": %d, \
-     \"heap_growth_words\": %d, \"verdict\": \"%s\", \"detail\": \"%s\"}"
-    m.check m.n_ops (json_float m.sim_s) (json_float m.cpu_s)
-    (json_float (float_of_int m.n_ops /. Float.max 1e-9 m.cpu_s))
-    (json_float (m.cpu_s /. Float.max 1e-9 m.sim_s))
-    (json_float m.checker_finish_s)
-    m.checker_work m.checker_added m.checker_max_displacement m.live_words
-    m.heap_growth_words m.verdict (json_escape m.detail)
+let measured_json m =
+  let open Obs.Json in
+  let int = Report.int in
+  Obj
+    ([ ("check", Str m.check); ("n_ops", int m.n_ops); ("sim_s", Num m.sim_s);
+       ("cpu_s", Num m.cpu_s);
+       ("ops_per_cpu_s", Num (float_of_int m.n_ops /. Float.max 1e-9 m.cpu_s));
+       ("cpu_per_sim_s", Num (m.cpu_s /. Float.max 1e-9 m.sim_s));
+       ("checker_finish_s", Num m.checker_finish_s);
+       ("checker_work", int m.checker_work); ("checker_added", int m.checker_added);
+       ("checker_max_displacement", int m.checker_max_displacement);
+       ("live_words", int m.live_words);
+       ("heap_growth_words", int m.heap_growth_words) ]
+    @ Report.verdict_fields m.verdict)
 
 (* ------------------------------------------------------------------ *)
 (* Main                                                                *)
 (* ------------------------------------------------------------------ *)
 
 let () =
-  let smoke = ref false in
-  let out = ref "BENCH_scale.json" in
-  let seed = ref 42 in
-  Arg.parse
-    [
-      ("--smoke", Arg.Set smoke, " CI sizes (seconds, not minutes)");
-      ("--out", Arg.Set_string out, "FILE output path (default BENCH_scale.json)");
-      ("--seed", Arg.Set_int seed, "N workload seed (default 42)");
-    ]
-    (fun a -> raise (Arg.Bad ("unexpected argument: " ^ a)))
-    "scale [--smoke] [--out FILE] [--seed N]";
+  let cli = Report.cli "scale" in
+  let smoke = cli.Report.smoke and seed = Option.get cli.Report.seed in
   let failed = ref false in
-  let b = Buffer.create 4096 in
-  Printf.bprintf b
-    "{\n  \"schema\": \"rss-repro/scale/v2\",\n  \"smoke\": %b,\n  \"seed\": \
-     %d,\n  \"scenarios\": [\n"
-    !smoke !seed;
   let scaling_points = ref [] in
-  List.iteri
-    (fun i sc ->
-      let duration_s = if !smoke then sc.smoke_duration_s else sc.duration_s in
-      Printf.printf "== %s (%.1f simulated s) ==\n%!" sc.name duration_s;
-      let _, raw =
-        measure ~check_name:"none" (fun () ->
-            sc.run ~check_mode:`No_check ~duration_s)
-      in
-      Printf.printf
-        "   raw:    %7d ops  %6.2f cpu-s  (%7.0f ops/cpu-s, %5.2f cpu-s per \
-         sim-s)\n\
-         %!"
-        raw.n_ops raw.cpu_s
-        (float_of_int raw.n_ops /. Float.max 1e-9 raw.cpu_s)
-        (raw.cpu_s /. Float.max 1e-9 raw.sim_s);
-      let _, online =
-        measure ~check_name:"online" (fun () ->
-            sc.run ~check_mode:`Online ~duration_s)
-      in
-      Printf.printf
-        "   online: %7d ops  %6.2f cpu-s  verdict=%s  work=%d  max-disp=%d\n%!"
-        online.n_ops online.cpu_s online.verdict online.checker_work
-        online.checker_max_displacement;
-      if online.verdict = "fail" then begin
-        Printf.printf "   CONSISTENCY FAILURE: %s\n%!" online.detail;
-        failed := true
-      end;
-      if (not !smoke) && online.n_ops < sc.min_ops then begin
-        Printf.printf "   THROUGHPUT REGRESSION: %d ops < required %d\n%!"
-          online.n_ops sc.min_ops;
-        failed := true
-      end;
-      (* The Spanner scenario doubles as the checker-scaling subject: its
-         full-size online run is the probe's largest point. *)
-      if sc.name = "spanner-dc-rss" then begin
-        let checker_cpu = Float.max online.checker_finish_s
-            (online.cpu_s -. raw.cpu_s) in
-        scaling_points :=
-          [ { p_n = online.n_ops; p_work = online.checker_work;
-              p_cpu = checker_cpu } ];
-        List.iter
-          (fun frac ->
-            let d = duration_s *. frac in
-            let _, r =
-              measure ~check_name:"none" (fun () ->
-                  sc.run ~check_mode:`No_check ~duration_s:d)
-            in
-            let _, o =
-              measure ~check_name:"online" (fun () ->
-                  sc.run ~check_mode:`Online ~duration_s:d)
-            in
-            let checker_cpu =
-              Float.max o.checker_finish_s (o.cpu_s -. r.cpu_s)
-            in
-            Printf.printf
-              "   probe %4.2fx: %7d ops  checker %5.2f cpu-s  work=%d\n%!"
-              frac o.n_ops checker_cpu o.checker_work;
-            scaling_points :=
-              { p_n = o.n_ops; p_work = o.checker_work; p_cpu = checker_cpu }
-              :: !scaling_points)
-          [ 0.5; 0.25 ]
-      end;
-      Printf.bprintf b "    {\"name\": \"%s\", \"runs\": [\n      " sc.name;
-      measured_json b raw;
-      Buffer.add_string b ",\n      ";
-      measured_json b online;
-      Printf.bprintf b "\n    ]}%s\n"
-        (if i < List.length (scenarios ~seed:!seed) - 1 then "," else ""))
-    (scenarios ~seed:!seed);
-  Buffer.add_string b "  ],\n";
+  let scenario_reports =
+    List.map
+      (fun sc ->
+        let duration_s = if smoke then sc.smoke_duration_s else sc.duration_s in
+        Printf.printf "== %s (%.1f simulated s) ==\n%!" sc.name duration_s;
+        let _, raw =
+          measure ~check_name:"none" (fun () ->
+              sc.run ~check_mode:`No_check ~duration_s)
+        in
+        Printf.printf
+          "   raw:    %7d ops  %6.2f cpu-s  (%7.0f ops/cpu-s, %5.2f cpu-s per \
+           sim-s)\n\
+           %!"
+          raw.n_ops raw.cpu_s
+          (float_of_int raw.n_ops /. Float.max 1e-9 raw.cpu_s)
+          (raw.cpu_s /. Float.max 1e-9 raw.sim_s);
+        let _, online =
+          measure ~check_name:"online" (fun () ->
+              sc.run ~check_mode:`Online ~duration_s)
+        in
+        Printf.printf
+          "   online: %7d ops  %6.2f cpu-s  verdict=%s  work=%d  max-disp=%d\n%!"
+          online.n_ops online.cpu_s (Report.verdict online.verdict)
+          online.checker_work online.checker_max_displacement;
+        (match online.verdict with
+        | Harness.Run.Fail m ->
+          Printf.printf "   CONSISTENCY FAILURE: %s\n%!" m;
+          failed := true
+        | Harness.Run.Pass | Harness.Run.Unknown _ -> ());
+        if (not smoke) && online.n_ops < sc.min_ops then begin
+          Printf.printf "   THROUGHPUT REGRESSION: %d ops < required %d\n%!"
+            online.n_ops sc.min_ops;
+          failed := true
+        end;
+        (* The Spanner scenario doubles as the checker-scaling subject: its
+           full-size online run is the probe's largest point. *)
+        if sc.name = "spanner-dc-rss" then begin
+          let checker_cpu = Float.max online.checker_finish_s
+              (online.cpu_s -. raw.cpu_s) in
+          scaling_points :=
+            [ { p_n = online.n_ops; p_work = online.checker_work;
+                p_cpu = checker_cpu } ];
+          List.iter
+            (fun frac ->
+              let d = duration_s *. frac in
+              let _, r =
+                measure ~check_name:"none" (fun () ->
+                    sc.run ~check_mode:`No_check ~duration_s:d)
+              in
+              let _, o =
+                measure ~check_name:"online" (fun () ->
+                    sc.run ~check_mode:`Online ~duration_s:d)
+              in
+              let checker_cpu =
+                Float.max o.checker_finish_s (o.cpu_s -. r.cpu_s)
+              in
+              Printf.printf
+                "   probe %4.2fx: %7d ops  checker %5.2f cpu-s  work=%d\n%!"
+                frac o.n_ops checker_cpu o.checker_work;
+              scaling_points :=
+                { p_n = o.n_ops; p_work = o.checker_work; p_cpu = checker_cpu }
+                :: !scaling_points)
+            [ 0.5; 0.25 ]
+        end;
+        Obs.Json.(
+          Obj
+            [ ("name", Str sc.name);
+              ("runs", Arr [ measured_json raw; measured_json online ]) ]))
+      (scenarios ~seed)
+  in
   let points = List.sort (fun a c -> compare a.p_n c.p_n) !scaling_points in
   let work_exp = fitted_exponent points ~y:(fun p -> float_of_int p.p_work) in
   let cpu_exp = fitted_exponent points ~y:(fun p -> p.p_cpu) in
@@ -292,23 +248,18 @@ let () =
      linear, 2.0 = quadratic)\n\
      %!"
     work_exp cpu_exp;
-  Printf.bprintf b "  \"checker_scaling\": {\n    \"scenario\": \
-     \"spanner-dc-rss\",\n    \"points\": [";
-  List.iteri
-    (fun i p ->
-      Printf.bprintf b "%s\n      {\"n_ops\": %d, \"checker_work\": %d, \
-         \"checker_cpu_s\": %s}"
-        (if i > 0 then "," else "")
-        p.p_n p.p_work (json_float p.p_cpu))
-    points;
-  Printf.bprintf b
-    "\n    ],\n    \"work_exponent\": %s,\n    \"cpu_exponent\": %s,\n    \
-     \"sub_quadratic\": %b\n  },\n  \"top_heap_words\": %d\n}\n"
-    (json_float work_exp) (json_float cpu_exp)
-    (Float.is_nan work_exp = false && work_exp < 2.0)
-    (Gc.stat ()).Gc.top_heap_words;
-  let oc = open_out !out in
-  output_string oc (Buffer.contents b);
-  close_out oc;
-  Printf.printf "wrote %s\n%!" !out;
-  if !failed then exit 1
+  let open Obs.Json in
+  let point p =
+    Obj
+      [ ("n_ops", Report.int p.p_n); ("checker_work", Report.int p.p_work);
+        ("checker_cpu_s", Num p.p_cpu) ]
+  in
+  Report.write cli ~schema:"rss-repro/scale/v2" ~ok:(not !failed)
+    [ ("scenarios", Arr scenario_reports);
+      ( "checker_scaling",
+        Obj
+          [ ("scenario", Str "spanner-dc-rss");
+            ("points", Arr (List.map point points));
+            ("work_exponent", Num work_exp); ("cpu_exponent", Num cpu_exp);
+            ("sub_quadratic", Bool (Float.is_nan work_exp = false && work_exp < 2.0)) ] );
+      ("top_heap_words", Report.int (Gc.stat ()).Gc.top_heap_words) ]

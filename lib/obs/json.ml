@@ -153,6 +153,69 @@ let parse s =
   | v -> Ok v
   | exception Fail m -> Error m
 
+let add_escaped buf s =
+  String.iter
+    (fun ch ->
+      match ch with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | c when Char.code c < 0x20 ->
+        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s
+
+(* Integers below 1e15 are exact in a double and print as themselves;
+   everything else gets the fewest significant digits that parse back to
+   the same float (17 always do). *)
+let number f =
+  if not (Float.is_finite f) then "null"
+  else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+  else
+    let shortest p = Printf.sprintf "%.*g" p f in
+    List.find
+      (fun s -> float_of_string s = f)
+      [ shortest 15; shortest 16; shortest 17 ]
+
+let to_string v =
+  let buf = Buffer.create 1024 in
+  let block indent op cl item items =
+    let pad = String.make (indent + 2) ' ' in
+    Buffer.add_char buf op;
+    List.iteri
+      (fun i x ->
+        Buffer.add_string buf (if i = 0 then "\n" else ",\n");
+        Buffer.add_string buf pad;
+        item x)
+      items;
+    Buffer.add_char buf '\n';
+    Buffer.add_string buf (String.make indent ' ');
+    Buffer.add_char buf cl
+  in
+  let rec value indent = function
+    | Null -> Buffer.add_string buf "null"
+    | Bool b -> Buffer.add_string buf (string_of_bool b)
+    | Num f -> Buffer.add_string buf (number f)
+    | Str s ->
+      Buffer.add_char buf '"';
+      add_escaped buf s;
+      Buffer.add_char buf '"'
+    | Arr [] -> Buffer.add_string buf "[]"
+    | Obj [] -> Buffer.add_string buf "{}"
+    | Arr items -> block indent '[' ']' (value (indent + 2)) items
+    | Obj fields ->
+      block indent '{' '}'
+        (fun (k, x) ->
+          Buffer.add_char buf '"';
+          add_escaped buf k;
+          Buffer.add_string buf "\": ";
+          value (indent + 2) x)
+        fields
+  in
+  value 0 v;
+  Buffer.contents buf
+
 let member key = function
   | Obj fields -> List.assoc_opt key fields
   | _ -> None

@@ -184,19 +184,6 @@ let iter t f =
 (* Chrome trace_event export                                          *)
 (* ------------------------------------------------------------------ *)
 
-let escape_into buf s =
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
-
 let to_chrome_json t =
   let buf = Buffer.create (256 + (96 * t.len)) in
   Buffer.add_string buf "[";
@@ -205,7 +192,7 @@ let to_chrome_json t =
     let c = t.cells.(i) in
     if !first then first := false else Buffer.add_string buf ",\n";
     Buffer.add_string buf "{\"name\":\"";
-    escape_into buf c.c_name;
+    Json.add_escaped buf c.c_name;
     Buffer.add_string buf "\",\"cat\":\"";
     Buffer.add_string buf (kind_name c.c_kind);
     Buffer.add_string buf "\",\"ph\":\"";

@@ -1,8 +1,8 @@
 (* Observability layer tests: the span tracer's determinism and passivity
    contracts, parent links across network hops and RPC retransmissions,
-   the metrics registry, engine profiling, and the export formats (Chrome
-   trace_event JSON, compact binary log) — ending with the PR's acceptance
-   criterion: a traced Spanner-RSS WAN run whose RO spans decompose into
+   the metrics registry, engine profiling, the export formats (Chrome
+   trace_event JSON, compact binary log) and the JSON printer's round trip
+   through the parser — ending with the acceptance criterion: a traced Spanner-RSS WAN run whose RO spans decompose into
    per-shard network-hop children consistent with the client latency. *)
 
 let check = Alcotest.check
@@ -109,6 +109,83 @@ let test_chrome_json_parses () =
     let args = Obs.Json.member "args" hop |> Option.get in
     check int "parent id exported" a
       (int_of_float (num "parent" args))
+
+(* ------------------------------------------------------------------ *)
+(* JSON printer                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* Trees of finite numbers: strings mix the characters the escaper must
+   handle with ordinary ones, floats are integral or fractional, and
+   containers may be empty and nest up to six levels. *)
+let gen_json =
+  let open QCheck.Gen in
+  let str =
+    string_size ~gen:(oneof [ oneofl [ '"'; '\\'; '\n'; '\t'; '\r'; '\001'; '\031' ]; printable ])
+      (int_bound 8)
+  in
+  let num =
+    oneof
+      [
+        map float_of_int int;
+        map (fun f -> if Float.is_finite f then f else 0.5) float;
+        map (fun n -> float_of_int n /. 1000.0) small_signed_int;
+      ]
+  in
+  let leaf =
+    oneof
+      [
+        return Obs.Json.Null;
+        map (fun b -> Obs.Json.Bool b) bool;
+        map (fun f -> Obs.Json.Num f) num;
+        map (fun s -> Obs.Json.Str s) str;
+      ]
+  in
+  let rec tree depth =
+    if depth = 0 then leaf
+    else
+      let sub = list_size (int_bound 4) (tree (depth - 1)) in
+      frequency
+        [
+          (1, leaf);
+          (2, map (fun l -> Obs.Json.Arr l) sub);
+          ( 2,
+            map
+              (fun l -> Obs.Json.Obj l)
+              (list_size (int_bound 4) (pair str (tree (depth - 1)))) );
+        ]
+  in
+  tree 6
+
+let prop_json_round_trip =
+  QCheck.Test.make ~name:"parse (to_string v) = Ok v" ~count:300
+    (QCheck.make ~print:Obs.Json.to_string gen_json)
+    (fun v -> Obs.Json.parse (Obs.Json.to_string v) = Ok v)
+
+let test_json_printer_format () =
+  let doc =
+    Obs.Json.(
+      Obj
+        [
+          ("n", Num 3.0);
+          ("x", Num 0.1);
+          ("bad", Arr [ Num nan; Num infinity; Num neg_infinity ]);
+          ("e", Obj []);
+          ("s", Str "a\"b");
+        ])
+  in
+  check Alcotest.string "layout"
+    "{\n\
+    \  \"n\": 3,\n\
+    \  \"x\": 0.1,\n\
+    \  \"bad\": [\n\
+    \    null,\n\
+    \    null,\n\
+    \    null\n\
+    \  ],\n\
+    \  \"e\": {},\n\
+    \  \"s\": \"a\\\"b\"\n\
+     }"
+    (Obs.Json.to_string doc)
 
 (* ------------------------------------------------------------------ *)
 (* Parent links across the network and RPC retransmission              *)
@@ -434,6 +511,12 @@ let suites =
           test_hop_parents_span_sends;
         Alcotest.test_case "parent links survive rpc retransmission" `Quick
           test_rpc_retransmission_keeps_parent;
+      ] );
+    ( "obs.json",
+      [
+        Alcotest.test_case "printer layout, non-finite as null" `Quick
+          test_json_printer_format;
+        QCheck_alcotest.to_alcotest prop_json_round_trip;
       ] );
     ( "obs.metrics",
       [
