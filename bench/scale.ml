@@ -2,7 +2,8 @@
 
    Drives each protocol family at 10-100x the op counts of the paper-figure
    benches and records, per run: ops/sec of host CPU, host CPU per simulated
-   second, checker cost, and heap footprint via [Gc.stat]. Every scenario
+   second, checker cost, and heap footprint via [Gc.stat], each run in its
+   own forked child so its heap figures are its own. Every scenario
    runs twice — [`No_check] for raw simulator speed and [`Online] for the
    streaming checker — so the checker's cost is the difference between two
    otherwise identical seeded runs (record hooks draw no randomness, so the
@@ -36,40 +37,74 @@ type measured = {
   checker_max_displacement : int;
   live_words : int;
   heap_growth_words : int;
+  top_heap_words : int;
   verdict : Harness.Run.verdict;
 }
 
+(* Each measured run happens in a forked child, which marshals its
+   measurement back through a pipe. On OCaml 5.1 [Gc.compact] shrinks
+   neither [heap_words] nor [top_heap_words], so in one process a run that
+   stays below an earlier run's peak could not see its own growth. The
+   child starts from the parent's small, freshly compacted heap, and
+   [heap_growth_words] is its peak minus that starting heap. [peak_words]
+   keeps the largest child peak for the report's top level. *)
+let peak_words = ref 0
+
 let measure ~check_name (f : unit -> Harness.Run.t) =
-  (* Compact first so [live_words] reflects this run, not the previous
-     scenario's garbage. [Gc.stat ()].top_heap_words is process-global (it
-     never shrinks), so reporting it per run would make every scenario after
-     the hungriest repeat the same number; instead each run reports its own
-     growth over the post-compact baseline, and the process-wide peak is
-     emitted once at the report's top level. *)
   Gc.compact ();
-  let st0 = Gc.stat () in
-  let t0 = Sys.time () in
-  let r = f () in
-  let cpu_s = Sys.time () -. t0 in
-  let st = Gc.stat () in
-  let gauge name =
-    let g = Harness.Run.gauge r name in
-    if Float.is_nan g then 0.0 else g
-  in
-  ( r,
-    {
-      check = check_name;
-      n_ops = Harness.Run.n_records r;
-      sim_s = Sim.Engine.to_sec r.Harness.Run.duration_us;
-      cpu_s;
-      checker_finish_s = gauge "check.finish_s";
-      checker_work = Harness.Run.counter r "check.work";
-      checker_added = Harness.Run.counter r "check.added";
-      checker_max_displacement = Harness.Run.counter r "check.max_displacement";
-      live_words = st.Gc.live_words;
-      heap_growth_words = st.Gc.top_heap_words - st0.Gc.top_heap_words;
-      verdict = r.Harness.Run.check;
-    } )
+  flush_all ();
+  let rd, wr = Unix.pipe ~cloexec:true () in
+  match Unix.fork () with
+  | 0 ->
+    Unix.close rd;
+    let status =
+      match
+        let h0 = (Gc.quick_stat ()).Gc.heap_words in
+        let t0 = Sys.time () in
+        let r = f () in
+        let cpu_s = Sys.time () -. t0 in
+        let st = Gc.stat () in
+        let gauge name =
+          let g = Harness.Run.gauge r name in
+          if Float.is_nan g then 0.0 else g
+        in
+        {
+          check = check_name;
+          n_ops = Harness.Run.n_records r;
+          sim_s = Sim.Engine.to_sec r.Harness.Run.duration_us;
+          cpu_s;
+          checker_finish_s = gauge "check.finish_s";
+          checker_work = Harness.Run.counter r "check.work";
+          checker_added = Harness.Run.counter r "check.added";
+          checker_max_displacement = Harness.Run.counter r "check.max_displacement";
+          live_words = st.Gc.live_words;
+          heap_growth_words = st.Gc.top_heap_words - h0;
+          top_heap_words = st.Gc.top_heap_words;
+          verdict = r.Harness.Run.check;
+        }
+      with
+      | m ->
+        let oc = Unix.out_channel_of_descr wr in
+        Marshal.to_channel oc (m : measured) [];
+        close_out oc;
+        0
+      | exception e ->
+        prerr_endline ("scale: measured run raised " ^ Printexc.to_string e);
+        2
+    in
+    flush_all ();
+    Unix._exit status
+  | pid -> (
+    Unix.close wr;
+    let ic = Unix.in_channel_of_descr rd in
+    let m = try Some (Marshal.from_channel ic : measured) with End_of_file -> None in
+    close_in ic;
+    ignore (Unix.waitpid [] pid);
+    match m with
+    | Some m ->
+      peak_words := max !peak_words m.top_heap_words;
+      m
+    | None -> failwith "scale: measured run failed")
 
 (* ------------------------------------------------------------------ *)
 (* Scenarios                                                           *)
@@ -175,7 +210,7 @@ let () =
       (fun sc ->
         let duration_s = if smoke then sc.smoke_duration_s else sc.duration_s in
         Printf.printf "== %s (%.1f simulated s) ==\n%!" sc.name duration_s;
-        let _, raw =
+        let raw =
           measure ~check_name:"none" (fun () ->
               sc.run ~check_mode:`No_check ~duration_s)
         in
@@ -186,7 +221,7 @@ let () =
           raw.n_ops raw.cpu_s
           (float_of_int raw.n_ops /. Float.max 1e-9 raw.cpu_s)
           (raw.cpu_s /. Float.max 1e-9 raw.sim_s);
-        let _, online =
+        let online =
           measure ~check_name:"online" (fun () ->
               sc.run ~check_mode:`Online ~duration_s)
         in
@@ -215,11 +250,11 @@ let () =
           List.iter
             (fun frac ->
               let d = duration_s *. frac in
-              let _, r =
+              let r =
                 measure ~check_name:"none" (fun () ->
                     sc.run ~check_mode:`No_check ~duration_s:d)
               in
-              let _, o =
+              let o =
                 measure ~check_name:"online" (fun () ->
                     sc.run ~check_mode:`Online ~duration_s:d)
               in
@@ -262,4 +297,4 @@ let () =
             ("points", Arr (List.map point points));
             ("work_exponent", Num work_exp); ("cpu_exponent", Num cpu_exp);
             ("sub_quadratic", Bool (Float.is_nan work_exp = false && work_exp < 2.0)) ] );
-      ("top_heap_words", Report.int (Gc.stat ()).Gc.top_heap_words) ]
+      ("top_heap_words", Report.int !peak_words) ]

@@ -16,6 +16,14 @@
    degrades to an explicit [Unknown] (with a bounded {!Check_txn} search
    over the ambiguous suffix) rather than to quadratic work.
 
+   Keys are interned to dense ids on first sight: one string lookup per key
+   occurrence, after which every per-key structure is an array slot and the
+   reads-from table is keyed by (key id, value) ints. Every table starts
+   empty or near-empty and grows with the history, so a checker costs
+   memory in proportion to its own transactions — Gryff runs one per key.
+   Ids are not stored per transaction; the finish-time conflict scan looks
+   each key up again, into an int array indexed by id.
+
    Precondition (shared with every reads-from derivation in this repo):
    written values are unique per key. Uniqueness is what makes an eager
    legality verdict definitive — once some other version sits between a read
@@ -40,7 +48,7 @@ module Ivec = struct
 
   let ensure v =
     if v.len = Array.length v.a then begin
-      let a = Array.make (if v.len = 0 then 8 else v.len * 2) 0 in
+      let a = Array.make (if v.len = 0 then 4 else v.len * 2) 0 in
       Array.blit v.a 0 a 0 v.len;
       v.a <- a
     end
@@ -54,7 +62,86 @@ module Ivec = struct
     v.a.(p) <- x;
     v.len <- v.len + 1;
     shifted
+
+  let push v x = ignore (insert v v.len x)
+
+  let clear v = v.len <- 0
 end
+
+module Stbl = Hashtbl.Make (struct
+  type t = string
+
+  let equal = String.equal
+  let hash = Hashtbl.hash
+end)
+
+module Itbl = Hashtbl.Make (Int)
+
+(* (key id, value) -> the arrival index that wrote it. Open addressing with
+   linear probing over one flat int array: slot [s] holds key id, value and
+   writer at [3s], [3s + 1], [3s + 2], key id -1 marking an empty slot. The
+   load factor stays at most 3/4; lookups allocate nothing and answer -1
+   when absent. *)
+module Rf = struct
+  type t = { mutable a : int array; mutable count : int }
+
+  let create () = { a = [||]; count = 0 }
+
+  let hash k v =
+    let h = (k * 0x9e3779b97f4a7c1) lxor v in
+    let h = h * 0xbf58476d1ce4e5b in
+    h lxor (h lsr 31)
+
+  (* Base index of [(k, v)]'s slot, or of the empty slot ending its probe. *)
+  let rec probe a mask k v s =
+    let b = 3 * s in
+    let k' = Array.unsafe_get a b in
+    if k' < 0 || (k' = k && Array.unsafe_get a (b + 1) = v) then b
+    else probe a mask k v ((s + 1) land mask)
+
+  let slot a k v =
+    let mask = (Array.length a / 3) - 1 in
+    probe a mask k v (hash k v land mask)
+
+  let find t k v =
+    if Array.length t.a = 0 then -1
+    else
+      let b = slot t.a k v in
+      if Array.unsafe_get t.a b < 0 then -1 else Array.unsafe_get t.a (b + 2)
+
+  let grow t =
+    let old = t.a in
+    let cap = if Array.length old = 0 then 8 else 2 * (Array.length old / 3) in
+    let a = Array.make (3 * cap) (-1) in
+    for s = 0 to (Array.length old / 3) - 1 do
+      let b = 3 * s in
+      if old.(b) >= 0 then Array.blit old b a (slot a old.(b) old.(b + 1)) 3
+    done;
+    t.a <- a
+
+  let replace t k v w =
+    if 4 * (t.count + 1) > 3 * (Array.length t.a / 3) then grow t;
+    let b = slot t.a k v in
+    if t.a.(b) < 0 then begin
+      t.a.(b) <- k;
+      t.a.(b + 1) <- v;
+      t.count <- t.count + 1
+    end;
+    t.a.(b + 2) <- w
+end
+
+(* Per-key state, indexed by key id. *)
+type key = {
+  name : W.key;
+  writers : Ivec.t;  (** arrival indices, sorted by claimed order *)
+  readers : Ivec.t;  (** complete readers' arrival indices, likewise *)
+}
+
+(* Per-process state. *)
+type proc = {
+  session : Ivec.t;  (** arrival indices sorted by (inv, arrival) *)
+  mutable last_inv : int;  (** latest invocation in arrival order *)
+}
 
 type state =
   | Checking
@@ -70,16 +157,19 @@ type t = {
   mutable n : int;
   (* Arrival indices sorted by the claimed order key (ts, rank, inv, arr). *)
   ord : Ivec.t;
-  (* Per-key writer / reader indices, each sorted by the order key. *)
-  kw : (W.key, Ivec.t) Hashtbl.t;
-  kr : (W.key, Ivec.t) Hashtbl.t;
-  (* (key, value) -> the arrival index that wrote it (values unique/key). *)
-  writer_of : (W.key * W.value, int) Hashtbl.t;
-  (* Reads whose writer had not arrived yet: (reader, key, value), settled
-     at [result] once every record is in. *)
-  mutable deferred : (int * W.key * W.value) list;
-  (* Per-process transactions sorted by (inv, arrival). *)
-  pr : (int, Ivec.t) Hashtbl.t;
+  (* Key name -> dense id; [keys] holds ids [0, n_keys). *)
+  ids : int Stbl.t;
+  mutable keys : key array;
+  mutable n_keys : int;
+  (* The key ids of the transaction being added: its reads', then its
+     writes'. *)
+  cur : Ivec.t;
+  (* (key id, value) -> writer (values unique per key). *)
+  rf : Rf.t;
+  (* Reads whose writer had not arrived yet: (reader, key id, value),
+     settled at [result] once every record is in. *)
+  mutable deferred : (int * int * W.value) list;
+  procs : proc Itbl.t;
   (* Append fast-path real-time watermarks. *)
   mutable max_inv_all : int;
   mutable max_inv_mut : int;
@@ -88,7 +178,6 @@ type t = {
      suffix fallback can no longer soundly confirm, only stay Unknown. *)
   mutable arrival_monotone : bool;
   mutable last_resp : int;
-  last_inv_by_proc : (int, int) Hashtbl.t;
   mutable state : state;
   mutable pending : W.txn list;  (** reversed; buffered after overflow *)
   mutable n_pending : int;
@@ -99,6 +188,9 @@ type t = {
 let dummy_txn =
   { W.proc = 0; reads = []; writes = []; inv = 0; resp = 0; ts = 0; rank = 0 }
 
+(* Fills unused [keys] slots; never mutated. *)
+let dummy_key = { name = ""; writers = Ivec.create (); readers = Ivec.create () }
+
 let create ?(work_budget = max_int) ?(fallback_states = 500_000) ~mode () =
   {
     mode;
@@ -107,16 +199,17 @@ let create ?(work_budget = max_int) ?(fallback_states = 500_000) ~mode () =
     txns = [||];
     n = 0;
     ord = Ivec.create ();
-    kw = Hashtbl.create 256;
-    kr = Hashtbl.create 256;
-    writer_of = Hashtbl.create 1024;
+    ids = Stbl.create 1;
+    keys = [||];
+    n_keys = 0;
+    cur = Ivec.create ();
+    rf = Rf.create ();
     deferred = [];
-    pr = Hashtbl.create 64;
+    procs = Itbl.create 1;
     max_inv_all = min_int;
     max_inv_mut = min_int;
     arrival_monotone = true;
     last_resp = min_int;
-    last_inv_by_proc = Hashtbl.create 64;
     state = Checking;
     pending = [];
     n_pending = 0;
@@ -135,11 +228,11 @@ let max_displacement t = t.max_displacement
    order {!Witness.order} sorts by. Plain int comparisons: this runs a few
    dozen times per transaction. *)
 let cmp t i j =
-  let a = t.txns.(i) and b = t.txns.(j) in
-  if a.W.ts <> b.W.ts then Stdlib.compare a.W.ts b.W.ts
-  else if a.W.rank <> b.W.rank then Stdlib.compare a.W.rank b.W.rank
-  else if a.W.inv <> b.W.inv then Stdlib.compare a.W.inv b.W.inv
-  else Stdlib.compare i j
+  let a = Array.unsafe_get t.txns i and b = Array.unsafe_get t.txns j in
+  if a.W.ts <> b.W.ts then Int.compare a.W.ts b.W.ts
+  else if a.W.rank <> b.W.rank then Int.compare a.W.rank b.W.rank
+  else if a.W.inv <> b.W.inv then Int.compare a.W.inv b.W.inv
+  else Int.compare i j
 
 (* First position in [v] whose element does not precede arrival index [i]
    in claimed order — [i]'s insertion point. *)
@@ -151,13 +244,34 @@ let insertion_point t v i =
   done;
   !lo
 
-let vec_of tbl key =
-  match Hashtbl.find_opt tbl key with
-  | Some v -> v
-  | None ->
-    let v = Ivec.create () in
-    Hashtbl.add tbl key v;
-    v
+let intern t name =
+  match Stbl.find t.ids name with
+  | k -> k
+  | exception Not_found ->
+    let k = t.n_keys in
+    if k = Array.length t.keys then begin
+      let a = Array.make (if k = 0 then 1 else 2 * k) dummy_key in
+      Array.blit t.keys 0 a 0 k;
+      t.keys <- a
+    end;
+    t.keys.(k) <- { name; writers = Ivec.create (); readers = Ivec.create () };
+    t.n_keys <- k + 1;
+    Stbl.add t.ids name k;
+    k
+
+let rec intern_keys t = function
+  | [] -> ()
+  | (key, _) :: rest ->
+    Ivec.push t.cur (intern t key);
+    intern_keys t rest
+
+let proc_of t p =
+  match Itbl.find t.procs p with
+  | s -> s
+  | exception Not_found ->
+    let s = { session = Ivec.create (); last_inv = min_int } in
+    Itbl.add t.procs p s;
+    s
 
 let pp_value ppf = function
   | None -> Fmt.pf ppf "nil"
@@ -169,12 +283,19 @@ let is_complete (x : W.txn) = x.W.resp <> max_int
 
 let is_mutator (x : W.txn) = x.W.writes <> []
 
-(* The value arrival index [w] wrote to [key]. *)
-let written_value t w key = List.assoc key t.txns.(w).W.writes
+let rec assoc_key name = function
+  | [] -> raise Not_found
+  | (k, v) :: rest -> if String.equal k name then v else assoc_key name rest
+
+(* The value arrival index [w] wrote to key id [k]. *)
+let written_value t w k = assoc_key t.keys.(k).name t.txns.(w).W.writes
+
+(* The value arrival index [r] read from key id [k]. *)
+let read_value t r k = assoc_key t.keys.(k).name t.txns.(r).W.reads
 
 let store_txn t i x =
   if t.n = Array.length t.txns then begin
-    let a = Array.make (if t.n = 0 then 64 else t.n * 2) dummy_txn in
+    let a = Array.make (if t.n = 0 then 4 else t.n * 2) dummy_txn in
     Array.blit t.txns 0 a 0 t.n;
     t.txns <- a
   end;
@@ -185,128 +306,111 @@ let add_work t d =
   t.work <- t.work + d;
   if d > t.max_displacement then t.max_displacement <- d
 
-(* Validate the reads of the (complete) new transaction [i]. A read is
+(* Validate one read of the (complete) new transaction [i]. A read is
    settled eagerly when its verdict cannot change — satisfied when it sees
    the latest preceding write, failed when its value's (unique) writer is
    already placed incompatibly — and deferred when the writer simply has
    not arrived yet. *)
-(* Incomplete txns (resp = max_int) never responded: their reads constrain
-   nothing, mirroring Witness.check_legal. *)
-let check_reads t i =
-  if is_complete t.txns.(i) then
-  List.iter
-    (fun (key, v) ->
-      match t.state with
-      | Failed _ | Overflowed -> ()
-      | Checking -> (
-        let writers = vec_of t.kw key in
-        let p = insertion_point t writers i in
-        let latest = if p = 0 then None else Some (Ivec.get writers (p - 1)) in
-        match v with
-        | None ->
-          (* A nil read with any preceding writer can never become legal. *)
-          (match latest with
-          | None -> ()
-          | Some w ->
-            fail t
-              (Fmt.str "legality: txn %d read %s=nil but txn %d wrote %s=%d \
-                        before it"
-                 i key w key (written_value t w key)))
-        | Some v -> (
-          match Hashtbl.find_opt t.writer_of (key, v) with
-          | Some w when latest = Some w -> ()
-          | Some w ->
-            (* Present but not the latest predecessor: either another version
-               interposes or the writer is ordered after the reader; no
-               future insert can undo either. *)
-            fail t
-              (Fmt.str
-                 "legality: txn %d read %s=%d from txn %d, but the order \
-                  implies %a"
-                 i key v w pp_value
-                 (match latest with
-                 | None -> None
-                 | Some l -> Some (written_value t l key)))
-          | None ->
-            (* Writer not recorded yet (slow ack, unacknowledged commit swept
-               in at the end): settle at finish. *)
-            t.deferred <- (i, key, v) :: t.deferred)))
-    t.txns.(i).W.reads
+let check_read t i k key v =
+  let writers = t.keys.(k).writers in
+  let p = insertion_point t writers i in
+  let latest = if p = 0 then -1 else Ivec.get writers (p - 1) in
+  match v with
+  | None ->
+    (* A nil read with any preceding writer can never become legal. *)
+    if latest >= 0 then
+      fail t
+        (Fmt.str "legality: txn %d read %s=nil but txn %d wrote %s=%d before it"
+           i key latest key (written_value t latest k))
+  | Some v ->
+    let w = Rf.find t.rf k v in
+    if w < 0 then
+      (* Writer not recorded yet (slow ack, unacknowledged commit swept in
+         at the end): settle at finish. *)
+      t.deferred <- (i, k, v) :: t.deferred
+    else if w <> latest then
+      (* Present but not the latest predecessor: either another version
+         interposes or the writer is ordered after the reader; no future
+         insert can undo either. *)
+      fail t
+        (Fmt.str
+           "legality: txn %d read %s=%d from txn %d, but the order implies %a"
+           i key v w pp_value
+           (if latest < 0 then None else Some (written_value t latest k)))
 
-(* Insert the new transaction's writes. Readers strictly between the new
-   version and the key's next writer were previously validated against an
-   older version; with uniqueness, any of them that did not observe this
-   value is now definitively illegal unless its own writer is still
-   missing (then it stays deferred). *)
-let insert_writes t i =
-  List.iter
-    (fun (key, v) ->
-      let writers = vec_of t.kw key in
-      let p = insertion_point t writers i in
-      (match t.state with
-      | Failed _ | Overflowed -> ()
-      | Checking ->
-        let readers = vec_of t.kr key in
-        let q0 = insertion_point t readers i in
-        let next_writer =
-          if p < Ivec.length writers then Some (Ivec.get writers p) else None
-        in
-        let q = ref q0 in
-        let continue = ref true in
-        while !continue && !q < Ivec.length readers do
-          let r = Ivec.get readers !q in
-          (match next_writer with
-          | Some w when cmp t r w > 0 -> continue := false
-          | _ ->
-            (* [r = i]: a txn's own reads precede its writes (Witness replay
-               order) and were already validated against the pre-state. *)
-            (if r <> i && is_complete t.txns.(r) then
-               match List.assoc key t.txns.(r).W.reads with
-               | Some u when u = v -> ()
-               | None ->
-                 fail t
-                   (Fmt.str
-                      "legality: txn %d read %s=nil but txn %d (ts=%d) wrote \
-                       %s=%d before it"
-                      r key i t.txns.(i).W.ts key v)
-               | Some u ->
-                 if Hashtbl.mem t.writer_of (key, u) then
-                   fail t
-                     (Fmt.str
-                        "legality: txn %d read %s=%d but txn %d (ts=%d) \
-                         interposes %s=%d"
-                        r key u i t.txns.(i).W.ts key v));
-            incr q)
-        done);
-      Hashtbl.replace t.writer_of (key, v) i;
-      add_work t (Ivec.insert writers p i))
-    t.txns.(i).W.writes
+(* File each read of the new (complete) transaction [i], key ids from
+   [cur.(j)] on, under its key, validating it first. *)
+let rec add_reads t i j = function
+  | [] -> ()
+  | (key, v) :: rest ->
+    let k = Ivec.get t.cur j in
+    (match t.state with
+    | Checking -> check_read t i k key v
+    | Failed _ | Overflowed -> ());
+    let readers = t.keys.(k).readers in
+    add_work t (Ivec.insert readers (insertion_point t readers i) i);
+    add_reads t i (j + 1) rest
 
-let insert_reads t i =
-  (* Incomplete transactions never responded: their reads constrain nothing
-     and are never re-validated (mirrors Witness.check_legal). *)
-  if is_complete t.txns.(i) then
-    List.iter
-      (fun (key, _) ->
-        let readers = vec_of t.kr key in
-        let p = insertion_point t readers i in
-        add_work t (Ivec.insert readers p i))
-      t.txns.(i).W.reads
+(* Insert one write of the new transaction [i]. Readers strictly between the
+   new version and the key's next writer were previously validated against
+   an older version; with uniqueness, any of them that did not observe this
+   value is now definitively illegal unless its own writer is still missing
+   (then it stays deferred). *)
+let insert_write t i k key v =
+  let { writers; readers; _ } = t.keys.(k) in
+  let p = insertion_point t writers i in
+  (match t.state with
+  | Failed _ | Overflowed -> ()
+  | Checking ->
+    let next_writer = if p < Ivec.length writers then Ivec.get writers p else -1 in
+    let q = ref (insertion_point t readers i) in
+    while
+      !q < Ivec.length readers
+      && (next_writer < 0 || cmp t (Ivec.get readers !q) next_writer <= 0)
+    do
+      let r = Ivec.get readers !q in
+      (* [r = i]: a txn's own reads precede its writes (Witness replay
+         order) and were already validated against the pre-state. *)
+      (if r <> i && is_complete t.txns.(r) then
+         match read_value t r k with
+         | Some u when u = v -> ()
+         | None ->
+           fail t
+             (Fmt.str
+                "legality: txn %d read %s=nil but txn %d (ts=%d) wrote %s=%d \
+                 before it"
+                r key i t.txns.(i).W.ts key v)
+         | Some u ->
+           if Rf.find t.rf k u >= 0 then
+             fail t
+               (Fmt.str
+                  "legality: txn %d read %s=%d but txn %d (ts=%d) interposes \
+                   %s=%d"
+                  r key u i t.txns.(i).W.ts key v));
+      incr q
+    done);
+  Rf.replace t.rf k v i;
+  add_work t (Ivec.insert writers p i)
+
+let rec add_writes t i j = function
+  | [] -> ()
+  | (key, v) :: rest ->
+    insert_write t i (Ivec.get t.cur j) key v;
+    add_writes t i (j + 1) rest
 
 (* Session order: along each process's invocation order, claimed-order
    positions must increase. Checking both neighbours at the insertion point
    maintains the invariant inductively. *)
-let check_sessions t i =
+let check_sessions t i session =
   let x = t.txns.(i) in
-  let procs = vec_of t.pr x.W.proc in
   (* insertion point by (inv, arrival) *)
-  let lo = ref 0 and hi = ref (Ivec.length procs) in
+  let lo = ref 0 and hi = ref (Ivec.length session) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    let j = Ivec.get procs mid in
+    let j = Ivec.get session mid in
     let c =
-      if t.txns.(j).W.inv <> x.W.inv then Stdlib.compare t.txns.(j).W.inv x.W.inv
-      else Stdlib.compare j i
+      if t.txns.(j).W.inv <> x.W.inv then Int.compare t.txns.(j).W.inv x.W.inv
+      else Int.compare j i
     in
     if c < 0 then lo := mid + 1 else hi := mid
   done;
@@ -314,15 +418,15 @@ let check_sessions t i =
   (match t.state with
   | Failed _ | Overflowed -> ()
   | Checking ->
-    if p > 0 && cmp t (Ivec.get procs (p - 1)) i > 0 then
+    if p > 0 && cmp t (Ivec.get session (p - 1)) i > 0 then
       fail t
         (Fmt.str "session order: process %d's txns %d and %d inverted" x.W.proc
-           (Ivec.get procs (p - 1)) i)
-    else if p < Ivec.length procs && cmp t i (Ivec.get procs p) > 0 then
+           (Ivec.get session (p - 1)) i)
+    else if p < Ivec.length session && cmp t i (Ivec.get session p) > 0 then
       fail t
         (Fmt.str "session order: process %d's txns %d and %d inverted" x.W.proc
-           i (Ivec.get procs p)));
-  add_work t (Ivec.insert procs p i)
+           i (Ivec.get session p)));
+  add_work t (Ivec.insert session p i)
 
 let add t (x : W.txn) =
   match t.state with
@@ -333,14 +437,18 @@ let add t (x : W.txn) =
   | Checking ->
     let i = t.n in
     store_txn t i x;
+    Ivec.clear t.cur;
+    intern_keys t x.W.reads;
+    let n_reads = Ivec.length t.cur in
+    intern_keys t x.W.writes;
     (* Arrival-order sanity for the suffix fallback. *)
     if is_complete x then begin
       if x.W.resp < t.last_resp then t.arrival_monotone <- false;
       if x.W.resp > t.last_resp then t.last_resp <- x.W.resp
     end;
-    (match Hashtbl.find_opt t.last_inv_by_proc x.W.proc with
-    | Some last when x.W.inv < last -> t.arrival_monotone <- false
-    | _ -> Hashtbl.replace t.last_inv_by_proc x.W.proc x.W.inv);
+    let proc = proc_of t x.W.proc in
+    if x.W.inv < proc.last_inv then t.arrival_monotone <- false
+    else proc.last_inv <- x.W.inv;
     (* Global claimed order. *)
     let p = insertion_point t t.ord i in
     let appended = p = Ivec.length t.ord in
@@ -369,10 +477,12 @@ let add t (x : W.txn) =
     end;
     if x.W.inv > t.max_inv_all then t.max_inv_all <- x.W.inv;
     if is_mutator x && x.W.inv > t.max_inv_mut then t.max_inv_mut <- x.W.inv;
-    check_reads t i;
-    insert_reads t i;
-    insert_writes t i;
-    check_sessions t i;
+    (* Incomplete txns (resp = max_int) never responded: their reads
+       constrain nothing and are never re-validated (mirrors
+       Witness.check_legal). *)
+    if is_complete x then add_reads t i 0 x.W.reads;
+    add_writes t i n_reads x.W.writes;
+    check_sessions t i proc.session;
     (match t.state with
     | Checking when t.work > t.work_budget -> t.state <- Overflowed
     | _ -> ())
@@ -387,13 +497,13 @@ let add t (x : W.txn) =
 let settle_deferred t =
   let rec go = function
     | [] -> `Ok
-    | (r, key, v) :: rest -> (
-      match Hashtbl.find_opt t.writer_of (key, v) with
-      | None ->
+    | (r, k, v) :: rest ->
+      let { name = key; writers; _ } = t.keys.(k) in
+      let w = Rf.find t.rf k v in
+      if w < 0 then
         `Missing
           (Fmt.str "legality: txn %d read %s=%d but no txn wrote it" r key v)
-      | Some w ->
-        let writers = vec_of t.kw key in
+      else
         let p = insertion_point t writers r in
         if p > 0 && Ivec.get writers (p - 1) = w then go rest
         else
@@ -403,7 +513,7 @@ let settle_deferred t =
                 implies %a"
                r key v w pp_value
                (if p = 0 then None
-                else Some (written_value t (Ivec.get writers (p - 1)) key))))
+                else Some (written_value t (Ivec.get writers (p - 1)) k)))
   in
   go t.deferred
 
@@ -428,35 +538,42 @@ let scan_rt_mutators t =
   done;
   !r
 
+(* [max_reader_inv.(k)] is the latest invocation among key [k]'s readers
+   serialized so far, [min_int] when none. Every stored transaction's reads
+   count, incomplete ones included, as in the offline scan. *)
 let scan_rt_conflicts t =
-  let max_reader_inv : (W.key, int) Hashtbl.t = Hashtbl.create 1024 in
-  let i = ref 0 in
-  let r = ref (Ok ()) in
-  while !r = Ok () && !i < Ivec.length t.ord do
-    let id = Ivec.get t.ord !i in
-    let x = t.txns.(id) in
-    List.iter
-      (fun (k, _) ->
-        match Hashtbl.find_opt max_reader_inv k with
-        | Some m when x.W.resp < m ->
-          if !r = Ok () then
-            r :=
-              Error
-                (Fmt.str
-                   "real-time: writer %d of %s (resp=%d) serialized after a \
-                    reader invoked at %d"
-                   id k x.W.resp m)
-        | Some _ | None -> ())
-      x.W.writes;
-    List.iter
-      (fun (k, _) ->
-        match Hashtbl.find_opt max_reader_inv k with
-        | Some m when m >= x.W.inv -> ()
-        | Some _ | None -> Hashtbl.replace max_reader_inv k x.W.inv)
-      x.W.reads;
-    incr i
-  done;
-  !r
+  let max_reader_inv = Array.make t.n_keys min_int in
+  let rec check_writes id resp = function
+    | [] -> Ok ()
+    | (key, _) :: rest ->
+      let m = max_reader_inv.(Stbl.find t.ids key) in
+      if resp < m then
+        Error
+          (Fmt.str
+             "real-time: writer %d of %s (resp=%d) serialized after a reader \
+              invoked at %d"
+             id key resp m)
+      else check_writes id resp rest
+  in
+  let rec note_reads inv = function
+    | [] -> ()
+    | (key, _) :: rest ->
+      let k = Stbl.find t.ids key in
+      if max_reader_inv.(k) < inv then max_reader_inv.(k) <- inv;
+      note_reads inv rest
+  in
+  let rec go p =
+    if p = Ivec.length t.ord then Ok ()
+    else
+      let id = Ivec.get t.ord p in
+      let x = t.txns.(id) in
+      match check_writes id x.W.resp x.W.writes with
+      | Error _ as e -> e
+      | Ok () ->
+        note_reads x.W.inv x.W.reads;
+        go (p + 1)
+  in
+  go 0
 
 let scan_rt_all t =
   let max_inv = ref min_int in
@@ -497,14 +614,19 @@ let finish_scans t =
    serializations interleaving suffix transactions amid the prefix were
    never explored. *)
 
+(* The prefix's final store, in key-id (first-seen) order, so the
+   fallback's input is a function of the [add] sequence alone. *)
 let prefix_store t =
-  Hashtbl.fold
-    (fun key writers acc ->
-      if Ivec.length writers = 0 then acc
-      else
-        let last = Ivec.get writers (Ivec.length writers - 1) in
-        (key, written_value t last key) :: acc)
-    t.kw []
+  let rec go k acc =
+    if k < 0 then acc
+    else
+      let { name; writers; _ } = t.keys.(k) in
+      let n = Ivec.length writers in
+      go (k - 1)
+        (if n = 0 then acc
+         else (name, written_value t (Ivec.get writers (n - 1)) k) :: acc)
+  in
+  go (t.n_keys - 1) []
 
 let fallback_model : W.mode -> Check_txn.model = function
   | `Strict -> Check_txn.Strict_serializable
@@ -565,7 +687,9 @@ let check_suffix t =
         Unknown
           "suffix fallback: no serialization appending the suffix after the \
            prefix exists (interleavings unexplored)"
-      | Check_txn.Unknown -> Unknown "suffix fallback: search budget exhausted")
+      | Check_txn.Unknown -> Unknown "suffix fallback: search budget exhausted"
+      | exception Invalid_argument m ->
+        Unknown (Fmt.str "suffix fallback: search rejected the suffix (%s)" m))
   end
 
 let result t =
