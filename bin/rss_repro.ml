@@ -31,15 +31,11 @@ let tracer_for = function
 let check_arg =
   Arg.(
     value
-    & opt
-        (enum
-           [ ("offline", `Offline); ("online", `Online); ("none", `No_check) ])
-        `Offline
+    & opt (enum [ ("online", `Online); ("none", `No_check) ]) `Online
     & info [ "check" ] ~docv:"MODE"
         ~doc:
-          "History verification: $(b,offline) buffers the run and checks \
-           post-hoc, $(b,online) verifies incrementally as operations are \
-           recorded (near-linear; use for long runs), $(b,none) skips \
+          "History verification: $(b,online) (the default) verifies \
+           incrementally as operations are recorded, $(b,none) skips \
            verification. Never affects the simulated schedule.")
 
 let save_trace tracer = function
@@ -167,8 +163,8 @@ let spanner_cmd =
           ~doc:
             "Unsafe mutation control: skip the migration's fence, drain and \
              TrueTime barrier. Writes racing the snapshot are lost at the \
-             destination; run with $(b,--check) online or offline to watch \
-             the checker flag the stale reads.")
+             destination; the (default) online checker flags the stale \
+             reads.")
   in
   let export =
     Arg.(

@@ -142,9 +142,10 @@ let spanner_trace records =
 
 (* The stale-read controls corrupt the first completed read to the version
    its key held just before the one it saw — or, when none exists, to a
-   value no op wrote, illegal in any serialization — and re-check: the
-   audit's proof that the checker catches stale reads. [writes] lists
-   (key, (order, value)) for every write; [compare] orders versions. *)
+   value no op wrote, illegal in any serialization — and re-check with the
+   caller's [check]: the audit's proof that the checker catches stale
+   reads. [writes] lists (key, (order, value)) for every write; [compare]
+   orders versions. *)
 let stale_read_control ~writes ~compare ~eligible ~corrupt ~check records =
   let by_key = Hashtbl.create 256 in
   List.iter
@@ -177,7 +178,8 @@ let stale_read_control ~writes ~compare ~eligible ~corrupt ~check records =
   in
   first 0
 
-let spanner_stale_control ~mode records =
+(* Renamed [judge]: the open below would shadow [check]. *)
+let spanner_stale_control ~check:judge records =
   let open Rss_core.Witness in
   stale_read_control
     ~writes:
@@ -190,7 +192,7 @@ let spanner_stale_control ~mode records =
       match w.reads with
       | (k, ov) :: rest -> { w with reads = (k, Some (stale k ov)) :: rest }
       | [] -> w)
-    ~check:(check ~mode) records
+    ~check:judge records
 
 (* ------------------------------------------------------------------ *)
 (* Trace serialization and stale-read controls: Gryff                 *)
@@ -215,7 +217,7 @@ let gryff_trace records =
     records;
   Buffer.contents buf
 
-let gryff_stale_control ~mode history =
+let gryff_stale_control ~check history =
   let open Gryff.Cluster in
   stale_read_control
     ~writes:
@@ -226,5 +228,4 @@ let gryff_stale_control ~mode history =
     ~eligible:(fun r -> r.g_kind = Read && r.g_resp <> max_int)
     ~corrupt:(fun stale r ->
       { r with g_observed = Some (stale r.g_key r.g_observed) })
-    ~check:(fun rs -> check_records ~mode (Array.to_list rs))
-    history
+    ~check history

@@ -88,15 +88,14 @@ val gryff_trace : Gryff.Cluster.record array -> string
 (** Canonical serialization of a Gryff history, one line per operation. *)
 
 val spanner_stale_control :
-  mode:Rss_core.Witness.mode -> Rss_core.Witness.txn array ->
-  (unit, string) result option
+  check:(Rss_core.Witness.txn array -> 'v) -> Rss_core.Witness.txn array ->
+  'v option
 (** Corrupt one completed read in the history to an older version (or a
-    value nobody wrote) and re-check. [None] if no eligible read exists;
-    otherwise the result should be [Error _] — the audit's proof that the
-    checker has teeth. *)
+    value nobody wrote) and re-judge the corrupted copy with [check].
+    [None] if no eligible read exists; otherwise [check]'s verdict, which
+    should be a failure — the audit's proof that the checker has teeth. *)
 
 val gryff_stale_control :
-  mode:Gryff.Config.mode -> Gryff.Cluster.record array ->
-  (unit, string) result option
-(** The same control for a Gryff history, checked per key against
-    [mode]'s model. *)
+  check:(Gryff.Cluster.record array -> 'v) -> Gryff.Cluster.record array ->
+  'v option
+(** The same control for a Gryff history. *)

@@ -65,11 +65,14 @@ let validate i =
 let describe i =
   let tie, jitter = Perturb.to_string i.perturb in
   Fmt.str
-    "%s/%s seed=%d nseed=%d dur=%dms slots=%d keys=%d%s%s%s%s%s tie=%s \
+    "%s/%s seed=%d nseed=%d dur=%dms slots=%d keys=%d%s%s%s%s%s%s tie=%s \
      jitter=%s"
     (Chaos.Audit.protocol_name i.protocol)
     (Chaos.Nemesis.preset_name i.preset)
     i.seed i.nemesis_seed i.duration_ms i.n_slots i.n_keys
+    (let b = base i.protocol in
+     if i.timeout_ms <> b.timeout_ms then Fmt.str " timeout=%dms" i.timeout_ms
+     else "")
     (if i.batch_us > 0 then Fmt.str " batch=%dus/%d" i.batch_us i.batch_max
      else "")
     (if i.disk_rate_pct > 0 then Fmt.str " disk=%d%%" i.disk_rate_pct else "")
@@ -96,11 +99,8 @@ let equal a b =
 
 type outcome = {
   verdict : Rss_core.Check_online.verdict;
-  offline_check : Harness.Run.verdict;
   signature : string;
   trace_digest : string;
-  checker_work : int;
-  checker_displacement : int;
   run : Harness.Run.t;
 }
 
@@ -110,35 +110,6 @@ let verdict_string = function
   | Rss_core.Check_online.Unknown m -> "unknown: " ^ m
 
 let is_fail = function Rss_core.Check_online.Fail _ -> true | _ -> false
-
-(* ------------------------------------------------------------------ *)
-(* Oracle: re-judge the audit's collected history with Check_online     *)
-(* ------------------------------------------------------------------ *)
-
-let witness_mode = function
-  | Chaos.Audit.Spanner_strict | Chaos.Audit.Gryff_lin -> `Strict
-  | Chaos.Audit.Spanner_rss | Chaos.Audit.Gryff_rsc -> `Rss
-
-let make_checker ~mode ~check_budget () =
-  if check_budget > 0 then
-    Rss_core.Check_online.create ~work_budget:check_budget
-      ~fallback_states:check_budget ~mode ()
-  else Rss_core.Check_online.create ~mode ()
-
-let judge ~protocol ~check_budget records =
-  let checker = make_checker ~mode:(witness_mode protocol) ~check_budget in
-  match records with
-  | Harness.Run.Spanner_txns arr ->
-    let oc = checker () in
-    Array.iter (Rss_core.Check_online.add oc) arr;
-    ( Rss_core.Check_online.result oc,
-      Rss_core.Check_online.work oc,
-      Rss_core.Check_online.max_displacement oc )
-  | Harness.Run.Gryff_ops arr ->
-    let j = Harness.Gryff_check.create checker in
-    Array.iter (Harness.Gryff_check.add j) arr;
-    let _, work, disp = Harness.Gryff_check.stats j in
-    (Harness.Gryff_check.result j, work, disp)
 
 (* ------------------------------------------------------------------ *)
 (* Coverage signature                                                  *)
@@ -158,7 +129,7 @@ let bucket v =
     !b
   end
 
-let signature_of_run ~displacement r =
+let signature_of_run r =
   let b name = bucket (Harness.Run.counter r name) in
   let b2 x y = bucket (Harness.Run.counter r x + Harness.Run.counter r y) in
   Fmt.str "v%d c%d p%d l%d d%d y%d q%d m%d r%d t%d u%d s%d w%d"
@@ -169,12 +140,10 @@ let signature_of_run ~displacement r =
     (b2 "place.migrations" "place.migration_retries")
     (b "place.redirects") (b "op.timed_out") (b "op.unacked_commits_swept")
     (b2 "durable.fault.crashes" "durable.scrub.flagged")
-    (bucket displacement)
+    (b "check.max_displacement")
 
-let assess ~protocol ~preset ~check_budget run =
-  let verdict, work, displacement =
-    judge ~protocol ~check_budget run.Harness.Run.records
-  in
+let assess ~protocol ~preset run =
+  let verdict = run.Harness.Run.check in
   let signature =
     (* Protocol and preset belong in the dedup key — the same counter
        buckets under a different fault mix are a different behaviour. *)
@@ -187,16 +156,13 @@ let assess ~protocol ~preset ~check_budget run =
     Fmt.str "%s|%s|%s|%s"
       (Chaos.Audit.protocol_name protocol)
       (Chaos.Nemesis.preset_name preset)
-      (signature_of_run ~displacement run)
+      (signature_of_run run)
       v
   in
   {
     verdict;
-    offline_check = run.Harness.Run.check;
     signature;
     trace_digest = Digest.to_hex (Digest.string (Harness.audit_trace run));
-    checker_work = work;
-    checker_displacement = displacement;
     run;
   }
 
@@ -251,6 +217,7 @@ let run i =
                adaptive = false;
              }
          else None);
+      check = (if i.check_budget > 0 then `Budget i.check_budget else `Online);
     }
   in
   let run =
@@ -261,4 +228,4 @@ let run i =
       ~write_ratio:(float_of_int i.write_pct /. 100.0)
       ~unsafe_no_deps:i.unsafe i.protocol ~duration_s ~seed:i.seed ()
   in
-  assess ~protocol:i.protocol ~preset:i.preset ~check_budget:i.check_budget run
+  assess ~protocol:i.protocol ~preset:i.preset run

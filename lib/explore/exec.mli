@@ -5,11 +5,11 @@
     fault rate, online-checker budget), the seeded-bug control toggle and
     the {!Perturb} vectors — as plain integers/strings so it serializes
     to a corpus line set and shrinks by simple arithmetic. {!run} drives
-    the trial through [Harness.audit], installs the perturbation via the
-    audit's [prepare] hook, re-judges the collected history with
-    {!Rss_core.Check_online} (the oracle verdict), and condenses the
-    run's behaviour into a coverage signature. Same input, same
-    binary → byte-identical outcome. *)
+    the trial through [Harness.audit] with the checker budget in
+    [Env.check], installs the perturbation via the audit's [prepare]
+    hook, takes the run's online verdict, and condenses the run's
+    behaviour into a coverage signature. Same input, same binary →
+    byte-identical outcome. *)
 
 type input = {
   protocol : Chaos.Audit.protocol;
@@ -26,9 +26,10 @@ type input = {
   batch_max : int;  (** batching size cap; meaningful when [batch_us > 0] *)
   disk_rate_pct : int;  (** disk-fault probability scale, percent; 0 = off *)
   check_budget : int;
-      (** {!Rss_core.Check_online} work budget; 0 = unlimited. Small
-          budgets force [Unknown] verdicts — the corpus round-trip for
-          the checker's degraded path. *)
+      (** online-checker work budget, run as [Env.check]: 0 means
+          [`Online] (unlimited), [n > 0] means [`Budget n]. Small budgets
+          force [Unknown] verdicts — the corpus round-trip for the
+          checker's degraded path. *)
   unsafe : bool;  (** seeded-bug control: Gryff client with the RSC
                       dependency fence disabled *)
   perturb : Perturb.t;
@@ -44,21 +45,18 @@ val validate : input -> (unit, string) result
     range, batching sanity) — corpus files pass through this on load. *)
 
 val describe : input -> string
-(** One-line human summary: protocol, preset, seeds, size knobs. *)
+(** One-line human summary: protocol, preset, seeds, size knobs; the
+    timeout only when it differs from {!base}'s. *)
 
 val equal : input -> input -> bool
 
 type outcome = {
-  verdict : Rss_core.Check_online.verdict;
-      (** the oracle: the history re-judged by the online checker *)
-  offline_check : Harness.Run.verdict;
-      (** the audit's own offline verdict, kept as a cross-check *)
+  verdict : Rss_core.Check_online.verdict;  (** the run's online verdict *)
   signature : string;
-      (** coverage signature — bucketized behaviour counters; two runs
-          with the same signature explored the same region *)
+      (** coverage signature — bucketized behaviour counters, the
+          checker's maximum displacement included; two runs with the same
+          signature explored the same region *)
   trace_digest : string;  (** MD5 of the canonical history serialization *)
-  checker_work : int;
-  checker_displacement : int;  (** feeds the signature *)
   run : Harness.Run.t;  (** full counters for reporting *)
 }
 
@@ -67,10 +65,10 @@ val run : input -> outcome
 
 val assess :
   protocol:Chaos.Audit.protocol -> preset:Chaos.Nemesis.preset ->
-  check_budget:int -> Harness.Run.t -> outcome
-(** Judge a finished audit run as {!run} does: re-check its history with
-    {!Rss_core.Check_online} under [check_budget] (0 = unlimited) and
-    compute its coverage signature and trace digest. *)
+  Harness.Run.t -> outcome
+(** Condense a finished audit run as {!run} does: take its verdict and
+    the checker's [check.max_displacement] counter, and compute its
+    coverage signature and trace digest. *)
 
 val verdict_string : Rss_core.Check_online.verdict -> string
 (** Canonical wire form ["pass"], ["fail: m"], ["unknown: m"] — what

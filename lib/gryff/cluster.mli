@@ -100,23 +100,6 @@ val set_site_slowdown : t -> site:int -> factor:int -> unit
 
 val clear_slowdowns : t -> unit
 
-val set_admission : t -> Sim.Station.limits option -> unit
-(** Bounded queues + load shedding at every replica; shed request legs
-    NACK with a server-suggested backoff (see {!Protocol.set_admission}). *)
-
-val set_drop_expired : t -> bool -> unit
-(** Deadline propagation: replicas drop request legs whose riding deadline
-    precedes their projected service start. *)
-
-val set_read_fanout : t -> Protocol.read_fanout -> unit
-(** Read fan-out policy: [Fan_all] (default, historical), [Fan_quorum], or
-    [Hedged] (bare quorum, widened after {!set_hedge_us} µs). *)
-
-val set_hedge_us : t -> int -> unit
-
-val set_retry_budget : t -> Sim.Rpc.Budget.t option -> unit
-(** Fleet-wide retry token bucket for shed-leg re-offers. *)
-
 type flow_stats = {
   expired : int;  (** request legs dropped expired at dequeue *)
   shed : int;  (** request legs NACKed by admission control *)

@@ -144,8 +144,12 @@ val set_admission : ctx -> Sim.Station.limits option -> unit
     the quorum keeps forming from the others. *)
 
 val set_drop_expired : ctx -> bool -> unit
+(** Deadline propagation: replicas drop request legs whose riding deadline
+    precedes their projected service start. *)
 
 val set_read_fanout : ctx -> read_fanout -> unit
+(** Read fan-out policy: [Fan_all] (default, historical), [Fan_quorum], or
+    [Hedged] (bare quorum, widened after {!set_hedge_us} µs). *)
 
 val set_hedge_us : ctx -> int -> unit
 (** Delay before the {!Hedged} fan-out widens past the bare quorum. Raises

@@ -72,7 +72,7 @@ module Run = struct
     report_check header t.check
 end
 
-type check_mode = [ `Offline | `Online | `No_check ]
+type check_mode = [ `Online | `Budget of int | `No_check ]
 
 (* One live migration armed partway through a run: move [rs_lo, rs_hi) to
    [rs_dst] at fraction [rs_at] of the run. [rs_no_fence] skips the t_m
@@ -129,7 +129,7 @@ module Env = struct
       disk_faults = None;
       failover = false;
       trace = Obs.Trace.disabled;
-      check = `Offline;
+      check = `Online;
       reshard = [];
       batching = None;
       deadline_us = None;
@@ -140,7 +140,13 @@ module Env = struct
   let with_disk_faults d t = { t with disk_faults = Some d }
   let with_failover b t = { t with failover = b }
   let with_trace tr t = { t with trace = tr }
-  let with_check c t = { t with check = c }
+  let with_check c t =
+    (match c with
+    | `Budget n when n <= 0 ->
+      invalid_arg "Harness.Env.with_check: work budget must be positive"
+    | _ -> ());
+    { t with check = c }
+
   let with_reshard r t = { t with reshard = r }
   let with_batching p t = { t with batching = p }
 
@@ -299,23 +305,36 @@ let flow_metrics reg ~armed ~budget ~stations ~expired ~shed ~abandoned
 
 (* {2 Consistency checking}
 
-   [`Offline] buffers the whole history and verifies post-hoc. [`Online]
-   hooks the cluster's record stream into {!Rss_core.Check_online} so
-   verification overlaps the run and stays near-linear at million-op scale.
-   [`No_check] skips verification — for benchmarking raw simulator speed;
-   the verdict reports [Unknown]. *)
-
-let verdict_of_result = function Ok () -> Run.Pass | Error m -> Run.Fail m
+   Every checked run is judged online: the cluster's record hook feeds each
+   record (sweeps included) into {!Rss_core.Check_online} as it is
+   recorded, in the order [Run.records] lists them. [`Budget n] bounds the
+   checker's work so a pathological history settles [Unknown] instead of
+   running long; [`No_check] skips verification — for benchmarking raw
+   simulator speed; the verdict reports [Unknown]. *)
 
 (* An armed online checker: its verdict and its (added, work,
    max_displacement) totals. *)
 type online = { result : unit -> Run.verdict; stats : unit -> int * int * int }
 
-let spanner_witness_mode = function
-  | Spanner.Config.Strict -> `Strict
-  | Spanner.Config.Rss -> `Rss
+let checker ~budget ~mode () =
+  match budget with
+  | None -> Rss_core.Check_online.create ~mode ()
+  | Some n ->
+    Rss_core.Check_online.create ~work_budget:n ~fallback_states:n ~mode ()
 
-let gryff_witness_mode = function Gryff.Config.Lin -> `Strict | Gryff.Config.Rsc -> `Rss
+(* A Spanner history is judged whole against its mode's witness order. *)
+let spanner_judge ~budget mode =
+  let mode = match mode with Spanner.Config.Strict -> `Strict | Spanner.Config.Rss -> `Rss in
+  let oc = checker ~budget ~mode () in
+  ( Rss_core.Check_online.add oc,
+    {
+      result = (fun () -> Rss_core.Check_online.result oc);
+      stats =
+        (fun () ->
+          ( Rss_core.Check_online.n_added oc,
+            Rss_core.Check_online.work oc,
+            Rss_core.Check_online.max_displacement oc ));
+    } )
 
 (* A Gryff register record as a one-op witness transaction, carstamp as the
    claimed serialization order, reads ranked above writes at equal
@@ -345,56 +364,50 @@ let gryff_witness_txn (r : Gryff.Cluster.record) =
 
 (* Registers are per-key: carstamp order — hence the mode's real-time
    constraint — is only meaningful within a key, so each key gets its own
-   online checker, mirroring Gryff.Cluster.check_history's per-key split.
-   Keys settle in sorted order, so a combined [Fail] names the smallest
-   failing key whatever the table's layout. *)
-module Gryff_check = struct
-  type t = {
-    checker : unit -> Rss_core.Check_online.t;
-    keys : (int, Rss_core.Check_online.t) Hashtbl.t;
-  }
-
-  let create checker = { checker; keys = Hashtbl.create 256 }
-
-  let add t (r : Gryff.Cluster.record) =
+   online checker. Keys settle in sorted order, so a combined [Fail] names
+   the smallest failing key whatever the table's layout; else the first
+   [Unknown], else [Pass]. *)
+let gryff_judge ~budget mode =
+  let mode = match mode with Gryff.Config.Lin -> `Strict | Gryff.Config.Rsc -> `Rss in
+  let keys = Hashtbl.create 256 in
+  let add (r : Gryff.Cluster.record) =
     let key = r.Gryff.Cluster.g_key in
     let oc =
-      match Hashtbl.find_opt t.keys key with
+      match Hashtbl.find_opt keys key with
       | Some oc -> oc
       | None ->
-        let oc = t.checker () in
-        Hashtbl.add t.keys key oc;
+        let oc = checker ~budget ~mode () in
+        Hashtbl.add keys key oc;
         oc
     in
     Rss_core.Check_online.add oc (gryff_witness_txn r)
-
-  let sorted t =
-    Hashtbl.fold (fun k oc acc -> (k, oc) :: acc) t.keys []
+  in
+  let result () =
+    Hashtbl.fold (fun k oc acc -> (k, oc) :: acc) keys []
     |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-
-  let result t =
-    List.fold_left
-      (fun acc (key, oc) ->
-        match acc with
-        | Run.Fail _ -> acc
-        | Run.Pass | Run.Unknown _ -> (
-          match Rss_core.Check_online.result oc with
-          | Run.Pass -> acc
-          | Run.Fail m -> Run.Fail (Fmt.str "key %d: %s" key m)
-          | Run.Unknown m -> (
-            match acc with
-            | Run.Unknown _ -> acc
-            | _ -> Run.Unknown (Fmt.str "key %d: %s" key m))))
-      Run.Pass (sorted t)
-
-  let stats t =
+    |> List.fold_left
+         (fun acc (key, oc) ->
+           match acc with
+           | Run.Fail _ -> acc
+           | Run.Pass | Run.Unknown _ -> (
+             match Rss_core.Check_online.result oc with
+             | Run.Pass -> acc
+             | Run.Fail m -> Run.Fail (Fmt.str "key %d: %s" key m)
+             | Run.Unknown m -> (
+               match acc with
+               | Run.Unknown _ -> acc
+               | _ -> Run.Unknown (Fmt.str "key %d: %s" key m))))
+         Run.Pass
+  in
+  let stats () =
     Hashtbl.fold
       (fun _ oc (a, w, d) ->
         ( a + Rss_core.Check_online.n_added oc,
           w + Rss_core.Check_online.work oc,
           max d (Rss_core.Check_online.max_displacement oc) ))
-      t.keys (0, 0, 0)
-end
+      keys (0, 0, 0)
+  in
+  (add, { result; stats })
 
 (* {2 Unacknowledged operations}
 
@@ -457,8 +470,7 @@ type ('c, 'op) deployment = {
   clear_slow : unit -> unit;
   on_recover : int list -> unit;
   migrate : reshard_spec -> unit;
-  arm_online : unit -> online;
-  check_offline : unit -> (unit, string) result;
+  arm_check : budget:int option -> online;
   workload : Sim.Rng.t -> unit -> 'op;
   new_client : site:int -> 'c;
   kind : 'op -> int;
@@ -484,10 +496,11 @@ let spanner ~config ~n_keys ~theta engine ~rng =
     failover_deadline_us = Some 10_000_000;
     set_flow =
       (fun f budget ->
-        Spanner.Cluster.set_admission cluster f.fl_admission;
-        Spanner.Cluster.set_drop_expired cluster f.fl_drop_expired;
-        if f.fl_hedge_us > 0 then Spanner.Cluster.set_hedge_us cluster f.fl_hedge_us;
-        Spanner.Cluster.set_retry_budget cluster budget);
+        let ctx = Spanner.Cluster.ctx cluster in
+        Spanner.Protocol.set_admission ctx f.fl_admission;
+        Spanner.Protocol.set_drop_expired ctx f.fl_drop_expired;
+        if f.fl_hedge_us > 0 then Spanner.Protocol.set_hedge_us ctx f.fl_hedge_us;
+        Spanner.Protocol.set_retry_budget ctx budget);
     set_tracer = Spanner.Cluster.set_tracer cluster;
     enable_failover =
       (fun ~rng ~until_us -> Spanner.Cluster.enable_failover cluster ~rng ~until_us ());
@@ -503,20 +516,11 @@ let spanner ~config ~n_keys ~theta engine ~rng =
       (fun spec ->
         Spanner.Cluster.migrate ~no_fence:spec.rs_no_fence cluster ~lo:spec.rs_lo
           ~hi:spec.rs_hi ~dst:spec.rs_dst (fun _ -> ()));
-    arm_online =
-      (fun () ->
-        let mode = spanner_witness_mode config.Spanner.Config.mode in
-        let oc = Rss_core.Check_online.create ~mode () in
-        Spanner.Cluster.set_record_hook cluster (Rss_core.Check_online.add oc);
-        {
-          result = (fun () -> Rss_core.Check_online.result oc);
-          stats =
-            (fun () ->
-              ( Rss_core.Check_online.n_added oc,
-                Rss_core.Check_online.work oc,
-                Rss_core.Check_online.max_displacement oc ));
-        });
-    check_offline = (fun () -> Spanner.Cluster.check_history cluster);
+    arm_check =
+      (fun ~budget ->
+        let add, online = spanner_judge ~budget config.Spanner.Config.mode in
+        Spanner.Cluster.set_record_hook cluster add;
+        online);
     workload =
       (fun rng ->
         let retwis = Workload.Retwis.create ~rng ~n_keys ~theta in
@@ -587,11 +591,12 @@ let gryff ~config ~n_keys ~write_ratio ~conflict ~unsafe_no_deps engine ~rng =
     failover_deadline_us = None;
     set_flow =
       (fun f budget ->
-        Gryff.Cluster.set_admission cluster f.fl_admission;
-        Gryff.Cluster.set_drop_expired cluster f.fl_drop_expired;
-        if f.fl_hedge_us > 0 then Gryff.Cluster.set_hedge_us cluster f.fl_hedge_us;
-        Option.iter (Gryff.Cluster.set_read_fanout cluster) f.fl_gryff_fanout;
-        Gryff.Cluster.set_retry_budget cluster budget);
+        let ctx = Gryff.Cluster.ctx cluster in
+        Gryff.Protocol.set_admission ctx f.fl_admission;
+        Gryff.Protocol.set_drop_expired ctx f.fl_drop_expired;
+        if f.fl_hedge_us > 0 then Gryff.Protocol.set_hedge_us ctx f.fl_hedge_us;
+        Option.iter (Gryff.Protocol.set_read_fanout ctx) f.fl_gryff_fanout;
+        Gryff.Protocol.set_retry_budget ctx budget);
     set_tracer = Gryff.Cluster.set_tracer cluster;
     enable_failover =
       (fun ~rng ~until_us:_ -> Gryff.Cluster.enable_retrans cluster ~rng ());
@@ -600,18 +605,11 @@ let gryff ~config ~n_keys ~write_ratio ~conflict ~unsafe_no_deps engine ~rng =
     (* Gryff keeps no durable stores and has no elastic placement. *)
     on_recover = ignore;
     migrate = ignore;
-    arm_online =
-      (fun () ->
-        let mode = gryff_witness_mode config.Gryff.Config.mode in
-        let j =
-          Gryff_check.create (fun () -> Rss_core.Check_online.create ~mode ())
-        in
-        Gryff.Cluster.set_record_hook cluster (Gryff_check.add j);
-        {
-          result = (fun () -> Gryff_check.result j);
-          stats = (fun () -> Gryff_check.stats j);
-        });
-    check_offline = (fun () -> Gryff.Cluster.check_history cluster);
+    arm_check =
+      (fun ~budget ->
+        let add, online = gryff_judge ~budget config.Gryff.Config.mode in
+        Gryff.Cluster.set_record_hook cluster add;
+        online);
     workload =
       (fun rng ->
         let ycsb = Workload.Ycsb.create ~rng ~n_keys ~write_ratio ~conflict in
@@ -755,7 +753,10 @@ let drive ~env ?prepare ~seed ~duration_s ~model ~site_of ~latencies ~warmup_s
       ~disk_faults:env.Env.disk_faults ~duration_s
   in
   let online =
-    match env.Env.check with `Online -> Some (d.arm_online ()) | _ -> None
+    match env.Env.check with
+    | `Online -> Some (d.arm_check ~budget:None)
+    | `Budget n -> Some (d.arm_check ~budget:(Some n))
+    | `No_check -> None
   in
   let sample = d.workload (Sim.Rng.split rng) in
   List.iter
@@ -830,10 +831,9 @@ let drive ~env ?prepare ~seed ~duration_s ~model ~site_of ~latencies ~warmup_s
     | Run.Gryff_ops a -> Array.length a);
   let t0_check = Sys.time () in
   let check =
-    match (online, env.Env.check) with
-    | Some o, _ -> o.result ()
-    | None, `No_check -> Run.Unknown "checking disabled"
-    | None, _ -> verdict_of_result (d.check_offline ())
+    match online with
+    | Some o -> o.result ()
+    | None -> Run.Unknown "checking disabled"
   in
   Obs.Metrics.set_gauge reg "check.finish_s" (Sys.time () -. t0_check);
   Option.iter
@@ -955,6 +955,18 @@ let audit_migrations ~n_keys n =
         rs_no_fence = false;
       })
 
+(* An audit protocol's deployment mode; each protocol family reads only its
+   own. *)
+let spanner_mode = function
+  | Chaos.Audit.Spanner_strict -> Spanner.Config.Strict
+  | Chaos.Audit.Spanner_rss | Chaos.Audit.Gryff_lin | Chaos.Audit.Gryff_rsc ->
+    Spanner.Config.Rss
+
+let gryff_mode = function
+  | Chaos.Audit.Gryff_lin -> Gryff.Config.Lin
+  | Chaos.Audit.Gryff_rsc | Chaos.Audit.Spanner_strict | Chaos.Audit.Spanner_rss ->
+    Gryff.Config.Rsc
+
 let audit ?(env = Env.default) ?prepare ?config ?client_sites ?n_slots ?n_keys
     ?(timeout_us = 2_000_000) ?(conflict = 0.1) ?(write_ratio = 0.3)
     ?(unsafe_no_deps = false) protocol ~duration_s ~seed () =
@@ -975,23 +987,17 @@ let audit ?(env = Env.default) ?prepare ?config ?client_sites ?n_slots ?n_keys
   in
   match protocol with
   | Chaos.Audit.Spanner_strict | Chaos.Audit.Spanner_rss ->
-    let mode =
-      if protocol = Chaos.Audit.Spanner_strict then Spanner.Config.Strict
-      else Spanner.Config.Rss
-    in
     let config =
-      match config with Some c -> c | None -> Spanner.Config.wan3 ~mode ()
+      match config with
+      | Some c -> c
+      | None -> Spanner.Config.wan3 ~mode:(spanner_mode protocol) ()
     in
     run
       ~n_slots:(Option.value n_slots ~default:12)
       ~sites:config.Spanner.Config.client_sites
       (spanner ~config ~n_keys ~theta:0.5)
   | Chaos.Audit.Gryff_lin | Chaos.Audit.Gryff_rsc ->
-    let mode =
-      if protocol = Chaos.Audit.Gryff_lin then Gryff.Config.Lin
-      else Gryff.Config.Rsc
-    in
-    let config = Gryff.Config.wan5 ~mode () in
+    let config = Gryff.Config.wan5 ~mode:(gryff_mode protocol) () in
     run
       ~n_slots:(Option.value n_slots ~default:10)
       ~sites:
@@ -1005,14 +1011,20 @@ let audit_trace (r : Run.t) =
   | Run.Spanner_txns a -> Chaos.Audit.spanner_trace a
   | Run.Gryff_ops a -> Chaos.Audit.gryff_trace a
 
+(* The corrupted history goes through the same online judge the driver
+   arms, so the control tests the checker that actually judges runs. *)
 let stale_control protocol (r : Run.t) =
-  match (r.Run.records, protocol) with
-  | Run.Spanner_txns a, Chaos.Audit.Spanner_strict ->
-    Chaos.Audit.spanner_stale_control ~mode:`Strict a
-  | Run.Spanner_txns a, _ -> Chaos.Audit.spanner_stale_control ~mode:`Rss a
-  | Run.Gryff_ops a, Chaos.Audit.Gryff_lin ->
-    Chaos.Audit.gryff_stale_control ~mode:Gryff.Config.Lin a
-  | Run.Gryff_ops a, _ -> Chaos.Audit.gryff_stale_control ~mode:Gryff.Config.Rsc a
+  let judge (add, online) records =
+    Array.iter add records;
+    online.result ()
+  in
+  match r.Run.records with
+  | Run.Spanner_txns a ->
+    Chaos.Audit.spanner_stale_control
+      ~check:(judge (spanner_judge ~budget:None (spanner_mode protocol))) a
+  | Run.Gryff_ops a ->
+    Chaos.Audit.gryff_stale_control
+      ~check:(judge (gryff_judge ~budget:None (gryff_mode protocol))) a
 
 let liveness_ok ?(min_post_quiet = 1) r =
   Run.counter r "op.post_heal_completed" >= min_post_quiet

@@ -9,7 +9,7 @@
     workload, issued by a client model — closed-loop, partly-open, or the
     audits' timeout-respawning slots), a {e nemesis} (the [Env.t] fault
     schedule, gray nodes, disk damage and live migrations) and a
-    {e checker} (offline, online, or none). The core applies every
+    {e checker} (online, optionally budgeted, or none). The core applies every
     {!Env.t} field the same way on every deployment, and always tracks
     unacknowledged writes: an attempt whose acknowledgement a fault
     swallowed is swept into the history as an incomplete op before
@@ -42,8 +42,9 @@ module Run : sig
     metrics : Obs.Metrics.snapshot;
         (** protocol / network / fault / failover counters and gauges
             (single-DC drivers add ["throughput_tps"], ["p50_ms"], ...; all
-            drivers add ["check.finish_s"], online-checked runs add
-            ["check.added"], ["check.work"], ["check.max_displacement"]) *)
+            drivers add ["check.finish_s"], checked runs (every mode but
+            [`No_check]) add ["check.added"], ["check.work"],
+            ["check.max_displacement"]) *)
     check : verdict;
     records : history;
     duration_us : int;  (** simulated time at which the engine drained *)
@@ -83,13 +84,15 @@ module Run : sig
       failed verification. *)
 end
 
-type check_mode = [ `Offline | `Online | `No_check ]
-(** How a driver verifies its history. [`Offline] (the default) buffers the
-    run and checks post-hoc, exactly as before. [`Online] feeds every record
-    into {!Rss_core.Check_online} as it happens, so million-op histories
-    verify in near-linear time and the run's peak memory excludes the
-    post-hoc sort. [`No_check] skips verification (the verdict is
-    [Unknown]) — for benchmarking raw simulator speed. The mode never
+type check_mode = [ `Online | `Budget of int | `No_check ]
+(** How a driver verifies its history. Every checked run is judged once,
+    online: each record, sweeps included, is fed into
+    {!Rss_core.Check_online} as it is recorded, so million-op histories
+    verify in near-linear time. [`Online] (the default) is unbudgeted.
+    [`Budget n] caps the checker's work and its suffix-fallback search at
+    [n] (per key for Gryff), so a pathological history settles [Unknown]
+    instead of running long. [`No_check] skips verification (the verdict
+    is [Unknown]) — for benchmarking raw simulator speed. The mode never
     affects the simulation itself: record hooks draw no randomness and
     schedule no events, so seeded traces are identical across modes. *)
 
@@ -107,7 +110,7 @@ type reshard_spec = {
 type flow_spec = {
   fl_admission : Sim.Station.limits option;
       (** bounded queues + load shedding at every server station (see
-          {!Spanner.Cluster.set_admission} / {!Gryff.Cluster.set_admission}) *)
+          {!Spanner.Protocol.set_admission} / {!Gryff.Protocol.set_admission}) *)
   fl_drop_expired : bool;
       (** servers drop request legs whose riding deadline has already
           passed at their projected service start — pair with
@@ -164,7 +167,7 @@ module Env : sig
   }
 
   val default : t
-  (** No chaos, no disk faults, no failover, tracing disabled, [`Offline]
+  (** No chaos, no disk faults, no failover, tracing disabled, [`Online]
       checking, no reshard, batching off, no deadline, no flow policy. *)
 
   val with_chaos : Chaos.Schedule.t -> t -> t
@@ -172,6 +175,8 @@ module Env : sig
   val with_failover : bool -> t -> t
   val with_trace : Obs.Trace.t -> t -> t
   val with_check : check_mode -> t -> t
+  (** Raises [Invalid_argument] on a non-positive [`Budget]. *)
+
   val with_reshard : reshard_spec list -> t -> t
   val with_batching : Sim.Net.policy option -> t -> t
 
@@ -257,11 +262,11 @@ val audit_trace : Run.t -> string
 (** The canonical history serialization ({!Chaos.Audit.spanner_trace} /
     {!Chaos.Audit.gryff_trace}). *)
 
-val stale_control :
-  Chaos.Audit.protocol -> Run.t -> (unit, string) result option
+val stale_control : Chaos.Audit.protocol -> Run.t -> Run.verdict option
 (** Corrupt one completed read of the run's history to an older version and
-    re-check against the protocol's model: [Some (Error _)] proves the
-    checker has teeth; [None] when no read is eligible. *)
+    re-judge it against the protocol's model with the same (unbudgeted)
+    online judge the driver arms: [Some (Fail _)] proves the checker has
+    teeth; [None] when no read is eligible. *)
 
 val liveness_ok : ?min_post_quiet:int -> Run.t -> bool
 (** At least [min_post_quiet] (default 1) ops invoked after the schedule's
@@ -270,29 +275,6 @@ val liveness_ok : ?min_post_quiet:int -> Run.t -> bool
 val print_audit : Chaos.Audit.protocol -> Run.t -> unit
 (** The audit report: latency and metrics tables, the verdict, liveness,
     and a storage-repair summary when disk damage occurred. *)
-
-(** {1 Shared checking} *)
-
-module Gryff_check : sig
-  type t
-  (** One online checker per key: carstamp order is only meaningful within
-      a register. *)
-
-  val create : (unit -> Rss_core.Check_online.t) -> t
-  (** The constructor builds each key's checker (so callers choose its
-      mode and work budget). *)
-
-  val add : t -> Gryff.Cluster.record -> unit
-  (** Feed one record as a one-op witness transaction (carstamp as the
-      claimed order, reads ranked above writes at equal carstamps). *)
-
-  val result : t -> Run.verdict
-  (** Keys settle in sorted order: the first failing key's [Fail], else
-      the first [Unknown], else [Pass]. *)
-
-  val stats : t -> int * int * int
-  (** Records added, total work, and the maximum displacement. *)
-end
 
 val report_check : string -> Run.verdict -> unit
 (** Print a loud warning if a run's history failed verification (or an

@@ -111,14 +111,6 @@ let set_site_slowdown t ~site ~factor =
 
 let clear_slowdowns t = Protocol.clear_slowdowns t.pctx
 
-let set_admission t limits = Protocol.set_admission t.pctx limits
-
-let set_drop_expired t on = Protocol.set_drop_expired t.pctx on
-
-let set_hedge_us t us = Protocol.set_hedge_us t.pctx us
-
-let set_retry_budget t budget = Protocol.set_retry_budget t.pctx budget
-
 type flow_stats = {
   expired : int;
   shed : int;

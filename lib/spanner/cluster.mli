@@ -85,22 +85,6 @@ val set_site_slowdown : t -> site:int -> factor:int -> unit
 
 val clear_slowdowns : t -> unit
 
-val set_admission : t -> Sim.Station.limits option -> unit
-(** Bounded queues + load shedding at every shard leader (client-facing
-    entry points only; see {!Protocol.set_admission}). *)
-
-val set_drop_expired : t -> bool -> unit
-(** Deadline propagation: drop work whose riding deadline has passed
-    before its projected service start (see {!Protocol.set_drop_expired}). *)
-
-val set_hedge_us : t -> int -> unit
-(** Hedged RO reads: duplicate an RO still unfinished after this many µs,
-    first completion wins. 0 disables. *)
-
-val set_retry_budget : t -> Sim.Rpc.Budget.t option -> unit
-(** Fleet-wide retry token bucket; dry bucket → ops abandon instead of
-    amplifying overload. *)
-
 type flow_stats = {
   expired : int;  (** requests dropped expired at dequeue *)
   shed : int;  (** requests NACKed by admission control *)

@@ -389,8 +389,9 @@ let test_stale_read_controls () =
       in
       let name = Chaos.Audit.protocol_name protocol in
       match Harness.stale_control protocol r with
-      | Some (Error _) -> ()
-      | Some (Ok ()) -> Alcotest.failf "%s checker accepted a stale read" name
+      | Some (Harness.Run.Fail _) -> ()
+      | Some (Harness.Run.Pass | Harness.Run.Unknown _) ->
+        Alcotest.failf "%s checker accepted a stale read" name
       | None -> Alcotest.failf "%s history had no read to corrupt" name)
     [
       (Chaos.Audit.Spanner_rss, "partition-heal", 3);
@@ -618,7 +619,7 @@ let test_audit_pins () =
                     ~n_keys:(Harness.audit_keys protocol) 2))
       in
       let o =
-        Explore.Exec.assess ~protocol ~preset ~check_budget:0
+        Explore.Exec.assess ~protocol ~preset
           (Harness.audit ~env protocol ~duration_s ~seed ())
       in
       let label = proto ^ "/" ^ Chaos.Nemesis.preset_name preset in

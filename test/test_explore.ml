@@ -131,9 +131,18 @@ let corpus_files () =
   |> List.sort compare
   |> List.map (Filename.concat corpus_dir)
 
+let contains s sub =
+  let n = String.length sub in
+  let rec at i =
+    i + n <= String.length s && (String.equal (String.sub s i n) sub || at (i + 1))
+  in
+  at 0
+
 let test_corpus_replays () =
   let files = corpus_files () in
   check bool "at least three checked-in repros" true (List.length files >= 3);
+  check bool "the base timeout is not described" false
+    (contains (Explore.Exec.describe small_input) " timeout=");
   List.iter
     (fun path ->
       match Explore.Corpus.replay_file path with
@@ -141,6 +150,14 @@ let test_corpus_replays () =
       | Ok r ->
         check bool (path ^ " replays to its expected verdict") true
           r.Explore.Corpus.matches;
+        (* The one-line summary names the timeout exactly when it differs
+           from the base input's (the slow-node repro runs with 600 ms). *)
+        let i = r.Explore.Corpus.entry.Explore.Corpus.input in
+        let timeout = Fmt.str " timeout=%dms " i.Explore.Exec.timeout_ms in
+        check bool (path ^ " describes a non-default timeout")
+          (i.Explore.Exec.timeout_ms
+          <> (Explore.Exec.base i.Explore.Exec.protocol).Explore.Exec.timeout_ms)
+          (contains (Explore.Exec.describe i) timeout);
         (* Determinism: a second replay reproduces the same verdict string
            byte-for-byte, not merely the same verdict class. *)
         let again = Explore.Corpus.replay r.Explore.Corpus.entry in

@@ -224,8 +224,9 @@ let hedged_run ~fanout ~seed =
       Sim.Net.set_extra_delay net ~src:victim ~dst:s 200_000
     end
   done;
-  Gryff.Cluster.set_read_fanout cluster fanout;
-  Gryff.Cluster.set_hedge_us cluster 10_000;
+  let ctx = Gryff.Cluster.ctx cluster in
+  Gryff.Protocol.set_read_fanout ctx fanout;
+  Gryff.Protocol.set_hedge_us ctx 10_000;
   let wl = Sim.Rng.split rng in
   (* Clients off the victim: hedging recovers a server-side tail. *)
   let clients =

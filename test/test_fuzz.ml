@@ -140,8 +140,8 @@ let test_chaos_fuzz protocol () =
         (* The checker must keep its teeth under chaos: corrupting one read
            to a stale version has to flip the verdict. *)
         match Harness.stale_control protocol r with
-        | None | Some (Error _) -> ()
-        | Some (Ok ()) ->
+        | None | Some (Harness.Run.Fail _) -> ()
+        | Some (Harness.Run.Pass | Harness.Run.Unknown _) ->
           Alcotest.failf "%s: stale-read corruption went undetected" label
       done)
     chaos_presets

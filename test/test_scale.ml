@@ -575,33 +575,50 @@ let test_golden_spanner_trace () =
 let test_golden_gryff_trace () =
   check string "gryff seeded trace digest" golden_gryff (digest_gryff ())
 
-(* Online checking must be passive: same seed, same records, same schedule —
-   and the online verdict must agree with the offline one on real runs. *)
+(* Online checking must be passive: a [`No_check] and an [`Online] run of
+   one seed record the same history on the same schedule — and the online
+   verdict must agree with the offline oracle on that very history. *)
 let test_online_checking_is_passive () =
+  let same label off on =
+    check int (label ^ ": same simulated duration") off.Harness.Run.duration_us
+      on.Harness.Run.duration_us;
+    check int (label ^ ": same record count") (Harness.Run.n_records off)
+      (Harness.Run.n_records on);
+    check string (label ^ ": same trace digest")
+      (Digest.to_hex (Digest.string (Harness.audit_trace off)))
+      (Digest.to_hex (Digest.string (Harness.audit_trace on)))
+  in
+  let agrees label (on : Harness.Run.t) oracle =
+    check bool (label ^ ": online run verified") true (Harness.Run.passed on);
+    check bool (label ^ ": oracle agrees") true (oracle = Ok ())
+  in
   let run chk =
     Harness.spanner_dc
       ~env:(Harness.Env.with_check chk Harness.Env.default)
       ~mode:Spanner.Config.Rss ~n_shards:3
       ~service_time_us:20 ~n_clients:8 ~n_keys:100 ~duration_s:1.0 ~seed:7 ()
   in
-  let off = run `Offline and on = run `Online in
-  check bool "offline run verified" true (Harness.Run.passed off);
-  check bool "online run verified" true (Harness.Run.passed on);
-  check int "same simulated duration" off.Harness.Run.duration_us
-    on.Harness.Run.duration_us;
-  check int "same record count" (Harness.Run.n_records off)
-    (Harness.Run.n_records on);
+  let off = run `No_check and on = run `Online in
+  same "spanner" off on;
+  (match on.Harness.Run.records with
+  | Harness.Run.Spanner_txns a -> agrees "spanner" on (W.check ~mode:`Rss a)
+  | Harness.Run.Gryff_ops _ -> assert false);
   let g cm =
     Harness.gryff_wan
       ~env:(Harness.Env.with_check cm Harness.Env.default)
       ~n_clients:6 ~mode:Gryff.Config.Rsc
       ~conflict:0.3 ~write_ratio:0.5 ~n_keys:50 ~duration_s:1.0 ~seed:9 ()
   in
-  let goff = g `Offline and gon = g `Online in
-  check bool "gryff offline verified" true (Harness.Run.passed goff);
-  check bool "gryff online verified" true (Harness.Run.passed gon);
-  check int "gryff same duration" goff.Harness.Run.duration_us
-    gon.Harness.Run.duration_us
+  let goff = g `No_check and gon = g `Online in
+  same "gryff" goff gon;
+  (match gon.Harness.Run.records with
+  | Harness.Run.Gryff_ops a ->
+    agrees "gryff" gon
+      (Gryff.Cluster.check_records ~mode:Gryff.Config.Rsc (Array.to_list a))
+  | Harness.Run.Spanner_txns _ -> assert false);
+  Alcotest.check_raises "a zero work budget is rejected"
+    (Invalid_argument "Harness.Env.with_check: work budget must be positive")
+    (fun () -> ignore (Harness.Env.with_check (`Budget 0) Harness.Env.default))
 
 let suites =
   [
