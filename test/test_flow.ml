@@ -5,8 +5,9 @@
    pushback carries a drainable backoff estimate; (3) the retry budget is a
    strict token bucket — dry means fast-fail, refill is lazy and exact; (4)
    a slowdown factor scales busy time linearly; (5) the whole flow layer
-   with every knob off reproduces the golden seeded digests byte-for-byte;
-   (6) hedged reads complete quorums under a gray-failed replica. *)
+   with every knob off reproduces the golden seeded digests byte-for-byte,
+   and with every knob firing reproduces its own pinned digests; (6)
+   hedged reads complete quorums under a gray-failed replica. *)
 
 let check = Alcotest.check
 let bool = Alcotest.bool
@@ -203,6 +204,104 @@ let test_flow_off_is_byte_identical () =
     (digest_gryff ~env:flow_off_env ())
 
 (* ------------------------------------------------------------------ *)
+(* Flow layer armed: pinned digests                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Two runs with every protection firing, pinned by digest so a refactor
+   of the flow layer cannot drift silently: the digest covers the
+   canonical history, every flow.* counter and the drain time. The Spanner
+   run is the overload suite's protected ramp (bounded queues, expiry
+   drops, a retry budget, a 10 ms deadline) past the knee of a slower
+   single-DC deployment, plus hedged ROs. The Gryff run is a single-DC
+   cluster with one replica slowed 20x mid-run, hedged bare-quorum reads,
+   bounded queues, expiry drops and a small budget. *)
+
+let flow_counters =
+  [
+    "flow.expired"; "flow.shed"; "flow.abandoned"; "flow.hedges";
+    "flow.hedge_wins"; "flow.budget.taken"; "flow.budget.denied";
+  ]
+
+let armed_digest r =
+  let b = Buffer.create 65536 in
+  Buffer.add_string b (Harness.audit_trace r);
+  List.iter
+    (fun name ->
+      Buffer.add_string b
+        (Printf.sprintf "%s=%d\n" name (Harness.Run.counter r name)))
+    flow_counters;
+  Buffer.add_string b (Printf.sprintf "duration=%d\n" r.Harness.Run.duration_us);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let armed_spanner_run () =
+  let env =
+    Harness.Env.(
+      default |> with_check `No_check
+      |> with_deadline_us (Some 10_000)
+      |> with_flow
+           (Some
+              {
+                Harness.flow_default with
+                Harness.fl_admission =
+                  Some { Sim.Station.max_queue = 32; max_sojourn_us = 3_000 };
+                fl_drop_expired = true;
+                fl_hedge_us = 4_000;
+                fl_budget = Some (16, 2_000);
+              }))
+  in
+  Harness.spanner_wan
+    ~config:
+      (Some
+         (Spanner.Config.single_dc ~mode:Spanner.Config.Rss ~n_shards:4
+            ~service_time_us:100 ()))
+    ~env ~mode:Spanner.Config.Rss ~theta:0.3 ~n_keys:4000
+    ~arrival_rate_per_sec:800.0 ~duration_s:2.0 ~seed:42 ()
+
+let armed_gryff_run () =
+  let env =
+    Harness.Env.(
+      default |> with_check `No_check
+      |> with_chaos
+           Chaos.Schedule.
+             [
+               at_s 0.4 (Slow { site = 2; factor = 20 }); at_s 1.4 Slow_clear;
+             ]
+      |> with_deadline_us (Some 5_000)
+      |> with_flow
+           (Some
+              {
+                Harness.fl_admission =
+                  Some { Sim.Station.max_queue = 32; max_sojourn_us = 4_000 };
+                fl_drop_expired = true;
+                fl_hedge_us = 1_000;
+                fl_budget = Some (16, 1_000);
+                fl_gryff_fanout = Some Gryff.Protocol.Hedged;
+              }))
+  in
+  Harness.gryff_dc ~env ~mode:Gryff.Config.Rsc ~service_time_us:40
+    ~n_clients:30 ~conflict:0.1 ~write_ratio:0.3 ~n_keys:2000 ~duration_s:2.0
+    ~seed:42 ()
+
+(* Every protection must fire in both runs, so each branch of the flow
+   layer is under the pin. *)
+let check_armed ~run ~digest () =
+  let r = run () in
+  List.iter
+    (fun name ->
+      check bool (name ^ " fired") true (Harness.Run.counter r name > 0))
+    [
+      "flow.expired"; "flow.shed"; "flow.abandoned"; "flow.hedges";
+      "flow.hedge_wins"; "flow.budget.denied";
+    ];
+  check string "armed digest" digest (armed_digest r)
+
+let test_armed_spanner =
+  check_armed ~run:armed_spanner_run ~digest:"2aa36c6fa97a49d53f7c030439667902"
+
+let test_armed_gryff =
+  check_armed ~run:armed_gryff_run ~digest:"97d754d8094b8da938ae1d9767344949"
+
+(* ------------------------------------------------------------------ *)
 (* Hedged reads under a gray-failed replica                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -279,5 +378,12 @@ let suites =
           test_flow_off_is_byte_identical;
         Alcotest.test_case "hedged reads win under slow node" `Slow
           test_hedged_reads_win_under_slow_node;
+      ] );
+    ( "flow.armed_golden",
+      [
+        Alcotest.test_case "spanner single-DC protected ramp" `Slow
+          test_armed_spanner;
+        Alcotest.test_case "gryff slow node, hedged and shedding" `Slow
+          test_armed_gryff;
       ] );
   ]
