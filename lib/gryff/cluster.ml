@@ -166,7 +166,7 @@ let set_site_slowdown t ~site ~factor =
 
 let clear_slowdowns t = Protocol.clear_slowdowns t.pctx
 
-type flow_stats = {
+type flow_stats = Sim.Flow.stats = {
   expired : int;
   shed : int;
   abandoned : int;
@@ -174,14 +174,7 @@ type flow_stats = {
   hedge_wins : int;
 }
 
-let flow_stats t =
-  {
-    expired = t.pctx.Protocol.n_expired;
-    shed = t.pctx.Protocol.n_shed;
-    abandoned = t.pctx.Protocol.n_abandoned;
-    hedges = t.pctx.Protocol.n_hedges;
-    hedge_wins = t.pctx.Protocol.n_hedge_wins;
-  }
+let flow_stats t = Sim.Flow.stats t.pctx.Protocol.flow
 
 type retrans_stats = { rpc_calls : int; rpc_retries : int; rpc_exhausted : int }
 

@@ -100,12 +100,14 @@ val set_site_slowdown : t -> site:int -> factor:int -> unit
 
 val clear_slowdowns : t -> unit
 
-type flow_stats = {
-  expired : int;  (** request legs dropped expired at dequeue *)
-  shed : int;  (** request legs NACKed by admission control *)
-  abandoned : int;  (** legs given up (shed and out of budget/cap) *)
-  hedges : int;  (** hedge fan-outs actually issued *)
-  hedge_wins : int;  (** hedge replies that completed a quorum *)
+type flow_stats = Sim.Flow.stats = {
+  expired : int;
+  shed : int;
+  abandoned : int;
+  hedges : int;
+  hedge_wins : int;
 }
+(** The protocol's overload counters (see {!Sim.Flow.stats}). Re-exported
+    so callers can name the fields through the cluster. *)
 
 val flow_stats : t -> flow_stats

@@ -23,24 +23,11 @@ type ctx = {
       (* per-request retransmission for the idempotent phases; [None] keeps
          the exact failure-free wire behavior *)
   mutable tracer : Obs.Trace.t;
-  (* Overload robustness — all default-off; armed via Harness.Env.flow. *)
-  mutable drop_expired : bool;
+  flow : Sim.Flow.t;  (* overload control — default-off *)
   mutable fanout : read_fanout;
-  mutable hedge_us : int;
-  mutable retry_budget : Sim.Rpc.Budget.t option;
-  mutable n_expired : int;  (* requests dropped expired at dequeue *)
-  mutable n_shed : int;  (* requests NACKed by admission control *)
-  mutable n_abandoned : int;  (* per-replica legs given up (shed, no budget) *)
-  mutable n_hedges : int;  (* hedge fan-outs actually issued *)
-  mutable n_hedge_wins : int;  (* hedge replies that completed the quorum *)
 }
 
 and read_fanout = Fan_all | Fan_quorum | Hedged
-
-(* A replica's refusal to serve a request, delivered back to the sender
-   when it supplied a [reject] continuation: already past its deadline at
-   dequeue, or shed by admission control with a server-suggested backoff. *)
-type server_reject = Expired | Pushback of Sim.Station.pushback
 
 let make_ctx engine net config =
   let replicas =
@@ -62,15 +49,8 @@ let make_ctx engine net config =
       n_rmw_slow = 0;
       retrans = None;
       tracer = Obs.Trace.disabled;
-      drop_expired = false;
+      flow = Sim.Flow.create net;
       fanout = Fan_all;
-      hedge_us = 0;
-      retry_budget = None;
-      n_expired = 0;
-      n_shed = 0;
-      n_abandoned = 0;
-      n_hedges = 0;
-      n_hedge_wins = 0;
     }
   in
   (* An rmw completes only once its result is applied at a quorum: the
@@ -99,12 +79,8 @@ let make_ctx engine net config =
             (* execution ack back to the coordinator *)
             Sim.Net.post ~bytes:32 ctx.net ~src:r.Replica.replica_id ~dst:coord
               (fun env_idx ->
-                let station = ctx.replicas.(coord).Replica.station in
-                let cost =
-                  Sim.Station.amortized
-                    ~full:(Sim.Station.service_time_us station) env_idx
-                in
-                Sim.Station.submit ~cost station (fun () ->
+                Sim.Flow.serve ~tracer:ctx.tracer
+                  ctx.replicas.(coord).Replica.station env_idx (fun () ->
                     match Hashtbl.find_opt ctx.rmw_waiters inst_id with
                     | Some p ->
                       p.p_acks <- p.p_acks + 1;
@@ -121,55 +97,13 @@ let make_ctx engine net config =
 let to_client ctx ~src ?(bytes = 64) ~dst handler =
   Sim.Net.post ~bytes ctx.net ~src ~dst (fun _env_idx -> handler ())
 
-(* [expires] is the op's absolute deadline riding the request: the station's
-   queue is its busy_until horizon with deterministic FIFO service, so the
-   projected start (now + backlog) at enqueue equals the dequeue-time state
-   exactly — work that would only start past its deadline is dropped before
-   any cost is charged. [reject] (client-facing request legs only) gets an
-   explicit NACK so the sender can back off instead of timing out. *)
+(* [expires] and [reject] pass through to {!Sim.Flow.ingress}; [reject] is
+   supplied on client-facing request legs only. *)
 let to_replica ctx ~src ?(bytes = 64) ?expires ?reject replica_id handler =
   let r = ctx.replicas.(replica_id) in
   Sim.Net.post ~bytes ctx.net ~src ~dst:replica_id (fun env_idx ->
-      let station = r.Replica.station in
-      let nack rej =
-        match reject with
-        | None -> ()
-        | Some k ->
-          to_client ctx ~src:replica_id ~bytes:32 ~dst:src (fun () -> k rej)
-      in
-      let expired =
-        ctx.drop_expired
-        && (match expires with
-           | Some e -> Sim.Engine.now ctx.engine + Sim.Station.backlog_us station > e
-           | None -> false)
-      in
-      if expired then begin
-        ctx.n_expired <- ctx.n_expired + 1;
-        nack Expired
-      end
-      else begin
-        let cost =
-          Sim.Station.amortized
-            ~full:(Sim.Station.service_time_us station) env_idx
-        in
-        let tr = ctx.tracer in
-        let job =
-          if Obs.Trace.enabled tr then begin
-            (* Carry the ambient span across the station's job queue. *)
-            let sp = Obs.Trace.current tr in
-            fun () -> Obs.Trace.with_current tr sp (fun () -> handler r)
-          end
-          else fun () -> handler r
-        in
-        match reject with
-        | None -> Sim.Station.submit ~cost station job
-        | Some _ -> (
-          match Sim.Station.try_submit ~cost station job with
-          | Sim.Station.Admitted -> ()
-          | Sim.Station.Shed pb ->
-            ctx.n_shed <- ctx.n_shed + 1;
-            nack (Pushback pb))
-      end)
+      Sim.Flow.ingress ctx.flow r.Replica.station ~tracer:ctx.tracer ~src
+        ~dst:replica_id ?expires ?reject env_idx (fun () -> handler r))
 
 (* One request/reply exchange with a replica. With retransmission armed
    ([retrans <> None]) the exchange rides an {!Sim.Rpc} call: a lost request
@@ -190,22 +124,10 @@ let exchange ctx ~src ?bytes ?expires replica_id ~(request : Replica.t -> 'a)
     let rec send () =
       incr sends;
       let reject = function
-        | Expired -> ()
-        | Pushback pb ->
-          let budgeted =
-            match ctx.retry_budget with
-            | None -> true
-            | Some b -> Sim.Rpc.Budget.try_take b
-          in
-          let in_time =
-            match expires with
-            | None -> true
-            | Some e -> Sim.Engine.now ctx.engine + pb.retry_after_us < e
-          in
-          if !sends < 8 && budgeted && in_time then
-            Sim.Engine.schedule ~kind:"txn.backoff" ctx.engine
-              ~after:pb.retry_after_us send
-          else ctx.n_abandoned <- ctx.n_abandoned + 1
+        | Sim.Flow.Expired -> ()
+        | Sim.Flow.Pushback pb ->
+          Sim.Flow.retry ctx.flow ?expires ~sends:!sends
+            ~after_us:pb.retry_after_us send
       in
       to_replica ctx ~src ?bytes ?expires ~reject replica_id (fun r ->
           let resp = request r in
@@ -277,16 +199,12 @@ type read_result = {
 let read ?deadline_us ctx ~client_site ~cid:_ ~deps ~key k =
   ctx.n_reads <- ctx.n_reads + 1;
   let quorum = Config.quorum ctx.config in
-  let expires =
-    match deadline_us with
-    | Some d when ctx.drop_expired -> Some (Sim.Engine.now ctx.engine + d)
-    | Some _ | None -> None
-  in
+  let expires = Sim.Flow.expires ctx.flow deadline_us in
   let complete = ref false in
   let hedge_won = ref false in
   let process replies =
     complete := true;
-    if !hedge_won then ctx.n_hedge_wins <- ctx.n_hedge_wins + 1;
+    if !hedge_won then Sim.Flow.hedge_won ctx.flow;
     let best_v, best_cs =
       match replies with
       | first :: rest ->
@@ -368,10 +286,11 @@ let read ?deadline_us ctx ~client_site ~cid:_ ~deps ~key k =
     List.iteri (fun j i -> if j < quorum then send_to ~hedge:false i) ring;
     let rest = List.filteri (fun j _ -> j >= quorum) ring in
     if rest <> [] then
-      Sim.Engine.schedule ~kind:"txn.hedge" ctx.engine ~after:(max 1 ctx.hedge_us)
+      Sim.Engine.schedule ~kind:"txn.hedge" ctx.engine
+        ~after:(max 1 (Sim.Flow.hedge_us ctx.flow))
         (fun () ->
           if not !complete then begin
-            ctx.n_hedges <- ctx.n_hedges + 1;
+            Sim.Flow.hedge_issued ctx.flow;
             List.iter (send_to ~hedge:true) rest
           end)
 
@@ -385,11 +304,7 @@ let write ?(on_apply = fun (_ : Carstamp.t) -> ()) ?deadline_us ctx ~client_site
     ~cid ~deps ~key ~value k =
   ctx.n_writes <- ctx.n_writes + 1;
   let quorum = Config.quorum ctx.config in
-  let expires =
-    match deadline_us with
-    | Some d when ctx.drop_expired -> Some (Sim.Engine.now ctx.engine + d)
-    | Some _ | None -> None
-  in
+  let expires = Sim.Flow.expires ctx.flow deadline_us in
   let phase2 base_cs =
     let cs = Carstamp.for_write ~base:base_cs ~cid in
     (* The value is about to reach replicas: from here on the write can be
@@ -541,15 +456,4 @@ let set_site_slowdown ctx ~site ~factor =
 let clear_slowdowns ctx =
   Array.iter (fun r -> Sim.Station.set_slowdown r.Replica.station 1) ctx.replicas
 
-let set_admission ctx limits =
-  Array.iter (fun r -> Sim.Station.set_limits r.Replica.station limits) ctx.replicas
-
-let set_drop_expired ctx on = ctx.drop_expired <- on
-
 let set_read_fanout ctx fanout = ctx.fanout <- fanout
-
-let set_hedge_us ctx us =
-  if us < 0 then invalid_arg "Protocol.set_hedge_us: negative delay";
-  ctx.hedge_us <- us
-
-let set_retry_budget ctx budget = ctx.retry_budget <- budget

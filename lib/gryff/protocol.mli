@@ -35,18 +35,10 @@ type ctx = {
   mutable retrans : Sim.Rpc.t option;
       (** per-request retransmission for the idempotent phases *)
   mutable tracer : Obs.Trace.t;  (** span sink; [Obs.Trace.disabled] = off *)
-  mutable drop_expired : bool;
-      (** deadline propagation: replicas drop requests whose riding
-          deadline has passed before any service cost is charged *)
+  flow : Sim.Flow.t;
+      (** overload control: every replica-bound message enters the
+          replica's station through {!Sim.Flow.ingress}; default-off *)
   mutable fanout : read_fanout;  (** read fan-out policy *)
-  mutable hedge_us : int;  (** [Hedged] fan-out delay *)
-  mutable retry_budget : Sim.Rpc.Budget.t option;
-      (** fleet-wide token bucket capping shed-retry amplification *)
-  mutable n_expired : int;  (** requests dropped expired at dequeue *)
-  mutable n_shed : int;  (** requests NACKed by admission control *)
-  mutable n_abandoned : int;  (** per-replica legs given up (shed, no budget) *)
-  mutable n_hedges : int;  (** hedge fan-outs actually issued *)
-  mutable n_hedge_wins : int;  (** hedge replies that completed a quorum *)
 }
 
 and read_fanout =
@@ -58,13 +50,9 @@ and read_fanout =
       (** ask a bare quorum chosen by ring locality from the client's
           site — cheapest, but one gray-failed member drags every read *)
   | Hedged
-      (** bare quorum first; if it has not completed after [hedge_us],
-          fan out to the remaining replicas and let the first quorum win *)
-
-(** A replica's refusal (deadline passed at dequeue, or admission-control
-    shed with a suggested backoff), NACKed to senders on client-facing
-    request legs. *)
-type server_reject = Expired | Pushback of Sim.Station.pushback
+      (** bare quorum first; if it has not completed after
+          {!Sim.Flow.hedge_us}, fan out to the remaining replicas and let
+          the first quorum win *)
 
 val make_ctx : Sim.Engine.t -> Sim.Net.t -> Config.t -> ctx
 
@@ -126,7 +114,18 @@ val fence : ctx -> client_site:int -> deps:dep list -> (unit -> unit) -> unit
 (** {1 Overload & gray-failure controls}
 
     All default-off: with none armed, no extra event is scheduled and no
-    random draw occurs, so seeded schedules are byte-identical. *)
+    random draw occurs, so seeded schedules are byte-identical.
+
+    The policy lives in [ctx.flow] and is armed with {!Sim.Flow.arm}.
+    Gryff uses it as follows:
+    - Every request leg of a read, a write and a propagate is sheddable
+      and carries the op's expiry. Rmw pre-accepts, accepts, commits and
+      execution acks are internal traffic and are always admitted.
+    - A shed leg re-offers to the same replica after the server-suggested
+      backoff, if {!Sim.Flow.retry} allows it (at most 8 sends); the
+      quorum keeps forming from the other replicas meanwhile. Giving up
+      just leaves that replica out of the quorum, as does an expired leg.
+    - Hedging applies to the [Hedged] fan-out only. *)
 
 val stations : ctx -> Sim.Station.t list
 (** Every replica's station, for queue-depth / sojourn observation. *)
@@ -137,22 +136,6 @@ val set_site_slowdown : ctx -> site:int -> factor:int -> unit
 
 val clear_slowdowns : ctx -> unit
 
-val set_admission : ctx -> Sim.Station.limits option -> unit
-(** Arm (or disarm) bounded queues with load shedding at every replica.
-    Shed request legs NACK back with a server-suggested backoff; the
-    sender re-offers to the same replica (budget- and cap-bounded) while
-    the quorum keeps forming from the others. *)
-
-val set_drop_expired : ctx -> bool -> unit
-(** Deadline propagation: replicas drop request legs whose riding deadline
-    precedes their projected service start. *)
-
 val set_read_fanout : ctx -> read_fanout -> unit
 (** Read fan-out policy: [Fan_all] (default, historical), [Fan_quorum], or
-    [Hedged] (bare quorum, widened after {!set_hedge_us} µs). *)
-
-val set_hedge_us : ctx -> int -> unit
-(** Delay before the {!Hedged} fan-out widens past the bare quorum. Raises
-    [Invalid_argument] if negative. *)
-
-val set_retry_budget : ctx -> Sim.Rpc.Budget.t option -> unit
+    [Hedged] (bare quorum, widened after {!Sim.Flow.hedge_us} µs). *)

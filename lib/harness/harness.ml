@@ -276,8 +276,10 @@ let gryff_metrics reg ~failover cluster =
    mirroring the batch.* convention. Queue-depth samples follow the ×1000
    histogram convention (see batch.size above): the printed table reads in
    whole jobs. *)
-let flow_metrics reg ~armed ~budget ~stations ~expired ~shed ~abandoned
-    ~hedges ~hedge_wins =
+let flow_metrics reg ~armed ~stations flow =
+  let { Sim.Flow.expired; shed; abandoned; hedges; hedge_wins } =
+    Sim.Flow.stats flow
+  in
   if armed || expired > 0 || shed > 0 || abandoned > 0 || hedges > 0 then begin
     let c = add reg in
     c "flow.expired" expired;
@@ -285,7 +287,7 @@ let flow_metrics reg ~armed ~budget ~stations ~expired ~shed ~abandoned
     c "flow.abandoned" abandoned;
     c "flow.hedges" hedges;
     c "flow.hedge_wins" hedge_wins;
-    (match budget with
+    (match Sim.Flow.budget flow with
     | Some b ->
       c "flow.budget.taken" (Sim.Rpc.Budget.taken b);
       c "flow.budget.denied" (Sim.Rpc.Budget.denied b)
@@ -463,7 +465,9 @@ type ('c, 'op) deployment = {
   failover_deadline_us : int option;
       (* the client deadline armed failover implies when [Env.deadline_us]
          names none *)
-  set_flow : flow_spec -> Sim.Rpc.Budget.t option -> unit;
+  flow : Sim.Flow.t;
+  stations : Sim.Station.t list;
+  set_fanout : Gryff.Protocol.read_fanout -> unit;
   set_tracer : Obs.Trace.t -> unit;
   enable_failover : rng:Sim.Rng.t -> until_us:int -> unit;
   slow : site:int -> factor:int -> unit;
@@ -476,9 +480,7 @@ type ('c, 'op) deployment = {
   kind : 'op -> int;
   issue : 'c -> 'op -> deadline_us:int option -> (unit -> unit) -> unit;
   sweep : unit -> int;
-  metrics :
-    Obs.Metrics.t -> failover:bool -> armed:bool -> Sim.Rpc.Budget.t option ->
-    unit;
+  metrics : Obs.Metrics.t -> failover:bool -> unit;
   records : unit -> Run.history;
 }
 
@@ -494,13 +496,9 @@ let spanner ~config ~n_keys ~theta engine ~rng =
        above the workload's fault-free tail or deadline-aborts amplify load
        into congestion collapse. *)
     failover_deadline_us = Some 10_000_000;
-    set_flow =
-      (fun f budget ->
-        let ctx = Spanner.Cluster.ctx cluster in
-        Spanner.Protocol.set_admission ctx f.fl_admission;
-        Spanner.Protocol.set_drop_expired ctx f.fl_drop_expired;
-        if f.fl_hedge_us > 0 then Spanner.Protocol.set_hedge_us ctx f.fl_hedge_us;
-        Spanner.Protocol.set_retry_budget ctx budget);
+    flow = (Spanner.Cluster.ctx cluster).Spanner.Protocol.flow;
+    stations = Spanner.Cluster.stations cluster;
+    set_fanout = ignore;
     set_tracer = Spanner.Cluster.set_tracer cluster;
     enable_failover =
       (fun ~rng ~until_us -> Spanner.Cluster.enable_failover cluster ~rng ~until_us ());
@@ -568,16 +566,7 @@ let spanner ~config ~n_keys ~theta engine ~rng =
             else n)
           0
           (Unacked.in_issue_order pending));
-    metrics =
-      (fun reg ~failover ~armed budget ->
-        spanner_metrics reg ~failover cluster;
-        let fs = Spanner.Cluster.flow_stats cluster in
-        flow_metrics reg ~armed ~budget
-          ~stations:(Spanner.Cluster.stations cluster)
-          ~expired:fs.Spanner.Cluster.expired ~shed:fs.Spanner.Cluster.shed
-          ~abandoned:fs.Spanner.Cluster.abandoned
-          ~hedges:fs.Spanner.Cluster.hedges
-          ~hedge_wins:fs.Spanner.Cluster.hedge_wins);
+    metrics = (fun reg ~failover -> spanner_metrics reg ~failover cluster);
     records = (fun () -> Run.Spanner_txns (Spanner.Cluster.records cluster));
   }
 
@@ -589,14 +578,9 @@ let gryff ~config ~n_keys ~write_ratio ~conflict ~unsafe_no_deps engine ~rng =
     tt = None;
     kinds = [| "read"; "write" |];
     failover_deadline_us = None;
-    set_flow =
-      (fun f budget ->
-        let ctx = Gryff.Cluster.ctx cluster in
-        Gryff.Protocol.set_admission ctx f.fl_admission;
-        Gryff.Protocol.set_drop_expired ctx f.fl_drop_expired;
-        if f.fl_hedge_us > 0 then Gryff.Protocol.set_hedge_us ctx f.fl_hedge_us;
-        Option.iter (Gryff.Protocol.set_read_fanout ctx) f.fl_gryff_fanout;
-        Gryff.Protocol.set_retry_budget ctx budget);
+    flow = (Gryff.Cluster.ctx cluster).Gryff.Protocol.flow;
+    stations = Gryff.Cluster.stations cluster;
+    set_fanout = Gryff.Protocol.set_read_fanout (Gryff.Cluster.ctx cluster);
     set_tracer = Gryff.Cluster.set_tracer cluster;
     enable_failover =
       (fun ~rng ~until_us:_ -> Gryff.Cluster.enable_retrans cluster ~rng ());
@@ -651,15 +635,7 @@ let gryff ~config ~n_keys ~write_ratio ~conflict ~unsafe_no_deps engine ~rng =
             | None -> n)
           0
           (Unacked.in_issue_order pending));
-    metrics =
-      (fun reg ~failover ~armed budget ->
-        gryff_metrics reg ~failover cluster;
-        let fs = Gryff.Cluster.flow_stats cluster in
-        flow_metrics reg ~armed ~budget
-          ~stations:(Gryff.Cluster.stations cluster)
-          ~expired:fs.Gryff.Cluster.expired ~shed:fs.Gryff.Cluster.shed
-          ~abandoned:fs.Gryff.Cluster.abandoned ~hedges:fs.Gryff.Cluster.hedges
-          ~hedge_wins:fs.Gryff.Cluster.hedge_wins);
+    metrics = (fun reg ~failover -> gryff_metrics reg ~failover cluster);
     records = (fun () -> Run.Gryff_ops (Gryff.Cluster.records cluster));
   }
 
@@ -700,19 +676,17 @@ let drive ~env ?prepare ~seed ~duration_s ~model ~site_of ~latencies ~warmup_s
   let d = adapter engine ~rng in
   Sim.Net.set_batching d.net env.Env.batching;
   Option.iter (fun f -> f engine d.net) prepare;
-  let budget =
-    match env.Env.flow with
-    | None -> None
-    | Some f ->
-      let budget =
-        Option.map
-          (fun (capacity, refill_period_us) ->
-            Sim.Rpc.Budget.create engine ~capacity ~refill_period_us)
-          f.fl_budget
-      in
-      d.set_flow f budget;
-      budget
-  in
+  Option.iter
+    (fun f ->
+      Sim.Flow.arm d.flow ~stations:d.stations ~admission:f.fl_admission
+        ~drop_expired:f.fl_drop_expired ~hedge_us:f.fl_hedge_us
+        ~budget:
+          (Option.map
+             (fun (capacity, refill_period_us) ->
+               Sim.Rpc.Budget.create engine ~capacity ~refill_period_us)
+             f.fl_budget);
+      Option.iter d.set_fanout f.fl_gryff_fanout)
+    env.Env.flow;
   let trace = env.Env.trace in
   if Obs.Trace.enabled trace then d.set_tracer trace;
   let until = Sim.Engine.sec duration_s in
@@ -821,7 +795,8 @@ let drive ~env ?prepare ~seed ~duration_s ~model ~site_of ~latencies ~warmup_s
       ());
   Sim.Engine.run ~max_events:600_000_000 engine;
   add reg "op.unacked_commits_swept" (d.sweep ());
-  d.metrics reg ~failover:env.Env.failover ~armed:(env.Env.flow <> None) budget;
+  d.metrics reg ~failover:env.Env.failover;
+  flow_metrics reg ~armed:(env.Env.flow <> None) ~stations:d.stations d.flow;
   net_metrics reg ~faults:!faults d.net;
   durable_metrics reg ~dctl ~scrub;
   let records = d.records () in

@@ -109,8 +109,8 @@ type reshard_spec = {
 
 type flow_spec = {
   fl_admission : Sim.Station.limits option;
-      (** bounded queues + load shedding at every server station (see
-          {!Spanner.Protocol.set_admission} / {!Gryff.Protocol.set_admission}) *)
+      (** bounded queues + load shedding at every server station; only
+          client-facing request legs are shed (see {!Sim.Flow.ingress}) *)
   fl_drop_expired : bool;
       (** servers drop request legs whose riding deadline has already
           passed at their projected service start — pair with
@@ -128,8 +128,9 @@ type flow_spec = {
           [Fan_all]); Spanner drivers ignore it *)
 }
 (** The overload-protection policy a driver applies to its cluster before
-    any traffic flows. Every field off ({!flow_default}) reproduces the
-    unprotected run byte for byte. *)
+    any traffic flows, with one {!Sim.Flow.arm} call (plus Gryff's read
+    fan-out). Every field off ({!flow_default}) reproduces the unprotected
+    run byte for byte. *)
 
 val flow_default : flow_spec
 (** No admission limits, no expiry drops, no hedging, no budget, default

@@ -291,11 +291,7 @@ let send_ack t (m : 'a member) ~to_m ~view ~idx =
       in
       match t.station with
       | None -> process ()
-      | Some st ->
-        Sim.Station.submit st process
-          ~cost:
-            (Sim.Station.amortized ~full:(Sim.Station.service_time_us st)
-               env_idx))
+      | Some st -> Sim.Flow.serve ~tracer:t.tracer st env_idx process)
 
 let rec request_catchup t (m : 'a member) =
   Array.iter

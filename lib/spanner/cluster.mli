@@ -85,13 +85,15 @@ val set_site_slowdown : t -> site:int -> factor:int -> unit
 
 val clear_slowdowns : t -> unit
 
-type flow_stats = {
-  expired : int;  (** requests dropped expired at dequeue *)
-  shed : int;  (** requests NACKed by admission control *)
-  abandoned : int;  (** ops given up: expired or out of budget *)
-  hedges : int;  (** hedge reads actually issued *)
-  hedge_wins : int;  (** hedges that beat the primary *)
+type flow_stats = Sim.Flow.stats = {
+  expired : int;
+  shed : int;
+  abandoned : int;
+  hedges : int;
+  hedge_wins : int;
 }
+(** The protocol's overload counters (see {!Sim.Flow.stats}). Re-exported
+    so callers can name the fields through the cluster. *)
 
 val flow_stats : t -> flow_stats
 

@@ -44,22 +44,8 @@ type ctx = {
          sessions re-reading hot unfenced keys at retry speed hold a rolling
          stream of old-priority read locks that can starve the very writers
          the drain is waiting on. *)
-  (* Overload robustness — all default-off; armed via Harness.Env.flow. *)
-  mutable drop_expired : bool;
-  mutable hedge_us : int;
-  mutable retry_budget : Sim.Rpc.Budget.t option;
-  mutable n_expired : int;  (* requests dropped expired at dequeue *)
-  mutable n_shed : int;  (* requests NACKed by admission control *)
-  mutable n_abandoned : int;  (* ops given up (expired / budget spent) *)
-  mutable n_hedges : int;  (* hedge reads actually issued *)
-  mutable n_hedge_wins : int;  (* hedges that beat the primary *)
+  flow : Sim.Flow.t;  (* overload control — default-off *)
 }
-
-(* A shard's refusal to serve a request, delivered back to the sender when
-   it supplied a [reject] continuation: the work was either already past
-   its deadline when the leader dequeued it, or shed by admission control
-   with a server-suggested backoff. *)
-type server_reject = Expired | Pushback of Sim.Station.pushback
 
 (* Deliver a message to a shard leader: network hop + leader CPU. The
    leader site is read at send time, so clients rediscover a moved leader
@@ -81,18 +67,9 @@ type server_reject = Expired | Pushback of Sim.Station.pushback
 let to_client ctx ~src ?(bytes = 96) ~dst handler =
   Sim.Net.post ~bytes ctx.net ~src ~dst (fun _env_idx -> handler ())
 
-(* [expires] is the op's absolute deadline riding the request: once the
-   leader would only *start* the work past it, the work is useless and is
-   dropped before any station cost is charged. The station's queue is its
-   [busy_until] horizon with deterministic FIFO service, so the projected
-   start (now + backlog) at enqueue equals the dequeue-time state exactly —
-   checking here is the dequeue-drop, just placed where it can still refuse
-   the cost. [reject] is supplied only on client-facing entry points (the
-   RW read phase and RO shard reads): those messages get an explicit NACK
-   (expired or shed-with-backoff) posted back so the client fast-fails
-   instead of timing out. Internal 2PC traffic never passes [reject] and is
-   never shed — refusing a commit-phase message would strand prepared
-   participants, the one queue where shedding costs more than serving. *)
+(* [expires] and [reject] pass through to {!Sim.Flow.ingress}: [reject] is
+   supplied only on client-facing entry points (the RW read phase and RO
+   shard reads), so internal 2PC traffic is never shed. *)
 let to_shard ctx ~src ?(bytes = 96) ?expires ?reject shard_id handler =
   let shard = ctx.shards.(shard_id) in
   let dst = shard.Shard.leader_site in
@@ -102,51 +79,9 @@ let to_shard ctx ~src ?(bytes = 96) ?expires ?reject shard_id handler =
         || (dst = shard.Shard.leader_site
             && (not (Sim.Net.is_down ctx.net dst))
             && Replication.Group.serving shard.Shard.repl)
-      then begin
-        let station = shard.Shard.station in
-        let nack r =
-          match reject with
-          | None -> ()
-          | Some k -> to_client ctx ~src:dst ~bytes:32 ~dst:src (fun () -> k r)
-        in
-        let expired =
-          ctx.drop_expired
-          && (match expires with
-             | Some e ->
-               Sim.Engine.now ctx.engine + Sim.Station.backlog_us station > e
-             | None -> false)
-        in
-        if expired then begin
-          ctx.n_expired <- ctx.n_expired + 1;
-          nack Expired
-        end
-        else begin
-          let cost =
-            Sim.Station.amortized
-              ~full:(Sim.Station.service_time_us station)
-              env_idx
-          in
-          let tr = ctx.tracer in
-          let job =
-            if Obs.Trace.enabled tr then begin
-              (* Station queueing runs the handler from a fresh engine event,
-                 which would lose the delivery hop as ambient parent — carry
-                 it across explicitly. *)
-              let sp = Obs.Trace.current tr in
-              fun () -> Obs.Trace.with_current tr sp (fun () -> handler shard)
-            end
-            else fun () -> handler shard
-          in
-          match reject with
-          | None -> Sim.Station.submit ~cost station job
-          | Some _ -> (
-            match Sim.Station.try_submit ~cost station job with
-            | Sim.Station.Admitted -> ()
-            | Sim.Station.Shed pb ->
-              ctx.n_shed <- ctx.n_shed + 1;
-              nack (Pushback pb))
-        end
-      end)
+      then
+        Sim.Flow.ingress ctx.flow shard.Shard.station ~tracer:ctx.tracer ~src
+          ~dst ?expires ?reject env_idx (fun () -> handler shard))
 
 (* Authoritative ownership (the directory's current epoch). Clients route
    through their cached [?view] instead and get bounced + refreshed when it
@@ -730,14 +665,7 @@ let make_ctx engine net tt txns config =
       n_redirects = 0;
       n_fence_blocked = 0;
       fence_bounced = Hashtbl.create 64;
-      drop_expired = false;
-      hedge_us = 0;
-      retry_budget = None;
-      n_expired = 0;
-      n_shed = 0;
-      n_abandoned = 0;
-      n_hedges = 0;
-      n_hedge_wins = 0;
+      flow = Sim.Flow.create net;
     }
   in
   Array.iter
@@ -834,11 +762,7 @@ let rw_txn ?(on_attempt = fun (_ : int) -> ()) ?deadline_us ?view ctx
   (* Absolute expiry for deadline propagation: fixed at first issue, so
      retries inherit the remaining (not a fresh) deadline — the property
      that stops retry storms from doing useless work server-side. *)
-  let expires =
-    match deadline_us with
-    | Some d when ctx.drop_expired -> Some (Sim.Engine.now ctx.engine + d)
-    | Some _ | None -> None
-  in
+  let expires = Sim.Flow.expires ctx.flow deadline_us in
   let rec attempt () =
     (* Routing is re-derived per attempt from the client's cached view:
        an attempt bounced off a moved range refreshes the view in [retry]
@@ -875,7 +799,7 @@ let rw_txn ?(on_attempt = fun (_ : int) -> ()) ?deadline_us ?view ctx
        it). Locks still release — an abandoned txn must not strand
        waiters. *)
     let abandon txn =
-      ctx.n_abandoned <- ctx.n_abandoned + 1;
+      Sim.Flow.abandon ctx.flow;
       release_attempt txn
     in
     let retry txn =
@@ -896,13 +820,9 @@ let rw_txn ?(on_attempt = fun (_ : int) -> ()) ?deadline_us ?view ctx
       let shift = min !attempts (if fence_hit then 9 else 5) in
       let backoff = (5_000 * (1 lsl shift)) + (txn mod 5_000) in
       let backoff = max backoff !pushback_us in
-      match ctx.retry_budget with
-      | Some b when not (Sim.Rpc.Budget.try_take b) ->
-        (* Budget spent: fast-fail rather than join a retry storm. The
-           release already ran above. *)
-        ctx.n_abandoned <- ctx.n_abandoned + 1
-      | Some _ | None ->
-        Sim.Engine.schedule ~kind:"txn.backoff" ctx.engine ~after:backoff attempt
+      (* With the retry budget spent this fast-fails (abandoned) rather
+         than join a retry storm; the release already ran above. *)
+      Sim.Flow.retry ctx.flow ~after_us:backoff attempt
     in
     (* --- execution (read) phase --- *)
     let pending = ref (List.length read_shards) in
@@ -1015,13 +935,13 @@ let rw_txn ?(on_attempt = fun (_ : int) -> ()) ?deadline_us ?view ctx
              it is the txn's front door, where refusing work is still
              cheap. Once prepares are out, messages must land. *)
           let reject = function
-            | Expired ->
+            | Sim.Flow.Expired ->
               if not !settled then begin
                 settled := true;
                 ctx.n_rw_aborted_attempts <- ctx.n_rw_aborted_attempts + 1;
                 abandon txn
               end
-            | Pushback pb ->
+            | Sim.Flow.Pushback pb ->
               pushback_us := max !pushback_us pb.retry_after_us;
               failed := true;
               read_done ()
@@ -1265,28 +1185,16 @@ let rec ro_once ?view ?expires ctx ~client_site ~t_min ~keys k =
      the server-suggested backoff, but only if the retry budget allows it
      and the deadline can still be met — otherwise fast-fail. *)
   let reject = function
-    | Expired ->
+    | Sim.Flow.Expired ->
       if not !finished then begin
         finished := true;
-        ctx.n_abandoned <- ctx.n_abandoned + 1
+        Sim.Flow.abandon ctx.flow
       end
-    | Pushback pb ->
+    | Sim.Flow.Pushback pb ->
       if not !finished then begin
         finished := true;
-        let now = Sim.Engine.now ctx.engine in
-        let in_time =
-          match expires with None -> true | Some e -> now + pb.retry_after_us < e
-        in
-        let budgeted =
-          match ctx.retry_budget with
-          | None -> true
-          | Some b -> Sim.Rpc.Budget.try_take b
-        in
-        if in_time && budgeted then
-          Sim.Engine.schedule ~kind:"txn.backoff" ctx.engine
-            ~after:pb.retry_after_us (fun () ->
-              ro_once ?view ?expires ctx ~client_site ~t_min ~keys k)
-        else ctx.n_abandoned <- ctx.n_abandoned + 1
+        Sim.Flow.retry ctx.flow ?expires ~after_us:pb.retry_after_us (fun () ->
+            ro_once ?view ?expires ctx ~client_site ~t_min ~keys k)
       end
   in
   List.iter
@@ -1313,11 +1221,7 @@ let rec ro_once ?view ?expires ctx ~client_site ~t_min ~keys k =
    wins; the attempt budget bounds the tail so an unservable read does not
    keep the simulation alive forever. *)
 let ro_txn ?deadline_us ?view ctx ~client_site ~proc:_ ~t_min ~keys k =
-  let expires =
-    match deadline_us with
-    | Some d when ctx.drop_expired -> Some (Sim.Engine.now ctx.engine + d)
-    | Some _ | None -> None
-  in
+  let expires = Sim.Flow.expires ctx.flow deadline_us in
   match deadline_us with
   | Some d when ctx.failover ->
     let done_ = ref false in
@@ -1339,7 +1243,8 @@ let ro_txn ?deadline_us ?view ctx ~client_site ~proc:_ ~t_min ~keys k =
     in
     go 25
   | Some _ | None ->
-    if ctx.hedge_us <= 0 then ro_once ?view ?expires ctx ~client_site ~t_min ~keys k
+    let hedge_us = Sim.Flow.hedge_us ctx.flow in
+    if hedge_us <= 0 then ro_once ?view ?expires ctx ~client_site ~t_min ~keys k
     else begin
       (* Hedged read: if the primary has not completed after [hedge_us]
          (sized to a healthy-run latency percentile), issue one duplicate
@@ -1356,18 +1261,17 @@ let ro_txn ?deadline_us ?view ctx ~client_site ~proc:_ ~t_min ~keys k =
             done_ := true;
             k res
           end);
-      Sim.Engine.schedule ~kind:"txn.hedge" ctx.engine ~after:ctx.hedge_us
+      Sim.Engine.schedule ~kind:"txn.hedge" ctx.engine ~after:hedge_us
         (fun () ->
           if not !done_ then begin
-            ctx.n_hedges <- ctx.n_hedges + 1;
+            Sim.Flow.hedge_issued ctx.flow;
             (match view with
             | Some v when Place.Directory.stale v -> Place.Directory.refresh v
             | Some _ | None -> ());
             ro_once ?view ?expires ctx ~client_site ~t_min ~keys (fun res ->
                 if not !done_ then begin
                   done_ := true;
-                  if not !primary_done then
-                    ctx.n_hedge_wins <- ctx.n_hedge_wins + 1;
+                  if not !primary_done then Sim.Flow.hedge_won ctx.flow;
                   k res
                 end)
           end)
@@ -1397,17 +1301,6 @@ let set_site_slowdown ctx ~site ~factor =
 
 let clear_slowdowns ctx =
   Array.iter (fun sh -> Sim.Station.set_slowdown sh.Shard.station 1) ctx.shards
-
-let set_admission ctx limits =
-  Array.iter (fun sh -> Sim.Station.set_limits sh.Shard.station limits) ctx.shards
-
-let set_drop_expired ctx on = ctx.drop_expired <- on
-
-let set_hedge_us ctx us =
-  if us < 0 then invalid_arg "Protocol.set_hedge_us: negative delay";
-  ctx.hedge_us <- us
-
-let set_retry_budget ctx budget = ctx.retry_budget <- budget
 
 (* Snapshot reads (Spanner's read-at-timestamp API): a consistent view as of
    a caller-chosen timestamp. Shards block on prepared transactions that

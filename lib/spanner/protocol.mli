@@ -45,17 +45,9 @@ type ctx = {
       (** attempts refused by a fence — stands in for a "fenced" error code
           on the abort reply; the client's retry consumes it and backs off
           far longer than for a wound (the fence holds for drain + barrier) *)
-  mutable drop_expired : bool;
-      (** deadline propagation: shard leaders drop requests whose riding
-          deadline has passed before any service cost is charged *)
-  mutable hedge_us : int;  (** RO hedge delay; 0 (default) disables *)
-  mutable retry_budget : Sim.Rpc.Budget.t option;
-      (** fleet-wide token bucket capping retry amplification *)
-  mutable n_expired : int;  (** requests dropped expired at dequeue *)
-  mutable n_shed : int;  (** requests NACKed by admission control *)
-  mutable n_abandoned : int;  (** ops given up: expired or out of budget *)
-  mutable n_hedges : int;  (** hedge reads actually issued *)
-  mutable n_hedge_wins : int;  (** hedges that beat the primary *)
+  flow : Sim.Flow.t;
+      (** overload control: every shard-bound message enters its leader's
+          station through {!Sim.Flow.ingress}; default-off *)
 }
 
 val make_ctx :
@@ -124,7 +116,26 @@ val fence : ctx -> t_min:int -> (unit -> unit) -> unit
 (** {1 Overload & gray-failure controls}
 
     All default-off: with none armed, no extra event is scheduled and no
-    random draw occurs, so seeded schedules are byte-identical. *)
+    random draw occurs, so seeded schedules are byte-identical.
+
+    The policy lives in [ctx.flow] and is armed with {!Sim.Flow.arm}.
+    Spanner uses it as follows:
+    - Only client-facing entry points are sheddable: RW execution-phase
+      reads and RO shard reads. 2PC internal traffic is always admitted,
+      because refusing a commit-phase message strands prepared
+      participants.
+    - With expiry drops armed, an op's [deadline_us] becomes an absolute
+      expiry riding its requests, inherited by every retry. An expired
+      read NACKs and the op abandons.
+    - A shed RW read fails the attempt; the retry waits at least the
+      server-suggested backoff. A shed RO read re-issues the whole RO
+      after that backoff, if {!Sim.Flow.retry} allows it.
+    - Every wound-wait retry and every RO re-issue goes through
+      {!Sim.Flow.retry}, so a dry retry budget abandons the op instead of
+      amplifying overload.
+    - Hedged ROs ({!Sim.Flow.hedge_us} > 0): an RO still unfinished after
+      the delay is re-issued once, whole, to the shard leaders of the
+      client's refreshed view; the first completion wins. *)
 
 val stations : ctx -> Sim.Station.t list
 (** Every shard leader's station, for queue-depth / sojourn observation. *)
@@ -134,32 +145,6 @@ val set_site_slowdown : ctx -> site:int -> factor:int -> unit
     Drivers apply this from their fault hook on {!Chaos.Schedule.Slow}. *)
 
 val clear_slowdowns : ctx -> unit
-
-val set_admission : ctx -> Sim.Station.limits option -> unit
-(** Arm (or disarm) bounded queues with load shedding at every shard
-    leader. Shed requests NACK back to the client with a server-suggested
-    backoff — only client-facing entry points (RW execution-phase reads,
-    RO shard reads) are sheddable; 2PC internal traffic is always
-    admitted, because refusing a commit-phase message strands prepared
-    participants. *)
-
-val set_drop_expired : ctx -> bool -> unit
-(** Arm deadline propagation: ops issued with [deadline_us] stamp an
-    absolute expiry on their requests, and shard leaders drop work whose
-    expiry precedes its projected service start (an expired request NACKs
-    on client-facing entry points so the client fast-fails; retries
-    inherit the remaining deadline, never a fresh one). *)
-
-val set_hedge_us : ctx -> int -> unit
-(** Hedged RO reads: if a read has not completed after this many µs, issue
-    one duplicate and let the first completion win (losers are cancelled
-    client-side). 0 disables. Raises [Invalid_argument] if negative. *)
-
-val set_retry_budget : ctx -> Sim.Rpc.Budget.t option -> unit
-(** Install a (typically fleet-shared) retry token bucket: wound-wait
-    retries and shed-read re-issues each take a token, and when the bucket
-    is dry the op abandons instead of amplifying overload
-    ([n_abandoned]). *)
 
 val snapshot_read :
   ?view:Place.Directory.view -> ctx -> client_site:int -> ts:int ->

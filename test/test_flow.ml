@@ -325,7 +325,8 @@ let hedged_run ~fanout ~seed =
   done;
   let ctx = Gryff.Cluster.ctx cluster in
   Gryff.Protocol.set_read_fanout ctx fanout;
-  Gryff.Protocol.set_hedge_us ctx 10_000;
+  Sim.Flow.arm ctx.Gryff.Protocol.flow ~stations:[] ~admission:None
+    ~drop_expired:false ~hedge_us:10_000 ~budget:None;
   let wl = Sim.Rng.split rng in
   (* Clients off the victim: hedging recovers a server-side tail. *)
   let clients =
