@@ -98,18 +98,19 @@ let ingress t station ~tracer ~src ~dst ?expires ?reject env_idx job =
 
 let max_sends = 8
 
+(* The budget is asked last, so only a re-offer that will really be sent
+   takes a token (or counts a denial). *)
 let retry t ?expires ?sends ~after_us k =
-  let budgeted =
-    match t.budget with None -> true | Some b -> Rpc.Budget.try_take b
-  in
+  let under_cap = match sends with None -> true | Some n -> n < max_sends in
   let in_time =
     match expires with
     | None -> true
     | Some e -> Engine.now t.engine + after_us < e
   in
-  let under_cap = match sends with None -> true | Some n -> n < max_sends in
-  if budgeted && in_time && under_cap then
-    Engine.schedule ~kind:"txn.backoff" t.engine ~after:after_us k
+  if
+    under_cap && in_time
+    && (match t.budget with None -> true | Some b -> Rpc.Budget.try_take b)
+  then Engine.schedule ~kind:"txn.backoff" t.engine ~after:after_us k
   else t.abandoned <- t.abandoned + 1
 
 let abandon t = t.abandoned <- t.abandoned + 1

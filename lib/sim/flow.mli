@@ -80,11 +80,13 @@ val serve : tracer:Obs.Trace.t -> Station.t -> int -> (unit -> unit) -> unit
 val retry :
   t -> ?expires:int -> ?sends:int -> after_us:int -> (unit -> unit) -> unit
 (** May refused work be re-offered? [retry t ?expires ?sends ~after_us k]
-    takes a token from the retry budget and schedules [k] after [after_us]
-    when the token was granted, the re-offer would still start before
-    [expires] and, for callers that count [sends], the work has been sent
-    fewer than 8 times. Otherwise the work is abandoned (counted) and [k]
-    never runs. *)
+    checks, in order: the resend cap (for callers that count [sends], the
+    work must have been sent fewer than 8 times), the deadline (the
+    re-offer must start before [expires]) and the retry budget. If all
+    pass, [k] runs after [after_us]; otherwise the work is abandoned
+    (counted) and [k] never runs. Only a re-offer that passes the first two
+    checks reaches the budget, so work that is never sent takes no token
+    and counts no denial. *)
 
 val abandon : t -> unit
 (** Count work given up outside {!retry} (an expired NACK). *)

@@ -134,6 +134,32 @@ let test_budget_fast_fails_when_dry () =
       check int "refill caps at capacity" 4 (Sim.Rpc.Budget.tokens b));
   Sim.Engine.run e
 
+(* A re-offer that will never be sent — it would start past the deadline,
+   or the work already used its sends — must leave the budget untouched:
+   the token pays for a retry, not for the decision. *)
+let test_retry_charges_only_sent_reoffers () =
+  let e = Sim.Engine.create () in
+  let net = Sim.Net.create e ~rng:(Sim.Rng.make 1) ~rtt_ms:[| [| 0.1 |] |] () in
+  let flow = Sim.Flow.create net in
+  let b = Sim.Rpc.Budget.create e ~capacity:4 ~refill_period_us:1_000 in
+  Sim.Flow.arm flow ~stations:[] ~admission:None ~drop_expired:true ~hedge_us:0
+    ~budget:(Some b);
+  let ran = ref 0 in
+  let k () = incr ran in
+  let abandoned () = (Sim.Flow.stats flow).Sim.Flow.abandoned in
+  Sim.Flow.retry flow ~expires:500 ~after_us:800 k;
+  check int "late: no token taken" 0 (Sim.Rpc.Budget.taken b);
+  check int "late: no denial" 0 (Sim.Rpc.Budget.denied b);
+  check int "late: abandoned" 1 (abandoned ());
+  Sim.Flow.retry flow ~sends:8 ~after_us:100 k;
+  check int "capped: no token taken" 0 (Sim.Rpc.Budget.taken b);
+  check int "capped: abandoned" 2 (abandoned ());
+  Sim.Flow.retry flow ~expires:500 ~sends:7 ~after_us:100 k;
+  check int "sent: one token" 1 (Sim.Rpc.Budget.taken b);
+  Sim.Engine.run e;
+  check int "only the sent re-offer ran" 1 !ran;
+  check int "sent: not abandoned" 2 (abandoned ())
+
 (* ------------------------------------------------------------------ *)
 (* Gray-failure slowdown                                               *)
 (* ------------------------------------------------------------------ *)
@@ -296,10 +322,10 @@ let check_armed ~run ~digest () =
   check string "armed digest" digest (armed_digest r)
 
 let test_armed_spanner =
-  check_armed ~run:armed_spanner_run ~digest:"2aa36c6fa97a49d53f7c030439667902"
+  check_armed ~run:armed_spanner_run ~digest:"6bf60550b3aa5c9ca9e0372479bbfed6"
 
 let test_armed_gryff =
-  check_armed ~run:armed_gryff_run ~digest:"97d754d8094b8da938ae1d9767344949"
+  check_armed ~run:armed_gryff_run ~digest:"1912b35df375fb0836302fa77e750838"
 
 (* ------------------------------------------------------------------ *)
 (* Hedged reads under a gray-failed replica                            *)
@@ -373,6 +399,8 @@ let suites =
         Alcotest.test_case "no limits never sheds" `Quick test_no_limits_never_sheds;
         Alcotest.test_case "budget fast-fails when dry" `Quick
           test_budget_fast_fails_when_dry;
+        Alcotest.test_case "retry charges only sent re-offers" `Quick
+          test_retry_charges_only_sent_reoffers;
         Alcotest.test_case "slowdown scales service" `Quick
           test_slowdown_scales_service;
         Alcotest.test_case "flow off is byte-identical" `Slow
