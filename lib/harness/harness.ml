@@ -157,7 +157,15 @@ module Env = struct
     | _ -> ());
     { t with deadline_us = d }
 
-  let with_flow f t = { t with flow = f }
+  let with_flow f t =
+    (match f with
+    | Some { fl_hedge_us; _ } when fl_hedge_us < 0 ->
+      invalid_arg "Harness.Env.with_flow: hedge delay must be non-negative"
+    | Some { fl_gryff_fanout = Some Gryff.Protocol.Hedged; fl_hedge_us = 0; _ }
+      ->
+      invalid_arg "Harness.Env.with_flow: Hedged fan-out needs a hedge delay"
+    | _ -> ());
+    { t with flow = f }
 end
 
 (* {2 Metrics} *)

@@ -117,7 +117,7 @@ type flow_spec = {
           [Env.deadline_us] or nothing rides the envelopes *)
   fl_hedge_us : int;
       (** hedge reads still unfinished after this many µs (0 = off):
-          Spanner duplicates the RO read, Gryff widens a bare-quorum
+          Spanner re-issues the whole RO, Gryff widens a bare-quorum
           fan-out — see [fl_gryff_fanout] *)
   fl_budget : (int * int) option;
       (** fleet-wide retry token bucket as [(capacity,
@@ -185,6 +185,9 @@ module Env : sig
   (** Raises [Invalid_argument] on a non-positive deadline. *)
 
   val with_flow : flow_spec option -> t -> t
+  (** Raises [Invalid_argument] on a negative [fl_hedge_us], and on a
+      [Hedged] Gryff fan-out with [fl_hedge_us = 0] (it would hedge every
+      read after 1 µs). *)
 end
 
 val spanner_wan :

@@ -60,7 +60,7 @@ type ctx = {
    outcome broadcasts share envelopes with the prepare traffic already
    flowing to each participant — the commit decision piggybacks on the
    link's next frame instead of paying its own. Members of one envelope
-   amortize the destination leader's station cost ([Station.amortized]).
+   amortize the destination leader's station cost (see [Sim.Flow.ingress]).
    With batching off, [post] is [send] — byte-identical to the unbatched
    protocol. *)
 (* Deliver a reply to a client (client CPUs are not the modelled bottleneck). *)

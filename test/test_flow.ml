@@ -3,11 +3,13 @@
    per follower, and arrival sampling observes the queue transient; (2)
    admission control sheds exactly past the installed bounds and the typed
    pushback carries a drainable backoff estimate; (3) the retry budget is a
-   strict token bucket — dry means fast-fail, refill is lazy and exact; (4)
-   a slowdown factor scales busy time linearly; (5) the whole flow layer
-   with every knob off reproduces the golden seeded digests byte-for-byte,
-   and with every knob firing reproduces its own pinned digests; (6)
-   hedged reads complete quorums under a gray-failed replica. *)
+   strict token bucket — dry means fast-fail, refill is lazy and exact —
+   charged only for re-offers that are sent, and [Env.with_flow] rejects
+   hedging policies that cannot work; (4) a slowdown factor scales busy
+   time linearly; (5) the whole flow layer with every knob off reproduces
+   the golden seeded digests byte-for-byte, and with every knob firing
+   reproduces its own pinned digests; (6) hedged reads complete quorums
+   under a gray-failed replica. *)
 
 let check = Alcotest.check
 let bool = Alcotest.bool
@@ -159,6 +161,26 @@ let test_retry_charges_only_sent_reoffers () =
   Sim.Engine.run e;
   check int "only the sent re-offer ran" 1 !ran;
   check int "sent: not abandoned" 2 (abandoned ())
+
+let test_with_flow_validates () =
+  let env f = ignore Harness.Env.(default |> with_flow (Some f)) in
+  Alcotest.check_raises "negative hedge delay"
+    (Invalid_argument "Harness.Env.with_flow: hedge delay must be non-negative")
+    (fun () -> env { Harness.flow_default with Harness.fl_hedge_us = -1 });
+  Alcotest.check_raises "Hedged fan-out without a hedge delay"
+    (Invalid_argument "Harness.Env.with_flow: Hedged fan-out needs a hedge delay")
+    (fun () ->
+      env
+        {
+          Harness.flow_default with
+          Harness.fl_gryff_fanout = Some Gryff.Protocol.Hedged;
+        });
+  env
+    {
+      Harness.flow_default with
+      Harness.fl_gryff_fanout = Some Gryff.Protocol.Hedged;
+      fl_hedge_us = 1_000;
+    }
 
 (* ------------------------------------------------------------------ *)
 (* Gray-failure slowdown                                               *)
@@ -401,6 +423,8 @@ let suites =
           test_budget_fast_fails_when_dry;
         Alcotest.test_case "retry charges only sent re-offers" `Quick
           test_retry_charges_only_sent_reoffers;
+        Alcotest.test_case "with_flow validates hedging" `Quick
+          test_with_flow_validates;
         Alcotest.test_case "slowdown scales service" `Quick
           test_slowdown_scales_service;
         Alcotest.test_case "flow off is byte-identical" `Slow
