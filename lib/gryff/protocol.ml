@@ -77,10 +77,10 @@ let make_ctx engine net config =
             | None -> ())
           else
             (* execution ack back to the coordinator *)
-            Sim.Net.post ~bytes:32 ctx.net ~src:r.Replica.replica_id ~dst:coord
-              (fun env_idx ->
-                Sim.Flow.serve ~tracer:ctx.tracer
-                  ctx.replicas.(coord).Replica.station env_idx (fun () ->
+            let src = r.Replica.replica_id in
+            Sim.Net.post ~bytes:32 ctx.net ~src ~dst:coord (fun env_idx ->
+                Sim.Flow.ingress ctx.flow ctx.replicas.(coord).Replica.station
+                  ~tracer:ctx.tracer ~src ~dst:coord env_idx (fun () ->
                     match Hashtbl.find_opt ctx.rmw_waiters inst_id with
                     | Some p ->
                       p.p_acks <- p.p_acks + 1;

@@ -2,10 +2,9 @@
     server admits a request and how a client reacts to a refusal.
 
     Both protocols route every server-bound message through {!ingress}
-    (or {!serve}, for internal traffic that is never refused) and every
-    re-offer of refused work through {!retry}, so Spanner and Gryff shed,
-    expire and retry by the same rules. A [t] holds one deployment's
-    policy knobs and its counters.
+    and every re-offer of refused work through {!retry}, so Spanner and
+    Gryff shed, expire and retry by the same rules. A [t] holds one
+    deployment's policy knobs and its counters.
 
     {2 The ingress}
 
