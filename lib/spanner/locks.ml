@@ -158,7 +158,12 @@ let rec try_acquire t key req =
         if req.priority < priority_of t h then t.wound_prepared h;
         blocked := true
       end
-      else if req.priority < priority_of t h then begin
+      else if req.priority <= priority_of t h then begin
+        (* Priorities are (first-issue time, unique tiebreak) and retries
+           keep the first attempt's, so an equal-priority holder is an
+           earlier attempt of the same logical transaction — already
+           aborted, its lock leaked by a lost release. Wound it too, or the
+           retry waits on itself forever. *)
         t.wounds <- t.wounds + 1;
         t.wound h;
         let affected, aborted = strip t h in

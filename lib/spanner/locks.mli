@@ -2,11 +2,15 @@
     avoidance (Rosenkrantz et al. 1978), as used by Spanner's read-write
     transactions.
 
-    Priorities are (first-attempt start time, txn id) — smaller = older =
-    wins. On conflict, an older requester wounds (aborts) a younger holder
-    unless the holder is already prepared at this shard (its fate then
-    belongs to its 2PC coordinator); a younger requester waits. Readers also
-    wait behind older queued writers, so writers are not starved.
+    Priorities are (first-attempt start time, unique tiebreak) — smaller =
+    older = wins. On conflict, an older requester wounds (aborts) a younger
+    holder unless the holder is already prepared at this shard (its fate
+    then belongs to its 2PC coordinator); a younger requester waits. Retries
+    keep the first attempt's priority, so an {e equal}-priority holder is an
+    earlier, already-aborted attempt of the requester's own transaction
+    whose release was lost: a non-prepared one is wounded like a younger
+    holder. Readers also wait behind older queued writers, so writers are
+    not starved.
 
     The table is callback-parameterized over shard state it must not own:
     whether a transaction is prepared here, whether it has been wounded

@@ -77,6 +77,26 @@ let test_younger_waits () =
   check bool "young waits" true (try_write h ~key:1 ~txn:2 ~prio:20 = `Pending);
   check bool "no wound" false (Hashtbl.mem h.wounded 1)
 
+let test_retry_wounds_its_leaked_attempt () =
+  (* Txn 1 is the first attempt of a logical transaction; its release was
+     lost, so it still holds the write lock. Txn 2 is the retry: same
+     priority, since retries keep the first attempt's. It must wound the
+     dead attempt and get the lock rather than wait on itself forever. *)
+  let h = mk () in
+  let acquire txn =
+    let result = ref `Pending in
+    Spanner.Locks.acquire_write h.locks ~key:1 ~txn ~priority:(10, 7) (function
+      | Spanner.Locks.Granted _ -> result := `Granted
+      | Spanner.Locks.Aborted -> result := `Aborted);
+    Sim.Engine.run h.engine;
+    !result
+  in
+  check bool "first attempt" true (acquire 1 = `Granted);
+  check bool "retry granted" true (acquire 2 = `Granted);
+  check bool "leaked attempt wounded" true (Hashtbl.mem h.wounded 1);
+  check bool "retry holds the lock" true
+    (Spanner.Locks.holds_write h.locks ~key:1 ~txn:2)
+
 let test_prepared_escalation () =
   let h = mk () in
   check bool "young holder" true (try_write h ~key:1 ~txn:2 ~prio:20 = `Granted);
@@ -184,6 +204,8 @@ let suites =
         Alcotest.test_case "write excludes" `Quick test_write_excludes;
         Alcotest.test_case "older wounds younger" `Quick test_older_wounds_younger;
         Alcotest.test_case "younger waits" `Quick test_younger_waits;
+        Alcotest.test_case "retry wounds its leaked attempt" `Quick
+          test_retry_wounds_its_leaked_attempt;
         Alcotest.test_case "prepared escalation" `Quick test_prepared_escalation;
         Alcotest.test_case "upgrade" `Quick test_upgrade;
         Alcotest.test_case "upgrade wounds reader" `Quick
