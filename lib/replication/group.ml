@@ -144,8 +144,6 @@ let now t = Sim.Engine.now t.engine
 
 let candidate_of t v = v mod t.n
 
-let entry_bytes e = e.e_bytes
-
 let log_bytes entries = List.fold_left (fun acc e -> acc + e.e_bytes) 32 entries
 
 (* Deliver [f] at member [m]; the handler is dropped if the site crashed
@@ -722,4 +720,3 @@ let stats t =
         0 t.members;
   }
 
-let _ = entry_bytes

@@ -62,11 +62,9 @@ type t = {
   timeout_us : int;
   max_backoff_us : int;
   max_attempts : int;
-  mutable budget : Budget.t option;
   mutable n_calls : int;
   mutable n_retries : int;
   mutable n_exhausted : int;
-  mutable n_budget_denied : int;
   mutable tracer : Obs.Trace.t;
 }
 
@@ -80,19 +78,13 @@ let create engine ~rng ?(timeout_us = 500_000) ?(max_backoff_us = 2_000_000)
     timeout_us;
     max_backoff_us;
     max_attempts;
-    budget = None;
     n_calls = 0;
     n_retries = 0;
     n_exhausted = 0;
-    n_budget_denied = 0;
     tracer = Obs.Trace.disabled;
   }
 
 let set_tracer t tracer = t.tracer <- tracer
-
-let set_budget t budget = t.budget <- budget
-
-let budget t = t.budget
 
 let call ?(name = "rpc.call") t ~attempt ~on_result =
   t.n_calls <- t.n_calls + 1;
@@ -116,33 +108,16 @@ let call ?(name = "rpc.call") t ~attempt ~on_result =
       on_result (Some v)
     end
   in
-  let give_up marker =
-    if traced then begin
-      Obs.Trace.instant ~parent:call_sp tr ~name:marker
-        ~ts:(Engine.now t.engine);
-      Obs.Trace.end_span tr call_sp ~ts:(Engine.now t.engine)
-    end;
-    on_result None
-  in
-  (* A retry spends one budget token (the first attempt is free — budgets
-     cap amplification, not offered load). An empty bucket converts the
-     retry into an immediate fast-fail rather than queueing more work onto
-     an already-overloaded fleet. *)
-  let retry_allowed () =
-    match t.budget with
-    | None -> true
-    | Some b -> Budget.try_take b
-  in
   let rec go n =
     if not !settled then
       if n > t.max_attempts then begin
         t.n_exhausted <- t.n_exhausted + 1;
-        give_up "rpc.exhausted"
-      end
-      else if n > 1 && not (retry_allowed ()) then begin
-        t.n_exhausted <- t.n_exhausted + 1;
-        t.n_budget_denied <- t.n_budget_denied + 1;
-        give_up "rpc.budget_exhausted"
+        if traced then begin
+          Obs.Trace.instant ~parent:call_sp tr ~name:"rpc.exhausted"
+            ~ts:(Engine.now t.engine);
+          Obs.Trace.end_span tr call_sp ~ts:(Engine.now t.engine)
+        end;
+        on_result None
       end
       else begin
         if n > 1 then t.n_retries <- t.n_retries + 1;
@@ -169,5 +144,3 @@ let calls t = t.n_calls
 let retries t = t.n_retries
 
 let exhausted t = t.n_exhausted
-
-let budget_denied t = t.n_budget_denied

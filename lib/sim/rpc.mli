@@ -22,13 +22,14 @@
 
 type t
 
-(** Fleet-wide retry budget: a token bucket shared by any number of {!t}
-    instances that caps total retry {e amplification}. First attempts are
-    free; each retransmission spends one token, and an empty bucket turns
-    the retry into an immediate fast-fail ([on_result None]) instead of
-    adding more work to an overloaded fleet — the standard defense against
-    metastable retry storms. Refill is lazy integer arithmetic over
-    simulated time: no timer events, no randomness, fully deterministic. *)
+(** Fleet-wide retry budget: a token bucket that caps total retry
+    {e amplification}. {!Flow} owns the deployment's bucket and decides
+    which re-offers spend from it: first attempts are free, each re-offer
+    spends one token, and an empty bucket turns the re-offer into an
+    immediate fast-fail instead of adding more work to an overloaded fleet
+    — the standard defense against metastable retry storms. Refill is lazy
+    integer arithmetic over simulated time: no timer events, no
+    randomness, fully deterministic. *)
 module Budget : sig
   type t
 
@@ -52,13 +53,6 @@ val create :
   ?max_attempts:int -> unit -> t
 (** Defaults: 500 ms first-attempt timeout (above the worst WAN round trip
     in the paper's deployments), 2 s backoff cap, 8 attempts. *)
-
-val set_budget : t -> Budget.t option -> unit
-(** Attach (or detach) a retry budget. Several helpers may share one bucket
-    — that is the point: the cap is fleet-wide. [None] (the default) keeps
-    the pre-budget behavior exactly. *)
-
-val budget : t -> Budget.t option
 
 val call :
   ?name:string ->
@@ -86,8 +80,4 @@ val calls : t -> int
 val retries : t -> int
 
 val exhausted : t -> int
-(** Calls that delivered [None] — attempt budget spent {e or} retry budget
-    denied (the latter also counted in {!budget_denied}). *)
-
-val budget_denied : t -> int
-(** Calls fast-failed by an empty retry {!Budget}. *)
+(** Calls that delivered [None] after spending their attempt budget. *)
