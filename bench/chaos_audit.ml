@@ -1,6 +1,10 @@
 (* Long-form chaos audit battery — every nemesis preset against every
    protocol, several seeds each, plus a chaos-wrapped harness benchmark.
-   Excluded from tier-1 `dune runtest`; run with:
+   Each cell is built by Harness.Env.of_preset, so it arms everything its
+   preset is named for: the schedule, failover, disk damage and live
+   migrations. A cell passes when its history verifies, liveness resumes
+   after heal and no member is left quarantined. Excluded from tier-1
+   `dune runtest`; run with:
 
      dune exec bench/chaos_audit.exe            # full battery
      dune exec bench/chaos_audit.exe -- quick   # one seed per cell *)
@@ -18,35 +22,38 @@ let audit_cell protocol preset ~seed =
       (Chaos.Nemesis.preset_name preset)
       seed
   in
-  let schedule =
-    Chaos.Audit.nemesis_schedule protocol preset ~duration_s ~seed
+  let env =
+    Harness.Env.of_preset protocol preset ~duration_s ~nemesis_seed:seed
   in
-  let failover = Chaos.Nemesis.requires_failover preset in
-  let r =
-    Harness.audit
-      ~env:Harness.Env.(default |> with_chaos schedule |> with_failover failover)
-      protocol ~duration_s ~seed ()
-  in
+  let r = Harness.audit ~env protocol ~duration_s ~seed () in
   let c = Harness.Run.counter r in
   let verdict =
     match r.Harness.Run.check with
     | Harness.Run.Pass -> "ok"
-    | Harness.Run.Fail m | Harness.Run.Unknown m -> Fmt.str "VIOLATION %s" m
+    | Harness.Run.Fail m -> Fmt.str "VIOLATION %s" m
+    | Harness.Run.Unknown m -> Fmt.str "UNKNOWN %s" m
   in
   let live = Harness.liveness_ok r in
   let failover_summary =
-    if failover then
+    if env.Harness.Env.failover then
       Fmt.str " vc=%d retries=%d indoubt=%d elect=%dus"
         (c "failover.view_changes") (c "failover.rpc_retries")
         (c "failover.in_doubt_resolved") (c "failover.max_election_us")
     else ""
   in
-  Fmt.pr "  %s  %-10s %-8s ops=%-6d unacked=%-4d drops=%d/%d/%d%s@." name
-    verdict
+  let disk_summary =
+    if env.Harness.Env.disk_faults = None then ""
+    else
+      Fmt.str " damaged=%d unrepaired=%d" (c "durable.fault.crashes")
+        (c "durable.repair.unrepaired")
+  in
+  Fmt.pr "  %s  %-10s %-8s ops=%-6d unacked=%-4d drops=%d/%d/%d%s%s mig=%d@."
+    name verdict
     (if live then "live" else "STALLED")
     (c "op.completed") (c "op.unacked_commits_swept") (c "fault.dropped_crash")
-    (c "fault.dropped_partition") (c "fault.dropped_loss") failover_summary;
-  (Harness.Run.passed r, live)
+    (c "fault.dropped_partition") (c "fault.dropped_loss") failover_summary
+    disk_summary (c "place.migrations");
+  (Harness.Run.passed r && c "durable.repair.unrepaired" = 0, live)
 
 let battery seeds =
   Fmt.pr "== nemesis battery (%g s simulated per cell) ==@." duration_s;

@@ -52,24 +52,13 @@ type measured = {
   unrepaired : int;
 }
 
-let disk_faults_for preset ~seed =
-  match Chaos.Nemesis.disk_spec preset with
-  | Some spec -> Chaos.Audit.default_disk_faults ~spec ~seed ()
-  | None -> Chaos.Audit.default_disk_faults ~seed ()
-
-let measure ?disk_faults ~name ~protocol ~preset ~duration_s ~seed () =
-  let schedule = Chaos.Audit.nemesis_schedule protocol preset ~duration_s ~seed in
-  let disk_faults =
-    match disk_faults with Some df -> df | None -> disk_faults_for preset ~seed
-  in
-  let n_migrations = if Chaos.Nemesis.requires_reshard preset then 2 else 0 in
+(* Every preset here arms failover and its tuned disk damage; torn-migration
+   also live-migrates. [~disk_rate:1.0] keeps disk faults armed even for a
+   preset without a tuned mix. *)
+let measure ~name ~protocol ~preset ~duration_s ~seed () =
   let env =
-    Harness.Env.(
-      default |> with_chaos schedule |> with_disk_faults disk_faults
-      |> with_failover true
-      |> with_reshard
-           (Harness.audit_migrations ~n_keys:(Harness.audit_keys protocol)
-              n_migrations))
+    Harness.Env.of_preset ~disk_rate:1.0 protocol preset ~duration_s
+      ~nemesis_seed:seed
   in
   let t0 = Sys.time () in
   let r = Harness.audit ~env protocol ~duration_s ~seed () in

@@ -81,17 +81,14 @@ let () =
   let raw_digest =
     let i = base_in in
     let duration_s = float_of_int i.Explore.Exec.duration_ms /. 1_000.0 in
-    let schedule =
-      Chaos.Audit.nemesis_schedule i.Explore.Exec.protocol
-        i.Explore.Exec.preset ~duration_s ~seed:i.Explore.Exec.nemesis_seed
-    in
     let run =
       Harness.audit
         ~env:
-          Harness.Env.(
-            default |> with_chaos schedule
-            |> with_failover
-                 (Chaos.Nemesis.requires_failover i.Explore.Exec.preset))
+          (Harness.Env.of_preset
+             ~disk_rate:(float_of_int i.Explore.Exec.disk_rate_pct /. 100.0)
+             ~n_keys:i.Explore.Exec.n_keys i.Explore.Exec.protocol
+             i.Explore.Exec.preset ~duration_s
+             ~nemesis_seed:i.Explore.Exec.nemesis_seed)
         ~n_slots:i.Explore.Exec.n_slots ~n_keys:i.Explore.Exec.n_keys
         ~timeout_us:(i.Explore.Exec.timeout_ms * 1_000)
         ~conflict:(float_of_int i.Explore.Exec.conflict_pct /. 100.0)

@@ -555,7 +555,9 @@ let chaos_cmd =
           ~doc:
             "Arm crash recovery: shard-group view changes, client retries \
              and in-doubt 2PC resolution (Spanner), request retransmission \
-             (Gryff). Implied by the leader-kill and rolling-crash presets.")
+             (Gryff). Implied by every preset that crashes leaders or \
+             moves placement (leader-kill, rolling-crash, reshard, \
+             hot-split and the disk presets).")
   in
   let duration =
     Arg.(value & opt float 20.0 & info [ "duration" ] ~doc:"Simulated seconds.")
@@ -579,8 +581,8 @@ let chaos_cmd =
       & info [ "migrations" ] ~docv:"N"
           ~doc:
             "Live key-range migrations to run during the audit (Spanner \
-             variants only). Defaults to 2 for the reshard and hot-split \
-             presets, 0 otherwise.")
+             variants only). Defaults to 2 for the presets that move \
+             placement (reshard, hot-split, torn-migration), 0 otherwise.")
   in
   let run protocol nemesis duration seed nemesis_seed slots migrations failover
       disk_fault_rate trace_out deadline_us =
@@ -593,59 +595,37 @@ let chaos_cmd =
       Fmt.epr "error: --nemesis-seed must be non-negative@.";
       exit 1
     | _ -> ());
-    let n_migrations =
-      match migrations with
-      | Some n when n < 0 ->
-        Fmt.epr "error: --migrations must be non-negative@.";
-        exit 1
-      | Some n -> n
-      | None -> if Chaos.Nemesis.requires_reshard nemesis then 2 else 0
-    in
-    let failover = failover || Chaos.Nemesis.requires_failover nemesis in
+    (match migrations with
+    | Some n when n < 0 ->
+      Fmt.epr "error: --migrations must be non-negative@.";
+      exit 1
+    | _ -> ());
+    (match disk_fault_rate with
+    | Some r when r < 0.0 ->
+      Fmt.epr "error: --disk-fault-rate must be non-negative@.";
+      exit 1
+    | _ -> ());
     let nseed = Option.value nemesis_seed ~default:seed in
-    let disk_faults =
-      let tuned = Chaos.Nemesis.disk_spec nemesis in
-      match disk_fault_rate with
-      | Some r when r < 0.0 ->
-        Fmt.epr "error: --disk-fault-rate must be non-negative@.";
-        exit 1
-      | Some r when r = 0.0 -> None
-      | Some r ->
-        let base =
-          match tuned with Some s -> s | None -> Sim.Durable.Faults.default_spec
-        in
-        Some
-          (Chaos.Audit.default_disk_faults
-             ~spec:(Sim.Durable.Faults.scale r base)
-             ~seed:nseed ())
-      | None -> (
-        match tuned with
-        | Some s -> Some (Chaos.Audit.default_disk_faults ~spec:s ~seed:nseed ())
-        | None -> None)
-    in
-    let schedule =
-      Chaos.Audit.nemesis_schedule protocol nemesis ~duration_s:duration
-        ~seed:nseed
+    let tracer = tracer_for trace_out in
+    let env =
+      Harness.Env.(
+        of_preset ?disk_rate:disk_fault_rate protocol nemesis
+          ~duration_s:duration ~nemesis_seed:nseed
+        |> (if failover then with_failover true else Fun.id)
+        |> (match migrations with
+           | Some n ->
+             with_reshard
+               (Harness.audit_migrations protocol
+                  ~n_keys:(Harness.audit_keys protocol) n)
+           | None -> Fun.id)
+        |> with_trace tracer)
     in
     Fmt.pr "nemesis %s (seed %d):@." (Chaos.Nemesis.preset_name nemesis) nseed;
     List.iter
       (fun e -> Fmt.pr "  %a@." Chaos.Schedule.pp_event e)
       (List.stable_sort
          (fun a b -> compare a.Chaos.Schedule.at_us b.Chaos.Schedule.at_us)
-         schedule);
-    let tracer = tracer_for trace_out in
-    let env =
-      {
-        Harness.Env.default with
-        chaos = Some schedule;
-        disk_faults;
-        failover;
-        trace = tracer;
-        reshard =
-          Harness.audit_migrations ~n_keys:(Harness.audit_keys protocol)
-            n_migrations;
-      }
-    in
+         (Option.get env.Harness.Env.chaos));
     let r =
       Harness.audit ~env ~n_slots:slots ?timeout_us:deadline_us protocol
         ~duration_s:duration ~seed ()

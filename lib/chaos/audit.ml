@@ -21,22 +21,28 @@ let model_name = function
   | Gryff_lin -> "linearizability (per key)"
   | Gryff_rsc -> "RSC (per key)"
 
-let protocol_sites = function
-  | Spanner_strict | Spanner_rss -> 3 (* wan3 *)
-  | Gryff_lin | Gryff_rsc -> 5 (* wan5 *)
+type deployment =
+  | Spanner_wan of Spanner.Config.t
+  | Gryff_wan of Gryff.Config.t
 
-let protocol_epsilon_us = function
-  | Spanner_strict | Spanner_rss -> 10_000
-  | Gryff_lin | Gryff_rsc -> 0
-
-let protocol_leader_sites = function
-  | Spanner_strict | Spanner_rss -> [ 0; 1; 2 ] (* wan3: one leader per site *)
-  | Gryff_lin | Gryff_rsc -> [] (* leaderless *)
+let deployment = function
+  | Spanner_strict -> Spanner_wan (Spanner.Config.wan3 ~mode:Strict ())
+  | Spanner_rss -> Spanner_wan (Spanner.Config.wan3 ~mode:Rss ())
+  | Gryff_lin -> Gryff_wan (Gryff.Config.wan5 ~mode:Lin ())
+  | Gryff_rsc -> Gryff_wan (Gryff.Config.wan5 ~mode:Rsc ())
 
 let nemesis_schedule protocol preset ~duration_s ~seed =
-  Nemesis.generate preset ~n_sites:(protocol_sites protocol)
-    ~leaders:(protocol_leader_sites protocol)
-    ~epsilon_us:(protocol_epsilon_us protocol)
+  let n_sites, leaders, epsilon_us =
+    match deployment protocol with
+    | Spanner_wan c ->
+      ( Array.length c.rtt_ms,
+        Array.fold_left
+          (fun acc s -> if List.mem s acc then acc else acc @ [ s ])
+          [] c.leader_site,
+        c.epsilon_us )
+    | Gryff_wan c -> (Array.length c.rtt_ms, [], 0)
+  in
+  Nemesis.generate preset ~n_sites ~leaders ~epsilon_us
     ~duration_us:(Sim.Engine.sec duration_s) ~seed ()
 
 (* ------------------------------------------------------------------ *)

@@ -6,10 +6,11 @@
     incomplete records — and checks it against the protocol's consistency
     model. The run itself goes through the one driver core,
     [Harness.audit], which returns a [Harness.Run.t]; this module keeps the
-    pieces that sit below it: protocol names and nemesis sizing, disk-fault
-    installation and scrubbing, the two sweeps, the stale-read controls,
-    and the canonical trace serialization that lets two runs with
-    identical inputs be compared byte for byte. *)
+    pieces that sit below it: protocol names, the audit deployment and the
+    nemesis schedule sized from it, disk-fault installation and scrubbing,
+    the two sweeps, the stale-read controls, and the canonical trace
+    serialization that lets two runs with identical inputs be compared
+    byte for byte. *)
 
 type protocol = Spanner_strict | Spanner_rss | Gryff_lin | Gryff_rsc
 
@@ -19,18 +20,26 @@ val protocol_name : protocol -> string
 val protocol_of_string : string -> protocol option
 val model_name : protocol -> string
 
-val protocol_sites : protocol -> int
-(** Site count of the protocol's default deployment (wan3 / wan5). *)
+(** {1 The audit deployment}
 
-val protocol_epsilon_us : protocol -> int
+    Every audit of a protocol runs on one deployment, and everything sized
+    to it — the nemesis schedule here, the workload and migrations in
+    [Harness] — reads it from {!deployment}. *)
 
-val protocol_leader_sites : protocol -> int list
-(** Leader sites of the default deployment — the {!Nemesis.Leader_kill}
-    victim pool (empty for the leaderless Gryff). *)
+type deployment =
+  | Spanner_wan of Spanner.Config.t
+  | Gryff_wan of Gryff.Config.t
+
+val deployment : protocol -> deployment
+(** The protocol's audit deployment: {!Spanner.Config.wan3} or
+    {!Gryff.Config.wan5}, in the protocol's mode. *)
 
 val nemesis_schedule :
   protocol -> Nemesis.preset -> duration_s:float -> seed:int -> Schedule.t
-(** A nemesis schedule sized for the protocol's default deployment. *)
+(** A nemesis schedule sized from {!deployment}: one site per row of
+    [rtt_ms], the distinct [leader_site]s in shard order as the
+    {!Nemesis.Leader_kill} victim pool (none for the leaderless Gryff), and
+    the deployment's ε ([0] for Gryff, which has no TrueTime). *)
 
 (** {1 Storage fault injection}
 

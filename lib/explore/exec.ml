@@ -175,50 +175,23 @@ let run i =
   | Ok () -> ()
   | Error m -> invalid_arg ("Explore.Exec.run: " ^ m));
   let duration_s = float_of_int i.duration_ms /. 1_000.0 in
-  let schedule =
-    Chaos.Audit.nemesis_schedule i.protocol i.preset ~duration_s
-      ~seed:i.nemesis_seed
-  in
-  let n_migrations =
-    match i.protocol with
-    | Chaos.Audit.Spanner_strict | Chaos.Audit.Spanner_rss ->
-      if Chaos.Nemesis.requires_reshard i.preset then 2 else 0
-    | _ -> 0
-  in
-  let disk_faults =
-    if i.disk_rate_pct = 0 then None
-    else
-      let base =
-        match Chaos.Nemesis.disk_spec i.preset with
-        | Some s -> s
-        | None -> Sim.Durable.Faults.default_spec
-      in
-      Some
-        (Chaos.Audit.default_disk_faults
-           ~spec:
-             (Sim.Durable.Faults.scale
-                (float_of_int i.disk_rate_pct /. 100.0)
-                base)
-           ~seed:i.nemesis_seed ())
-  in
   let env =
-    {
-      Harness.Env.default with
-      chaos = Some schedule;
-      disk_faults;
-      failover = Chaos.Nemesis.requires_failover i.preset;
-      reshard = Harness.audit_migrations ~n_keys:i.n_keys n_migrations;
-      batching =
-        (if i.batch_us > 0 then
-           Some
-             {
-               Sim.Net.batch_us = i.batch_us;
-               batch_max = i.batch_max;
-               adaptive = false;
-             }
-         else None);
-      check = (if i.check_budget > 0 then `Budget i.check_budget else `Online);
-    }
+    Harness.Env.(
+      of_preset
+        ~disk_rate:(float_of_int i.disk_rate_pct /. 100.0)
+        ~n_keys:i.n_keys i.protocol i.preset ~duration_s
+        ~nemesis_seed:i.nemesis_seed
+      |> with_batching
+           (if i.batch_us > 0 then
+              Some
+                {
+                  Sim.Net.batch_us = i.batch_us;
+                  batch_max = i.batch_max;
+                  adaptive = false;
+                }
+            else None)
+      |> with_check
+           (if i.check_budget > 0 then `Budget i.check_budget else `Online))
   in
   let run =
     Harness.audit ~env

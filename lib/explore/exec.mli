@@ -4,12 +4,13 @@
     preset, both seeds, workload shape, Env-style knobs (batching, disk
     fault rate, online-checker budget), the seeded-bug control toggle and
     the {!Perturb} vectors — as plain integers/strings so it serializes
-    to a corpus line set and shrinks by simple arithmetic. {!run} drives
-    the trial through [Harness.audit] with the checker budget in
-    [Env.check], installs the perturbation via the audit's [prepare]
-    hook, takes the run's online verdict, and condenses the run's
-    behaviour into a coverage signature. Same input, same binary →
-    byte-identical outcome. *)
+    to a corpus line set and shrinks by simple arithmetic. {!run} builds
+    the trial's faults with [Harness.Env.of_preset] (the disk fault rate
+    as its [disk_rate]), drives it through [Harness.audit] with the
+    checker budget in [Env.check], installs the perturbation via the
+    audit's [prepare] hook, takes the run's online verdict, and condenses
+    the run's behaviour into a coverage signature. Same input, same
+    binary → byte-identical outcome. *)
 
 type input = {
   protocol : Chaos.Audit.protocol;

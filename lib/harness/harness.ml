@@ -108,6 +108,26 @@ let flow_default =
     fl_gryff_fanout = None;
   }
 
+let audit_keys = function
+  | Chaos.Audit.Spanner_strict | Chaos.Audit.Spanner_rss -> 5_000
+  | Chaos.Audit.Gryff_lin | Chaos.Audit.Gryff_rsc -> 2_000
+
+(* Live migrations of the Zipfian head — the hottest eighth of the
+   keyspace — spread over the run, each to a different destination shard
+   of the audit deployment. Gryff has no elastic placement. *)
+let audit_migrations protocol ~n_keys n =
+  match Chaos.Audit.deployment protocol with
+  | Chaos.Audit.Gryff_wan _ -> []
+  | Chaos.Audit.Spanner_wan config ->
+    List.init n (fun i ->
+        {
+          rs_at = 0.30 +. (0.25 *. float_of_int i);
+          rs_lo = 0;
+          rs_hi = max 1 (n_keys / 8);
+          rs_dst = (i + 1) mod config.Spanner.Config.n_shards;
+          rs_no_fence = false;
+        })
+
 (* The cross-cutting run environment, applied by the driver core the same
    way on every deployment. *)
 module Env = struct
@@ -166,6 +186,39 @@ module Env = struct
       invalid_arg "Harness.Env.with_flow: Hedged fan-out needs a hedge delay"
     | _ -> ());
     { t with flow = f }
+
+  (* The one place a nemesis preset becomes an audit run's faults. *)
+  let of_preset ?disk_rate ?n_keys protocol preset ~duration_s ~nemesis_seed
+      =
+    let tuned = Chaos.Nemesis.disk_spec preset in
+    let spec =
+      match disk_rate with
+      | None -> tuned
+      | Some r when r < 0.0 ->
+        invalid_arg "Harness.Env.of_preset: disk rate must be non-negative"
+      | Some 0.0 -> None
+      | Some r ->
+        Some
+          (Sim.Durable.Faults.scale r
+             (Option.value tuned ~default:Sim.Durable.Faults.default_spec))
+    in
+    let n_keys = Option.value n_keys ~default:(audit_keys protocol) in
+    let env =
+      default
+      |> with_chaos
+           (Chaos.Audit.nemesis_schedule protocol preset ~duration_s
+              ~seed:nemesis_seed)
+      |> with_failover (Chaos.Nemesis.requires_failover preset)
+      |> with_reshard
+           (audit_migrations protocol ~n_keys
+              (if Chaos.Nemesis.requires_reshard preset then 2 else 0))
+    in
+    match spec with
+    | None -> env
+    | Some spec ->
+      with_disk_faults
+        (Chaos.Audit.default_disk_faults ~spec ~seed:nemesis_seed ())
+        env
 end
 
 (* {2 Metrics} *)
@@ -919,37 +972,6 @@ let gryff_dc ?(env = Env.default) ~mode ~service_time_us ~n_clients ~conflict
 
 (* {2 Chaos audits} *)
 
-let audit_keys = function
-  | Chaos.Audit.Spanner_strict | Chaos.Audit.Spanner_rss -> 5_000
-  | Chaos.Audit.Gryff_lin | Chaos.Audit.Gryff_rsc -> 2_000
-
-(* Live migrations of the Zipfian head — the hottest eighth of the
-   keyspace — spread over the run, each to a different destination shard
-   of the default three-shard deployment. *)
-let audit_migrations ~n_keys n =
-  let config = Spanner.Config.wan3 ~mode:Spanner.Config.Rss () in
-  let n_shards = config.Spanner.Config.n_shards in
-  List.init n (fun i ->
-      {
-        rs_at = 0.30 +. (0.25 *. float_of_int i);
-        rs_lo = 0;
-        rs_hi = max 1 (n_keys / 8);
-        rs_dst = (i + 1) mod n_shards;
-        rs_no_fence = false;
-      })
-
-(* An audit protocol's deployment mode; each protocol family reads only its
-   own. *)
-let spanner_mode = function
-  | Chaos.Audit.Spanner_strict -> Spanner.Config.Strict
-  | Chaos.Audit.Spanner_rss | Chaos.Audit.Gryff_lin | Chaos.Audit.Gryff_rsc ->
-    Spanner.Config.Rss
-
-let gryff_mode = function
-  | Chaos.Audit.Gryff_lin -> Gryff.Config.Lin
-  | Chaos.Audit.Gryff_rsc | Chaos.Audit.Spanner_strict | Chaos.Audit.Spanner_rss ->
-    Gryff.Config.Rsc
-
 let audit ?(env = Env.default) ?prepare ?config ?client_sites ?n_slots ?n_keys
     ?(timeout_us = 2_000_000) ?(conflict = 0.1) ?(write_ratio = 0.3)
     ?(unsafe_no_deps = false) protocol ~duration_s ~seed () =
@@ -968,19 +990,14 @@ let audit ?(env = Env.default) ?prepare ?config ?client_sites ?n_slots ?n_keys
       ~site_of:(fun s -> sites.(s mod n_slots mod Array.length sites))
       ~latencies:(Some "ops") ~warmup_s:0.0 adapter
   in
-  match protocol with
-  | Chaos.Audit.Spanner_strict | Chaos.Audit.Spanner_rss ->
-    let config =
-      match config with
-      | Some c -> c
-      | None -> Spanner.Config.wan3 ~mode:(spanner_mode protocol) ()
-    in
+  match Chaos.Audit.deployment protocol with
+  | Chaos.Audit.Spanner_wan default ->
+    let config = Option.value config ~default in
     run
       ~n_slots:(Option.value n_slots ~default:12)
       ~sites:config.Spanner.Config.client_sites
       (spanner ~config ~n_keys ~theta:0.5)
-  | Chaos.Audit.Gryff_lin | Chaos.Audit.Gryff_rsc ->
-    let config = Gryff.Config.wan5 ~mode:(gryff_mode protocol) () in
+  | Chaos.Audit.Gryff_wan config ->
     run
       ~n_slots:(Option.value n_slots ~default:10)
       ~sites:
@@ -1001,13 +1018,14 @@ let stale_control protocol (r : Run.t) =
     Array.iter add records;
     online.result ()
   in
-  match r.Run.records with
-  | Run.Spanner_txns a ->
+  match (r.Run.records, Chaos.Audit.deployment protocol) with
+  | Run.Spanner_txns a, Chaos.Audit.Spanner_wan c ->
     Chaos.Audit.spanner_stale_control
-      ~check:(judge (spanner_judge ~budget:None (spanner_mode protocol))) a
-  | Run.Gryff_ops a ->
+      ~check:(judge (spanner_judge ~budget:None c.Spanner.Config.mode)) a
+  | Run.Gryff_ops a, Chaos.Audit.Gryff_wan c ->
     Chaos.Audit.gryff_stale_control
-      ~check:(judge (gryff_judge ~budget:None (gryff_mode protocol))) a
+      ~check:(judge (gryff_judge ~budget:None c.Gryff.Config.mode)) a
+  | _ -> invalid_arg "Harness.stale_control: not a run of this protocol"
 
 let liveness_ok ?(min_post_quiet = 1) r =
   Run.counter r "op.post_heal_completed" >= min_post_quiet

@@ -188,6 +188,26 @@ module Env : sig
   (** Raises [Invalid_argument] on a negative [fl_hedge_us], and on a
       [Hedged] Gryff fan-out with [fl_hedge_us = 0] (it would hedge every
       read after 1 µs). *)
+
+  val of_preset :
+    ?disk_rate:float -> ?n_keys:int -> Chaos.Audit.protocol ->
+    Chaos.Nemesis.preset -> duration_s:float -> nemesis_seed:int -> t
+  (** The one recipe that turns a protocol and a nemesis preset into an
+      audit environment — every chaos run (the CLI, the explorer, the
+      batteries) builds its faults here:
+      - chaos: {!Chaos.Audit.nemesis_schedule} seeded by [nemesis_seed];
+      - failover: {!Chaos.Nemesis.requires_failover};
+      - disk faults, seeded by [nemesis_seed]: without [disk_rate], the
+        preset's tuned {!Chaos.Nemesis.disk_spec} if it has one; with
+        [disk_rate = 0.], none; with [disk_rate = r], the tuned (or
+        default) spec scaled by [r];
+      - migrations: two {!audit_migrations} of an [n_keys] keyspace
+        (default {!audit_keys}) when {!Chaos.Nemesis.requires_reshard}
+        holds; Gryff gets none.
+
+      Everything else is {!default}; callers refine the result with the
+      [with_*] setters. Raises [Invalid_argument] on a negative
+      [disk_rate]. *)
 end
 
 val spanner_wan :
@@ -239,7 +259,8 @@ val audit :
   ?n_keys:int -> ?timeout_us:int -> ?conflict:float -> ?write_ratio:float ->
   ?unsafe_no_deps:bool -> Chaos.Audit.protocol -> duration_s:float ->
   seed:int -> unit -> Run.t
-(** Spanner protocols run Retwis (Zipf 0.5, [config] defaulting to wan3);
+(** Runs on the protocol's {!Chaos.Audit.deployment} ([config] overrides
+    Spanner's). Spanner protocols run Retwis (Zipf 0.5);
     Gryff protocols run YCSB reads and writes ([conflict] 0.1,
     [write_ratio] 0.3) with clients at [client_sites] (default every
     replica site). [n_slots] concurrent session slots (12 Spanner, 10
@@ -256,11 +277,14 @@ val audit :
 val audit_keys : Chaos.Audit.protocol -> int
 (** The audit workload's default keyspace: 5 000 (Spanner), 2 000 (Gryff). *)
 
-val audit_migrations : n_keys:int -> int -> reshard_spec list
-(** [audit_migrations ~n_keys n]: [n] live migrations of the Zipfian-hot
-    eighth of an [n_keys] keyspace, at 30%, 55%, ... of the run, each to a
-    different shard of the default deployment — the workload for the
-    reshard, hot-split and torn-migration presets. *)
+val audit_migrations :
+  Chaos.Audit.protocol -> n_keys:int -> int -> reshard_spec list
+(** [audit_migrations protocol ~n_keys n]: [n] live migrations of the
+    Zipfian-hot eighth of an [n_keys] keyspace, at 30%, 55%, ... of the
+    run, each to a different shard of the protocol's
+    {!Chaos.Audit.deployment} — the workload for the reshard, hot-split and
+    torn-migration presets. Empty for Gryff, which has no elastic
+    placement. *)
 
 val audit_trace : Run.t -> string
 (** The canonical history serialization ({!Chaos.Audit.spanner_trace} /
@@ -270,7 +294,8 @@ val stale_control : Chaos.Audit.protocol -> Run.t -> Run.verdict option
 (** Corrupt one completed read of the run's history to an older version and
     re-judge it against the protocol's model with the same (unbudgeted)
     online judge the driver arms: [Some (Fail _)] proves the checker has
-    teeth; [None] when no read is eligible. *)
+    teeth; [None] when no read is eligible. Raises [Invalid_argument] when
+    [r] is not a run of [protocol]'s family. *)
 
 val liveness_ok : ?min_post_quiet:int -> Run.t -> bool
 (** At least [min_post_quiet] (default 1) ops invoked after the schedule's

@@ -273,7 +273,11 @@ let check_verified label r =
 let test_audit_battery () =
   List.iter
     (fun protocol ->
-      let n = Chaos.Audit.protocol_sites protocol in
+      let n =
+        match Chaos.Audit.deployment protocol with
+        | Chaos.Audit.Spanner_wan c -> Array.length c.Spanner.Config.rtt_ms
+        | Chaos.Audit.Gryff_wan c -> Array.length c.Gryff.Config.rtt_ms
+      in
       List.iter
         (fun (kind, schedule) ->
           let label = Chaos.Audit.protocol_name protocol ^ "/" ^ kind in
@@ -535,9 +539,9 @@ let test_spanner_leader_crash_rides_through () =
      the followers elect a new leader, rebuild the shard from the
      replicated log, and commits resume. *)
   let victim =
-    match Chaos.Audit.protocol_leader_sites Chaos.Audit.Spanner_rss with
-    | s :: _ -> s
-    | [] -> Alcotest.fail "spanner deployment has no leader sites"
+    match Chaos.Audit.deployment Chaos.Audit.Spanner_rss with
+    | Chaos.Audit.Spanner_wan c -> c.Spanner.Config.leader_site.(0)
+    | Chaos.Audit.Gryff_wan _ -> Alcotest.fail "spanner-rss deploys Gryff"
   in
   let schedule =
     Chaos.Schedule.
@@ -615,7 +619,7 @@ let test_audit_pins () =
             env
             |> with_disk_faults (Chaos.Audit.default_disk_faults ~spec ~seed ())
             |> with_reshard
-                 (Harness.audit_migrations
+                 (Harness.audit_migrations protocol
                     ~n_keys:(Harness.audit_keys protocol) 2))
       in
       let o =
@@ -629,8 +633,146 @@ let test_audit_pins () =
         o.Explore.Exec.signature)
     audit_pins
 
+(* ------------------------------------------------------------------ *)
+(* The chaos-run recipe: a preset becomes an audit environment          *)
+(* ------------------------------------------------------------------ *)
+
+let spanner_protocol = function
+  | Chaos.Audit.Spanner_strict | Chaos.Audit.Spanner_rss -> true
+  | Chaos.Audit.Gryff_lin | Chaos.Audit.Gryff_rsc -> false
+
+(* The recipe's rules, spelled out per preset rather than read back from
+   Chaos.Nemesis: which presets arm failover, move placement, and carry a
+   tuned disk-fault mix. *)
+let failover_presets =
+  [ "leader-kill"; "rolling-crash"; "reshard"; "hot-split"; "disk-tear";
+    "bit-rot"; "torn-migration" ]
+
+let reshard_presets = [ "reshard"; "hot-split"; "torn-migration" ]
+let disk_presets = [ "disk-tear"; "bit-rot"; "torn-migration" ]
+
+let test_recipe_table () =
+  let duration_s = 4.0 and nemesis_seed = 3 in
+  List.iter
+    (fun protocol ->
+      List.iter
+        (fun (name, preset) ->
+          let label = Chaos.Audit.protocol_name protocol ^ "/" ^ name in
+          let env ?disk_rate ?n_keys () =
+            Harness.Env.of_preset ?disk_rate ?n_keys protocol preset ~duration_s
+              ~nemesis_seed
+          in
+          let e = env () in
+          check bool (label ^ ": schedule") true
+            (e.Harness.Env.chaos
+            = Some
+                (Chaos.Audit.nemesis_schedule protocol preset ~duration_s
+                   ~seed:nemesis_seed));
+          check bool (label ^ ": failover") (List.mem name failover_presets)
+            e.Harness.Env.failover;
+          (* Migrations: two, of the hot eighth, only on Spanner. *)
+          let migrations n_keys =
+            if spanner_protocol protocol && List.mem name reshard_presets then
+              List.map
+                (fun (rs_at, rs_dst) ->
+                  { Harness.rs_at; rs_lo = 0; rs_hi = n_keys / 8; rs_dst;
+                    rs_no_fence = false })
+                [ (0.30, 1); (0.55, 2) ]
+            else []
+          in
+          check bool (label ^ ": migrations") true
+            (e.Harness.Env.reshard = migrations (Harness.audit_keys protocol));
+          check bool (label ^ ": migrations sized by n_keys") true
+            ((env ~n_keys:64 ()).Harness.Env.reshard = migrations 64);
+          (* Disk faults: the tuned mix by default, none at rate 0, the
+             tuned (or default) mix scaled otherwise — always seeded by the
+             nemesis seed. *)
+          let disk ?disk_rate () =
+            Option.map
+              (fun df ->
+                check int (label ^ ": disk seed") nemesis_seed
+                  df.Chaos.Audit.df_seed;
+                check bool (label ^ ": integrity on") true
+                  df.Chaos.Audit.df_integrity;
+                df.Chaos.Audit.df_spec)
+              (env ?disk_rate ()).Harness.Env.disk_faults
+          in
+          let tuned = Chaos.Nemesis.disk_spec preset in
+          check bool (label ^ ": tuned disk spec") (List.mem name disk_presets)
+            (tuned <> None);
+          check bool (label ^ ": default disk faults") true (disk () = tuned);
+          check bool (label ^ ": rate 0 disarms") true
+            (disk ~disk_rate:0.0 () = None);
+          check bool (label ^ ": rate scales") true
+            (disk ~disk_rate:0.5 ()
+            = Some
+                (Sim.Durable.Faults.scale 0.5
+                   (Option.value tuned
+                      ~default:Sim.Durable.Faults.default_spec)));
+          (* Nothing else is touched. *)
+          let d = Harness.Env.default in
+          check bool (label ^ ": rest is default") true
+            (e.Harness.Env.check = d.Harness.Env.check
+            && e.Harness.Env.batching = None && e.Harness.Env.flow = None
+            && e.Harness.Env.deadline_us = None))
+        Chaos.Nemesis.presets)
+    Chaos.Audit.protocols
+
+(* The schedule is sized from the audit deployment; it must match what the
+   hand-kept literals produced: three sites, leaders [0; 1; 2] and
+   ε = 10 ms for Spanner's wan3, five leaderless sites without TrueTime for
+   Gryff's wan5. *)
+let test_recipe_schedule_sizing () =
+  List.iter
+    (fun protocol ->
+      let n_sites, leaders, epsilon_us =
+        if spanner_protocol protocol then (3, [ 0; 1; 2 ], 10_000)
+        else (5, [], 0)
+      in
+      List.iter
+        (fun (name, preset) ->
+          List.iter
+            (fun seed ->
+              check bool
+                (Fmt.str "%s/%s/seed=%d" (Chaos.Audit.protocol_name protocol)
+                   name seed)
+                true
+                (Chaos.Audit.nemesis_schedule protocol preset ~duration_s:6.0
+                   ~seed
+                = Chaos.Nemesis.generate preset ~n_sites ~leaders ~epsilon_us
+                    ~duration_us:(Sim.Engine.sec 6.0) ~seed ()))
+            [ 1; 7; 42 ])
+        Chaos.Nemesis.presets)
+    Chaos.Audit.protocols
+
+(* A superseded attempt's lost release once wedged its own retry forever
+   (wound-wait never wounds an equal priority): spanner-rss under the
+   reshard preset at seed 7 ran past 5 x 10^6 simulated seconds. Built by
+   the recipe it must verify, stay live and drain soon after the horizon. *)
+let test_recipe_reshard_drains () =
+  let protocol = Chaos.Audit.Spanner_rss and duration_s = 5.0 and seed = 7 in
+  let env =
+    Harness.Env.of_preset protocol Chaos.Nemesis.Reshard ~duration_s
+      ~nemesis_seed:seed
+  in
+  let r = Harness.audit ~env protocol ~duration_s ~seed () in
+  check_verified "reshard/seed=7" r;
+  check bool "liveness resumed after heal" true (Harness.liveness_ok r);
+  check bool "migrations ran" true (counter r "place.migrations" >= 1);
+  check bool "drained within 30 s of the horizon" true
+    (r.Harness.Run.duration_us <= Sim.Engine.sec (duration_s +. 30.0))
+
 let suites =
   [
+    ( "chaos.recipe",
+      [
+        Alcotest.test_case "every protocol x preset arms its faults" `Quick
+          test_recipe_table;
+        Alcotest.test_case "schedules sized from the deployment" `Quick
+          test_recipe_schedule_sizing;
+        Alcotest.test_case "spanner-rss reshard seed 7 drains" `Quick
+          test_recipe_reshard_drains;
+      ] );
     ( "chaos.net",
       [
         Alcotest.test_case "asymmetric block" `Quick test_net_asymmetric_block;
