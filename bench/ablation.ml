@@ -25,7 +25,7 @@ let tee_slack ?(duration_s = 60.0) ?(seed = 11) () =
           ~theta:0.9 ~n_keys:1_000_000 ~arrival_rate_per_sec:6.0 ~duration_s ~seed
           ()
       in
-      Harness.report_check "tee-slack" run.Harness.Run.check;
+      Harness.Run.report_check "tee-slack" run.Harness.Run.check;
       Fmt.pr "  %10.0f | %12.1f %12.1f %10d/%d@." pad_ms (ro_p99 run) (rw_p50 run)
         (Harness.Run.counter run "ro.blocked_at_shards")
         (Harness.Run.counter run "ro.count"))
@@ -47,8 +47,8 @@ let epsilon_sweep ?(duration_s = 60.0) ?(seed = 12) () =
       in
       let strict = with_eps Spanner.Config.Strict in
       let rss = with_eps Spanner.Config.Rss in
-      Harness.report_check "eps-strict" strict.Harness.Run.check;
-      Harness.report_check "eps-rss" rss.Harness.Run.check;
+      Harness.Run.report_check "eps-strict" strict.Harness.Run.check;
+      Harness.Run.report_check "eps-rss" rss.Harness.Run.check;
       Fmt.pr "  %10.0f | %11.1f / %9.1f | %11.1f / %9.1f@." eps_ms (ro_p99 strict)
         (rw_p50 strict) (ro_p99 rss) (rw_p50 rss))
     [ 1.0; 10.0; 50.0 ];

@@ -26,8 +26,8 @@ let run ?(duration_s = 300.0) ?(loads = default_loads) ?(n_keys = 10_000_000)
         Harness.spanner_wan ~mode:Spanner.Config.Rss ~theta ~n_keys
           ~arrival_rate_per_sec ~duration_s ~seed ()
       in
-      Harness.report_check "spanner" strict.Harness.Run.check;
-      Harness.report_check "spanner-rss" rss.Harness.Run.check;
+      Harness.Run.report_check "spanner" strict.Harness.Run.check;
+      Harness.Run.report_check "spanner-rss" rss.Harness.Run.check;
       let ro_s = Harness.Run.latency strict "ro"
       and ro_r = Harness.Run.latency rss "ro" in
       Stats.Summary.print_latency_table

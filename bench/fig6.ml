@@ -20,8 +20,8 @@ let run ?(duration_s = 10.0) ?(service_time_us = 15) ?(n_keys = 100_000) ?(seed 
         Harness.spanner_dc ~mode:Spanner.Config.Rss ~n_shards:8 ~service_time_us
           ~n_clients ~n_keys ~duration_s ~seed ()
       in
-      Harness.report_check "spanner" s.Harness.Run.check;
-      Harness.report_check "spanner-rss" r.Harness.Run.check;
+      Harness.Run.report_check "spanner" s.Harness.Run.check;
+      Harness.Run.report_check "spanner-rss" r.Harness.Run.check;
       let tps_s = Harness.Run.gauge s "throughput_tps"
       and tps_r = Harness.Run.gauge r "throughput_tps" in
       Fmt.pr "  %8d | %12.0f %9.2f %8.2f | %12.0f %9.2f %8.2f | %7.1f%%@." n_clients

@@ -40,8 +40,8 @@ let run ?(duration_s = 150.0) ?(n_keys = 100_000) ?(seed = 3)
             Harness.gryff_wan ~mode:Gryff.Config.Rsc ~conflict ~write_ratio ~n_keys
               ~duration_s ~seed ()
           in
-          Harness.report_check "gryff" lin.Harness.Run.check;
-          Harness.report_check "gryff-rsc" rsc.Harness.Run.check;
+          Harness.Run.report_check "gryff" lin.Harness.Run.check;
+          Harness.Run.report_check "gryff-rsc" rsc.Harness.Run.check;
           let p99 r =
             match Stats.Recorder.percentile_ms_opt r 99.0 with
             | Some v -> v
@@ -69,8 +69,8 @@ let run_tail ?(duration_s = 600.0) ?(n_keys = 100_000) ?(seed = 4) () =
     Harness.gryff_wan ~mode:Gryff.Config.Rsc ~conflict:0.10 ~write_ratio:0.3 ~n_keys
       ~duration_s ~seed ()
   in
-  Harness.report_check "gryff" lin.Harness.Run.check;
-  Harness.report_check "gryff-rsc" rsc.Harness.Run.check;
+  Harness.Run.report_check "gryff" lin.Harness.Run.check;
+  Harness.Run.report_check "gryff-rsc" rsc.Harness.Run.check;
   let read_lin = Harness.Run.latency lin "read"
   and read_rsc = Harness.Run.latency rsc "read" in
   Stats.Summary.print_latency_table ~header:"read latency (ms)"

@@ -22,8 +22,8 @@ let run ?(duration_s = 10.0) ?(service_time_us = 10) ?(n_keys = 100_000) ?(seed 
             Harness.gryff_dc ~mode:Gryff.Config.Rsc ~service_time_us ~n_clients
               ~conflict:0.10 ~write_ratio ~n_keys ~duration_s ~seed ()
           in
-          Harness.report_check "gryff" l.Harness.Run.check;
-          Harness.report_check "gryff-rsc" r.Harness.Run.check;
+          Harness.Run.report_check "gryff" l.Harness.Run.check;
+          Harness.Run.report_check "gryff-rsc" r.Harness.Run.check;
           let tps_l = Harness.Run.gauge l "throughput_tps"
           and tps_r = Harness.Run.gauge r "throughput_tps" in
           Fmt.pr "  %8d | %12.0f %10.3f | %12.0f %10.3f | %8.1f%%@." n_clients tps_l

@@ -187,3 +187,29 @@ let retrans_stats t =
       rpc_retries = Sim.Rpc.retries r;
       rpc_exhausted = Sim.Rpc.exhausted r;
     }
+
+(* ------------------------------------------------------------------ *)
+(* Run counters                                                       *)
+(* ------------------------------------------------------------------ *)
+
+let counters t =
+  let p = t.pctx in
+  let always =
+    [
+      ("read.count", p.Protocol.n_reads);
+      ("read.second_round", p.Protocol.n_read_second_round);
+      ("read.deps_created", p.Protocol.n_deps_created);
+      ("write.count", p.Protocol.n_writes);
+      ("rmw.count", p.Protocol.n_rmws);
+      ("rmw.slow", p.Protocol.n_rmw_slow);
+    ]
+  in
+  match p.Protocol.retrans with
+  | None -> always
+  | Some r ->
+    always
+    @ [
+        ("failover.rpc_calls", Sim.Rpc.calls r);
+        ("failover.rpc_retries", Sim.Rpc.retries r);
+        ("failover.rpc_exhausted", Sim.Rpc.exhausted r);
+      ]

@@ -111,3 +111,11 @@ type flow_stats = Sim.Flow.stats = {
     so callers can name the fields through the cluster. *)
 
 val flow_stats : t -> flow_stats
+
+(** {2 Run counters} *)
+
+val counters : t -> (string * int) list
+(** The run's protocol counters under their report names, the one place
+    they are named: [read.*], [write.count] and [rmw.*] always; with
+    retransmission armed ({!enable_retrans}), also
+    [failover.rpc_{calls,retries,exhausted}]. *)

@@ -275,64 +275,6 @@ let net_metrics reg ~faults net =
       (Stats.Recorder.to_sorted_array (Sim.Net.batch_sizes net))
   end
 
-let spanner_metrics reg ~failover cluster =
-  let c = add reg in
-  let s = Spanner.Cluster.stats cluster in
-  c "rw.committed" s.Spanner.Cluster.rw_committed;
-  c "rw.aborted_attempts" s.Spanner.Cluster.rw_aborted_attempts;
-  c "rw.wounds" s.Spanner.Cluster.wounds;
-  c "ro.count" s.Spanner.Cluster.ro_count;
-  c "ro.slow" s.Spanner.Cluster.ro_slow;
-  c "ro.blocked_at_shards" s.Spanner.Cluster.ro_blocked_at_shards;
-  let ps = Spanner.Cluster.place_stats cluster in
-  c "place.epoch" ps.Spanner.Cluster.epoch;
-  c "place.migrations" ps.Spanner.Cluster.migrations;
-  c "place.migrations_failed" ps.Spanner.Cluster.migrations_failed;
-  c "place.migration_retries" ps.Spanner.Cluster.migration_retries;
-  c "place.keys_moved" ps.Spanner.Cluster.keys_moved;
-  c "place.redirects" ps.Spanner.Cluster.redirects;
-  c "place.fence_blocked" ps.Spanner.Cluster.fence_blocked;
-  c "place.fence_hold_us" ps.Spanner.Cluster.fence_hold_us;
-  c "place.max_fence_hold_us" ps.Spanner.Cluster.max_fence_hold_us;
-  c "place.directory_appends" ps.Spanner.Cluster.directory_appends;
-  if failover then begin
-    let fs = Spanner.Cluster.failover_stats cluster in
-    c "failover.view_changes" fs.Spanner.Cluster.view_changes;
-    c "failover.heartbeats" fs.Spanner.Cluster.heartbeats;
-    c "failover.catchups" fs.Spanner.Cluster.catchups;
-    c "failover.dup_acks" fs.Spanner.Cluster.dup_acks;
-    c "failover.max_election_us" fs.Spanner.Cluster.max_election_us;
-    c "failover.terminates" fs.Spanner.Cluster.terminates;
-    c "failover.terminate_commits" fs.Spanner.Cluster.terminate_commits;
-    c "failover.in_doubt_resolved" fs.Spanner.Cluster.in_doubt_resolved;
-    c "failover.rpc_retries" fs.Spanner.Cluster.rpc_retries;
-    c "failover.rpc_exhausted" fs.Spanner.Cluster.rpc_exhausted;
-    c "failover.durable_appends" fs.Spanner.Cluster.durable_appends;
-    c "failover.durable_bytes" fs.Spanner.Cluster.durable_bytes;
-    c "durable.repair.torn" fs.Spanner.Cluster.torn_repaired;
-    c "durable.repair.quarantined" fs.Spanner.Cluster.corrupt_quarantined;
-    c "durable.repair.peer" fs.Spanner.Cluster.peer_repairs;
-    c "durable.repair.unrepaired" fs.Spanner.Cluster.unrepaired;
-    c "durable.repair.place"
-      (Place.Directory.repairs (Spanner.Cluster.directory cluster))
-  end
-
-let gryff_metrics reg ~failover cluster =
-  let c = add reg in
-  let s = Gryff.Cluster.stats cluster in
-  c "read.count" s.Gryff.Cluster.reads;
-  c "read.second_round" s.Gryff.Cluster.read_second_round;
-  c "read.deps_created" s.Gryff.Cluster.deps_created;
-  c "write.count" s.Gryff.Cluster.writes;
-  c "rmw.count" s.Gryff.Cluster.rmws;
-  c "rmw.slow" s.Gryff.Cluster.rmw_slow;
-  if failover then begin
-    let rs = Gryff.Cluster.retrans_stats cluster in
-    c "failover.rpc_calls" rs.Gryff.Cluster.rpc_calls;
-    c "failover.rpc_retries" rs.Gryff.Cluster.rpc_retries;
-    c "failover.rpc_exhausted" rs.Gryff.Cluster.rpc_exhausted
-  end
-
 (* Flow-control accounting — absent unless a protection is armed or fired,
    mirroring the batch.* convention. Queue-depth samples follow the ×1000
    histogram convention (see batch.size above): the printed table reads in
@@ -541,7 +483,7 @@ type ('c, 'op) deployment = {
   kind : 'op -> int;
   issue : 'c -> 'op -> deadline_us:int option -> (unit -> unit) -> unit;
   sweep : unit -> int;
-  metrics : Obs.Metrics.t -> failover:bool -> unit;
+  counters : unit -> (string * int) list;
   records : unit -> Run.history;
 }
 
@@ -627,7 +569,7 @@ let spanner ~config ~n_keys ~theta engine ~rng =
             else n)
           0
           (Unacked.in_issue_order pending));
-    metrics = (fun reg ~failover -> spanner_metrics reg ~failover cluster);
+    counters = (fun () -> Spanner.Cluster.counters cluster);
     records = (fun () -> Run.Spanner_txns (Spanner.Cluster.records cluster));
   }
 
@@ -696,7 +638,7 @@ let gryff ~config ~n_keys ~write_ratio ~conflict ~unsafe_no_deps engine ~rng =
             | None -> n)
           0
           (Unacked.in_issue_order pending));
-    metrics = (fun reg ~failover -> gryff_metrics reg ~failover cluster);
+    counters = (fun () -> Gryff.Cluster.counters cluster);
     records = (fun () -> Run.Gryff_ops (Gryff.Cluster.records cluster));
   }
 
@@ -856,7 +798,7 @@ let drive ~env ?prepare ~seed ~duration_s ~model ~site_of ~latencies ~warmup_s
       ());
   Sim.Engine.run ~max_events:600_000_000 engine;
   add reg "op.unacked_commits_swept" (d.sweep ());
-  d.metrics reg ~failover:env.Env.failover;
+  List.iter (fun (name, v) -> add reg name v) (d.counters ());
   flow_metrics reg ~armed:(env.Env.flow <> None) ~stations:d.stations d.flow;
   net_metrics reg ~faults:!faults d.net;
   durable_metrics reg ~dctl ~scrub;
@@ -1030,16 +972,19 @@ let stale_control protocol (r : Run.t) =
 let liveness_ok ?(min_post_quiet = 1) r =
   Run.counter r "op.post_heal_completed" >= min_post_quiet
 
+let print_verdict protocol r =
+  match r.Run.check with
+  | Run.Pass ->
+    Fmt.pr "history: verified (%s)@." (Chaos.Audit.model_name protocol)
+  | Run.Fail m -> Fmt.pr "history: VIOLATION — %s@." m
+  | Run.Unknown m -> Fmt.pr "history: verdict UNKNOWN — %s@." m
+
 let print_audit protocol r =
-  let model = Chaos.Audit.model_name protocol in
   Fmt.pr "chaos audit: %s — model: %s@." (Chaos.Audit.protocol_name protocol)
-    model;
+    (Chaos.Audit.model_name protocol);
   Run.print_latencies ~header:"chaos audit latency (ms)" r;
   Run.print_metrics ~header:"chaos audit" r;
-  (match r.Run.check with
-  | Run.Pass -> Fmt.pr "history: verified (%s)@." model
-  | Run.Fail m -> Fmt.pr "history: VIOLATION — %s@." m
-  | Run.Unknown m -> Fmt.pr "history: verdict UNKNOWN — %s@." m);
+  print_verdict protocol r;
   Fmt.pr "liveness: %s (%d ops completed after heal)@."
     (if liveness_ok r then "ok" else "STALLED")
     (Run.counter r "op.post_heal_completed");
@@ -1051,5 +996,3 @@ let print_audit protocol r =
       (c "durable.fault.crashes") (c "durable.repair.torn")
       (c "durable.repair.quarantined") (c "durable.repair.peer")
       (c "durable.repair.place") (c "durable.repair.unrepaired")
-
-let report_check = Run.report_check

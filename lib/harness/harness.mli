@@ -79,6 +79,10 @@ module Run : sig
 
   val print_metrics : ?header:string -> t -> unit
 
+  val report_check : string -> verdict -> unit
+  (** Print a loud warning if a run's history failed verification (or an
+      unresolved-verdict note on [Unknown]); silent on [Pass]. *)
+
   val print_summary : ?header:string -> t -> unit
   (** Latency table, metrics table, and a loud warning if the run's history
       failed verification. *)
@@ -301,10 +305,11 @@ val liveness_ok : ?min_post_quiet:int -> Run.t -> bool
 (** At least [min_post_quiet] (default 1) ops invoked after the schedule's
     last event completed. *)
 
+val print_verdict : Chaos.Audit.protocol -> Run.t -> unit
+(** The run's [history:] line, naming the protocol's model
+    ({!Chaos.Audit.model_name}) on a pass. *)
+
 val print_audit : Chaos.Audit.protocol -> Run.t -> unit
 (** The audit report: latency and metrics tables, the verdict, liveness,
     and a storage-repair summary when disk damage occurred. *)
 
-val report_check : string -> Run.verdict -> unit
-(** Print a loud warning if a run's history failed verification (or an
-    unresolved-verdict note on [Unknown]). *)

@@ -81,19 +81,19 @@ type stats = {
   messages : int;
 }
 
+let ro_blocked_at_shards t =
+  Array.fold_left
+    (fun acc sh -> acc + sh.Shard.n_ro_blocked)
+    0 t.pctx.Protocol.shards
+
 let stats t =
-  let ro_blocked =
-    Array.fold_left
-      (fun acc sh -> acc + sh.Shard.n_ro_blocked)
-      0 t.pctx.Protocol.shards
-  in
   {
     rw_committed = t.pctx.Protocol.n_rw_committed;
     rw_aborted_attempts = t.pctx.Protocol.n_rw_aborted_attempts;
     wounds = Types.wounds t.txns;
     ro_count = t.pctx.Protocol.n_ro;
     ro_slow = t.pctx.Protocol.n_ro_slow;
-    ro_blocked_at_shards = ro_blocked;
+    ro_blocked_at_shards = ro_blocked_at_shards t;
     messages = Sim.Net.messages_sent t.net;
   }
 
@@ -130,101 +130,64 @@ let directory t = t.pctx.Protocol.directory
 let migrate ?no_fence t ~lo ~hi ~dst k =
   Protocol.migrate ?no_fence t.pctx ~lo ~hi ~dst k
 
-type place_stats = {
-  epoch : int;
-  migrations : int;  (* completed *)
-  migrations_failed : int;
-  migration_retries : int;
-  keys_moved : int;
-  redirects : int;
-  fence_blocked : int;
-  fence_hold_us : int;
-  max_fence_hold_us : int;
-  directory_appends : int;
-}
-
-let place_stats t =
-  let ps = t.pctx.Protocol.place_stats in
-  {
-    epoch = Place.Directory.epoch (directory t);
-    migrations = ps.Place.Migrate.completed;
-    migrations_failed = ps.Place.Migrate.failed;
-    migration_retries = ps.Place.Migrate.source_retries;
-    keys_moved = ps.Place.Migrate.keys_moved;
-    redirects = t.pctx.Protocol.n_redirects;
-    fence_blocked = t.pctx.Protocol.n_fence_blocked;
-    fence_hold_us = ps.Place.Migrate.fence_hold_us;
-    max_fence_hold_us = ps.Place.Migrate.max_fence_hold_us;
-    directory_appends = Place.Directory.durable_appends (directory t);
-  }
-
 let set_tracer t tracer = Protocol.set_tracer t.pctx tracer
 
 let tracer t = t.pctx.Protocol.tracer
 
-type failover_stats = {
-  view_changes : int;
-  heartbeats : int;
-  catchups : int;
-  dup_acks : int;
-  max_election_us : int;
-  terminates : int;
-  terminate_commits : int;
-  in_doubt_resolved : int;
-  rpc_retries : int;
-  rpc_exhausted : int;
-  durable_appends : int;
-  durable_bytes : int;
-  torn_repaired : int;
-  corrupt_quarantined : int;
-  peer_repairs : int;
-  unrepaired : int;
-}
+(* ------------------------------------------------------------------ *)
+(* Run counters                                                       *)
+(* ------------------------------------------------------------------ *)
 
-let failover_stats t =
-  let z =
-    {
-      view_changes = 0;
-      heartbeats = 0;
-      catchups = 0;
-      dup_acks = 0;
-      max_election_us = 0;
-      terminates = t.pctx.Protocol.n_terminates;
-      terminate_commits = t.pctx.Protocol.n_terminate_commits;
-      in_doubt_resolved = t.pctx.Protocol.n_in_doubt_resolved;
-      rpc_retries =
-        (match t.pctx.Protocol.rpc with
-        | Some r -> Sim.Rpc.retries r
-        | None -> 0);
-      rpc_exhausted =
-        (match t.pctx.Protocol.rpc with
-        | Some r -> Sim.Rpc.exhausted r
-        | None -> 0);
-      durable_appends = 0;
-      durable_bytes = 0;
-      torn_repaired = 0;
-      corrupt_quarantined = 0;
-      peer_repairs = 0;
-      unrepaired = 0;
-    }
+let counters t =
+  let p = t.pctx in
+  let ps = p.Protocol.place_stats in
+  let dir = directory t in
+  let always =
+    [
+      ("rw.committed", p.Protocol.n_rw_committed);
+      ("rw.aborted_attempts", p.Protocol.n_rw_aborted_attempts);
+      ("rw.wounds", Types.wounds t.txns);
+      ("ro.count", p.Protocol.n_ro);
+      ("ro.slow", p.Protocol.n_ro_slow);
+      ("ro.blocked_at_shards", ro_blocked_at_shards t);
+      ("place.epoch", Place.Directory.epoch dir);
+      ("place.migrations", ps.Place.Migrate.completed);
+      ("place.migrations_failed", ps.Place.Migrate.failed);
+      ("place.migration_retries", ps.Place.Migrate.source_retries);
+      ("place.keys_moved", ps.Place.Migrate.keys_moved);
+      ("place.redirects", p.Protocol.n_redirects);
+      ("place.fence_blocked", p.Protocol.n_fence_blocked);
+      ("place.fence_hold_us", ps.Place.Migrate.fence_hold_us);
+      ("place.max_fence_hold_us", ps.Place.Migrate.max_fence_hold_us);
+      ("place.directory_appends", Place.Directory.durable_appends dir);
+    ]
   in
-  Array.fold_left
-    (fun acc sh ->
-      let g = Replication.Group.stats sh.Shard.repl in
-      {
-        acc with
-        view_changes = acc.view_changes + g.Replication.Group.view_changes;
-        heartbeats = acc.heartbeats + g.Replication.Group.heartbeats;
-        catchups = acc.catchups + g.Replication.Group.catchups;
-        dup_acks = acc.dup_acks + g.Replication.Group.dup_acks;
-        max_election_us =
-          max acc.max_election_us g.Replication.Group.max_election_us;
-        durable_appends = acc.durable_appends + g.Replication.Group.durable_appends;
-        durable_bytes = acc.durable_bytes + g.Replication.Group.durable_bytes;
-        torn_repaired = acc.torn_repaired + g.Replication.Group.torn_repaired;
-        corrupt_quarantined =
-          acc.corrupt_quarantined + g.Replication.Group.corrupt_quarantined;
-        peer_repairs = acc.peer_repairs + g.Replication.Group.peer_repairs;
-        unrepaired = acc.unrepaired + g.Replication.Group.unrepaired;
-      })
-    z t.pctx.Protocol.shards
+  if not p.Protocol.failover then always
+  else
+    let groups =
+      Array.map (fun sh -> Replication.Group.stats sh.Shard.repl) p.Protocol.shards
+    in
+    let sum f = Array.fold_left (fun acc g -> acc + f g) 0 groups in
+    let rpc f = match p.Protocol.rpc with Some r -> f r | None -> 0 in
+    always
+    @ Replication.Group.
+        [
+          ("failover.view_changes", sum (fun g -> g.view_changes));
+          ("failover.heartbeats", sum (fun g -> g.heartbeats));
+          ("failover.catchups", sum (fun g -> g.catchups));
+          ("failover.dup_acks", sum (fun g -> g.dup_acks));
+          ( "failover.max_election_us",
+            Array.fold_left (fun acc g -> max acc g.max_election_us) 0 groups );
+          ("failover.terminates", p.Protocol.n_terminates);
+          ("failover.terminate_commits", p.Protocol.n_terminate_commits);
+          ("failover.in_doubt_resolved", p.Protocol.n_in_doubt_resolved);
+          ("failover.rpc_retries", rpc Sim.Rpc.retries);
+          ("failover.rpc_exhausted", rpc Sim.Rpc.exhausted);
+          ("failover.durable_appends", sum (fun g -> g.durable_appends));
+          ("failover.durable_bytes", sum (fun g -> g.durable_bytes));
+          ("durable.repair.torn", sum (fun g -> g.torn_repaired));
+          ("durable.repair.quarantined", sum (fun g -> g.corrupt_quarantined));
+          ("durable.repair.peer", sum (fun g -> g.peer_repairs));
+          ("durable.repair.unrepaired", sum (fun g -> g.unrepaired));
+          ("durable.repair.place", Place.Directory.repairs dir);
+        ]

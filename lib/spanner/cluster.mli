@@ -110,38 +110,12 @@ val migrate :
     runs; see {!Protocol.migrate}. [?no_fence] is the unsafe mutation
     control used by safety tests. *)
 
-type place_stats = {
-  epoch : int;  (** current directory epoch *)
-  migrations : int;  (** completed *)
-  migrations_failed : int;
-  migration_retries : int;  (** per-source fence/ship re-attempts *)
-  keys_moved : int;
-  redirects : int;  (** ops bounced off a non-owning shard *)
-  fence_blocked : int;  (** lock acquisitions refused by a fence *)
-  fence_hold_us : int;
-  max_fence_hold_us : int;
-  directory_appends : int;  (** durable directory log appends *)
-}
+(** {2 Run counters} *)
 
-val place_stats : t -> place_stats
-
-type failover_stats = {
-  view_changes : int;
-  heartbeats : int;
-  catchups : int;
-  dup_acks : int;  (** duplicate replication acks suppressed *)
-  max_election_us : int;  (** worst leader-failure detection-to-activation *)
-  terminates : int;
-  terminate_commits : int;
-  in_doubt_resolved : int;
-  rpc_retries : int;
-  rpc_exhausted : int;
-  durable_appends : int;
-  durable_bytes : int;
-  torn_repaired : int;  (** log suffixes truncated by the repair policy *)
-  corrupt_quarantined : int;  (** members quarantined for mid-log damage *)
-  peer_repairs : int;  (** quarantines cleared by peer state transfer *)
-  unrepaired : int;  (** members still quarantined (fail-stopped) *)
-}
-
-val failover_stats : t -> failover_stats
+val counters : t -> (string * int) list
+(** The run's protocol counters under their report names, the one place
+    they are named: [rw.*], [ro.*] and the ten [place.*] counters always;
+    with failover armed ({!enable_failover}), also the [failover.*]
+    counters (view changes, heartbeats, catch-ups, duplicate acks, worst
+    election, terminates, in-doubt resolution, RPC retries, durable log
+    traffic) and the [durable.repair.*] storage-repair counters. *)
