@@ -17,39 +17,19 @@
    a full (non-smoke) run's best policy missed the >= 15% spanner-dc
    saturation-throughput gain this suite exists to defend. *)
 
-type measured = {
-  check : string;  (* "none" | "online" *)
-  n_ops : int;
-  tput : float;  (* completed ops per simulated second, post-warm-up *)
-  p50_ms : float option;
-  msgs_per_txn : float option;  (* spanner-dc only *)
-  msgs_per_op : float;  (* net.messages / n_ops, protocol-agnostic *)
-  cpu_s : float;
-  batch_envelopes : int;
-  batch_members : int;
-  verdict : Harness.Run.verdict;
-}
-
-let measure ~check_name (f : unit -> Harness.Run.t) =
+(* A measured run: the run without its history, and its host CPU seconds. *)
+let measure (f : unit -> Harness.Run.t) =
   Gc.compact ();
-  let t0 = Sys.time () in
-  let r = f () in
-  let cpu_s = Sys.time () -. t0 in
-  let n_ops = Harness.Run.n_records r in
-  {
-    check = check_name;
-    n_ops;
-    tput = Option.value (Harness.Run.gauge_opt r "throughput_tps") ~default:0.0;
-    p50_ms = Harness.Run.gauge_opt r "p50_ms";
-    msgs_per_txn = Harness.Run.gauge_opt r "msgs_per_txn";
-    msgs_per_op =
-      float_of_int (Harness.Run.counter r "net.messages")
-      /. float_of_int (max 1 n_ops);
-    cpu_s;
-    batch_envelopes = Harness.Run.counter r "batch.envelopes";
-    batch_members = Harness.Run.counter r "batch.members";
-    verdict = r.Harness.Run.check;
-  }
+  let r, cpu_s = Report.timed f in
+  (Report.drop_history r, cpu_s)
+
+(* Completed ops per simulated second, post-warm-up. *)
+let tput r = Option.value (Harness.Run.gauge_opt r "throughput_tps") ~default:0.0
+
+(* Messages per history record: protocol-agnostic. *)
+let msgs_per_op r =
+  float_of_int (Harness.Run.counter r "net.messages")
+  /. float_of_int (max 1 (Report.n_ops r))
 
 (* ------------------------------------------------------------------ *)
 (* Policies and scenarios                                              *)
@@ -96,19 +76,20 @@ let scenarios ~seed =
     };
   ]
 
-let measured_json m =
+let run_json ~check (r, cpu_s) =
   let open Obs.Json in
-  Obj
-    ([ ("check", Str m.check); ("n_ops", Report.int m.n_ops);
-       ("throughput_tps", Num m.tput); ("p50_ms", Report.num_opt m.p50_ms);
-       ("msgs_per_txn", Report.num_opt m.msgs_per_txn);
-       ("msgs_per_op", Num m.msgs_per_op); ("cpu_s", Num m.cpu_s);
-       ("batch_envelopes", Report.int m.batch_envelopes);
-       ("batch_members", Report.int m.batch_members) ]
-    @ Report.verdict_fields m.verdict)
+  Report.(
+    run_json r
+      [ Value ("check", Str check); Counter ("n_ops", "op.history_records");
+        Value ("throughput_tps", Num (tput r));
+        Value ("p50_ms", num_opt (Harness.Run.gauge_opt r "p50_ms"));
+        Value ("msgs_per_txn", num_opt (Harness.Run.gauge_opt r "msgs_per_txn"));
+        Value ("msgs_per_op", Num (msgs_per_op r)); Value ("cpu_s", Num cpu_s);
+        Counter ("batch_envelopes", "batch.envelopes");
+        Counter ("batch_members", "batch.members"); Verdict ])
 
 let raw_online raw online =
-  [ ("raw", measured_json raw); ("online", measured_json online) ]
+  [ ("raw", run_json ~check:"none" raw); ("online", run_json ~check:"online" online) ]
 
 (* ------------------------------------------------------------------ *)
 (* Main                                                                *)
@@ -126,14 +107,12 @@ let () =
         Printf.printf "== %s (%.1f simulated s) ==\n%!" sc.name duration_s;
         let run_pair env_of_check =
           let raw =
-            measure ~check_name:"none" (fun () ->
-                sc.run ~env:(env_of_check `No_check) ~duration_s)
+            measure (fun () -> sc.run ~env:(env_of_check `No_check) ~duration_s)
           in
           let online =
-            measure ~check_name:"online" (fun () ->
-                sc.run ~env:(env_of_check `Online) ~duration_s)
+            measure (fun () -> sc.run ~env:(env_of_check `Online) ~duration_s)
           in
-          (match online.verdict with
+          (match (fst online).Harness.Run.check with
           | Harness.Run.Fail m ->
             Printf.printf "   CONSISTENCY FAILURE: %s\n%!" m;
             failed := true
@@ -143,8 +122,9 @@ let () =
         let base_raw, base_online =
           run_pair (fun check -> Harness.Env.(default |> with_check check))
         in
+        let base = fst base_online in
         Printf.printf "   baseline:       %8.0f tps  %6.2f msgs/op\n%!"
-          base_online.tput base_online.msgs_per_op;
+          (tput base) (msgs_per_op base);
         let best = ref neg_infinity in
         let sweep =
           List.map
@@ -154,19 +134,22 @@ let () =
                     Harness.Env.(
                       default |> with_check check |> with_batching (Some policy)))
               in
+              let r = fst online in
+              let c = Harness.Run.counter r in
               Printf.printf
                 "   %-15s %8.0f tps  %6.2f msgs/op  avg batch %4.1f  verdict=%s\n%!"
-                pname online.tput online.msgs_per_op
-                (float_of_int online.batch_members
-                /. float_of_int (max 1 online.batch_envelopes))
-                (Report.verdict online.verdict);
-              if online.tput > !best then best := online.tput;
+                pname (tput r) (msgs_per_op r)
+                (float_of_int (c "batch.members")
+                /. float_of_int (max 1 (c "batch.envelopes")))
+                (Report.verdict r.Harness.Run.check);
+              if tput r > !best then best := tput r;
               if sc.name = "spanner-dc-rss" then begin
-                match (online.msgs_per_txn, base_online.msgs_per_txn) with
-                | Some m, Some base when m >= base ->
+                let msgs_per_txn r = Harness.Run.gauge_opt r "msgs_per_txn" in
+                match (msgs_per_txn r, msgs_per_txn base) with
+                | Some m, Some b when m >= b ->
                   Printf.printf
                     "   MESSAGE REGRESSION: %s msgs_per_txn %.2f >= baseline %.2f\n%!"
-                    pname m base;
+                    pname m b;
                   failed := true
                 | _ -> ()
               end;
@@ -178,7 +161,7 @@ let () =
                 @ raw_online raw online))
             policies
         in
-        let gain = (!best -. base_online.tput) /. Float.max 1e-9 base_online.tput in
+        let gain = (!best -. tput base) /. Float.max 1e-9 (tput base) in
         Printf.printf "   best gain over baseline: %+.1f%%\n%!" (gain *. 100.0);
         if sc.name = "spanner-dc-rss" then begin
           spanner_gain := gain;

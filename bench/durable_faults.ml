@@ -31,26 +31,11 @@
 let presets =
   [ Chaos.Nemesis.Disk_tear; Chaos.Nemesis.Bit_rot; Chaos.Nemesis.Torn_migration ]
 
-type measured = {
-  name : string;
-  verdict : Harness.Run.verdict;
-  live : bool;
-  digest : string;  (* MD5 of the canonical history trace *)
-  n_ops : int;
-  cpu_s : float;
-  disk_torn : int;
-  disk_corrupt : int;
-  disk_resurfaced : int;
-  disk_lost_ints : int;
-  disk_crashes : int;
-  scrub_passes : int;
-  scrub_flagged : int;
-  repairs_torn : int;
-  repairs_quarantined : int;
-  repairs_peer : int;
-  place_repairs : int;
-  unrepaired : int;
-}
+(* A named run and its host CPU seconds. *)
+type timed = { name : string; run : Harness.Run.t; cpu_s : float }
+
+(* MD5 of the canonical history trace. *)
+let digest m = Digest.to_hex (Digest.string (Harness.audit_trace m.run))
 
 (* Every preset here arms failover and its tuned disk damage; torn-migration
    also live-migrates. [~disk_rate:1.0] keeps disk faults armed even for a
@@ -60,30 +45,10 @@ let measure ~name ~protocol ~preset ~duration_s ~seed () =
     Harness.Env.of_preset ~disk_rate:1.0 protocol preset ~duration_s
       ~nemesis_seed:seed
   in
-  let t0 = Sys.time () in
-  let r = Harness.audit ~env protocol ~duration_s ~seed () in
-  let cpu_s = Sys.time () -. t0 in
-  let c = Harness.Run.counter r in
-  {
-    name;
-    verdict = r.Harness.Run.check;
-    live = Harness.liveness_ok r;
-    digest = Digest.to_hex (Digest.string (Harness.audit_trace r));
-    n_ops = Harness.Run.n_records r;
-    cpu_s;
-    disk_torn = c "durable.fault.torn";
-    disk_corrupt = c "durable.fault.corrupt";
-    disk_resurfaced = c "durable.fault.resurfaced";
-    disk_lost_ints = c "durable.fault.lost_ints";
-    disk_crashes = c "durable.fault.crashes";
-    scrub_passes = c "durable.scrub.passes";
-    scrub_flagged = c "durable.scrub.flagged";
-    repairs_torn = c "durable.repair.torn";
-    repairs_quarantined = c "durable.repair.quarantined";
-    repairs_peer = c "durable.repair.peer";
-    place_repairs = c "durable.repair.place";
-    unrepaired = c "durable.repair.unrepaired";
-  }
+  let run, cpu_s =
+    Report.timed (fun () -> Harness.audit ~env protocol ~duration_s ~seed ())
+  in
+  { name; run; cpu_s }
 
 (* The broken-control configuration: checksum-blind stores under a crafted
    crash schedule that forces a corrupt log to win an election. Crash all
@@ -156,21 +121,25 @@ let integrity_control ~base_seed ~max_tries =
   in
   scan 0
 
-let measured_json m =
+let run_json m =
   let open Obs.Json in
-  let int = Report.int in
-  Obj
-    ((("name", Str m.name) :: Report.verdict_fields m.verdict)
-    @ [ ("live", Bool m.live); ("digest", Str m.digest); ("n_ops", int m.n_ops);
-        ("cpu_s", Num m.cpu_s); ("disk_torn", int m.disk_torn);
-        ("disk_corrupt", int m.disk_corrupt);
-        ("disk_resurfaced", int m.disk_resurfaced);
-        ("disk_lost_ints", int m.disk_lost_ints);
-        ("disk_crashes", int m.disk_crashes); ("scrub_passes", int m.scrub_passes);
-        ("scrub_flagged", int m.scrub_flagged); ("repairs_torn", int m.repairs_torn);
-        ("repairs_quarantined", int m.repairs_quarantined);
-        ("repairs_peer", int m.repairs_peer);
-        ("place_repairs", int m.place_repairs); ("unrepaired", int m.unrepaired) ])
+  Report.(
+    run_json m.run
+      [ Value ("name", Str m.name); Verdict;
+        Value ("live", Bool (Harness.liveness_ok m.run));
+        Value ("digest", Str (digest m)); Counter ("n_ops", "op.history_records");
+        Value ("cpu_s", Num m.cpu_s); Counter ("disk_torn", "durable.fault.torn");
+        Counter ("disk_corrupt", "durable.fault.corrupt");
+        Counter ("disk_resurfaced", "durable.fault.resurfaced");
+        Counter ("disk_lost_ints", "durable.fault.lost_ints");
+        Counter ("disk_crashes", "durable.fault.crashes");
+        Counter ("scrub_passes", "durable.scrub.passes");
+        Counter ("scrub_flagged", "durable.scrub.flagged");
+        Counter ("repairs_torn", "durable.repair.torn");
+        Counter ("repairs_quarantined", "durable.repair.quarantined");
+        Counter ("repairs_peer", "durable.repair.peer");
+        Counter ("place_repairs", "durable.repair.place");
+        Counter ("unrepaired", "durable.repair.unrepaired") ])
 
 (* ------------------------------------------------------------------ *)
 (* Main                                                                *)
@@ -189,14 +158,18 @@ let () =
     (List.length Chaos.Audit.protocols)
     (List.length presets) n_seeds duration_s;
   let report m =
+    let c = Harness.Run.counter m.run in
     Printf.printf
       "   %-36s verdict=%-5s live=%b  damage(torn=%d corrupt=%d stale=%d)  \
        repairs(torn=%d quar=%d peer=%d place=%d)  unrepaired=%d\n\
        %!"
-      m.name (Report.verdict m.verdict) m.live m.disk_torn m.disk_corrupt
-      m.disk_resurfaced
-      m.repairs_torn m.repairs_quarantined m.repairs_peer m.place_repairs
-      m.unrepaired
+      m.name
+      (Report.verdict m.run.Harness.Run.check)
+      (Harness.liveness_ok m.run) (c "durable.fault.torn")
+      (c "durable.fault.corrupt") (c "durable.fault.resurfaced")
+      (c "durable.repair.torn") (c "durable.repair.quarantined")
+      (c "durable.repair.peer") (c "durable.repair.place")
+      (c "durable.repair.unrepaired")
   in
   let runs =
     List.concat_map
@@ -227,7 +200,7 @@ let () =
       ~protocol:(List.hd Chaos.Audit.protocols)
       ~preset:(List.hd presets) ~duration_s ~seed:base_seed ()
   in
-  let deterministic = first.digest = repeat.digest in
+  let deterministic = digest first = digest repeat in
   Printf.printf "   repeat digest match: %b\n%!" deterministic;
   let control = integrity_control ~base_seed ~max_tries:6 in
   let control_caught = control <> None in
@@ -239,11 +212,19 @@ let () =
   | None -> Printf.printf "   integrity-off control NOT caught\n%!");
   let all_pass =
     List.for_all
-      (fun m -> m.verdict = Harness.Run.Pass && m.live && m.unrepaired = 0)
+      (fun m ->
+        Harness.Run.passed m.run && Harness.liveness_ok m.run
+        && Harness.Run.counter m.run "durable.repair.unrepaired" = 0)
       runs
   in
   let repaired =
-    List.exists (fun m -> m.repairs_torn + m.repairs_peer + m.place_repairs > 0) runs
+    List.exists
+      (fun m ->
+        let c = Harness.Run.counter m.run in
+        c "durable.repair.torn" + c "durable.repair.peer"
+        + c "durable.repair.place"
+        > 0)
+      runs
   in
   let ok = all_pass && repaired && deterministic && control_caught in
   Printf.printf
@@ -253,7 +234,7 @@ let () =
     all_pass repaired deterministic control_caught ok;
   let open Obs.Json in
   Report.write cli ~schema:"rss-repro/durable/v1" ~ok
-    [ ("duration_s", Num duration_s); ("runs", Arr (List.map measured_json runs));
+    [ ("duration_s", Num duration_s); ("runs", Arr (List.map run_json runs));
       ("all_pass", Bool all_pass); ("repairs_exercised", Bool repaired);
       ("deterministic", Bool deterministic); ("control_caught", Bool control_caught);
       ( "control_detail",

@@ -34,21 +34,6 @@
 (* Measurement                                                         *)
 (* ------------------------------------------------------------------ *)
 
-type measured = {
-  completed : int;  (* post-warm-up completions (all recorders) *)
-  good : int;  (* completions within the client deadline *)
-  goodput_tps : float;
-  p50_ms : float option;
-  p99_ms : float option;
-  shed : int;
-  expired : int;
-  abandoned : int;
-  budget_denied : int;
-  hedges : int;
-  hedge_wins : int;
-  verdict : Harness.Run.verdict;
-}
-
 (* Completions within [deadline_us], across every latency recorder. The
    recorders only hold post-warm-up completions, so this is the goodput
    numerator directly; abandoned operations never complete and never
@@ -63,27 +48,14 @@ let count_good r ~deadline_us =
     (0, 0)
     r.Harness.Run.latencies
 
-let measure ~deadline_us ~measured_s (r : Harness.Run.t) =
-  let completed, good = count_good r ~deadline_us in
-  let merged =
-    List.fold_left
-      (fun acc (_, rec_) -> Stats.Recorder.merge acc rec_)
-      (Stats.Recorder.create ()) r.Harness.Run.latencies
-  in
-  {
-    completed;
-    good;
-    goodput_tps = float_of_int good /. measured_s;
-    p50_ms = Stats.Recorder.percentile_ms_opt merged 50.0;
-    p99_ms = Stats.Recorder.percentile_ms_opt merged 99.0;
-    shed = Harness.Run.counter r "flow.shed";
-    expired = Harness.Run.counter r "flow.expired";
-    abandoned = Harness.Run.counter r "flow.abandoned";
-    budget_denied = Harness.Run.counter r "flow.budget.denied";
-    hedges = Harness.Run.counter r "flow.hedges";
-    hedge_wins = Harness.Run.counter r "flow.hedge_wins";
-    verdict = r.Harness.Run.check;
-  }
+(* Every completion latency in one recorder. *)
+let merged (r : Harness.Run.t) =
+  List.fold_left
+    (fun acc (_, rec_) -> Stats.Recorder.merge acc rec_)
+    (Stats.Recorder.create ()) r.Harness.Run.latencies
+
+let goodput_tps ~deadline_us ~measured_s r =
+  float_of_int (snd (count_good r ~deadline_us)) /. measured_s
 
 (* A canonical digest of a run's observable outcome: every completion
    latency plus the counters the suite gates on. Two runs of the same
@@ -199,17 +171,20 @@ let hedge_run ~fanout ~duration_s ~seed =
   Harness.gryff_wan ~client_sites ~env ~mode:Gryff.Config.Rsc ~conflict:0.05
     ~write_ratio:0.2 ~n_keys:50_000 ~duration_s ~seed ()
 
-let measured_json m =
+let run_json ~deadline_us ~measured_s r =
   let open Obs.Json in
-  let int = Report.int in
-  Obj
-    ([ ("completed", int m.completed); ("good", int m.good);
-       ("goodput_tps", Num m.goodput_tps); ("p50_ms", Report.num_opt m.p50_ms);
-       ("p99_ms", Report.num_opt m.p99_ms); ("shed", int m.shed);
-       ("expired", int m.expired); ("abandoned", int m.abandoned);
-       ("budget_denied", int m.budget_denied); ("hedges", int m.hedges);
-       ("hedge_wins", int m.hedge_wins) ]
-    @ Report.verdict_fields m.verdict)
+  let completed, good = count_good r ~deadline_us in
+  let pct p = Report.num_opt (Stats.Recorder.percentile_ms_opt (merged r) p) in
+  Report.(
+    run_json r
+      [ Value ("completed", int completed); Value ("good", int good);
+        Value ("goodput_tps", Num (float_of_int good /. measured_s));
+        Value ("p50_ms", pct 50.0); Value ("p99_ms", pct 99.0);
+        Counter ("shed", "flow.shed"); Counter ("expired", "flow.expired");
+        Counter ("abandoned", "flow.abandoned");
+        Counter ("budget_denied", "flow.budget.denied");
+        Counter ("hedges", "flow.hedges"); Counter ("hedge_wins", "flow.hedge_wins");
+        Verdict ])
 
 (* ------------------------------------------------------------------ *)
 (* Main                                                                *)
@@ -230,43 +205,46 @@ let () =
   let rates = [ 1_400.0; 2_200.0; 2_800.0; 5_600.0 ] in
   Printf.printf "== offered-load ramp (spanner, %g simulated s/point) ==\n%!"
     duration_s;
+  let goodput_tps = goodput_tps ~deadline_us:ramp_deadline_us ~measured_s in
   let points =
     List.map
       (fun rate ->
-        let control =
-          measure ~deadline_us:ramp_deadline_us ~measured_s
-            (ramp_run ~protected:false ~rate ~duration_s ~seed)
+        let run ~protected =
+          Report.drop_history (ramp_run ~protected ~rate ~duration_s ~seed)
         in
-        let protected_ =
-          measure ~deadline_us:ramp_deadline_us ~measured_s
-            (ramp_run ~protected:true ~rate ~duration_s ~seed)
-        in
+        let control = run ~protected:false in
+        let protected_ = run ~protected:true in
         Printf.printf
           "   rate %6.0f/s  control %8.0f good tps (p99 %s ms)   protected \
            %8.0f good tps  shed %d expired %d verdict=%s\n%!"
-          rate control.goodput_tps
-          (match control.p99_ms with
+          rate (goodput_tps control)
+          (match Stats.Recorder.percentile_ms_opt (merged control) 99.0 with
           | Some p -> Printf.sprintf "%.1f" p
           | None -> "n/a")
-          protected_.goodput_tps protected_.shed protected_.expired
-          (Report.verdict protected_.verdict);
+          (goodput_tps protected_)
+          (Harness.Run.counter protected_ "flow.shed")
+          (Harness.Run.counter protected_ "flow.expired")
+          (Report.verdict protected_.Harness.Run.check);
         (rate, control, protected_))
       rates
   in
   let peak =
-    List.fold_left (fun acc (_, c, _) -> Float.max acc c.goodput_tps) 0.0 points
+    List.fold_left (fun acc (_, c, _) -> Float.max acc (goodput_tps c)) 0.0 points
   in
   let _, top_control, top_protected =
     List.nth points (List.length points - 1)
   in
-  let control_min_frac = top_control.goodput_tps /. Float.max 1e-9 peak in
-  let protected_top_frac = top_protected.goodput_tps /. Float.max 1e-9 peak in
+  let control_min_frac = goodput_tps top_control /. Float.max 1e-9 peak in
+  let protected_top_frac = goodput_tps top_protected /. Float.max 1e-9 peak in
   let control_collapse = control_min_frac < 0.40 in
   let control_sheds =
-    List.fold_left (fun acc (_, c, _) -> acc + c.shed + c.expired) 0 points
+    List.fold_left
+      (fun acc (_, c, _) ->
+        acc + Harness.Run.counter c "flow.shed" + Harness.Run.counter c "flow.expired")
+      0 points
   in
   let protected_verdicts_pass =
-    List.for_all (fun (_, _, p) -> p.verdict = Harness.Run.Pass) points
+    List.for_all (fun (_, _, p) -> Harness.Run.passed p) points
   in
   Printf.printf
     "   peak %8.0f good tps; control at top rate %.0f%%; protected at top \
@@ -285,10 +263,9 @@ let () =
     fail "CONSISTENCY FAILURE in a protected ramp run";
   let ramp =
     let open Obs.Json in
+    let run_json = run_json ~deadline_us:ramp_deadline_us ~measured_s in
     let point (rate, c, p) =
-      Obj
-        [ ("rate", Num rate); ("control", measured_json c);
-          ("protected", measured_json p) ]
+      Obj [ ("rate", Num rate); ("control", run_json c); ("protected", run_json p) ]
     in
     Obj
       [ ("deadline_us", Report.int ramp_deadline_us);

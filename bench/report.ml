@@ -50,6 +50,47 @@ let verdict_fields v =
   in
   [ ("verdict", Obs.Json.Str (verdict v)); ("detail", Obs.Json.Str detail) ]
 
+(* One run's report object, built from a per-suite table in field order:
+   [Counter (field, name)] reports the run's counter [name] as [field] (so
+   a counter keeps the one name its producer gave it), [Value (field, v)]
+   a number the suite derived, and [Verdict] expands to {!verdict_fields}. *)
+type field =
+  | Counter of string * string
+  | Value of string * Obs.Json.t
+  | Verdict
+
+let run_json (r : Harness.Run.t) fields =
+  Obs.Json.Obj
+    (List.concat_map
+       (function
+         | Counter (field, name) -> [ (field, int (Harness.Run.counter r name)) ]
+         | Value (field, v) -> [ (field, v) ]
+         | Verdict -> verdict_fields r.Harness.Run.check)
+       fields)
+
+(* The run's history length, as the driver counted it: still there once
+   {!drop_history} has emptied the history. *)
+let n_ops r = Harness.Run.counter r "op.history_records"
+
+let sim_s (r : Harness.Run.t) = Sim.Engine.to_sec r.Harness.Run.duration_us
+
+(* [f ()] and the host CPU seconds it took. *)
+let timed f =
+  let t0 = Sys.time () in
+  let r = f () in
+  (r, Sys.time () -. t0)
+
+(* What a suite keeps of a large run once it is judged: every counter,
+   gauge and latency, without the history. *)
+let drop_history (r : Harness.Run.t) =
+  {
+    r with
+    Harness.Run.records =
+      (match r.Harness.Run.records with
+      | Harness.Run.Spanner_txns _ -> Harness.Run.Spanner_txns [||]
+      | Harness.Run.Gryff_ops _ -> Harness.Run.Gryff_ops [||]);
+  }
+
 (* Write the envelope around [fields] to [cli.out], print [wrote <path>],
    and exit 1 unless [ok]. *)
 let write cli ~schema ~ok fields =

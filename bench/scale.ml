@@ -26,23 +26,19 @@
    run missed its minimum op count — so CI and local runs alike catch both
    consistency and throughput regressions. *)
 
-type measured = {
-  check : string;  (* "none" | "online" *)
-  n_ops : int;
-  sim_s : float;
+(* A measured run: the run itself, its history emptied (the report reads
+   the counters), plus what only the host can time. *)
+type timed = {
+  run : Harness.Run.t;
   cpu_s : float;
-  checker_finish_s : float;
-  checker_work : int;
-  checker_added : int;
-  checker_max_displacement : int;
   live_words : int;
   heap_growth_words : int;
   top_heap_words : int;
-  verdict : Harness.Run.verdict;
 }
 
 (* Each measured run happens in a forked child, which marshals its
-   measurement back through a pipe. On OCaml 5.1 [Gc.compact] shrinks
+   measurement back through a pipe — the run without its history, so a
+   500k-record history never crosses it. On OCaml 5.1 [Gc.compact] shrinks
    neither [heap_words] nor [top_heap_words], so in one process a run that
    stays below an earlier run's peak could not see its own growth. The
    child starts from the parent's small, freshly compacted heap, and
@@ -50,7 +46,7 @@ type measured = {
    keeps the largest child peak for the report's top level. *)
 let peak_words = ref 0
 
-let measure ~check_name (f : unit -> Harness.Run.t) =
+let measure (f : unit -> Harness.Run.t) =
   Gc.compact ();
   flush_all ();
   let rd, wr = Unix.pipe ~cloexec:true () in
@@ -60,32 +56,19 @@ let measure ~check_name (f : unit -> Harness.Run.t) =
     let status =
       match
         let h0 = (Gc.quick_stat ()).Gc.heap_words in
-        let t0 = Sys.time () in
-        let r = f () in
-        let cpu_s = Sys.time () -. t0 in
+        let r, cpu_s = Report.timed f in
         let st = Gc.stat () in
-        let gauge name =
-          let g = Harness.Run.gauge r name in
-          if Float.is_nan g then 0.0 else g
-        in
         {
-          check = check_name;
-          n_ops = Harness.Run.n_records r;
-          sim_s = Sim.Engine.to_sec r.Harness.Run.duration_us;
+          run = Report.drop_history r;
           cpu_s;
-          checker_finish_s = gauge "check.finish_s";
-          checker_work = Harness.Run.counter r "check.work";
-          checker_added = Harness.Run.counter r "check.added";
-          checker_max_displacement = Harness.Run.counter r "check.max_displacement";
           live_words = st.Gc.live_words;
           heap_growth_words = st.Gc.top_heap_words - h0;
           top_heap_words = st.Gc.top_heap_words;
-          verdict = r.Harness.Run.check;
         }
       with
       | m ->
         let oc = Unix.out_channel_of_descr wr in
-        Marshal.to_channel oc (m : measured) [];
+        Marshal.to_channel oc (m : timed) [];
         close_out oc;
         0
       | exception e ->
@@ -97,7 +80,7 @@ let measure ~check_name (f : unit -> Harness.Run.t) =
   | pid -> (
     Unix.close wr;
     let ic = Unix.in_channel_of_descr rd in
-    let m = try Some (Marshal.from_channel ic : measured) with End_of_file -> None in
+    let m = try Some (Marshal.from_channel ic : timed) with End_of_file -> None in
     close_in ic;
     ignore (Unix.waitpid [] pid);
     match m with
@@ -105,6 +88,13 @@ let measure ~check_name (f : unit -> Harness.Run.t) =
       peak_words := max !peak_words m.top_heap_words;
       m
     | None -> failwith "scale: measured run failed")
+
+let n_ops m = Report.n_ops m.run
+let checker_work m = Harness.Run.counter m.run "check.work"
+
+(* The checker's own finishing time; 0 for an unchecked run. *)
+let checker_finish_s m =
+  Option.value (Harness.Run.gauge_opt m.run "check.finish_s") ~default:0.0
 
 (* ------------------------------------------------------------------ *)
 (* Scenarios                                                           *)
@@ -181,20 +171,21 @@ let fitted_exponent points ~y =
   let den = List.fold_left (fun a x -> a +. ((x -. xm) ** 2.0)) 0.0 xs in
   if den <= 0.0 then nan else num /. den
 
-let measured_json m =
+let run_json ~check m =
   let open Obs.Json in
-  let int = Report.int in
-  Obj
-    ([ ("check", Str m.check); ("n_ops", int m.n_ops); ("sim_s", Num m.sim_s);
-       ("cpu_s", Num m.cpu_s);
-       ("ops_per_cpu_s", Num (float_of_int m.n_ops /. Float.max 1e-9 m.cpu_s));
-       ("cpu_per_sim_s", Num (m.cpu_s /. Float.max 1e-9 m.sim_s));
-       ("checker_finish_s", Num m.checker_finish_s);
-       ("checker_work", int m.checker_work); ("checker_added", int m.checker_added);
-       ("checker_max_displacement", int m.checker_max_displacement);
-       ("live_words", int m.live_words);
-       ("heap_growth_words", int m.heap_growth_words) ]
-    @ Report.verdict_fields m.verdict)
+  let ops = n_ops m and sim = Report.sim_s m.run in
+  Report.(
+    run_json m.run
+      [ Value ("check", Str check); Value ("n_ops", int ops);
+        Value ("sim_s", Num sim); Value ("cpu_s", Num m.cpu_s);
+        Value ("ops_per_cpu_s", Num (float_of_int ops /. Float.max 1e-9 m.cpu_s));
+        Value ("cpu_per_sim_s", Num (m.cpu_s /. Float.max 1e-9 sim));
+        Value ("checker_finish_s", Num (checker_finish_s m));
+        Counter ("checker_work", "check.work");
+        Counter ("checker_added", "check.added");
+        Counter ("checker_max_displacement", "check.max_displacement");
+        Value ("live_words", int m.live_words);
+        Value ("heap_growth_words", int m.heap_growth_words); Verdict ])
 
 (* ------------------------------------------------------------------ *)
 (* Main                                                                *)
@@ -210,69 +201,64 @@ let () =
       (fun sc ->
         let duration_s = if smoke then sc.smoke_duration_s else sc.duration_s in
         Printf.printf "== %s (%.1f simulated s) ==\n%!" sc.name duration_s;
-        let raw =
-          measure ~check_name:"none" (fun () ->
-              sc.run ~check_mode:`No_check ~duration_s)
-        in
+        let raw = measure (fun () -> sc.run ~check_mode:`No_check ~duration_s) in
         Printf.printf
           "   raw:    %7d ops  %6.2f cpu-s  (%7.0f ops/cpu-s, %5.2f cpu-s per \
            sim-s)\n\
            %!"
-          raw.n_ops raw.cpu_s
-          (float_of_int raw.n_ops /. Float.max 1e-9 raw.cpu_s)
-          (raw.cpu_s /. Float.max 1e-9 raw.sim_s);
-        let online =
-          measure ~check_name:"online" (fun () ->
-              sc.run ~check_mode:`Online ~duration_s)
-        in
+          (n_ops raw) raw.cpu_s
+          (float_of_int (n_ops raw) /. Float.max 1e-9 raw.cpu_s)
+          (raw.cpu_s /. Float.max 1e-9 (Report.sim_s raw.run));
+        let online = measure (fun () -> sc.run ~check_mode:`Online ~duration_s) in
         Printf.printf
           "   online: %7d ops  %6.2f cpu-s  verdict=%s  work=%d  max-disp=%d\n%!"
-          online.n_ops online.cpu_s (Report.verdict online.verdict)
-          online.checker_work online.checker_max_displacement;
-        (match online.verdict with
+          (n_ops online) online.cpu_s
+          (Report.verdict online.run.Harness.Run.check)
+          (checker_work online)
+          (Harness.Run.counter online.run "check.max_displacement");
+        (match online.run.Harness.Run.check with
         | Harness.Run.Fail m ->
           Printf.printf "   CONSISTENCY FAILURE: %s\n%!" m;
           failed := true
         | Harness.Run.Pass | Harness.Run.Unknown _ -> ());
-        if (not smoke) && online.n_ops < sc.min_ops then begin
+        if (not smoke) && n_ops online < sc.min_ops then begin
           Printf.printf "   THROUGHPUT REGRESSION: %d ops < required %d\n%!"
-            online.n_ops sc.min_ops;
+            (n_ops online) sc.min_ops;
           failed := true
         end;
         (* The Spanner scenario doubles as the checker-scaling subject: its
            full-size online run is the probe's largest point. *)
         if sc.name = "spanner-dc-rss" then begin
-          let checker_cpu = Float.max online.checker_finish_s
+          let checker_cpu = Float.max (checker_finish_s online)
               (online.cpu_s -. raw.cpu_s) in
           scaling_points :=
-            [ { p_n = online.n_ops; p_work = online.checker_work;
+            [ { p_n = n_ops online; p_work = checker_work online;
                 p_cpu = checker_cpu } ];
           List.iter
             (fun frac ->
               let d = duration_s *. frac in
               let r =
-                measure ~check_name:"none" (fun () ->
-                    sc.run ~check_mode:`No_check ~duration_s:d)
+                measure (fun () -> sc.run ~check_mode:`No_check ~duration_s:d)
               in
               let o =
-                measure ~check_name:"online" (fun () ->
-                    sc.run ~check_mode:`Online ~duration_s:d)
+                measure (fun () -> sc.run ~check_mode:`Online ~duration_s:d)
               in
               let checker_cpu =
-                Float.max o.checker_finish_s (o.cpu_s -. r.cpu_s)
+                Float.max (checker_finish_s o) (o.cpu_s -. r.cpu_s)
               in
               Printf.printf
                 "   probe %4.2fx: %7d ops  checker %5.2f cpu-s  work=%d\n%!"
-                frac o.n_ops checker_cpu o.checker_work;
+                frac (n_ops o) checker_cpu (checker_work o);
               scaling_points :=
-                { p_n = o.n_ops; p_work = o.checker_work; p_cpu = checker_cpu }
+                { p_n = n_ops o; p_work = checker_work o; p_cpu = checker_cpu }
                 :: !scaling_points)
             [ 0.5; 0.25 ]
         end;
         Obs.Json.(
           Obj
             [ ("name", Str sc.name);
-              ("runs", Arr [ measured_json raw; measured_json online ]) ]))
+              ( "runs",
+                Arr [ run_json ~check:"none" raw; run_json ~check:"online" online ] ) ]))
       (scenarios ~seed)
   in
   let points = List.sort (fun a c -> compare a.p_n c.p_n) !scaling_points in
