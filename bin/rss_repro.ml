@@ -226,14 +226,11 @@ let spanner_cmd =
     in
     Harness.Run.print_latencies ~header:"latency (ms)" r;
     Harness.Run.print_metrics ~header:"spanner" r;
-    (match r.Harness.Run.check with
-    | Harness.Run.Pass ->
-      Fmt.pr "history: verified (%s)@."
-        (match mode with
-        | Spanner.Config.Strict -> "strict serializability"
-        | Spanner.Config.Rss -> "RSS")
-    | Harness.Run.Fail m -> Fmt.pr "history: VIOLATION — %s@." m
-    | Harness.Run.Unknown m -> Fmt.pr "history: verdict UNKNOWN — %s@." m);
+    Harness.print_verdict
+      (match mode with
+      | Spanner.Config.Strict -> Chaos.Audit.Spanner_strict
+      | Spanner.Config.Rss -> Chaos.Audit.Spanner_rss)
+      r;
     save_trace tracer trace_out;
     match export with
     | None -> ()
@@ -307,10 +304,11 @@ let gryff_cmd =
     in
     Harness.Run.print_latencies ~header:"latency (ms)" r;
     Harness.Run.print_metrics ~header:"gryff" r;
-    (match r.Harness.Run.check with
-    | Harness.Run.Pass -> Fmt.pr "history: verified@."
-    | Harness.Run.Fail m -> Fmt.pr "history: VIOLATION — %s@." m
-    | Harness.Run.Unknown m -> Fmt.pr "history: verdict UNKNOWN — %s@." m);
+    Harness.print_verdict
+      (match mode with
+      | Gryff.Config.Lin -> Chaos.Audit.Gryff_lin
+      | Gryff.Config.Rsc -> Chaos.Audit.Gryff_rsc)
+      r;
     save_trace tracer trace_out
   in
   Cmd.v
@@ -572,7 +570,15 @@ let chaos_cmd =
                 reproducible from (seed, nemesis-seed).")
   in
   let slots =
-    Arg.(value & opt int 12 & info [ "slots" ] ~doc:"Concurrent client slots.")
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "slots" ] ~docv:"N"
+          ~doc:
+            "Concurrent client slots. Defaults to the audit's per-protocol \
+             count (12 for the Spanner variants, 10 for the Gryff \
+             variants), so a run matches the battery cell with the same \
+             preset, seed and duration.")
   in
   let migrations =
     Arg.(
@@ -588,7 +594,11 @@ let chaos_cmd =
       disk_fault_rate trace_out deadline_us =
     let deadline_us = deadline_us_of deadline_us in
     if duration <= 0.0 then (Fmt.epr "error: --duration must be positive@."; exit 1);
-    if slots <= 0 then (Fmt.epr "error: --slots must be positive@."; exit 1);
+    (match slots with
+    | Some n when n <= 0 ->
+      Fmt.epr "error: --slots must be positive@.";
+      exit 1
+    | _ -> ());
     if seed < 0 then (Fmt.epr "error: --seed must be non-negative@."; exit 1);
     (match nemesis_seed with
     | Some n when n < 0 ->
@@ -627,7 +637,7 @@ let chaos_cmd =
          (fun a b -> compare a.Chaos.Schedule.at_us b.Chaos.Schedule.at_us)
          (Option.get env.Harness.Env.chaos));
     let r =
-      Harness.audit ~env ~n_slots:slots ?timeout_us:deadline_us protocol
+      Harness.audit ~env ?n_slots:slots ?timeout_us:deadline_us protocol
         ~duration_s:duration ~seed ()
     in
     Harness.print_audit protocol r;
