@@ -26,8 +26,8 @@
    run missed its minimum op count — so CI and local runs alike catch both
    consistency and throughput regressions. *)
 
-(* A measured run: the run itself, its history emptied (the report reads
-   the counters), plus what only the host can time. *)
+(* A measured run: its counters, gauges and verdict, plus what only the
+   host can time. *)
 type timed = {
   run : Harness.Run.t;
   cpu_s : float;
@@ -37,8 +37,10 @@ type timed = {
 }
 
 (* Each measured run happens in a forked child, which marshals its
-   measurement back through a pipe — the run without its history, so a
-   500k-record history never crosses it. On OCaml 5.1 [Gc.compact] shrinks
+   measurement back through a pipe — the run without its history or its
+   latencies: a 500k-record history never crosses it, and what the parent
+   holds stays small, since every later child inherits it and counts it in
+   [live_words]. On OCaml 5.1 [Gc.compact] shrinks
    neither [heap_words] nor [top_heap_words], so in one process a run that
    stays below an earlier run's peak could not see its own growth. The
    child starts from the parent's small, freshly compacted heap, and
@@ -59,7 +61,7 @@ let measure (f : unit -> Harness.Run.t) =
         let r, cpu_s = Report.timed f in
         let st = Gc.stat () in
         {
-          run = Report.drop_history r;
+          run = { (Report.drop_history r) with Harness.Run.latencies = [] };
           cpu_s;
           live_words = st.Gc.live_words;
           heap_growth_words = st.Gc.top_heap_words - h0;
