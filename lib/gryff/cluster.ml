@@ -193,23 +193,22 @@ let retrans_stats t =
 (* ------------------------------------------------------------------ *)
 
 let counters t =
-  let p = t.pctx in
-  let always =
+  let s = stats t in
+  [
+    ("read.count", s.reads);
+    ("read.second_round", s.read_second_round);
+    ("read.deps_created", s.deps_created);
+    ("write.count", s.writes);
+    ("rmw.count", s.rmws);
+    ("rmw.slow", s.rmw_slow);
+  ]
+  @
+  match t.pctx.Protocol.retrans with
+  | None -> []
+  | Some _ ->
+    let rs = retrans_stats t in
     [
-      ("read.count", p.Protocol.n_reads);
-      ("read.second_round", p.Protocol.n_read_second_round);
-      ("read.deps_created", p.Protocol.n_deps_created);
-      ("write.count", p.Protocol.n_writes);
-      ("rmw.count", p.Protocol.n_rmws);
-      ("rmw.slow", p.Protocol.n_rmw_slow);
+      ("failover.rpc_calls", rs.rpc_calls);
+      ("failover.rpc_retries", rs.rpc_retries);
+      ("failover.rpc_exhausted", rs.rpc_exhausted);
     ]
-  in
-  match p.Protocol.retrans with
-  | None -> always
-  | Some r ->
-    always
-    @ [
-        ("failover.rpc_calls", Sim.Rpc.calls r);
-        ("failover.rpc_retries", Sim.Rpc.retries r);
-        ("failover.rpc_exhausted", Sim.Rpc.exhausted r);
-      ]

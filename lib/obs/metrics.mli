@@ -1,10 +1,15 @@
 (** Named metrics registry: counters, gauges and latency histograms.
 
-    Replaces the per-driver ad-hoc stats records ([fault_stats],
-    [failover_stats], per-cluster [stats]) with one registry whose
+    Replaces the per-driver stats records with one registry whose
     snapshots are plain sorted association lists — deterministic for a
     given seed, cheap to diff in tests, and printable through a single
-    Summary-style table renderer.
+    Summary-style table renderer. Every driven run's counters reach their
+    consumers only through a snapshot: each cluster names its own
+    ([Spanner.Cluster.counters], [Gryff.Cluster.counters]) and the
+    harness names the network, flow, storage and op families. The
+    clusters' [stats] and Gryff's [retrans_stats] (which [counters] reads)
+    and [flow_stats] remain public only for the perfbench assembly, which
+    builds clusters without the harness.
 
     Metric identity is [name] plus optional [labels]; labels render into
     the full name as [name{k=v,...}].  Histograms are backed by

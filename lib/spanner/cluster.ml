@@ -81,19 +81,19 @@ type stats = {
   messages : int;
 }
 
-let ro_blocked_at_shards t =
-  Array.fold_left
-    (fun acc sh -> acc + sh.Shard.n_ro_blocked)
-    0 t.pctx.Protocol.shards
-
 let stats t =
+  let ro_blocked =
+    Array.fold_left
+      (fun acc sh -> acc + sh.Shard.n_ro_blocked)
+      0 t.pctx.Protocol.shards
+  in
   {
     rw_committed = t.pctx.Protocol.n_rw_committed;
     rw_aborted_attempts = t.pctx.Protocol.n_rw_aborted_attempts;
     wounds = Types.wounds t.txns;
     ro_count = t.pctx.Protocol.n_ro;
     ro_slow = t.pctx.Protocol.n_ro_slow;
-    ro_blocked_at_shards = ro_blocked_at_shards t;
+    ro_blocked_at_shards = ro_blocked;
     messages = Sim.Net.messages_sent t.net;
   }
 
@@ -140,54 +140,53 @@ let tracer t = t.pctx.Protocol.tracer
 
 let counters t =
   let p = t.pctx in
+  let s = stats t in
   let ps = p.Protocol.place_stats in
   let dir = directory t in
-  let always =
-    [
-      ("rw.committed", p.Protocol.n_rw_committed);
-      ("rw.aborted_attempts", p.Protocol.n_rw_aborted_attempts);
-      ("rw.wounds", Types.wounds t.txns);
-      ("ro.count", p.Protocol.n_ro);
-      ("ro.slow", p.Protocol.n_ro_slow);
-      ("ro.blocked_at_shards", ro_blocked_at_shards t);
-      ("place.epoch", Place.Directory.epoch dir);
-      ("place.migrations", ps.Place.Migrate.completed);
-      ("place.migrations_failed", ps.Place.Migrate.failed);
-      ("place.migration_retries", ps.Place.Migrate.source_retries);
-      ("place.keys_moved", ps.Place.Migrate.keys_moved);
-      ("place.redirects", p.Protocol.n_redirects);
-      ("place.fence_blocked", p.Protocol.n_fence_blocked);
-      ("place.fence_hold_us", ps.Place.Migrate.fence_hold_us);
-      ("place.max_fence_hold_us", ps.Place.Migrate.max_fence_hold_us);
-      ("place.directory_appends", Place.Directory.durable_appends dir);
-    ]
-  in
-  if not p.Protocol.failover then always
+  [
+    ("rw.committed", s.rw_committed);
+    ("rw.aborted_attempts", s.rw_aborted_attempts);
+    ("rw.wounds", s.wounds);
+    ("ro.count", s.ro_count);
+    ("ro.slow", s.ro_slow);
+    ("ro.blocked_at_shards", s.ro_blocked_at_shards);
+    ("place.epoch", Place.Directory.epoch dir);
+    ("place.migrations", ps.Place.Migrate.completed);
+    ("place.migrations_failed", ps.Place.Migrate.failed);
+    ("place.migration_retries", ps.Place.Migrate.source_retries);
+    ("place.keys_moved", ps.Place.Migrate.keys_moved);
+    ("place.redirects", p.Protocol.n_redirects);
+    ("place.fence_blocked", p.Protocol.n_fence_blocked);
+    ("place.fence_hold_us", ps.Place.Migrate.fence_hold_us);
+    ("place.max_fence_hold_us", ps.Place.Migrate.max_fence_hold_us);
+    ("place.directory_appends", Place.Directory.durable_appends dir);
+  ]
+  @
+  if not p.Protocol.failover then []
   else
     let groups =
       Array.map (fun sh -> Replication.Group.stats sh.Shard.repl) p.Protocol.shards
     in
     let sum f = Array.fold_left (fun acc g -> acc + f g) 0 groups in
     let rpc f = match p.Protocol.rpc with Some r -> f r | None -> 0 in
-    always
-    @ Replication.Group.
-        [
-          ("failover.view_changes", sum (fun g -> g.view_changes));
-          ("failover.heartbeats", sum (fun g -> g.heartbeats));
-          ("failover.catchups", sum (fun g -> g.catchups));
-          ("failover.dup_acks", sum (fun g -> g.dup_acks));
-          ( "failover.max_election_us",
-            Array.fold_left (fun acc g -> max acc g.max_election_us) 0 groups );
-          ("failover.terminates", p.Protocol.n_terminates);
-          ("failover.terminate_commits", p.Protocol.n_terminate_commits);
-          ("failover.in_doubt_resolved", p.Protocol.n_in_doubt_resolved);
-          ("failover.rpc_retries", rpc Sim.Rpc.retries);
-          ("failover.rpc_exhausted", rpc Sim.Rpc.exhausted);
-          ("failover.durable_appends", sum (fun g -> g.durable_appends));
-          ("failover.durable_bytes", sum (fun g -> g.durable_bytes));
-          ("durable.repair.torn", sum (fun g -> g.torn_repaired));
-          ("durable.repair.quarantined", sum (fun g -> g.corrupt_quarantined));
-          ("durable.repair.peer", sum (fun g -> g.peer_repairs));
-          ("durable.repair.unrepaired", sum (fun g -> g.unrepaired));
-          ("durable.repair.place", Place.Directory.repairs dir);
-        ]
+    Replication.Group.
+      [
+        ("failover.view_changes", sum (fun g -> g.view_changes));
+        ("failover.heartbeats", sum (fun g -> g.heartbeats));
+        ("failover.catchups", sum (fun g -> g.catchups));
+        ("failover.dup_acks", sum (fun g -> g.dup_acks));
+        ( "failover.max_election_us",
+          Array.fold_left (fun acc g -> max acc g.max_election_us) 0 groups );
+        ("failover.terminates", p.Protocol.n_terminates);
+        ("failover.terminate_commits", p.Protocol.n_terminate_commits);
+        ("failover.in_doubt_resolved", p.Protocol.n_in_doubt_resolved);
+        ("failover.rpc_retries", rpc Sim.Rpc.retries);
+        ("failover.rpc_exhausted", rpc Sim.Rpc.exhausted);
+        ("failover.durable_appends", sum (fun g -> g.durable_appends));
+        ("failover.durable_bytes", sum (fun g -> g.durable_bytes));
+        ("durable.repair.torn", sum (fun g -> g.torn_repaired));
+        ("durable.repair.quarantined", sum (fun g -> g.corrupt_quarantined));
+        ("durable.repair.peer", sum (fun g -> g.peer_repairs));
+        ("durable.repair.unrepaired", sum (fun g -> g.unrepaired));
+        ("durable.repair.place", Place.Directory.repairs dir);
+      ]
