@@ -1,5 +1,5 @@
 (* The bench-report format shared by every suite: the common command line,
-   the verdict fields, and the envelope
+   the verdict fields, one run's report object, and the envelope
 
      {"schema", "smoke", "seed" (seeded suites), <suite fields>, "ok"}
 
