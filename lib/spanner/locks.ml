@@ -32,6 +32,7 @@ type t = {
      try_acquire) only mark keys dirty, so no wakeup can be lost to
      re-entrancy. *)
   dirty : (int, unit) Hashtbl.t;
+  mutable last_dirty : int;  (* the key most recently marked dirty *)
   mutable draining : bool;
 }
 
@@ -48,6 +49,7 @@ let create engine ~is_prepared ~is_wounded ~wound ~wound_prepared =
     wound_prepared;
     wounds = 0;
     dirty = Hashtbl.create 64;
+    last_dirty = 0;
     draining = false;
   }
 
@@ -141,6 +143,10 @@ let older_queued_writer e req =
        (fun r -> r.kind = Write && r.txn <> req.txn && r.priority < req.priority)
        e.queue
 
+let mark_dirty t key =
+  Hashtbl.replace t.dirty key ();
+  t.last_dirty <- key
+
 (* Evaluate one request: wound what can be wounded, report whether the
    request is now grantable and whether any state changed. Wounding a victim
    marks every key it blocked dirty (including this one — the owning drain
@@ -171,7 +177,7 @@ let rec try_acquire t key req =
           (fun k -> Sim.Engine.schedule t.engine ~after:0 (fun () -> k Aborted))
           aborted;
         wounded_any := true;
-        List.iter (fun k -> Hashtbl.replace t.dirty k ()) affected
+        List.iter (mark_dirty t) affected
       end
       else blocked := true)
     holders;
@@ -215,15 +221,24 @@ and scan_key t key =
           end
         end)
     e.queue;
-  if !progressed then Hashtbl.replace t.dirty key ()
+  if !progressed then mark_dirty t key
 
 (* Mark a key for processing and, unless a drain loop already owns the
    table, drain until no key is dirty. *)
 and process_queue t key =
-  Hashtbl.replace t.dirty key ();
+  mark_dirty t key;
   if not t.draining then begin
     t.draining <- true;
-    let pick () = Hashtbl.fold (fun k () _ -> Some k) t.dirty None in
+    (* The fold visits every bucket. With no dirty key it can only
+       return [None], and with one it can only return that key, which is
+       usually the last one marked; the fold is left to pick among two or
+       more. *)
+    let pick () =
+      match Hashtbl.length t.dirty with
+      | 0 -> None
+      | 1 when Hashtbl.mem t.dirty t.last_dirty -> Some t.last_dirty
+      | _ -> Hashtbl.fold (fun k () _ -> Some k) t.dirty None
+    in
     let rec drain () =
       match pick () with
       | None -> t.draining <- false

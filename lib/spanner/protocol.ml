@@ -608,10 +608,7 @@ let on_shard_leader_change ctx shard ~leader_site ~committed =
       ctx.coord_states []
   in
   List.iter (fun txn -> Hashtbl.remove ctx.coord_states txn) stale;
-  let survivors =
-    List.sort compare
-      (Hashtbl.fold (fun txn _ acc -> txn :: acc) shard.Shard.prepared_tbl [])
-  in
+  let survivors = Shard.prepared_txns shard in
   List.iter
     (fun txn ->
       match Shard.prepared shard txn with

@@ -14,6 +14,15 @@ type prepared = {
    the loss via its pre-commit fence re-check. *)
 type fence = { f_lo : int; f_hi : int; f_since : int }
 
+(* The prepared table and, per key, how many of its entries write that key
+   here. The counts let [conflicting_prepared] answer the common "nobody
+   writes these keys" case without scanning [by_txn]. Only this module
+   mutates either table, so they cannot drift apart. *)
+type prepared_set = {
+  by_txn : (int, prepared) Hashtbl.t;
+  writers : (int, int) Hashtbl.t;
+}
+
 type t = {
   shard_id : int;
   mutable leader_site : int;
@@ -24,13 +33,14 @@ type t = {
   repl : Types.repl_entry Replication.Group.t;
   mutable locks : Locks.t;
   store : (int, Types.version list) Hashtbl.t;
-  prepared_tbl : (int, prepared) Hashtbl.t;
+  prepared_set : prepared_set;
   decided_tbl : (int, Types.outcome * int) Hashtbl.t;  (* outcome, max_tee *)
   in_doubt : (int, unit) Hashtbl.t;  (* status queries in flight *)
   mutable max_write_ts : int;
   mutable fence : fence option;
   mutable n_ro_served : int;
   mutable n_ro_blocked : int;
+  mutable n_prepared_scans : int;
   mutable n_rebuilds : int;
   wound_prepared_hook : (int -> unit) ref;
 }
@@ -38,9 +48,9 @@ type t = {
 (* The lock table closes over the prepared table and wound hook, so a
    rebuild can install a fresh one (volatile lock state dies with the old
    leader) without re-wiring the shard. *)
-let make_locks engine txns prepared_tbl wound_prepared_hook =
+let make_locks engine txns prepared_set wound_prepared_hook =
   Locks.create engine
-    ~is_prepared:(fun txn -> Hashtbl.mem prepared_tbl txn)
+    ~is_prepared:(fun txn -> Hashtbl.mem prepared_set.by_txn txn)
     ~is_wounded:(fun txn -> Types.is_wounded txns txn)
     ~wound:(fun txn -> Types.wound txns txn)
     ~wound_prepared:(fun txn -> !wound_prepared_hook txn)
@@ -56,9 +66,9 @@ let create engine net tt txns (config : Config.t) ~shard_id =
       ~replica_sites:config.Config.replica_sites.(shard_id)
       ()
   in
-  let prepared_tbl = Hashtbl.create 64 in
+  let prepared_set = { by_txn = Hashtbl.create 64; writers = Hashtbl.create 16 } in
   let wound_prepared_hook = ref (fun (_ : int) -> ()) in
-  let locks = make_locks engine txns prepared_tbl wound_prepared_hook in
+  let locks = make_locks engine txns prepared_set wound_prepared_hook in
   {
     shard_id;
     leader_site = config.Config.leader_site.(shard_id);
@@ -68,14 +78,15 @@ let create engine net tt txns (config : Config.t) ~shard_id =
     station;
     repl;
     locks;
-    store = Hashtbl.create 4096;
-    prepared_tbl;
+    store = Hashtbl.create 16;
+    prepared_set;
     decided_tbl = Hashtbl.create 64;
     in_doubt = Hashtbl.create 8;
     max_write_ts = 0;
     fence = None;
     n_ro_served = 0;
     n_ro_blocked = 0;
+    n_prepared_scans = 0;
     n_rebuilds = 0;
     wound_prepared_hook;
   }
@@ -103,34 +114,57 @@ let choose_prepare_ts t =
   t.max_write_ts <- tp;
   tp
 
-let trace_txn = ref (-1)
+let count_writes ps p delta =
+  List.iter
+    (fun (key, _) ->
+      let n = delta + Option.value (Hashtbl.find_opt ps.writers key) ~default:0 in
+      if n = 0 then Hashtbl.remove ps.writers key else Hashtbl.replace ps.writers key n)
+    p.p_writes
 
+let remove_prepared ps txn =
+  match Hashtbl.find_opt ps.by_txn txn with
+  | None -> None
+  | Some p ->
+    Hashtbl.remove ps.by_txn txn;
+    count_writes ps p (-1);
+    Some p
+
+(* Replacing in place, not remove-then-add, keeps the entry's place in the
+   fold order. *)
 let add_prepared t p =
-  if p.p_txn = !trace_txn then
-    Fmt.epr "[shard %d] add_prepared txn %d tp=%d@." t.shard_id p.p_txn p.p_tp;
-  Hashtbl.replace t.prepared_tbl p.p_txn p
+  let ps = t.prepared_set in
+  (match Hashtbl.find_opt ps.by_txn p.p_txn with
+  | Some old -> count_writes ps old (-1)
+  | None -> ());
+  Hashtbl.replace ps.by_txn p.p_txn p;
+  count_writes ps p 1
 
-let prepared t txn = Hashtbl.find_opt t.prepared_tbl txn
+let prepared t txn = Hashtbl.find_opt t.prepared_set.by_txn txn
 
+let fold_prepared t f init = Hashtbl.fold (fun _ p acc -> f p acc) t.prepared_set.by_txn init
+
+let prepared_txns t = List.sort compare (fold_prepared t (fun p acc -> p.p_txn :: acc) [])
+
+(* The index only skips the fold when it would return []; see the .mli for
+   why the fold's order must not change. *)
 let conflicting_prepared t ~keys ~max_tp =
-  Hashtbl.fold
-    (fun _ p acc ->
-      if p.p_tp <= max_tp && List.exists (fun (k, _) -> List.mem k keys) p.p_writes
-      then p :: acc
-      else acc)
-    t.prepared_tbl []
+  if not (List.exists (fun k -> Hashtbl.mem t.prepared_set.writers k) keys) then []
+  else begin
+    t.n_prepared_scans <- t.n_prepared_scans + 1;
+    fold_prepared t
+      (fun p acc ->
+        if p.p_tp <= max_tp && List.exists (fun (k, _) -> List.mem k keys) p.p_writes
+        then p :: acc
+        else acc)
+      []
+  end
 
 let wait_prepared _t p k = p.p_waiters <- k :: p.p_waiters
 
 let resolve_prepared t ~txn outcome =
-  if txn = !trace_txn then
-    Fmt.epr "[shard %d] resolve txn %d present=%b outcome=%s@." t.shard_id txn
-      (Hashtbl.mem t.prepared_tbl txn)
-      (match outcome with Types.Committed tc -> Fmt.str "commit@%d" tc | Types.Aborted -> "abort");
-  match Hashtbl.find_opt t.prepared_tbl txn with
+  match remove_prepared t.prepared_set txn with
   | None -> ()
   | Some p ->
-    Hashtbl.remove t.prepared_tbl txn;
     (match outcome with
     | Types.Committed tc ->
       List.iter (fun (key, value) -> apply_write t ~key ~ts:tc ~writer:txn ~value) p.p_writes;
@@ -153,10 +187,9 @@ let fenced t key =
   match t.fence with None -> false | Some f -> key >= f.f_lo && key < f.f_hi
 
 let prepared_in_range t ~lo ~hi =
-  Hashtbl.fold
-    (fun _ p acc ->
-      acc || List.exists (fun (k, _) -> k >= lo && k < hi) p.p_writes)
-    t.prepared_tbl false
+  fold_prepared t
+    (fun p acc -> acc || List.exists (fun (k, _) -> k >= lo && k < hi) p.p_writes)
+    false
 
 let snapshot_range t ~lo ~hi ~owned =
   Hashtbl.fold
@@ -200,13 +233,14 @@ let set_decided t ~txn outcome ~max_tee =
    locks protected from the moment they were served. *)
 let rebuild t ~entries =
   t.n_rebuilds <- t.n_rebuilds + 1;
-  Hashtbl.reset t.prepared_tbl;
+  Hashtbl.reset t.prepared_set.by_txn;
+  Hashtbl.reset t.prepared_set.writers;
   Hashtbl.reset t.store;
   Hashtbl.reset t.decided_tbl;
   Hashtbl.reset t.in_doubt;
   t.max_write_ts <- 0;
   t.fence <- None;
-  t.locks <- make_locks t.engine t.txns t.prepared_tbl t.wound_prepared_hook;
+  t.locks <- make_locks t.engine t.txns t.prepared_set t.wound_prepared_hook;
   List.iter
     (function
       | Types.Rprepare r ->
@@ -225,7 +259,7 @@ let rebuild t ~entries =
       | Types.Routcome r ->
         if not (Hashtbl.mem t.decided_tbl r.r_txn) then begin
           Hashtbl.replace t.decided_tbl r.r_txn (r.r_out, r.r_max_tee);
-          Hashtbl.remove t.prepared_tbl r.r_txn;
+          ignore (remove_prepared t.prepared_set r.r_txn);
           match r.r_out with
           | Types.Committed tc ->
             List.iter
@@ -239,15 +273,12 @@ let rebuild t ~entries =
         ignore (install_versions t m.m_versions);
         advance_max_write_ts t m.m_tm)
     entries;
-  let survivors =
-    List.sort compare (Hashtbl.fold (fun txn _ acc -> txn :: acc) t.prepared_tbl [])
-  in
   List.iter
     (fun txn ->
-      let p = Hashtbl.find t.prepared_tbl txn in
+      let p = Hashtbl.find t.prepared_set.by_txn txn in
       let priority = (Types.find t.txns txn).Types.priority in
       List.iter
         (fun (key, _) ->
           Locks.acquire_write t.locks ~key ~txn ~priority (fun _ -> ()))
         p.p_writes)
-    survivors
+    (prepared_txns t)

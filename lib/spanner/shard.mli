@@ -31,6 +31,11 @@ type fence = { f_lo : int; f_hi : int; f_since : int }
     Deliberately volatile — {!rebuild} clears it, and the migration driver
     re-checks the fence before committing the epoch. *)
 
+type prepared_set
+(** The prepared-transaction table and its per-key writer counts. Abstract
+    so that only this module mutates it: {!add_prepared},
+    {!resolve_prepared} and {!rebuild} keep the two in step. *)
+
 type t = {
   shard_id : int;
   mutable leader_site : int;
@@ -41,7 +46,7 @@ type t = {
   repl : Types.repl_entry Replication.Group.t;
   mutable locks : Locks.t;
   store : (int, Types.version list) Hashtbl.t;
-  prepared_tbl : (int, prepared) Hashtbl.t;
+  prepared_set : prepared_set;
   decided_tbl : (int, Types.outcome * int) Hashtbl.t;
       (** per-txn decided outcome and max t_ee; answers terminate/status
           queries and deduplicates outcome deliveries *)
@@ -51,6 +56,8 @@ type t = {
   mutable fence : fence option;
   mutable n_ro_served : int;
   mutable n_ro_blocked : int;
+  mutable n_prepared_scans : int;
+      (** {!conflicting_prepared} calls that scanned the prepared table *)
   mutable n_rebuilds : int;
   wound_prepared_hook : (int -> unit) ref;
       (** set by {!Protocol.make_ctx}: routes a wound against a prepared
@@ -73,15 +80,24 @@ val advance_max_write_ts : t -> int -> unit
 val choose_prepare_ts : t -> int
 (** A fresh prepare timestamp > [max_write_ts]; advances [max_write_ts]. *)
 
-val trace_txn : int ref
-(** Diagnostic: print prepared-table events for this txn id to stderr. *)
-
 val add_prepared : t -> prepared -> unit
+(** Insert, or replace the entry of the same txn. *)
 
 val prepared : t -> int -> prepared option
 
+val fold_prepared : t -> (prepared -> 'a -> 'a) -> 'a -> 'a
+(** Every prepared transaction here, in the table's order. *)
+
+val prepared_txns : t -> int list
+(** Ids of every prepared transaction here, ascending. *)
+
 val conflicting_prepared : t -> keys:int list -> max_tp:int -> prepared list
-(** Prepared transactions writing any of [keys] here with tp <= [max_tp]. *)
+(** Prepared transactions writing any of [keys] here with tp <= [max_tp].
+    Costs one lookup per key when none of [keys] has a prepared writer;
+    otherwise scans the prepared table. The order is the table's fold
+    order, the same with or without the index, and callers depend on it:
+    in-doubt resolution starts in this order and each start draws network
+    jitter. *)
 
 val wait_prepared : t -> prepared -> (Types.outcome -> unit) -> unit
 

@@ -24,7 +24,7 @@ let is_empty t = t.len = 0
 let ensure_sorted t =
   if not t.sorted then begin
     let live = Array.sub t.data 0 t.len in
-    Array.sort compare live;
+    Array.sort Int.compare live;
     Array.blit live 0 t.data 0 t.len;
     t.sorted <- true
   end

@@ -196,6 +196,65 @@ let test_reacquire_held_lock () =
   check bool "again" true (try_write h ~key:1 ~txn:1 ~prio:10 = `Granted);
   check bool "read while writing" true (try_read h ~key:1 ~txn:1 ~prio:10 = `Granted)
 
+(* Queue a request whose continuation appends [txn] to [fired] when it
+   fires, so a test can pin the order in which grants are delivered. *)
+let queue_logged h fired kind ~key ~txn ~prio =
+  let acquire =
+    match kind with
+    | `Read -> Spanner.Locks.acquire_read
+    | `Write -> Spanner.Locks.acquire_write
+  in
+  acquire h.locks ~key ~txn ~priority:(prio, txn) (function
+    | Spanner.Locks.Granted _ -> fired := txn :: !fired
+    | Spanner.Locks.Aborted -> fired := -txn :: !fired)
+
+let test_single_key_release_order () =
+  (* One dirty key: its queue is scanned FIFO, granting every compatible
+     request; the younger read stays behind the queued writer. *)
+  let h = mk () in
+  let fired = ref [] in
+  check bool "holder" true (try_write h ~key:1 ~txn:1 ~prio:10 = `Granted);
+  queue_logged h fired `Read ~key:1 ~txn:2 ~prio:20;
+  queue_logged h fired `Read ~key:1 ~txn:3 ~prio:30;
+  queue_logged h fired `Write ~key:1 ~txn:4 ~prio:40;
+  queue_logged h fired `Read ~key:1 ~txn:5 ~prio:50;
+  Sim.Engine.run h.engine;
+  check (Alcotest.list int) "all wait" [] !fired;
+  Spanner.Locks.release_all h.locks ~txn:1;
+  Sim.Engine.run h.engine;
+  check (Alcotest.list int) "readers in FIFO order" [ 2; 3 ] (List.rev !fired);
+  Spanner.Locks.release_all h.locks ~txn:2;
+  Spanner.Locks.release_all h.locks ~txn:3;
+  Sim.Engine.run h.engine;
+  check (Alcotest.list int) "then the writer" [ 2; 3; 4 ] (List.rev !fired);
+  Spanner.Locks.release_all h.locks ~txn:4;
+  Sim.Engine.run h.engine;
+  check (Alcotest.list int) "then the last reader" [ 2; 3; 4; 5 ] (List.rev !fired)
+
+let test_wound_chain_order () =
+  (* An older reader wounds a holder of several keys: stripping it dirties
+     them all at once, and the drain grants each key's waiter in the order
+     it picks dirty keys. Seeded schedules depend on that order. Txn 25
+     waits on the older reader's key, so it is granted only when the drain
+     comes back to that key. *)
+  let h = mk () in
+  let fired = ref [] in
+  let keys = [ 3; 17; 64; 100; 129; 1000 ] in
+  List.iter
+    (fun key -> check bool "victim holds" true (try_write h ~key ~txn:20 ~prio:20 = `Granted))
+    keys;
+  List.iteri
+    (fun i key ->
+      if i > 0 then queue_logged h fired `Write ~key ~txn:(30 + i) ~prio:(30 + i))
+    keys;
+  queue_logged h fired `Read ~key:3 ~txn:25 ~prio:25;
+  Sim.Engine.run h.engine;
+  check (Alcotest.list int) "waiters wait" [] !fired;
+  queue_logged h fired `Read ~key:3 ~txn:10 ~prio:10;
+  Sim.Engine.run h.engine;
+  check bool "victim wounded" true (Hashtbl.mem h.wounded 20);
+  check (Alcotest.list int) "grant order" [ 10; 34; 31; 35; 25; 32; 33 ] (List.rev !fired)
+
 let suites =
   [
     ( "spanner.locks",
@@ -219,5 +278,8 @@ let suites =
         Alcotest.test_case "wounded requester" `Quick test_abort_on_already_wounded_request;
         Alcotest.test_case "wound counter" `Quick test_wound_counter;
         Alcotest.test_case "re-acquire held" `Quick test_reacquire_held_lock;
+        Alcotest.test_case "single-key release order" `Quick
+          test_single_key_release_order;
+        Alcotest.test_case "wound chain grant order" `Quick test_wound_chain_order;
       ] );
   ]

@@ -278,6 +278,211 @@ let test_snapshot_read_blocks_on_prepared () =
   | None -> Alcotest.fail "did not complete"
 
 (* ------------------------------------------------------------------ *)
+(* Prepared-write index                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* Random sequences of prepared-table mutations on one shard. After every
+   step, [conflicting_prepared] must return exactly what a full scan of the
+   table returns, element by element and in order (callers start in-doubt
+   resolution in that order), and it must scan only when some requested key
+   has a prepared writer. *)
+type prep_op =
+  | Add of int * int * int list  (* txn slot, tp, keys written *)
+  | Resolve of int * bool  (* txn slot, commit? *)
+  | Rebuild of (int * [ `Prepare of int * int list | `Commit | `Abort ]) list
+
+let n_prep_keys = 6
+let n_prep_txns = 8
+
+let pp_prep_op = function
+  | Add (i, tp, ks) ->
+    Fmt.str "add %d tp=%d [%a]" i tp Fmt.(list ~sep:comma int) ks
+  | Resolve (i, c) -> Fmt.str "resolve %d %s" i (if c then "commit" else "abort")
+  | Rebuild es ->
+    Fmt.str "rebuild [%s]"
+      (String.concat "; "
+         (List.map
+            (fun (i, e) ->
+              match e with
+              | `Prepare (tp, ks) ->
+                Fmt.str "prepare %d tp=%d [%a]" i tp Fmt.(list ~sep:comma int) ks
+              | `Commit -> Fmt.str "commit %d" i
+              | `Abort -> Fmt.str "abort %d" i)
+            es))
+
+let gen_prep_ops =
+  let open QCheck.Gen in
+  let keys =
+    map
+      (fun ks -> List.sort_uniq compare (List.map (fun k -> k mod n_prep_keys) ks))
+      (list_size (int_range 1 3) nat)
+  in
+  let slot = int_bound (n_prep_txns - 1) and tp = int_range 1 20 in
+  let op =
+    frequency
+      [
+        (5, map3 (fun i tp ks -> Add (i, tp, ks)) slot tp keys);
+        (3, map2 (fun i c -> Resolve (i, c)) slot bool);
+        ( 1,
+          map
+            (fun es -> Rebuild es)
+            (list_size (int_range 0 8)
+               (pair slot
+                  (frequency
+                     [
+                       (3, map2 (fun tp ks -> `Prepare (tp, ks)) tp keys);
+                       (1, return `Commit);
+                       (1, return `Abort);
+                     ]))) );
+      ]
+  in
+  list_size (int_range 1 40) op
+
+let prop_conflicting_prepared_matches_scan =
+  QCheck.Test.make ~name:"conflicting_prepared = full scan, in order" ~count:300
+    (QCheck.make ~print:(fun ops -> String.concat "\n" (List.map pp_prep_op ops))
+       gen_prep_ops)
+    (fun ops ->
+      let _engine, cluster = mk () in
+      let ctx = Spanner.Cluster.ctx cluster in
+      let sh = ctx.Spanner.Protocol.shards.(0) in
+      (* Rebuild re-acquires survivors' write locks; overlapping survivors
+         would otherwise route a wound to a coordinator. *)
+      sh.Spanner.Shard.wound_prepared_hook := (fun _ -> ());
+      let txns =
+        Array.init n_prep_txns (fun i ->
+            (Spanner.Types.fresh ctx.Spanner.Protocol.txns ~proc:0
+               ~priority:(i, Spanner.Types.tiebreak ctx.Spanner.Protocol.txns))
+              .Spanner.Types.id)
+      in
+      (* Every commit gets a fresh, larger timestamp, so store writes stay
+         monotonic across rebuilds too. *)
+      let clock = ref 1_000 in
+      let tick () = incr clock; !clock in
+      let writes i ks = List.map (fun k -> (k, txns.(i))) ks in
+      let prepared i tp ks =
+        {
+          Spanner.Shard.p_txn = txns.(i);
+          p_tp = tp;
+          p_tee = 0;
+          p_writes = writes i ks;
+          p_waiters = [];
+          p_coord = 0;
+          p_participants = [ 0 ];
+        }
+      in
+      let scan ~keys ~max_tp =
+        Spanner.Shard.fold_prepared sh
+          (fun p acc ->
+            if p.Spanner.Shard.p_tp <= max_tp
+               && List.exists (fun (k, _) -> List.mem k keys) p.Spanner.Shard.p_writes
+            then p :: acc
+            else acc)
+          []
+      in
+      let txn_ids = List.map (fun (p : Spanner.Shard.prepared) -> p.Spanner.Shard.p_txn) in
+      let queries =
+        List.init n_prep_keys (fun k -> [ k ])
+        @ [ [ 0; 2; 4 ]; [ 5; 1 ]; List.init n_prep_keys Fun.id ]
+      in
+      let agrees () =
+        List.for_all
+          (fun keys ->
+            List.for_all
+              (fun max_tp ->
+                let before = sh.Spanner.Shard.n_prepared_scans in
+                let got = Spanner.Shard.conflicting_prepared sh ~keys ~max_tp in
+                let scanned = sh.Spanner.Shard.n_prepared_scans - before in
+                let has_writer = scan ~keys ~max_tp:max_int <> [] in
+                let want = scan ~keys ~max_tp in
+                List.length got = List.length want
+                && List.for_all2 ( == ) got want
+                && scanned = if has_writer then 1 else 0)
+              [ 0; 10; max_int ])
+          queries
+      in
+      let step = function
+        | Add (i, tp, ks) -> Spanner.Shard.add_prepared sh (prepared i tp ks)
+        | Resolve (i, commit) ->
+          Spanner.Shard.resolve_prepared sh ~txn:txns.(i)
+            (if commit then Spanner.Types.Committed (tick ()) else Spanner.Types.Aborted)
+        | Rebuild es ->
+          let last_writes = Hashtbl.create 8 in
+          let entries =
+            List.map
+              (fun (i, e) ->
+                match e with
+                | `Prepare (tp, ks) ->
+                  Hashtbl.replace last_writes i ks;
+                  Spanner.Types.Rprepare
+                    {
+                      r_txn = txns.(i);
+                      r_tp = tp;
+                      r_tee = 0;
+                      r_writes = writes i ks;
+                      r_coord = 0;
+                      r_participants = [ 0 ];
+                    }
+                | (`Commit | `Abort) as o ->
+                  let ks = Option.value (Hashtbl.find_opt last_writes i) ~default:[] in
+                  Spanner.Types.Routcome
+                    {
+                      r_txn = txns.(i);
+                      r_out =
+                        (if o = `Commit then Spanner.Types.Committed (tick ())
+                         else Spanner.Types.Aborted);
+                      r_writes = writes i ks;
+                      r_max_tee = 0;
+                    })
+              es
+          in
+          Spanner.Shard.rebuild sh ~entries
+      in
+      let ok = ref (agrees ()) in
+      List.iter
+        (fun op ->
+          if !ok then begin
+            step op;
+            ok :=
+              agrees ()
+              && txn_ids (scan ~keys:(List.init n_prep_keys Fun.id) ~max_tp:max_int)
+                 |> List.sort compare
+                 = Spanner.Shard.prepared_txns sh
+          end)
+        ops;
+      !ok)
+
+let test_conflicting_prepared_skips_scan () =
+  let _engine, cluster = mk () in
+  let sh = (Spanner.Cluster.ctx cluster).Spanner.Protocol.shards.(0) in
+  let p =
+    {
+      Spanner.Shard.p_txn = 7;
+      p_tp = 5;
+      p_tee = 0;
+      p_writes = [ (1, 7); (2, 7) ];
+      p_waiters = [];
+      p_coord = 0;
+      p_participants = [ 0 ];
+    }
+  in
+  Spanner.Shard.add_prepared sh p;
+  let scans () = sh.Spanner.Shard.n_prepared_scans in
+  check bool "other keys: empty" true
+    (Spanner.Shard.conflicting_prepared sh ~keys:[ 0; 3 ] ~max_tp:max_int = []);
+  check int "no scan" 0 (scans ());
+  check bool "written key: found" true
+    (Spanner.Shard.conflicting_prepared sh ~keys:[ 3; 2 ] ~max_tp:5 = [ p ]);
+  check int "one scan" 1 (scans ());
+  check bool "tp above max_tp: empty after a scan" true
+    (Spanner.Shard.conflicting_prepared sh ~keys:[ 1 ] ~max_tp:4 = []);
+  check int "two scans" 2 (scans ());
+  Spanner.Shard.resolve_prepared sh ~txn:7 Spanner.Types.Aborted;
+  check bool "resolved: empty" true
+    (Spanner.Shard.conflicting_prepared sh ~keys:[ 1; 2 ] ~max_tp:max_int = []);
+  check int "no scan once resolved" 2 (scans ())
+
+(* ------------------------------------------------------------------ *)
 (* Contention / wound-wait                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -566,6 +771,12 @@ let suites =
           test_rss_ro_blocks_when_tee_passed;
         Alcotest.test_case "session monotone reads" `Quick
           test_rss_session_forces_observation;
+      ] );
+    ( "spanner.prepared_index",
+      [
+        QCheck_alcotest.to_alcotest prop_conflicting_prepared_matches_scan;
+        Alcotest.test_case "skips the scan without a prepared writer" `Quick
+          test_conflicting_prepared_skips_scan;
       ] );
     ( "spanner.contention",
       [
