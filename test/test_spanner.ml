@@ -772,7 +772,7 @@ let suites =
         Alcotest.test_case "session monotone reads" `Quick
           test_rss_session_forces_observation;
       ] );
-    ( "spanner.prepared_index",
+    ( "spanner.prepared",
       [
         QCheck_alcotest.to_alcotest prop_conflicting_prepared_matches_scan;
         Alcotest.test_case "skips the scan without a prepared writer" `Quick
