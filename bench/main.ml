@@ -6,7 +6,7 @@
 let usage () =
   Fmt.pr
     "usage: bench/main.exe [--quick] [target...]@.targets: table1 fig5 fig6 fig7 \
-     fig7tail gryff-overhead ablation micro all (default: all)@."
+     fig7tail gryff-overhead ablation all (default: all)@."
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
@@ -41,6 +41,5 @@ let () =
         Ablation.epsilon_sweep ~duration_s:20.0 ();
         Ablation.tmin_scope ~duration_s:20.0 ()
       end
-      else Ablation.run ();
-    if want "micro" then Micro.run ()
+      else Ablation.run ()
   end

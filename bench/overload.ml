@@ -18,17 +18,24 @@
       victim; the hedged policy re-widens the fan-out after a short delay
       and must cut read p99 by at least 3x.
 
-   Protected/hedged runs verify their histories online; a consistency
-   failure fails the suite. A protected run is repeated to prove the
-   whole stack is deterministic.
+   3. Retry control (gryff, WAN). Gryff-RSC chaos audits under the
+      leader-kill and slow-node presets with retransmission armed, plus
+      admission, expiry drops, a deadline and a retry budget. Every
+      timeout re-send is a client re-offer that Sim.Flow must decide, so
+      each one sent takes a budget token: the Rpc retries never outnumber
+      the tokens taken.
+
+   Protected/hedged/control runs verify their histories online; a
+   consistency failure fails the suite. A protected run is repeated to
+   prove the whole stack is deterministic.
 
      dune exec bench/overload.exe --              # full sizes, ~1 min
      dune exec bench/overload.exe -- --smoke      # CI sizes
 
    Exit status 1 on: any online-checked verification failure, control
    collapse not observed, protected goodput floor missed, hedge ratio
-   missed (full runs only), sheds observed with protections off, or a
-   repeat-determinism mismatch. *)
+   missed (full runs only), sheds observed with protections off, an Rpc
+   retry sent without a budget token, or a repeat-determinism mismatch. *)
 
 (* ------------------------------------------------------------------ *)
 (* Measurement                                                         *)
@@ -170,6 +177,27 @@ let hedge_run ~fanout ~duration_s ~seed =
   in
   Harness.gryff_wan ~client_sites ~env ~mode:Gryff.Config.Rsc ~conflict:0.05
     ~write_ratio:0.2 ~n_keys:50_000 ~duration_s ~seed ()
+
+(* Experiment 3: a Gryff-RSC audit with retransmission and the whole
+   protection stack under one preset. *)
+let retry_run preset ~duration_s ~seed =
+  let flow =
+    {
+      Harness.flow_default with
+      Harness.fl_admission =
+        Some { Sim.Station.max_queue = 64; max_sojourn_us = 50_000 };
+      fl_drop_expired = true;
+      fl_budget = Some (16, 20_000);
+    }
+  in
+  let env =
+    Harness.Env.(
+      of_preset Chaos.Audit.Gryff_rsc preset ~duration_s ~nemesis_seed:seed
+      |> with_failover true
+      |> with_deadline_us (Some 1_000_000)
+      |> with_flow (Some flow))
+  in
+  Harness.audit ~env Chaos.Audit.Gryff_rsc ~duration_s ~seed ()
 
 let run_json ~deadline_us ~measured_s r =
   let open Obs.Json in
@@ -326,6 +354,34 @@ let () =
         ("ok", Bool ((not (Float.is_nan ratio)) && ratio >= 3.0)) ]
   in
 
+  (* --- Experiment 3: retry control --- *)
+  let rduration_s = if smoke then 8.0 else 20.0 in
+  Printf.printf "== retry control (gryff-rsc audits, %g simulated s) ==\n%!"
+    rduration_s;
+  let retry_cells =
+    List.map
+      (fun preset ->
+        let r = retry_run preset ~duration_s:rduration_s ~seed in
+        let name = Chaos.Nemesis.preset_name preset in
+        let retries = Harness.Run.counter r "failover.rpc_retries" in
+        let taken = Harness.Run.counter r "flow.budget.taken" in
+        Printf.printf "   %-12s %d rpc retries, %d tokens taken; verdict=%s\n%!"
+          name retries taken (Report.verdict r.Harness.Run.check);
+        if not (Harness.Run.passed r) then
+          fail "CONSISTENCY FAILURE in a retry-control run";
+        if retries > taken then
+          fail "UNBUDGETED RETRIES: %d rpc retries, %d tokens" retries taken;
+        Report.(
+          run_json r
+            [ Value ("preset", Obs.Json.Str name);
+              Counter ("rpc_retries", "failover.rpc_retries");
+              Counter ("rpc_exhausted", "failover.rpc_exhausted");
+              Counter ("abandoned", "flow.abandoned");
+              Counter ("budget_taken", "flow.budget.taken");
+              Counter ("budget_denied", "flow.budget.denied"); Verdict ]))
+      [ Chaos.Nemesis.Leader_kill; Chaos.Nemesis.Slow_node ]
+  in
+
   (* --- Repeat determinism --- *)
   let det_rate = List.nth rates (List.length rates - 1) in
   let digest_of () =
@@ -341,4 +397,5 @@ let () =
   Report.write cli ~schema:"rss-repro/overload/v1" ~ok:(not !failed)
     [ ("ramp", ramp); ("hedge", hedge);
       ( "determinism",
-        Obj [ ("digest_a", Str d1); ("digest_b", Str d2); ("ok", Bool (d1 = d2)) ] ) ]
+        Obj [ ("digest_a", Str d1); ("digest_b", Str d2); ("ok", Bool (d1 = d2)) ] );
+      ("retry_control", Arr retry_cells) ]

@@ -152,8 +152,7 @@ let set_tracer t tracer = Protocol.set_tracer t.pctx tracer
 
 let tracer t = t.pctx.Protocol.tracer
 
-let enable_retrans t ~rng ?timeout_us () =
-  Protocol.enable_retrans t.pctx ~rng ?timeout_us ()
+let enable_retrans t ~rng () = Protocol.enable_retrans t.pctx ~rng
 
 (* ------------------------------------------------------------------ *)
 (* Overload & gray-failure controls                                   *)

@@ -77,7 +77,7 @@ val stats : t -> stats
 
 (** {2 Retransmission} *)
 
-val enable_retrans : t -> rng:Sim.Rng.t -> ?timeout_us:int -> unit -> unit
+val enable_retrans : t -> rng:Sim.Rng.t -> unit -> unit
 (** Arm per-request retransmission on the idempotent protocol phases (see
     {!Protocol.enable_retrans}); lets clients ride through up to f crashed
     replicas. *)

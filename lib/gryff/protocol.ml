@@ -114,36 +114,37 @@ let to_replica ctx ~src ?(bytes = 64) ?expires ?reject replica_id handler =
    a write a no-op); rmw pre-accepts are not and stay bare. *)
 let exchange ctx ~src ?bytes ?expires replica_id ~(request : Replica.t -> 'a)
     ~(reply : 'a -> unit) =
-  let attempt deliver =
+  (* The leg's sends, the first one included, across NACK re-offers and
+     Rpc re-attempts alike: Flow caps the total at [Sim.Flow.max_sends]. *)
+  let sends = ref 1 in
+  let attempt ~attempt:_ ~ok:deliver =
     (* With admission control armed, a shed leg re-offers to the same
        replica after the server-suggested backoff (the quorum keeps
        forming from the others meanwhile), bounded by the retry budget and
-       a hard cap; giving up just leaves this replica out of the quorum.
-       An expired leg gives up outright — its deadline has passed. *)
-    let sends = ref 0 in
+       the resend cap; giving up just leaves this replica out of the
+       quorum. An expired leg gives up outright — its deadline has
+       passed. *)
     let rec send () =
-      incr sends;
-      let reject = function
-        | Sim.Flow.Expired -> ()
-        | Sim.Flow.Pushback pb ->
-          Sim.Flow.retry ctx.flow ?expires ~sends:!sends
-            ~after_us:pb.retry_after_us send
-      in
       to_replica ctx ~src ?bytes ?expires ~reject replica_id (fun r ->
           let resp = request r in
           to_client ctx ~src:replica_id ~dst:src (fun () -> deliver resp))
+    and reject = function
+      | Sim.Flow.Expired -> ()
+      | Sim.Flow.Pushback pb ->
+        Sim.Flow.retry ctx.flow ?expires ~sends ~after_us:pb.retry_after_us send
     in
     send ()
   in
   match ctx.retrans with
-  | None -> attempt reply
+  | None -> attempt ~attempt:1 ~ok:reply
   | Some rpc ->
-    Sim.Rpc.call ~name:"rpc.exchange" rpc
-      ~attempt:(fun ~attempt:_ ~ok -> attempt ok)
-      ~on_result:(function Some resp -> reply resp | None -> ())
+    Sim.Rpc.call ~name:"rpc.exchange" ~flow:ctx.flow ?expires ~sends rpc
+      ~attempt ~on_result:(function Some resp -> reply resp | None -> ())
 
-let enable_retrans ctx ~rng ?(timeout_us = 300_000) () =
-  let rpc = Sim.Rpc.create ctx.engine ~rng ~timeout_us ~max_attempts:8 () in
+let enable_retrans ctx ~rng =
+  let rpc =
+    Sim.Rpc.create ctx.engine ~rng ~timeout_us:300_000 ~max_attempts:8 ()
+  in
   Sim.Rpc.set_tracer rpc ctx.tracer;
   ctx.retrans <- Some rpc
 

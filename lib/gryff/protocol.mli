@@ -63,8 +63,8 @@ val set_tracer : ctx -> Obs.Trace.t -> unit
     plus per-message network hops and RPC retries. Passive: it never draws
     randomness or schedules events. *)
 
-val enable_retrans : ctx -> rng:Sim.Rng.t -> ?timeout_us:int -> unit -> unit
-(** Arm retransmission (default 300 ms deadline, 8 attempts, capped backoff)
+val enable_retrans : ctx -> rng:Sim.Rng.t -> unit
+(** Arm retransmission (300 ms deadline, 8 attempts, capped backoff)
     on every idempotent request/reply exchange: read round one, the write's
     carstamp query, and propagates. Re-sends are safe because replica state
     merges by carstamp maximum; rmw pre-accepts are not idempotent and keep
@@ -122,9 +122,13 @@ val fence : ctx -> client_site:int -> deps:dep list -> (unit -> unit) -> unit
       and carries the op's expiry. Rmw pre-accepts, accepts, commits and
       execution acks are internal traffic and are always admitted.
     - A shed leg re-offers to the same replica after the server-suggested
-      backoff, if {!Sim.Flow.retry} allows it (at most 8 sends); the
-      quorum keeps forming from the other replicas meanwhile. Giving up
-      just leaves that replica out of the quorum, as does an expired leg.
+      backoff, if {!Sim.Flow.retry} allows it; the quorum keeps forming
+      from the other replicas meanwhile. Giving up just leaves that
+      replica out of the quorum, as does an expired leg.
+    - With retransmission armed, a timed-out leg is re-sent only if
+      {!Sim.Flow.may_retry} allows it. NACK re-offers and timeout
+      re-attempts count the same sends, so a leg reaches its replica at
+      most {!Sim.Flow.max_sends} times.
     - Hedging applies to the [Hedged] fan-out only. *)
 
 val stations : ctx -> Sim.Station.t list

@@ -292,8 +292,8 @@ let flow_metrics reg ~armed ~stations flow =
     c "flow.hedge_wins" hedge_wins;
     (match Sim.Flow.budget flow with
     | Some b ->
-      c "flow.budget.taken" (Sim.Rpc.Budget.taken b);
-      c "flow.budget.denied" (Sim.Rpc.Budget.denied b)
+      c "flow.budget.taken" (Sim.Flow.Budget.taken b);
+      c "flow.budget.denied" (Sim.Flow.Budget.denied b)
     | None -> ());
     let qd = Obs.Metrics.histogram reg "flow.queue_depth" in
     let sj = Obs.Metrics.histogram reg "flow.sojourn_us" in
@@ -686,7 +686,7 @@ let drive ~env ?prepare ~seed ~duration_s ~model ~site_of ~latencies ~warmup_s
         ~budget:
           (Option.map
              (fun (capacity, refill_period_us) ->
-               Sim.Rpc.Budget.create engine ~capacity ~refill_period_us)
+               Sim.Flow.Budget.create engine ~capacity ~refill_period_us)
              f.fl_budget);
       Option.iter d.set_fanout f.fl_gryff_fanout)
     env.Env.flow;

@@ -125,8 +125,9 @@ type flow_spec = {
           fan-out — see [fl_gryff_fanout] *)
   fl_budget : (int * int) option;
       (** fleet-wide retry token bucket as [(capacity,
-          refill_period_us)]; a dry bucket turns retries of shed work into
-          fast-fails instead of amplification *)
+          refill_period_us)]; a dry bucket turns client re-offers (of
+          shed work, or timed-out retransmissions) into fast-fails instead
+          of amplification *)
   fl_gryff_fanout : Gryff.Protocol.read_fanout option;
       (** Gryff read fan-out policy ([None] keeps the protocol default,
           [Fan_all]); Spanner drivers ignore it *)

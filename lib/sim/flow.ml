@@ -1,3 +1,60 @@
+module Budget = struct
+  type t = {
+    engine : Engine.t;
+    capacity : int;
+    refill_period_us : int;
+    mutable tokens : int;
+    mutable last_refill : int;
+    mutable n_taken : int;
+    mutable n_denied : int;
+  }
+
+  let create engine ~capacity ~refill_period_us =
+    if capacity < 1 then invalid_arg "Flow.Budget.create: capacity must be >= 1";
+    if refill_period_us < 1 then
+      invalid_arg "Flow.Budget.create: refill_period_us must be >= 1";
+    {
+      engine;
+      capacity;
+      refill_period_us;
+      tokens = capacity;
+      last_refill = 0;
+      n_taken = 0;
+      n_denied = 0;
+    }
+
+  (* Lazy integer refill: tokens earned are whole periods elapsed since the
+     last refill, and the refill clock only advances by the periods actually
+     credited — no float drift, no timer events, deterministic for a given
+     schedule. *)
+  let refill t =
+    let now = Engine.now t.engine in
+    let earned = (now - t.last_refill) / t.refill_period_us in
+    if earned > 0 then begin
+      t.tokens <- min t.capacity (t.tokens + earned);
+      t.last_refill <- t.last_refill + (earned * t.refill_period_us)
+    end
+
+  let try_take t =
+    refill t;
+    if t.tokens > 0 then begin
+      t.tokens <- t.tokens - 1;
+      t.n_taken <- t.n_taken + 1;
+      true
+    end
+    else begin
+      t.n_denied <- t.n_denied + 1;
+      false
+    end
+
+  let tokens t =
+    refill t;
+    t.tokens
+
+  let taken t = t.n_taken
+  let denied t = t.n_denied
+end
+
 type reject = Expired | Pushback of Station.pushback
 
 type stats = {
@@ -13,7 +70,7 @@ type t = {
   net : Net.t;
   mutable drop_expired : bool;
   mutable hedge_us : int;
-  mutable budget : Rpc.Budget.t option;
+  mutable budget : Budget.t option;
   mutable expired : int;
   mutable shed : int;
   mutable abandoned : int;
@@ -100,18 +157,24 @@ let max_sends = 8
 
 (* The budget is asked last, so only a re-offer that will really be sent
    takes a token (or counts a denial). *)
-let retry t ?expires ?sends ~after_us k =
-  let under_cap = match sends with None -> true | Some n -> n < max_sends in
+let may_retry t ?expires ?sends ~after_us () =
+  let under_cap = match sends with None -> true | Some n -> !n < max_sends in
   let in_time =
     match expires with
     | None -> true
     | Some e -> Engine.now t.engine + after_us < e
   in
-  if
+  let ok =
     under_cap && in_time
-    && (match t.budget with None -> true | Some b -> Rpc.Budget.try_take b)
-  then Engine.schedule ~kind:"txn.backoff" t.engine ~after:after_us k
-  else t.abandoned <- t.abandoned + 1
+    && (match t.budget with None -> true | Some b -> Budget.try_take b)
+  in
+  if not ok then t.abandoned <- t.abandoned + 1
+  else Option.iter incr sends;
+  ok
+
+let retry t ?expires ?sends ~after_us k =
+  if may_retry t ?expires ?sends ~after_us () then
+    Engine.schedule ~kind:"txn.backoff" t.engine ~after:after_us k
 
 let abandon t = t.abandoned <- t.abandoned + 1
 let hedge_issued t = t.hedges <- t.hedges + 1

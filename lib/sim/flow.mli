@@ -1,10 +1,11 @@
 (** Overload control for request legs: the one place that decides how a
-    server admits a request and how a client reacts to a refusal.
+    server admits a request and whether a client re-sends work.
 
-    Both protocols route every server-bound message through {!ingress}
-    and every re-offer of refused work through {!retry}, so Spanner and
-    Gryff shed, expire and retry by the same rules. A [t] holds one
-    deployment's policy knobs and its counters.
+    Both protocols route every server-bound message through {!ingress},
+    and every client re-offer asks {!may_retry} first, whatever triggered
+    it: a NACK ({!retry}), a {!Rpc} timeout, or Spanner's failover RO
+    re-issue. So Spanner and Gryff shed, expire and retry by the same
+    rules. A [t] holds one deployment's policy knobs and its counters.
 
     {2 The ingress}
 
@@ -24,6 +25,26 @@
     Every knob off (the state {!create} returns) is byte-identical to a
     deployment without the layer: no event is scheduled and no random draw
     is made. *)
+
+(** Fleet-wide retry budget: a token bucket that caps retry
+    {e amplification}. Each re-offer {!may_retry} passes spends one token;
+    a dry bucket turns re-offers into fast-fails instead of a retry storm.
+    Refill is lazy integer arithmetic over simulated time: no events, no
+    randomness. *)
+module Budget : sig
+  type t
+
+  val create : Engine.t -> capacity:int -> refill_period_us:int -> t
+  (** A bucket holding at most [capacity] tokens (starts full), earning one
+      token per [refill_period_us] of simulated time. Raises
+      [Invalid_argument] on non-positive parameters. *)
+
+  val tokens : t -> int
+  (** Tokens currently available (after lazy refill). *)
+
+  val taken : t -> int
+  val denied : t -> int
+end
 
 type reject =
   | Expired  (** the projected service start was already past the expiry *)
@@ -45,14 +66,14 @@ val create : Net.t -> t
 
 val arm :
   t -> stations:Station.t list -> admission:Station.limits option ->
-  drop_expired:bool -> hedge_us:int -> budget:Rpc.Budget.t option -> unit
+  drop_expired:bool -> hedge_us:int -> budget:Budget.t option -> unit
 (** Install a policy before traffic flows: [admission] limits on every
     station in [stations], expiry drops, the hedge delay ([0] = no
     hedging; [Invalid_argument] if negative) and the fleet-wide retry
-    budget shared by every {!retry}. *)
+    budget shared by every {!may_retry}. *)
 
 val hedge_us : t -> int
-val budget : t -> Rpc.Budget.t option
+val budget : t -> Budget.t option
 val stats : t -> stats
 
 val expires : t -> int option -> int option
@@ -76,19 +97,27 @@ val serve : tracer:Obs.Trace.t -> Station.t -> int -> (unit -> unit) -> unit
     admission — amortized cost, span carry, FIFO service. For internal
     traffic of components that hold no [t] (replication acks). *)
 
+val max_sends : int
+(** The resend cap (8) for work whose caller counts its sends. *)
+
+val may_retry :
+  t -> ?expires:int -> ?sends:int ref -> after_us:int -> unit -> bool
+(** May the client re-send work, [after_us] from now? Checks, in order:
+    the resend cap ([!sends < max_sends], for callers that count sends),
+    the deadline (start before [expires]) and the budget, which only a
+    re-offer passing the first two reaches. A pass counts in [sends] at
+    once, so re-offers decided before earlier ones went out still stop at
+    the cap; a refusal counts the work as abandoned. Unarmed (no budget,
+    no [expires]), every re-offer under the cap passes. *)
+
 val retry :
-  t -> ?expires:int -> ?sends:int -> after_us:int -> (unit -> unit) -> unit
-(** May refused work be re-offered? [retry t ?expires ?sends ~after_us k]
-    checks, in order: the resend cap (for callers that count [sends], the
-    work must have been sent fewer than 8 times), the deadline (the
-    re-offer must start before [expires]) and the retry budget. If all
-    pass, [k] runs after [after_us]; otherwise the work is abandoned
-    (counted) and [k] never runs. Only a re-offer that passes the first two
-    checks reaches the budget, so work that is never sent takes no token
-    and counts no denial. *)
+  t -> ?expires:int -> ?sends:int ref -> after_us:int -> (unit -> unit) ->
+  unit
+(** A NACK re-offer: if {!may_retry} allows it, [k] runs after [after_us]
+    (a ["txn.backoff"] event); otherwise [k] never runs. *)
 
 val abandon : t -> unit
-(** Count work given up outside {!retry} (an expired NACK). *)
+(** Count work given up outside {!may_retry} (an expired NACK). *)
 
 val hedge_issued : t -> unit
 val hedge_won : t -> unit

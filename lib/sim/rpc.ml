@@ -1,61 +1,3 @@
-module Budget = struct
-  type t = {
-    engine : Engine.t;
-    capacity : int;
-    refill_period_us : int;
-    mutable tokens : int;
-    mutable last_refill : int;
-    mutable n_taken : int;
-    mutable n_denied : int;
-  }
-
-  let create engine ~capacity ~refill_period_us =
-    if capacity < 1 then invalid_arg "Rpc.Budget.create: capacity must be >= 1";
-    if refill_period_us < 1 then
-      invalid_arg "Rpc.Budget.create: refill_period_us must be >= 1";
-    {
-      engine;
-      capacity;
-      refill_period_us;
-      tokens = capacity;
-      last_refill = 0;
-      n_taken = 0;
-      n_denied = 0;
-    }
-
-  (* Lazy integer refill: tokens earned are whole periods elapsed since the
-     last refill, and the refill clock only advances by the periods actually
-     credited — no float drift, no timer events, deterministic for a given
-     schedule. *)
-  let refill t =
-    let now = Engine.now t.engine in
-    let earned = (now - t.last_refill) / t.refill_period_us in
-    if earned > 0 then begin
-      t.tokens <- min t.capacity (t.tokens + earned);
-      t.last_refill <- t.last_refill + (earned * t.refill_period_us)
-    end
-
-  let try_take t =
-    refill t;
-    if t.tokens > 0 then begin
-      t.tokens <- t.tokens - 1;
-      t.n_taken <- t.n_taken + 1;
-      true
-    end
-    else begin
-      t.n_denied <- t.n_denied + 1;
-      false
-    end
-
-  let tokens t =
-    refill t;
-    t.tokens
-
-  let taken t = t.n_taken
-
-  let denied t = t.n_denied
-end
-
 type t = {
   engine : Engine.t;
   rng : Rng.t;
@@ -86,7 +28,20 @@ let create engine ~rng ?(timeout_us = 500_000) ?(max_backoff_us = 2_000_000)
 
 let set_tracer t tracer = t.tracer <- tracer
 
-let call ?(name = "rpc.call") t ~attempt ~on_result =
+(* A re-attempt is a client re-offer, so Flow decides it as it fires. *)
+let may_reattempt flow ?expires ?sends () =
+  match flow with
+  | None -> true
+  | Some f -> Flow.may_retry f ?expires ?sends ~after_us:0 ()
+
+let give_up t tr call_sp marker on_result =
+  if Obs.Trace.enabled tr then begin
+    Obs.Trace.instant ~parent:call_sp tr ~name:marker ~ts:(Engine.now t.engine);
+    Obs.Trace.end_span tr call_sp ~ts:(Engine.now t.engine)
+  end;
+  on_result None
+
+let call ?(name = "rpc.call") ?flow ?expires ?sends t ~attempt ~on_result =
   t.n_calls <- t.n_calls + 1;
   let tr = t.tracer in
   let traced = Obs.Trace.enabled tr in
@@ -101,23 +56,22 @@ let call ?(name = "rpc.call") t ~attempt ~on_result =
     else Obs.Trace.none
   in
   let settled = ref false in
-  let ok v =
+  (* One recursive group, so [ok] and [go] share one closure block. *)
+  let rec ok v =
     if not !settled then begin
       settled := true;
       if traced then Obs.Trace.end_span tr call_sp ~ts:(Engine.now t.engine);
       on_result (Some v)
     end
-  in
-  let rec go n =
+  and go n =
     if not !settled then
       if n > t.max_attempts then begin
         t.n_exhausted <- t.n_exhausted + 1;
-        if traced then begin
-          Obs.Trace.instant ~parent:call_sp tr ~name:"rpc.exhausted"
-            ~ts:(Engine.now t.engine);
-          Obs.Trace.end_span tr call_sp ~ts:(Engine.now t.engine)
-        end;
-        on_result None
+        give_up t tr call_sp "rpc.exhausted" on_result
+      end
+      else if n > 1 && not (may_reattempt flow ?expires ?sends ()) then begin
+        settled := true;
+        give_up t tr call_sp "rpc.abandoned" on_result
       end
       else begin
         if n > 1 then t.n_retries <- t.n_retries + 1;

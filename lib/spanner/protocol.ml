@@ -356,7 +356,10 @@ and decide_commit ctx coord_shard ~txn =
      typically a vote that died with a crashed leader (decision-time view
      validation would void a late copy of it anyway). Abort is always safe
      before a decision, and it frees the prepare's locks; the waiting
-     client sees the abort and retries. *)
+     client sees the abort and retries.
+
+   The call passes no flow: it frees locks server-side and is not a client
+   re-offer, so no deadline or retry budget may cut it short. *)
 let resolve_in_doubt ctx shard txn =
   if Shard.prepared shard txn <> None && not (Hashtbl.mem shard.Shard.in_doubt txn)
   then
@@ -834,7 +837,7 @@ let rw_txn ?(on_attempt = fun (_ : int) -> ()) ?deadline_us ?view ctx
       match ctx.rpc with
       | None -> retry txn
       | Some rpc ->
-        Sim.Rpc.call ~name:"rpc.terminate" rpc
+        Sim.Rpc.call ~name:"rpc.terminate" ~flow:ctx.flow ?expires rpc
           ~attempt:(fun ~attempt:_ ~ok ->
             to_shard ctx ~src:client_site ~bytes:32 coord (fun csh ->
                 handle_terminate ctx csh ~txn ~reply:(function
@@ -1222,8 +1225,13 @@ let ro_txn ?deadline_us ?view ctx ~client_site ~proc:_ ~t_min ~keys k =
   match deadline_us with
   | Some d when ctx.failover ->
     let done_ = ref false in
-    let rec go attempts_left =
-      if (not !done_) && attempts_left > 0 then begin
+    (* Every re-issue after the first is a client re-offer, so Flow
+       decides it when its timer fires. *)
+    let rec go issued =
+      if
+        (not !done_) && issued < 25
+        && (issued = 0 || Sim.Flow.may_retry ctx.flow ?expires ~after_us:0 ())
+      then begin
         (* A re-issue may be retrying a read whose reply died with a moved
            leader; catch the view up first so it addresses current owners. *)
         (match view with
@@ -1235,10 +1243,10 @@ let ro_txn ?deadline_us ?view ctx ~client_site ~proc:_ ~t_min ~keys k =
               k res
             end);
         Sim.Engine.schedule ~kind:"txn.deadline" ctx.engine ~after:d (fun () ->
-            go (attempts_left - 1))
+            go (issued + 1))
       end
     in
-    go 25
+    go 0
   | Some _ | None ->
     let hedge_us = Sim.Flow.hedge_us ctx.flow in
     if hedge_us <= 0 then ro_once ?view ?expires ctx ~client_site ~t_min ~keys k

@@ -132,7 +132,10 @@ val fence : ctx -> t_min:int -> (unit -> unit) -> unit
       after that backoff, if {!Sim.Flow.retry} allows it.
     - Every wound-wait retry and every RO re-issue goes through
       {!Sim.Flow.retry}, so a dry retry budget abandons the op instead of
-      amplifying overload.
+      amplifying overload. With failover armed, {!Sim.Flow.may_retry}
+      also decides each timed-out [terminate] re-attempt (against the RW
+      op's expiry) and each failover RO re-issue after the first. In-doubt
+      resolution is exempt: it frees locks server-side.
     - Hedged ROs ({!Sim.Flow.hedge_us} > 0): an RO still unfinished after
       the delay is re-issued once, whole, to the shard leaders of the
       client's refreshed view; the first completion wins. *)

@@ -277,17 +277,37 @@ let test_search_deterministic_and_clean () =
 (* ------------------------------------------------------------------ *)
 
 (* Drive a call whose attempts never succeed and record when each attempt
-   fires; [t_reply] optionally schedules a success for the first attempt. *)
-let rpc_attempt_times ~seed ~timeout_us ~max_backoff_us ~max_attempts
-    ~first_succeeds =
+   fires; [first_succeeds] schedules a success for the first attempt. With
+   [budget] (tokens, never refilled within the run) or [expires], the call
+   carries a flow with that budget and expiry drops armed. *)
+let rpc_attempt_times ?budget ?expires ~seed ~timeout_us ~max_backoff_us
+    ~max_attempts ~first_succeeds () =
   let engine = Sim.Engine.create () in
   let rng = Sim.Rng.make seed in
   let rpc =
     Sim.Rpc.create engine ~rng ~timeout_us ~max_backoff_us ~max_attempts ()
   in
+  let flow =
+    if budget = None && expires = None then None
+    else begin
+      let net =
+        Sim.Net.create engine ~rng:(Sim.Rng.make 0) ~rtt_ms:[| [| 0.1 |] |] ()
+      in
+      let f = Sim.Flow.create net in
+      Sim.Flow.arm f ~stations:[] ~admission:None ~drop_expired:true
+        ~hedge_us:0
+        ~budget:
+          (Option.map
+             (fun capacity ->
+               Sim.Flow.Budget.create engine ~capacity
+                 ~refill_period_us:max_int)
+             budget);
+      Some f
+    end
+  in
   let times = ref [] in
   let result = ref `Pending in
-  Sim.Rpc.call rpc
+  Sim.Rpc.call ?flow ?expires rpc
     ~attempt:(fun ~attempt ~ok ->
       times := (attempt, Sim.Engine.now engine) :: !times;
       if first_succeeds && attempt = 1 then
@@ -304,7 +324,7 @@ let prop_rpc_no_draw_without_retry =
     (fun seed ->
       let _, result, rng =
         rpc_attempt_times ~seed ~timeout_us:50_000 ~max_backoff_us:400_000
-          ~max_attempts:5 ~first_succeeds:true
+          ~max_attempts:5 ~first_succeeds:true ()
       in
       (* The helper's stream must be untouched: it yields exactly what a
          fresh stream at the same seed yields. *)
@@ -323,7 +343,7 @@ let prop_rpc_backoff_capped =
       let max_backoff_us = 4 * timeout_us in
       let times, result, _ =
         rpc_attempt_times ~seed ~timeout_us ~max_backoff_us ~max_attempts
-          ~first_succeeds:false
+          ~first_succeeds:false ()
       in
       result = `Exhausted
       && List.length times = max_attempts
@@ -349,10 +369,36 @@ let prop_rpc_schedule_deterministic =
     (fun (seed, max_attempts) ->
       let run () =
         rpc_attempt_times ~seed ~timeout_us:30_000 ~max_backoff_us:200_000
-          ~max_attempts ~first_succeeds:false
+          ~max_attempts ~first_succeeds:false ()
       in
       let t1, r1, _ = run () and t2, r2, _ = run () in
       r1 = `Exhausted && r2 = `Exhausted && t1 = t2)
+
+(* A re-attempt Flow refuses is never sent, so it draws no jitter: with a
+   budget of [k] tokens the helper's stream ends where it ends after [k]
+   retries cut by the attempt cap, and a call whose first re-attempt is
+   already past its expiry leaves the stream untouched. *)
+let prop_rpc_no_draw_when_refused =
+  QCheck.Test.make ~name:"rpc: a re-attempt Flow refuses draws no randomness"
+    ~count:50
+    QCheck.(triple (int_range 0 10_000) (int_range 10_000 200_000)
+              (int_range 1 4))
+    (fun (seed, timeout_us, k) ->
+      let max_backoff_us = 4 * timeout_us in
+      let next rng = Sim.Rng.int rng 1_000_000 in
+      let run ?budget ?expires max_attempts =
+        rpc_attempt_times ?budget ?expires ~seed ~timeout_us ~max_backoff_us
+          ~max_attempts ~first_succeeds:false ()
+      in
+      let refused_times, refused, refused_rng = run ~budget:k 8 in
+      let capped_times, _, capped_rng = run (k + 1) in
+      let late_times, late, late_rng = run ~expires:timeout_us 8 in
+      let fresh = Sim.Rng.make seed in
+      refused = `Exhausted && late = `Exhausted
+      && refused_times = capped_times
+      && next refused_rng = next capped_rng
+      && List.length late_times = 1
+      && next late_rng = next fresh)
 
 let suites =
   [
@@ -388,5 +434,6 @@ let suites =
         qt prop_rpc_no_draw_without_retry;
         qt prop_rpc_backoff_capped;
         qt prop_rpc_schedule_deterministic;
+        qt prop_rpc_no_draw_when_refused;
       ] );
   ]

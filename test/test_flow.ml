@@ -9,7 +9,9 @@
    time linearly; (5) the whole flow layer with every knob off reproduces
    the golden seeded digests byte-for-byte, and with every knob firing
    reproduces its own pinned digests; (6) hedged reads complete quorums
-   under a gray-failed replica. *)
+   under a gray-failed replica; (7) Flow decides every client re-send,
+   NACK re-offer, Rpc timeout re-attempt and failover RO re-issue alike,
+   and a Gryff leg's sends are capped across all of them. *)
 
 let check = Alcotest.check
 let bool = Alcotest.bool
@@ -119,48 +121,178 @@ let test_no_limits_never_sheds () =
 (* Retry budget                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let test_budget_fast_fails_when_dry () =
+(* A flow on a one-site network with only [budget] (and, if asked, expiry
+   drops) armed. *)
+let budget_flow ?(drop_expired = false) ~capacity ~refill_period_us () =
   let e = Sim.Engine.create () in
-  let b = Sim.Rpc.Budget.create e ~capacity:4 ~refill_period_us:1_000 in
-  let takes = List.init 10 (fun _ -> Sim.Rpc.Budget.try_take b) in
+  let net = Sim.Net.create e ~rng:(Sim.Rng.make 1) ~rtt_ms:[| [| 0.1 |] |] () in
+  let flow = Sim.Flow.create net in
+  let b = Sim.Flow.Budget.create e ~capacity ~refill_period_us in
+  Sim.Flow.arm flow ~stations:[] ~admission:None ~drop_expired ~hedge_us:0
+    ~budget:(Some b);
+  (e, flow, b)
+
+let abandoned flow = (Sim.Flow.stats flow).Sim.Flow.abandoned
+
+let test_budget_fast_fails_when_dry () =
+  let e, flow, b = budget_flow ~capacity:4 ~refill_period_us:1_000 () in
+  let ask () = Sim.Flow.may_retry flow ~after_us:0 () in
+  let takes = List.init 10 (fun _ -> ask ()) in
   check int "starts full" 4
     (List.length (List.filter (fun x -> x) takes));
-  check int "taken" 4 (Sim.Rpc.Budget.taken b);
-  check int "denied" 6 (Sim.Rpc.Budget.denied b);
-  check int "dry" 0 (Sim.Rpc.Budget.tokens b);
+  check int "taken" 4 (Sim.Flow.Budget.taken b);
+  check int "denied" 6 (Sim.Flow.Budget.denied b);
+  check int "denials abandon" 6 (abandoned flow);
+  check int "dry" 0 (Sim.Flow.Budget.tokens b);
   (* Lazy refill: one token per period, capped at capacity. *)
   Sim.Engine.schedule e ~after:2_500 (fun () ->
-      check int "two periods, two tokens" 2 (Sim.Rpc.Budget.tokens b);
-      check bool "grants again" true (Sim.Rpc.Budget.try_take b));
+      check int "two periods, two tokens" 2 (Sim.Flow.Budget.tokens b);
+      check bool "grants again" true (ask ()));
   Sim.Engine.schedule e ~after:50_000 (fun () ->
-      check int "refill caps at capacity" 4 (Sim.Rpc.Budget.tokens b));
+      check int "refill caps at capacity" 4 (Sim.Flow.Budget.tokens b));
   Sim.Engine.run e
 
 (* A re-offer that will never be sent — it would start past the deadline,
    or the work already used its sends — must leave the budget untouched:
    the token pays for a retry, not for the decision. *)
 let test_retry_charges_only_sent_reoffers () =
-  let e = Sim.Engine.create () in
-  let net = Sim.Net.create e ~rng:(Sim.Rng.make 1) ~rtt_ms:[| [| 0.1 |] |] () in
-  let flow = Sim.Flow.create net in
-  let b = Sim.Rpc.Budget.create e ~capacity:4 ~refill_period_us:1_000 in
-  Sim.Flow.arm flow ~stations:[] ~admission:None ~drop_expired:true ~hedge_us:0
-    ~budget:(Some b);
+  let e, flow, b =
+    budget_flow ~drop_expired:true ~capacity:4 ~refill_period_us:1_000 ()
+  in
   let ran = ref 0 in
   let k () = incr ran in
-  let abandoned () = (Sim.Flow.stats flow).Sim.Flow.abandoned in
   Sim.Flow.retry flow ~expires:500 ~after_us:800 k;
-  check int "late: no token taken" 0 (Sim.Rpc.Budget.taken b);
-  check int "late: no denial" 0 (Sim.Rpc.Budget.denied b);
-  check int "late: abandoned" 1 (abandoned ());
-  Sim.Flow.retry flow ~sends:8 ~after_us:100 k;
-  check int "capped: no token taken" 0 (Sim.Rpc.Budget.taken b);
-  check int "capped: abandoned" 2 (abandoned ());
-  Sim.Flow.retry flow ~expires:500 ~sends:7 ~after_us:100 k;
-  check int "sent: one token" 1 (Sim.Rpc.Budget.taken b);
+  check int "late: no token taken" 0 (Sim.Flow.Budget.taken b);
+  check int "late: no denial" 0 (Sim.Flow.Budget.denied b);
+  check int "late: abandoned" 1 (abandoned flow);
+  Sim.Flow.retry flow ~sends:(ref 8) ~after_us:100 k;
+  check int "capped: no token taken" 0 (Sim.Flow.Budget.taken b);
+  check int "capped: abandoned" 2 (abandoned flow);
+  let sends = ref 7 in
+  Sim.Flow.retry flow ~expires:500 ~sends ~after_us:100 k;
+  check int "sent: one token" 1 (Sim.Flow.Budget.taken b);
+  check int "sent: counted at once" 8 !sends;
   Sim.Engine.run e;
   check int "only the sent re-offer ran" 1 !ran;
-  check int "sent: not abandoned" 2 (abandoned ())
+  check int "sent: not abandoned" 2 (abandoned flow)
+
+(* ------------------------------------------------------------------ *)
+(* Timeout re-attempts ask Flow                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* A call whose attempts are never answered, on a 1 ms timeout; returns
+   the attempt numbers that ran and the result. *)
+let unanswered_call e flow ?expires () =
+  let rpc =
+    Sim.Rpc.create e ~rng:(Sim.Rng.make 5) ~timeout_us:1_000 ~max_attempts:8 ()
+  in
+  let attempts = ref [] and result = ref `Pending in
+  Sim.Rpc.call ~flow ?expires rpc
+    ~attempt:(fun ~attempt ~ok:_ -> attempts := attempt :: !attempts)
+    ~on_result:(fun r ->
+      result := match r with Some () -> `Reply | None -> `Settled_none);
+  Sim.Engine.run e;
+  (rpc, List.rev !attempts, !result)
+
+(* The first re-attempt would start at the op's expiry: it is refused
+   before it reaches the budget, so the call settles with no second
+   attempt, one abandonment and no token. *)
+let test_rpc_reattempt_past_deadline () =
+  let e, flow, b =
+    budget_flow ~drop_expired:true ~capacity:4 ~refill_period_us:1_000 ()
+  in
+  let rpc, attempts, result = unanswered_call e flow ~expires:1_000 () in
+  check (Alcotest.list int) "only the first attempt ran" [ 1 ] attempts;
+  check bool "settled with None" true (result = `Settled_none);
+  check int "abandoned once" 1 (abandoned flow);
+  check int "no token taken" 0 (Sim.Flow.Budget.taken b);
+  check int "no denial" 0 (Sim.Flow.Budget.denied b);
+  check int "no retry" 0 (Sim.Rpc.retries rpc);
+  check int "not exhausted" 0 (Sim.Rpc.exhausted rpc)
+
+(* One token, no refill within the run: the first re-attempt spends it,
+   the second is denied and settles the call. *)
+let test_rpc_reattempt_denied_by_dry_budget () =
+  let e, flow, b =
+    budget_flow ~capacity:1 ~refill_period_us:1_000_000_000 ()
+  in
+  let rpc, attempts, result = unanswered_call e flow () in
+  check (Alcotest.list int) "one re-attempt ran" [ 1; 2 ] attempts;
+  check bool "settled with None" true (result = `Settled_none);
+  check int "one token taken" 1 (Sim.Flow.Budget.taken b);
+  check int "one denial" 1 (Sim.Flow.Budget.denied b);
+  check int "denial abandons" 1 (abandoned flow);
+  check int "one retry" 1 (Sim.Rpc.retries rpc);
+  check int "not exhausted" 0 (Sim.Rpc.exhausted rpc)
+
+(* One read against a Gryff cluster whose replica 0 sheds every client
+   leg with a ~200 ms pushback, so the leg to replica 0 is re-offered
+   after NACKs and re-sent after 300 ms retransmission timeouts, the two
+   interleaved. Together they may reach the replica only Flow.max_sends
+   times; before the count was shared, each Rpc attempt started its own
+   count of 8. *)
+let test_gryff_leg_send_cap () =
+  let engine = Sim.Engine.create () in
+  let rng = Sim.Rng.make 3 in
+  let config =
+    Gryff.Config.single_dc ~mode:Gryff.Config.Rsc ~service_time_us:10 ()
+  in
+  let cluster = Gryff.Cluster.create engine ~rng config in
+  Gryff.Cluster.enable_retrans cluster ~rng:(Sim.Rng.make 4) ();
+  let victim = List.hd (Gryff.Cluster.stations cluster) in
+  let ctx = Gryff.Cluster.ctx cluster in
+  Sim.Flow.arm ctx.Gryff.Protocol.flow ~stations:[ victim ]
+    ~admission:(Some { Sim.Station.max_queue = 1_000_000; max_sojourn_us = 100_000 })
+    ~drop_expired:false ~hedge_us:0 ~budget:None;
+  (* Keep a steady ~200 ms backlog on the victim for 15 s: past every
+     attempt the retransmission helper could make. *)
+  let background = ref 1 in
+  Sim.Station.submit ~cost:200_000 victim ignore;
+  let rec feed () =
+    if Sim.Engine.now engine < Sim.Engine.sec 15.0 then begin
+      incr background;
+      Sim.Station.submit ~cost:1_000 victim ignore;
+      Sim.Engine.schedule engine ~after:1_000 feed
+    end
+  in
+  feed ();
+  let client = Gryff.Client.create cluster ~site:1 in
+  let read_done = ref false in
+  Gryff.Client.read client ~key:0 (fun _ -> read_done := true);
+  Sim.Engine.run engine;
+  let rs = Gryff.Cluster.retrans_stats cluster in
+  check bool "the read completed from the other replicas" true !read_done;
+  check bool "the leg was re-offered after NACKs" true
+    (Sim.Station.shed victim > 2);
+  check bool "and re-sent after a timeout" true
+    (rs.Gryff.Cluster.rpc_retries > 0);
+  check bool "at most max_sends arrivals" true
+    (Sim.Station.shed victim <= Sim.Flow.max_sends);
+  check int "no leg was admitted" !background (Sim.Station.jobs victim)
+
+(* With failover armed, a Spanner RO that outlives its deadline re-issues
+   itself whole, and each re-issue after the first asks Flow. Here the
+   expiry is 1 ms away, so the remote shards NACK the first issue's legs
+   as expired (one abandonment) and the re-issue due at the expiry is
+   refused (another); none of the other 24 re-issues is sent. *)
+let test_spanner_ro_reissue_asks_flow () =
+  let engine = Sim.Engine.create () in
+  let config = Spanner.Config.wan3 ~mode:Spanner.Config.Rss () in
+  let cluster = Spanner.Cluster.create engine ~rng:(Sim.Rng.make 9) config in
+  Spanner.Cluster.enable_failover cluster ~rng:(Sim.Rng.make 10)
+    ~until_us:(Sim.Engine.sec 1.0) ();
+  Sim.Flow.arm (Spanner.Cluster.ctx cluster).Spanner.Protocol.flow
+    ~stations:[] ~admission:None ~drop_expired:true ~hedge_us:0 ~budget:None;
+  let client = Spanner.Client.create cluster ~site:0 in
+  let completed = ref false in
+  Spanner.Client.ro ~deadline_us:1_000 client ~keys:(List.init 12 Fun.id)
+    (fun _ -> completed := true);
+  Sim.Engine.run engine;
+  let fs = Spanner.Cluster.flow_stats cluster in
+  check bool "the RO never completed" false !completed;
+  check bool "expired legs" true (fs.Spanner.Cluster.expired > 0);
+  check int "abandoned: the first issue and the refused re-issue" 2
+    fs.Spanner.Cluster.abandoned
 
 let test_with_flow_validates () =
   let env f = ignore Harness.Env.(default |> with_flow (Some f)) in
@@ -431,6 +563,14 @@ let suites =
           test_flow_off_is_byte_identical;
         Alcotest.test_case "hedged reads win under slow node" `Slow
           test_hedged_reads_win_under_slow_node;
+        Alcotest.test_case "rpc re-attempt past its deadline is abandoned"
+          `Quick test_rpc_reattempt_past_deadline;
+        Alcotest.test_case "rpc re-attempt denied by a dry budget" `Quick
+          test_rpc_reattempt_denied_by_dry_budget;
+        Alcotest.test_case "gryff leg send cap spans NACKs and timeouts"
+          `Quick test_gryff_leg_send_cap;
+        Alcotest.test_case "spanner failover RO re-issue asks flow" `Quick
+          test_spanner_ro_reissue_asks_flow;
       ] );
     ( "flow.armed_golden",
       [
