@@ -22,8 +22,8 @@
       leader-kill and slow-node presets with retransmission armed, plus
       admission, expiry drops, a deadline and a retry budget. Every
       timeout re-send is a client re-offer that Sim.Flow must decide, so
-      each one sent takes a budget token: the Rpc retries never outnumber
-      the tokens taken.
+      each one sent takes a token. Nothing is shed, so no NACK re-offer
+      spends one, and the Rpc retries must equal the tokens taken.
 
    Protected/hedged/control runs verify their histories online; a
    consistency failure fails the suite. A protected run is repeated to
@@ -34,8 +34,8 @@
 
    Exit status 1 on: any online-checked verification failure, control
    collapse not observed, protected goodput floor missed, hedge ratio
-   missed (full runs only), sheds observed with protections off, an Rpc
-   retry sent without a budget token, or a repeat-determinism mismatch. *)
+   missed (full runs only), sheds with protections off or in the retry
+   control, an Rpc retry without a token, or a repeat-determinism mismatch. *)
 
 (* ------------------------------------------------------------------ *)
 (* Measurement                                                         *)
@@ -365,12 +365,14 @@ let () =
         let name = Chaos.Nemesis.preset_name preset in
         let retries = Harness.Run.counter r "failover.rpc_retries" in
         let taken = Harness.Run.counter r "flow.budget.taken" in
-        Printf.printf "   %-12s %d rpc retries, %d tokens taken; verdict=%s\n%!"
-          name retries taken (Report.verdict r.Harness.Run.check);
+        let shed = Harness.Run.counter r "flow.shed" in
+        Printf.printf "   %-12s %d rpc retries, %d tokens, %d shed; verdict=%s\n%!"
+          name retries taken shed (Report.verdict r.Harness.Run.check);
         if not (Harness.Run.passed r) then
           fail "CONSISTENCY FAILURE in a retry-control run";
-        if retries > taken then
-          fail "UNBUDGETED RETRIES: %d rpc retries, %d tokens" retries taken;
+        if shed > 0 || retries <> taken then
+          fail "UNBUDGETED RETRIES: %d rpc retries, %d tokens, %d shed" retries
+            taken shed;
         Report.(
           run_json r
             [ Value ("preset", Obs.Json.Str name);
@@ -378,7 +380,8 @@ let () =
               Counter ("rpc_exhausted", "failover.rpc_exhausted");
               Counter ("abandoned", "flow.abandoned");
               Counter ("budget_taken", "flow.budget.taken");
-              Counter ("budget_denied", "flow.budget.denied"); Verdict ]))
+              Counter ("budget_denied", "flow.budget.denied");
+              Counter ("shed", "flow.shed"); Verdict ]))
       [ Chaos.Nemesis.Leader_kill; Chaos.Nemesis.Slow_node ]
   in
 

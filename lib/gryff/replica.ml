@@ -34,7 +34,7 @@ let create engine (config : Config.t) ~replica_id =
   {
     replica_id;
     station = Sim.Station.create engine ~service_time_us:config.Config.service_time_us;
-    values = Hashtbl.create 16;
+    values = Hashtbl.create 4096;
     instances = Hashtbl.create 256;
     per_key = Hashtbl.create 256;
     exec_tail = Hashtbl.create 256;

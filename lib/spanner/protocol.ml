@@ -358,8 +358,8 @@ and decide_commit ctx coord_shard ~txn =
      before a decision, and it frees the prepare's locks; the waiting
      client sees the abort and retries.
 
-   The call passes no flow: it frees locks server-side and is not a client
-   re-offer, so no deadline or retry budget may cut it short. *)
+   No flow, as for [rw_txn]'s terminate: both ask how a commit already sent
+   ended, and giving up early would force an abort on a possible commit. *)
 let resolve_in_doubt ctx shard txn =
   if Shard.prepared shard txn <> None && not (Hashtbl.mem shard.Shard.in_doubt txn)
   then
@@ -837,7 +837,8 @@ let rw_txn ?(on_attempt = fun (_ : int) -> ()) ?deadline_us ?view ctx
       match ctx.rpc with
       | None -> retry txn
       | Some rpc ->
-        Sim.Rpc.call ~name:"rpc.terminate" ~flow:ctx.flow ?expires rpc
+        (* No flow: an outcome query, exempt as [resolve_in_doubt] is. *)
+        Sim.Rpc.call ~name:"rpc.terminate" rpc
           ~attempt:(fun ~attempt:_ ~ok ->
             to_shard ctx ~src:client_site ~bytes:32 coord (fun csh ->
                 handle_terminate ctx csh ~txn ~reply:(function

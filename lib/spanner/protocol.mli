@@ -133,9 +133,11 @@ val fence : ctx -> t_min:int -> (unit -> unit) -> unit
     - Every wound-wait retry and every RO re-issue goes through
       {!Sim.Flow.retry}, so a dry retry budget abandons the op instead of
       amplifying overload. With failover armed, {!Sim.Flow.may_retry}
-      also decides each timed-out [terminate] re-attempt (against the RW
-      op's expiry) and each failover RO re-issue after the first. In-doubt
-      resolution is exempt: it frees locks server-side.
+      also decides each failover RO re-issue after the first. The two
+      outcome queries, a client's [terminate] and a participant's in-doubt
+      resolution, are exempt: they ask how a commit already sent ended, and
+      giving up on one would force an abort on a transaction its
+      coordinator may have committed.
     - Hedged ROs ({!Sim.Flow.hedge_us} > 0): an RO still unfinished after
       the delay is re-issued once, whole, to the shard leaders of the
       client's refreshed view; the first completion wins. *)

@@ -11,7 +11,9 @@
    reproduces its own pinned digests; (6) hedged reads complete quorums
    under a gray-failed replica; (7) Flow decides every client re-send,
    NACK re-offer, Rpc timeout re-attempt and failover RO re-issue alike,
-   and a Gryff leg's sends are capped across all of them. *)
+   and a Gryff leg's sends are capped across all of them; (8) Spanner's
+   terminate, an outcome query rather than a re-offer, keeps asking past
+   the op's expiry. *)
 
 let check = Alcotest.check
 let bool = Alcotest.bool
@@ -294,6 +296,63 @@ let test_spanner_ro_reissue_asks_flow () =
   check int "abandoned: the first issue and the refused re-issue" 2
     fs.Spanner.Cluster.abandoned
 
+(* Spanner's terminate asks for the outcome of a commit already sent, so no
+   deadline may cut its re-attempts short. Here the coordinator's commit
+   record is slow to replicate: the terminate query at the client's
+   deadline finds it in flight ([`Pending], no reply), and only a later
+   re-attempt, after the op's expiry, learns the commit. Had the client
+   given up instead, its abort release would have reached the participants
+   before the commit and dropped their prepared writes. *)
+let test_spanner_terminate_outlives_expiry () =
+  let engine = Sim.Engine.create () in
+  let config = Spanner.Config.wan3 ~mode:Spanner.Config.Rss () in
+  let cluster = Spanner.Cluster.create engine ~rng:(Sim.Rng.make 9) config in
+  (* A lease far above the slow link keeps shard 1's leader in place. *)
+  Spanner.Cluster.enable_failover cluster ~rng:(Sim.Rng.make 10)
+    ~config:
+      { Replication.Group.default_failover with lease_us = Sim.Engine.sec 10.0 }
+    ~until_us:(Sim.Engine.sec 3.0) ();
+  let ctx = Spanner.Cluster.ctx cluster in
+  Sim.Flow.arm ctx.Spanner.Protocol.flow ~stations:[] ~admission:None
+    ~drop_expired:true ~hedge_us:0 ~budget:None;
+  let net = Spanner.Cluster.net cluster in
+  let client = Spanner.Client.create cluster ~site:0 in
+  let first = ref None and committed = ref false in
+  Spanner.Client.rw_kv client ~deadline_us:400_000
+    ~on_attempt:(fun txn -> if !first = None then first := Some txn)
+    ~read_keys:[] ~writes:[ (0, 100); (1, 101); (2, 102) ]
+    (fun _ -> committed := true);
+  (* Slow every link out of site 1 once the first attempt has prepared. *)
+  Sim.Engine.schedule engine ~after:150_000 (fun () ->
+      List.iter
+        (fun dst -> Sim.Net.set_extra_delay net ~src:1 ~dst 700_000)
+        [ 0; 2 ]);
+  (* Bounded: a client that gives up on terminate re-issues the
+     transaction, and every re-issue meets the same slow link. *)
+  Sim.Engine.run ~until:(Sim.Engine.sec 10.0) engine;
+  let txn = Option.get !first in
+  check bool "the op committed" true !committed;
+  check int "one terminate query" 1 ctx.Spanner.Protocol.n_terminates;
+  check int "it learned the commit" 1 ctx.Spanner.Protocol.n_terminate_commits;
+  (* Key [k] lives on shard [k]: every shard decided the first attempt
+     committed and applied its write. *)
+  Array.iteri
+    (fun k sh ->
+      check bool
+        (Printf.sprintf "shard %d committed the first attempt" k)
+        true
+        (match Spanner.Shard.decided sh txn with
+        | Some (Spanner.Types.Committed _, _) -> true
+        | Some (Spanner.Types.Aborted, _) | None -> false);
+      check (Alcotest.option int)
+        (Printf.sprintf "shard %d applied its write" k)
+        (Some (100 + k))
+        (Option.map
+           (fun (v : Spanner.Types.version) ->
+             if v.Spanner.Types.writer = txn then v.Spanner.Types.value else -1)
+           (Spanner.Shard.read_version_at sh ~key:k ~ts:max_int)))
+    ctx.Spanner.Protocol.shards
+
 let test_with_flow_validates () =
   let env f = ignore Harness.Env.(default |> with_flow (Some f)) in
   Alcotest.check_raises "negative hedge delay"
@@ -571,6 +630,8 @@ let suites =
           `Quick test_gryff_leg_send_cap;
         Alcotest.test_case "spanner failover RO re-issue asks flow" `Quick
           test_spanner_ro_reissue_asks_flow;
+        Alcotest.test_case "spanner terminate outlives the op's expiry" `Quick
+          test_spanner_terminate_outlives_expiry;
       ] );
     ( "flow.armed_golden",
       [
