@@ -270,9 +270,9 @@ let net_metrics reg ~faults net =
        printed table and [Recorder.percentile_ms] read directly in whole
        members. *)
     let h = Obs.Metrics.histogram reg "batch.size" in
-    Array.iter
+    Stats.Recorder.iter
       (fun n -> Stats.Recorder.add h (n * 1000))
-      (Stats.Recorder.to_sorted_array (Sim.Net.batch_sizes net))
+      (Sim.Net.batch_sizes net)
   end
 
 (* Flow-control accounting — absent unless a protection is armed or fired,
@@ -299,12 +299,10 @@ let flow_metrics reg ~armed ~stations flow =
     let sj = Obs.Metrics.histogram reg "flow.sojourn_us" in
     List.iter
       (fun st ->
-        Array.iter
+        Stats.Recorder.iter
           (fun d -> Stats.Recorder.add qd (d * 1000))
-          (Stats.Recorder.to_sorted_array (Sim.Station.queue_depths st));
-        Array.iter
-          (fun s -> Stats.Recorder.add sj s)
-          (Stats.Recorder.to_sorted_array (Sim.Station.sojourns st)))
+          (Sim.Station.queue_depths st);
+        Stats.Recorder.iter (Stats.Recorder.add sj) (Sim.Station.sojourns st))
       stations
   end
 

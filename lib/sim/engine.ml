@@ -1,13 +1,20 @@
 type prof_cell = { mutable p_events : int; mutable p_wall : float }
 
-(* The event queue is a binary min-heap over (time, seq) stored as four
-   parallel flat arrays rather than an array of boxed event records. This
-   is the simulator's hottest path — every message delivery is one push and
-   one pop — and the flat layout makes both allocation-free in the steady
-   state: pushes write into preallocated slots, pops compare unboxed ints,
-   and no option or record is built per event. The ordering predicate and
-   the sift algorithms are exactly those of the previous boxed heap, so a
-   seeded run executes the identical schedule. *)
+(* The event queue is an implicit 4-ary min-heap over (time, prio, seq),
+   stored as five parallel flat arrays rather than an array of boxed event
+   records. This is the simulator's hottest path — every message delivery
+   is one push and one pop — and the flat layout makes both allocation-free
+   in the steady state: pushes write into preallocated slots, pops compare
+   unboxed ints, and no option or record is built per event. Four children
+   per node halve the heap's depth against a binary heap, and both sifts
+   move a hole rather than swapping: the moving event waits in locals, each
+   level costs one read and one write per array (so one [caml_modify] on
+   each boxed array), and the event is written once, at its final slot.
+
+   Pop order is fixed by the key alone: seq is unique, so (time, prio, seq)
+   is a strict total order and every correct priority queue pops the same
+   sequence. The heap's shape is free to change without moving a seeded
+   schedule. *)
 type t = {
   mutable clock : int;
   mutable next_seq : int;
@@ -77,65 +84,46 @@ let grow t =
     t.ev_action <- action
   end
 
-(* (time, prio, seq) lexicographic — prio is 0 for every event unless a
-   tie-break perturbation hook is installed, in which case it reorders
-   same-instant events; seq ties break FIFO among same-(time, prio)
+(* (time, prio, seq) lexicographic on unboxed keys — prio is 0 for every
+   event unless a tie-break perturbation hook is installed, in which case it
+   reorders same-instant events; seq ties break FIFO among same-(time, prio)
    events, which is what makes runs reproducible. *)
-let less t i j =
-  t.ev_time.(i) < t.ev_time.(j)
-  || (t.ev_time.(i) = t.ev_time.(j)
-     && (t.ev_prio.(i) < t.ev_prio.(j)
-        || (t.ev_prio.(i) = t.ev_prio.(j) && t.ev_seq.(i) < t.ev_seq.(j))))
+let[@inline] before (t1 : int) (p1 : int) (s1 : int) t2 p2 s2 =
+  t1 < t2 || (t1 = t2 && (p1 < p2 || (p1 = p2 && s1 < s2)))
 
-let swap t i j =
-  let ti = t.ev_time.(i) in
-  t.ev_time.(i) <- t.ev_time.(j);
-  t.ev_time.(j) <- ti;
-  let pi = t.ev_prio.(i) in
-  t.ev_prio.(i) <- t.ev_prio.(j);
-  t.ev_prio.(j) <- pi;
-  let si = t.ev_seq.(i) in
-  t.ev_seq.(i) <- t.ev_seq.(j);
-  t.ev_seq.(j) <- si;
-  let ki = t.ev_kind.(i) in
-  t.ev_kind.(i) <- t.ev_kind.(j);
-  t.ev_kind.(j) <- ki;
-  let ai = t.ev_action.(i) in
-  t.ev_action.(i) <- t.ev_action.(j);
-  t.ev_action.(j) <- ai
-
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if less t i parent then begin
-      swap t i parent;
-      sift_up t parent
-    end
-  end
-
-let rec sift_down t i =
-  let left = (2 * i) + 1 and right = (2 * i) + 2 in
-  let smallest = ref i in
-  if left < t.len && less t left !smallest then smallest := left;
-  if right < t.len && less t right !smallest then smallest := right;
-  if !smallest <> i then begin
-    swap t i !smallest;
-    sift_down t !smallest
-  end
-
+(* Push: the new event is held in locals while a hole climbs from the free
+   slot past every parent it precedes; each parent moves down one level,
+   and the event is written once, at its final slot. *)
 let schedule_at ?(kind = "other") t ~at action =
   let time = if at < t.clock then t.clock else at in
   grow t;
-  let i = t.len in
-  t.ev_time.(i) <- time;
-  t.ev_prio.(i) <-
-    (match t.tie_perturb with None -> 0 | Some f -> f kind);
-  t.ev_seq.(i) <- t.next_seq;
-  t.ev_kind.(i) <- kind;
-  t.ev_action.(i) <- action;
+  let prio = match t.tie_perturb with None -> 0 | Some f -> f kind in
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  let times = t.ev_time and prios = t.ev_prio and seqs = t.ev_seq in
+  let kinds = t.ev_kind and actions = t.ev_action in
+  let hole = ref t.len in
   t.len <- t.len + 1;
-  t.next_seq <- t.next_seq + 1;
-  sift_up t i
+  let climbing = ref true in
+  while !climbing && !hole > 0 do
+    let i = !hole in
+    let p = (i - 1) lsr 2 in
+    if before time prio seq times.(p) prios.(p) seqs.(p) then begin
+      times.(i) <- times.(p);
+      prios.(i) <- prios.(p);
+      seqs.(i) <- seqs.(p);
+      kinds.(i) <- kinds.(p);
+      actions.(i) <- actions.(p);
+      hole := p
+    end
+    else climbing := false
+  done;
+  let i = !hole in
+  times.(i) <- time;
+  prios.(i) <- prio;
+  seqs.(i) <- seq;
+  kinds.(i) <- kind;
+  actions.(i) <- action
 
 let schedule ?kind t ~after action =
   let after = if after < 0 then 0 else after in
@@ -163,21 +151,61 @@ let profile t =
 
 let queue_depths t = t.depths
 
-(* Remove the root. Popped slots are cleared so the heap never keeps a dead
-   closure (or its environment) alive past execution. *)
+(* Remove the root. The last event leaves its slot, which is cleared so the
+   queue never keeps a dead closure (or its environment) alive past
+   execution, and fills the hole the root leaves: the hole sinks through
+   the smallest child of each group of four while that child precedes the
+   event, and the event is written once, where the hole stops. *)
 let remove_root t =
   let last = t.len - 1 in
   t.len <- last;
+  let times = t.ev_time and prios = t.ev_prio and seqs = t.ev_seq in
+  let kinds = t.ev_kind and actions = t.ev_action in
+  let time = times.(last) and prio = prios.(last) and seq = seqs.(last) in
+  let kind = kinds.(last) and action = actions.(last) in
+  kinds.(last) <- "";
+  actions.(last) <- no_op;
   if last > 0 then begin
-    t.ev_time.(0) <- t.ev_time.(last);
-    t.ev_prio.(0) <- t.ev_prio.(last);
-    t.ev_seq.(0) <- t.ev_seq.(last);
-    t.ev_kind.(0) <- t.ev_kind.(last);
-    t.ev_action.(0) <- t.ev_action.(last)
-  end;
-  t.ev_kind.(last) <- "";
-  t.ev_action.(last) <- no_op;
-  if t.len > 1 then sift_down t 0
+    let hole = ref 0 and sinking = ref true in
+    while !sinking do
+      let first = (4 * !hole) + 1 in
+      if first >= last then sinking := false
+      else begin
+        (* The smallest of the hole's children; the last parent's group
+           may hold fewer than four. *)
+        let stop = if first + 3 < last then first + 3 else last - 1 in
+        let c = ref first in
+        let ct = ref times.(first)
+        and cp = ref prios.(first)
+        and cs = ref seqs.(first) in
+        for j = first + 1 to stop do
+          let jt = times.(j) and jp = prios.(j) and js = seqs.(j) in
+          if before jt jp js !ct !cp !cs then begin
+            c := j;
+            ct := jt;
+            cp := jp;
+            cs := js
+          end
+        done;
+        if before !ct !cp !cs time prio seq then begin
+          let c = !c and i = !hole in
+          times.(i) <- !ct;
+          prios.(i) <- !cp;
+          seqs.(i) <- !cs;
+          kinds.(i) <- kinds.(c);
+          actions.(i) <- actions.(c);
+          hole := c
+        end
+        else sinking := false
+      end
+    done;
+    let i = !hole in
+    times.(i) <- time;
+    prios.(i) <- prio;
+    seqs.(i) <- seq;
+    kinds.(i) <- kind;
+    actions.(i) <- action
+  end
 
 let step t =
   if t.len = 0 then false

@@ -21,11 +21,61 @@ let count t = t.len
 
 let is_empty t = t.len = 0
 
+(* Samples are plain ints, so equal samples cannot be told apart and any
+   exact sort gives the same array. Small recorders take an insertion sort;
+   larger ones an LSD radix sort, one byte per pass. Flipping the sign bit
+   maps signed order onto unsigned byte order, and a pass whose byte is the
+   same in every sample is skipped, so non-negative samples below 2^24 (µs
+   latencies, depths, sizes) sort in at most three passes. *)
+let insertion_sort data len =
+  for i = 1 to len - 1 do
+    let x = data.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && data.(!j) > x do
+      data.(!j + 1) <- data.(!j);
+      decr j
+    done;
+    data.(!j + 1) <- x
+  done
+
+let[@inline] byte x d = ((x lxor min_int) lsr (8 * d)) land 255
+
+let radix_sort data len =
+  let counts = Array.make (8 * 256) 0 in
+  for i = 0 to len - 1 do
+    let x = data.(i) in
+    for d = 0 to 7 do
+      let b = (d * 256) + byte x d in
+      counts.(b) <- counts.(b) + 1
+    done
+  done;
+  let src = ref data and dst = ref (Array.make len 0) in
+  for d = 0 to 7 do
+    let base = d * 256 in
+    if counts.(base + byte !src.(0) d) < len then begin
+      let sum = ref 0 in
+      for b = base to base + 255 do
+        let c = counts.(b) in
+        counts.(b) <- !sum;
+        sum := !sum + c
+      done;
+      let s = !src and o = !dst in
+      for i = 0 to len - 1 do
+        let x = s.(i) in
+        let b = base + byte x d in
+        o.(counts.(b)) <- x;
+        counts.(b) <- counts.(b) + 1
+      done;
+      src := o;
+      dst := s
+    end
+  done;
+  if !src != data then Array.blit !src 0 data 0 len
+
 let ensure_sorted t =
   if not t.sorted then begin
-    let live = Array.sub t.data 0 t.len in
-    Array.sort Int.compare live;
-    Array.blit live 0 t.data 0 t.len;
+    if t.len <= 64 then insertion_sort t.data t.len
+    else radix_sort t.data t.len;
     t.sorted <- true
   end
 
@@ -77,6 +127,11 @@ let max_opt t = if t.len = 0 then None else Some (max t)
 let percentile_opt t p = if t.len = 0 then None else Some (percentile t p)
 
 let percentile_ms_opt t p = if t.len = 0 then None else Some (percentile_ms t p)
+
+let iter f t =
+  for i = 0 to t.len - 1 do
+    f t.data.(i)
+  done
 
 let to_sorted_array t =
   ensure_sorted t;

@@ -38,6 +38,9 @@ val percentile_opt : t -> float -> float option
 val percentile_ms_opt : t -> float -> float option
 (** {!percentile} converted from µs to ms. *)
 
+val iter : (int -> unit) -> t -> unit
+(** [iter f t] applies [f] to every sample, in no particular order. *)
+
 val to_sorted_array : t -> int array
 (** A copy of the samples, sorted ascending. *)
 

@@ -5,89 +5,6 @@ let int = Alcotest.int
 let bool = Alcotest.bool
 
 (* ------------------------------------------------------------------ *)
-(* Heap                                                                *)
-(* ------------------------------------------------------------------ *)
-
-let test_heap_order () =
-  let h = Sim.Heap.create ~cmp:compare in
-  List.iter (Sim.Heap.add h) [ 5; 3; 8; 1; 9; 2; 7; 4; 6; 0 ];
-  let out = ref [] in
-  let rec drain () =
-    match Sim.Heap.pop h with
-    | None -> ()
-    | Some x ->
-      out := x :: !out;
-      drain ()
-  in
-  drain ();
-  check (Alcotest.list int) "sorted ascending" [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ]
-    (List.rev !out)
-
-let test_heap_empty () =
-  let h = Sim.Heap.create ~cmp:compare in
-  check bool "empty" true (Sim.Heap.is_empty h);
-  check bool "pop none" true (Sim.Heap.pop h = None);
-  check bool "peek none" true (Sim.Heap.peek h = None);
-  Sim.Heap.add h 42;
-  check int "size" 1 (Sim.Heap.size h);
-  check bool "peek" true (Sim.Heap.peek h = Some 42);
-  check bool "pop" true (Sim.Heap.pop h = Some 42);
-  check bool "empty again" true (Sim.Heap.is_empty h)
-
-let test_heap_duplicates () =
-  let h = Sim.Heap.create ~cmp:compare in
-  List.iter (Sim.Heap.add h) [ 3; 1; 3; 1; 2 ];
-  let rec drain acc =
-    match Sim.Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
-  in
-  check (Alcotest.list int) "dups kept" [ 1; 1; 2; 3; 3 ] (drain [])
-
-let prop_heap_sorts =
-  QCheck.Test.make ~name:"heap drains any list sorted" ~count:200
-    QCheck.(list small_int)
-    (fun xs ->
-      let h = Sim.Heap.create ~cmp:compare in
-      List.iter (Sim.Heap.add h) xs;
-      let rec drain acc =
-        match Sim.Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
-      in
-      drain [] = List.sort compare xs)
-
-let prop_heap_stable_tiebreak =
-  (* The engine's event ordering is (time, seq) lexicographic; under that
-     comparator a drain is exactly a *stable* sort of the insertion
-     sequence by time. Times are drawn from a tiny range so nearly every
-     case exercises same-timestamp ties. *)
-  QCheck.Test.make ~name:"heap under (time,seq) = stable sort by time" ~count:300
-    QCheck.(list (int_range 0 15))
-    (fun times ->
-      let h =
-        Sim.Heap.create ~cmp:(fun (t1, s1) (t2, s2) ->
-            if t1 <> t2 then compare t1 t2 else compare s1 s2)
-      in
-      List.iteri (fun i t -> Sim.Heap.add h (t, i)) times;
-      let rec drain acc =
-        match Sim.Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
-      in
-      drain []
-      = List.stable_sort
-          (fun (t1, _) (t2, _) -> compare t1 t2)
-          (List.mapi (fun i t -> (t, i)) times))
-
-let test_heap_clear_reuse () =
-  let h = Sim.Heap.create ~cmp:compare in
-  List.iter (Sim.Heap.add h) [ 3; 1; 2 ];
-  Sim.Heap.clear h;
-  check bool "cleared" true (Sim.Heap.is_empty h);
-  check bool "pop after clear" true (Sim.Heap.pop h = None);
-  List.iter (Sim.Heap.add h) [ 9; 4; 6 ];
-  check int "size after reuse" 3 (Sim.Heap.size h);
-  let rec drain acc =
-    match Sim.Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
-  in
-  check (Alcotest.list int) "reused heap sorts" [ 4; 6; 9 ] (drain [])
-
-(* ------------------------------------------------------------------ *)
 (* Engine                                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -195,6 +112,201 @@ let prop_engine_slot_reuse =
         if List.rev !log <> oracle then ok := false
       done;
       !ok && Sim.Engine.pending e = 0 && Sim.Engine.executed e = 4 * n)
+
+let test_engine_empty () =
+  let e = Sim.Engine.create () in
+  check bool "step on empty" false (Sim.Engine.step e);
+  Sim.Engine.run e;
+  check int "nothing executed" 0 (Sim.Engine.executed e);
+  Sim.Engine.schedule_at e ~at:42 (fun () -> ());
+  check int "one pending" 1 (Sim.Engine.pending e);
+  check bool "step runs it" true (Sim.Engine.step e);
+  check int "clock at event" 42 (Sim.Engine.now e);
+  check bool "empty again" false (Sim.Engine.step e);
+  check int "none pending" 0 (Sim.Engine.pending e);
+  check int "one executed" 1 (Sim.Engine.executed e)
+
+(* A scripted run for the reference-order properties. An event is
+   scheduled [off] after now ([off < 0] lands in the past and clamps), with
+   one of four kinds, and schedules its [children] when it fires. *)
+type ev_spec = { off : int; kind : int; children : ev_spec list }
+
+type op = Push of ev_spec | Step | Until of int
+
+let kind_names = [| "k0"; "k1"; "k2"; "k3" |]
+
+(* The engine under test: the log is (event id, firing time), ids counting
+   schedule calls. [prios] installs a tie-break hook by kind. *)
+let engine_log ~prios ops =
+  let e = Sim.Engine.create () in
+  Option.iter
+    (fun p ->
+      Sim.Engine.set_tie_perturb e
+        (Some (fun k -> p.(Char.code k.[1] - Char.code '0'))))
+    prios;
+  let next_id = ref 0 and log = ref [] in
+  let rec push spec =
+    let id = !next_id in
+    incr next_id;
+    Sim.Engine.schedule_at e ~kind:kind_names.(spec.kind)
+      ~at:(Sim.Engine.now e + spec.off)
+      (fun () ->
+        log := (id, Sim.Engine.now e) :: !log;
+        List.iter push spec.children)
+  in
+  List.iter
+    (function
+      | Push spec -> push spec
+      | Step -> ignore (Sim.Engine.step e)
+      | Until d -> Sim.Engine.run ~until:(Sim.Engine.now e + d) e)
+    ops;
+  Sim.Engine.run e;
+  (List.rev !log, Sim.Engine.now e, Sim.Engine.executed e)
+
+(* The reference: a plain list, popped by sorting on (time, prio, id). *)
+let reference_log ~prios ops =
+  let clock = ref 0 and next_id = ref 0 and log = ref [] and queue = ref [] in
+  let push spec =
+    let id = !next_id in
+    incr next_id;
+    let prio = match prios with None -> 0 | Some p -> p.(spec.kind) in
+    queue := (max !clock (!clock + spec.off), prio, id, spec.children) :: !queue
+  in
+  let key (time, prio, id, _) = (time, prio, id) in
+  let sorted () =
+    List.sort (fun a b -> compare (key a) (key b)) !queue
+  in
+  let pop () =
+    match sorted () with
+    | [] -> ()
+    | (time, _, id, children) :: rest ->
+      queue := rest;
+      clock := time;
+      log := (id, time) :: !log;
+      List.iter push children
+  in
+  let rec until u =
+    match sorted () with
+    | [] -> ()
+    | (time, _, _, _) :: _ when time > u -> clock := u
+    | _ ->
+      pop ();
+      until u
+  in
+  List.iter
+    (function
+      | Push spec -> push spec
+      | Step -> pop ()
+      | Until d -> until (!clock + d))
+    ops;
+  while !queue <> [] do
+    pop ()
+  done;
+  (List.rev !log, !clock, !next_id)
+
+let rec random_spec rng depth =
+  {
+    off = Sim.Rng.int rng 61 - 20;
+    kind = Sim.Rng.int rng 4;
+    children =
+      (if depth = 0 then []
+       else List.init (Sim.Rng.int rng 3) (fun _ -> random_spec rng (depth - 1)));
+  }
+
+let random_prios rng =
+  if Sim.Rng.int rng 3 = 0 then None
+  else Some (Array.init 4 (fun _ -> Sim.Rng.int rng 5 - 2))
+
+let prop_engine_reference_order =
+  (* Random schedules against the reference: tie-break priorities that are
+     negative, zero and positive, offsets into the past, events scheduled
+     from inside actions, and pushes interleaved with [step] and
+     [run ~until]. Offsets are tight, so same-instant ties are common. *)
+  QCheck.Test.make ~name:"random schedules pop in (time, prio, seq) order"
+    ~count:300
+    QCheck.(pair small_int (int_range 1 300))
+    (fun (seed, n) ->
+      let rng = Sim.Rng.make seed in
+      let prios = random_prios rng in
+      let ops =
+        List.init n (fun _ ->
+            match Sim.Rng.int rng 20 with
+            | r when r < 12 -> Push (random_spec rng 2)
+            | r when r < 17 -> Step
+            | _ -> Until (Sim.Rng.int rng 30))
+      in
+      engine_log ~prios ops = reference_log ~prios ops)
+
+let test_engine_partial_child_groups () =
+  (* A 4-ary heap breaks, if anywhere, at the last parent's partial group of
+     children. Fill every size up to 100 and around the full trees of 341
+     and 1365 events, pop half, refill half, drain; each run against the
+     reference. *)
+  let rng = Sim.Rng.make 7 in
+  let sizes =
+    List.init 101 Fun.id @ [ 339; 340; 341; 342; 343; 1363; 1364; 1365; 1366; 1367 ]
+  in
+  List.iter
+    (fun n ->
+      let prios = if n mod 2 = 0 then None else Some [| -1; 0; 1; 0 |] in
+      let push () =
+        Push { off = Sim.Rng.int rng 8; kind = Sim.Rng.int rng 4; children = [] }
+      in
+      let ops =
+        List.init n (fun _ -> push ())
+        @ List.init (n / 2) (fun _ -> Step)
+        @ List.init (n / 2) (fun _ -> push ())
+      in
+      let got = engine_log ~prios ops and want = reference_log ~prios ops in
+      check bool (Printf.sprintf "size %d" n) true (got = want))
+    sizes
+
+(* Never inlined, so no frame of the test holds the payload. *)
+let[@inline never] schedule_payload e w i ~at =
+  let payload = Bytes.create 16 in
+  Weak.set w i (Some payload);
+  Sim.Engine.schedule_at e ~at (fun () -> ignore (Sys.opaque_identity payload))
+
+let test_engine_drops_popped_closures () =
+  (* Popped slots are cleared: once an event has run, the engine holds no
+     path to its closure, while every queued closure stays reachable. *)
+  let n = 40 in
+  let at i = (i * 7 mod n) + 1 in
+  let e = Sim.Engine.create () in
+  let w = Weak.create n in
+  for i = 0 to n - 1 do
+    schedule_payload e w i ~at:(at i)
+  done;
+  Sim.Engine.run ~until:(n / 2) e;
+  Gc.full_major ();
+  for i = 0 to n - 1 do
+    check bool
+      (Printf.sprintf "payload at %d reachable iff queued" (at i))
+      (at i > n / 2) (Weak.check w i)
+  done;
+  Sim.Engine.run e;
+  Gc.full_major ();
+  for i = 0 to n - 1 do
+    check bool (Printf.sprintf "payload at %d dropped" (at i)) false
+      (Weak.check w i)
+  done
+
+let test_engine_allocation_free () =
+  (* Once the arrays have grown, a push and a pop allocate nothing. *)
+  let e = Sim.Engine.create () in
+  let action () = () in
+  for i = 1 to 5_000 do
+    Sim.Engine.schedule e ~after:i action
+  done;
+  Sim.Engine.run e;
+  let before = Gc.minor_words () in
+  for i = 1 to 5_000 do
+    Sim.Engine.schedule e ~after:(i mod 97) action
+  done;
+  Sim.Engine.run e;
+  let words = Gc.minor_words () -. before in
+  check bool (Printf.sprintf "%.0f minor words for 10k queue ops" words) true
+    (words < 100.0)
 
 let test_time_conversions () =
   check int "ms" 62_000 (Sim.Engine.ms 62.0);
@@ -518,15 +630,6 @@ let qt = QCheck_alcotest.to_alcotest
 
 let suites =
   [
-    ( "sim.heap",
-      [
-        Alcotest.test_case "orders elements" `Quick test_heap_order;
-        Alcotest.test_case "empty behaviour" `Quick test_heap_empty;
-        Alcotest.test_case "keeps duplicates" `Quick test_heap_duplicates;
-        Alcotest.test_case "clear then reuse" `Quick test_heap_clear_reuse;
-        qt prop_heap_sorts;
-        qt prop_heap_stable_tiebreak;
-      ] );
     ( "sim.engine",
       [
         Alcotest.test_case "time ordering" `Quick test_engine_ordering;
@@ -537,6 +640,14 @@ let suites =
         Alcotest.test_case "time conversions" `Quick test_time_conversions;
         qt prop_engine_stable_order;
         qt prop_engine_slot_reuse;
+        Alcotest.test_case "empty queue" `Quick test_engine_empty;
+        qt prop_engine_reference_order;
+        Alcotest.test_case "partial child groups" `Quick
+          test_engine_partial_child_groups;
+        Alcotest.test_case "popped closures unreachable" `Quick
+          test_engine_drops_popped_closures;
+        Alcotest.test_case "push and pop allocate nothing" `Quick
+          test_engine_allocation_free;
       ] );
     ( "sim.rng",
       [

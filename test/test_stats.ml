@@ -97,6 +97,29 @@ let test_merge_is_union () =
   check bool "sorted union" true
     (R.to_sorted_array m = [| 1; 2; 5; 7; 9 |])
 
+(* Both sort paths (insertion below 65 samples, radix above), over every
+   sign and magnitude: full-range ints, with clusters of equal samples. *)
+let prop_sort_matches_list_sort =
+  let sample =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, int_range 0 100);
+          (2, int_range (-1_000_000) 1_000_000);
+          (2, int);
+          (1, oneofl [ min_int; max_int; 0; -1 ]);
+        ])
+  in
+  QCheck.Test.make ~name:"sorted array matches List.sort" ~count:300
+    QCheck.(make Gen.(list_size (int_range 0 600) sample))
+    (fun xs ->
+      let r = recorder_of xs in
+      let seen = ref [] in
+      R.iter (fun x -> seen := x :: !seen) r;
+      let sorted = List.sort compare xs in
+      List.sort compare !seen = sorted
+      && Array.to_list (R.to_sorted_array r) = sorted)
+
 let suites =
   [
     ( "stats.recorder",
@@ -105,6 +128,7 @@ let suites =
         qt prop_extremes_match_oracle;
         qt prop_opt_variants_total;
         qt prop_interleaved_adds;
+        qt prop_sort_matches_list_sort;
         Alcotest.test_case "empty recorder paths" `Quick
           test_empty_recorder_paths;
         Alcotest.test_case "merge is union" `Quick test_merge_is_union;
