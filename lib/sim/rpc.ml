@@ -66,6 +66,9 @@ let call ?(name = "rpc.call") ?flow ?expires ?sends t ~attempt ~on_result =
   and go n =
     if not !settled then
       if n > t.max_attempts then begin
+        (* Settled first: a reply to an earlier attempt that lands after
+           this point must not reach [on_result] as [Some v] after [None]. *)
+        settled := true;
         t.n_exhausted <- t.n_exhausted + 1;
         give_up t tr call_sp "rpc.exhausted" on_result
       end

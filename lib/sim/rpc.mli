@@ -5,9 +5,10 @@
     [call] runs an attempt thunk and arms a per-attempt timeout; if no reply
     lands in time it re-runs the thunk, doubling the timeout up to
     [max_backoff_us], until [max_attempts] attempts have gone unanswered —
-    then delivers [None]. Late replies from superseded attempts are absorbed
-    by a per-call settled flag, so a callee observes at-least-once delivery
-    and the caller sees exactly one result.
+    then delivers [None]. Late replies from superseded attempts, and replies
+    that land after the call gave up, are absorbed by a per-call settled
+    flag, so a callee observes at-least-once delivery and the caller sees
+    exactly one result.
 
     Determinism: backoff jitter is drawn from the [rng] stream handed to
     {!create}, and only when an attempt actually retries — a run in which

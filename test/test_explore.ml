@@ -400,6 +400,24 @@ let prop_rpc_no_draw_when_refused =
       && List.length late_times = 1
       && next late_rng = next fresh)
 
+(* Every reply is slow: replies land after the last attempt has timed out
+   and exhausted the call. The caller must see the [None] alone, never a
+   [Some] after it. *)
+let test_rpc_reply_after_exhaustion () =
+  let engine = Sim.Engine.create () in
+  let rpc =
+    Sim.Rpc.create engine ~rng:(Sim.Rng.make 3) ~timeout_us:1_000
+      ~max_backoff_us:1_000 ~max_attempts:2 ()
+  in
+  let results = ref [] in
+  Sim.Rpc.call rpc
+    ~attempt:(fun ~attempt ~ok ->
+      Sim.Engine.schedule engine ~after:5_000 (fun () -> ok attempt))
+    ~on_result:(fun r -> results := r :: !results);
+  Sim.Engine.run engine;
+  check int "exhausted once" 1 (Sim.Rpc.exhausted rpc);
+  check bool "only the None" true (!results = [ None ])
+
 let suites =
   [
     ( "explore.perturb",
@@ -435,5 +453,7 @@ let suites =
         qt prop_rpc_backoff_capped;
         qt prop_rpc_schedule_deterministic;
         qt prop_rpc_no_draw_when_refused;
+        Alcotest.test_case "rpc: a reply after exhaustion is absorbed" `Quick
+          test_rpc_reply_after_exhaustion;
       ] );
   ]
