@@ -22,22 +22,11 @@ let count t = t.len
 let is_empty t = t.len = 0
 
 (* Samples are plain ints, so equal samples cannot be told apart and any
-   exact sort gives the same array. Small recorders take an insertion sort;
-   larger ones an LSD radix sort, one byte per pass. Flipping the sign bit
-   maps signed order onto unsigned byte order, and a pass whose byte is the
-   same in every sample is skipped, so non-negative samples below 2^24 (µs
-   latencies, depths, sizes) sort in at most three passes. *)
-let insertion_sort data len =
-  for i = 1 to len - 1 do
-    let x = data.(i) in
-    let j = ref (i - 1) in
-    while !j >= 0 && data.(!j) > x do
-      data.(!j + 1) <- data.(!j);
-      decr j
-    done;
-    data.(!j + 1) <- x
-  done
-
+   exact sort gives the same array: an LSD radix sort, one byte per pass.
+   Flipping the sign bit maps signed order onto unsigned byte order, and a
+   pass whose byte is the same in every sample is skipped, so non-negative
+   samples below 2^24 (µs latencies, depths, sizes) take at most three
+   passes. *)
 let[@inline] byte x d = ((x lxor min_int) lsr (8 * d)) land 255
 
 let radix_sort data len =
@@ -74,8 +63,7 @@ let radix_sort data len =
 
 let ensure_sorted t =
   if not t.sorted then begin
-    if t.len <= 64 then insertion_sort t.data t.len
-    else radix_sort t.data t.len;
+    if t.len > 1 then radix_sort t.data t.len;
     t.sorted <- true
   end
 

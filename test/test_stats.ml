@@ -97,8 +97,8 @@ let test_merge_is_union () =
   check bool "sorted union" true
     (R.to_sorted_array m = [| 1; 2; 5; 7; 9 |])
 
-(* Both sort paths (insertion below 65 samples, radix above), over every
-   sign and magnitude: full-range ints, with clusters of equal samples. *)
+(* The sort over every sign and magnitude: full-range ints, with clusters
+   of equal samples, so both taken and skipped radix passes are covered. *)
 let prop_sort_matches_list_sort =
   let sample =
     QCheck.Gen.(
