@@ -302,7 +302,7 @@ let flow_metrics reg ~armed ~stations flow =
         Stats.Recorder.iter
           (fun d -> Stats.Recorder.add qd (d * 1000))
           (Sim.Station.queue_depths st);
-        Stats.Recorder.iter (Stats.Recorder.add sj) (Sim.Station.sojourns st))
+        Stats.Recorder.iter (fun s -> Stats.Recorder.add sj s) (Sim.Station.sojourns st))
       stations
   end
 
