@@ -13,8 +13,7 @@ type prof_cell = { mutable p_events : int; mutable p_wall : float }
 
    Pop order is fixed by the key alone: seq is unique, so (time, prio, seq)
    is a strict total order and every correct priority queue pops the same
-   sequence. The heap's shape is free to change without moving a seeded
-   schedule. *)
+   sequence. *)
 type t = {
   mutable clock : int;
   mutable next_seq : int;
