@@ -5,7 +5,7 @@
    Examples:
      rss_repro spanner --mode rss --theta 0.9 --duration 30
      rss_repro gryff --mode lin --conflict 0.25 --write-ratio 0.3
-     rss_repro trace --protocol spanner-rss --trace-out run.json
+     rss_repro spanner --mode rss --duration 2 --rate 10 --trace-out run.json
      rss_repro check --demo fig4 *)
 
 open Cmdliner
@@ -112,6 +112,40 @@ let batching_of ~batch_us ~batch_max ~batch_adaptive =
       (Fmt.epr "error: --batch-max must be positive@."; exit 1);
     Some { Sim.Net.batch_us = us; batch_max; adaptive = batch_adaptive }
 
+(* The run flags spanner and gryff share: --trace-out, --check, the
+   --batch-* knobs and --deadline-us, validated and turned into the run's
+   environment. The environment carries the tracer that [report] saves. *)
+type run_flags = { env : Harness.Env.t; trace_out : string option }
+
+let run_flags =
+  let make trace_out check batch_us batch_max batch_adaptive deadline_us =
+    let env =
+      Harness.Env.(
+        default
+        |> with_trace (tracer_for trace_out)
+        |> with_check check
+        |> with_batching (batching_of ~batch_us ~batch_max ~batch_adaptive)
+        |> with_deadline_us (deadline_us_of deadline_us))
+    in
+    { env; trace_out }
+  in
+  Term.(
+    const make $ trace_out_arg $ check_arg $ batch_us_arg $ batch_max_arg
+    $ batch_adaptive_arg $ deadline_us_arg)
+
+(* Print a run's tables and verdict, then save its trace. *)
+let report flags protocol ~header r =
+  Harness.Run.print_latencies ~header:"latency (ms)" r;
+  Harness.Run.print_metrics ~header r;
+  Harness.print_verdict protocol r;
+  save_trace flags.env.Harness.Env.trace flags.trace_out
+
+(* A violation fails the command; an unchecked or undecided run does not. *)
+let exit_on_violation r =
+  match r.Harness.Run.check with
+  | Harness.Run.Fail _ -> exit 2
+  | Harness.Run.Pass | Harness.Run.Unknown _ -> ()
+
 let spanner_cmd =
   let mode =
     Arg.(
@@ -176,8 +210,7 @@ let spanner_cmd =
                 search checkers).")
   in
   let run mode theta duration rate keys seed reshard reshard_range reshard_dst
-      reshard_no_fence export trace_out check batch_us batch_max batch_adaptive
-      deadline_us =
+      reshard_no_fence export flags =
     if rate <= 0.0 then (Fmt.epr "error: --rate must be positive@."; exit 1);
     if theta < 0.0 then (Fmt.epr "error: --theta must be non-negative@."; exit 1);
     if duration <= 0.0 then (Fmt.epr "error: --duration must be positive@."; exit 1);
@@ -200,8 +233,10 @@ let spanner_cmd =
         if lo < 0 || hi <= lo || hi > keys then
           (Fmt.epr "error: --reshard-range must satisfy 0 <= LO < HI <= keys@.";
            exit 1);
-        if reshard_dst < 0 then
-          (Fmt.epr "error: --reshard-dst must be non-negative@."; exit 1);
+        let n_shards = (Spanner.Config.wan3 ~mode ()).Spanner.Config.n_shards in
+        if reshard_dst < 0 || reshard_dst >= n_shards then
+          (Fmt.epr "error: --reshard-dst must be in [0, %d)@." n_shards;
+           exit 1);
         [
           {
             Harness.rs_at = frac;
@@ -212,58 +247,33 @@ let spanner_cmd =
           };
         ]
     in
-    let tracer = tracer_for trace_out in
-    let env =
-      Harness.Env.(
-        default |> with_trace tracer |> with_check check
-        |> with_reshard reshard_specs
-        |> with_batching (batching_of ~batch_us ~batch_max ~batch_adaptive)
-        |> with_deadline_us (deadline_us_of deadline_us))
-    in
     let r =
-      Harness.spanner_wan ~env ~mode ~theta ~n_keys:keys
-        ~arrival_rate_per_sec:rate ~duration_s:duration ~seed ()
+      Harness.spanner_wan
+        ~env:(Harness.Env.with_reshard reshard_specs flags.env)
+        ~mode ~theta ~n_keys:keys ~arrival_rate_per_sec:rate
+        ~duration_s:duration ~seed ()
     in
-    Harness.Run.print_latencies ~header:"latency (ms)" r;
-    Harness.Run.print_metrics ~header:"spanner" r;
-    Harness.print_verdict
+    report flags ~header:"spanner"
       (match mode with
       | Spanner.Config.Strict -> Chaos.Audit.Spanner_strict
       | Spanner.Config.Rss -> Chaos.Audit.Spanner_rss)
       r;
-    save_trace tracer trace_out;
-    match export with
-    | None -> ()
-    | Some path ->
-      let records =
-        match r.Harness.Run.records with
-        | Harness.Run.Spanner_txns a -> a
-        | Harness.Run.Gryff_ops _ -> [||]
-      in
+    (match (export, r.Harness.Run.records) with
+    | Some path, Harness.Run.Spanner_txns records ->
       let txns =
         Array.to_list records
-        |> List.mapi (fun i (w : Rss_core.Witness.txn) ->
-               {
-                 Rss_core.Txn_history.id = i;
-                 proc = w.Rss_core.Witness.proc;
-                 reads = w.Rss_core.Witness.reads;
-                 writes = w.Rss_core.Witness.writes;
-                 inv = w.Rss_core.Witness.inv;
-                 resp =
-                   (if w.Rss_core.Witness.resp = max_int then None
-                    else Some w.Rss_core.Witness.resp);
-               })
+        |> List.mapi (fun id w -> Rss_core.Txn_history.of_witness ~id w)
       in
       Rss_core.Trace.save ~path (Rss_core.Txn_history.make txns);
       Fmt.pr "trace: %d transactions written to %s@." (List.length txns) path
+    | _ -> ());
+    exit_on_violation r
   in
   Cmd.v
     (Cmd.info "spanner" ~doc:"Simulate Spanner / Spanner-RSS on Retwis.")
     Term.(
       const run $ mode $ theta $ duration $ rate $ keys $ seed $ reshard
-      $ reshard_range $ reshard_dst $ reshard_no_fence $ export
-      $ trace_out_arg $ check_arg $ batch_us_arg $ batch_max_arg
-      $ batch_adaptive_arg $ deadline_us_arg)
+      $ reshard_range $ reshard_dst $ reshard_no_fence $ export $ run_flags)
 
 let gryff_cmd =
   let mode =
@@ -283,39 +293,28 @@ let gryff_cmd =
     Arg.(value & opt float 30.0 & info [ "duration" ] ~doc:"Simulated seconds.")
   in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Random seed.") in
-  let run mode conflict write_ratio duration seed trace_out check batch_us
-      batch_max batch_adaptive deadline_us =
+  let run mode conflict write_ratio duration seed flags =
     if conflict < 0.0 || conflict > 1.0 then
       (Fmt.epr "error: --conflict must be in [0, 1]@."; exit 1);
     if write_ratio < 0.0 || write_ratio > 1.0 then
       (Fmt.epr "error: --write-ratio must be in [0, 1]@."; exit 1);
     if duration <= 0.0 then (Fmt.epr "error: --duration must be positive@."; exit 1);
     if seed < 0 then (Fmt.epr "error: --seed must be non-negative@."; exit 1);
-    let tracer = tracer_for trace_out in
-    let env =
-      Harness.Env.(
-        default |> with_trace tracer |> with_check check
-        |> with_batching (batching_of ~batch_us ~batch_max ~batch_adaptive)
-        |> with_deadline_us (deadline_us_of deadline_us))
-    in
     let r =
-      Harness.gryff_wan ~env ~mode ~conflict ~write_ratio ~n_keys:100_000
-        ~duration_s:duration ~seed ()
+      Harness.gryff_wan ~env:flags.env ~mode ~conflict ~write_ratio
+        ~n_keys:100_000 ~duration_s:duration ~seed ()
     in
-    Harness.Run.print_latencies ~header:"latency (ms)" r;
-    Harness.Run.print_metrics ~header:"gryff" r;
-    Harness.print_verdict
+    report flags ~header:"gryff"
       (match mode with
       | Gryff.Config.Lin -> Chaos.Audit.Gryff_lin
       | Gryff.Config.Rsc -> Chaos.Audit.Gryff_rsc)
       r;
-    save_trace tracer trace_out
+    exit_on_violation r
   in
   Cmd.v
     (Cmd.info "gryff" ~doc:"Simulate Gryff / Gryff-RSC on YCSB.")
     Term.(const run $ mode $ conflict $ write_ratio $ duration $ seed
-          $ trace_out_arg $ check_arg $ batch_us_arg $ batch_max_arg
-          $ batch_adaptive_arg $ deadline_us_arg)
+          $ run_flags)
 
 let check_cmd =
   let demo =
@@ -422,93 +421,6 @@ let check_trace_cmd =
     (Cmd.info "check-trace"
        ~doc:"Check a saved transactional trace against a model.")
     Term.(const run $ path $ model $ budget)
-
-let trace_cmd =
-  let protocol =
-    Arg.(
-      value
-      & opt
-          (enum
-             [
-               ("spanner", `Spanner);
-               ("spanner-rss", `Spanner_rss);
-               ("gryff", `Gryff);
-               ("gryff-rsc", `Gryff_rsc);
-             ])
-          `Spanner_rss
-      & info [ "protocol" ]
-          ~doc:"Protocol to trace: spanner, spanner-rss, gryff, or gryff-rsc.")
-  in
-  let duration =
-    Arg.(value & opt float 2.0 & info [ "duration" ] ~doc:"Simulated seconds.")
-  in
-  let rate =
-    Arg.(
-      value & opt float 10.0
-      & info [ "rate" ]
-          ~doc:"Session arrivals per second (Spanner variants; Gryff runs \
-                closed-loop clients).")
-  in
-  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Random seed.") in
-  let out =
-    Arg.(
-      value & opt string "trace.json"
-      & info [ "trace-out" ] ~docv:"FILE"
-          ~doc:"Chrome trace_event JSON output path (load in chrome://tracing \
-                or ui.perfetto.dev).")
-  in
-  let binary_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "binary-out" ] ~docv:"FILE"
-          ~doc:"Also write the compact binary span log (magic OBSB1).")
-  in
-  let run protocol duration rate seed out binary_out batch_us batch_max
-      batch_adaptive =
-    if duration <= 0.0 then (Fmt.epr "error: --duration must be positive@."; exit 1);
-    if rate <= 0.0 then (Fmt.epr "error: --rate must be positive@."; exit 1);
-    if seed < 0 then (Fmt.epr "error: --seed must be non-negative@."; exit 1);
-    let tracer = Obs.Trace.create () in
-    let env =
-      Harness.Env.(
-        default |> with_trace tracer
-        |> with_batching (batching_of ~batch_us ~batch_max ~batch_adaptive))
-    in
-    let header, r =
-      match protocol with
-      | (`Spanner | `Spanner_rss) as p ->
-        let mode =
-          if p = `Spanner then Spanner.Config.Strict else Spanner.Config.Rss
-        in
-        ( (if p = `Spanner then "spanner" else "spanner-rss"),
-          Harness.spanner_wan ~env ~mode ~theta:0.75 ~n_keys:100_000
-            ~arrival_rate_per_sec:rate ~duration_s:duration ~seed () )
-      | (`Gryff | `Gryff_rsc) as p ->
-        let mode = if p = `Gryff then Gryff.Config.Lin else Gryff.Config.Rsc in
-        ( (if p = `Gryff then "gryff" else "gryff-rsc"),
-          Harness.gryff_wan ~env ~n_clients:4 ~mode ~conflict:0.1
-            ~write_ratio:0.3 ~n_keys:100_000 ~duration_s:duration ~seed () )
-    in
-    Harness.Run.print_summary ~header r;
-    Obs.Trace.save_chrome tracer ~path:out;
-    Fmt.pr "trace: %d spans written to %s@." (Obs.Trace.n_spans tracer) out;
-    (match binary_out with
-    | None -> ()
-    | Some path ->
-      Obs.Trace.save_binary tracer ~path;
-      Fmt.pr "trace: binary span log written to %s@." path);
-    if not (Harness.Run.passed r) then exit 2
-  in
-  Cmd.v
-    (Cmd.info "trace"
-       ~doc:
-         "Run a short traced simulation and export its span tree — client \
-          operations decomposed into protocol phases and per-shard network \
-          hops — as Chrome trace_event JSON.")
-    Term.(
-      const run $ protocol $ duration $ rate $ seed $ out $ binary_out
-      $ batch_us_arg $ batch_max_arg $ batch_adaptive_arg)
 
 let chaos_cmd =
   let protocol =
@@ -851,5 +763,5 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group (Cmd.info "rss_repro" ~doc)
-          [ spanner_cmd; gryff_cmd; check_cmd; check_trace_cmd; trace_cmd;
-            chaos_cmd; explore_cmd ]))
+          [ spanner_cmd; gryff_cmd; check_cmd; check_trace_cmd; chaos_cmd;
+            explore_cmd ]))

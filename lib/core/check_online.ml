@@ -663,17 +663,7 @@ let check_suffix t =
     let base = List.length init in
     let txns =
       init
-      @ List.mapi
-          (fun j (x : W.txn) ->
-            {
-              Txn_history.id = base + j;
-              proc = x.W.proc;
-              reads = x.W.reads;
-              writes = x.W.writes;
-              inv = x.W.inv;
-              resp = (if x.W.resp = max_int then None else Some x.W.resp);
-            })
-          suffix
+      @ List.mapi (fun j x -> Txn_history.of_witness ~id:(base + j) x) suffix
     in
     match Txn_history.make txns with
     | exception Invalid_argument m ->

@@ -115,6 +115,16 @@ let of_history (h : History.t) =
   in
   make ~msg_edges:h.History.msg_edges txns
 
+let of_witness ~id (w : Witness.txn) =
+  {
+    id;
+    proc = w.Witness.proc;
+    reads = w.Witness.reads;
+    writes = w.Witness.writes;
+    inv = w.Witness.inv;
+    resp = (if w.Witness.resp = max_int then None else Some w.Witness.resp);
+  }
+
 let pp_txn ppf x =
   let pp_read ppf (k, v) =
     match v with

@@ -49,4 +49,9 @@ val of_history : History.t -> t
     transactions that read and write their key. This is how the register
     checkers reuse the transactional checker engine. *)
 
+val of_witness : id:int -> Witness.txn -> txn
+(** A recorded transaction as transaction [id] of a history: the claimed
+    serialization [ts]/[rank] are dropped and an unanswered transaction
+    ([resp = max_int]) becomes incomplete ([resp = None]). *)
+
 val pp_txn : Format.formatter -> txn -> unit

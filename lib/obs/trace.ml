@@ -22,31 +22,6 @@ let kind_name = function
   | Repair -> "repair"
   | Search -> "search"
 
-let kind_tag = function
-  | Client_op -> 0
-  | Phase -> 1
-  | Net_hop -> 2
-  | Rpc -> 3
-  | View_change -> 4
-  | Fault -> 5
-  | Mark -> 6
-  | Migration -> 7
-  | Repair -> 8
-  | Search -> 9
-
-let kind_of_tag = function
-  | 0 -> Some Client_op
-  | 1 -> Some Phase
-  | 2 -> Some Net_hop
-  | 3 -> Some Rpc
-  | 4 -> Some View_change
-  | 5 -> Some Fault
-  | 6 -> Some Mark
-  | 7 -> Some Migration
-  | 8 -> Some Repair
-  | 9 -> Some Search
-  | _ -> None
-
 type span = int
 
 let none = 0
@@ -223,96 +198,3 @@ let save_chrome t ~path =
   let oc = open_out path in
   output_string oc (to_chrome_json t);
   close_out oc
-
-(* ------------------------------------------------------------------ *)
-(* Compact binary log: magic, varint span count, then per span         *)
-(* varint parent / kind byte / varint site+1 / instant byte /          *)
-(* varint start / varint end+1 / varint |name| / name bytes.           *)
-(* ------------------------------------------------------------------ *)
-
-let magic = "OBSB1"
-
-let add_varint buf n =
-  let n = ref n in
-  let continue = ref true in
-  while !continue do
-    let b = !n land 0x7f in
-    n := !n lsr 7;
-    if !n = 0 then begin
-      Buffer.add_char buf (Char.chr b);
-      continue := false
-    end
-    else Buffer.add_char buf (Char.chr (b lor 0x80))
-  done
-
-let save_binary t ~path =
-  let buf = Buffer.create (64 + (24 * t.len)) in
-  Buffer.add_string buf magic;
-  add_varint buf t.len;
-  for i = 0 to t.len - 1 do
-    let c = t.cells.(i) in
-    add_varint buf c.c_parent;
-    Buffer.add_char buf (Char.chr (kind_tag c.c_kind));
-    add_varint buf (c.c_site + 1);
-    Buffer.add_char buf (if c.c_instant then '\001' else '\000');
-    add_varint buf c.c_start;
-    add_varint buf (c.c_end + 1);
-    add_varint buf (String.length c.c_name);
-    Buffer.add_string buf c.c_name
-  done;
-  let oc = open_out_bin path in
-  Buffer.output_buffer oc buf;
-  close_out oc
-
-exception Corrupt of string
-
-let load_binary ~path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let len = in_channel_length ic in
-        let data = really_input_string ic len in
-        let pos = ref 0 in
-        let byte () =
-          if !pos >= len then raise (Corrupt "truncated");
-          let b = Char.code data.[!pos] in
-          incr pos;
-          b
-        in
-        let varint () =
-          let v = ref 0 and shift = ref 0 and continue = ref true in
-          while !continue do
-            let b = byte () in
-            v := !v lor ((b land 0x7f) lsl !shift);
-            shift := !shift + 7;
-            if b land 0x80 = 0 then continue := false
-            else if !shift > 62 then raise (Corrupt "varint overflow")
-          done;
-          !v
-        in
-        if len < String.length magic || String.sub data 0 (String.length magic) <> magic
-        then raise (Corrupt "bad magic");
-        pos := String.length magic;
-        let n = varint () in
-        Array.init n (fun i ->
-            let parent = varint () in
-            let kind =
-              match kind_of_tag (byte ()) with
-              | Some k -> k
-              | None -> raise (Corrupt "bad kind tag")
-            in
-            let site = varint () - 1 in
-            let is_instant = byte () <> 0 in
-            let start_ts = varint () in
-            let end_ts = varint () - 1 in
-            let name_len = varint () in
-            if !pos + name_len > len then raise (Corrupt "truncated name");
-            let name = String.sub data !pos name_len in
-            pos := !pos + name_len;
-            { id = i + 1; parent; kind; name; site; start_ts; end_ts; is_instant }))
-  with
-  | arr -> Ok arr
-  | exception Corrupt m -> Error m
-  | exception Sys_error m -> Error m

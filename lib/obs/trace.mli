@@ -27,8 +27,7 @@ type kind =
           torn-tail truncation, peer state-transfer repair *)
   | Search
       (** one schedule-explorer execution: an [Explore.Search] trial run
-          of the simulator under a candidate input (appended last so the
-          OBSB1 binary tags of earlier kinds are unchanged) *)
+          of the simulator under a candidate input *)
 
 val kind_name : kind -> string
 
@@ -108,8 +107,3 @@ val to_chrome_json : t -> string
 
 val save_chrome : t -> path:string -> unit
 
-val save_binary : t -> path:string -> unit
-(** Compact varint-encoded binary log (magic ["OBSB1"]). *)
-
-val load_binary : path:string -> (info array, string) result
-(** Round-trips [save_binary]. *)

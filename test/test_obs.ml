@@ -1,9 +1,10 @@
 (* Observability layer tests: the span tracer's determinism and passivity
    contracts, parent links across network hops and RPC retransmissions,
-   the metrics registry, engine profiling, the export formats (Chrome
-   trace_event JSON, compact binary log) and the JSON printer's round trip
-   through the parser — ending with the acceptance criterion: a traced Spanner-RSS WAN run whose RO spans decompose into
-   per-shard network-hop children consistent with the client latency. *)
+   the metrics registry, engine profiling, the Chrome trace_event JSON
+   export and the JSON printer's round trip through the parser — ending
+   with the acceptance criterion: a traced Spanner-RSS WAN run whose RO
+   spans decompose into per-shard network-hop children consistent with
+   the client latency. *)
 
 let check = Alcotest.check
 let bool = Alcotest.bool
@@ -46,31 +47,6 @@ let test_span_tree () =
   check int "site recorded" 2 s2.Obs.Trace.site;
   check bool "instant flagged" true s3.Obs.Trace.is_instant;
   check int "durations" 20 (s2.Obs.Trace.end_ts - s2.Obs.Trace.start_ts + 10)
-
-let test_binary_round_trip () =
-  let tr = Obs.Trace.create () in
-  let a = Obs.Trace.begin_span tr ~kind:Obs.Trace.Phase ~site:1 ~name:"2pc.prepare" ~ts:5 in
-  Obs.Trace.instant ~parent:a tr ~name:"rpc.retry" ~ts:7;
-  Obs.Trace.end_span tr a ~ts:12;
-  ignore (Obs.Trace.begin_span tr ~kind:Obs.Trace.View_change ~name:"vc" ~ts:9);
-  let path = Filename.temp_file "obs" ".bin" in
-  Obs.Trace.save_binary tr ~path;
-  (match Obs.Trace.load_binary ~path with
-  | Error m -> Alcotest.failf "load_binary: %s" m
-  | Ok infos ->
-    check int "span count survives" (Obs.Trace.n_spans tr) (Array.length infos);
-    check bool "records identical" true (infos = Obs.Trace.spans tr));
-  Sys.remove path
-
-let test_binary_rejects_garbage () =
-  let path = Filename.temp_file "obs" ".bin" in
-  let oc = open_out_bin path in
-  output_string oc "not a span log";
-  close_out oc;
-  (match Obs.Trace.load_binary ~path with
-  | Ok _ -> Alcotest.fail "garbage accepted"
-  | Error _ -> ());
-  Sys.remove path
 
 let test_chrome_json_parses () =
   let tr = Obs.Trace.create () in
@@ -503,9 +479,6 @@ let suites =
       [
         Alcotest.test_case "disabled sink is inert" `Quick test_disabled_sink;
         Alcotest.test_case "span tree and ambient parents" `Quick test_span_tree;
-        Alcotest.test_case "binary log round-trips" `Quick test_binary_round_trip;
-        Alcotest.test_case "binary load rejects garbage" `Quick
-          test_binary_rejects_garbage;
         Alcotest.test_case "chrome export parses" `Quick test_chrome_json_parses;
         Alcotest.test_case "hop parents across sends" `Quick
           test_hop_parents_span_sends;

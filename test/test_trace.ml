@@ -1,5 +1,6 @@
-(* Tests for the history trace format: round-tripping, parse errors, and
-   checker agreement after a round trip. *)
+(* Tests for the history trace format: round-tripping, parse errors,
+   checker agreement after a round trip, and the export path from a
+   simulated run's recorded transactions. *)
 
 module T = Rss_core.Txn_history
 
@@ -76,7 +77,56 @@ let test_save_load () =
   | Error m -> Alcotest.fail m);
   Sys.remove path
 
-(* Random histories round-trip bit-faithfully. *)
+(* The export path of [rss_repro spanner --export]: a short Spanner-RSS
+   run's records become a history that survives the text format and is
+   still RSS-satisfiable. *)
+let test_export_run_records () =
+  let r =
+    Harness.spanner_wan ~mode:Spanner.Config.Rss ~theta:0.75 ~n_keys:1000
+      ~arrival_rate_per_sec:2.0 ~duration_s:2.0 ~seed:1 ()
+  in
+  let records =
+    match r.Harness.Run.records with
+    | Harness.Run.Spanner_txns a -> a
+    | Harness.Run.Gryff_ops _ -> Alcotest.fail "spanner run recorded ops"
+  in
+  let n = Array.length records in
+  check bool "a short run (1..20 txns)" true (n > 0 && n <= 20);
+  let h =
+    T.make (List.mapi (fun id w -> T.of_witness ~id w) (Array.to_list records))
+  in
+  match Rss_core.Trace.of_string (Rss_core.Trace.to_string h) with
+  | Error m -> Alcotest.fail m
+  | Ok h' -> (
+    check Alcotest.int "txn count" n (T.n_txns h');
+    match Rss_core.Check_txn.check h' Rss_core.Check_txn.Rss with
+    | Rss_core.Check_txn.Sat _ -> ()
+    | Rss_core.Check_txn.Unsat -> Alcotest.fail "exported run violates RSS"
+    | Rss_core.Check_txn.Unknown -> Alcotest.fail "RSS search budget exhausted")
+
+let test_of_witness_incomplete () =
+  let w resp =
+    {
+      Rss_core.Witness.proc = 3;
+      reads = [ ("x", Some 1) ];
+      writes = [ ("y", 2) ];
+      inv = 10;
+      resp;
+      ts = 7;
+      rank = 0;
+    }
+  in
+  let done_ = T.of_witness ~id:4 (w 20) in
+  check Alcotest.int "id" 4 done_.T.id;
+  check bool "fields carried" true
+    (done_.T.proc = 3 && done_.T.inv = 10
+    && done_.T.reads = [ ("x", Some 1) ]
+    && done_.T.writes = [ ("y", 2) ]);
+  check bool "complete" true (done_.T.resp = Some 20);
+  check bool "unanswered is incomplete" true
+    ((T.of_witness ~id:0 (w max_int)).T.resp = None)
+
+(* Random histories round-trip bit-faithfully.*)
 let prop_trace_roundtrip =
   QCheck.Test.make ~name:"random histories round-trip" ~count:150
     QCheck.(pair (int_range 1 12) (int_bound 100_000))
@@ -122,6 +172,9 @@ let suites =
         Alcotest.test_case "comments/blanks" `Quick test_comments_and_blanks;
         Alcotest.test_case "parse errors" `Quick test_parse_errors;
         Alcotest.test_case "save/load" `Quick test_save_load;
+        Alcotest.test_case "export of a run's records" `Quick
+          test_export_run_records;
+        Alcotest.test_case "incomplete witness" `Quick test_of_witness_incomplete;
         QCheck_alcotest.to_alcotest prop_trace_roundtrip;
       ] );
   ]
