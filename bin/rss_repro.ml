@@ -140,11 +140,11 @@ let report flags protocol ~header r =
   Harness.print_verdict protocol r;
   save_trace flags.env.Harness.Env.trace flags.trace_out
 
-(* A violation fails the command; an unchecked or undecided run does not. *)
-let exit_on_violation r =
-  match r.Harness.Run.check with
-  | Harness.Run.Fail _ -> exit 2
-  | Harness.Run.Pass | Harness.Run.Unknown _ -> ()
+(* A checked run fails the command unless it verified: a violation or a
+   checker that gave up exits 2. Only [--check none] may end unverified. *)
+let exit_unless_verified flags r =
+  if flags.env.Harness.Env.check <> `No_check && not (Harness.Run.passed r)
+  then exit 2
 
 let spanner_cmd =
   let mode =
@@ -267,7 +267,7 @@ let spanner_cmd =
       Rss_core.Trace.save ~path (Rss_core.Txn_history.make txns);
       Fmt.pr "trace: %d transactions written to %s@." (List.length txns) path
     | _ -> ());
-    exit_on_violation r
+    exit_unless_verified flags r
   in
   Cmd.v
     (Cmd.info "spanner" ~doc:"Simulate Spanner / Spanner-RSS on Retwis.")
@@ -309,7 +309,7 @@ let gryff_cmd =
       | Gryff.Config.Lin -> Chaos.Audit.Gryff_lin
       | Gryff.Config.Rsc -> Chaos.Audit.Gryff_rsc)
       r;
-    exit_on_violation r
+    exit_unless_verified flags r
   in
   Cmd.v
     (Cmd.info "gryff" ~doc:"Simulate Gryff / Gryff-RSC on YCSB.")
