@@ -148,31 +148,10 @@ let () =
   in
   Printf.printf "control hunt: unsafe_no_deps, budget %d\n%!" control_budget;
   let metrics = Obs.Metrics.create () in
-  (* The hunt base is the shape empirically densest in no-deps anomalies:
-     a single hot key (high conflict, small keyspace), read-mostly so the
-     carstamp frontier advances slowly and a stranded write stays maximal
-     long enough for one client to observe it twice, and a timeout short
-     enough that slots stuck behind a one-way block respawn and re-read.
-     The search still owns the seeds and perturbation vectors — at this
-     budget the control falls within the first ~1000 executions for every
-     search seed tried. *)
   let control_cfg =
-    { (Explore.Search.default_config ()) with
-      Explore.Search.protocols = [ Chaos.Audit.Gryff_rsc ];
-      presets = [ Chaos.Nemesis.Asym_block ];
-      budget = control_budget;
+    { (Explore.Search.control_config ()) with
+      Explore.Search.budget = control_budget;
       search_seed = 1;
-      base =
-        (fun p ->
-          { (Explore.Exec.base p) with
-            Explore.Exec.duration_ms = 2_500;
-            timeout_ms = 600;
-            n_slots = 10;
-            n_keys = 2;
-            conflict_pct = 100;
-            write_pct = 28;
-            unsafe = true });
-      max_failures = 1;
       shrink_budget = 400;
       corpus_dir =
         Some (Option.value corpus_dir ~default:"_explore_corpus");

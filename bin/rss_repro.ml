@@ -682,40 +682,24 @@ let explore_cmd =
       exit (if !bad = 0 then 0 else 5)
     end;
     if budget < 0 then (Fmt.epr "error: --budget must be non-negative@."; exit 1);
-    let d = Explore.Search.default_config () in
-    let budget =
-      if budget > 0 then budget else if control then 1_500 else 400
+    let d =
+      if control then Explore.Search.control_config ()
+      else
+        let d = Explore.Search.default_config () in
+        { d with presets = d.Explore.Search.presets @ [ Chaos.Nemesis.Asym_block ] }
     in
     let cfg =
       {
         d with
         Explore.Search.protocols =
-          (if protocols <> [] then protocols
-           else if control then [ Chaos.Audit.Gryff_rsc ]
-           else d.Explore.Search.protocols);
-        presets =
-          (if presets <> [] then presets
-           else if control then [ Chaos.Nemesis.Asym_block ]
-           else d.Explore.Search.presets @ [ Chaos.Nemesis.Asym_block ]);
-        budget;
+          (if protocols <> [] then protocols else d.Explore.Search.protocols);
+        presets = (if presets <> [] then presets else d.Explore.Search.presets);
+        budget = (if budget > 0 then budget else if control then 1_500 else 400);
         search_seed;
         shrink = not no_shrink;
         shrink_budget;
-        max_failures = (if control then 1 else max_failures);
+        max_failures = (if control then d.Explore.Search.max_failures else max_failures);
         corpus_dir = corpus;
-        base =
-          (if control then fun p ->
-             {
-               (Explore.Exec.base p) with
-               Explore.Exec.duration_ms = 2_500;
-               timeout_ms = 600;
-               n_slots = 10;
-               n_keys = 2;
-               conflict_pct = 100;
-               write_pct = 28;
-               unsafe = true;
-             }
-           else d.Explore.Search.base);
       }
     in
     let r = Explore.Search.run cfg in

@@ -1,7 +1,6 @@
 type t = {
   n : int;
   reach : bool array array;
-  direct : (int * int) list;
 }
 
 let of_edges ~n edges =
@@ -30,8 +29,7 @@ let of_edges ~n edges =
   for i = 0 to n - 1 do
     if reach.(i).(i) then invalid_arg "Causal.of_edges: cycle detected"
   done;
-  let direct = List.sort_uniq compare edges in
-  { n; reach; direct }
+  { n; reach }
 
 let precedes t a b = t.reach.(a).(b)
 
@@ -45,5 +43,3 @@ let edges t =
     done
   done;
   !acc
-
-let reduction_edges t = t.direct

@@ -17,7 +17,3 @@ val n : t -> int
 
 val edges : t -> (int * int) list
 (** All pairs in the closure. *)
-
-val reduction_edges : t -> (int * int) list
-(** A (not necessarily minimal) set of edges whose closure equals [t] —
-    the direct edges supplied at construction, deduplicated. *)

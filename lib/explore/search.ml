@@ -34,6 +34,34 @@ let default_config () =
     metrics = None;
   }
 
+(* The hunt base is the shape empirically densest in no-deps anomalies: a
+   single hot key (high conflict, small keyspace), read-mostly so the
+   carstamp frontier advances slowly and a stranded write stays maximal
+   long enough for one client to observe it twice, and a timeout short
+   enough that slots stuck behind a one-way block respawn and re-read. The
+   search still owns the seeds and perturbation vectors — at a budget of
+   1500 the control falls within the first ~1000 executions for every
+   search seed tried. *)
+let control_config () =
+  {
+    (default_config ()) with
+    protocols = [ Chaos.Audit.Gryff_rsc ];
+    presets = [ Chaos.Nemesis.Asym_block ];
+    base =
+      (fun p ->
+        {
+          (Exec.base p) with
+          Exec.duration_ms = 2_500;
+          timeout_ms = 600;
+          n_slots = 10;
+          n_keys = 2;
+          conflict_pct = 100;
+          write_pct = 28;
+          unsafe = true;
+        });
+    max_failures = 1;
+  }
+
 type failure = {
   input : Exec.input;
   verdict : string;

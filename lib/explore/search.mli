@@ -32,6 +32,13 @@ val default_config : unit -> config
     preset pool; budget 200; shrink on with budget 60; at most 3
     failures; no corpus dir, tracing and metrics off. *)
 
+val control_config : unit -> config
+(** The seeded-bug control hunt: {!default_config} narrowed to Gryff-RSC
+    clients with the RSC dependency fence disabled ([unsafe]) under the
+    asym-block preset, on a hot two-key, 28%-write, 2.5 s base with a
+    600 ms client timeout and 10 slots, stopping at the first failure. A
+    sound search must find the planted violation. *)
+
 type failure = {
   input : Exec.input;  (** the trial that failed, as found *)
   verdict : string;  (** its {!Exec.verdict_string} *)

@@ -35,17 +35,12 @@ module Run = struct
 
   let gauge t name = Obs.Metrics.gauge_value t.metrics name
 
-  (* Option-returning accessors: absent (or NaN, e.g. a p50 over an empty
-     recorder) gauges and empty recorders come back as [None], so callers
-     render "n/a" instead of leaking [nan] into tables and jq gates. *)
+  (* Absent (or NaN, e.g. a p50 over an empty recorder) gauges come back as
+     [None], so callers render "n/a" instead of leaking [nan] into tables
+     and jq gates. *)
   let gauge_opt t name =
     let v = Obs.Metrics.gauge_value t.metrics name in
     if Float.is_nan v then None else Some v
-
-  let latency_opt t name =
-    match List.assoc_opt name t.latencies with
-    | Some r when not (Stats.Recorder.is_empty r) -> Some r
-    | Some _ | None -> None
 
   let completed t =
     List.fold_left (fun acc (_, r) -> acc + Stats.Recorder.count r) 0 t.latencies
@@ -514,7 +509,7 @@ let spanner ~config ~n_keys ~theta engine ~rng =
     migrate =
       (fun spec ->
         Spanner.Cluster.migrate ~no_fence:spec.rs_no_fence cluster ~lo:spec.rs_lo
-          ~hi:spec.rs_hi ~dst:spec.rs_dst (fun _ -> ()));
+          ~hi:spec.rs_hi ~dst:spec.rs_dst);
     arm_check =
       (fun ~budget ->
         let add, online = spanner_judge ~budget config.Spanner.Config.mode in

@@ -67,9 +67,6 @@ module Run : sig
       p50 over an empty recorder) — so callers render "n/a" instead of
       leaking [nan] into tables and jq comparisons. *)
 
-  val latency_opt : t -> string -> Stats.Recorder.t option
-  (** Like {!latency} but [None] when the recorder is absent or empty. *)
-
   val completed : t -> int
   (** Total recorded (post-warm-up) operations across all recorders. *)
 

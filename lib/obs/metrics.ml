@@ -83,14 +83,6 @@ let snapshot (t : t) =
     histograms = sorted_bindings t.hists Fun.id;
   }
 
-let empty = { counters = []; gauges = []; histograms = [] }
-
-let of_counts counts =
-  {
-    empty with
-    counters = List.sort (fun (a, _) (b, _) -> String.compare a b) counts;
-  }
-
 let counter_value s name =
   match List.assoc_opt name s.counters with Some n -> n | None -> 0
 

@@ -51,11 +51,6 @@ type snapshot = {
 
 val snapshot : t -> snapshot
 
-val empty : snapshot
-
-val of_counts : (string * int) list -> snapshot
-(** Wrap a plain counter list (sorted on the way in). *)
-
 val counter_value : snapshot -> string -> int
 (** [0] when absent. *)
 

@@ -28,7 +28,6 @@ type t = {
   store : Sim.Durable.t;
   log : assignment Sim.Durable.log;
   mutable n_repairs : int;  (* assignments re-persisted by [recover] *)
-  mutable failstop : string option;
 }
 
 (* Verified recovery of the durable assignment log.
@@ -60,17 +59,13 @@ let recover ?(peer = true) t =
       (* Resurfaced junk past the journal, or a peer copy (the overlay)
          vouches for the prefix: drop the suspect suffix and re-persist. *)
       `Repaired (heal_from i)
-    else begin
-      let msg =
-        Fmt.str
-          "place.directory: log corrupt at index %d (journalled %d) and no \
-           peer holds the assignments — refusing to replay"
-          i
-          (Sim.Durable.journalled_length t.log)
-      in
-      t.failstop <- Some msg;
-      `Failstop msg
-    end
+    else
+      `Failstop
+        (Fmt.str
+           "place.directory: log corrupt at index %d (journalled %d) and no \
+            peer holds the assignments — refusing to replay"
+           i
+           (Sim.Durable.journalled_length t.log))
 
 let create ?base ~n_shards () =
   if n_shards <= 0 then invalid_arg "Directory.create: n_shards must be positive";
@@ -85,7 +80,6 @@ let create ?base ~n_shards () =
       store;
       log = Sim.Durable.log store;
       n_repairs = 0;
-      failstop = None;
     }
   in
   (* A background scrub that flags this log repairs it the same way
@@ -94,7 +88,6 @@ let create ?base ~n_shards () =
   t
 
 let repairs t = t.n_repairs
-let failstopped t = t.failstop
 
 let n_shards t = t.n_shards
 let epoch t = t.epoch

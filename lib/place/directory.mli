@@ -66,9 +66,6 @@ val recover : ?peer:bool -> t -> [ `Ok | `Repaired of int | `Failstop of string 
 val repairs : t -> int
 (** Total assignments re-persisted by {!recover} (and the scrub pass). *)
 
-val failstopped : t -> string option
-(** The diagnostic, if the directory ever refused to replay. *)
-
 (** {1 Cached client views} *)
 
 type view

@@ -6,8 +6,6 @@ let split t = Random.State.split t
 
 let int t n = Random.State.int t n
 
-let int64 t n = Random.State.int64 t n
-
 let uniform t = Random.State.float t 1.0
 
 let float t x = Random.State.float t x

@@ -15,8 +15,6 @@ val split : t -> t
 val int : t -> int -> int
 (** [int t n] is uniform in [\[0, n)]. Requires [n > 0]. *)
 
-val int64 : t -> int64 -> int64
-
 val uniform : t -> float
 (** Uniform in [\[0, 1)]. *)
 

@@ -127,8 +127,7 @@ let flow_stats t = Sim.Flow.stats t.pctx.Protocol.flow
 
 let directory t = t.pctx.Protocol.directory
 
-let migrate ?no_fence t ~lo ~hi ~dst k =
-  Protocol.migrate ?no_fence t.pctx ~lo ~hi ~dst k
+let migrate ?no_fence t ~lo ~hi ~dst = Protocol.migrate ?no_fence t.pctx ~lo ~hi ~dst
 
 let set_tracer t tracer = Protocol.set_tracer t.pctx tracer
 
@@ -151,14 +150,14 @@ let counters t =
     ("ro.slow", s.ro_slow);
     ("ro.blocked_at_shards", s.ro_blocked_at_shards);
     ("place.epoch", Place.Directory.epoch dir);
-    ("place.migrations", ps.Place.Migrate.completed);
-    ("place.migrations_failed", ps.Place.Migrate.failed);
-    ("place.migration_retries", ps.Place.Migrate.source_retries);
-    ("place.keys_moved", ps.Place.Migrate.keys_moved);
+    ("place.migrations", ps.Protocol.completed);
+    ("place.migrations_failed", ps.Protocol.failed);
+    ("place.migration_retries", ps.Protocol.source_retries);
+    ("place.keys_moved", ps.Protocol.keys_moved);
     ("place.redirects", p.Protocol.n_redirects);
     ("place.fence_blocked", p.Protocol.n_fence_blocked);
-    ("place.fence_hold_us", ps.Place.Migrate.fence_hold_us);
-    ("place.max_fence_hold_us", ps.Place.Migrate.max_fence_hold_us);
+    ("place.fence_hold_us", ps.Protocol.fence_hold_us);
+    ("place.max_fence_hold_us", ps.Protocol.max_fence_hold_us);
     ("place.directory_appends", Place.Directory.durable_appends dir);
   ]
   @

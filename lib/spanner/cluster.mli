@@ -103,9 +103,7 @@ val directory : t -> Place.Directory.t
 (** The cluster's authoritative placement directory (epoch 0 equals the
     static [Config.shard_of_key] layout). *)
 
-val migrate :
-  ?no_fence:bool -> t -> lo:int -> hi:int -> dst:int ->
-  (Place.Migrate.result -> unit) -> unit
+val migrate : ?no_fence:bool -> t -> lo:int -> hi:int -> dst:int -> unit
 (** Live-migrate key range [\[lo, hi)] to shard [dst] while the workload
     runs; see {!Protocol.migrate}. [?no_fence] is the unsafe mutation
     control used by safety tests. *)

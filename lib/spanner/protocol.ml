@@ -14,6 +14,16 @@ type coord_state = {
   mutable cs_settled : bool;  (* outcome durable / fully aborted *)
 }
 
+type migration_stats = {
+  mutable started : int;
+  mutable completed : int;
+  mutable failed : int;
+  mutable source_retries : int;
+  mutable keys_moved : int;  (* keys shipped, counting re-ships *)
+  mutable fence_hold_us : int;
+  mutable max_fence_hold_us : int;
+}
+
 type ctx = {
   engine : Sim.Engine.t;
   net : Sim.Net.t;
@@ -33,7 +43,7 @@ type ctx = {
   mutable n_in_doubt_resolved : int;
   mutable tracer : Obs.Trace.t;
   directory : Place.Directory.t;  (* authoritative key -> shard ownership *)
-  place_stats : Place.Migrate.stats;
+  place_stats : migration_stats;
   mutable n_redirects : int;  (* ops bounced off a non-owning shard *)
   mutable n_fence_blocked : int;  (* lock acquisitions refused by a fence *)
   fence_bounced : (int, unit) Hashtbl.t;
@@ -661,7 +671,16 @@ let make_ctx engine net tt txns config =
         Place.Directory.create ~n_shards:config.Config.n_shards
           ~base:(fun key -> Config.shard_of_key config key)
           ();
-      place_stats = Place.Migrate.stats_create ();
+      place_stats =
+        {
+          started = 0;
+          completed = 0;
+          failed = 0;
+          source_retries = 0;
+          keys_moved = 0;
+          fence_hold_us = 0;
+          max_fence_hold_us = 0;
+        };
       n_redirects = 0;
       n_fence_blocked = 0;
       fence_bounced = Hashtbl.create 64;
@@ -1384,76 +1403,160 @@ let migration_sources ctx ~lo ~hi ~dst =
   done;
   List.sort compare (Hashtbl.fold (fun o () acc -> o :: acc) seen [])
 
-(* Migrate [lo, hi) to [dst]. The control loop runs co-located with the
-   shard leaders it manipulates (fence/drain/cut are direct state pokes, a
-   directory-service stand-in like [to_shard]'s leader discovery); the
-   snapshot ship is real traffic — durable log forces on both sides, a
-   leader-to-leader hop sized by the snapshot, an ack hop back — and is
-   what the driver's timeout/retry machinery covers. See Place.Migrate for
-   the protocol and the RSS argument. *)
-let migrate ?(no_fence = false) ctx ~lo ~hi ~dst k =
+(* Migrate [lo, hi) to [dst]; the protocol and the RSS argument are in
+   protocol.mli. The control loop runs co-located with the shard leaders it
+   manipulates (fence/drain/cut are direct state pokes, a directory-service
+   stand-in like [to_shard]'s leader discovery); the snapshot ship is real
+   traffic — durable log forces on both sides, a leader-to-leader hop sized
+   by the snapshot, an ack hop back — and is what the timeout/retry
+   machinery covers. *)
+let migrate_poll_us = 500
+let migrate_attempt_timeout_us = 2_000_000
+
+(* Faults can leave an in-range participant prepared with nobody left to
+   decide it; a drain that cannot finish within this burns a retry instead
+   of pinning the fence forever. *)
+let migrate_drain_timeout_us = 120_000_000
+let migrate_max_retries = 16
+
+let migrate ?(no_fence = false) ctx ~lo ~hi ~dst =
   if lo < 0 || hi <= lo then invalid_arg "Protocol.migrate: bad key range";
   if dst < 0 || dst >= Array.length ctx.shards then
     invalid_arg "Protocol.migrate: bad destination shard";
-  let dir = ctx.directory in
-  let hooks =
-    {
-      Place.Migrate.h_now = (fun () -> Sim.Engine.now ctx.engine);
-      h_sleep =
-        (fun us f ->
-          Sim.Engine.schedule ~kind:"place.migrate" ctx.engine ~after:(max 1 us) f);
-      h_sources = (fun ~lo ~hi ~dst -> migration_sources ctx ~lo ~hi ~dst);
-      h_fence = (fun ~src ~lo ~hi -> Shard.set_fence ctx.shards.(src) ~lo ~hi);
-      h_fence_ok =
-        (fun ~src ~lo ~hi ->
-          match ctx.shards.(src).Shard.fence with
-          | Some f -> f.Shard.f_lo = lo && f.Shard.f_hi = hi
-          | None -> false);
-      h_drained =
-        (fun ~src ~lo ~hi ->
-          let sh = ctx.shards.(src) in
-          (not (Locks.any_busy_in sh.Shard.locks ~lo ~hi))
-          && not (Shard.prepared_in_range sh ~lo ~hi));
-      h_cut =
-        (fun ~src ->
-          let sh = ctx.shards.(src) in
-          let tm =
-            max
-              (sh.Shard.max_write_ts + 1)
-              ((Sim.Truetime.now ctx.tt).Sim.Truetime.latest + 1)
-          in
-          Shard.advance_max_write_ts sh tm;
-          tm);
-      h_ship =
-        (fun ~src ~lo ~hi ~tm ack ->
-          let sh = ctx.shards.(src) in
-          let snap =
-            Shard.snapshot_range sh ~lo ~hi ~owned:(fun key ->
-                Place.Directory.owner dir key = src)
-          in
-          let n_keys = List.length snap in
-          let n_versions =
-            List.fold_left (fun acc (_, vs) -> acc + List.length vs) 0 snap
-          in
-          let bytes = 96 + (24 * n_versions) in
-          let driver_site = sh.Shard.leader_site in
-          Replication.Group.replicate sh.Shard.repl
-            (Types.Rmigrate_out { m_lo = lo; m_hi = hi; m_tm = tm })
-            (fun () ->
-              to_shard ctx ~src:driver_site ~bytes dst (fun dsh ->
-                  ignore (Shard.install_versions dsh snap);
-                  Shard.advance_max_write_ts dsh tm;
-                  Replication.Group.replicate dsh.Shard.repl
-                    (Types.Rmigrate_in
-                       { m_lo = lo; m_hi = hi; m_tm = tm; m_versions = snap })
-                    (fun () ->
-                      to_client ctx ~src:dsh.Shard.leader_site ~bytes:32
-                        ~dst:driver_site (fun () -> ack n_keys)))));
-      h_barrier = (fun ~tm f -> wait_truetime ctx tm f);
-      h_commit =
-        (fun ~lo ~hi ~dst ~tm -> Place.Directory.commit dir ~lo ~hi ~owner:dst ~tm);
-      h_unfence = (fun ~src -> Shard.clear_fence ctx.shards.(src));
-    }
+  let stats = ctx.place_stats and dir = ctx.directory in
+  let now () = Sim.Engine.now ctx.engine in
+  let sleep us f =
+    Sim.Engine.schedule ~kind:"place.migrate" ctx.engine ~after:(max 1 us) f
   in
-  Place.Migrate.run hooks ~tracer:ctx.tracer ~no_fence ~stats:ctx.place_stats
-    ~lo ~hi ~dst k
+  (* The fence survives only on a leader that never rebuilt since it was
+     set. *)
+  let fence_ok src =
+    match ctx.shards.(src).Shard.fence with
+    | Some f -> f.Shard.f_lo = lo && f.Shard.f_hi = hi
+    | None -> false
+  in
+  stats.started <- stats.started + 1;
+  let sp =
+    Obs.Trace.begin_span ctx.tracer ~kind:Obs.Trace.Migration
+      ~name:(Printf.sprintf "migrate[%d,%d)->%d" lo hi dst)
+      ~ts:(now ()) ~site:dst
+  in
+  let sources = migration_sources ctx ~lo ~hi ~dst in
+  let fenced_at : (int, int) Hashtbl.t = Hashtbl.create 4 in
+  let moved = ref 0 in
+  let retries_left = ref migrate_max_retries in
+  let finish ok =
+    List.iter
+      (fun src ->
+        (match Hashtbl.find_opt fenced_at src with
+        | Some t0 ->
+          let held = now () - t0 in
+          stats.fence_hold_us <- stats.fence_hold_us + held;
+          if held > stats.max_fence_hold_us then stats.max_fence_hold_us <- held;
+          Hashtbl.remove fenced_at src
+        | None -> ());
+        Shard.clear_fence ctx.shards.(src))
+      sources;
+    if ok then stats.completed <- stats.completed + 1
+    else stats.failed <- stats.failed + 1;
+    stats.keys_moved <- stats.keys_moved + !moved;
+    Obs.Trace.end_span ctx.tracer sp ~ts:(now ())
+  in
+  let commit tm =
+    ignore (Place.Directory.commit dir ~lo ~hi ~owner:dst ~tm);
+    finish true
+  in
+  let rec do_source src k_done =
+    if (not no_fence) && not (fence_ok src) then begin
+      Shard.set_fence ctx.shards.(src) ~lo ~hi;
+      if not (Hashtbl.mem fenced_at src) then Hashtbl.replace fenced_at src (now ())
+    end;
+    drain src (now ()) k_done
+  and drain src t0 k_done =
+    let sh = ctx.shards.(src) in
+    if
+      no_fence
+      || (not (Locks.any_busy_in sh.Shard.locks ~lo ~hi))
+         && not (Shard.prepared_in_range sh ~lo ~hi)
+    then cut_and_ship src k_done
+    else if not (fence_ok src) then
+      (* leader rebuilt mid-drain and forgot the fence: start over *)
+      retry src k_done
+    else if now () - t0 > migrate_drain_timeout_us then retry src k_done
+    else sleep migrate_poll_us (fun () -> drain src t0 k_done)
+  and retry src k_done =
+    stats.source_retries <- stats.source_retries + 1;
+    if !retries_left <= 0 then finish false
+    else begin
+      decr retries_left;
+      do_source src k_done
+    end
+  and cut_and_ship src k_done =
+    (* Cut t_m above the source's write watermark and TT.latest, and advance
+       the source so nothing can ever commit below t_m there again. *)
+    let sh = ctx.shards.(src) in
+    let tm =
+      max
+        (sh.Shard.max_write_ts + 1)
+        ((Sim.Truetime.now ctx.tt).Sim.Truetime.latest + 1)
+    in
+    Shard.advance_max_write_ts sh tm;
+    let settled = ref false in
+    sleep migrate_attempt_timeout_us (fun () ->
+        if not !settled then begin
+          settled := true;
+          retry src k_done
+        end);
+    (* Ship: snapshot, durably log the outgoing bump, install at the
+       destination, which durably logs the incoming bump before acking.
+       The ack may never come (lost message, deposed leader): the timeout
+       above covers it, and installation is idempotent. *)
+    let snap =
+      Shard.snapshot_range sh ~lo ~hi ~owned:(fun key ->
+          Place.Directory.owner dir key = src)
+    in
+    let n_keys = List.length snap in
+    let n_versions = List.fold_left (fun acc (_, vs) -> acc + List.length vs) 0 snap in
+    let bytes = 96 + (24 * n_versions) in
+    let driver_site = sh.Shard.leader_site in
+    Replication.Group.replicate sh.Shard.repl
+      (Types.Rmigrate_out { m_lo = lo; m_hi = hi; m_tm = tm })
+      (fun () ->
+        to_shard ctx ~src:driver_site ~bytes dst (fun dsh ->
+            ignore (Shard.install_versions dsh snap);
+            Shard.advance_max_write_ts dsh tm;
+            Replication.Group.replicate dsh.Shard.repl
+              (Types.Rmigrate_in { m_lo = lo; m_hi = hi; m_tm = tm; m_versions = snap })
+              (fun () ->
+                to_client ctx ~src:dsh.Shard.leader_site ~bytes:32 ~dst:driver_site
+                  (fun () ->
+                    if not !settled then begin
+                      settled := true;
+                      moved := !moved + n_keys;
+                      k_done tm
+                    end))))
+  in
+  let rec phase srcs tms =
+    match srcs with
+    | src :: rest -> do_source src (fun tm -> phase rest (tm :: tms))
+    | [] ->
+      let tm = List.fold_left max (now ()) tms in
+      let commit_point () =
+        (* Fence re-verification and the epoch commit share one event, so
+           no failover can sneak between the check and the commit. *)
+        let lost =
+          if no_fence then [] else List.filter (fun src -> not (fence_ok src)) sources
+        in
+        if lost = [] then commit tm
+        else if !retries_left < List.length lost then finish false
+        else begin
+          retries_left := !retries_left - List.length lost;
+          stats.source_retries <- stats.source_retries + List.length lost;
+          phase lost tms
+        end
+      in
+      if no_fence then commit_point () else wait_truetime ctx tm commit_point
+  in
+  (* No sources: the destination already owns the whole range, and the
+     epoch bump still records the assignment. *)
+  if sources = [] then commit (now ()) else phase sources []

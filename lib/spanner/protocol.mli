@@ -17,6 +17,18 @@
 
 type coord_state
 
+(** Live-migration counters; {!Cluster.counters} reports them as
+    [place.*]. *)
+type migration_stats = {
+  mutable started : int;
+  mutable completed : int;
+  mutable failed : int;  (** retry budget exhausted; fences were lifted *)
+  mutable source_retries : int;
+  mutable keys_moved : int;  (** keys shipped, counting re-ships *)
+  mutable fence_hold_us : int;  (** total fence hold across sources *)
+  mutable max_fence_hold_us : int;
+}
+
 type ctx = {
   engine : Sim.Engine.t;
   net : Sim.Net.t;
@@ -38,7 +50,7 @@ type ctx = {
   directory : Place.Directory.t;
       (** authoritative key->shard ownership; epoch 0 matches
           [Config.shard_of_key] *)
-  place_stats : Place.Migrate.stats;
+  place_stats : migration_stats;
   mutable n_redirects : int;  (** ops bounced off a non-owning shard *)
   mutable n_fence_blocked : int;  (** lock acquisitions refused by a fence *)
   fence_bounced : (int, unit) Hashtbl.t;
@@ -169,11 +181,48 @@ val snapshot_read :
     exactly what static [Config.shard_of_key] dispatch did and no extra
     event or random draw occurs, so seeded schedules are unchanged. *)
 
-val migrate :
-  ?no_fence:bool -> ctx -> lo:int -> hi:int -> dst:int ->
-  (Place.Migrate.result -> unit) -> unit
-(** Live-migrate keys [\[lo, hi)] to shard [dst]: fence + drain each
-    source, cut [t_m], ship snapshots (durably logged on both sides), wait
-    the TrueTime barrier, re-verify fences, commit the directory epoch.
+val migrate : ?no_fence:bool -> ctx -> lo:int -> hi:int -> dst:int -> unit
+(** Live-migrate keys [\[lo, hi)] to shard [dst] while the workload runs.
+
+    Per source shard (every shard owning keys in the range, destination
+    excluded), sequentially:
+
+    - {b fence}: block new lock acquisitions on the range (a volatile
+      marker on the source leader; a rebuilt leader forgets it);
+    - {b drain}: poll every 500 µs until no read/write lock, queued request
+      or prepared writer survives in the range; commit wait then
+      guarantees every drained writer's commit timestamp precedes real
+      time, hence [t_m];
+    - {b cut}: pick [t_m] above the source's write watermark and
+      [TT.latest], and advance the source so nothing can ever commit below
+      [t_m] there again;
+    - {b ship}: snapshot the range, durably log the outgoing bump, send the
+      snapshot to the destination, which installs it, advances its own
+      write watermark to [t_m] and durably logs the incoming bump before
+      acking.
+
+    Then one real-time barrier on the largest [t_m] — exactly the
+    commit-wait rule: proceed only once [t_m < TT.earliest] — and, in the
+    same event, a re-check that every fence still stands before the
+    directory epoch commits. A fence lost to a leader failover, a ship
+    unacknowledged after 2 s (replica view superseded, message dropped) or
+    a drain unfinished after 120 s (faults can strand an in-range 2PC
+    participant in prepared state) sends that source back through the
+    loop with a fresh, larger [t_m]. Snapshot installation is idempotent
+    (versions merge by timestamp), so a late duplicate ship is harmless.
+    After 16 retries the migration fails: its fences are lifted and no
+    epoch commits.
+
+    Why RSS survives the handoff: clients reach the destination only after
+    the epoch commit, which follows the barrier, so any read the new owner
+    serves starts in real time after [t_m] — and the destination holds
+    every version below [t_m]. The fence and drain make the source stop
+    producing versions below [t_m] before the snapshot is cut.
+
     [?no_fence] is the unsafe mutation control for tests: it skips fence,
-    drain and barrier, and loses writes racing the snapshot. *)
+    drain and barrier, so writes that commit at the source after the
+    snapshot are missing at the destination, and the online checker must
+    flag the resulting stale read.
+
+    Counts into [place_stats] and emits one [Obs.Trace.Migration] span
+    when the tracer is live. *)

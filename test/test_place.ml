@@ -180,6 +180,64 @@ let test_migrate_deterministic () =
   let a = reshard_run 42 and b = reshard_run 42 in
   check bool "same seed, byte-identical history" true (digest a = digest b)
 
+(* (no_fence, history digest, verdict, the ten place.* counters) of
+   [reshard_run 42]: the fenced migration and its no-fence control. Any
+   change to the migration driver's seeded schedule or counting shows up
+   here; re-baseline only for a deliberate semantic change. *)
+let migrate_pins =
+  [
+    ( false,
+      "c8e733a26b0544fa6057266fe04998db",
+      "pass",
+      [
+        ("place.directory_appends", 1);
+        ("place.epoch", 1);
+        ("place.fence_blocked", 1224);
+        ("place.fence_hold_us", 2975548);
+        ("place.keys_moved", 101);
+        ("place.max_fence_hold_us", 2049789);
+        ("place.migration_retries", 0);
+        ("place.migrations", 1);
+        ("place.migrations_failed", 0);
+        ("place.redirects", 234);
+      ] );
+    ( true,
+      "7bcafaeca5f453adf8f2000cf1044fe1",
+      "fail: legality: txn 356 read 0=1000000144 from txn 274, but the order \
+       implies 1000000168",
+      [
+        ("place.directory_appends", 1);
+        ("place.epoch", 1);
+        ("place.fence_blocked", 0);
+        ("place.fence_hold_us", 0);
+        ("place.keys_moved", 91);
+        ("place.max_fence_hold_us", 0);
+        ("place.migration_retries", 0);
+        ("place.migrations", 1);
+        ("place.migrations_failed", 0);
+        ("place.redirects", 146);
+      ] );
+  ]
+
+let test_migrate_pins () =
+  List.iter
+    (fun (no_fence, want_digest, want_verdict, want_counters) ->
+      let r = reshard_run ~no_fence 42 in
+      let label = if no_fence then "no-fence" else "fenced" in
+      check Alcotest.string (label ^ ": history digest") want_digest
+        (Digest.to_hex (digest r));
+      check Alcotest.string (label ^ ": verdict") want_verdict
+        (Explore.Exec.verdict_string r.Harness.Run.check);
+      let place =
+        List.filter
+          (fun (name, _) -> String.starts_with ~prefix:"place." name)
+          r.Harness.Run.metrics.Obs.Metrics.counters
+      in
+      check
+        Alcotest.(list (pair string int))
+        (label ^ ": place counters") want_counters place)
+    migrate_pins
+
 let test_broken_fence_caught () =
   (* The mutation control: skip fence, drain and barrier. Writes that
      commit at the source during the ship window are missing at the
@@ -213,5 +271,6 @@ let suites =
           test_migrate_under_load_passes;
         Alcotest.test_case "deterministic" `Slow test_migrate_deterministic;
         Alcotest.test_case "broken fence caught" `Slow test_broken_fence_caught;
+        Alcotest.test_case "pinned runs" `Slow test_migrate_pins;
       ] );
   ]
