@@ -3,9 +3,9 @@
    Drives the two single-DC saturation scenarios (spanner-dc, gryff-dc) with
    batching off (the baseline) and across a sweep of link-batching policies
    (deadline windows and the adaptive flush-on-idle policy), each both raw
-   ([`No_check]) and online-checked — the point being that group commit buys
-   saturation throughput by cutting messages per transaction, without the
-   online checker losing the history.
+   ([`No_check]) and online-checked (judged once the run drains) — the
+   point being that group commit buys saturation throughput by cutting
+   messages per transaction, without the checker losing the history.
 
    Output is machine-readable JSON (default [BENCH_batch.json]):
 

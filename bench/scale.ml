@@ -5,8 +5,8 @@
    second, checker cost, and heap footprint via [Gc.stat], each run in its
    own forked child so its heap figures are its own. Every scenario
    runs twice — [`No_check] for raw simulator speed and [`Online] for the
-   streaming checker — so the checker's cost is the difference between two
-   otherwise identical seeded runs (record hooks draw no randomness, so the
+   checker — so the checker's cost is the difference between two otherwise
+   identical seeded runs (the judge runs after the engine drains, so the
    simulated schedules are the same).
 
    A separate scaling probe re-runs the Spanner scenario at 1/4 and 1/2 of
@@ -94,7 +94,8 @@ let measure (f : unit -> Harness.Run.t) =
 let n_ops m = Report.n_ops m.run
 let checker_work m = Harness.Run.counter m.run "check.work"
 
-(* The checker's own finishing time; 0 for an unchecked run. *)
+(* The whole judge's time — every record fed and every verdict settled,
+   after the drain; 0 for an unchecked run. *)
 let checker_finish_s m =
   Option.value (Harness.Run.gauge_opt m.run "check.finish_s") ~default:0.0
 

@@ -34,9 +34,10 @@ let check_arg =
     & opt (enum [ ("online", `Online); ("none", `No_check) ]) `Online
     & info [ "check" ] ~docv:"MODE"
         ~doc:
-          "History verification: $(b,online) (the default) verifies \
-           incrementally as operations are recorded, $(b,none) skips \
-           verification. Never affects the simulated schedule.")
+          "History verification: $(b,online) (the default) verifies the \
+           recorded history with the incremental checker once the run \
+           drains, $(b,none) skips verification. Never affects the \
+           simulated schedule.")
 
 let save_trace tracer = function
   | None -> ()

@@ -303,36 +303,32 @@ let flow_metrics reg ~armed ~stations flow =
 
 (* {2 Consistency checking}
 
-   Every checked run is judged online: the cluster's record hook feeds each
-   record (sweeps included) into {!Rss_core.Check_online} as it is
-   recorded, in the order [Run.records] lists them. [`Budget n] bounds the
-   checker's work so a pathological history settles [Unknown] instead of
-   running long; [`No_check] skips verification — for benchmarking raw
-   simulator speed; the verdict reports [Unknown]. *)
+   Every checked run is judged once, after the engine drains and the sweep
+   has recorded its incomplete ops, from [Run.records]: each checker is fed
+   its records in recording order, so verdicts and work counters are those
+   of a checker fed as the records arrived, without one kept live (and
+   cold) through the run. [`Budget n] bounds the checker's work so a
+   pathological history settles [Unknown] instead of running long;
+   [`No_check] skips verification — for benchmarking raw simulator speed;
+   the verdict reports [Unknown]. *)
 
-(* An armed online checker: its verdict and its (added, work,
-   max_displacement) totals. *)
-type online = { result : unit -> Run.verdict; stats : unit -> int * int * int }
+let spanner_mode = function Spanner.Config.Strict -> `Strict | Spanner.Config.Rss -> `Rss
+let gryff_mode = function Gryff.Config.Lin -> `Strict | Gryff.Config.Rsc -> `Rss
 
-let checker ~budget ~mode () =
-  match budget with
-  | None -> Rss_core.Check_online.create ~mode ()
-  | Some n ->
-    Rss_core.Check_online.create ~work_budget:n ~fallback_states:n ~mode ()
-
-(* A Spanner history is judged whole against its mode's witness order. *)
-let spanner_judge ~budget mode =
-  let mode = match mode with Spanner.Config.Strict -> `Strict | Spanner.Config.Rss -> `Rss in
-  let oc = checker ~budget ~mode () in
-  ( Rss_core.Check_online.add oc,
-    {
-      result = (fun () -> Rss_core.Check_online.result oc);
-      stats =
-        (fun () ->
-          ( Rss_core.Check_online.n_added oc,
-            Rss_core.Check_online.work oc,
-            Rss_core.Check_online.max_displacement oc ));
-    } )
+(* One checker over the records [feed] adds: its verdict and its (added,
+   work, max_displacement) totals. *)
+let judge_one ~budget ~mode feed =
+  let oc =
+    match budget with
+    | None -> Rss_core.Check_online.create ~mode ()
+    | Some n ->
+      Rss_core.Check_online.create ~work_budget:n ~fallback_states:n ~mode ()
+  in
+  feed (Rss_core.Check_online.add oc);
+  ( Rss_core.Check_online.result oc,
+    ( Rss_core.Check_online.n_added oc,
+      Rss_core.Check_online.work oc,
+      Rss_core.Check_online.max_displacement oc ) )
 
 (* A Gryff register record as a one-op witness transaction, carstamp as the
    claimed serialization order, reads ranked above writes at equal
@@ -360,52 +356,39 @@ let gryff_witness_txn (r : Gryff.Cluster.record) =
     rank = (match r.Gryff.Cluster.g_kind with Gryff.Cluster.Read -> 1 | _ -> 0);
   }
 
-(* Registers are per-key: carstamp order — hence the mode's real-time
+(* A Spanner history is judged whole against its mode's witness order.
+   Gryff registers are per-key: carstamp order — hence the mode's real-time
    constraint — is only meaningful within a key, so each key gets its own
-   online checker. Keys settle in sorted order, so a combined [Fail] names
-   the smallest failing key whatever the table's layout; else the first
-   [Unknown], else [Pass]. *)
-let gryff_judge ~budget mode =
-  let mode = match mode with Gryff.Config.Lin -> `Strict | Gryff.Config.Rsc -> `Rss in
-  let keys = Hashtbl.create 256 in
-  let add (r : Gryff.Cluster.record) =
-    let key = r.Gryff.Cluster.g_key in
-    let oc =
-      match Hashtbl.find_opt keys key with
-      | Some oc -> oc
-      | None ->
-        let oc = checker ~budget ~mode () in
-        Hashtbl.add keys key oc;
-        oc
+   checker over its records in recording order. Keys are judged in
+   ascending order, one checker alive at a time, so a [Fail] names the
+   smallest failing key; else the first [Unknown], else [Pass]. *)
+let judge ~budget ~mode = function
+  | Run.Spanner_txns a -> judge_one ~budget ~mode (fun add -> Array.iter add a)
+  | Run.Gryff_ops a ->
+    let key i = a.(i).Gryff.Cluster.g_key in
+    let order = Array.init (Array.length a) Fun.id in
+    Array.stable_sort (fun i j -> Int.compare (key i) (key j)) order;
+    let n = Array.length order in
+    let rec go lo verdict (added, work, disp) =
+      if lo = n then (verdict, (added, work, disp))
+      else begin
+        let k = key order.(lo) in
+        let hi = ref lo in
+        while !hi < n && key order.(!hi) = k do incr hi done;
+        let v, (a', w', d') =
+          judge_one ~budget ~mode (fun add ->
+              for p = lo to !hi - 1 do add (gryff_witness_txn a.(order.(p))) done)
+        in
+        let verdict =
+          match (verdict, v) with
+          | Run.Fail _, _ | _, Run.Pass | Run.Unknown _, Run.Unknown _ -> verdict
+          | _, Run.Fail m -> Run.Fail (Fmt.str "key %d: %s" k m)
+          | Run.Pass, Run.Unknown m -> Run.Unknown (Fmt.str "key %d: %s" k m)
+        in
+        go !hi verdict (added + a', work + w', max disp d')
+      end
     in
-    Rss_core.Check_online.add oc (gryff_witness_txn r)
-  in
-  let result () =
-    Hashtbl.fold (fun k oc acc -> (k, oc) :: acc) keys []
-    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-    |> List.fold_left
-         (fun acc (key, oc) ->
-           match acc with
-           | Run.Fail _ -> acc
-           | Run.Pass | Run.Unknown _ -> (
-             match Rss_core.Check_online.result oc with
-             | Run.Pass -> acc
-             | Run.Fail m -> Run.Fail (Fmt.str "key %d: %s" key m)
-             | Run.Unknown m -> (
-               match acc with
-               | Run.Unknown _ -> acc
-               | _ -> Run.Unknown (Fmt.str "key %d: %s" key m))))
-         Run.Pass
-  in
-  let stats () =
-    Hashtbl.fold
-      (fun _ oc (a, w, d) ->
-        ( a + Rss_core.Check_online.n_added oc,
-          w + Rss_core.Check_online.work oc,
-          max d (Rss_core.Check_online.max_displacement oc) ))
-      keys (0, 0, 0)
-  in
-  (add, { result; stats })
+    go 0 Run.Pass (0, 0, 0)
 
 (* {2 Unacknowledged operations}
 
@@ -470,7 +453,7 @@ type ('c, 'op) deployment = {
   clear_slow : unit -> unit;
   on_recover : int list -> unit;
   migrate : reshard_spec -> unit;
-  arm_check : budget:int option -> online;
+  witness_mode : Rss_core.Witness.mode;  (* the model its history is judged by *)
   workload : Sim.Rng.t -> unit -> 'op;
   new_client : site:int -> 'c;
   kind : 'op -> int;
@@ -510,11 +493,7 @@ let spanner ~config ~n_keys ~theta engine ~rng =
       (fun spec ->
         Spanner.Cluster.migrate ~no_fence:spec.rs_no_fence cluster ~lo:spec.rs_lo
           ~hi:spec.rs_hi ~dst:spec.rs_dst);
-    arm_check =
-      (fun ~budget ->
-        let add, online = spanner_judge ~budget config.Spanner.Config.mode in
-        Spanner.Cluster.set_record_hook cluster add;
-        online);
+    witness_mode = spanner_mode config.Spanner.Config.mode;
     workload =
       (fun rng ->
         let retwis = Workload.Retwis.create ~rng ~n_keys ~theta in
@@ -585,11 +564,7 @@ let gryff ~config ~n_keys ~write_ratio ~conflict ~unsafe_no_deps engine ~rng =
     (* Gryff keeps no durable stores and has no elastic placement. *)
     on_recover = ignore;
     migrate = ignore;
-    arm_check =
-      (fun ~budget ->
-        let add, online = gryff_judge ~budget config.Gryff.Config.mode in
-        Gryff.Cluster.set_record_hook cluster add;
-        online);
+    witness_mode = gryff_mode config.Gryff.Config.mode;
     workload =
       (fun rng ->
         let ycsb = Workload.Ycsb.create ~rng ~n_keys ~write_ratio ~conflict in
@@ -722,12 +697,6 @@ let drive ~env ?prepare ~seed ~duration_s ~model ~site_of ~latencies ~warmup_s
     Chaos.Audit.arm_scrub engine ~tracer:trace ~dctl
       ~disk_faults:env.Env.disk_faults ~duration_s
   in
-  let online =
-    match env.Env.check with
-    | `Online -> Some (d.arm_check ~budget:None)
-    | `Budget n -> Some (d.arm_check ~budget:(Some n))
-    | `No_check -> None
-  in
   let sample = d.workload (Sim.Rng.split rng) in
   List.iter
     (fun spec ->
@@ -801,19 +770,22 @@ let drive ~env ?prepare ~seed ~duration_s ~model ~site_of ~latencies ~warmup_s
     | Run.Spanner_txns a -> Array.length a
     | Run.Gryff_ops a -> Array.length a);
   let t0_check = Sys.time () in
+  let judged budget =
+    let verdict, (added, work, max_displacement) =
+      judge ~budget ~mode:d.witness_mode records
+    in
+    add reg "check.added" added;
+    add reg "check.work" work;
+    add reg "check.max_displacement" max_displacement;
+    verdict
+  in
   let check =
-    match online with
-    | Some o -> o.result ()
-    | None -> Run.Unknown "checking disabled"
+    match env.Env.check with
+    | `Online -> judged None
+    | `Budget n -> judged (Some n)
+    | `No_check -> Run.Unknown "checking disabled"
   in
   Obs.Metrics.set_gauge reg "check.finish_s" (Sys.time () -. t0_check);
-  Option.iter
-    (fun o ->
-      let added, work, max_displacement = o.stats () in
-      add reg "check.added" added;
-      add reg "check.work" work;
-      add reg "check.max_displacement" max_displacement)
-    online;
   {
     Run.latencies =
       (match latencies with
@@ -946,20 +918,18 @@ let audit_trace (r : Run.t) =
   | Run.Spanner_txns a -> Chaos.Audit.spanner_trace a
   | Run.Gryff_ops a -> Chaos.Audit.gryff_trace a
 
-(* The corrupted history goes through the same online judge the driver
-   arms, so the control tests the checker that actually judges runs. *)
+(* The corrupted history goes through the same judge [drive] uses, so the
+   control tests the checker that actually judges runs. *)
 let stale_control protocol (r : Run.t) =
-  let judge (add, online) records =
-    Array.iter add records;
-    online.result ()
-  in
+  let verdict ~mode h = fst (judge ~budget:None ~mode h) in
   match (r.Run.records, Chaos.Audit.deployment protocol) with
   | Run.Spanner_txns a, Chaos.Audit.Spanner_wan c ->
+    let mode = spanner_mode c.Spanner.Config.mode in
     Chaos.Audit.spanner_stale_control
-      ~check:(judge (spanner_judge ~budget:None c.Spanner.Config.mode)) a
+      ~check:(fun a -> verdict ~mode (Run.Spanner_txns a)) a
   | Run.Gryff_ops a, Chaos.Audit.Gryff_wan c ->
-    Chaos.Audit.gryff_stale_control
-      ~check:(judge (gryff_judge ~budget:None c.Gryff.Config.mode)) a
+    let mode = gryff_mode c.Gryff.Config.mode in
+    Chaos.Audit.gryff_stale_control ~check:(fun a -> verdict ~mode (Run.Gryff_ops a)) a
   | _ -> invalid_arg "Harness.stale_control: not a run of this protocol"
 
 let liveness_ok ?(min_post_quiet = 1) r =

@@ -9,7 +9,8 @@
     workload, issued by a client model — closed-loop, partly-open, or the
     audits' timeout-respawning slots), a {e nemesis} (the [Env.t] fault
     schedule, gray nodes, disk damage and live migrations) and a
-    {e checker} (online, optionally budgeted, or none). The core applies every
+    {e checker} (online, optionally budgeted, or none), which judges the
+    recorded history once the engine has drained. The core applies every
     {!Env.t} field the same way on every deployment, and always tracks
     unacknowledged writes: an attempt whose acknowledgement a fault
     swallowed is swept into the history as an incomplete op before
@@ -42,8 +43,10 @@ module Run : sig
     metrics : Obs.Metrics.snapshot;
         (** protocol / network / fault / failover counters and gauges
             (single-DC drivers add ["throughput_tps"], ["p50_ms"], ...; all
-            drivers add ["check.finish_s"], checked runs (every mode but
-            [`No_check]) add ["check.added"], ["check.work"],
+            drivers add ["check.finish_s"], the host CPU seconds of the
+            whole {!judge} call after the drain — every record fed, every
+            verdict settled — near 0 under [`No_check]; checked runs (every
+            mode but [`No_check]) add ["check.added"], ["check.work"],
             ["check.max_displacement"]) *)
     check : verdict;
     records : history;
@@ -87,15 +90,16 @@ end
 
 type check_mode = [ `Online | `Budget of int | `No_check ]
 (** How a driver verifies its history. Every checked run is judged once,
-    online: each record, sweeps included, is fed into
-    {!Rss_core.Check_online} as it is recorded, so million-op histories
+    by {!judge}, after the engine drains and the sweep has recorded its
+    incomplete ops: each record of [Run.records] is fed into
+    {!Rss_core.Check_online} in recording order, so million-op histories
     verify in near-linear time. [`Online] (the default) is unbudgeted.
     [`Budget n] caps the checker's work and its suffix-fallback search at
     [n] (per key for Gryff), so a pathological history settles [Unknown]
     instead of running long. [`No_check] skips verification (the verdict
     is [Unknown]) — for benchmarking raw simulator speed. The mode never
-    affects the simulation itself: record hooks draw no randomness and
-    schedule no events, so seeded traces are identical across modes. *)
+    affects the simulation itself: judging starts after the drain, so
+    seeded traces are identical across modes. *)
 
 type reshard_spec = {
   rs_at : float;  (** when to start, as a fraction of the run's duration *)
@@ -292,12 +296,25 @@ val audit_trace : Run.t -> string
 (** The canonical history serialization ({!Chaos.Audit.spanner_trace} /
     {!Chaos.Audit.gryff_trace}). *)
 
+val judge :
+  budget:int option -> mode:Rss_core.Witness.mode -> Run.history ->
+  Run.verdict * (int * int * int)
+(** The judge every driver applies to [Run.records] once the engine has
+    drained: the verdict and the (added, work, max_displacement) totals
+    reported as [check.*]. A Spanner history goes through one
+    {!Rss_core.Check_online} in recording order. A Gryff history is judged
+    per key (carstamps order only one key's writes): each key's records, in
+    recording order, go through their own checker, keys in ascending order
+    and one checker alive at a time. The Gryff verdict is the smallest
+    failing key's [Fail], else the first [Unknown], else [Pass]. [budget]
+    is [`Budget]'s [n] (per key for Gryff). *)
+
 val stale_control : Chaos.Audit.protocol -> Run.t -> Run.verdict option
 (** Corrupt one completed read of the run's history to an older version and
-    re-judge it against the protocol's model with the same (unbudgeted)
-    online judge the driver arms: [Some (Fail _)] proves the checker has
-    teeth; [None] when no read is eligible. Raises [Invalid_argument] when
-    [r] is not a run of [protocol]'s family. *)
+    re-judge it against the protocol's model with {!judge} (unbudgeted):
+    [Some (Fail _)] proves the checker has teeth; [None] when no read is
+    eligible. Raises [Invalid_argument] when [r] is not a run of
+    [protocol]'s family. *)
 
 val liveness_ok : ?min_post_quiet:int -> Run.t -> bool
 (** At least [min_post_quiet] (default 1) ops invoked after the schedule's

@@ -839,9 +839,10 @@ let rw_txn ?(on_attempt = fun (_ : int) -> ()) ?deadline_us ?view ctx
       let shift = min !attempts (if fence_hit then 9 else 5) in
       let backoff = (5_000 * (1 lsl shift)) + (txn mod 5_000) in
       let backoff = max backoff !pushback_us in
-      (* With the retry budget spent this fast-fails (abandoned) rather
-         than join a retry storm; the release already ran above. *)
-      Sim.Flow.retry ctx.flow ~after_us:backoff attempt
+      (* A retry that would start past the op's expiry, or with the retry
+         budget spent, fast-fails (abandoned) rather than join a retry
+         storm; the release already ran above. *)
+      Sim.Flow.retry ctx.flow ?expires ~after_us:backoff attempt
     in
     (* --- execution (read) phase --- *)
     let pending = ref (List.length read_shards) in

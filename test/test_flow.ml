@@ -13,7 +13,8 @@
    NACK re-offer, Rpc timeout re-attempt and failover RO re-issue alike,
    and a Gryff leg's sends are capped across all of them; (8) Spanner's
    terminate, an outcome query rather than a re-offer, keeps asking past
-   the op's expiry. *)
+   the op's expiry; (9) a wounded RW whose backoff would start past its
+   expiry is abandoned by Flow, with its locks released. *)
 
 let check = Alcotest.check
 let bool = Alcotest.bool
@@ -353,6 +354,52 @@ let test_spanner_terminate_outlives_expiry () =
            (Spanner.Shard.read_version_at sh ~key:k ~ts:max_int)))
     ctx.Spanner.Protocol.shards
 
+(* A wound-wait abort retries after a backoff of at least 10 ms, so with
+   expiry drops armed and 5 ms to live, the younger of two RWs on one key
+   is wounded and Flow refuses its retry: one abandonment, no second
+   attempt, no leg dropped as expired — and no lock left behind. *)
+let test_spanner_wounded_rw_past_expiry () =
+  let engine = Sim.Engine.create () in
+  let config =
+    Spanner.Config.single_dc ~mode:Spanner.Config.Rss ~n_shards:2
+      ~service_time_us:50 ()
+  in
+  let cluster = Spanner.Cluster.create engine ~rng:(Sim.Rng.make 3) config in
+  let ctx = Spanner.Cluster.ctx cluster in
+  Sim.Flow.arm ctx.Spanner.Protocol.flow ~stations:[] ~admission:None
+    ~drop_expired:true ~hedge_us:0 ~budget:None;
+  let older = Spanner.Client.create cluster ~site:0 in
+  let younger = Spanner.Client.create cluster ~site:0 in
+  let older_done = ref false and younger_done = ref false in
+  let attempts = ref [] in
+  Spanner.Client.rw_kv older ~read_keys:[ 0 ] ~writes:[ (0, 100) ] (fun _ ->
+      older_done := true);
+  Spanner.Client.rw_kv younger ~deadline_us:5_000
+    ~on_attempt:(fun txn -> attempts := txn :: !attempts)
+    ~read_keys:[ 0 ] ~writes:[ (0, 200) ]
+    (fun _ -> younger_done := true);
+  Sim.Engine.run engine;
+  let fs = Spanner.Cluster.flow_stats cluster in
+  check bool "the older RW committed" true !older_done;
+  check bool "the wounded RW never completed" false !younger_done;
+  check int "one attempt" 1 (List.length !attempts);
+  check int "abandoned once" 1 fs.Spanner.Cluster.abandoned;
+  check int "by Flow, not by an expired leg" 0 fs.Spanner.Cluster.expired;
+  let txn = List.hd !attempts in
+  Array.iteri
+    (fun i sh ->
+      let locks = sh.Spanner.Shard.locks in
+      check bool
+        (Printf.sprintf "shard %d: the wounded RW holds nothing" i)
+        false
+        (Spanner.Locks.holds_read locks ~key:0 ~txn
+        || Spanner.Locks.holds_write locks ~key:0 ~txn);
+      check bool
+        (Printf.sprintf "shard %d: no lock held or queued" i)
+        false
+        (Spanner.Locks.any_busy_in locks ~lo:0 ~hi:2))
+    ctx.Spanner.Protocol.shards
+
 let test_with_flow_validates () =
   let env f = ignore Harness.Env.(default |> with_flow (Some f)) in
   Alcotest.check_raises "negative hedge delay"
@@ -535,7 +582,7 @@ let check_armed ~run ~digest () =
   check string "armed digest" digest (armed_digest r)
 
 let test_armed_spanner =
-  check_armed ~run:armed_spanner_run ~digest:"6bf60550b3aa5c9ca9e0372479bbfed6"
+  check_armed ~run:armed_spanner_run ~digest:"ee9027671e0017837c37679cee566ebc"
 
 let test_armed_gryff =
   check_armed ~run:armed_gryff_run ~digest:"1912b35df375fb0836302fa77e750838"
@@ -632,6 +679,8 @@ let suites =
           test_spanner_ro_reissue_asks_flow;
         Alcotest.test_case "spanner terminate outlives the op's expiry" `Quick
           test_spanner_terminate_outlives_expiry;
+        Alcotest.test_case "spanner wounded RW retry past expiry" `Quick
+          test_spanner_wounded_rw_past_expiry;
       ] );
     ( "flow.armed_golden",
       [

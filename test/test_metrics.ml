@@ -63,7 +63,7 @@ let suites =
              ~digest:"5672b27d0ddc7418c5a34dcdaee279d5");
         Alcotest.test_case "spanner single-DC flow-armed run" `Slow
           (pinned ~run:Test_flow.armed_spanner_run ~families:[ "flow." ]
-             ~digest:"5fbad195b86fa6a958095480e75d4881");
+             ~digest:"037359a9e30aa6da92e777a332ea56df");
         Alcotest.test_case "gryff single-DC batched run" `Slow
           (pinned ~run:batched_gryff_run ~families:[ "batch." ]
              ~digest:"004dab644db82e34e9d6d12325270c03");

@@ -4,7 +4,9 @@
    starved work budget degrades to Unknown (or a still-sound verdict),
    never to a wrong one; (3) seeded protocol traces are byte-identical to
    the golden digests captured before the lib/sim hot-path optimisation —
-   and stay identical whichever check mode observes them. *)
+   and stay identical whichever check mode observes them; (4) the judge
+   that runs after the drain gives the verdicts and work counters of
+   checkers fed record by record as the run recorded them. *)
 
 let check = Alcotest.check
 let bool = Alcotest.bool
@@ -620,6 +622,241 @@ let test_online_checking_is_passive () =
     (Invalid_argument "Harness.Env.with_check: work budget must be positive")
     (fun () -> ignore (Harness.Env.with_check (`Budget 0) Harness.Env.default))
 
+(* {1 The post-drain judge}
+
+   Runs are judged after the engine drains, from [Run.records]. The
+   reference here is the judge that ran inside the record hook: one
+   checker fed each Spanner record as it arrived, and for Gryff a table of
+   per-key checkers fed in that same interleaved arrival order, settled in
+   ascending key order. [Run.records] lists records in arrival order, so
+   every checker sees the same subsequence either way, and verdict strings
+   and (added, work, max_displacement) must match exactly. *)
+
+let gryff_witness (r : Gryff.Cluster.record) =
+  let key = string_of_int r.Gryff.Cluster.g_key in
+  let kind = r.Gryff.Cluster.g_kind in
+  {
+    W.proc = r.Gryff.Cluster.g_proc;
+    reads =
+      (if kind = Gryff.Cluster.Write then []
+       else [ (key, r.Gryff.Cluster.g_observed) ]);
+    writes =
+      (match (kind, r.Gryff.Cluster.g_written) with
+      | Gryff.Cluster.Read, _ | _, None -> []
+      | _, Some v -> [ (key, v) ]);
+    inv = r.Gryff.Cluster.g_inv;
+    resp = r.Gryff.Cluster.g_resp;
+    ts = Gryff.Carstamp.pack r.Gryff.Cluster.g_cs;
+    rank = (if kind = Gryff.Cluster.Read then 1 else 0);
+  }
+
+let arrival_judge ?budget ~mode history =
+  let fresh () =
+    match budget with
+    | None -> CO.create ~mode ()
+    | Some n -> CO.create ~work_budget:n ~fallback_states:n ~mode ()
+  in
+  let totals ocs =
+    List.fold_left
+      (fun (a, w, d) oc ->
+        (a + CO.n_added oc, w + CO.work oc, max d (CO.max_displacement oc)))
+      (0, 0, 0) ocs
+  in
+  match history with
+  | Harness.Run.Spanner_txns a ->
+    let oc = fresh () in
+    Array.iter (CO.add oc) a;
+    (CO.result oc, totals [ oc ])
+  | Harness.Run.Gryff_ops a ->
+    let keys = Hashtbl.create 256 in
+    Array.iter
+      (fun (r : Gryff.Cluster.record) ->
+        let k = r.Gryff.Cluster.g_key in
+        let oc =
+          match Hashtbl.find_opt keys k with
+          | Some oc -> oc
+          | None ->
+            let oc = fresh () in
+            Hashtbl.add keys k oc;
+            oc
+        in
+        CO.add oc (gryff_witness r))
+      a;
+    let by_key =
+      List.sort
+        (fun (a, _) (b, _) -> Int.compare a b)
+        (Hashtbl.fold (fun k oc acc -> (k, oc) :: acc) keys [])
+    in
+    let verdict =
+      List.fold_left
+        (fun acc (k, oc) ->
+          match acc with
+          | CO.Fail _ -> acc
+          | CO.Pass | CO.Unknown _ -> (
+            match (CO.result oc, acc) with
+            | CO.Pass, _ | CO.Unknown _, CO.Unknown _ -> acc
+            | CO.Fail m, _ -> CO.Fail (Printf.sprintf "key %d: %s" k m)
+            | CO.Unknown m, _ -> CO.Unknown (Printf.sprintf "key %d: %s" k m)))
+        CO.Pass by_key
+    in
+    (verdict, totals (List.map snd by_key))
+
+let show = function
+  | CO.Pass -> "pass"
+  | CO.Fail m -> "fail: " ^ m
+  | CO.Unknown m -> "unknown: " ^ m
+
+let same_judgement label ?budget ~mode (r : Harness.Run.t) =
+  let v, (added, work, disp) = arrival_judge ?budget ~mode r.Harness.Run.records in
+  check string (label ^ ": verdict") (show v) (show r.Harness.Run.check);
+  let c = Harness.Run.counter r in
+  check int (label ^ ": check.added") added (c "check.added");
+  check int (label ^ ": check.work") work (c "check.work");
+  check int (label ^ ": check.max_displacement") disp (c "check.max_displacement")
+
+let judge_spanner_dc () =
+  Harness.spanner_dc ~mode:Spanner.Config.Rss ~n_shards:3 ~service_time_us:20
+    ~n_clients:12 ~n_keys:200 ~duration_s:1.0 ~seed:21 ()
+
+let judge_gryff_dc () =
+  Harness.gryff_dc
+    ~env:
+      Harness.Env.(
+        default
+        |> with_batching
+             (Some { Sim.Net.batch_us = 50; batch_max = 32; adaptive = false }))
+    ~mode:Gryff.Config.Rsc ~service_time_us:20 ~n_clients:12 ~conflict:0.2
+    ~write_ratio:0.4 ~n_keys:200 ~duration_s:1.0 ~seed:13 ()
+
+let test_judge_fault_free () =
+  let r = judge_spanner_dc () in
+  check bool "spanner-dc passes" true (Harness.Run.passed r);
+  same_judgement "spanner-dc" ~mode:`Rss r;
+  let r = judge_gryff_dc () in
+  check bool "gryff-dc batched passes" true (Harness.Run.passed r);
+  check bool "gryff-dc batched" true (Harness.Run.counter r "batch.envelopes" > 0);
+  same_judgement "gryff-dc batched" ~mode:`Rss r
+
+(* Gryff-WAN under the mixed nemesis. With retransmission every write is
+   eventually acknowledged; without it, lost acknowledgements leave writes
+   that the sweep records after the drain, judged with the rest in the
+   order they were recorded. *)
+let test_judge_chaos_sweeps () =
+  let run ~retrans =
+    let duration_s = 4.0 and seed = 2 in
+    let schedule =
+      Chaos.Nemesis.generate Chaos.Nemesis.Mixed ~n_sites:5
+        ~duration_us:(Sim.Engine.sec duration_s) ~seed ()
+    in
+    Harness.gryff_wan ~n_clients:32
+      ~env:Harness.Env.(default |> with_chaos schedule |> with_failover retrans)
+      ~mode:Gryff.Config.Rsc ~conflict:0.2 ~write_ratio:0.5 ~n_keys:2000
+      ~duration_s ~seed ()
+  in
+  let r = run ~retrans:true in
+  check bool "retransmitted" true (Harness.Run.counter r "failover.rpc_retries" > 0);
+  same_judgement "gryff-wan mixed, retransmission" ~mode:`Rss r;
+  let r = run ~retrans:false in
+  check bool "writes were swept" true
+    (Harness.Run.counter r "op.unacked_commits_swept" > 0);
+  same_judgement "gryff-wan mixed, sweeps" ~mode:`Rss r
+
+(* A starved budget overflows into the suffix fallback on both families,
+   which settles [Unknown]. *)
+let test_judge_budget_overflow () =
+  let budget = 8 in
+  let env = Harness.Env.(with_check (`Budget budget) default) in
+  let unknown label (r : Harness.Run.t) =
+    check bool (label ^ " is unknown") true
+      (match r.Harness.Run.check with CO.Unknown _ -> true | _ -> false)
+  in
+  let r =
+    Harness.spanner_wan ~env ~mode:Spanner.Config.Rss ~theta:0.5 ~n_keys:1000
+      ~arrival_rate_per_sec:10.0 ~duration_s:1.0 ~seed:4 ()
+  in
+  check bool "spanner budget overflowed" true
+    (Harness.Run.counter r "check.work" > budget);
+  unknown "spanner" r;
+  same_judgement "spanner-wan budget" ~budget ~mode:`Rss r;
+  let r =
+    Harness.gryff_wan ~env ~n_clients:8 ~mode:Gryff.Config.Rsc ~conflict:0.9
+      ~write_ratio:0.5 ~n_keys:4 ~duration_s:1.0 ~seed:4 ()
+  in
+  unknown "gryff" r;
+  same_judgement "gryff-wan budget" ~budget ~mode:`Rss r
+
+let test_judge_stale_controls () =
+  let control label protocol r reference =
+    match (Harness.stale_control protocol r, reference) with
+    | Some (CO.Fail m), Some (CO.Fail m') ->
+      check string (label ^ ": same failure") m' m
+    | got, _ ->
+      Alcotest.failf "%s: control not caught: %s" label
+        (match got with Some v -> show v | None -> "no eligible read")
+  in
+  let r = judge_spanner_dc () in
+  (match r.Harness.Run.records with
+  | Harness.Run.Spanner_txns a ->
+    control "spanner" Chaos.Audit.Spanner_rss r
+      (Chaos.Audit.spanner_stale_control
+         ~check:(fun a -> fst (arrival_judge ~mode:`Rss (Harness.Run.Spanner_txns a)))
+         a)
+  | Harness.Run.Gryff_ops _ -> assert false);
+  let r = judge_gryff_dc () in
+  match r.Harness.Run.records with
+  | Harness.Run.Gryff_ops a ->
+    control "gryff" Chaos.Audit.Gryff_rsc r
+      (Chaos.Audit.gryff_stale_control
+         ~check:(fun a -> fst (arrival_judge ~mode:`Rss (Harness.Run.Gryff_ops a)))
+         a)
+  | Harness.Run.Spanner_txns _ -> assert false
+
+(* Keys need be neither dense nor non-negative: spread them by an
+   order-preserving map into negative and sparse ints, then corrupt one
+   completed read on each of two keys. The [Fail] names the smaller. *)
+let test_judge_smallest_failing_key () =
+  let a =
+    match (judge_gryff_dc ()).Harness.Run.records with
+    | Harness.Run.Gryff_ops a ->
+      Array.map
+        (fun (r : Gryff.Cluster.record) ->
+          { r with Gryff.Cluster.g_key = (7919 * r.Gryff.Cluster.g_key) - 500_000 })
+        a
+    | Harness.Run.Spanner_txns _ -> assert false
+  in
+  let judge a = Harness.judge ~budget:None ~mode:`Rss (Harness.Run.Gryff_ops a) in
+  let v, counters = judge a in
+  check string "remapped keys pass" "pass" (show v);
+  let v', counters' = arrival_judge ~mode:`Rss (Harness.Run.Gryff_ops a) in
+  check string "reference agrees" (show v') (show v);
+  check bool "same counters" true (counters = counters');
+  let readable (r : Gryff.Cluster.record) =
+    r.Gryff.Cluster.g_kind = Gryff.Cluster.Read && r.Gryff.Cluster.g_resp <> max_int
+  in
+  let keys =
+    Array.to_list a |> List.filter readable
+    |> List.map (fun (r : Gryff.Cluster.record) -> r.Gryff.Cluster.g_key)
+    |> List.sort_uniq Int.compare
+  in
+  let lo = List.nth keys 1 and hi = List.nth keys (List.length keys - 2) in
+  check bool "a negative key is corrupted" true (lo < 0);
+  let bad = Array.copy a in
+  let corrupt key =
+    let i = ref 0 in
+    while not (readable bad.(!i) && bad.(!i).Gryff.Cluster.g_key = key) do incr i done;
+    bad.(!i) <- { bad.(!i) with Gryff.Cluster.g_observed = Some (-1) }
+  in
+  (* The larger key first, so arrival order alone would name it. *)
+  corrupt hi;
+  corrupt lo;
+  match judge bad with
+  | CO.Fail m, _ ->
+    check bool
+      (Printf.sprintf "names key %d: %s" lo m)
+      true
+      (String.starts_with ~prefix:(Printf.sprintf "key %d: " lo) m)
+  | v, _ -> Alcotest.failf "corrupted history not caught: %s" (show v)
+
 let suites =
   [
     ( "scale.online",
@@ -643,6 +880,19 @@ let suites =
           test_in_order_feed_is_linear;
         Alcotest.test_case "online checking is passive" `Quick
           test_online_checking_is_passive;
+      ] );
+    ( "scale.judge",
+      [
+        Alcotest.test_case "matches arrival order, fault-free" `Quick
+          test_judge_fault_free;
+        Alcotest.test_case "matches arrival order with sweeps" `Quick
+          test_judge_chaos_sweeps;
+        Alcotest.test_case "matches arrival order over budget" `Quick
+          test_judge_budget_overflow;
+        Alcotest.test_case "stale controls fail alike" `Quick
+          test_judge_stale_controls;
+        Alcotest.test_case "fail names the smallest key" `Quick
+          test_judge_smallest_failing_key;
       ] );
     ( "scale.golden",
       [
