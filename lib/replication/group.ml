@@ -52,6 +52,7 @@ type 'a t = {
   majority : int;
   pending : (int, pending) Hashtbl.t;  (* by log index, current view only *)
   heard : int array;  (* leader-side lease: last ack/pong per member *)
+  acked_through : int array;  (* highest index each member acked, this view *)
   mutable view : int;  (* routing view: the last *activated* leadership *)
   mutable leader_idx : int;
   mutable serve_after : int;
@@ -108,6 +109,7 @@ let create net ?station ~leader_site ~replica_sites () =
     majority = (n / 2) + 1;
     pending = Hashtbl.create 64;
     heard = Array.make n 0;
+    acked_through = Array.make n (-1);
     view = 0;
     leader_idx = 0;
     serve_after = 0;
@@ -272,6 +274,8 @@ let send_ack t (m : 'a member) ~to_m ~view ~idx =
           || (to_m.m_status = Normal && view = to_m.m_view)
         then begin
           t.heard.(m.m_idx) <- now t;
+          if view = t.view && idx > t.acked_through.(m.m_idx) then
+            t.acked_through.(m.m_idx) <- idx;
           match Hashtbl.find_opt t.pending idx with
           | Some pd when pd.pd_view = view ->
             if pd.pd_acked.(m.m_idx) then t.n_dup_acks <- t.n_dup_acks + 1
@@ -399,6 +403,24 @@ let replicate t ?(bytes = 128) payload k =
       t.members
   end
 
+(* A follower that receives entries by state transfer never acks them, so
+   a proposal whose appends every follower missed waits forever although a
+   majority now holds it. A follower's log has no gaps, so its ack of index
+   i in this view shows that it holds every entry up to i. *)
+let fire_held t idx =
+  match Hashtbl.find_opt t.pending idx with
+  | Some pd when pd.pd_view = t.view ->
+    let holders = ref 0 in
+    Array.iteri
+      (fun i a -> if i = t.leader_idx || a >= idx then incr holders)
+      t.acked_through;
+    if !holders >= t.majority then begin
+      pd.pd_fired <- true;
+      Hashtbl.remove t.pending idx;
+      pd.pd_k ()
+    end
+  | Some _ | None -> ()
+
 (* ------------------------------------------------------------------ *)
 (* View changes (failover mode)                                        *)
 (* ------------------------------------------------------------------ *)
@@ -411,6 +433,7 @@ let maybe_activate t (m : 'a member) cfg =
     t.serve_after <- now t + cfg.grace_us;
     Array.fill t.heard 0 t.n (now t);
     Hashtbl.reset t.pending;  (* older-view proposals never commit *)
+    Array.fill t.acked_through 0 t.n (-1);
     t.n_view_changes <- t.n_view_changes + 1;
     if t.vc_detect_at >= 0 then begin
       let d = now t - t.vc_detect_at in

@@ -1,19 +1,30 @@
 type prof_cell = { mutable p_events : int; mutable p_wall : float }
 
 (* The event queue is an implicit 4-ary min-heap over (time, prio, seq),
-   stored as five parallel flat arrays rather than an array of boxed event
+   stored as four parallel int arrays rather than an array of boxed event
    records. This is the simulator's hottest path — every message delivery
-   is one push and one pop — and the flat layout makes both allocation-free
-   in the steady state: pushes write into preallocated slots, pops compare
-   unboxed ints, and no option or record is built per event. Four children
-   per node halve the heap's depth against a binary heap, and both sifts
-   move a hole rather than swapping: the moving event waits in locals, each
-   level costs one read and one write per array (so one [caml_modify] on
-   each boxed array), and the event is written once, at its final slot.
+   is one push and one pop — so the heap moves only unboxed ints: each
+   entry's fourth int is a slot in a pool that holds the event's closure
+   and kind (two arrays indexed by slot, plus a stack of free slots). A
+   push writes the closure and kind once, at a free slot, and a pop takes
+   the closure from the root's slot and returns the slot to the stack;
+   neither sift ever writes a boxed array, so no level pays a
+   [caml_modify]. Four children per node halve the heap's depth against a
+   binary heap, and both sifts move a hole rather than swapping: the moving
+   entry waits in locals, each level costs one read and one write per
+   array, and the entry is written once, at its final place.
+
+   Slots in use always equal [len], so the free stack holds exactly
+   [capacity - len] slots and is empty exactly when the heap is full: then
+   [grow] doubles the heap and the pool together and stacks the new slots.
+   A popped slot's closure is reset to [no_op], so the queue never keeps a
+   dead closure (or its environment) alive. Kinds are string literals; a
+   slot's kind is written only when it differs physically from the one
+   already there, is not cleared on pop, and is read only by profiling.
 
    Pop order is fixed by the key alone: seq is unique, so (time, prio, seq)
    is a strict total order and every correct priority queue pops the same
-   sequence. *)
+   sequence. Which slot an event lands in never affects the order. *)
 type t = {
   mutable clock : int;
   mutable next_seq : int;
@@ -21,9 +32,14 @@ type t = {
   mutable ev_time : int array;
   mutable ev_prio : int array;
   mutable ev_seq : int array;
-  mutable ev_kind : string array;
-  mutable ev_action : (unit -> unit) array;
+  mutable ev_slot : int array;
   mutable len : int;
+  (* The slot pool: [slot_action.(s)] and [slot_kind.(s)] belong to the
+     queued event whose [ev_slot] is [s]. [free.(0 .. capacity - len - 1)]
+     is the stack of unused slots, its top at the highest index. *)
+  mutable slot_action : (unit -> unit) array;
+  mutable slot_kind : string array;
+  mutable free : int array;
   (* Tie-break perturbation hook for schedule exploration: when set, each
      scheduled event asks the callback for a priority keyed on its [kind];
      ordering becomes (time, prio, seq). When unset every event gets
@@ -42,7 +58,15 @@ type t = {
 
 let no_op () = ()
 
+(* Free slots [lo .. hi - 1], stacked so that the lowest is taken first. *)
+let stack_slots free ~lo ~hi =
+  for i = 0 to hi - lo - 1 do
+    free.(i) <- hi - 1 - i
+  done
+
 let create () =
+  let free = Array.make 16 0 in
+  stack_slots free ~lo:0 ~hi:16;
   {
     clock = 0;
     next_seq = 0;
@@ -50,9 +74,11 @@ let create () =
     ev_time = Array.make 16 0;
     ev_prio = Array.make 16 0;
     ev_seq = Array.make 16 0;
-    ev_kind = Array.make 16 "";
-    ev_action = Array.make 16 no_op;
+    ev_slot = Array.make 16 0;
     len = 0;
+    slot_action = Array.make 16 no_op;
+    slot_kind = Array.make 16 "";
+    free;
     tie_perturb = None;
     profiling = false;
     sample_every = 1024;
@@ -62,26 +88,25 @@ let create () =
 
 let now t = t.clock
 
+(* Called only when the free stack is empty, that is, when every slot and
+   every heap place is in use. *)
 let grow t =
-  let cap = Array.length t.ev_time in
-  if t.len = cap then begin
-    let ncap = cap * 2 in
-    let time = Array.make ncap 0
-    and prio = Array.make ncap 0
-    and seq = Array.make ncap 0
-    and kind = Array.make ncap ""
-    and action = Array.make ncap no_op in
-    Array.blit t.ev_time 0 time 0 t.len;
-    Array.blit t.ev_prio 0 prio 0 t.len;
-    Array.blit t.ev_seq 0 seq 0 t.len;
-    Array.blit t.ev_kind 0 kind 0 t.len;
-    Array.blit t.ev_action 0 action 0 t.len;
-    t.ev_time <- time;
-    t.ev_prio <- prio;
-    t.ev_seq <- seq;
-    t.ev_kind <- kind;
-    t.ev_action <- action
-  end
+  let cap = t.len in
+  let ncap = cap * 2 in
+  let extend a fill =
+    let b = Array.make ncap fill in
+    Array.blit a 0 b 0 cap;
+    b
+  in
+  t.ev_time <- extend t.ev_time 0;
+  t.ev_prio <- extend t.ev_prio 0;
+  t.ev_seq <- extend t.ev_seq 0;
+  t.ev_slot <- extend t.ev_slot 0;
+  t.slot_action <- extend t.slot_action no_op;
+  t.slot_kind <- extend t.slot_kind "";
+  let free = Array.make ncap 0 in
+  stack_slots free ~lo:cap ~hi:ncap;
+  t.free <- free
 
 (* (time, prio, seq) lexicographic on unboxed keys — prio is 0 for every
    event unless a tie-break perturbation hook is installed, in which case it
@@ -90,17 +115,21 @@ let grow t =
 let[@inline] before (t1 : int) (p1 : int) (s1 : int) t2 p2 s2 =
   t1 < t2 || (t1 = t2 && (p1 < p2 || (p1 = p2 && s1 < s2)))
 
-(* Push: the new event is held in locals while a hole climbs from the free
-   slot past every parent it precedes; each parent moves down one level,
-   and the event is written once, at its final slot. *)
+(* Push: the closure and kind go to a free slot; then the new entry is held
+   in locals while a hole climbs from the first free heap place past every
+   parent it precedes; each parent moves down one level, and the entry is
+   written once, at its final place. *)
 let schedule_at ?(kind = "other") t ~at action =
   let time = if at < t.clock then t.clock else at in
-  grow t;
+  if t.len = Array.length t.free then grow t;
+  let slot = t.free.(Array.length t.free - t.len - 1) in
+  t.slot_action.(slot) <- action;
+  if t.slot_kind.(slot) != kind then t.slot_kind.(slot) <- kind;
   let prio = match t.tie_perturb with None -> 0 | Some f -> f kind in
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
   let times = t.ev_time and prios = t.ev_prio and seqs = t.ev_seq in
-  let kinds = t.ev_kind and actions = t.ev_action in
+  let slots = t.ev_slot in
   let hole = ref t.len in
   t.len <- t.len + 1;
   let climbing = ref true in
@@ -111,8 +140,7 @@ let schedule_at ?(kind = "other") t ~at action =
       times.(i) <- times.(p);
       prios.(i) <- prios.(p);
       seqs.(i) <- seqs.(p);
-      kinds.(i) <- kinds.(p);
-      actions.(i) <- actions.(p);
+      slots.(i) <- slots.(p);
       hole := p
     end
     else climbing := false
@@ -121,8 +149,7 @@ let schedule_at ?(kind = "other") t ~at action =
   times.(i) <- time;
   prios.(i) <- prio;
   seqs.(i) <- seq;
-  kinds.(i) <- kind;
-  actions.(i) <- action
+  slots.(i) <- slot
 
 let schedule ?kind t ~after action =
   let after = if after < 0 then 0 else after in
@@ -150,20 +177,19 @@ let profile t =
 
 let queue_depths t = t.depths
 
-(* Remove the root. The last event leaves its slot, which is cleared so the
-   queue never keeps a dead closure (or its environment) alive past
-   execution, and fills the hole the root leaves: the hole sinks through
-   the smallest child of each group of four while that child precedes the
-   event, and the event is written once, where the hole stops. *)
-let remove_root t =
+(* Remove the root, whose slot the caller has emptied and which goes back
+   on the free stack. The last entry leaves its place and fills the hole
+   the root leaves: the hole sinks through the smallest child of each group
+   of four while that child precedes the entry, and the entry is written
+   once, where the hole stops. *)
+let remove_root t root_slot =
   let last = t.len - 1 in
   t.len <- last;
+  t.free.(Array.length t.free - last - 1) <- root_slot;
   let times = t.ev_time and prios = t.ev_prio and seqs = t.ev_seq in
-  let kinds = t.ev_kind and actions = t.ev_action in
+  let slots = t.ev_slot in
   let time = times.(last) and prio = prios.(last) and seq = seqs.(last) in
-  let kind = kinds.(last) and action = actions.(last) in
-  kinds.(last) <- "";
-  actions.(last) <- no_op;
+  let slot = slots.(last) in
   if last > 0 then begin
     let hole = ref 0 and sinking = ref true in
     while !sinking do
@@ -191,8 +217,7 @@ let remove_root t =
           times.(i) <- !ct;
           prios.(i) <- !cp;
           seqs.(i) <- !cs;
-          kinds.(i) <- kinds.(c);
-          actions.(i) <- actions.(c);
+          slots.(i) <- slots.(c);
           hole := c
         end
         else sinking := false
@@ -202,20 +227,21 @@ let remove_root t =
     times.(i) <- time;
     prios.(i) <- prio;
     seqs.(i) <- seq;
-    kinds.(i) <- kind;
-    actions.(i) <- action
+    slots.(i) <- slot
   end
 
 let step t =
   if t.len = 0 then false
   else begin
-    let time = t.ev_time.(0) in
-    let kind = t.ev_kind.(0) in
-    let action = t.ev_action.(0) in
-    remove_root t;
+    let time = t.ev_time.(0) and slot = t.ev_slot.(0) in
+    let action = t.slot_action.(slot) in
+    t.slot_action.(slot) <- no_op;
+    remove_root t slot;
     t.clock <- time;
     t.n_executed <- t.n_executed + 1;
     if t.profiling then begin
+      (* Read before the action runs: a push inside it may reuse the slot. *)
+      let kind = t.slot_kind.(slot) in
       if t.n_executed mod t.sample_every = 0 then
         Stats.Recorder.add t.depths t.len;
       let t0 = Sys.time () in

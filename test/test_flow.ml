@@ -13,7 +13,8 @@
    NACK re-offer, Rpc timeout re-attempt and failover RO re-issue alike,
    and a Gryff leg's sends are capped across all of them; (8) Spanner's
    terminate, an outcome query rather than a re-offer, keeps asking past
-   the op's expiry; (9) a wounded RW whose backoff would start past its
+   the op's expiry, and one that runs out of attempts abandons the op
+   without releasing its prepared writes; (9) a wounded RW whose backoff would start past its
    expiry is abandoned by Flow, with its locks released. *)
 
 let check = Alcotest.check
@@ -354,6 +355,69 @@ let test_spanner_terminate_outlives_expiry () =
            (Spanner.Shard.read_version_at sh ~key:k ~ts:max_int)))
     ctx.Spanner.Protocol.shards
 
+(* A terminate that runs out of its attempts has learned nothing: the
+   coordinator may still commit. Here every link out of the coordinator's
+   site stalls for 40 s once the first attempt has prepared, so all 15
+   terminate attempts (about 26 s) go unanswered; the commit record becomes
+   durable only after that, and its outcome reaches the participants later
+   still. The client abandons the op without releasing anything, so every
+   participant keeps its prepared writes and applies the commit. *)
+let test_spanner_exhausted_terminate_keeps_prepares () =
+  let engine = Sim.Engine.create () in
+  let config = Spanner.Config.wan3 ~mode:Spanner.Config.Rss () in
+  let cluster = Spanner.Cluster.create engine ~rng:(Sim.Rng.make 9) config in
+  (* A lease above the whole stall keeps shard 1's leader in place, so no
+     election presumes the unlogged commit aborted. *)
+  Spanner.Cluster.enable_failover cluster ~rng:(Sim.Rng.make 10)
+    ~config:
+      { Replication.Group.default_failover with lease_us = Sim.Engine.sec 500.0 }
+    ~until_us:(Sim.Engine.sec 3.0) ();
+  let ctx = Spanner.Cluster.ctx cluster in
+  let net = Spanner.Cluster.net cluster in
+  let client = Spanner.Client.create cluster ~site:0 in
+  let first = ref None and attempts = ref 0 and completed = ref false in
+  Spanner.Client.rw_kv client ~deadline_us:400_000
+    ~on_attempt:(fun txn ->
+      incr attempts;
+      if !first = None then first := Some txn)
+    ~read_keys:[] ~writes:[ (0, 100); (1, 101); (2, 102) ]
+    (fun _ -> completed := true);
+  Sim.Engine.schedule engine ~after:150_000 (fun () ->
+      List.iter
+        (fun dst -> Sim.Net.set_extra_delay net ~src:1 ~dst 40_000_000)
+        [ 0; 2 ]);
+  Sim.Engine.run ~until:(Sim.Engine.sec 200.0) engine;
+  let txn = Option.get !first in
+  Array.iteri
+    (fun k sh ->
+      check bool
+        (Printf.sprintf "shard %d committed the transaction" k)
+        true
+        (match Spanner.Shard.decided sh txn with
+        | Some (Spanner.Types.Committed _, _) -> true
+        | Some (Spanner.Types.Aborted, _) | None -> false);
+      check (Alcotest.option int)
+        (Printf.sprintf "shard %d applied its write" k)
+        (Some (100 + k))
+        (Option.map
+           (fun (v : Spanner.Types.version) ->
+             if v.Spanner.Types.writer = txn then v.Spanner.Types.value else -1)
+           (Spanner.Shard.read_version_at sh ~key:k ~ts:max_int)))
+    ctx.Spanner.Protocol.shards;
+  check int "terminate ran out of attempts" 1
+    (match ctx.Spanner.Protocol.rpc with
+    | Some rpc -> Sim.Rpc.exhausted rpc
+    | None -> 0);
+  check int "it learned nothing" 0 ctx.Spanner.Protocol.n_terminate_commits;
+  check bool "the op was abandoned, not acknowledged" false !completed;
+  check int "and not re-issued" 1 !attempts;
+  check int "one abandonment" 1
+    (Spanner.Cluster.flow_stats cluster).Spanner.Cluster.abandoned;
+  check bool "the transaction committed" true
+    (match Spanner.Cluster.txn_outcome cluster txn with
+    | Some (Spanner.Types.Committed _) -> true
+    | Some Spanner.Types.Aborted | None -> false)
+
 (* A wound-wait abort retries after a backoff of at least 10 ms, so with
    expiry drops armed and 5 ms to live, the younger of two RWs on one key
    is wounded and Flow refuses its retry: one abandonment, no second
@@ -679,6 +743,8 @@ let suites =
           test_spanner_ro_reissue_asks_flow;
         Alcotest.test_case "spanner terminate outlives the op's expiry" `Quick
           test_spanner_terminate_outlives_expiry;
+        Alcotest.test_case "spanner exhausted terminate keeps prepares" `Quick
+          test_spanner_exhausted_terminate_keeps_prepares;
         Alcotest.test_case "spanner wounded RW retry past expiry" `Quick
           test_spanner_wounded_rw_past_expiry;
       ] );

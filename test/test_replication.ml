@@ -158,6 +158,40 @@ let test_catchup_after_recovery () =
   check bool "recovered follower caught up by state transfer" true
     ((Replication.Group.stats g).Replication.Group.catchups >= 1)
 
+let test_fire_held_after_state_transfer () =
+  (* Both followers sleep through an append, then catch up by state
+     transfer, which acks nothing: the entry's callback waits although a
+     majority holds it. [fire_held] leaves it waiting until a follower's ack
+     of a later entry shows that it holds it, then fires it. *)
+  let engine, net = mk_net () in
+  let g = Replication.Group.create net ~leader_site:0 ~replica_sites:[ 1; 2 ] () in
+  Replication.Group.enable_failover g ~until_us:(Sim.Engine.sec 10.0) ();
+  let fired = ref [] in
+  let propose i = Replication.Group.replicate g i (fun () -> fired := i :: !fired) in
+  Sim.Engine.schedule engine ~after:100_000 (fun () ->
+      Sim.Net.set_down net 1;
+      Sim.Net.set_down net 2);
+  Sim.Engine.schedule engine ~after:200_000 (fun () -> propose 1);
+  Sim.Engine.schedule engine ~after:300_000 (fun () ->
+      Sim.Net.set_up net 1;
+      Sim.Net.set_up net 2);
+  let caught_up = ref (-1) and early = ref [ -1 ] and before = ref [ -1 ] in
+  Sim.Engine.schedule engine ~after:1_500_000 (fun () ->
+      caught_up := (Replication.Group.stats g).Replication.Group.catchups;
+      Replication.Group.fire_held g 0;
+      early := !fired);
+  Sim.Engine.schedule engine ~after:2_000_000 (fun () -> propose 2);
+  Sim.Engine.schedule engine ~after:3_000_000 (fun () ->
+      before := !fired;
+      Replication.Group.fire_held g 0);
+  Sim.Engine.run engine;
+  check int "view stable" 0 (Replication.Group.view g);
+  check int "both followers caught up by state transfer" 2 !caught_up;
+  check (Alcotest.list int) "no ack yet: still waiting" [] !early;
+  check (Alcotest.list int) "only the later entry was acked" [ 2 ] !before;
+  check (Alcotest.list int) "fire_held fired the earlier one" [ 1; 2 ]
+    (List.sort compare !fired)
+
 let test_failover_deterministic () =
   (* Same crash schedule, same seed: the election must land on the same
      view, leader, and timing — failover timers draw from a dedicated
@@ -244,6 +278,8 @@ let suites =
           test_view_change_on_leader_crash;
         Alcotest.test_case "catch-up after recovery" `Quick
           test_catchup_after_recovery;
+        Alcotest.test_case "fire_held after state transfer" `Quick
+          test_fire_held_after_state_transfer;
         Alcotest.test_case "seeded determinism" `Quick test_failover_deterministic;
       ] );
     ( "photoapp.mqueue",

@@ -261,6 +261,77 @@ let test_engine_partial_child_groups () =
       check bool (Printf.sprintf "size %d" n) true (got = want))
     sizes
 
+let test_engine_slot_reuse_across_growth () =
+  (* Push n, pop n/2, push 3n: the pool doubles (and doubles again) while
+     half its slots are recycled ones, so new and reused slots mix in one
+     heap. Every closure runs exactly once, in reference order. *)
+  let rng = Sim.Rng.make 13 in
+  List.iter
+    (fun n ->
+      List.iter
+        (fun prios ->
+          let push () =
+            Push
+              { off = Sim.Rng.int rng 8; kind = Sim.Rng.int rng 4; children = [] }
+          in
+          let ops =
+            List.init n (fun _ -> push ())
+            @ List.init (n / 2) (fun _ -> Step)
+            @ List.init (3 * n) (fun _ -> push ())
+          in
+          let ((log, _, executed) as got) = engine_log ~prios ops in
+          let ids = List.sort compare (List.map fst log) in
+          let label = Printf.sprintf "n=%d prios=%b" n (prios <> None) in
+          check (Alcotest.list int) (label ^ ": each once") (List.init (4 * n) Fun.id)
+            ids;
+          check int (label ^ ": executed") (4 * n) executed;
+          check bool (label ^ ": reference order") true
+            (got = reference_log ~prios ops))
+        [ None; Some [| 1; -2; 0; 2 |] ])
+    [ 8; 16; 17; 33; 100; 1000 ]
+
+let test_engine_profile_counts () =
+  (* Kinds live in the slot pool beside the closures. The profile counts
+     every event under the kind it was scheduled with: events queued before
+     profiling was enabled, events pushed while the pool grows, and events
+     an action pushes into the slot it has just vacated. *)
+  let rng = Sim.Rng.make 11 in
+  let e = Sim.Engine.create () in
+  let kinds = Array.append kind_names [| "other" |] in
+  let scheduled = Array.make (Array.length kinds) 0 in
+  let rec push spec =
+    let k = if Sim.Rng.int rng 5 = 0 then 4 else spec.kind in
+    scheduled.(k) <- scheduled.(k) + 1;
+    let action () = List.iter push spec.children in
+    if k = 4 then Sim.Engine.schedule e ~after:(max 0 spec.off) action
+    else Sim.Engine.schedule e ~kind:kinds.(k) ~after:(max 0 spec.off) action
+  in
+  for _ = 1 to 24 do
+    push (random_spec rng 2)
+  done;
+  Sim.Engine.enable_profiling ~sample_queue_every:1 e;
+  for _ = 1 to 100 do
+    push (random_spec rng 2)
+  done;
+  check bool "the pool grew past 64 slots" true (Sim.Engine.pending e > 64);
+  for _ = 1 to 50 do
+    ignore (Sim.Engine.step e);
+    push (random_spec rng 1)
+  done;
+  Sim.Engine.run e;
+  let want =
+    List.filter_map
+      (fun k -> if scheduled.(k) > 0 then Some (kinds.(k), scheduled.(k)) else None)
+      (List.init (Array.length kinds) Fun.id)
+  in
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.string int))
+    "events per kind"
+    want
+    (List.map (fun (k, n, _) -> (k, n)) (Sim.Engine.profile e));
+  check int "every event profiled" (Sim.Engine.executed e)
+    (Array.fold_left ( + ) 0 scheduled)
+
 (* Never inlined, so no frame of the test holds the payload. *)
 let[@inline never] schedule_payload e w i ~at =
   let payload = Bytes.create 16 in
@@ -644,6 +715,10 @@ let suites =
         qt prop_engine_reference_order;
         Alcotest.test_case "partial child groups" `Quick
           test_engine_partial_child_groups;
+        Alcotest.test_case "slot reuse across growth" `Quick
+          test_engine_slot_reuse_across_growth;
+        Alcotest.test_case "profile counts per kind" `Quick
+          test_engine_profile_counts;
         Alcotest.test_case "popped closures unreachable" `Quick
           test_engine_drops_popped_closures;
         Alcotest.test_case "push and pop allocate nothing" `Quick
