@@ -12,7 +12,16 @@ let default_failover =
      slow pong as a dead leader. *)
   { heartbeat_us = 50_000; lease_us = 400_000; grace_us = 200_000 }
 
-type 'a entry = { e_view : int; e_payload : 'a; e_bytes : int }
+(* [e_id] is unique across the group's lifetime: a leader that loses a torn
+   tail inside its view reuses log indices, so (view, index) does not name
+   an entry, and an ack or install point must say which entry it means. *)
+type 'a entry = { e_view : int; e_id : int; e_payload : 'a; e_bytes : int }
+
+(* The last log a member installed wholesale (StartView or catch-up): the
+   view it was installed in, and the index and id of its last entry. *)
+type install = { i_view : int; i_idx : int; i_id : int }
+
+let no_install = { i_view = -1; i_idx = -1; i_id = -1 }
 
 type 'a member = {
   m_idx : int;
@@ -33,10 +42,11 @@ type 'a member = {
       (* mid-log corruption below the durable commit index: refuse to serve,
          ack, or answer catch-ups until a peer state transfer repairs us *)
   mutable m_repair_span : Obs.Trace.span;
+  mutable m_installed : install;
 }
 
 type pending = {
-  pd_view : int;
+  pd_id : int;  (* the proposed entry's [e_id] *)
   pd_acked : bool array;  (* per member — the (entry, replica) dedup *)
   mutable pd_acks : int;
   mutable pd_fired : bool;
@@ -52,8 +62,8 @@ type 'a t = {
   majority : int;
   pending : (int, pending) Hashtbl.t;  (* by log index, current view only *)
   heard : int array;  (* leader-side lease: last ack/pong per member *)
-  acked_through : int array;  (* highest index each member acked, this view *)
   mutable view : int;  (* routing view: the last *activated* leadership *)
+  mutable next_id : int;  (* next [e_id] *)
   mutable leader_idx : int;
   mutable serve_after : int;
   mutable cfg : failover_config option;
@@ -97,6 +107,7 @@ let create net ?station ~leader_site ~replica_sites () =
           m_was_down = false;
           m_quarantined = false;
           m_repair_span = Obs.Trace.none;
+          m_installed = no_install;
         })
       sites
   in
@@ -109,8 +120,8 @@ let create net ?station ~leader_site ~replica_sites () =
     majority = (n / 2) + 1;
     pending = Hashtbl.create 64;
     heard = Array.make n 0;
-    acked_through = Array.make n (-1);
     view = 0;
+    next_id = 0;
     leader_idx = 0;
     serve_after = 0;
     cfg = None;
@@ -235,6 +246,15 @@ let verify_storage t (m : 'a member) =
 let install_log t (m : 'a member) entries =
   Sim.Durable.replace m.m_log entries;
   Hashtbl.reset m.m_stash;
+  (let n = Sim.Durable.length m.m_log in
+   m.m_installed <-
+     (if n = 0 then no_install
+      else
+        {
+          i_view = m.m_view;
+          i_idx = n - 1;
+          i_id = (Sim.Durable.get m.m_log (n - 1)).e_id;
+        }));
   if m.m_quarantined then
     if List.length entries >= commit_count m then begin
       m.m_quarantined <- false;
@@ -264,7 +284,18 @@ let dvc_entries t (m : 'a member) =
 (* Replication (both modes)                                            *)
 (* ------------------------------------------------------------------ *)
 
-let send_ack t (m : 'a member) ~to_m ~view ~idx =
+(* Count member [from] as holding the pending entry at [idx]; the
+   proposal's callback fires with the majority. *)
+let credit t ~from idx pd =
+  pd.pd_acked.(from) <- true;
+  pd.pd_acks <- pd.pd_acks + 1;
+  if (not pd.pd_fired) && pd.pd_acks >= t.majority - 1 then begin
+    pd.pd_fired <- true;
+    Hashtbl.remove t.pending idx;
+    pd.pd_k ()
+  end
+
+let send_ack t (m : 'a member) ~to_m ~view ~idx ~id =
   mpost t ~src:m ~bytes:16 to_m (fun env_idx ->
       let process () =
         (* Acks for an entry are deduplicated per replica: Net duplication
@@ -274,20 +305,10 @@ let send_ack t (m : 'a member) ~to_m ~view ~idx =
           || (to_m.m_status = Normal && view = to_m.m_view)
         then begin
           t.heard.(m.m_idx) <- now t;
-          if view = t.view && idx > t.acked_through.(m.m_idx) then
-            t.acked_through.(m.m_idx) <- idx;
           match Hashtbl.find_opt t.pending idx with
-          | Some pd when pd.pd_view = view ->
+          | Some pd when pd.pd_id = id ->
             if pd.pd_acked.(m.m_idx) then t.n_dup_acks <- t.n_dup_acks + 1
-            else begin
-              pd.pd_acked.(m.m_idx) <- true;
-              pd.pd_acks <- pd.pd_acks + 1;
-              if (not pd.pd_fired) && pd.pd_acks >= t.majority - 1 then begin
-                pd.pd_fired <- true;
-                Hashtbl.remove t.pending idx;
-                pd.pd_k ()
-              end
-            end
+            else credit t ~from:m.m_idx idx pd
           | Some _ | None -> ()
         end
       in
@@ -331,13 +352,20 @@ and recv_catchup_rep t (m : 'a member) ~view ~entries =
     t.n_catchups <- t.n_catchups + 1
   end
 
+(* Append at the end of a follower's log. Landing at or below the install
+   point means the log was cut below it since (a torn tail, a dropped
+   suffix), so the install no longer vouches for the prefix. *)
+let follow (m : 'a member) e =
+  let idx = Sim.Durable.append m.m_log ~bytes:e.e_bytes e in
+  if idx <= m.m_installed.i_idx then m.m_installed <- no_install
+
 let recv_append t (m : 'a member) ~from ~idx ~entry =
   match t.cfg with
   | None ->
     (* Failure-free mode: append blindly (indices are cosmetic) and ack —
        the pre-view-change behavior, byte for byte. *)
     ignore (Sim.Durable.append m.m_log ~bytes:entry.e_bytes entry);
-    send_ack t m ~to_m:from ~view:entry.e_view ~idx
+    send_ack t m ~to_m:from ~view:entry.e_view ~idx ~id:entry.e_id
   | Some _ ->
     (* A quarantined member must not ack: its ack claims a prefix it does
        not intactly hold. The periodic tick keeps requesting repair. *)
@@ -349,18 +377,23 @@ let recv_append t (m : 'a member) ~from ~idx ~entry =
     else begin
       m.m_last_heard <- now t;
       let len = Sim.Durable.length m.m_log in
-      if idx < len then send_ack t m ~to_m:from ~view:entry.e_view ~idx
+      if idx < len then
+        (* A re-ack names the entry this member holds at [idx]: after the
+           leader lost a torn tail and reused the index, it is not the
+           proposal's. *)
+        send_ack t m ~to_m:from ~view:entry.e_view ~idx
+          ~id:(Sim.Durable.get m.m_log idx).e_id
       else if idx = len then begin
-        ignore (Sim.Durable.append m.m_log ~bytes:entry.e_bytes entry);
-        send_ack t m ~to_m:from ~view:entry.e_view ~idx;
+        follow m entry;
+        send_ack t m ~to_m:from ~view:entry.e_view ~idx ~id:entry.e_id;
         (* Drain any reordered successors that were stashed. *)
         let rec drain () =
           let len = Sim.Durable.length m.m_log in
           match Hashtbl.find_opt m.m_stash len with
           | Some e ->
             Hashtbl.remove m.m_stash len;
-            ignore (Sim.Durable.append m.m_log ~bytes:e.e_bytes e);
-            send_ack t m ~to_m:from ~view:e.e_view ~idx:len;
+            follow m e;
+            send_ack t m ~to_m:from ~view:e.e_view ~idx:len ~id:e.e_id;
             drain ()
           | None -> ()
         in
@@ -374,7 +407,10 @@ let recv_append t (m : 'a member) ~from ~idx ~entry =
 
 let replicate t ?(bytes = 128) payload k =
   let lm = t.members.(t.leader_idx) in
-  let entry = { e_view = t.view; e_payload = payload; e_bytes = bytes } in
+  let entry =
+    { e_view = t.view; e_id = t.next_id; e_payload = payload; e_bytes = bytes }
+  in
+  t.next_id <- t.next_id + 1;
   let idx = Sim.Durable.append lm.m_log ~bytes entry in
   if t.majority - 1 = 0 then begin
     record_commit lm idx;
@@ -383,7 +419,7 @@ let replicate t ?(bytes = 128) payload k =
   else begin
     let pd =
       {
-        pd_view = t.view;
+        pd_id = entry.e_id;
         pd_acked = Array.make t.n false;
         pd_acks = 0;
         pd_fired = false;
@@ -403,24 +439,6 @@ let replicate t ?(bytes = 128) payload k =
       t.members
   end
 
-(* A follower that receives entries by state transfer never acks them, so
-   a proposal whose appends every follower missed waits forever although a
-   majority now holds it. A follower's log has no gaps, so its ack of index
-   i in this view shows that it holds every entry up to i. *)
-let fire_held t idx =
-  match Hashtbl.find_opt t.pending idx with
-  | Some pd when pd.pd_view = t.view ->
-    let holders = ref 0 in
-    Array.iteri
-      (fun i a -> if i = t.leader_idx || a >= idx then incr holders)
-      t.acked_through;
-    if !holders >= t.majority then begin
-      pd.pd_fired <- true;
-      Hashtbl.remove t.pending idx;
-      pd.pd_k ()
-    end
-  | Some _ | None -> ()
-
 (* ------------------------------------------------------------------ *)
 (* View changes (failover mode)                                        *)
 (* ------------------------------------------------------------------ *)
@@ -433,7 +451,6 @@ let maybe_activate t (m : 'a member) cfg =
     t.serve_after <- now t + cfg.grace_us;
     Array.fill t.heard 0 t.n (now t);
     Hashtbl.reset t.pending;  (* older-view proposals never commit *)
-    Array.fill t.acked_through 0 t.n (-1);
     t.n_view_changes <- t.n_view_changes + 1;
     if t.vc_detect_at >= 0 then begin
       let d = now t - t.vc_detect_at in
@@ -579,8 +596,44 @@ and recv_dvc t (m : 'a member) cfg ~from ~view ~entries ~commit =
 (* Heartbeats, leases, failure detection                               *)
 (* ------------------------------------------------------------------ *)
 
-let recv_pong t (m : 'a member) ~from ~view =
-  if m.m_status = Normal && view = m.m_view then t.heard.(from) <- now t
+(* The install point a member still vouches for: none while it is
+   quarantined or its log no longer has that entry there. *)
+let held_install (m : 'a member) =
+  let inst = m.m_installed in
+  if
+    (not m.m_quarantined)
+    && inst.i_idx >= 0
+    && inst.i_idx < Sim.Durable.length m.m_log
+    && (Sim.Durable.get m.m_log inst.i_idx).e_id = inst.i_id
+  then inst
+  else no_install
+
+(* A follower that caught up by state transfer holds the leader's entries
+   up to its install point but never acks them: their appends reached it
+   before the install (stashed, then dropped by it) or not at all. With
+   every follower in that state a proposal would wait forever although a
+   majority holds it. So the pong names the install point, and the leader
+   credits the follower with every pending entry up to it, provided the
+   install is from this view (it was then the leader's own log) and the
+   leader still has that very entry there (it has not lost a torn tail
+   below it since, which would also have dropped the entry). *)
+let recv_pong t (m : 'a member) ~from ~view ~inst =
+  if m.m_status = Normal && view = m.m_view then begin
+    t.heard.(from) <- now t;
+    if
+      m.m_idx = t.leader_idx && view = t.view && inst.i_view = view
+      && Hashtbl.length t.pending > 0
+      && inst.i_idx < Sim.Durable.length m.m_log
+      && (Sim.Durable.get m.m_log inst.i_idx).e_id = inst.i_id
+    then
+      Hashtbl.fold
+        (fun idx pd acc ->
+          if idx <= inst.i_idx && not pd.pd_acked.(from) then (idx, pd) :: acc
+          else acc)
+        t.pending []
+      |> List.sort (fun (a, _) (b, _) -> compare a b)
+      |> List.iter (fun (idx, pd) -> credit t ~from idx pd)
+  end
 
 let recv_pong_stale t (m : 'a member) ~newer_view =
   (* A deposed leader learns it was replaced: step down and catch up. *)
@@ -604,8 +657,9 @@ let recv_ping t (m : 'a member) ~from ~view ~len ~commit =
     if m.m_status = Normal then begin
       learn_commit m commit;
       if len > Sim.Durable.length m.m_log then request_catchup t m;
+      let inst = held_install m in
       msend t ~src:m ~bytes:16 from (fun () ->
-          recv_pong t from ~from:m.m_idx ~view)
+          recv_pong t from ~from:m.m_idx ~view ~inst)
     end
   end
 

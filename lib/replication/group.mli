@@ -71,13 +71,6 @@ val replicate : 'a t -> ?bytes:int -> 'a -> (unit -> unit) -> unit
     it once to the batch's highest index regardless of arrival interleaving.
     Control traffic (heartbeats, elections, catch-up) never batches. *)
 
-val fire_held : 'a t -> int -> unit
-(** [fire_held t idx] fires the callback of the proposal at log index [idx]
-    if it still waits although a majority holds the entry: a follower that
-    received it only by state transfer never acks it, but its ack of any
-    later index in the same view shows that it holds it. A caller asking
-    whether its entry is durable calls this first. *)
-
 val enable_failover :
   'a t -> ?config:failover_config ->
   ?on_leader_change:(leader_site:int -> committed:'a list -> unit) ->

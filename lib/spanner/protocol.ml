@@ -12,7 +12,6 @@ type coord_state = {
   mutable cs_start_latest : int;
   mutable cs_vote_views : (int * int) list;  (* (shard, group view) at vote *)
   mutable cs_settled : bool;  (* outcome durable / fully aborted *)
-  mutable cs_record : int;  (* log index of the commit record, or -1 *)
 }
 
 type migration_stats = {
@@ -163,7 +162,6 @@ let coord_state ctx txn =
         cs_start_latest = 0;
         cs_vote_views = [];
         cs_settled = false;
-        cs_record = -1;
       }
     in
     Hashtbl.add ctx.coord_states txn cs;
@@ -233,27 +231,13 @@ let release_at_shard ctx shard ~txn outcome =
             Locks.release_all shard.Shard.locks ~txn)
       end
 
-(* A commit record that a majority holds but no follower acked (they all
-   caught up by state transfer) would keep its decision in flight forever;
-   an outcome query settles it first. *)
-let settle_held_record shard cs =
-  if cs.cs_record >= 0 then
-    Replication.Group.fire_held shard.Shard.repl cs.cs_record
-
 (* Non-forcing outcome lookup at the coordinator, for participants
    resolving in-doubt prepares. [`Pending] means 2PC state exists but no
    durable decision yet — the asker retries. *)
 let handle_status ctx shard ~txn =
   match Shard.decided shard txn with
   | Some (out, _) -> `Decided out
-  | None -> (
-    match Hashtbl.find_opt ctx.coord_states txn with
-    | None -> `Unknown
-    | Some cs -> (
-      settle_held_record shard cs;
-      match Shard.decided shard txn with
-      | Some (out, _) -> `Decided out
-      | None -> `Pending))
+  | None -> if Hashtbl.mem ctx.coord_states txn then `Pending else `Unknown
 
 let rec handle_vote ctx coord_shard ~txn ~vote_view outcome =
   let cs = coord_state ctx txn in
@@ -338,9 +322,7 @@ and decide_commit ctx coord_shard ~txn =
     | None -> []
   in
   (* The commit record: forced to the coordinator group's log before any
-     side effect, so the decision survives a coordinator leader crash. It
-     lands at the end of the leader's log. *)
-  cs.cs_record <- Replication.Group.log_length coord_shard.Shard.repl;
+     side effect, so the decision survives a coordinator leader crash. *)
   Replication.Group.replicate coord_shard.Shard.repl
     (Types.Routcome
        {
@@ -775,11 +757,7 @@ let handle_terminate ctx shard ~txn ~reply =
   | Some (out, mt) -> reply (`Decided (out, mt))
   | None -> (
     match Hashtbl.find_opt ctx.coord_states txn with
-    | Some cs when cs.cs_decided -> (
-      settle_held_record shard cs;
-      match Shard.decided shard txn with
-      | Some (out, mt) -> reply (`Decided (out, mt))
-      | None -> reply `Pending)
+    | Some cs when cs.cs_decided -> reply `Pending
     | Some cs ->
       decide_abort ctx shard ~txn;
       reply (`Decided (Types.Aborted, cs.cs_max_tee))
@@ -909,11 +887,21 @@ let rw_txn ?(on_attempt = fun (_ : int) -> ()) ?deadline_us ?view ctx
               retry txn
             | None ->
               (* Out of attempts with the outcome unknown: the coordinator
-                 may still commit, and an abort release would drop the
-                 participants' prepared writes. Give the op up and leave
-                 its prepared state to the coordinator's decision or to
-                 in-doubt resolution. *)
-              Sim.Flow.abandon ctx.flow)
+                 may still commit, so a participant that prepared keeps its
+                 prepared writes and asks the coordinator itself (in-doubt
+                 resolution). Every other participant holds only this
+                 attempt's read locks or queued requests — the deadline can
+                 fire before any prepare is sent — and no coordinator
+                 record will ever release them: release those, as an
+                 abandoned txn must not strand waiters. *)
+              Sim.Flow.abandon ctx.flow;
+              List.iter
+                (fun shard_id ->
+                  to_shard ctx ~src:client_site ~bytes:32 shard_id (fun sh ->
+                      if Shard.prepared sh txn <> None then
+                        resolve_in_doubt ctx sh txn
+                      else release_at_shard ctx sh ~txn Types.Aborted))
+                participant_ids)
     in
     (match deadline_us with
     | Some d when ctx.failover ->

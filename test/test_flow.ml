@@ -360,8 +360,9 @@ let test_spanner_terminate_outlives_expiry () =
    site stalls for 40 s once the first attempt has prepared, so all 15
    terminate attempts (about 26 s) go unanswered; the commit record becomes
    durable only after that, and its outcome reaches the participants later
-   still. The client abandons the op without releasing anything, so every
-   participant keeps its prepared writes and applies the commit. *)
+   still. The client abandons the op, and as every participant has
+   prepared it releases none: each asks the coordinator itself (in-doubt
+   resolution), keeps its prepared writes and applies the commit. *)
 let test_spanner_exhausted_terminate_keeps_prepares () =
   let engine = Sim.Engine.create () in
   let config = Spanner.Config.wan3 ~mode:Spanner.Config.Rss () in
@@ -404,7 +405,9 @@ let test_spanner_exhausted_terminate_keeps_prepares () =
              if v.Spanner.Types.writer = txn then v.Spanner.Types.value else -1)
            (Spanner.Shard.read_version_at sh ~key:k ~ts:max_int)))
     ctx.Spanner.Protocol.shards;
-  check int "terminate ran out of attempts" 1
+  (* Shards 0 and 2 query across the stalled links too; shard 1 asks
+     itself and hears the decision once the record is durable. *)
+  check int "terminate and two in-doubt queries ran out of attempts" 3
     (match ctx.Spanner.Protocol.rpc with
     | Some rpc -> Sim.Rpc.exhausted rpc
     | None -> 0);
@@ -417,6 +420,53 @@ let test_spanner_exhausted_terminate_keeps_prepares () =
     (match Spanner.Cluster.txn_outcome cluster txn with
     | Some (Spanner.Types.Committed _) -> true
     | Some Spanner.Types.Aborted | None -> false)
+
+(* The other half of an exhausted terminate: a participant that never
+   prepared is released. Here the deadline fires during the read phase —
+   shard 1 granted the read lock, but the link from site 1 to the client's
+   site stalls for 40 s, so neither the read's reply nor any terminate
+   answer gets back — and no prepare is ever sent. Nothing at shard 1 would free that read
+   lock, and a younger writer on the key waits for it (wound-wait only
+   wounds younger holders). The release the client sends once it gives up
+   lets the writer through. *)
+let test_spanner_exhausted_terminate_releases_reads () =
+  let engine = Sim.Engine.create () in
+  let config = Spanner.Config.wan3 ~mode:Spanner.Config.Rss () in
+  let cluster = Spanner.Cluster.create engine ~rng:(Sim.Rng.make 9) config in
+  Spanner.Cluster.enable_failover cluster ~rng:(Sim.Rng.make 10)
+    ~config:
+      { Replication.Group.default_failover with lease_us = Sim.Engine.sec 500.0 }
+    ~until_us:(Sim.Engine.sec 3.0) ();
+  let ctx = Spanner.Cluster.ctx cluster in
+  let net = Spanner.Cluster.net cluster in
+  Sim.Net.set_extra_delay net ~src:1 ~dst:0 40_000_000;
+  let old_client = Spanner.Client.create cluster ~site:0 in
+  let old_done = ref false and young_done = ref (-1) in
+  Spanner.Client.rw_kv old_client ~deadline_us:400_000 ~read_keys:[ 1 ]
+    ~writes:[ (1, 100) ]
+    (fun _ -> old_done := true);
+  (* The writer's own traffic avoids the stalled link: shard 1 is its only
+     participant and coordinator, its client sits at site 1, and shard 1's
+     group reaches its majority through site 2. *)
+  let young_client = Spanner.Client.create cluster ~site:1 in
+  Sim.Engine.schedule engine ~after:1_000_000 (fun () ->
+      Spanner.Client.rw_kv young_client ~read_keys:[] ~writes:[ (1, 200) ]
+        (fun _ -> young_done := Sim.Engine.now engine));
+  Sim.Engine.run ~until:(Sim.Engine.sec 200.0) engine;
+  check int "terminate ran out of attempts" 1
+    (match ctx.Spanner.Protocol.rpc with
+    | Some rpc -> Sim.Rpc.exhausted rpc
+    | None -> 0);
+  check bool "the old op was abandoned" false !old_done;
+  check int "one abandonment" 1
+    (Spanner.Cluster.flow_stats cluster).Spanner.Cluster.abandoned;
+  check bool "the younger writer completed, before the stall ended" true
+    (!young_done > 0 && !young_done < 40_000_000);
+  check (Alcotest.option int) "its write is the latest" (Some 200)
+    (Option.map
+       (fun (v : Spanner.Types.version) -> v.Spanner.Types.value)
+       (Spanner.Shard.read_version_at ctx.Spanner.Protocol.shards.(1) ~key:1
+          ~ts:max_int))
 
 (* A wound-wait abort retries after a backoff of at least 10 ms, so with
    expiry drops armed and 5 ms to live, the younger of two RWs on one key
@@ -745,6 +795,8 @@ let suites =
           test_spanner_terminate_outlives_expiry;
         Alcotest.test_case "spanner exhausted terminate keeps prepares" `Quick
           test_spanner_exhausted_terminate_keeps_prepares;
+        Alcotest.test_case "spanner exhausted terminate releases reads" `Quick
+          test_spanner_exhausted_terminate_releases_reads;
         Alcotest.test_case "spanner wounded RW retry past expiry" `Quick
           test_spanner_wounded_rw_past_expiry;
       ] );

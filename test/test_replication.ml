@@ -158,39 +158,81 @@ let test_catchup_after_recovery () =
   check bool "recovered follower caught up by state transfer" true
     ((Replication.Group.stats g).Replication.Group.catchups >= 1)
 
-let test_fire_held_after_state_transfer () =
+let test_state_transfer_credits_held () =
   (* Both followers sleep through an append, then catch up by state
-     transfer, which acks nothing: the entry's callback waits although a
-     majority holds it. [fire_held] leaves it waiting until a follower's ack
-     of a later entry shows that it holds it, then fires it. *)
+     transfer, which acks nothing. Their pongs name the install point, so
+     the entry commits with no later proposal to carry it. *)
   let engine, net = mk_net () in
   let g = Replication.Group.create net ~leader_site:0 ~replica_sites:[ 1; 2 ] () in
   Replication.Group.enable_failover g ~until_us:(Sim.Engine.sec 10.0) ();
+  let fired_at = ref (-1) in
+  Sim.Engine.schedule engine ~after:100_000 (fun () ->
+      Sim.Net.set_down net 1;
+      Sim.Net.set_down net 2);
+  Sim.Engine.schedule engine ~after:200_000 (fun () ->
+      Replication.Group.replicate g 1 (fun () ->
+          fired_at := Sim.Engine.now engine));
+  Sim.Engine.schedule engine ~after:300_000 (fun () ->
+      Sim.Net.set_up net 1;
+      Sim.Net.set_up net 2);
+  Sim.Engine.run engine;
+  check int "view stable" 0 (Replication.Group.view g);
+  check int "both followers caught up by state transfer" 2
+    (Replication.Group.stats g).Replication.Group.catchups;
+  check bool "committed within a heartbeat round of the catch-up" true
+    (!fired_at > 300_000 && !fired_at < 600_000)
+
+let test_torn_leader_tail_not_credited () =
+  (* Follower 1 installs the leader's log [A]; follower 2 stays down. Before
+     follower 1's next pong, the leader crashes, loses A to a torn tail and
+     comes back in the same view, and B lands at A's index. Neither
+     follower holds B: follower 1's re-ack of index 0 and its install point
+     both name A, so B must not commit (nor A, which the leader lost). *)
+  let ctl =
+    Sim.Durable.Faults.install
+      ~spec:
+        {
+          Sim.Durable.Faults.tear_prob = 1.0;
+          max_tear = 1;
+          corrupt_prob = 0.0;
+          stale_prob = 0.0;
+          max_stale = 0;
+          lost_int_prob = 0.0;
+        }
+      ~seed:3 ()
+  in
+  Fun.protect ~finally:(fun () -> Sim.Durable.Faults.retire ctl) @@ fun () ->
+  let engine, net = mk_net () in
+  let g = Replication.Group.create net ~leader_site:0 ~replica_sites:[ 1; 2 ] () in
+  Replication.Group.enable_failover g ~until_us:(Sim.Engine.sec 3.0) ();
   let fired = ref [] in
-  let propose i = Replication.Group.replicate g i (fun () -> fired := i :: !fired) in
+  let propose i =
+    Replication.Group.replicate g i (fun () -> fired := i :: !fired)
+  in
   Sim.Engine.schedule engine ~after:100_000 (fun () ->
       Sim.Net.set_down net 1;
       Sim.Net.set_down net 2);
   Sim.Engine.schedule engine ~after:200_000 (fun () -> propose 1);
-  Sim.Engine.schedule engine ~after:300_000 (fun () ->
-      Sim.Net.set_up net 1;
-      Sim.Net.set_up net 2);
-  let caught_up = ref (-1) and early = ref [ -1 ] and before = ref [ -1 ] in
-  Sim.Engine.schedule engine ~after:1_500_000 (fun () ->
-      caught_up := (Replication.Group.stats g).Replication.Group.catchups;
-      Replication.Group.fire_held g 0;
-      early := !fired);
-  Sim.Engine.schedule engine ~after:2_000_000 (fun () -> propose 2);
-  Sim.Engine.schedule engine ~after:3_000_000 (fun () ->
-      before := !fired;
-      Replication.Group.fire_held g 0);
+  Sim.Engine.schedule engine ~after:300_000 (fun () -> Sim.Net.set_up net 1);
+  let torn_at = ref (-1) in
+  let rec watch () =
+    if (Replication.Group.stats g).Replication.Group.catchups >= 1 then begin
+      torn_at := Sim.Engine.now engine;
+      Sim.Net.set_down net 0;
+      Sim.Durable.Faults.crash_site ctl 0;
+      Sim.Engine.schedule engine ~after:2_000 (fun () -> Sim.Net.set_up net 0);
+      Sim.Engine.schedule engine ~after:3_000 (fun () -> propose 2)
+    end
+    else Sim.Engine.schedule engine ~after:1_000 watch
+  in
+  Sim.Engine.schedule engine ~after:300_000 watch;
   Sim.Engine.run engine;
+  check bool "follower 1 caught up, then the leader tore" true (!torn_at > 0);
+  check int "the leader lost A" 1
+    (Sim.Durable.Faults.stats ctl).Sim.Durable.Faults.fs_torn;
   check int "view stable" 0 (Replication.Group.view g);
-  check int "both followers caught up by state transfer" 2 !caught_up;
-  check (Alcotest.list int) "no ack yet: still waiting" [] !early;
-  check (Alcotest.list int) "only the later entry was acked" [ 2 ] !before;
-  check (Alcotest.list int) "fire_held fired the earlier one" [ 1; 2 ]
-    (List.sort compare !fired)
+  check int "B took A's index" 1 (Replication.Group.log_length g);
+  check (Alcotest.list int) "nothing committed" [] !fired
 
 let test_failover_deterministic () =
   (* Same crash schedule, same seed: the election must land on the same
@@ -278,8 +320,10 @@ let suites =
           test_view_change_on_leader_crash;
         Alcotest.test_case "catch-up after recovery" `Quick
           test_catchup_after_recovery;
-        Alcotest.test_case "fire_held after state transfer" `Quick
-          test_fire_held_after_state_transfer;
+        Alcotest.test_case "state transfer credits held entries" `Quick
+          test_state_transfer_credits_held;
+        Alcotest.test_case "torn leader tail not credited" `Quick
+          test_torn_leader_tail_not_credited;
         Alcotest.test_case "seeded determinism" `Quick test_failover_deterministic;
       ] );
     ( "photoapp.mqueue",
