@@ -137,10 +137,9 @@ let () =
       corpus_dir }
   in
   let safe = Explore.Search.run safe_cfg in
-  Printf.printf "  %d execs, %d signatures, %d fails, %d unknowns\n%!"
+  Printf.printf "  %d execs, %d signatures, %d fails\n%!"
     safe.Explore.Search.execs safe.Explore.Search.signatures
-    (List.length safe.Explore.Search.failures)
-    safe.Explore.Search.unknowns;
+    (List.length safe.Explore.Search.failures);
 
   (* --- seeded-bug control ------------------------------------------- *)
   let control_budget =
@@ -220,8 +219,7 @@ let () =
     let open Explore.Search in
     ints
       [ ("execs", safe.execs); ("signatures", safe.signatures);
-        ("novel", safe.novel); ("fails", List.length safe.failures);
-        ("unknowns", safe.unknowns) ]
+        ("novel", safe.novel); ("fails", List.length safe.failures) ]
   in
   let metrics =
     List.map (fun k -> (k, mc ("explore." ^ k)))

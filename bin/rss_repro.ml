@@ -705,9 +705,9 @@ let explore_cmd =
     in
     let r = Explore.Search.run cfg in
     Fmt.pr "explored %d executions: %d coverage signatures (%d novel), %d \
-            unknown verdicts, %d failure(s)@."
+            failure(s)@."
       r.Explore.Search.execs r.Explore.Search.signatures
-      r.Explore.Search.novel r.Explore.Search.unknowns
+      r.Explore.Search.novel
       (List.length r.Explore.Search.failures);
     List.iter
       (fun (f : Explore.Search.failure) ->

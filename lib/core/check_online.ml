@@ -12,9 +12,8 @@
    a late-arriving write invalidate exactly the reads in its key's affected
    window. Total cost is O(n log n + D) where D is the total displacement
    (positions shifted by out-of-arrival-order inserts) — near-linear for the
-   histories our protocols produce, and metered so a pathological history
-   degrades to an explicit [Unknown] (with a bounded {!Check_txn} search
-   over the ambiguous suffix) rather than to quadratic work.
+   histories our protocols produce. The meter ([work], [max_displacement])
+   is reported, never enforced: the checker always decides.
 
    Keys are interned to dense ids on first sight: one string lookup per key
    occurrence, after which every per-key structure is an array slot and the
@@ -137,21 +136,10 @@ type key = {
   readers : Ivec.t;  (** complete readers' arrival indices, likewise *)
 }
 
-(* Per-process state. *)
-type proc = {
-  session : Ivec.t;  (** arrival indices sorted by (inv, arrival) *)
-  mutable last_inv : int;  (** latest invocation in arrival order *)
-}
-
-type state =
-  | Checking
-  | Overflowed  (** work budget exhausted; remaining adds are buffered *)
-  | Failed of string
+type state = Checking | Failed of string
 
 type t = {
   mode : W.mode;
-  work_budget : int;
-  fallback_states : int;
   (* All transactions in arrival order; [n] of the slots are live. *)
   mutable txns : W.txn array;
   mutable n : int;
@@ -169,18 +157,12 @@ type t = {
   (* Reads whose writer had not arrived yet: (reader, key id, value),
      settled at [result] once every record is in. *)
   mutable deferred : (int * int * W.value) list;
-  procs : proc Itbl.t;
+  (* Per-process session: arrival indices sorted by (inv, arrival). *)
+  procs : Ivec.t Itbl.t;
   (* Append fast-path real-time watermarks. *)
   mutable max_inv_all : int;
   mutable max_inv_mut : int;
-  (* Arrival-order sanity: responses non-decreasing, per-process invocations
-     non-decreasing. Holds for harness record streams; when violated the
-     suffix fallback can no longer soundly confirm, only stay Unknown. *)
-  mutable arrival_monotone : bool;
-  mutable last_resp : int;
   mutable state : state;
-  mutable pending : W.txn list;  (** reversed; buffered after overflow *)
-  mutable n_pending : int;
   mutable work : int;
   mutable max_displacement : int;
 }
@@ -191,11 +173,9 @@ let dummy_txn =
 (* Fills unused [keys] slots; never mutated. *)
 let dummy_key = { name = ""; writers = Ivec.create (); readers = Ivec.create () }
 
-let create ?(work_budget = max_int) ?(fallback_states = 500_000) ~mode () =
+let create ~mode () =
   {
     mode;
-    work_budget;
-    fallback_states;
     txns = [||];
     n = 0;
     ord = Ivec.create ();
@@ -208,16 +188,12 @@ let create ?(work_budget = max_int) ?(fallback_states = 500_000) ~mode () =
     procs = Itbl.create 1;
     max_inv_all = min_int;
     max_inv_mut = min_int;
-    arrival_monotone = true;
-    last_resp = min_int;
     state = Checking;
-    pending = [];
-    n_pending = 0;
     work = 0;
     max_displacement = 0;
   }
 
-let n_added t = t.n + t.n_pending
+let n_added t = t.n
 
 let work t = t.work
 
@@ -265,11 +241,11 @@ let rec intern_keys t = function
     Ivec.push t.cur (intern t key);
     intern_keys t rest
 
-let proc_of t p =
+let session_of t p =
   match Itbl.find t.procs p with
   | s -> s
   | exception Not_found ->
-    let s = { session = Ivec.create (); last_inv = min_int } in
+    let s = Ivec.create () in
     Itbl.add t.procs p s;
     s
 
@@ -277,7 +253,7 @@ let pp_value ppf = function
   | None -> Fmt.pf ppf "nil"
   | Some v -> Fmt.pf ppf "%d" v
 
-let fail t msg = match t.state with Failed _ -> () | _ -> t.state <- Failed msg
+let fail t msg = match t.state with Failed _ -> () | Checking -> t.state <- Failed msg
 
 let is_complete (x : W.txn) = x.W.resp <> max_int
 
@@ -346,7 +322,7 @@ let rec add_reads t i j = function
     let k = Ivec.get t.cur j in
     (match t.state with
     | Checking -> check_read t i k key v
-    | Failed _ | Overflowed -> ());
+    | Failed _ -> ());
     let readers = t.keys.(k).readers in
     add_work t (Ivec.insert readers (insertion_point t readers i) i);
     add_reads t i (j + 1) rest
@@ -360,7 +336,7 @@ let insert_write t i k key v =
   let { writers; readers; _ } = t.keys.(k) in
   let p = insertion_point t writers i in
   (match t.state with
-  | Failed _ | Overflowed -> ()
+  | Failed _ -> ()
   | Checking ->
     let next_writer = if p < Ivec.length writers then Ivec.get writers p else -1 in
     let q = ref (insertion_point t readers i) in
@@ -416,7 +392,7 @@ let check_sessions t i session =
   done;
   let p = !lo in
   (match t.state with
-  | Failed _ | Overflowed -> ()
+  | Failed _ -> ()
   | Checking ->
     if p > 0 && cmp t (Ivec.get session (p - 1)) i > 0 then
       fail t
@@ -431,9 +407,6 @@ let check_sessions t i session =
 let add t (x : W.txn) =
   match t.state with
   | Failed _ -> ()
-  | Overflowed ->
-    t.pending <- x :: t.pending;
-    t.n_pending <- t.n_pending + 1
   | Checking ->
     let i = t.n in
     store_txn t i x;
@@ -441,14 +414,6 @@ let add t (x : W.txn) =
     intern_keys t x.W.reads;
     let n_reads = Ivec.length t.cur in
     intern_keys t x.W.writes;
-    (* Arrival-order sanity for the suffix fallback. *)
-    if is_complete x then begin
-      if x.W.resp < t.last_resp then t.arrival_monotone <- false;
-      if x.W.resp > t.last_resp then t.last_resp <- x.W.resp
-    end;
-    let proc = proc_of t x.W.proc in
-    if x.W.inv < proc.last_inv then t.arrival_monotone <- false
-    else proc.last_inv <- x.W.inv;
     (* Global claimed order. *)
     let p = insertion_point t t.ord i in
     let appended = p = Ivec.length t.ord in
@@ -482,32 +447,25 @@ let add t (x : W.txn) =
        Witness.check_legal). *)
     if is_complete x then add_reads t i 0 x.W.reads;
     add_writes t i n_reads x.W.writes;
-    check_sessions t i proc.session;
-    (match t.state with
-    | Checking when t.work > t.work_budget -> t.state <- Overflowed
-    | _ -> ())
+    check_sessions t i (session_of t x.W.proc)
 
 (* {2 Finish-time checks} — the deferred read obligations plus the exact
    real-time scans of {!Witness.check_rt_mutators} / [check_rt_conflicts] /
    [check_rt_all], run once over the maintained order. *)
 
-(* [`Missing] separates "the writer never arrived" from a placement
-   violation: with a buffered overflow suffix the writer may simply be in
-   the unchecked tail, so the caller downgrades it to Unknown. *)
 let settle_deferred t =
   let rec go = function
-    | [] -> `Ok
+    | [] -> Ok ()
     | (r, k, v) :: rest ->
       let { name = key; writers; _ } = t.keys.(k) in
       let w = Rf.find t.rf k v in
       if w < 0 then
-        `Missing
-          (Fmt.str "legality: txn %d read %s=%d but no txn wrote it" r key v)
+        Error (Fmt.str "legality: txn %d read %s=%d but no txn wrote it" r key v)
       else
         let p = insertion_point t writers r in
         if p > 0 && Ivec.get writers (p - 1) = w then go rest
         else
-          `Fail
+          Error
             (Fmt.str
                "legality: txn %d read %s=%d from txn %d, but the order \
                 implies %a"
@@ -600,107 +558,15 @@ let finish_scans t =
     match scan_rt_mutators t with Error _ as e -> e | Ok () -> scan_rt_conflicts t)
   | `Strict -> scan_rt_all t
 
-(* {2 Ambiguous-suffix fallback}
-
-   When the claimed order diverges so far from arrival order that the
-   incremental structure blew its work budget, the verified prefix and the
-   buffered suffix are recombined as (prefix claimed order) ++ (any legal
-   suffix order found by the bounded search). The composition is sound to
-   {e confirm} because record streams are response-ordered: every suffix
-   transaction responded after every prefix response, so no real-time or
-   session edge can point from the suffix back into the prefix, and a
-   synthetic initial transaction seeds the search with the prefix's final
-   store. A suffix the search rejects is reported [Unknown], not [Fail] —
-   serializations interleaving suffix transactions amid the prefix were
-   never explored. *)
-
-(* The prefix's final store, in key-id (first-seen) order, so the
-   fallback's input is a function of the [add] sequence alone. *)
-let prefix_store t =
-  let rec go k acc =
-    if k < 0 then acc
-    else
-      let { name; writers; _ } = t.keys.(k) in
-      let n = Ivec.length writers in
-      go (k - 1)
-        (if n = 0 then acc
-         else (name, written_value t (Ivec.get writers (n - 1)) k) :: acc)
-  in
-  go (t.n_keys - 1) []
-
-let fallback_model : W.mode -> Check_txn.model = function
-  | `Strict -> Check_txn.Strict_serializable
-  | `Rss -> Check_txn.Rss
-  | `Sequential -> Check_txn.Process_ordered
-
-let max_fallback_txns = 4096
-
-let check_suffix t =
-  let suffix = List.rev t.pending in
-  if not t.arrival_monotone then
-    Unknown
-      "work budget exhausted and arrival order is not response-ordered; the \
-       suffix cannot be soundly recombined"
-  else if t.n_pending > max_fallback_txns then
-    Unknown
-      (Fmt.str
-         "work budget exhausted with %d transactions still unchecked (suffix \
-          search capped at %d)"
-         t.n_pending max_fallback_txns)
-  else begin
-    let store = prefix_store t in
-    let min_inv =
-      List.fold_left (fun acc (x : W.txn) -> min acc x.W.inv) max_int suffix
-    in
-    let init =
-      if store = [] then []
-      else
-        [
-          Txn_history.rw ~id:0 ~proc:(-1) ~writes:store ~inv:(min_inv - 2)
-            ~resp:(min_inv - 1) ();
-        ]
-    in
-    let base = List.length init in
-    let txns =
-      init
-      @ List.mapi (fun j x -> Txn_history.of_witness ~id:(base + j) x) suffix
-    in
-    match Txn_history.make txns with
-    | exception Invalid_argument m ->
-      Unknown (Fmt.str "suffix fallback: malformed suffix history (%s)" m)
-    | h -> (
-      match
-        Check_txn.check ~max_states:t.fallback_states h (fallback_model t.mode)
-      with
-      | Check_txn.Sat _ -> Pass
-      | Check_txn.Unsat ->
-        Unknown
-          "suffix fallback: no serialization appending the suffix after the \
-           prefix exists (interleavings unexplored)"
-      | Check_txn.Unknown -> Unknown "suffix fallback: search budget exhausted"
-      | exception Invalid_argument m ->
-        Unknown (Fmt.str "suffix fallback: search rejected the suffix (%s)" m))
-  end
-
 let result t =
   match t.state with
   | Failed m -> Fail m
   | Checking -> (
     match settle_deferred t with
-    | `Fail m | `Missing m -> Fail m
-    | `Ok -> (
-      match finish_scans t with Ok () -> Pass | Error m -> Fail m))
-  | Overflowed -> (
-    (* The inserted prefix is still held to the exact scans; only the
-       buffered suffix needs the bounded search. *)
-    match settle_deferred t with
-    | `Fail m -> Fail m
-    | `Missing m ->
-      Unknown (m ^ " (its writer may be in the unchecked suffix)")
-    | `Ok -> (
-      match finish_scans t with Error m -> Fail m | Ok () -> check_suffix t))
+    | Error m -> Fail m
+    | Ok () -> ( match finish_scans t with Ok () -> Pass | Error m -> Fail m))
 
-let check ?work_budget ?fallback_states ~mode txns =
-  let t = create ?work_budget ?fallback_states ~mode () in
+let check ~mode txns =
+  let t = create ~mode () in
   Array.iter (fun x -> add t x) txns;
   result t

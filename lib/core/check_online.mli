@@ -4,10 +4,9 @@
     mode's real-time constraint over the serialization order claimed by the
     system's timestamps — but transactions are consumed one at a time as the
     harness records them. Cost is near-linear for histories whose claimed
-    order tracks arrival order (which simulator record streams do); a
-    pathological history exhausts the work budget and degrades to an
-    explicit [Unknown] via a bounded {!Check_txn} search over the ambiguous
-    suffix, never to quadratic work and never to a wrong verdict.
+    order tracks arrival order (which simulator record streams do); out-of-
+    order inserts cost their displacement, which is metered but never
+    bounded, so every history gets a [Pass] or a [Fail].
 
     Precondition: written values are unique per key (as everywhere reads-from
     is derived in this repo). *)
@@ -16,27 +15,25 @@ type verdict =
   | Pass  (** the claimed order is a valid witness for the mode *)
   | Fail of string  (** a definitive violation, with explanation *)
   | Unknown of string
-      (** budgets exhausted before a verdict; never wrong, just unresolved *)
+      (** no verdict: {!Check_online} itself never returns it; the harness
+          reports it for a run whose checking was disabled *)
 
 type t
 
-val create : ?work_budget:int -> ?fallback_states:int -> mode:Witness.mode -> unit -> t
-(** [create ~mode ()] starts an empty checker. [work_budget] bounds the total
-    insertion displacement (default unlimited); once exceeded, remaining
-    transactions are buffered and settled by a bounded search with at most
-    [fallback_states] states (default 500k). *)
+val create : mode:Witness.mode -> unit -> t
+(** [create ~mode ()] starts an empty checker. *)
 
 val add : t -> Witness.txn -> unit
 (** Feed the next recorded transaction, in arrival (response) order. Cheap:
     amortised O(log n) plus displacement for out-of-order serialization. *)
 
 val result : t -> verdict
-(** Settle deferred read obligations, run the exact real-time scans, and — if
-    the work budget was exhausted — attempt the suffix fallback. Idempotent
-    in effect but intended to be called once, after the last [add]. *)
+(** Settle deferred read obligations and run the exact real-time scans:
+    [Pass] or [Fail], never [Unknown]. Idempotent in effect but intended to
+    be called once, after the last [add]. *)
 
 val n_added : t -> int
-(** Transactions fed so far (including any buffered after overflow). *)
+(** Transactions fed so far. *)
 
 val work : t -> int
 (** Total insertion displacement performed — the work meter. *)
@@ -44,10 +41,5 @@ val work : t -> int
 val max_displacement : t -> int
 (** Largest single-insert displacement seen. *)
 
-val check :
-  ?work_budget:int ->
-  ?fallback_states:int ->
-  mode:Witness.mode ->
-  Witness.txn array ->
-  verdict
+val check : mode:Witness.mode -> Witness.txn array -> verdict
 (** One-shot convenience: feed the whole array in order, then {!result}. *)

@@ -21,7 +21,6 @@ let to_string e =
   line "batch_us" (string_of_int i.Exec.batch_us);
   line "batch_max" (string_of_int i.Exec.batch_max);
   line "disk_rate_pct" (string_of_int i.Exec.disk_rate_pct);
-  line "check_budget" (string_of_int i.Exec.check_budget);
   line "unsafe" (string_of_bool i.Exec.unsafe);
   line "tie" tie;
   line "jitter" jitter;
@@ -82,7 +81,6 @@ let of_string s =
       let* batch_us = int_field "batch_us" in
       let* batch_max = int_field "batch_max" in
       let* disk_rate_pct = int_field "disk_rate_pct" in
-      let* check_budget = int_field "check_budget" in
       let* unsafe_s = field "unsafe" in
       let* unsafe =
         match bool_of_string_opt unsafe_s with
@@ -108,7 +106,6 @@ let of_string s =
           batch_us;
           batch_max;
           disk_rate_pct;
-          check_budget;
           unsafe;
           perturb;
         }

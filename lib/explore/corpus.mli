@@ -6,7 +6,7 @@
     re-executes its input and compares {!Exec.verdict_string} against the
     stored expectation byte-for-byte; because every execution is a pure
     function of its input, a corpus checked in once keeps reproducing the
-    same violation (or the same [Unknown]) on every machine. *)
+    same violation on every machine. *)
 
 val version : string
 

@@ -12,7 +12,6 @@ type input = {
   batch_us : int;
   batch_max : int;
   disk_rate_pct : int;
-  check_budget : int;
   unsafe : bool;
   perturb : Perturb.t;
 }
@@ -40,7 +39,6 @@ let base protocol =
     batch_us = 0;
     batch_max = 16;
     disk_rate_pct = 0;
-    check_budget = 0;
     unsafe = false;
     perturb = Perturb.none;
   }
@@ -59,13 +57,12 @@ let validate i =
   else if i.batch_us > 0 && i.batch_max <= 0 then
     err "batch_max must be positive when batching is on"
   else if i.disk_rate_pct < 0 then err "disk_rate_pct must be non-negative"
-  else if i.check_budget < 0 then err "check_budget must be non-negative"
   else Ok ()
 
 let describe i =
   let tie, jitter = Perturb.to_string i.perturb in
   Fmt.str
-    "%s/%s seed=%d nseed=%d dur=%dms slots=%d keys=%d%s%s%s%s%s%s tie=%s \
+    "%s/%s seed=%d nseed=%d dur=%dms slots=%d keys=%d%s%s%s%s%s tie=%s \
      jitter=%s"
     (Chaos.Audit.protocol_name i.protocol)
     (Chaos.Nemesis.preset_name i.preset)
@@ -76,7 +73,6 @@ let describe i =
     (if i.batch_us > 0 then Fmt.str " batch=%dus/%d" i.batch_us i.batch_max
      else "")
     (if i.disk_rate_pct > 0 then Fmt.str " disk=%d%%" i.disk_rate_pct else "")
-    (if i.check_budget > 0 then Fmt.str " budget=%d" i.check_budget else "")
     (if i.unsafe then " UNSAFE" else "")
     (match i.protocol with
     | Chaos.Audit.Gryff_lin | Chaos.Audit.Gryff_rsc ->
@@ -94,7 +90,7 @@ let equal a b =
   && a.write_pct = b.write_pct && a.batch_us = b.batch_us
   && a.batch_max = b.batch_max
   && a.disk_rate_pct = b.disk_rate_pct
-  && a.check_budget = b.check_budget && a.unsafe = b.unsafe
+  && a.unsafe = b.unsafe
   && Perturb.equal a.perturb b.perturb
 
 type outcome = {
@@ -189,9 +185,7 @@ let run i =
                   batch_max = i.batch_max;
                   adaptive = false;
                 }
-            else None)
-      |> with_check
-           (if i.check_budget > 0 then `Budget i.check_budget else `Online))
+            else None))
   in
   let run =
     Harness.audit ~env

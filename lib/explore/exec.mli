@@ -2,12 +2,11 @@
 
     An {!input} pins everything a run depends on — protocol, nemesis
     preset, both seeds, workload shape, Env-style knobs (batching, disk
-    fault rate, online-checker budget), the seeded-bug control toggle and
-    the {!Perturb} vectors — as plain integers/strings so it serializes
-    to a corpus line set and shrinks by simple arithmetic. {!run} builds
-    the trial's faults with [Harness.Env.of_preset] (the disk fault rate
-    as its [disk_rate]), drives it through [Harness.audit] with the
-    checker budget in [Env.check], installs the perturbation via the
+    fault rate), the seeded-bug control toggle and the {!Perturb} vectors —
+    as plain integers/strings so it serializes to a corpus line set and
+    shrinks by simple arithmetic. {!run} builds the trial's faults with
+    [Harness.Env.of_preset] (the disk fault rate as its [disk_rate]),
+    drives it through [Harness.audit], installs the perturbation via the
     audit's [prepare] hook, takes the run's online verdict, and condenses
     the run's behaviour into a coverage signature. Same input, same
     binary → byte-identical outcome. *)
@@ -26,11 +25,6 @@ type input = {
   batch_us : int;  (** batching flush deadline; 0 = batching off *)
   batch_max : int;  (** batching size cap; meaningful when [batch_us > 0] *)
   disk_rate_pct : int;  (** disk-fault probability scale, percent; 0 = off *)
-  check_budget : int;
-      (** online-checker work budget, run as [Env.check]: 0 means
-          [`Online] (unlimited), [n > 0] means [`Budget n]. Small budgets
-          force [Unknown] verdicts — the corpus round-trip for the
-          checker's degraded path. *)
   unsafe : bool;  (** seeded-bug control: Gryff client with the RSC
                       dependency fence disabled *)
   perturb : Perturb.t;

@@ -77,7 +77,6 @@ type result = {
   signatures : int;
   novel : int;
   failures : failure list;
-  unknowns : int;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -97,8 +96,7 @@ let cost (i : Exec.input) =
   + (20 * (Array.length i.Exec.perturb.Perturb.tie
            + Array.length i.Exec.perturb.Perturb.jitter_us))
   + (if i.Exec.batch_us > 0 then 400 else 0)
-  + (if i.Exec.disk_rate_pct > 0 then 400 else 0)
-  + if i.Exec.check_budget > 0 then 50 else 0
+  + if i.Exec.disk_rate_pct > 0 then 400 else 0
 
 let min_duration_ms = 400
 
@@ -195,10 +193,6 @@ let shrink_with ~try_exec input verdict0 =
        if
          !current.Exec.disk_rate_pct > 0
          && attempt { !current with Exec.disk_rate_pct = 0 }
-       then progress := true;
-       if
-         !current.Exec.check_budget > 0
-         && attempt { !current with Exec.check_budget = 0 }
        then progress := true;
        let before = cost !current in
        ddmin_tie ();
@@ -303,7 +297,7 @@ let run (cfg : config) =
   if cfg.presets = [] then invalid_arg "Explore.Search.run: no presets";
   let rng = Sim.Rng.make cfg.search_seed in
   let seen : (string, unit) Hashtbl.t = Hashtbl.create 256 in
-  let execs = ref 0 and novel = ref 0 and unknowns = ref 0 in
+  let execs = ref 0 and novel = ref 0 in
   let failures = ref [] and n_failures = ref 0 in
   let queue : entry list ref = ref [] in
   let counter name =
@@ -314,7 +308,6 @@ let run (cfg : config) =
   let c_execs = counter "explore.execs"
   and c_novel = counter "explore.novel"
   and c_fails = counter "explore.fails"
-  and c_unknowns = counter "explore.unknowns"
   and c_shrink = counter "explore.shrink_execs"
   and c_corpus = counter "explore.corpus_saved" in
   let bump c n = Option.iter (fun c -> Obs.Metrics.add c n) c in
@@ -342,11 +335,6 @@ let run (cfg : config) =
         trace_clock := !trace_clock + max 1 out.Exec.run.Harness.Run.duration_us;
         Obs.Trace.end_span cfg.tracer sp ~ts:!trace_clock
       end;
-      (match out.Exec.verdict with
-      | Rss_core.Check_online.Unknown _ ->
-        incr unknowns;
-        bump c_unknowns 1
-      | _ -> ());
       Some out
     end
   in
@@ -442,5 +430,4 @@ let run (cfg : config) =
     signatures = Hashtbl.length seen;
     novel = !novel;
     failures = List.rev !failures;
-    unknowns = !unknowns;
   }

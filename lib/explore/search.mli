@@ -55,7 +55,6 @@ type result = {
   signatures : int;  (** distinct coverage signatures seen *)
   novel : int;  (** trials that found a new signature *)
   failures : failure list;  (** in discovery order *)
-  unknowns : int;  (** trials whose oracle verdict was [Unknown] *)
 }
 
 val run : config -> result
@@ -64,7 +63,7 @@ val shrink :
   budget:int -> Exec.input -> string -> Exec.input * string * int
 (** [shrink ~budget input verdict] delta-debugs a failing input: halves
     the run duration and the client-slot count, switches off the
-    batching / disk-fault / checker-budget knobs, and ddmin-zeroes then
+    batching / disk-fault knobs, and ddmin-zeroes then
     truncates the perturbation vectors — accepting a candidate only if
     it still fails (any [Fail]; the message may legitimately change as
     the history shrinks). Returns the fixpoint (or best-so-far when

@@ -65,8 +65,9 @@ let set_record_hook t f = t.record_hook <- f
 
 let records t = Array.of_list (List.rev t.record_list)
 
-(* Verify each key's subhistory in carstamp order. Carstamps are dense-ranked
-   into witness timestamps; mutators sort before the reads of their value. *)
+(* Verify each key's subhistory in carstamp order, keys in ascending order.
+   Carstamps are dense-ranked into witness timestamps; mutators sort before
+   the reads of their value. *)
 let check_records ~mode records =
   let by_key = Hashtbl.create 64 in
   List.iter
@@ -121,9 +122,11 @@ let check_records ~mode records =
     | Ok () -> Ok ()
     | Error m -> Error (Fmt.str "key %d: %s" key m)
   in
-  Hashtbl.fold
-    (fun key rs acc -> match acc with Error _ -> acc | Ok () -> check_key key rs)
-    by_key (Ok ())
+  Hashtbl.fold (fun key rs acc -> (key, rs) :: acc) by_key []
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  |> List.fold_left
+       (fun acc (key, rs) -> match acc with Error _ -> acc | Ok () -> check_key key rs)
+       (Ok ())
 
 let check_history t = check_records ~mode:t.config.Config.mode t.record_list
 

@@ -47,9 +47,10 @@ val check_history : t -> (unit, string) result
 
 val check_records : mode:Config.mode -> record list -> (unit, string) result
 (** Check an explicit record set against [mode]'s model instead of a
-    cluster's collected history — chaos audits use this to verify
-    deliberately corrupted ("control") histories are caught, proving the
-    checker has teeth. *)
+    cluster's collected history: each key's records through
+    {!Rss_core.Witness.check}, keys in ascending order, so an [Error] names
+    the smallest failing key. The independent per-key oracle that tests
+    compare [Harness.judge] against; driven runs are never judged by it. *)
 
 (** {2 Tracing} *)
 

@@ -67,7 +67,7 @@ module Run = struct
     report_check header t.check
 end
 
-type check_mode = [ `Online | `Budget of int | `No_check ]
+type check_mode = [ `Online | `No_check ]
 
 (* One live migration armed partway through a run: move [rs_lo, rs_hi) to
    [rs_dst] at fraction [rs_at] of the run. [rs_no_fence] skips the t_m
@@ -155,12 +155,7 @@ module Env = struct
   let with_disk_faults d t = { t with disk_faults = Some d }
   let with_failover b t = { t with failover = b }
   let with_trace tr t = { t with trace = tr }
-  let with_check c t =
-    (match c with
-    | `Budget n when n <= 0 ->
-      invalid_arg "Harness.Env.with_check: work budget must be positive"
-    | _ -> ());
-    { t with check = c }
+  let with_check c t = { t with check = c }
 
   let with_reshard r t = { t with reshard = r }
   let with_batching p t = { t with batching = p }
@@ -307,23 +302,16 @@ let flow_metrics reg ~armed ~stations flow =
    has recorded its incomplete ops, from [Run.records]: each checker is fed
    its records in recording order, so verdicts and work counters are those
    of a checker fed as the records arrived, without one kept live (and
-   cold) through the run. [`Budget n] bounds the checker's work so a
-   pathological history settles [Unknown] instead of running long;
-   [`No_check] skips verification — for benchmarking raw simulator speed;
-   the verdict reports [Unknown]. *)
+   cold) through the run. [`No_check] skips verification — for
+   benchmarking raw simulator speed; the verdict reports [Unknown]. *)
 
 let spanner_mode = function Spanner.Config.Strict -> `Strict | Spanner.Config.Rss -> `Rss
 let gryff_mode = function Gryff.Config.Lin -> `Strict | Gryff.Config.Rsc -> `Rss
 
 (* One checker over the records [feed] adds: its verdict and its (added,
    work, max_displacement) totals. *)
-let judge_one ~budget ~mode feed =
-  let oc =
-    match budget with
-    | None -> Rss_core.Check_online.create ~mode ()
-    | Some n ->
-      Rss_core.Check_online.create ~work_budget:n ~fallback_states:n ~mode ()
-  in
+let judge_one ~mode feed =
+  let oc = Rss_core.Check_online.create ~mode () in
   feed (Rss_core.Check_online.add oc);
   ( Rss_core.Check_online.result oc,
     ( Rss_core.Check_online.n_added oc,
@@ -361,9 +349,9 @@ let gryff_witness_txn (r : Gryff.Cluster.record) =
    constraint — is only meaningful within a key, so each key gets its own
    checker over its records in recording order. Keys are judged in
    ascending order, one checker alive at a time, so a [Fail] names the
-   smallest failing key; else the first [Unknown], else [Pass]. *)
-let judge ~budget ~mode = function
-  | Run.Spanner_txns a -> judge_one ~budget ~mode (fun add -> Array.iter add a)
+   smallest failing key, else [Pass]. *)
+let judge ~mode = function
+  | Run.Spanner_txns a -> judge_one ~mode (fun add -> Array.iter add a)
   | Run.Gryff_ops a ->
     let key i = a.(i).Gryff.Cluster.g_key in
     let order = Array.init (Array.length a) Fun.id in
@@ -376,14 +364,13 @@ let judge ~budget ~mode = function
         let hi = ref lo in
         while !hi < n && key order.(!hi) = k do incr hi done;
         let v, (a', w', d') =
-          judge_one ~budget ~mode (fun add ->
+          judge_one ~mode (fun add ->
               for p = lo to !hi - 1 do add (gryff_witness_txn a.(order.(p))) done)
         in
         let verdict =
           match (verdict, v) with
-          | Run.Fail _, _ | _, Run.Pass | Run.Unknown _, Run.Unknown _ -> verdict
-          | _, Run.Fail m -> Run.Fail (Fmt.str "key %d: %s" k m)
-          | Run.Pass, Run.Unknown m -> Run.Unknown (Fmt.str "key %d: %s" k m)
+          | Run.Pass, Run.Fail m -> Run.Fail (Fmt.str "key %d: %s" k m)
+          | _ -> verdict
         in
         go !hi verdict (added + a', work + w', max disp d')
       end
@@ -770,19 +757,16 @@ let drive ~env ?prepare ~seed ~duration_s ~model ~site_of ~latencies ~warmup_s
     | Run.Spanner_txns a -> Array.length a
     | Run.Gryff_ops a -> Array.length a);
   let t0_check = Sys.time () in
-  let judged budget =
-    let verdict, (added, work, max_displacement) =
-      judge ~budget ~mode:d.witness_mode records
-    in
-    add reg "check.added" added;
-    add reg "check.work" work;
-    add reg "check.max_displacement" max_displacement;
-    verdict
-  in
   let check =
     match env.Env.check with
-    | `Online -> judged None
-    | `Budget n -> judged (Some n)
+    | `Online ->
+      let verdict, (added, work, max_displacement) =
+        judge ~mode:d.witness_mode records
+      in
+      add reg "check.added" added;
+      add reg "check.work" work;
+      add reg "check.max_displacement" max_displacement;
+      verdict
     | `No_check -> Run.Unknown "checking disabled"
   in
   Obs.Metrics.set_gauge reg "check.finish_s" (Sys.time () -. t0_check);
@@ -921,7 +905,7 @@ let audit_trace (r : Run.t) =
 (* The corrupted history goes through the same judge [drive] uses, so the
    control tests the checker that actually judges runs. *)
 let stale_control protocol (r : Run.t) =
-  let verdict ~mode h = fst (judge ~budget:None ~mode h) in
+  let verdict ~mode h = fst (judge ~mode h) in
   match (r.Run.records, Chaos.Audit.deployment protocol) with
   | Run.Spanner_txns a, Chaos.Audit.Spanner_wan c ->
     let mode = spanner_mode c.Spanner.Config.mode in

@@ -9,8 +9,8 @@
     workload, issued by a client model — closed-loop, partly-open, or the
     audits' timeout-respawning slots), a {e nemesis} (the [Env.t] fault
     schedule, gray nodes, disk damage and live migrations) and a
-    {e checker} (online, optionally budgeted, or none), which judges the
-    recorded history once the engine has drained. The core applies every
+    {e checker} (online, or none), which judges the recorded history once
+    the engine has drained. The core applies every
     {!Env.t} field the same way on every deployment, and always tracks
     unacknowledged writes: an attempt whose acknowledgement a fault
     swallowed is swept into the history as an incomplete op before
@@ -27,9 +27,8 @@ module Run : sig
     | Spanner_txns of Rss_core.Witness.txn array
     | Gryff_ops of Gryff.Cluster.record array
 
-  (** The consistency verdict. [Unknown] surfaces exhausted checker budgets
-      (and [`No_check] runs) as a value — a budget can silence the checker
-      but never make it wrong. *)
+  (** The consistency verdict. A checked run is always [Pass] or [Fail];
+      [Unknown] is the verdict of a [`No_check] run. *)
   type verdict = Rss_core.Check_online.verdict =
     | Pass
     | Fail of string
@@ -81,23 +80,21 @@ module Run : sig
 
   val report_check : string -> verdict -> unit
   (** Print a loud warning if a run's history failed verification (or an
-      unresolved-verdict note on [Unknown]); silent on [Pass]. *)
+      unchecked-run note on [Unknown]); silent on [Pass]. *)
 
   val print_summary : ?header:string -> t -> unit
   (** Latency table, metrics table, and a loud warning if the run's history
       failed verification. *)
 end
 
-type check_mode = [ `Online | `Budget of int | `No_check ]
+type check_mode = [ `Online | `No_check ]
 (** How a driver verifies its history. Every checked run is judged once,
     by {!judge}, after the engine drains and the sweep has recorded its
     incomplete ops: each record of [Run.records] is fed into
     {!Rss_core.Check_online} in recording order, so million-op histories
-    verify in near-linear time. [`Online] (the default) is unbudgeted.
-    [`Budget n] caps the checker's work and its suffix-fallback search at
-    [n] (per key for Gryff), so a pathological history settles [Unknown]
-    instead of running long. [`No_check] skips verification (the verdict
-    is [Unknown]) — for benchmarking raw simulator speed. The mode never
+    verify in near-linear time; the verdict is [Pass] or [Fail].
+    [`No_check] skips verification (the verdict is [Unknown]) — for
+    benchmarking raw simulator speed. The mode never
     affects the simulation itself: judging starts after the drain, so
     seeded traces are identical across modes. *)
 
@@ -182,7 +179,6 @@ module Env : sig
   val with_failover : bool -> t -> t
   val with_trace : Obs.Trace.t -> t -> t
   val with_check : check_mode -> t -> t
-  (** Raises [Invalid_argument] on a non-positive [`Budget]. *)
 
   val with_reshard : reshard_spec list -> t -> t
   val with_batching : Sim.Net.policy option -> t -> t
@@ -296,9 +292,7 @@ val audit_trace : Run.t -> string
 (** The canonical history serialization ({!Chaos.Audit.spanner_trace} /
     {!Chaos.Audit.gryff_trace}). *)
 
-val judge :
-  budget:int option -> mode:Rss_core.Witness.mode -> Run.history ->
-  Run.verdict * (int * int * int)
+val judge : mode:Rss_core.Witness.mode -> Run.history -> Run.verdict * (int * int * int)
 (** The judge every driver applies to [Run.records] once the engine has
     drained: the verdict and the (added, work, max_displacement) totals
     reported as [check.*]. A Spanner history goes through one
@@ -306,12 +300,11 @@ val judge :
     per key (carstamps order only one key's writes): each key's records, in
     recording order, go through their own checker, keys in ascending order
     and one checker alive at a time. The Gryff verdict is the smallest
-    failing key's [Fail], else the first [Unknown], else [Pass]. [budget]
-    is [`Budget]'s [n] (per key for Gryff). *)
+    failing key's [Fail], else [Pass]. *)
 
 val stale_control : Chaos.Audit.protocol -> Run.t -> Run.verdict option
 (** Corrupt one completed read of the run's history to an older version and
-    re-judge it against the protocol's model with {!judge} (unbudgeted):
+    re-judge it against the protocol's model with {!judge}:
     [Some (Fail _)] proves the checker has teeth; [None] when no read is
     eligible. Raises [Invalid_argument] when [r] is not a run of
     [protocol]'s family. *)

@@ -125,7 +125,7 @@ let corpus_dir =
 
 let corpus_files () =
   Sys.readdir corpus_dir |> Array.to_list
-  |> List.filter (fun f -> Filename.check_suffix f ".corpus")
+  |> List.filter (fun f -> String.equal (Filename.extension f) ".corpus")
   |> List.sort compare
   |> List.map (Filename.concat corpus_dir)
 
@@ -166,10 +166,8 @@ let test_corpus_replays () =
              again.Explore.Corpus.outcome.Explore.Exec.verdict))
     (corpus_files ())
 
-(* The three verdict classes are all represented: the shrunk control
-   (Fail), its safe twin (Pass) and its budget-starved twin (Unknown) —
-   the Check_reg/Check_txn [satisfies = None] path round-trips through
-   serialization like any other repro. *)
+(* Both verdict classes of a checked run are represented: the shrunk
+   control (Fail) and its safe twin (Pass). *)
 let test_corpus_covers_verdict_classes () =
   let expected_of path =
     match Explore.Corpus.load path with
@@ -185,8 +183,19 @@ let test_corpus_covers_verdict_classes () =
       expecteds
   in
   check bool "a failing repro is checked in" true (has "fail:");
-  check bool "a passing repro is checked in" true (has "pass");
-  check bool "an unknown-verdict repro is checked in" true (has "unknown:")
+  check bool "a passing repro is checked in" true (has "pass")
+
+(* A checked-in file is named by its content, as the search names the
+   repros it saves: a stale name means the file was edited by hand. *)
+let test_corpus_names_are_canonical () =
+  List.iter
+    (fun path ->
+      match Explore.Corpus.load path with
+      | Ok e ->
+        check string (path ^ " is named by its content") (Explore.Corpus.file_name e)
+          (Filename.basename path)
+      | Error m -> Alcotest.failf "%s: %s" path m)
+    (corpus_files ())
 
 let test_corpus_rejects_garbage () =
   (match Explore.Corpus.of_string "not-a-corpus\nprotocol gryff-rsc\n" with
@@ -439,6 +448,8 @@ let suites =
           test_corpus_covers_verdict_classes;
         Alcotest.test_case "bad corpus files are rejected" `Quick
           test_corpus_rejects_garbage;
+        Alcotest.test_case "file names match their content" `Quick
+          test_corpus_names_are_canonical;
       ] );
     ( "explore.search",
       [

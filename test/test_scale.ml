@@ -1,12 +1,12 @@
 (* Scale-pass guarantees: (1) the online checker (Rss_core.Check_online)
    agrees with the offline witness checker on large batteries of random
-   histories, valid and mutated-invalid, across all three modes; (2) a
-   starved work budget degrades to Unknown (or a still-sound verdict),
-   never to a wrong one; (3) seeded protocol traces are byte-identical to
-   the golden digests captured before the lib/sim hot-path optimisation —
-   and stay identical whichever check mode observes them; (4) the judge
-   that runs after the drain gives the verdicts and work counters of
-   checkers fed record by record as the run recorded them. *)
+   histories, valid and mutated-invalid, across all three modes, always
+   with a definitive verdict; (2) seeded protocol traces are
+   byte-identical to the golden digests captured before the lib/sim
+   hot-path optimisation — and stay identical whichever check mode
+   observes them; (3) the judge that runs after the drain gives the
+   verdicts and work counters of checkers fed record by record as the run
+   recorded them. *)
 
 let check = Alcotest.check
 let bool = Alcotest.bool
@@ -27,8 +27,7 @@ module CO = Rss_core.Check_online
    both checkers. [key_name i j] names key [j] as the [i]-th transaction in
    serialization order sees it (default ["k<j>"]), so a caller can bring in
    new keys mid-history. With [~well_formed:true] processes take turns and
-   each finishes before its next invocation, with no incomplete txns: the
-   shape the suffix fallback needs to confirm a verdict. *)
+   each finishes before its next invocation, with no incomplete txns. *)
 
 let gen_history ?(key_name = fun _ j -> Printf.sprintf "k%d" j)
     ?(well_formed = false) ~rng ~n ~n_procs ~n_keys () =
@@ -167,8 +166,8 @@ let agree_name = function
   | Ok () -> "valid"
   | Error _ -> "invalid"
 
-(* Online with unbounded work budget must return a definitive verdict that
-   matches the offline checker exactly. *)
+(* Online must return a definitive verdict that matches the offline checker
+   exactly. *)
 let assert_agreement ~what ~mode ~mode_name ~seed txns =
   let offline = W.check ~mode txns in
   let online = CO.check ~mode txns in
@@ -225,32 +224,6 @@ let test_agreement_mutated () =
     (Fmt.str "mutations mostly invalid (%d/%d)" !invalid !total)
     true
     (!invalid * 2 > !total)
-
-(* A starved work budget may say Unknown but never contradict the offline
-   verdict: Pass still implies valid, Fail still implies invalid. *)
-let test_starved_budget_never_wrong () =
-  List.iter
-    (fun (mode, mode_name) ->
-      for seed = 1 to 100 do
-        let rng = Sim.Rng.make (seed + (0x7ea * Hashtbl.hash mode_name)) in
-        let txns, max_val =
-          gen_history ~rng ~n:60 ~n_procs:4 ~n_keys:4 ()
-        in
-        let txns = if seed mod 2 = 0 then mutate ~rng ~max_val txns else txns in
-        let offline = W.check ~mode txns in
-        match
-          (CO.check ~work_budget:8 ~fallback_states:2_000 ~mode txns, offline)
-        with
-        | CO.Unknown _, _ -> ()
-        | CO.Pass, Ok () | CO.Fail _, Error _ -> ()
-        | CO.Pass, Error m ->
-          Alcotest.failf "starved mode=%s seed=%d: Pass on invalid (%s)"
-            mode_name seed m
-        | CO.Fail m, Ok () ->
-          Alcotest.failf "starved mode=%s seed=%d: Fail (%s) on valid"
-            mode_name seed m
-      done)
-    modes
 
 (* Large key spaces: 400 transactions over up to 300 keys, so the checker's
    key-id arrays grow many times mid-history. *)
@@ -348,44 +321,11 @@ let test_agreement_first_sight () =
       done)
     modes
 
-(* Whether the whole history satisfies the mode's model, by the exhaustive
-   search checker ([None] when its budget runs out). *)
-let model_holds ~mode txns =
-  let model =
-    match mode with
-    | `Strict -> Rss_core.Check_txn.Strict_serializable
-    | `Rss -> Rss_core.Check_txn.Rss
-    | `Sequential -> Rss_core.Check_txn.Process_ordered
-  in
-  let h =
-    Rss_core.Txn_history.make
-      (Array.to_list
-         (Array.mapi
-            (fun id (x : W.txn) ->
-              {
-                Rss_core.Txn_history.id;
-                proc = x.W.proc;
-                reads = x.W.reads;
-                writes = x.W.writes;
-                inv = x.W.inv;
-                resp = (if x.W.resp = max_int then None else Some x.W.resp);
-              })
-            txns))
-  in
-  Rss_core.Check_txn.satisfies ~max_states:200_000 h model
-
-(* A starved budget whose buffered suffix names keys the checked prefix
-   never saw: the second half of each history writes and reads keys
-   ["late<j>"] alongside the first half's ["k<j>"], so the suffix fallback
-   starts from the prefix's final store and must handle keys absent from
-   it. A Fail must match the offline checker. The fallback searches for any
-   serialization of the suffix rather than checking the claimed one, so its
-   Pass may hold where the claimed order fails; such a Pass must then be
-   confirmed by the exhaustive search over the whole history. Some
-   overflowed runs must be confirmed by the fallback. *)
-let test_starved_suffix_new_keys () =
-  let budget = 0 in
-  let confirmed = ref 0 in
+(* Keys first named halfway through: the second half of each history
+   reads and writes keys ["late<j>"] alongside the first half's ["k<j>"],
+   and processes take turns, so late keys arrive while every earlier key
+   already has a version order. *)
+let test_agreement_late_keys () =
   List.iter
     (fun (mode, mode_name) ->
       for seed = 1 to 100 do
@@ -398,65 +338,33 @@ let test_starved_suffix_new_keys () =
         let txns, max_val =
           gen_history ~key_name ~well_formed:true ~rng ~n ~n_procs:5 ~n_keys:4 ()
         in
-        let txns = if seed mod 2 = 0 then mutate ~rng ~max_val txns else txns in
-        let t = CO.create ~work_budget:budget ~fallback_states:20_000 ~mode () in
-        (* The transaction whose add overflowed the budget ends the prefix. *)
-        let prefix_len = ref (Array.length txns) in
-        Array.iteri
-          (fun i x ->
-            CO.add t x;
-            if CO.work t > budget && !prefix_len = Array.length txns then
-              prefix_len := i + 1)
-          txns;
-        let keys_of a = Array.to_list a |> List.concat_map (fun x ->
-            List.map fst x.W.reads @ List.map fst x.W.writes) in
-        let prefix_keys = keys_of (Array.sub txns 0 !prefix_len) in
-        let new_in_suffix =
-          List.exists (fun k -> not (List.mem k prefix_keys))
-            (keys_of (Array.sub txns !prefix_len (Array.length txns - !prefix_len)))
-        in
-        match (CO.result t, W.check ~mode txns) with
-        | CO.Unknown _, _ -> ()
-        | CO.Pass, Ok () -> if new_in_suffix then incr confirmed
-        | CO.Fail _, Error _ -> ()
-        | CO.Pass, Error m -> (
-          match model_holds ~mode txns with
-          | Some true | None -> ()
-          | Some false ->
-            Alcotest.failf
-              "starved new-keys mode=%s seed=%d: Pass on a history the search \
-               rejects (claimed order: %s)"
-              mode_name seed m)
-        | CO.Fail m, Ok () ->
-          Alcotest.failf "starved new-keys mode=%s seed=%d: Fail (%s) on valid"
-            mode_name seed m
+        assert_agreement ~what:"late-keys valid" ~mode ~mode_name ~seed txns;
+        assert_agreement ~what:"late-keys mutated" ~mode ~mode_name ~seed
+          (mutate ~rng ~max_val txns)
       done)
-    modes;
-  check bool
-    (Fmt.str "fallback confirmed suffixes with unseen keys (%d)" !confirmed)
-    true (!confirmed > 0)
+    modes
 
-(* A buffered suffix whose process order and reads-from form a cycle (txn
-   2 reads the value its own process writes next) makes the fallback's
-   search reject the history outright; the checker must say Unknown rather
-   than raise. *)
-let test_suffix_cycle_is_unknown () =
+(* Process order and reads-from form a cycle: txn 2 reads the value its
+   own process writes next, at a smaller timestamp. Txn 1, concurrent with
+   txn 0 but serialized before it, arrives displaced. The claimed order
+   inverts process 2's session, and the checker says so. *)
+let test_cyclic_history_fails () =
   let txn ~proc ?(reads = []) ?(writes = []) ~inv ~resp ~ts () =
     { W.proc; reads; writes; inv; resp; ts; rank = 0 }
   in
   let txns =
     [| txn ~proc:0 ~writes:[ ("x", 1) ] ~inv:0 ~resp:3 ~ts:10 ();
-       (* concurrent with txn 0 but serialized before it: the displacement
-          overflows a zero budget *)
        txn ~proc:1 ~writes:[ ("y", 1) ] ~inv:1 ~resp:4 ~ts:5 ();
        txn ~proc:2 ~reads:[ ("z", Some 7) ] ~inv:5 ~resp:6 ~ts:20 ();
        txn ~proc:2 ~writes:[ ("z", 7) ] ~inv:7 ~resp:8 ~ts:15 () |]
   in
   check bool "offline rejects the claimed order" true (W.check ~mode:`Rss txns <> Ok ());
-  match CO.check ~work_budget:0 ~mode:`Rss txns with
-  | CO.Unknown _ -> ()
-  | CO.Pass -> Alcotest.fail "Pass on a cyclic suffix"
-  | CO.Fail m -> Alcotest.failf "Fail (%s) from the unchecked suffix" m
+  match CO.check ~mode:`Rss txns with
+  | CO.Fail m ->
+    check string "session-order failure"
+      "session order: process 2's txns 2 and 3 inverted" m
+  | CO.Pass -> Alcotest.fail "Pass on a cyclic history"
+  | CO.Unknown m -> Alcotest.failf "Unknown (%s) on a cyclic history" m
 
 (* Gryff runs one checker per key, so an empty checker must stay small: a
    return to preallocated hash buckets would multiply the heap by the key
@@ -473,11 +381,8 @@ let test_create_is_small () =
   check bool (Fmt.str "create allocates %.1f words (at most 128)" words) true
     (words <= 128.0)
 
-(* The overflow path must still be able to confirm easy histories: an
-   in-order (already-serialized) stream overflows nothing and a shuffled one
-   falls back; either way a generous fallback on a small valid suffix says
-   Pass or Unknown, and a Pass must be real. Also pin the work meter:
-   feeding in serialization order displaces nothing. *)
+(* Pin the work meter: feeding a valid history in serialization order
+   passes and displaces nothing. *)
 let test_in_order_feed_is_linear () =
   let rng = Sim.Rng.make 42 in
   let txns, _ = gen_history ~rng ~n:500 ~n_procs:4 ~n_keys:5 () in
@@ -617,10 +522,7 @@ let test_online_checking_is_passive () =
   | Harness.Run.Gryff_ops a ->
     agrees "gryff" gon
       (Gryff.Cluster.check_records ~mode:Gryff.Config.Rsc (Array.to_list a))
-  | Harness.Run.Spanner_txns _ -> assert false);
-  Alcotest.check_raises "a zero work budget is rejected"
-    (Invalid_argument "Harness.Env.with_check: work budget must be positive")
-    (fun () -> ignore (Harness.Env.with_check (`Budget 0) Harness.Env.default))
+  | Harness.Run.Spanner_txns _ -> assert false)
 
 (* {1 The post-drain judge}
 
@@ -650,12 +552,8 @@ let gryff_witness (r : Gryff.Cluster.record) =
     rank = (if kind = Gryff.Cluster.Read then 1 else 0);
   }
 
-let arrival_judge ?budget ~mode history =
-  let fresh () =
-    match budget with
-    | None -> CO.create ~mode ()
-    | Some n -> CO.create ~work_budget:n ~fallback_states:n ~mode ()
-  in
+let arrival_judge ~mode history =
+  let fresh () = CO.create ~mode () in
   let totals ocs =
     List.fold_left
       (fun (a, w, d) oc ->
@@ -690,13 +588,9 @@ let arrival_judge ?budget ~mode history =
     let verdict =
       List.fold_left
         (fun acc (k, oc) ->
-          match acc with
-          | CO.Fail _ -> acc
-          | CO.Pass | CO.Unknown _ -> (
-            match (CO.result oc, acc) with
-            | CO.Pass, _ | CO.Unknown _, CO.Unknown _ -> acc
-            | CO.Fail m, _ -> CO.Fail (Printf.sprintf "key %d: %s" k m)
-            | CO.Unknown m, _ -> CO.Unknown (Printf.sprintf "key %d: %s" k m)))
+          match (acc, CO.result oc) with
+          | CO.Pass, CO.Fail m -> CO.Fail (Printf.sprintf "key %d: %s" k m)
+          | _ -> acc)
         CO.Pass by_key
     in
     (verdict, totals (List.map snd by_key))
@@ -706,8 +600,8 @@ let show = function
   | CO.Fail m -> "fail: " ^ m
   | CO.Unknown m -> "unknown: " ^ m
 
-let same_judgement label ?budget ~mode (r : Harness.Run.t) =
-  let v, (added, work, disp) = arrival_judge ?budget ~mode r.Harness.Run.records in
+let same_judgement label ~mode (r : Harness.Run.t) =
+  let v, (added, work, disp) = arrival_judge ~mode r.Harness.Run.records in
   check string (label ^ ": verdict") (show v) (show r.Harness.Run.check);
   let c = Harness.Run.counter r in
   check int (label ^ ": check.added") added (c "check.added");
@@ -761,29 +655,22 @@ let test_judge_chaos_sweeps () =
     (Harness.Run.counter r "op.unacked_commits_swept" > 0);
   same_judgement "gryff-wan mixed, sweeps" ~mode:`Rss r
 
-(* A starved budget overflows into the suffix fallback on both families,
-   which settles [Unknown]. *)
-let test_judge_budget_overflow () =
-  let budget = 8 in
-  let env = Harness.Env.(with_check (`Budget budget) default) in
-  let unknown label (r : Harness.Run.t) =
-    check bool (label ^ " is unknown") true
-      (match r.Harness.Run.check with CO.Unknown _ -> true | _ -> false)
-  in
+(* WAN runs whose responses arrive far from claimed order: Spanner-RSS
+   under Zipf keys, and Gryff-RSC on four hot keys. Both displace, so the
+   work counters are compared on real out-of-order inserts. *)
+let test_judge_wan_displaced () =
   let r =
-    Harness.spanner_wan ~env ~mode:Spanner.Config.Rss ~theta:0.5 ~n_keys:1000
+    Harness.spanner_wan ~mode:Spanner.Config.Rss ~theta:0.5 ~n_keys:1000
       ~arrival_rate_per_sec:10.0 ~duration_s:1.0 ~seed:4 ()
   in
-  check bool "spanner budget overflowed" true
-    (Harness.Run.counter r "check.work" > budget);
-  unknown "spanner" r;
-  same_judgement "spanner-wan budget" ~budget ~mode:`Rss r;
+  check bool "spanner displaced" true (Harness.Run.counter r "check.work" > 0);
+  same_judgement "spanner-wan" ~mode:`Rss r;
   let r =
-    Harness.gryff_wan ~env ~n_clients:8 ~mode:Gryff.Config.Rsc ~conflict:0.9
+    Harness.gryff_wan ~n_clients:8 ~mode:Gryff.Config.Rsc ~conflict:0.9
       ~write_ratio:0.5 ~n_keys:4 ~duration_s:1.0 ~seed:4 ()
   in
-  unknown "gryff" r;
-  same_judgement "gryff-wan budget" ~budget ~mode:`Rss r
+  check bool "gryff displaced" true (Harness.Run.counter r "check.work" > 0);
+  same_judgement "gryff-wan" ~mode:`Rss r
 
 let test_judge_stale_controls () =
   let control label protocol r reference =
@@ -811,10 +698,13 @@ let test_judge_stale_controls () =
          a)
   | Harness.Run.Spanner_txns _ -> assert false
 
+let readable (r : Gryff.Cluster.record) =
+  r.Gryff.Cluster.g_kind = Gryff.Cluster.Read && r.Gryff.Cluster.g_resp <> max_int
+
 (* Keys need be neither dense nor non-negative: spread them by an
-   order-preserving map into negative and sparse ints, then corrupt one
-   completed read on each of two keys. The [Fail] names the smaller. *)
-let test_judge_smallest_failing_key () =
+   order-preserving map into negative and sparse ints. Returns the records
+   and, ascending, the keys of their completed reads. *)
+let remapped_gryff () =
   let a =
     match (judge_gryff_dc ()).Harness.Run.records with
     | Harness.Run.Gryff_ops a ->
@@ -824,38 +714,61 @@ let test_judge_smallest_failing_key () =
         a
     | Harness.Run.Spanner_txns _ -> assert false
   in
-  let judge a = Harness.judge ~budget:None ~mode:`Rss (Harness.Run.Gryff_ops a) in
-  let v, counters = judge a in
-  check string "remapped keys pass" "pass" (show v);
-  let v', counters' = arrival_judge ~mode:`Rss (Harness.Run.Gryff_ops a) in
-  check string "reference agrees" (show v') (show v);
-  check bool "same counters" true (counters = counters');
-  let readable (r : Gryff.Cluster.record) =
-    r.Gryff.Cluster.g_kind = Gryff.Cluster.Read && r.Gryff.Cluster.g_resp <> max_int
-  in
   let keys =
     Array.to_list a |> List.filter readable
     |> List.map (fun (r : Gryff.Cluster.record) -> r.Gryff.Cluster.g_key)
     |> List.sort_uniq Int.compare
   in
-  let lo = List.nth keys 1 and hi = List.nth keys (List.length keys - 2) in
-  check bool "a negative key is corrupted" true (lo < 0);
+  (a, keys)
+
+(* Corrupt one completed read on key [hi], then one on key [lo < hi], so
+   arrival order alone would name [hi]. *)
+let corrupt_two a ~lo ~hi =
   let bad = Array.copy a in
   let corrupt key =
     let i = ref 0 in
     while not (readable bad.(!i) && bad.(!i).Gryff.Cluster.g_key = key) do incr i done;
     bad.(!i) <- { bad.(!i) with Gryff.Cluster.g_observed = Some (-1) }
   in
-  (* The larger key first, so arrival order alone would name it. *)
   corrupt hi;
   corrupt lo;
-  match judge bad with
-  | CO.Fail m, _ ->
-    check bool
-      (Printf.sprintf "names key %d: %s" lo m)
-      true
-      (String.starts_with ~prefix:(Printf.sprintf "key %d: " lo) m)
+  bad
+
+let gryff_judge a = Harness.judge ~mode:`Rss (Harness.Run.Gryff_ops a)
+
+let names_key judge lo m =
+  check bool (Printf.sprintf "%s names key %d: %s" judge lo m) true
+    (String.starts_with ~prefix:(Printf.sprintf "key %d: " lo) m)
+
+let judge_names_key lo a =
+  match gryff_judge a with
+  | CO.Fail m, _ -> names_key "judge" lo m
   | v, _ -> Alcotest.failf "corrupted history not caught: %s" (show v)
+
+let test_judge_smallest_failing_key () =
+  let a, keys = remapped_gryff () in
+  let v, counters = gryff_judge a in
+  check string "remapped keys pass" "pass" (show v);
+  let v', counters' = arrival_judge ~mode:`Rss (Harness.Run.Gryff_ops a) in
+  check string "reference agrees" (show v') (show v);
+  check bool "same counters" true (counters = counters');
+  let lo = List.nth keys 1 and hi = List.nth keys (List.length keys - 2) in
+  check bool "a negative key is corrupted" true (lo < 0);
+  judge_names_key lo (corrupt_two a ~lo ~hi)
+
+(* The offline per-key oracle names the same key as the judge, whichever
+   of the next sixteen keys is corrupted beside it. *)
+let test_oracle_smallest_failing_key () =
+  let a, keys = remapped_gryff () in
+  let lo = List.nth keys 1 in
+  List.iter
+    (fun hi ->
+      let bad = corrupt_two a ~lo ~hi in
+      judge_names_key lo bad;
+      match Gryff.Cluster.check_records ~mode:Gryff.Config.Rsc (Array.to_list bad) with
+      | Error m -> names_key "oracle" lo m
+      | Ok () -> Alcotest.fail "corrupted history not caught by the oracle")
+    (List.filteri (fun j _ -> j >= 2 && j < 18) keys)
 
 let suites =
   [
@@ -865,16 +778,14 @@ let suites =
           test_agreement_valid;
         Alcotest.test_case "agrees with offline on mutated histories" `Quick
           test_agreement_mutated;
-        Alcotest.test_case "starved budget is never wrong" `Quick
-          test_starved_budget_never_wrong;
         Alcotest.test_case "agrees with offline over many keys" `Quick
           test_agreement_many_keys;
         Alcotest.test_case "agrees with offline on first sightings" `Quick
           test_agreement_first_sight;
-        Alcotest.test_case "starved suffix with unseen keys" `Quick
-          test_starved_suffix_new_keys;
-        Alcotest.test_case "cyclic suffix is unknown" `Quick
-          test_suffix_cycle_is_unknown;
+        Alcotest.test_case "agrees with offline on late keys" `Quick
+          test_agreement_late_keys;
+        Alcotest.test_case "cyclic history fails on sessions" `Quick
+          test_cyclic_history_fails;
         Alcotest.test_case "create is small" `Quick test_create_is_small;
         Alcotest.test_case "in-order feed is linear" `Quick
           test_in_order_feed_is_linear;
@@ -887,12 +798,14 @@ let suites =
           test_judge_fault_free;
         Alcotest.test_case "matches arrival order with sweeps" `Quick
           test_judge_chaos_sweeps;
-        Alcotest.test_case "matches arrival order over budget" `Quick
-          test_judge_budget_overflow;
+        Alcotest.test_case "matches arrival order on WAN runs" `Quick
+          test_judge_wan_displaced;
         Alcotest.test_case "stale controls fail alike" `Quick
           test_judge_stale_controls;
         Alcotest.test_case "fail names the smallest key" `Quick
           test_judge_smallest_failing_key;
+        Alcotest.test_case "oracle names the smallest key" `Quick
+          test_oracle_smallest_failing_key;
       ] );
     ( "scale.golden",
       [
