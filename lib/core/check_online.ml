@@ -1,572 +1,250 @@
-(* Incremental (online) witness verification. Semantics are exactly
-   {!Witness.check} — legality, session order, and the mode's real-time
-   constraint over the order claimed by the system's timestamps — but
-   transactions are consumed one at a time, as the harness records them,
-   instead of buffered and checked post-hoc.
-
-   The structure exploits what the simulator gives us for free: records
-   arrive in response order, and the claimed serialization order tracks real
-   time closely, so almost every insert is an append. Per-key version orders
-   are kept as sorted arrays indexed by the global order key, which makes
-   the reads-from obligation of a new transaction a binary search and makes
-   a late-arriving write invalidate exactly the reads in its key's affected
-   window. Total cost is O(n log n + D) where D is the total displacement
-   (positions shifted by out-of-arrival-order inserts) — near-linear for the
-   histories our protocols produce. The meter ([work], [max_displacement])
-   is reported, never enforced: the checker always decides.
-
-   Keys are interned to dense ids on first sight: one string lookup per key
-   occurrence, after which every per-key structure is an array slot and the
-   reads-from table is keyed by (key id, value) ints. Every table starts
-   empty or near-empty and grows with the history, so a checker costs
-   memory in proportion to its own transactions — Gryff runs one per key.
-   Ids are not stored per transaction; the finish-time conflict scan looks
-   each key up again, into an int array indexed by id.
-
-   Precondition (shared with every reads-from derivation in this repo):
-   written values are unique per key. Uniqueness is what makes an eager
-   legality verdict definitive — once some other version sits between a read
-   and the writer of its observed value, no future insert can legalise it. *)
+(* Witness verification by sorting, not inserting: {!Witness.check}'s
+   semantics over the order the system's timestamps claim, which a fixed
+   order makes polynomial (Biswas–Enea). [add] only appends; [result] gives
+   keys and processes dense ids in flat int arrays, sorts once by (ts, rank,
+   inv, arrival), replays that order and meters how far arrival order
+   strayed from it. Precondition: written values are unique per key. *)
 
 module W = Witness
 
-type verdict =
-  | Pass
-  | Fail of string
-  | Unknown of string
+type verdict = Pass | Fail of string | Unknown of string
 
-(* Growable int vector: the only container on the hot path. *)
-module Ivec = struct
-  type t = { mutable a : int array; mutable len : int }
+type settled = { verdict : verdict; work : int; max_displacement : int }
 
-  let create () = { a = [||]; len = 0 }
-
-  let length v = v.len
-
-  let get v i = Array.unsafe_get v.a i
-
-  let ensure v =
-    if v.len = Array.length v.a then begin
-      let a = Array.make (if v.len = 0 then 4 else v.len * 2) 0 in
-      Array.blit v.a 0 a 0 v.len;
-      v.a <- a
-    end
-
-  (* Insert at position [p], shifting the tail right. Returns positions
-     displaced (the incremental-work meter). *)
-  let insert v p x =
-    ensure v;
-    let shifted = v.len - p in
-    if shifted > 0 then Array.blit v.a p v.a (p + 1) shifted;
-    v.a.(p) <- x;
-    v.len <- v.len + 1;
-    shifted
-
-  let push v x = ignore (insert v v.len x)
-
-  let clear v = v.len <- 0
-end
-
-module Stbl = Hashtbl.Make (struct
-  type t = string
-
-  let equal = String.equal
-  let hash = Hashtbl.hash
-end)
-
-module Itbl = Hashtbl.Make (Int)
-
-(* (key id, value) -> the arrival index that wrote it. Open addressing with
-   linear probing over one flat int array: slot [s] holds key id, value and
-   writer at [3s], [3s + 1], [3s + 2], key id -1 marking an empty slot. The
-   load factor stays at most 3/4; lookups allocate nothing and answer -1
-   when absent. *)
-module Rf = struct
-  type t = { mutable a : int array; mutable count : int }
-
-  let create () = { a = [||]; count = 0 }
-
-  let hash k v =
-    let h = (k * 0x9e3779b97f4a7c1) lxor v in
-    let h = h * 0xbf58476d1ce4e5b in
-    h lxor (h lsr 31)
-
-  (* Base index of [(k, v)]'s slot, or of the empty slot ending its probe. *)
-  let rec probe a mask k v s =
-    let b = 3 * s in
-    let k' = Array.unsafe_get a b in
-    if k' < 0 || (k' = k && Array.unsafe_get a (b + 1) = v) then b
-    else probe a mask k v ((s + 1) land mask)
-
-  let slot a k v =
-    let mask = (Array.length a / 3) - 1 in
-    probe a mask k v (hash k v land mask)
-
-  let find t k v =
-    if Array.length t.a = 0 then -1
-    else
-      let b = slot t.a k v in
-      if Array.unsafe_get t.a b < 0 then -1 else Array.unsafe_get t.a (b + 2)
-
-  let grow t =
-    let old = t.a in
-    let cap = if Array.length old = 0 then 8 else 2 * (Array.length old / 3) in
-    let a = Array.make (3 * cap) (-1) in
-    for s = 0 to (Array.length old / 3) - 1 do
-      let b = 3 * s in
-      if old.(b) >= 0 then Array.blit old b a (slot a old.(b) old.(b + 1)) 3
-    done;
-    t.a <- a
-
-  let replace t k v w =
-    if 4 * (t.count + 1) > 3 * (Array.length t.a / 3) then grow t;
-    let b = slot t.a k v in
-    if t.a.(b) < 0 then begin
-      t.a.(b) <- k;
-      t.a.(b + 1) <- v;
-      t.count <- t.count + 1
-    end;
-    t.a.(b + 2) <- w
-end
-
-(* Per-key state, indexed by key id. *)
-type key = {
-  name : W.key;
-  writers : Ivec.t;  (** arrival indices, sorted by claimed order *)
-  readers : Ivec.t;  (** complete readers' arrival indices, likewise *)
-}
-
-type state = Checking | Failed of string
-
+(* [txns] in arrival order, the first [n] live; [settled] until the next
+   [add]. *)
 type t = {
   mode : W.mode;
-  (* All transactions in arrival order; [n] of the slots are live. *)
   mutable txns : W.txn array;
   mutable n : int;
-  (* Arrival indices sorted by the claimed order key (ts, rank, inv, arr). *)
-  ord : Ivec.t;
-  (* Key name -> dense id; [keys] holds ids [0, n_keys). *)
-  ids : int Stbl.t;
-  mutable keys : key array;
-  mutable n_keys : int;
-  (* The key ids of the transaction being added: its reads', then its
-     writes'. *)
-  cur : Ivec.t;
-  (* (key id, value) -> writer (values unique per key). *)
-  rf : Rf.t;
-  (* Reads whose writer had not arrived yet: (reader, key id, value),
-     settled at [result] once every record is in. *)
-  mutable deferred : (int * int * W.value) list;
-  (* Per-process session: arrival indices sorted by (inv, arrival). *)
-  procs : Ivec.t Itbl.t;
-  (* Append fast-path real-time watermarks. *)
-  mutable max_inv_all : int;
-  mutable max_inv_mut : int;
-  mutable state : state;
-  mutable work : int;
-  mutable max_displacement : int;
+  mutable settled : settled option;
 }
 
-let dummy_txn =
-  { W.proc = 0; reads = []; writes = []; inv = 0; resp = 0; ts = 0; rank = 0 }
-
-(* Fills unused [keys] slots; never mutated. *)
-let dummy_key = { name = ""; writers = Ivec.create (); readers = Ivec.create () }
-
-let create ~mode () =
-  {
-    mode;
-    txns = [||];
-    n = 0;
-    ord = Ivec.create ();
-    ids = Stbl.create 1;
-    keys = [||];
-    n_keys = 0;
-    cur = Ivec.create ();
-    rf = Rf.create ();
-    deferred = [];
-    procs = Itbl.create 1;
-    max_inv_all = min_int;
-    max_inv_mut = min_int;
-    state = Checking;
-    work = 0;
-    max_displacement = 0;
-  }
-
+let create ~mode () = { mode; txns = [||]; n = 0; settled = None }
 let n_added t = t.n
 
-let work t = t.work
+let add t x =
+  if t.n = Array.length t.txns then
+    t.txns <- Array.init (max 8 (2 * t.n)) (fun i -> if i < t.n then t.txns.(i) else x);
+  t.txns.(t.n) <- x;
+  t.n <- t.n + 1;
+  t.settled <- None
 
-let max_displacement t = t.max_displacement
+(* Txn [i]'s reads have key ids [rkey.(roff.(i))] up to
+   [rkey.(roff.(i + 1) - 1)], in list order; its writes likewise, with
+   their values in [wval]; its process has id [pid.(i)]. *)
+type ids = {
+  n_keys : int; roff : int array; rkey : int array;
+  woff : int array; wkey : int array; wval : int array;
+  n_procs : int; pid : int array;
+}
 
-(* Claimed-order comparison between arrival indices: (ts, rank, inv)
-   lexicographically, arrival index as the final tie-break — the same total
-   order {!Witness.order} sorts by. Plain int comparisons: this runs a few
-   dozen times per transaction. *)
-let cmp t i j =
-  let a = Array.unsafe_get t.txns i and b = Array.unsafe_get t.txns j in
-  if a.W.ts <> b.W.ts then Int.compare a.W.ts b.W.ts
-  else if a.W.rank <> b.W.rank then Int.compare a.W.rank b.W.rank
-  else if a.W.inv <> b.W.inv then Int.compare a.W.inv b.W.inv
-  else Int.compare i j
-
-(* First position in [v] whose element does not precede arrival index [i]
-   in claimed order — [i]'s insertion point. *)
-let insertion_point t v i =
-  let lo = ref 0 and hi = ref (Ivec.length v) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if cmp t (Ivec.get v mid) i < 0 then lo := mid + 1 else hi := mid
-  done;
-  !lo
-
-let intern t name =
-  match Stbl.find t.ids name with
-  | k -> k
-  | exception Not_found ->
-    let k = t.n_keys in
-    if k = Array.length t.keys then begin
-      let a = Array.make (if k = 0 then 1 else 2 * k) dummy_key in
-      Array.blit t.keys 0 a 0 k;
-      t.keys <- a
+(* Dense ids by first sight; a run of one name (a Gryff key) skips the table. *)
+let interner equal dummy =
+  let ids = Hashtbl.create 16 and last = ref dummy and last_id = ref (-1) in
+  let id x =
+    if !last_id < 0 || not (equal x !last) then begin
+      last := x;
+      last_id := (try Hashtbl.find ids x with Not_found -> Hashtbl.length ids);
+      if !last_id = Hashtbl.length ids then Hashtbl.add ids x !last_id
     end;
-    t.keys.(k) <- { name; writers = Ivec.create (); readers = Ivec.create () };
-    t.n_keys <- k + 1;
-    Stbl.add t.ids name k;
-    k
+    !last_id
+  in
+  (id, fun () -> Hashtbl.length ids)
 
-let rec intern_keys t = function
-  | [] -> ()
-  | (key, _) :: rest ->
-    Ivec.push t.cur (intern t key);
-    intern_keys t rest
+let index txns n =
+  let key, n_keys = interner String.equal "" and proc, n_procs = interner Int.equal 0 in
+  let rec fill a j f = function [] -> () | x :: l -> a.(j) <- f x; fill a (j + 1) f l in
+  let flatten field f =
+    let off = Array.make (n + 1) 0 in
+    for i = 0 to n - 1 do off.(i + 1) <- off.(i) + List.length (field txns.(i)) done;
+    let a = Array.make off.(n) 0 in
+    for i = 0 to n - 1 do fill a off.(i) f (field txns.(i)) done;
+    (off, a)
+  in
+  let roff, rkey = flatten (fun x -> x.W.reads) (fun (k, _) -> key k) in
+  let woff, wkey = flatten (fun x -> x.W.writes) (fun (k, _) -> key k) in
+  let wval = snd (flatten (fun x -> x.W.writes) snd) in
+  let pid = Array.init n (fun i -> proc txns.(i).W.proc) in
+  { n_keys = n_keys (); roff; rkey; woff; wkey; wval; n_procs = n_procs (); pid }
 
-let session_of t p =
-  match Itbl.find t.procs p with
-  | s -> s
-  | exception Not_found ->
-    let s = Ivec.create () in
-    Itbl.add t.procs p s;
+exception Violation of string
+
+let violation fmt = Fmt.kstr (fun m -> raise (Violation m)) fmt
+
+(* Replay the claimed order, a txn's reads before its writes; reads of
+   incomplete txns (resp = max_int) constrain nothing. *)
+let check_legal txns ix ord =
+  let latest = Array.make ix.n_keys (-1) and value = Array.make ix.n_keys 0 in
+  let illegal i k key v =
+    let now = if latest.(k) < 0 then "nil" else string_of_int value.(k) in
+    match v with
+    | None ->
+      violation "legality: txn %d read %s=nil but txn %d wrote %s=%s before it" i key
+        latest.(k) key now
+    | Some v ->
+      let w = ref (-1) and wrote j = ix.wkey.(j) = k && ix.wval.(j) = v in
+      for i = 0 to Array.length ord - 1 do
+        for j = ix.woff.(i) to ix.woff.(i + 1) - 1 do if wrote j then w := i done
+      done;
+      if !w < 0 then violation "legality: txn %d read %s=%d but no txn wrote it" i key v;
+      violation "legality: txn %d read %s=%d from txn %d, but the order implies %s" i key
+        v !w now
+  in
+  let rec reads i j = function
+    | [] -> ()
+    | (key, v) :: rest ->
+      let k = ix.rkey.(j) in
+      (match v with
+      | None when latest.(k) < 0 -> ()
+      | Some v when latest.(k) >= 0 && value.(k) = v -> ()
+      | _ -> illegal i k key v);
+      reads i (j + 1) rest
+  in
+  Array.iter
+    (fun i ->
+      if txns.(i).W.resp <> max_int then reads i ix.roff.(i) txns.(i).W.reads;
+      for j = ix.woff.(i) to ix.woff.(i + 1) - 1 do
+        latest.(ix.wkey.(j)) <- i;
+        value.(ix.wkey.(j)) <- ix.wval.(j)
+      done)
+    ord
+
+(* Scanning the claimed order, no counted txn (every one under [`Strict],
+   mutators under [`Rss]) responds before an earlier-placed counted one
+   was invoked. Then, under [`Rss], no writer of a key responds before an
+   earlier-placed reader of it (incomplete ones too) was invoked. *)
+let check_rt mode txns ix ord =
+  let what = if mode = `Strict then "txn" else "mutator" and max_inv = ref min_int in
+  Array.iter
+    (fun i ->
+      let x = txns.(i) in
+      if mode = `Strict || x.W.writes <> [] then begin
+        if x.W.resp < !max_inv then
+          violation "real-time: %s %d (resp=%d) serialized after a %s invoked at %d"
+            what i x.W.resp what !max_inv;
+        max_inv := max !max_inv x.W.inv
+      end)
+    ord;
+  if mode = `Rss then
+    let max_reader_inv = Array.make ix.n_keys min_int in
+    Array.iter
+      (fun i ->
+        let x = txns.(i) in
+        for j = ix.woff.(i) to ix.woff.(i + 1) - 1 do
+          let m = max_reader_inv.(ix.wkey.(j)) in
+          if x.W.resp < m then
+            violation
+              "real-time: writer %d of %s (resp=%d) serialized after a reader \
+               invoked at %d" i (fst (List.nth x.W.writes (j - ix.woff.(i)))) x.W.resp m
+        done;
+        for j = ix.roff.(i) to ix.roff.(i + 1) - 1 do
+          max_reader_inv.(ix.rkey.(j)) <- max max_reader_inv.(ix.rkey.(j)) x.W.inv
+        done)
+      ord
+
+(* [seq]'s members grouped by [group], in [seq]'s order within a group. *)
+let group_by n_groups group seq =
+  let next = Array.make (n_groups + 1) 0 and by = Array.make (Array.length seq) 0 in
+  Array.iter (fun e -> next.(group.(e) + 1) <- next.(group.(e) + 1) + 1) seq;
+  for g = 1 to n_groups do next.(g) <- next.(g) + next.(g - 1) done;
+  Array.iter
+    (fun e -> by.(next.(group.(e))) <- e; next.(group.(e)) <- next.(group.(e)) + 1) seq;
+  by
+
+let meter txns n ix ord sess =
+  let size = 1 + max n (max (Array.length ix.rkey) (Array.length ix.wkey)) in
+  let fen = Array.make size 0 and slot = Array.make size 0 and hi = Array.make size 0 in
+  let work = ref 0 and max_d = ref 0 in
+  (* Fenwick index [s + 1] counts slot [s]; [below s 0] sums slots < s. *)
+  let rec below s acc = if s = 0 then acc else below (s land (s - 1)) (acc + fen.(s)) in
+  let rec bump p = if p < size then (fen.(p) <- fen.(p) + 1; bump (p + (p land -p))) in
+  (* [by] lists a family's members [0, count) group-major, sorted within a
+     group ([same] tells whether two share one); members it leaves out are
+     skipped. Inserted in index (arrival) order, each member displaces the
+     inserted members after it in its group: none if [by] is in index order. *)
+  let family count by same =
+    let len = Array.length by and in_order = ref true in
+    Array.fill slot 0 count (-1);
+    for q = len - 1 downto 0 do
+      slot.(by.(q)) <- q;
+      let next = q + 1 < len && same by.(q) by.(q + 1) in
+      hi.(by.(q)) <- (if next then hi.(by.(q + 1)) else q + 1);
+      if next && by.(q) > by.(q + 1) then in_order := false
+    done;
+    if not !in_order then begin
+      Array.fill fen 0 size 0;
+      for e = 0 to count - 1 do
+        if slot.(e) >= 0 then begin
+          let d = below hi.(e) 0 - below (slot.(e) + 1) 0 in
+          work := !work + d;
+          max_d := max !max_d d;
+          bump (slot.(e) + 1)
+        end
+      done
+    end
+  in
+  (* Occurrences in claimed order, a txn naming a key twice listing its
+     later copy first (as an insert before equal members did), by key. *)
+  let per_key off key keep =
+    let seq = Array.make (Array.length key) 0 and m = ref 0 in
+    let put i = for j = off.(i + 1) - 1 downto off.(i) do seq.(!m) <- j; incr m done in
+    Array.iter (fun i -> if keep i then put i) ord;
+    let by = group_by ix.n_keys key (Array.sub seq 0 !m) in
+    family (Array.length key) by (fun a b -> key.(a) = key.(b))
+  in
+  family n ord (fun _ _ -> true);
+  family n sess (fun a b -> ix.pid.(a) = ix.pid.(b));
+  per_key ix.woff ix.wkey (fun _ -> true);
+  per_key ix.roff ix.rkey (fun i -> txns.(i).W.resp <> max_int);
+  (!work, !max_d)
+
+let settle t =
+  match t.settled with
+  | Some s -> s
+  | None ->
+    let txns = t.txns and n = t.n in
+    let ix = index txns n in
+    (* Stable sorts; arrival order is usually sorted already. *)
+    let sort cmp a =
+      let rec sorted q = q >= n || (cmp a.(q - 1) a.(q) <= 0 && sorted (q + 1)) in
+      if not (sorted 1) then Array.stable_sort cmp a
+    in
+    let ord = Array.init n Fun.id in
+    sort (fun i j ->
+        let a = txns.(i) and b = txns.(j) in
+        if a.W.ts <> b.W.ts then Int.compare a.W.ts b.W.ts
+        else if a.W.rank <> b.W.rank then Int.compare a.W.rank b.W.rank
+        else Int.compare a.W.inv b.W.inv) ord;
+    let pos = Array.make n 0 in
+    Array.iteri (fun p i -> pos.(i) <- p) ord;
+    (* Each process's txns in (inv, arrival) order. *)
+    let sess = group_by ix.n_procs ix.pid (Array.init n Fun.id) in
+    sort (fun i j ->
+        if ix.pid.(i) <> ix.pid.(j) then Int.compare ix.pid.(i) ix.pid.(j)
+        else Int.compare txns.(i).W.inv txns.(j).W.inv) sess;
+    let verdict =
+      match
+        check_legal txns ix ord;
+        for q = 1 to n - 1 do
+          let a = sess.(q - 1) and b = sess.(q) in
+          if ix.pid.(a) = ix.pid.(b) && pos.(a) > pos.(b) then
+            violation "session order: process %d's txns %d and %d inverted"
+              txns.(a).W.proc a b
+        done;
+        if t.mode <> `Sequential then check_rt t.mode txns ix ord
+      with () -> Pass | exception Violation m -> Fail m
+    in
+    let work, max_displacement = meter txns n ix ord sess in
+    let s = { verdict; work; max_displacement } in
+    t.settled <- Some s;
     s
 
-let pp_value ppf = function
-  | None -> Fmt.pf ppf "nil"
-  | Some v -> Fmt.pf ppf "%d" v
-
-let fail t msg = match t.state with Failed _ -> () | Checking -> t.state <- Failed msg
-
-let is_complete (x : W.txn) = x.W.resp <> max_int
-
-let is_mutator (x : W.txn) = x.W.writes <> []
-
-let rec assoc_key name = function
-  | [] -> raise Not_found
-  | (k, v) :: rest -> if String.equal k name then v else assoc_key name rest
-
-(* The value arrival index [w] wrote to key id [k]. *)
-let written_value t w k = assoc_key t.keys.(k).name t.txns.(w).W.writes
-
-(* The value arrival index [r] read from key id [k]. *)
-let read_value t r k = assoc_key t.keys.(k).name t.txns.(r).W.reads
-
-let store_txn t i x =
-  if t.n = Array.length t.txns then begin
-    let a = Array.make (if t.n = 0 then 4 else t.n * 2) dummy_txn in
-    Array.blit t.txns 0 a 0 t.n;
-    t.txns <- a
-  end;
-  t.txns.(i) <- x;
-  t.n <- t.n + 1
-
-let add_work t d =
-  t.work <- t.work + d;
-  if d > t.max_displacement then t.max_displacement <- d
-
-(* Validate one read of the (complete) new transaction [i]. A read is
-   settled eagerly when its verdict cannot change — satisfied when it sees
-   the latest preceding write, failed when its value's (unique) writer is
-   already placed incompatibly — and deferred when the writer simply has
-   not arrived yet. *)
-let check_read t i k key v =
-  let writers = t.keys.(k).writers in
-  let p = insertion_point t writers i in
-  let latest = if p = 0 then -1 else Ivec.get writers (p - 1) in
-  match v with
-  | None ->
-    (* A nil read with any preceding writer can never become legal. *)
-    if latest >= 0 then
-      fail t
-        (Fmt.str "legality: txn %d read %s=nil but txn %d wrote %s=%d before it"
-           i key latest key (written_value t latest k))
-  | Some v ->
-    let w = Rf.find t.rf k v in
-    if w < 0 then
-      (* Writer not recorded yet (slow ack, unacknowledged commit swept in
-         at the end): settle at finish. *)
-      t.deferred <- (i, k, v) :: t.deferred
-    else if w <> latest then
-      (* Present but not the latest predecessor: either another version
-         interposes or the writer is ordered after the reader; no future
-         insert can undo either. *)
-      fail t
-        (Fmt.str
-           "legality: txn %d read %s=%d from txn %d, but the order implies %a"
-           i key v w pp_value
-           (if latest < 0 then None else Some (written_value t latest k)))
-
-(* File each read of the new (complete) transaction [i], key ids from
-   [cur.(j)] on, under its key, validating it first. *)
-let rec add_reads t i j = function
-  | [] -> ()
-  | (key, v) :: rest ->
-    let k = Ivec.get t.cur j in
-    (match t.state with
-    | Checking -> check_read t i k key v
-    | Failed _ -> ());
-    let readers = t.keys.(k).readers in
-    add_work t (Ivec.insert readers (insertion_point t readers i) i);
-    add_reads t i (j + 1) rest
-
-(* Insert one write of the new transaction [i]. Readers strictly between the
-   new version and the key's next writer were previously validated against
-   an older version; with uniqueness, any of them that did not observe this
-   value is now definitively illegal unless its own writer is still missing
-   (then it stays deferred). *)
-let insert_write t i k key v =
-  let { writers; readers; _ } = t.keys.(k) in
-  let p = insertion_point t writers i in
-  (match t.state with
-  | Failed _ -> ()
-  | Checking ->
-    let next_writer = if p < Ivec.length writers then Ivec.get writers p else -1 in
-    let q = ref (insertion_point t readers i) in
-    while
-      !q < Ivec.length readers
-      && (next_writer < 0 || cmp t (Ivec.get readers !q) next_writer <= 0)
-    do
-      let r = Ivec.get readers !q in
-      (* [r = i]: a txn's own reads precede its writes (Witness replay
-         order) and were already validated against the pre-state. *)
-      (if r <> i && is_complete t.txns.(r) then
-         match read_value t r k with
-         | Some u when u = v -> ()
-         | None ->
-           fail t
-             (Fmt.str
-                "legality: txn %d read %s=nil but txn %d (ts=%d) wrote %s=%d \
-                 before it"
-                r key i t.txns.(i).W.ts key v)
-         | Some u ->
-           if Rf.find t.rf k u >= 0 then
-             fail t
-               (Fmt.str
-                  "legality: txn %d read %s=%d but txn %d (ts=%d) interposes \
-                   %s=%d"
-                  r key u i t.txns.(i).W.ts key v));
-      incr q
-    done);
-  Rf.replace t.rf k v i;
-  add_work t (Ivec.insert writers p i)
-
-let rec add_writes t i j = function
-  | [] -> ()
-  | (key, v) :: rest ->
-    insert_write t i (Ivec.get t.cur j) key v;
-    add_writes t i (j + 1) rest
-
-(* Session order: along each process's invocation order, claimed-order
-   positions must increase. Checking both neighbours at the insertion point
-   maintains the invariant inductively. *)
-let check_sessions t i session =
-  let x = t.txns.(i) in
-  (* insertion point by (inv, arrival) *)
-  let lo = ref 0 and hi = ref (Ivec.length session) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    let j = Ivec.get session mid in
-    let c =
-      if t.txns.(j).W.inv <> x.W.inv then Int.compare t.txns.(j).W.inv x.W.inv
-      else Int.compare j i
-    in
-    if c < 0 then lo := mid + 1 else hi := mid
-  done;
-  let p = !lo in
-  (match t.state with
-  | Failed _ -> ()
-  | Checking ->
-    if p > 0 && cmp t (Ivec.get session (p - 1)) i > 0 then
-      fail t
-        (Fmt.str "session order: process %d's txns %d and %d inverted" x.W.proc
-           (Ivec.get session (p - 1)) i)
-    else if p < Ivec.length session && cmp t i (Ivec.get session p) > 0 then
-      fail t
-        (Fmt.str "session order: process %d's txns %d and %d inverted" x.W.proc
-           i (Ivec.get session p)));
-  add_work t (Ivec.insert session p i)
-
-let add t (x : W.txn) =
-  match t.state with
-  | Failed _ -> ()
-  | Checking ->
-    let i = t.n in
-    store_txn t i x;
-    Ivec.clear t.cur;
-    intern_keys t x.W.reads;
-    let n_reads = Ivec.length t.cur in
-    intern_keys t x.W.writes;
-    (* Global claimed order. *)
-    let p = insertion_point t t.ord i in
-    let appended = p = Ivec.length t.ord in
-    add_work t (Ivec.insert t.ord p i);
-    (* Append fast-path real-time check: when [i] lands at the end, every
-       other transaction precedes it, so the scan condition of the offline
-       checker applies directly. Mid-order inserts are caught by the exact
-       scans in [result]. *)
-    if appended then begin
-      match t.mode with
-      | `Strict ->
-        if x.W.resp < t.max_inv_all then
-          fail t
-            (Fmt.str
-               "real-time: txn %d (resp=%d) serialized after a txn invoked at \
-                %d"
-               i x.W.resp t.max_inv_all)
-      | `Rss ->
-        if is_mutator x && x.W.resp < t.max_inv_mut then
-          fail t
-            (Fmt.str
-               "real-time: mutator %d (resp=%d) serialized after a mutator \
-                invoked at %d"
-               i x.W.resp t.max_inv_mut)
-      | `Sequential -> ()
-    end;
-    if x.W.inv > t.max_inv_all then t.max_inv_all <- x.W.inv;
-    if is_mutator x && x.W.inv > t.max_inv_mut then t.max_inv_mut <- x.W.inv;
-    (* Incomplete txns (resp = max_int) never responded: their reads
-       constrain nothing and are never re-validated (mirrors
-       Witness.check_legal). *)
-    if is_complete x then add_reads t i 0 x.W.reads;
-    add_writes t i n_reads x.W.writes;
-    check_sessions t i (session_of t x.W.proc)
-
-(* {2 Finish-time checks} — the deferred read obligations plus the exact
-   real-time scans of {!Witness.check_rt_mutators} / [check_rt_conflicts] /
-   [check_rt_all], run once over the maintained order. *)
-
-let settle_deferred t =
-  let rec go = function
-    | [] -> Ok ()
-    | (r, k, v) :: rest ->
-      let { name = key; writers; _ } = t.keys.(k) in
-      let w = Rf.find t.rf k v in
-      if w < 0 then
-        Error (Fmt.str "legality: txn %d read %s=%d but no txn wrote it" r key v)
-      else
-        let p = insertion_point t writers r in
-        if p > 0 && Ivec.get writers (p - 1) = w then go rest
-        else
-          Error
-            (Fmt.str
-               "legality: txn %d read %s=%d from txn %d, but the order \
-                implies %a"
-               r key v w pp_value
-               (if p = 0 then None
-                else Some (written_value t (Ivec.get writers (p - 1)) k)))
-  in
-  go t.deferred
-
-let scan_rt_mutators t =
-  let max_inv = ref min_int in
-  let i = ref 0 in
-  let r = ref (Ok ()) in
-  while !r = Ok () && !i < Ivec.length t.ord do
-    let id = Ivec.get t.ord !i in
-    let x = t.txns.(id) in
-    if x.W.writes <> [] then begin
-      if x.W.resp < !max_inv then
-        r :=
-          Error
-            (Fmt.str
-               "real-time: mutator %d (resp=%d) serialized after a mutator \
-                invoked at %d"
-               id x.W.resp !max_inv);
-      if x.W.inv > !max_inv then max_inv := x.W.inv
-    end;
-    incr i
-  done;
-  !r
-
-(* [max_reader_inv.(k)] is the latest invocation among key [k]'s readers
-   serialized so far, [min_int] when none. Every stored transaction's reads
-   count, incomplete ones included, as in the offline scan. *)
-let scan_rt_conflicts t =
-  let max_reader_inv = Array.make t.n_keys min_int in
-  let rec check_writes id resp = function
-    | [] -> Ok ()
-    | (key, _) :: rest ->
-      let m = max_reader_inv.(Stbl.find t.ids key) in
-      if resp < m then
-        Error
-          (Fmt.str
-             "real-time: writer %d of %s (resp=%d) serialized after a reader \
-              invoked at %d"
-             id key resp m)
-      else check_writes id resp rest
-  in
-  let rec note_reads inv = function
-    | [] -> ()
-    | (key, _) :: rest ->
-      let k = Stbl.find t.ids key in
-      if max_reader_inv.(k) < inv then max_reader_inv.(k) <- inv;
-      note_reads inv rest
-  in
-  let rec go p =
-    if p = Ivec.length t.ord then Ok ()
-    else
-      let id = Ivec.get t.ord p in
-      let x = t.txns.(id) in
-      match check_writes id x.W.resp x.W.writes with
-      | Error _ as e -> e
-      | Ok () ->
-        note_reads x.W.inv x.W.reads;
-        go (p + 1)
-  in
-  go 0
-
-let scan_rt_all t =
-  let max_inv = ref min_int in
-  let i = ref 0 in
-  let r = ref (Ok ()) in
-  while !r = Ok () && !i < Ivec.length t.ord do
-    let id = Ivec.get t.ord !i in
-    let x = t.txns.(id) in
-    if x.W.resp < !max_inv then
-      r :=
-        Error
-          (Fmt.str
-             "real-time: txn %d (resp=%d) serialized after a txn invoked at %d"
-             id x.W.resp !max_inv);
-    if x.W.inv > !max_inv then max_inv := x.W.inv;
-    incr i
-  done;
-  !r
-
-let finish_scans t =
-  match t.mode with
-  | `Sequential -> Ok ()
-  | `Rss -> (
-    match scan_rt_mutators t with Error _ as e -> e | Ok () -> scan_rt_conflicts t)
-  | `Strict -> scan_rt_all t
-
-let result t =
-  match t.state with
-  | Failed m -> Fail m
-  | Checking -> (
-    match settle_deferred t with
-    | Error m -> Fail m
-    | Ok () -> ( match finish_scans t with Ok () -> Pass | Error m -> Fail m))
+let result t = (settle t).verdict
+let work t = (settle t).work
+let max_displacement t = (settle t).max_displacement
 
 let check ~mode txns =
   let t = create ~mode () in
-  Array.iter (fun x -> add t x) txns;
+  Array.iter (add t) txns;
   result t

@@ -1,12 +1,11 @@
-(** Incremental (online) witness verification.
+(** Witness verification over a recorded history, by sorting.
 
     Same semantics as {!Witness.check} — legality, session order, and the
     mode's real-time constraint over the serialization order claimed by the
-    system's timestamps — but transactions are consumed one at a time as the
-    harness records them. Cost is near-linear for histories whose claimed
-    order tracks arrival order (which simulator record streams do); out-of-
-    order inserts cost their displacement, which is metered but never
-    bounded, so every history gets a [Pass] or a [Fail].
+    system's timestamps. Records are appended as the harness recorded them;
+    {!result} then sorts them once by the claimed order (ts, rank, inv,
+    arrival) and replays it, so every history gets a [Pass] or a [Fail], in
+    O(m log m) time for [m] records and key occurrences.
 
     Precondition: written values are unique per key (as everywhere reads-from
     is derived in this repo). *)
@@ -24,22 +23,30 @@ val create : mode:Witness.mode -> unit -> t
 (** [create ~mode ()] starts an empty checker. *)
 
 val add : t -> Witness.txn -> unit
-(** Feed the next recorded transaction, in arrival (response) order. Cheap:
-    amortised O(log n) plus displacement for out-of-order serialization. *)
+(** Append the next recorded transaction, in arrival (response) order.
+    Nothing is checked until {!result}. *)
 
 val result : t -> verdict
-(** Settle deferred read obligations and run the exact real-time scans:
-    [Pass] or [Fail], never [Unknown]. Idempotent in effect but intended to
-    be called once, after the last [add]. *)
+(** Sort by the claimed order, replay it (a transaction's reads before its
+    writes; reads of incomplete transactions are not checked), check each
+    process's order and run the mode's real-time scans: [Pass] or [Fail],
+    never [Unknown]. Computed once and cached until the next {!add}. A
+    [Fail] names the first violation found in that order: legality along
+    the claimed order, then sessions, then real time. *)
 
 val n_added : t -> int
-(** Transactions fed so far. *)
+(** Transactions appended so far — every one, whatever the verdict. *)
 
 val work : t -> int
-(** Total insertion displacement performed — the work meter. *)
+(** How far arrival order strays from the claimed order: for each member of
+    four families — the claimed order, each key's writers, each key's
+    complete readers, each process's (inv, arrival) order — the members
+    that arrived earlier but rank after it, summed. It equals the positions
+    that inserting each record into its families' sorted lists in arrival
+    order would shift. Settles like {!result}. *)
 
 val max_displacement : t -> int
-(** Largest single-insert displacement seen. *)
+(** The largest single count summed by {!work}. *)
 
 val check : mode:Witness.mode -> Witness.txn array -> verdict
-(** One-shot convenience: feed the whole array in order, then {!result}. *)
+(** One-shot convenience: append the whole array in order, then {!result}. *)

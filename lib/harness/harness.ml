@@ -299,11 +299,11 @@ let flow_metrics reg ~armed ~stations flow =
 (* {2 Consistency checking}
 
    Every checked run is judged once, after the engine drains and the sweep
-   has recorded its incomplete ops, from [Run.records]: each checker is fed
-   its records in recording order, so verdicts and work counters are those
-   of a checker fed as the records arrived, without one kept live (and
-   cold) through the run. [`No_check] skips verification — for
-   benchmarking raw simulator speed; the verdict reports [Unknown]. *)
+   has recorded its incomplete ops, from [Run.records]: each checker gets
+   its records in recording order, sorts them by the claimed order and
+   replays them; the work counters measure how far recording order strayed
+   from it. [`No_check] skips verification — for benchmarking raw
+   simulator speed; the verdict reports [Unknown]. *)
 
 let spanner_mode = function Spanner.Config.Strict -> `Strict | Spanner.Config.Rss -> `Rss
 let gryff_mode = function Gryff.Config.Lin -> `Strict | Gryff.Config.Rsc -> `Rss

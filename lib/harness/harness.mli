@@ -296,11 +296,12 @@ val judge : mode:Rss_core.Witness.mode -> Run.history -> Run.verdict * (int * in
 (** The judge every driver applies to [Run.records] once the engine has
     drained: the verdict and the (added, work, max_displacement) totals
     reported as [check.*]. A Spanner history goes through one
-    {!Rss_core.Check_online} in recording order. A Gryff history is judged
-    per key (carstamps order only one key's writes): each key's records, in
-    recording order, go through their own checker, keys in ascending order
-    and one checker alive at a time. The Gryff verdict is the smallest
-    failing key's [Fail], else [Pass]. *)
+    {!Rss_core.Check_online}, which sorts it by commit timestamp and replays
+    it; the records' recording order only feeds the work meter. A Gryff
+    history is judged per key (carstamps order only one key's writes): each
+    key's records, in recording order, go through their own checker, keys
+    in ascending order and one checker alive at a time. The Gryff verdict
+    is the smallest failing key's [Fail], else [Pass]. *)
 
 val stale_control : Chaos.Audit.protocol -> Run.t -> Run.verdict option
 (** Corrupt one completed read of the run's history to an older version and

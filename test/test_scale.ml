@@ -1,9 +1,11 @@
 (* Scale-pass guarantees: (1) the online checker (Rss_core.Check_online)
    agrees with the offline witness checker on large batteries of random
    histories, valid and mutated-invalid, across all three modes, always
-   with a definitive verdict; (2) seeded protocol traces are
-   byte-identical to the golden digests captured before the lib/sim
-   hot-path optimisation — and stay identical whichever check mode
+   with a definitive verdict; its work meter equals a brute-force count of
+   its definition, and every Pass it gives on a small history is one the
+   exhaustive search (Rss_core.Check_txn) accepts; (2) seeded protocol
+   traces are byte-identical to the golden digests captured before the
+   lib/sim hot-path optimisation — and stay identical whichever check mode
    observes them; (3) the judge that runs after the drain gives the
    verdicts and work counters of checkers fed record by record as the run
    recorded them. *)
@@ -400,6 +402,208 @@ let test_in_order_feed_is_linear () =
   | CO.Unknown m -> Alcotest.failf "in-order feed unknown: %s" m);
   check int "in-order feed displaces nothing" 0 (CO.max_displacement t)
 
+(* {1 The meter against its definition}
+
+   [work] sums, and [max_displacement] maximises, one count per member of
+   four families: for each member, the members of its family that arrived
+   earlier but rank after it. The families are the claimed order
+   (ts, rank, inv, arrival) over all txns, each key's writers and each
+   key's complete readers in that order, and each process's txns in
+   (inv, arrival) order. This reference counts by brute force over every
+   earlier member. *)
+
+let reference_meter txns =
+  let n = Array.length txns in
+  let after i j =
+    (* does arrival index [j] rank after [i] in claimed order? *)
+    let a = txns.(i) and b = txns.(j) in
+    compare (b.W.ts, b.W.rank, b.W.inv, j) (a.W.ts, a.W.rank, a.W.inv, i) > 0
+  in
+  let work = ref 0 and max_d = ref 0 in
+  let family ~groups ~ranks_after =
+    for i = 0 to n - 1 do
+      List.iter
+        (fun group ->
+          let d = ref 0 in
+          for j = 0 to i - 1 do
+            if List.mem group (groups j) && ranks_after i j then incr d
+          done;
+          work := !work + !d;
+          max_d := max !max_d !d)
+        (groups i)
+    done
+  in
+  let complete j = txns.(j).W.resp <> max_int in
+  family ~groups:(fun _ -> [ "" ]) ~ranks_after:after;
+  family
+    ~groups:(fun j -> List.map fst txns.(j).W.writes)
+    ~ranks_after:after;
+  family
+    ~groups:(fun j -> if complete j then List.map fst txns.(j).W.reads else [])
+    ~ranks_after:after;
+  family
+    ~groups:(fun j -> [ string_of_int txns.(j).W.proc ])
+    ~ranks_after:(fun i j -> txns.(j).W.inv > txns.(i).W.inv);
+  (!work, !max_d)
+
+let assert_meter ~what ~mode ~mode_name ~seed txns =
+  let t = CO.create ~mode () in
+  Array.iter (CO.add t) txns;
+  let v = CO.result t in
+  let work, max_d = reference_meter txns in
+  let label = Printf.sprintf "%s mode=%s seed=%d" what mode_name seed in
+  check int (label ^ ": work") work (CO.work t);
+  check int (label ^ ": max_displacement") max_d (CO.max_displacement t);
+  (* Every record counts, failing history or not. *)
+  check int (label ^ ": n_added") (Array.length txns) (CO.n_added t);
+  v
+
+let test_meter_reference () =
+  let fails = ref 0 in
+  List.iter
+    (fun (mode, mode_name) ->
+      for seed = 1 to 60 do
+        let rng = Sim.Rng.make (seed + (0x3e7 * Hashtbl.hash mode_name)) in
+        let txns, max_val =
+          gen_history ~rng ~n:(20 + Sim.Rng.int rng 60)
+            ~n_procs:(1 + Sim.Rng.int rng 6)
+            ~n_keys:(1 + Sim.Rng.int rng 6) ()
+        in
+        ignore (assert_meter ~what:"valid" ~mode ~mode_name ~seed txns);
+        (match
+           assert_meter ~what:"mutated" ~mode ~mode_name ~seed
+             (mutate ~rng ~max_val txns)
+         with
+        | CO.Fail _ -> incr fails
+        | CO.Pass | CO.Unknown _ -> ());
+        let key_name i j =
+          if i >= 15 && j >= 2 then Printf.sprintf "late%d" j else Printf.sprintf "k%d" j
+        in
+        let txns, _ =
+          gen_history ~key_name ~well_formed:true ~rng ~n:30 ~n_procs:5 ~n_keys:4 ()
+        in
+        ignore (assert_meter ~what:"late keys" ~mode ~mode_name ~seed txns)
+      done)
+    modes;
+  check bool (Fmt.str "failing histories metered (%d)" !fails) true (!fails > 60)
+
+(* {1 Against the exact checker}
+
+   Small random histories (at most 7 txns, 3 keys, 3 processes) whose
+   claimed order is drawn at random and whose reads mostly replay it.
+   Each process runs its txns one after another; an incomplete txn is
+   write-only and its process's last, as the sweep records them. Every
+   [Pass] must be satisfiable under the matching model by {!Check_txn}'s
+   exhaustive search. *)
+
+let gen_small ~rng =
+  let n = 1 + Sim.Rng.int rng 7 and n_procs = 1 + Sim.Rng.int rng 3 in
+  let n_keys = 1 + Sim.Rng.int rng 3 in
+  let clock = Array.make n_procs 0 and stopped = Array.make n_procs false in
+  let next_val = ref 0 in
+  let pick_keys () =
+    List.init n_keys (Printf.sprintf "k%d") |> List.filter (fun _ -> Sim.Rng.bool rng 0.5)
+  in
+  let rec gen acc m =
+    let live = List.filter (fun p -> not stopped.(p)) (List.init n_procs Fun.id) in
+    if m = 0 || live = [] then Array.of_list (List.rev acc)
+    else begin
+      let proc = List.nth live (Sim.Rng.int rng (List.length live)) in
+      let inv = clock.(proc) + Sim.Rng.int rng 6 in
+      let incomplete = Sim.Rng.bool rng 0.15 in
+      let resp = if incomplete then max_int else inv + 1 + Sim.Rng.int rng 12 in
+      clock.(proc) <- resp;
+      stopped.(proc) <- incomplete;
+      let writes =
+        List.map
+          (fun k ->
+            incr next_val;
+            (k, !next_val))
+          (pick_keys ())
+      in
+      let reads =
+        if incomplete then [] else List.map (fun k -> (k, None)) (pick_keys ())
+      in
+      let writes =
+        if reads = [] && writes = [] then begin
+          incr next_val;
+          [ ("k0", !next_val) ]
+        end
+        else writes
+      in
+      let ts = Sim.Rng.int rng 8 in
+      let rank = W.mutator_rank ~writes in
+      gen ({ W.proc; reads; writes; inv; resp; ts; rank } :: acc) (m - 1)
+    end
+  in
+  let txns = gen [] n in
+  (* Reads replay the claimed order, except a few that read something else
+     written to their key (or nothing). *)
+  let ord = Array.init (Array.length txns) Fun.id in
+  Array.stable_sort
+    (fun i j ->
+      compare (txns.(i).W.ts, txns.(i).W.rank, txns.(i).W.inv)
+        (txns.(j).W.ts, txns.(j).W.rank, txns.(j).W.inv))
+    ord;
+  let store = Hashtbl.create 4 in
+  let written k =
+    Array.to_list txns |> List.concat_map (fun x -> x.W.writes)
+    |> List.filter_map (fun (k', v) -> if k' = k then Some (Some v) else None)
+  in
+  Array.iter
+    (fun i ->
+      let x = txns.(i) in
+      let reads =
+        List.map
+          (fun (k, _) ->
+            if Sim.Rng.bool rng 0.85 then (k, Hashtbl.find_opt store k)
+            else
+              let choices = None :: written k in
+              (k, List.nth choices (Sim.Rng.int rng (List.length choices))))
+          x.W.reads
+      in
+      txns.(i) <- { x with W.reads };
+      List.iter (fun (k, v) -> Hashtbl.replace store k v) x.W.writes)
+    ord;
+  (* Arrival order: by response, incomplete last. *)
+  Array.stable_sort (fun a b -> compare a.W.resp b.W.resp) txns;
+  txns
+
+let test_passes_are_exact () =
+  let exact = function
+    | `Strict -> Rss_core.Check_txn.Strict_serializable
+    | `Rss -> Rss_core.Check_txn.Rss
+    | `Sequential -> Rss_core.Check_txn.Process_ordered
+  in
+  List.iter
+    (fun (mode, mode_name) ->
+      let passes = ref 0 in
+      for seed = 1 to 1500 do
+        let rng = Sim.Rng.make (seed + (0xe4ac7 * Hashtbl.hash mode_name)) in
+        let txns = gen_small ~rng in
+        match CO.check ~mode txns with
+        | CO.Fail _ | CO.Unknown _ -> ()
+        | CO.Pass -> (
+          incr passes;
+          let h =
+            Array.mapi (fun id x -> Rss_core.Txn_history.of_witness ~id x) txns
+            |> Array.to_list |> Rss_core.Txn_history.make
+          in
+          match Rss_core.Check_txn.check h (exact mode) with
+          | Rss_core.Check_txn.Sat _ -> ()
+          | Rss_core.Check_txn.Unsat ->
+            Alcotest.failf "mode=%s seed=%d: online Pass but exact Unsat:@.%a" mode_name
+              seed
+              Fmt.(array ~sep:cut Rss_core.Txn_history.pp_txn)
+              h.Rss_core.Txn_history.txns
+          | Rss_core.Check_txn.Unknown ->
+            Alcotest.failf "mode=%s seed=%d: exact search gave up" mode_name seed)
+      done;
+      check bool
+        (Fmt.str "%s: passes exercised (%d)" mode_name !passes)
+        true (!passes > 150))
+    modes
+
 (* {1 Golden seeded traces}
 
    Digests of short harness runs, captured at a fixed seed before the
@@ -789,6 +993,10 @@ let suites =
         Alcotest.test_case "create is small" `Quick test_create_is_small;
         Alcotest.test_case "in-order feed is linear" `Quick
           test_in_order_feed_is_linear;
+        Alcotest.test_case "meter matches its definition" `Quick
+          test_meter_reference;
+        Alcotest.test_case "passes are exact-checker sat" `Quick
+          test_passes_are_exact;
         Alcotest.test_case "online checking is passive" `Quick
           test_online_checking_is_passive;
       ] );
