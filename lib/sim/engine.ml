@@ -24,7 +24,22 @@ type prof_cell = { mutable p_events : int; mutable p_wall : float }
 
    Pop order is fixed by the key alone: seq is unique, so (time, prio, seq)
    is a strict total order and every correct priority queue pops the same
-   sequence. Which slot an event lands in never affects the order. *)
+   sequence. Which slot an event lands in never affects the order.
+
+   Cancellation. [schedule_cancellable] returns the event's handle, its seq
+   and slot packed into one immediate int, and records the seq in
+   [slot_seq] (written once per push). [cancel] acts only if the slot
+   still holds that seq and a closure other than [no_op]: a slot whose
+   event has run, or was cancelled, holds [no_op] until a later push
+   reuses it, and the reuse writes a new seq. A cancelled entry releases
+   its closure at once but stays in the heap as a tombstone, its slot still
+   in use; [dead] counts them. A tombstone that reaches the root is
+   dropped without running anything, moving neither the clock nor
+   [n_executed]. When tombstones outnumber live entries, [compact] frees
+   them and re-heapifies the rest in place (Floyd); since the key alone
+   fixes the pop order, neither tombstones nor compaction can move a
+   schedule. [pending] and the profiler's depth samples count live
+   entries only. *)
 type t = {
   mutable clock : int;
   mutable next_seq : int;
@@ -39,7 +54,9 @@ type t = {
      is the stack of unused slots, its top at the highest index. *)
   mutable slot_action : (unit -> unit) array;
   mutable slot_kind : string array;
+  mutable slot_seq : int array;
   mutable free : int array;
+  mutable dead : int;  (* tombstones among the [len] heap entries *)
   (* Tie-break perturbation hook for schedule exploration: when set, each
      scheduled event asks the callback for a priority keyed on its [kind];
      ordering becomes (time, prio, seq). When unset every event gets
@@ -57,6 +74,15 @@ type t = {
 }
 
 let no_op () = ()
+
+(* A handle is [seq lsl slot_bits lor slot]. Slots stay below 2^28 (a
+   queue that long would need tens of gigabytes), and seqs below 2^34 give
+   non-negative handles; past that a handle names no event (see [cancel]). *)
+let slot_bits = 28
+
+let slot_mask = (1 lsl slot_bits) - 1
+
+type handle = int
 
 (* Free slots [lo .. hi - 1], stacked so that the lowest is taken first. *)
 let stack_slots free ~lo ~hi =
@@ -78,7 +104,9 @@ let create () =
     len = 0;
     slot_action = Array.make 16 no_op;
     slot_kind = Array.make 16 "";
+    slot_seq = Array.make 16 0;
     free;
+    dead = 0;
     tie_perturb = None;
     profiling = false;
     sample_every = 1024;
@@ -93,6 +121,7 @@ let now t = t.clock
 let grow t =
   let cap = t.len in
   let ncap = cap * 2 in
+  if ncap > slot_mask + 1 then failwith "Engine: event queue full";
   let extend a fill =
     let b = Array.make ncap fill in
     Array.blit a 0 b 0 cap;
@@ -104,6 +133,7 @@ let grow t =
   t.ev_slot <- extend t.ev_slot 0;
   t.slot_action <- extend t.slot_action no_op;
   t.slot_kind <- extend t.slot_kind "";
+  t.slot_seq <- extend t.slot_seq 0;
   let free = Array.make ncap 0 in
   stack_slots free ~lo:cap ~hi:ncap;
   t.free <- free
@@ -115,11 +145,11 @@ let grow t =
 let[@inline] before (t1 : int) (p1 : int) (s1 : int) t2 p2 s2 =
   t1 < t2 || (t1 = t2 && (p1 < p2 || (p1 = p2 && s1 < s2)))
 
-(* Push: the closure and kind go to a free slot; then the new entry is held
-   in locals while a hole climbs from the first free heap place past every
-   parent it precedes; each parent moves down one level, and the entry is
-   written once, at its final place. *)
-let schedule_at ?(kind = "other") t ~at action =
+(* Push: the closure, kind and seq go to a free slot; then the new entry is
+   held in locals while a hole climbs from the first free heap place past
+   every parent it precedes; each parent moves down one level, and the
+   entry is written once, at its final place. Returns the handle. *)
+let[@inline] push kind t ~at action =
   let time = if at < t.clock then t.clock else at in
   if t.len = Array.length t.free then grow t;
   let slot = t.free.(Array.length t.free - t.len - 1) in
@@ -128,6 +158,7 @@ let schedule_at ?(kind = "other") t ~at action =
   let prio = match t.tie_perturb with None -> 0 | Some f -> f kind in
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
+  t.slot_seq.(slot) <- seq;
   let times = t.ev_time and prios = t.ev_prio and seqs = t.ev_seq in
   let slots = t.ev_slot in
   let hole = ref t.len in
@@ -149,11 +180,18 @@ let schedule_at ?(kind = "other") t ~at action =
   times.(i) <- time;
   prios.(i) <- prio;
   seqs.(i) <- seq;
-  slots.(i) <- slot
+  slots.(i) <- slot;
+  (seq lsl slot_bits) lor slot
 
-let schedule ?kind t ~after action =
+let schedule_at ?(kind = "other") t ~at action = ignore (push kind t ~at action)
+
+let schedule ?(kind = "other") t ~after action =
   let after = if after < 0 then 0 else after in
-  schedule_at ?kind t ~at:(t.clock + after) action
+  ignore (push kind t ~at:(t.clock + after) action)
+
+let schedule_cancellable ?(kind = "other") t ~after action =
+  let after = if after < 0 then 0 else after in
+  push kind t ~at:(t.clock + after) action
 
 let set_tie_perturb t f = t.tie_perturb <- f
 
@@ -177,80 +215,139 @@ let profile t =
 
 let queue_depths t = t.depths
 
+(* The sift-down both [remove_root] and [compact] use: the entry (time,
+   prio, seq, slot) is held in locals while the hole at [hole] sinks
+   through the smallest child of each group of four that precedes it, in a
+   heap of [len] entries; the entry is written once, where the hole stops. *)
+let[@inline] sift_down t hole time prio seq slot len =
+  let times = t.ev_time and prios = t.ev_prio and seqs = t.ev_seq in
+  let slots = t.ev_slot in
+  let hole = ref hole and sinking = ref true in
+  while !sinking do
+    let first = (4 * !hole) + 1 in
+    if first >= len then sinking := false
+    else begin
+      (* The smallest of the hole's children; the last parent's group
+         may hold fewer than four. *)
+      let stop = if first + 3 < len then first + 3 else len - 1 in
+      let c = ref first in
+      let ct = ref times.(first)
+      and cp = ref prios.(first)
+      and cs = ref seqs.(first) in
+      for j = first + 1 to stop do
+        let jt = times.(j) and jp = prios.(j) and js = seqs.(j) in
+        if before jt jp js !ct !cp !cs then begin
+          c := j;
+          ct := jt;
+          cp := jp;
+          cs := js
+        end
+      done;
+      if before !ct !cp !cs time prio seq then begin
+        let c = !c and i = !hole in
+        times.(i) <- !ct;
+        prios.(i) <- !cp;
+        seqs.(i) <- !cs;
+        slots.(i) <- slots.(c);
+        hole := c
+      end
+      else sinking := false
+    end
+  done;
+  let i = !hole in
+  times.(i) <- time;
+  prios.(i) <- prio;
+  seqs.(i) <- seq;
+  slots.(i) <- slot
+
 (* Remove the root, whose slot the caller has emptied and which goes back
-   on the free stack. The last entry leaves its place and fills the hole
-   the root leaves: the hole sinks through the smallest child of each group
-   of four while that child precedes the entry, and the entry is written
-   once, where the hole stops. *)
+   on the free stack. The last entry leaves its place and sifts down from
+   the root's. *)
 let remove_root t root_slot =
   let last = t.len - 1 in
   t.len <- last;
   t.free.(Array.length t.free - last - 1) <- root_slot;
+  if last > 0 then
+    sift_down t 0 t.ev_time.(last) t.ev_prio.(last) t.ev_seq.(last)
+      t.ev_slot.(last) last
+
+(* A slot holds [no_op] exactly when it is free or its entry is a
+   tombstone. *)
+let tombstone t i = t.slot_action.(t.ev_slot.(i)) == no_op
+
+let[@inline] drop_tombstones t =
+  while t.dead > 0 && t.len > 0 && tombstone t 0 do
+    t.dead <- t.dead - 1;
+    remove_root t t.ev_slot.(0)
+  done
+
+(* Free every tombstone's slot and close the gaps, keeping the live entries
+   in heap order; then restore the heap property bottom-up, sifting down
+   each parent from the last one to the root. *)
+let compact t =
   let times = t.ev_time and prios = t.ev_prio and seqs = t.ev_seq in
   let slots = t.ev_slot in
-  let time = times.(last) and prio = prios.(last) and seq = seqs.(last) in
-  let slot = slots.(last) in
-  if last > 0 then begin
-    let hole = ref 0 and sinking = ref true in
-    while !sinking do
-      let first = (4 * !hole) + 1 in
-      if first >= last then sinking := false
-      else begin
-        (* The smallest of the hole's children; the last parent's group
-           may hold fewer than four. *)
-        let stop = if first + 3 < last then first + 3 else last - 1 in
-        let c = ref first in
-        let ct = ref times.(first)
-        and cp = ref prios.(first)
-        and cs = ref seqs.(first) in
-        for j = first + 1 to stop do
-          let jt = times.(j) and jp = prios.(j) and js = seqs.(j) in
-          if before jt jp js !ct !cp !cs then begin
-            c := j;
-            ct := jt;
-            cp := jp;
-            cs := js
-          end
-        done;
-        if before !ct !cp !cs time prio seq then begin
-          let c = !c and i = !hole in
-          times.(i) <- !ct;
-          prios.(i) <- !cp;
-          seqs.(i) <- !cs;
-          slots.(i) <- slots.(c);
-          hole := c
-        end
-        else sinking := false
-      end
-    done;
-    let i = !hole in
-    times.(i) <- time;
-    prios.(i) <- prio;
-    seqs.(i) <- seq;
-    slots.(i) <- slot
+  let top = ref (Array.length t.free - t.len) and n = ref 0 in
+  for i = 0 to t.len - 1 do
+    if tombstone t i then begin
+      t.free.(!top) <- slots.(i);
+      incr top
+    end
+    else begin
+      let j = !n in
+      times.(j) <- times.(i);
+      prios.(j) <- prios.(i);
+      seqs.(j) <- seqs.(i);
+      slots.(j) <- slots.(i);
+      n := j + 1
+    end
+  done;
+  let len = !n in
+  t.len <- len;
+  t.dead <- 0;
+  for i = ((len - 2) / 4) downto 0 do
+    sift_down t i times.(i) prios.(i) seqs.(i) slots.(i) len
+  done
+
+let cancel t h =
+  let slot = h land slot_mask in
+  if
+    h >= 0
+    && slot < Array.length t.slot_seq
+    && t.slot_seq.(slot) = h lsr slot_bits
+    && t.slot_action.(slot) != no_op
+  then begin
+    t.slot_action.(slot) <- no_op;
+    t.dead <- t.dead + 1;
+    if t.dead > t.len - t.dead then compact t
   end
 
+(* Run the root, which must be live. *)
+let fire t =
+  let time = t.ev_time.(0) and slot = t.ev_slot.(0) in
+  let action = t.slot_action.(slot) in
+  t.slot_action.(slot) <- no_op;
+  remove_root t slot;
+  t.clock <- time;
+  t.n_executed <- t.n_executed + 1;
+  if t.profiling then begin
+    (* Read before the action runs: a push inside it may reuse the slot. *)
+    let kind = t.slot_kind.(slot) in
+    if t.n_executed mod t.sample_every = 0 then
+      Stats.Recorder.add t.depths (t.len - t.dead);
+    let t0 = Sys.time () in
+    action ();
+    let cell = prof_cell t kind in
+    cell.p_events <- cell.p_events + 1;
+    cell.p_wall <- cell.p_wall +. (Sys.time () -. t0)
+  end
+  else action ()
+
 let step t =
+  drop_tombstones t;
   if t.len = 0 then false
   else begin
-    let time = t.ev_time.(0) and slot = t.ev_slot.(0) in
-    let action = t.slot_action.(slot) in
-    t.slot_action.(slot) <- no_op;
-    remove_root t slot;
-    t.clock <- time;
-    t.n_executed <- t.n_executed + 1;
-    if t.profiling then begin
-      (* Read before the action runs: a push inside it may reuse the slot. *)
-      let kind = t.slot_kind.(slot) in
-      if t.n_executed mod t.sample_every = 0 then
-        Stats.Recorder.add t.depths t.len;
-      let t0 = Sys.time () in
-      action ();
-      let cell = prof_cell t kind in
-      cell.p_events <- cell.p_events + 1;
-      cell.p_wall <- cell.p_wall +. (Sys.time () -. t0)
-    end
-    else action ();
+    fire t;
     true
   end
 
@@ -259,18 +356,19 @@ let run ?until ?max_events t =
   let budget = ref (match max_events with None -> max_int | Some m -> m) in
   let continue = ref true in
   while !continue && !budget > 0 do
+    drop_tombstones t;
     if t.len = 0 then continue := false
     else if t.ev_time.(0) > stop_time then begin
       t.clock <- stop_time;
       continue := false
     end
     else begin
-      ignore (step t);
+      fire t;
       decr budget
     end
   done
 
-let pending t = t.len
+let pending t = t.len - t.dead
 
 let executed t = t.n_executed
 

@@ -19,13 +19,35 @@ val schedule : ?kind:string -> t -> after:int -> (unit -> unit) -> unit
 val schedule_at : ?kind:string -> t -> at:int -> (unit -> unit) -> unit
 (** Absolute-time variant of {!schedule}. Times in the past fire "now". *)
 
+type handle = int
+(** Names one scheduled event: its sequence number and queue slot packed
+    into one immediate int, so keeping or passing a handle allocates
+    nothing. Real handles are non-negative; any negative int names no
+    event, so callers may use negatives as their own markers. *)
+
+val schedule_cancellable :
+  ?kind:string -> t -> after:int -> (unit -> unit) -> handle
+(** {!schedule}, returning a handle for {!cancel}. The event takes the same
+    place in the schedule as a {!schedule} call would. *)
+
+val cancel : t -> handle -> unit
+(** [cancel t h] drops the event [h] names if it is still queued: it will
+    not run, its closure is released at once, and it no longer counts in
+    {!pending}. On a handle whose event has already run or was already
+    cancelled, [cancel] does nothing (even if a later event reuses its
+    slot); so does a handle of an event pushed after the first 2^34 pushes,
+    which then runs as scheduled. A cancelled event never runs, never
+    advances the clock and never counts in {!executed}; the order of every
+    other event is unchanged. Cancelling allocates nothing. *)
+
 val step : t -> bool
-(** Execute the next event. [false] if the queue was empty. *)
+(** Execute the next event. [false] if no event was pending. *)
 
 val run : ?until:int -> ?max_events:int -> t -> unit
 (** Drain the event queue. [until] stops the clock at an absolute time
     (events beyond it stay queued); [max_events] bounds work as a runaway
-    guard. *)
+    guard. The clock ends at the last event run (or at [until]): a
+    cancelled event left in the queue does not move it. *)
 
 val set_tie_perturb : t -> (string -> int) option -> unit
 (** Install (or clear) a same-timestamp tie-break perturbation hook for
@@ -40,10 +62,11 @@ val set_tie_perturb : t -> (string -> int) option -> unit
     affects only same-instant ordering, never times. *)
 
 val pending : t -> int
-(** Number of queued events. *)
+(** Number of queued events that will run: cancelled ones are not
+    counted. *)
 
 val executed : t -> int
-(** Number of events executed so far. *)
+(** Number of events executed so far; cancelled events never count. *)
 
 (** {2 Profiling}
 
@@ -63,7 +86,8 @@ val profile : t -> (string * int * float) list
 (** [(kind, events_executed, wall_seconds)] rows, sorted by kind. *)
 
 val queue_depths : t -> Stats.Recorder.t
-(** Sampled event-queue depths (empty unless profiling is enabled). *)
+(** Sampled event-queue depths, as {!pending} counts them (empty unless
+    profiling is enabled). *)
 
 (** {2 Time helpers} — all return microseconds. *)
 

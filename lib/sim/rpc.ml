@@ -41,6 +41,14 @@ let give_up t tr call_sp marker on_result =
   end;
   on_result None
 
+let settled = -1
+
+let unarmed = -2
+
+let settle t timer =
+  Engine.cancel t.engine !timer;
+  timer := settled
+
 let call ?(name = "rpc.call") ?flow ?expires ?sends t ~attempt ~on_result =
   t.n_calls <- t.n_calls + 1;
   let tr = t.tracer in
@@ -55,25 +63,28 @@ let call ?(name = "rpc.call") ?flow ?expires ?sends t ~attempt ~on_result =
         ~ts:(Engine.now t.engine)
     else Obs.Trace.none
   in
-  let settled = ref false in
+  (* The pending timeout's handle while the call is open, [settled] once
+     it has delivered its result; [unarmed] before the first timeout is
+     scheduled. Both markers are negative, so they name no event. *)
+  let timer = ref unarmed in
   (* One recursive group, so [ok] and [go] share one closure block. *)
   let rec ok v =
-    if not !settled then begin
-      settled := true;
+    if !timer <> settled then begin
+      settle t timer;
       if traced then Obs.Trace.end_span tr call_sp ~ts:(Engine.now t.engine);
       on_result (Some v)
     end
   and go n =
-    if not !settled then
+    if !timer <> settled then
       if n > t.max_attempts then begin
         (* Settled first: a reply to an earlier attempt that lands after
            this point must not reach [on_result] as [Some v] after [None]. *)
-        settled := true;
+        settle t timer;
         t.n_exhausted <- t.n_exhausted + 1;
         give_up t tr call_sp "rpc.exhausted" on_result
       end
       else if n > 1 && not (may_reattempt flow ?expires ?sends ()) then begin
-        settled := true;
+        settle t timer;
         give_up t tr call_sp "rpc.abandoned" on_result
       end
       else begin
@@ -87,11 +98,18 @@ let call ?(name = "rpc.call") ?flow ?expires ?sends t ~attempt ~on_result =
         else attempt ~attempt:n ~ok;
         (* Per-attempt timeout doubles (capped); retries add jitter so
            concurrent callers de-synchronize. The first attempt draws no
-           randomness, keeping retry-free runs on the unperturbed stream. *)
+           randomness, keeping retry-free runs on the unperturbed stream.
+           The timeout is scheduled even when the attempt has already
+           settled the call, and is then cancelled at once: a call's
+           pushes, and so every later event's seq, do not depend on when
+           its reply lands. *)
         let backoff = min t.max_backoff_us (t.timeout_us lsl min (n - 1) 16) in
         let jitter = if n = 1 then 0 else Rng.int t.rng (max 1 (backoff / 4)) in
-        Engine.schedule ~kind:"rpc.backoff" t.engine ~after:(backoff + jitter)
-          (fun () -> go (n + 1))
+        let h =
+          Engine.schedule_cancellable ~kind:"rpc.backoff" t.engine
+            ~after:(backoff + jitter) (fun () -> go (n + 1))
+        in
+        if !timer = settled then Engine.cancel t.engine h else timer := h
       end
   in
   go 1

@@ -6,9 +6,13 @@
     lands in time it re-runs the thunk, doubling the timeout up to
     [max_backoff_us], until [max_attempts] attempts have gone unanswered —
     then delivers [None]. Late replies from superseded attempts, and replies
-    that land after the call gave up, are absorbed by a per-call settled
-    flag, so a callee observes at-least-once delivery and the caller sees
-    exactly one result.
+    that land after the call gave up, are absorbed by per-call settled
+    state, so a callee observes at-least-once delivery and the caller sees
+    exactly one result. Settling cancels the pending timeout
+    ({!Engine.cancel}), so a call answered in time leaves no timer behind
+    in the engine queue, even when the reply lands synchronously inside
+    [attempt]. The timeout is still scheduled (and then cancelled) in that
+    case, so the sequence of pushes does not depend on reply timing.
 
     Determinism: backoff jitter is drawn from the [rng] stream handed to
     {!create}, and only when an attempt actually retries — a run in which

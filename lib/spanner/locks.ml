@@ -266,6 +266,11 @@ let acquire_read t ~key ~txn ~priority k = acquire t Read ~key ~txn ~priority k
 
 let acquire_write t ~key ~txn ~priority k = acquire t Write ~key ~txn ~priority k
 
+let restore_write t ~key ~txn ~priority =
+  Hashtbl.replace t.priorities txn priority;
+  (entry t key).writer <- Some txn;
+  record_held t txn key Write
+
 let release_all t ~txn =
   let affected, aborted = strip t txn in
   Hashtbl.remove t.priorities txn;

@@ -41,6 +41,13 @@ val acquire_write : t -> key:int -> txn:int -> priority:int * int -> (grant -> u
     lock already held succeeds immediately. The continuation may fire
     synchronously. *)
 
+val restore_write : t -> key:int -> txn:int -> priority:int * int -> unit
+(** Make [txn] the write holder of [key] at once: no queue, no wound
+    check, no grant event. For a rebuilt leader's surviving prepares,
+    which must hold their write locks whatever happened to them before the
+    crash (a wounded prepare can still commit). [key] must have no holder;
+    {!release_all} releases the lock. *)
+
 val release_all : t -> txn:int -> unit
 (** Drop every lock and queued request of [txn], then re-process waiters. *)
 

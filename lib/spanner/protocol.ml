@@ -767,6 +767,19 @@ let handle_terminate ctx shard ~txn ~reply =
       if meta.Types.outcome = None then meta.Types.outcome <- Some Types.Aborted;
       reply (`Decided (Types.Aborted, 0)))
 
+(* The settle state of a client op that arms a timer (an RW attempt's
+   deadline, an RO's re-issue): the pending timer's handle while the op is
+   open ([op_unarmed] before one is scheduled), [op_settled] once it is
+   done. Both markers are negative, so neither names an event. Settling
+   cancels the timer. *)
+let op_settled = -1
+
+let op_unarmed = -2
+
+let settle_op ctx state =
+  Sim.Engine.cancel ctx.engine !state;
+  state := op_settled
+
 let rw_txn ?(on_attempt = fun (_ : int) -> ()) ?deadline_us ?view ctx
     ~client_site ~proc ~read_keys ~writes k =
   if writes = [] then invalid_arg "Protocol.rw_txn: empty write set";
@@ -851,7 +864,7 @@ let rw_txn ?(on_attempt = fun (_ : int) -> ()) ?deadline_us ?view ctx
     let failed = ref false in
     (* First settlement wins: the coordinator's reply, or — with failover
        armed and a deadline set — the client's terminate protocol. *)
-    let settled = ref false in
+    let state = ref op_unarmed in
     let terminate_attempt () =
       ctx.n_terminates <- ctx.n_terminates + 1;
       match ctx.rpc with
@@ -905,11 +918,13 @@ let rw_txn ?(on_attempt = fun (_ : int) -> ()) ?deadline_us ?view ctx
     in
     (match deadline_us with
     | Some d when ctx.failover ->
-      Sim.Engine.schedule ~kind:"txn.deadline" ctx.engine ~after:d (fun () ->
-          if not !settled then begin
-            settled := true;
-            terminate_attempt ()
-          end)
+      state :=
+        Sim.Engine.schedule_cancellable ~kind:"txn.deadline" ctx.engine ~after:d
+          (fun () ->
+            if !state <> op_settled then begin
+              state := op_settled;
+              terminate_attempt ()
+            end)
     | Some _ | None -> ());
     let commit_phase () =
       let start_latest = (Sim.Truetime.now ctx.tt).Sim.Truetime.latest in
@@ -920,8 +935,8 @@ let rw_txn ?(on_attempt = fun (_ : int) -> ()) ?deadline_us ?view ctx
         + ctx.config.Config.tee_pad_us
       in
       let on_outcome (outcome, max_tee) =
-        if not !settled then begin
-          settled := true;
+        if !state <> op_settled then begin
+          settle_op ctx state;
           match outcome with
           | Types.Committed tc ->
             ctx.n_rw_committed <- ctx.n_rw_committed + 1;
@@ -957,9 +972,9 @@ let rw_txn ?(on_attempt = fun (_ : int) -> ()) ?deadline_us ?view ctx
     in
     let read_done () =
       decr pending;
-      if !pending = 0 && not !settled then
+      if !pending = 0 && !state <> op_settled then
         if !failed then begin
-          settled := true;
+          settle_op ctx state;
           ctx.n_rw_aborted_attempts <- ctx.n_rw_aborted_attempts + 1;
           retry txn
         end
@@ -974,8 +989,8 @@ let rw_txn ?(on_attempt = fun (_ : int) -> ()) ?deadline_us ?view ctx
              cheap. Once prepares are out, messages must land. *)
           let reject = function
             | Sim.Flow.Expired ->
-              if not !settled then begin
-                settled := true;
+              if !state <> op_settled then begin
+                settle_op ctx state;
                 ctx.n_rw_aborted_attempts <- ctx.n_rw_aborted_attempts + 1;
                 abandon txn
               end
@@ -1262,12 +1277,12 @@ let ro_txn ?deadline_us ?view ctx ~client_site ~proc:_ ~t_min ~keys k =
   let expires = Sim.Flow.expires ctx.flow deadline_us in
   match deadline_us with
   | Some d when ctx.failover ->
-    let done_ = ref false in
+    let state = ref op_unarmed in
     (* Every re-issue after the first is a client re-offer, so Flow
        decides it when its timer fires. *)
     let rec go issued =
       if
-        (not !done_) && issued < 25
+        !state <> op_settled && issued < 25
         && (issued = 0 || Sim.Flow.may_retry ctx.flow ?expires ~after_us:0 ())
       then begin
         (* A re-issue may be retrying a read whose reply died with a moved
@@ -1276,12 +1291,16 @@ let ro_txn ?deadline_us ?view ctx ~client_site ~proc:_ ~t_min ~keys k =
         | Some v when Place.Directory.stale v -> Place.Directory.refresh v
         | Some _ | None -> ());
         ro_once ?view ?expires ctx ~client_site ~t_min ~keys (fun res ->
-            if not !done_ then begin
-              done_ := true;
+            if !state <> op_settled then begin
+              settle_op ctx state;
               k res
             end);
-        Sim.Engine.schedule ~kind:"txn.deadline" ctx.engine ~after:d (fun () ->
-            go (issued + 1))
+        let h =
+          Sim.Engine.schedule_cancellable ~kind:"txn.deadline" ctx.engine
+            ~after:d (fun () -> go (issued + 1))
+        in
+        if !state = op_settled then Sim.Engine.cancel ctx.engine h
+        else state := h
       end
     in
     go 0

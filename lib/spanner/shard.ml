@@ -226,11 +226,13 @@ let set_decided t ~txn outcome ~max_tee =
 (* New leader: replace every volatile structure with what the replicated
    log supports. Prepares with a logged outcome resolve; the rest are the
    in-doubt set the protocol layer must settle with their coordinators.
-   Write locks of surviving prepares are re-acquired (they are exclusive by
-   construction, so every grant is immediate); read locks and lock waiters
-   die with the old leader — coordinators void any attempt whose read or
-   vote views no longer match at decision time, covering the reads those
-   locks protected from the moment they were served. *)
+   Write locks of surviving prepares are restored (they are exclusive by
+   construction), wounded or not: a prepared txn can still commit, so a
+   read at the new leader must wait for its outcome rather than read the
+   version before its write. Read locks and lock waiters die with the old
+   leader — coordinators void any attempt whose read or vote views no
+   longer match at decision time, covering the reads those locks protected
+   from the moment they were served. *)
 let rebuild t ~entries =
   t.n_rebuilds <- t.n_rebuilds + 1;
   Hashtbl.reset t.prepared_set.by_txn;
@@ -277,8 +279,6 @@ let rebuild t ~entries =
     (fun txn ->
       let p = Hashtbl.find t.prepared_set.by_txn txn in
       let priority = (Types.find t.txns txn).Types.priority in
-      List.iter
-        (fun (key, _) ->
-          Locks.acquire_write t.locks ~key ~txn ~priority (fun _ -> ()))
+      List.iter (fun (key, _) -> Locks.restore_write t.locks ~key ~txn ~priority)
         p.p_writes)
     (prepared_txns t)

@@ -131,6 +131,7 @@ val set_decided : t -> txn:int -> Types.outcome -> max_tee:int -> unit
 val rebuild : t -> entries:Types.repl_entry list -> unit
 (** Install a new leader's state from the replicated log: reset every
     volatile table, replay prepares and outcomes in order (outcomes
-    deduplicated via the decided table), re-acquire write locks for
-    surviving prepared transactions. The survivors are the in-doubt set the
+    deduplicated via the decided table), restore the write locks of
+    surviving prepared transactions, wounded ones included
+    ({!Locks.restore_write}). The survivors are the in-doubt set the
     caller must resolve against their coordinators. *)

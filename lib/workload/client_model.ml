@@ -46,14 +46,17 @@ let slots engine ~n_slots ~timeout_us ~on_timeout ~body ~until () =
   and run slot client =
     let g = gen.(slot) in
     let finished = ref false in
-    Sim.Engine.schedule engine ~after:timeout_us (fun () ->
-        if (not !finished) && gen.(slot) = g then begin
-          on_timeout ~client;
-          gen.(slot) <- g + 1;
-          start slot
-        end);
+    let timeout =
+      Sim.Engine.schedule_cancellable engine ~after:timeout_us (fun () ->
+          if (not !finished) && gen.(slot) = g then begin
+            on_timeout ~client;
+            gen.(slot) <- g + 1;
+            start slot
+          end)
+    in
     body ~client (fun () ->
         finished := true;
+        Sim.Engine.cancel engine timeout;
         if gen.(slot) = g && Sim.Engine.now engine < until then run slot client)
   in
   for slot = 0 to n_slots - 1 do

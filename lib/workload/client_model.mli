@@ -39,7 +39,9 @@ val slots :
     soon as the previous one completes. An operation still outstanding
     [timeout_us] after it was issued abandons its session: [on_timeout] is
     told, the session is never used again (its late acknowledgement is
-    ignored) and a fresh session takes the slot. The [client] id passed to
+    ignored) and a fresh session takes the slot. An operation that
+    completes in time cancels its timeout, so the timer leaves the engine
+    queue with it. The [client] id passed to
     [body] is the session id: slot [s]'s [k]-th session is
     [s + k * n_slots], so [client mod n_slots] is its slot. The first
     operations are issued synchronously, at the call; stops issuing at

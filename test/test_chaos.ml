@@ -472,6 +472,52 @@ let test_unsafe_no_deps_control () =
   | Ok () -> ()
   | Error m -> Alcotest.failf "safe client must verify: %s" m
 
+(* Gryff-WAN under the mixed nemesis with retransmission: a settled call
+   cancels its timeout, so every [rpc.backoff] event that runs belongs to
+   an open call and ends in a retry, an exhaustion or a refused
+   re-attempt. *)
+let test_rpc_backoff_events_are_live () =
+  let duration_us = Sim.Engine.sec 3.0 in
+  let engine = Sim.Engine.create () in
+  let cluster =
+    Gryff.Cluster.create engine ~rng:(Sim.Rng.make 1)
+      (Gryff.Config.wan5 ~mode:Gryff.Config.Rsc ())
+  in
+  Gryff.Cluster.enable_retrans cluster ~rng:(Sim.Rng.make 2) ();
+  let schedule =
+    Chaos.Nemesis.generate Chaos.Nemesis.Mixed ~n_sites:5 ~duration_us ~seed:1 ()
+  in
+  ignore
+    (Chaos.Schedule.apply schedule ~engine ~net:(Gryff.Cluster.net cluster) ());
+  let clients =
+    Array.init 20 (fun i -> Gryff.Client.create cluster ~site:(i mod 5))
+  in
+  let rng = Sim.Rng.make 3 in
+  Workload.Client_model.closed_loop engine ~n_clients:20
+    ~body:(fun ~client k ->
+      let c = clients.(client) and key = Sim.Rng.int rng 50 in
+      if Sim.Rng.bool rng 0.5 then
+        Gryff.Client.write c ~key ~value:(Gryff.Cluster.fresh_value cluster)
+          (fun _ -> k ())
+      else Gryff.Client.read c ~key (fun _ -> k ()))
+    ~until:duration_us ();
+  Sim.Engine.enable_profiling engine;
+  Sim.Engine.run engine;
+  let backoff =
+    List.fold_left
+      (fun acc (kind, n, _) -> if kind = "rpc.backoff" then acc + n else acc)
+      0 (Sim.Engine.profile engine)
+  in
+  let rs = Gryff.Cluster.retrans_stats cluster in
+  check bool "retransmitted" true (rs.Gryff.Cluster.rpc_retries > 0);
+  check int "rpc.backoff = retries + exhausted + abandoned"
+    (rs.Gryff.Cluster.rpc_retries + rs.Gryff.Cluster.rpc_exhausted
+    + (Gryff.Cluster.flow_stats cluster).Gryff.Cluster.abandoned)
+    backoff;
+  check bool "most calls never time out" true
+    (2 * backoff < rs.Gryff.Cluster.rpc_calls);
+  check int "drained" 0 (Sim.Engine.pending engine)
+
 (* ------------------------------------------------------------------ *)
 (* Failover audits: leader-kill and rolling-crash presets              *)
 (* ------------------------------------------------------------------ *)
@@ -809,6 +855,8 @@ let suites =
         Alcotest.test_case "stale-read controls" `Quick test_stale_read_controls;
         Alcotest.test_case "unsafe no-deps control" `Quick
           test_unsafe_no_deps_control;
+        Alcotest.test_case "rpc.backoff events are live" `Quick
+          test_rpc_backoff_events_are_live;
       ] );
     ( "chaos.failover",
       [

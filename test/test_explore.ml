@@ -427,6 +427,45 @@ let test_rpc_reply_after_exhaustion () =
   check int "exhausted once" 1 (Sim.Rpc.exhausted rpc);
   check bool "only the None" true (!results = [ None ])
 
+(* A call answered in time leaves no timer in the queue: the reply's
+   handler sees an empty queue, whether the reply lands later (first on
+   the first attempt, then on a retransmission) or synchronously inside
+   [attempt]. *)
+let test_rpc_settle_cancels_timeout () =
+  let engine = Sim.Engine.create () in
+  let rpc =
+    Sim.Rpc.create engine ~rng:(Sim.Rng.make 3) ~timeout_us:1_000
+      ~max_backoff_us:4_000 ~max_attempts:4 ()
+  in
+  let pending_at_result = ref [] in
+  let call ~answer_from ~delay =
+    Sim.Rpc.call rpc
+      ~attempt:(fun ~attempt ~ok ->
+        if attempt >= answer_from then
+          if delay = 0 then ok attempt
+          else Sim.Engine.schedule engine ~after:delay (fun () -> ok attempt))
+      ~on_result:(fun r ->
+        check bool "answered" true (r <> None);
+        pending_at_result := Sim.Engine.pending engine :: !pending_at_result)
+  in
+  call ~answer_from:1 ~delay:500;
+  Sim.Engine.run engine;
+  check int "late reply: the reply is the only event" 1
+    (Sim.Engine.executed engine);
+  check int "late reply: the clock ends at the reply" 500
+    (Sim.Engine.now engine);
+  call ~answer_from:2 ~delay:500;
+  Sim.Engine.run engine;
+  check int "retransmission: one timeout and the reply" 3
+    (Sim.Engine.executed engine);
+  call ~answer_from:1 ~delay:0;
+  check int "synchronous reply: nothing pending" 0 (Sim.Engine.pending engine);
+  Sim.Engine.run engine;
+  check int "synchronous reply: nothing ran" 3 (Sim.Engine.executed engine);
+  check (Alcotest.list int) "an empty queue at each result" [ 0; 0; 0 ]
+    !pending_at_result;
+  check int "one retry" 1 (Sim.Rpc.retries rpc)
+
 let suites =
   [
     ( "explore.perturb",
@@ -466,5 +505,7 @@ let suites =
         qt prop_rpc_no_draw_when_refused;
         Alcotest.test_case "rpc: a reply after exhaustion is absorbed" `Quick
           test_rpc_reply_after_exhaustion;
+        Alcotest.test_case "rpc: settling cancels the timeout" `Quick
+          test_rpc_settle_cancels_timeout;
       ] );
   ]

@@ -274,6 +274,29 @@ let test_gryff_leg_send_cap () =
     (Sim.Station.shed victim <= Sim.Flow.max_sends);
   check int "no leg was admitted" !background (Sim.Station.jobs victim)
 
+(* With failover armed, an RW and an RO that complete before their
+   deadlines cancel their deadline timers: no [txn.deadline] event runs. *)
+let test_spanner_settled_deadlines_cancelled () =
+  let engine = Sim.Engine.create () in
+  let config = Spanner.Config.wan3 ~mode:Spanner.Config.Rss () in
+  let cluster = Spanner.Cluster.create engine ~rng:(Sim.Rng.make 9) config in
+  Spanner.Cluster.enable_failover cluster ~rng:(Sim.Rng.make 10)
+    ~until_us:(Sim.Engine.sec 1.0) ();
+  Sim.Engine.enable_profiling engine;
+  let client = Spanner.Client.create cluster ~site:0 in
+  let completed = ref 0 in
+  Spanner.Client.rw_kv ~deadline_us:2_000_000 client ~read_keys:[ 1 ]
+    ~writes:[ (1, 101); (5, 105) ] (fun _ ->
+      incr completed;
+      Spanner.Client.ro ~deadline_us:2_000_000 client ~keys:[ 1; 5 ] (fun _ ->
+          incr completed));
+  Sim.Engine.run engine;
+  check int "both completed" 2 !completed;
+  check int "no deadline fired" 0
+    (List.fold_left
+       (fun acc (kind, n, _) -> if kind = "txn.deadline" then acc + n else acc)
+       0 (Sim.Engine.profile engine))
+
 (* With failover armed, a Spanner RO that outlives its deadline re-issues
    itself whole, and each re-issue after the first asks Flow. Here the
    expiry is 1 ms away, so the remote shards NACK the first issue's legs
@@ -789,6 +812,8 @@ let suites =
           test_rpc_reattempt_denied_by_dry_budget;
         Alcotest.test_case "gryff leg send cap spans NACKs and timeouts"
           `Quick test_gryff_leg_send_cap;
+        Alcotest.test_case "spanner settled deadlines are cancelled" `Quick
+          test_spanner_settled_deadlines_cancelled;
         Alcotest.test_case "spanner failover RO re-issue asks flow" `Quick
           test_spanner_ro_reissue_asks_flow;
         Alcotest.test_case "spanner terminate outlives the op's expiry" `Quick

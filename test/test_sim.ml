@@ -128,15 +128,28 @@ let test_engine_empty () =
 
 (* A scripted run for the reference-order properties. An event is
    scheduled [off] after now ([off < 0] lands in the past and clamps), with
-   one of four kinds, and schedules its [children] when it fires. *)
-type ev_spec = { off : int; kind : int; children : ev_spec list }
+   one of four kinds; when it fires it cancels the event [kill] names (as
+   [Cancel] does) and then schedules its [children]. *)
+type ev_spec = {
+  off : int;
+  kind : int;
+  kill : int option;
+  children : ev_spec list;
+}
 
-type op = Push of ev_spec | Step | Until of int
+(* [Cancel k] cancels event [k mod n], [n] the events scheduled so far: it
+   may be queued, already run or already cancelled. Every third event is
+   pushed with [schedule_at], which returns no handle, so it cannot be
+   cancelled. *)
+type op = Push of ev_spec | Step | Until of int | Cancel of int
 
 let kind_names = [| "k0"; "k1"; "k2"; "k3" |]
 
+let cancellable id = id mod 3 <> 0
+
 (* The engine under test: the log is (event id, firing time), ids counting
-   schedule calls. [prios] installs a tie-break hook by kind. *)
+   schedule calls, and [Sim.Engine.pending] is sampled after each op.
+   [prios] installs a tie-break hook by kind. *)
 let engine_log ~prios ops =
   let e = Sim.Engine.create () in
   Option.iter
@@ -144,46 +157,66 @@ let engine_log ~prios ops =
       Sim.Engine.set_tie_perturb e
         (Some (fun k -> p.(Char.code k.[1] - Char.code '0'))))
     prios;
-  let next_id = ref 0 and log = ref [] in
+  let next_id = ref 0 and log = ref [] and handles = Hashtbl.create 64 in
+  let cancel k =
+    if !next_id > 0 then
+      Option.iter (Sim.Engine.cancel e) (Hashtbl.find_opt handles (k mod !next_id))
+  in
   let rec push spec =
     let id = !next_id in
     incr next_id;
-    Sim.Engine.schedule_at e ~kind:kind_names.(spec.kind)
-      ~at:(Sim.Engine.now e + spec.off)
-      (fun () ->
-        log := (id, Sim.Engine.now e) :: !log;
-        List.iter push spec.children)
+    let kind = kind_names.(spec.kind) in
+    let action () =
+      log := (id, Sim.Engine.now e) :: !log;
+      Option.iter cancel spec.kill;
+      List.iter push spec.children
+    in
+    if cancellable id then
+      Hashtbl.replace handles id
+        (Sim.Engine.schedule_cancellable e ~kind ~after:spec.off action)
+    else Sim.Engine.schedule_at e ~kind ~at:(Sim.Engine.now e + spec.off) action
   in
-  List.iter
-    (function
-      | Push spec -> push spec
-      | Step -> ignore (Sim.Engine.step e)
-      | Until d -> Sim.Engine.run ~until:(Sim.Engine.now e + d) e)
-    ops;
+  let pending =
+    List.map
+      (fun op ->
+        (match op with
+        | Push spec -> push spec
+        | Step -> ignore (Sim.Engine.step e)
+        | Until d -> Sim.Engine.run ~until:(Sim.Engine.now e + d) e
+        | Cancel k -> cancel k);
+        Sim.Engine.pending e)
+      ops
+  in
   Sim.Engine.run e;
-  (List.rev !log, Sim.Engine.now e, Sim.Engine.executed e)
+  (List.rev !log, Sim.Engine.now e, Sim.Engine.executed e, pending)
 
-(* The reference: a plain list, popped by sorting on (time, prio, id). *)
+(* The reference: a plain list, popped by sorting on (time, prio, id); a
+   cancel removes the entry if it is still queued. *)
 let reference_log ~prios ops =
   let clock = ref 0 and next_id = ref 0 and log = ref [] and queue = ref [] in
-  let push spec =
+  let cancel k =
+    if !next_id > 0 then begin
+      let id = k mod !next_id in
+      if cancellable id then queue := List.filter (fun (_, _, i, _) -> i <> id) !queue
+    end
+  in
+  let rec push spec =
     let id = !next_id in
     incr next_id;
     let prio = match prios with None -> 0 | Some p -> p.(spec.kind) in
-    queue := (max !clock (!clock + spec.off), prio, id, spec.children) :: !queue
-  in
-  let key (time, prio, id, _) = (time, prio, id) in
-  let sorted () =
-    List.sort (fun a b -> compare (key a) (key b)) !queue
-  in
-  let pop () =
+    queue := (max !clock (!clock + spec.off), prio, id, spec) :: !queue
+  and pop () =
     match sorted () with
     | [] -> ()
-    | (time, _, id, children) :: rest ->
+    | (time, _, id, spec) :: rest ->
       queue := rest;
       clock := time;
       log := (id, time) :: !log;
-      List.iter push children
+      Option.iter cancel spec.kill;
+      List.iter push spec.children
+  and sorted () =
+    let key (time, prio, id, _) = (time, prio, id) in
+    List.sort (fun a b -> compare (key a) (key b)) !queue
   in
   let rec until u =
     match sorted () with
@@ -193,21 +226,27 @@ let reference_log ~prios ops =
       pop ();
       until u
   in
-  List.iter
-    (function
-      | Push spec -> push spec
-      | Step -> pop ()
-      | Until d -> until (!clock + d))
-    ops;
+  let pending =
+    List.map
+      (fun op ->
+        (match op with
+        | Push spec -> push spec
+        | Step -> pop ()
+        | Until d -> until (!clock + d)
+        | Cancel k -> cancel k);
+        List.length !queue)
+      ops
+  in
   while !queue <> [] do
     pop ()
   done;
-  (List.rev !log, !clock, !next_id)
+  (List.rev !log, !clock, List.length !log, pending)
 
 let rec random_spec rng depth =
   {
     off = Sim.Rng.int rng 61 - 20;
     kind = Sim.Rng.int rng 4;
+    kill = (if Sim.Rng.int rng 4 = 0 then Some (Sim.Rng.int rng 1000) else None);
     children =
       (if depth = 0 then []
        else List.init (Sim.Rng.int rng 3) (fun _ -> random_spec rng (depth - 1)));
@@ -220,8 +259,10 @@ let random_prios rng =
 let prop_engine_reference_order =
   (* Random schedules against the reference: tie-break priorities that are
      negative, zero and positive, offsets into the past, events scheduled
-     from inside actions, and pushes interleaved with [step] and
-     [run ~until]. Offsets are tight, so same-instant ties are common. *)
+     and cancelled from inside actions, and pushes interleaved with [step],
+     [run ~until] and cancels of queued, run and cancelled events (which
+     leave tombstones at the root and compact the heap mid-[step]).
+     Offsets are tight, so same-instant ties are common. *)
   QCheck.Test.make ~name:"random schedules pop in (time, prio, seq) order"
     ~count:300
     QCheck.(pair small_int (int_range 1 300))
@@ -231,9 +272,10 @@ let prop_engine_reference_order =
       let ops =
         List.init n (fun _ ->
             match Sim.Rng.int rng 20 with
-            | r when r < 12 -> Push (random_spec rng 2)
-            | r when r < 17 -> Step
-            | _ -> Until (Sim.Rng.int rng 30))
+            | r when r < 11 -> Push (random_spec rng 2)
+            | r when r < 15 -> Step
+            | r when r < 17 -> Until (Sim.Rng.int rng 30)
+            | _ -> Cancel (Sim.Rng.int rng 1000))
       in
       engine_log ~prios ops = reference_log ~prios ops)
 
@@ -250,7 +292,13 @@ let test_engine_partial_child_groups () =
     (fun n ->
       let prios = if n mod 2 = 0 then None else Some [| -1; 0; 1; 0 |] in
       let push () =
-        Push { off = Sim.Rng.int rng 8; kind = Sim.Rng.int rng 4; children = [] }
+        Push
+          {
+            off = Sim.Rng.int rng 8;
+            kind = Sim.Rng.int rng 4;
+            kill = None;
+            children = [];
+          }
       in
       let ops =
         List.init n (fun _ -> push ())
@@ -272,14 +320,19 @@ let test_engine_slot_reuse_across_growth () =
         (fun prios ->
           let push () =
             Push
-              { off = Sim.Rng.int rng 8; kind = Sim.Rng.int rng 4; children = [] }
+              {
+                off = Sim.Rng.int rng 8;
+                kind = Sim.Rng.int rng 4;
+                kill = None;
+                children = [];
+              }
           in
           let ops =
             List.init n (fun _ -> push ())
             @ List.init (n / 2) (fun _ -> Step)
             @ List.init (3 * n) (fun _ -> push ())
           in
-          let ((log, _, executed) as got) = engine_log ~prios ops in
+          let ((log, _, executed, _) as got) = engine_log ~prios ops in
           let ids = List.sort compare (List.map fst log) in
           let label = Printf.sprintf "n=%d prios=%b" n (prios <> None) in
           check (Alcotest.list int) (label ^ ": each once") (List.init (4 * n) Fun.id)
@@ -697,6 +750,157 @@ let test_summary_helpers () =
   check bool "throughput" true
     (abs_float (Stats.Summary.throughput ~count:500 ~duration_us:1_000_000 -. 500.0) < 1e-9)
 
+let test_engine_cancel () =
+  (* Cancels from inside actions and from outside: a queued event never
+     runs, never moves the clock and never counts as executed; cancelling
+     a handle whose event has run, was cancelled, or whose slot a later
+     push reuses, does nothing. *)
+  let e = Sim.Engine.create () in
+  let log = ref [] in
+  let note name () = log := (name, Sim.Engine.now e) :: !log in
+  let x = ref (-1) in
+  let y = Sim.Engine.schedule_cancellable e ~after:20 (note "y") in
+  x :=
+    Sim.Engine.schedule_cancellable e ~after:10 (fun () ->
+        note "x" ();
+        Sim.Engine.cancel e y;
+        Sim.Engine.cancel e !x);
+  let z =
+    Sim.Engine.schedule_cancellable e ~after:15 (fun () ->
+        note "z" ();
+        Sim.Engine.cancel e !x)
+  in
+  check int "three pending" 3 (Sim.Engine.pending e);
+  Sim.Engine.run e;
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.string int))
+    "y never ran"
+    [ ("x", 10); ("z", 15) ]
+    (List.rev !log);
+  check int "clock at the last event run" 15 (Sim.Engine.now e);
+  check int "executed" 2 (Sim.Engine.executed e);
+  check int "none pending" 0 (Sim.Engine.pending e);
+  (* [w] takes one of the three freed slots; every stale handle misses it. *)
+  Sim.Engine.schedule e ~after:5 (note "w");
+  List.iter (Sim.Engine.cancel e) [ !x; y; z; -1; -2 ];
+  check int "w still pending" 1 (Sim.Engine.pending e);
+  Sim.Engine.run e;
+  check int "w ran" 3 (Sim.Engine.executed e);
+  check int "clock at w" 20 (Sim.Engine.now e)
+
+let test_engine_compaction_mid_step () =
+  (* One action cancels three quarters of the queue: after the 101st
+     cancel tombstones outnumber live entries and the heap is compacted
+     inside [step]; 49 more cancels leave tombstones in the compacted
+     heap. Pushes after it reuse the freed slots, and everything left runs
+     once, in (time, seq) order. *)
+  let e = Sim.Engine.create () in
+  let log = ref [] in
+  let n = 200 in
+  let time i = 100 + (i * 37 mod 101) in
+  let handles =
+    Array.init n (fun i ->
+        Sim.Engine.schedule_cancellable e ~after:(time i) (fun () ->
+            log := i :: !log))
+  in
+  Sim.Engine.schedule e ~after:1 (fun () ->
+      Array.iteri (fun i h -> if i mod 4 <> 0 then Sim.Engine.cancel e h) handles;
+      check int "survivors pending" (n / 4) (Sim.Engine.pending e);
+      for j = 0 to 9 do
+        Sim.Engine.schedule e ~after:(50 + j) (fun () -> log := (n + j) :: !log)
+      done);
+  check bool "the canceller runs" true (Sim.Engine.step e);
+  check int "pending after the step" ((n / 4) + 10) (Sim.Engine.pending e);
+  Sim.Engine.run e;
+  let survivors =
+    List.filter (fun i -> i mod 4 = 0) (List.init n Fun.id)
+    |> List.stable_sort (fun a b -> compare (time a) (time b))
+  in
+  check (Alcotest.list int) "run order"
+    (List.init 10 (fun j -> n + j) @ survivors)
+    (List.rev !log);
+  check int "executed" (1 + 10 + (n / 4)) (Sim.Engine.executed e);
+  check int "clock at the last survivor"
+    (List.fold_left (fun m i -> max m (time i)) 0 survivors)
+    (Sim.Engine.now e)
+
+let test_engine_until_tombstone_root () =
+  (* A cancelled event at the root is dropped before [run ~until] compares
+     times, so a live event past [until] stays queued. *)
+  let e = Sim.Engine.create () in
+  let hits = ref [] in
+  let a = Sim.Engine.schedule_cancellable e ~after:10 (fun () -> hits := 10 :: !hits) in
+  Sim.Engine.schedule e ~after:20 (fun () -> hits := 20 :: !hits);
+  Sim.Engine.cancel e a;
+  check int "one pending" 1 (Sim.Engine.pending e);
+  Sim.Engine.run ~until:15 e;
+  check (Alcotest.list int) "nothing ran" [] !hits;
+  check int "clock stopped at until" 15 (Sim.Engine.now e);
+  check int "still pending" 1 (Sim.Engine.pending e);
+  check int "none executed" 0 (Sim.Engine.executed e);
+  Sim.Engine.run e;
+  check (Alcotest.list int) "the live event ran" [ 20 ] !hits;
+  (* Only a cancelled event left: nothing runs and the clock stays. *)
+  let b = Sim.Engine.schedule_cancellable e ~after:5 (fun () -> hits := 25 :: !hits) in
+  Sim.Engine.cancel e b;
+  check bool "step finds nothing" false (Sim.Engine.step e);
+  Sim.Engine.run e;
+  check int "clock unmoved" 20 (Sim.Engine.now e);
+  check int "executed" 1 (Sim.Engine.executed e)
+
+let[@inline never] schedule_cancellable_payload e w i ~after =
+  let payload = Bytes.create 16 in
+  Weak.set w i (Some payload);
+  Sim.Engine.schedule_cancellable e ~after (fun () ->
+      ignore (Sys.opaque_identity payload))
+
+let test_engine_drops_cancelled_closures () =
+  (* A cancelled event's closure is released at once, though its entry
+     stays in the heap until it reaches the root. *)
+  let n = 40 in
+  let e = Sim.Engine.create () in
+  let w = Weak.create n in
+  let handles =
+    Array.init n (fun i -> schedule_cancellable_payload e w i ~after:(i + 1))
+  in
+  Array.iteri (fun i h -> if i mod 3 = 0 then Sim.Engine.cancel e h) handles;
+  Gc.full_major ();
+  for i = 0 to n - 1 do
+    check bool
+      (Printf.sprintf "payload %d reachable iff not cancelled" i)
+      (i mod 3 <> 0) (Weak.check w i)
+  done;
+  check int "the rest still pending" (n - 14) (Sim.Engine.pending e)
+
+let test_engine_cancel_allocation_free () =
+  (* Once the arrays have grown, cancellable pushes, cancels (with the
+     compactions they trigger) and pops allocate nothing. *)
+  let e = Sim.Engine.create () in
+  let action () = () in
+  for i = 1 to 5_000 do
+    ignore (Sim.Engine.schedule_cancellable e ~after:i action)
+  done;
+  Sim.Engine.run e;
+  let before = Gc.minor_words () in
+  for i = 1 to 5_000 do
+    let h = Sim.Engine.schedule_cancellable e ~after:(i mod 97) action in
+    if i mod 4 <> 0 then Sim.Engine.cancel e h
+  done;
+  Sim.Engine.run e;
+  let words = Gc.minor_words () -. before in
+  check bool (Printf.sprintf "%.0f minor words for 10k queue ops" words) true
+    (words < 100.0);
+  (* With no pops at all, compaction still frees the tombstones: pushing
+     and cancelling 20k events never grows the queue's arrays. *)
+  let before = Gc.allocated_bytes () in
+  for i = 1 to 20_000 do
+    Sim.Engine.cancel e (Sim.Engine.schedule_cancellable e ~after:i action)
+  done;
+  let bytes = Gc.allocated_bytes () -. before in
+  check bool (Printf.sprintf "%.0f bytes for 20k push-cancel pairs" bytes) true
+    (bytes < 1024.0);
+  check int "nothing pending" 0 (Sim.Engine.pending e)
+
 let qt = QCheck_alcotest.to_alcotest
 
 let suites =
@@ -723,6 +927,15 @@ let suites =
           test_engine_drops_popped_closures;
         Alcotest.test_case "push and pop allocate nothing" `Quick
           test_engine_allocation_free;
+        Alcotest.test_case "cancel" `Quick test_engine_cancel;
+        Alcotest.test_case "compaction mid-step" `Quick
+          test_engine_compaction_mid_step;
+        Alcotest.test_case "run ~until with a tombstone at the root" `Quick
+          test_engine_until_tombstone_root;
+        Alcotest.test_case "cancelled closures unreachable" `Quick
+          test_engine_drops_cancelled_closures;
+        Alcotest.test_case "cancel allocates nothing" `Quick
+          test_engine_cancel_allocation_free;
       ] );
     ( "sim.rng",
       [

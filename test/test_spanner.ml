@@ -482,6 +482,84 @@ let test_conflicting_prepared_skips_scan () =
     (Spanner.Shard.conflicting_prepared sh ~keys:[ 1; 2 ] ~max_tp:max_int = []);
   check int "no scan once resolved" 2 (scans ())
 
+let test_rebuild_keeps_wounded_prepare_locks () =
+  (* A prepared txn keeps its write lock at a new leader even if an older
+     reader wounded it before the leader died: a prepared txn can still
+     commit, so a read there must wait for the outcome, not read the
+     version before the in-doubt write. *)
+  let engine, cluster = mk () in
+  let ctx = Spanner.Cluster.ctx cluster in
+  let sh = ctx.Spanner.Protocol.shards.(0) in
+  let txns = ctx.Spanner.Protocol.txns in
+  let key = 5 in
+  let old_writer = Spanner.Types.fresh txns ~proc:0 ~priority:(0, 0) in
+  let log =
+    [
+      Spanner.Types.Routcome
+        {
+          r_txn = old_writer.Spanner.Types.id;
+          r_out = Spanner.Types.Committed 10;
+          r_writes = [ (key, 100) ];
+          r_max_tee = 0;
+        };
+    ]
+  in
+  Spanner.Shard.rebuild sh ~entries:log;
+  (* The old leader: [txn] write-locks the key and prepares; an older
+     reader queues behind it and wounds it. *)
+  let writer = Spanner.Types.fresh txns ~proc:1 ~priority:(50, 1) in
+  let txn = writer.Spanner.Types.id in
+  Spanner.Locks.acquire_write sh.Spanner.Shard.locks ~key ~txn
+    ~priority:writer.Spanner.Types.priority (fun _ -> ());
+  run engine;
+  let prepare =
+    Spanner.Types.Rprepare
+      {
+        r_txn = txn;
+        r_tp = 20;
+        r_tee = 0;
+        r_writes = [ (key, 200) ];
+        r_coord = 1;
+        r_participants = [ 0; 1 ];
+      }
+  in
+  Spanner.Shard.add_prepared sh
+    {
+      Spanner.Shard.p_txn = txn;
+      p_tp = 20;
+      p_tee = 0;
+      p_writes = [ (key, 200) ];
+      p_waiters = [];
+      p_coord = 1;
+      p_participants = [ 0; 1 ];
+    };
+  let early = Spanner.Types.fresh txns ~proc:2 ~priority:(10, 2) in
+  Spanner.Locks.acquire_read sh.Spanner.Shard.locks ~key
+    ~txn:early.Spanner.Types.id ~priority:early.Spanner.Types.priority
+    (fun _ -> ());
+  run engine;
+  check bool "the prepare was wounded" true (Spanner.Types.is_wounded txns txn);
+  (* The leader dies; its successor rebuilds from the log. *)
+  Spanner.Shard.rebuild sh ~entries:(log @ [ prepare ]);
+  check bool "prepare survives" true (Spanner.Shard.prepared sh txn <> None);
+  check bool "write lock re-acquired" true
+    (Spanner.Locks.holds_write sh.Spanner.Shard.locks ~key ~txn);
+  let reader = Spanner.Types.fresh txns ~proc:3 ~priority:(60, 3) in
+  let seen = ref None in
+  Spanner.Locks.acquire_read sh.Spanner.Shard.locks ~key
+    ~txn:reader.Spanner.Types.id ~priority:reader.Spanner.Types.priority
+    (fun _ ->
+      seen :=
+        Option.map
+          (fun v -> v.Spanner.Types.value)
+          (Spanner.Shard.read_version_at sh ~key ~ts:max_int));
+  run engine;
+  check bool "read waits for the outcome" true (!seen = None);
+  Spanner.Shard.resolve_prepared sh ~txn (Spanner.Types.Committed 20);
+  Spanner.Locks.release_all sh.Spanner.Shard.locks ~txn;
+  run engine;
+  check (Alcotest.option int) "read sees the in-doubt write" (Some 200) !seen
+
 (* ------------------------------------------------------------------ *)
 (* Contention / wound-wait                                             *)
 (* ------------------------------------------------------------------ *)
@@ -777,6 +855,8 @@ let suites =
         QCheck_alcotest.to_alcotest prop_conflicting_prepared_matches_scan;
         Alcotest.test_case "skips the scan without a prepared writer" `Quick
           test_conflicting_prepared_skips_scan;
+        Alcotest.test_case "rebuild keeps wounded prepares' locks" `Quick
+          test_rebuild_keeps_wounded_prepare_locks;
       ] );
     ( "spanner.contention",
       [
