@@ -60,5 +60,5 @@ let () =
     s.Gryff.Cluster.reads s.Gryff.Cluster.deps_created s.Gryff.Cluster.writes
     s.Gryff.Cluster.rmws s.Gryff.Cluster.rmw_slow;
   match Gryff.Cluster.check_history cluster with
-  | Ok () -> Fmt.pr "history: verified against RSC (per-key carstamp witness)@."
+  | Ok () -> Fmt.pr "history: verified against RSC (carstamp write order, all keys)@."
   | Error m -> Fmt.pr "history: VIOLATION %s@." m

@@ -1,11 +1,12 @@
-(* Witness verification by sorting, not inserting: {!Witness.check}'s
-   semantics over the order the system's timestamps claim, which a fixed
-   order makes polynomial (Biswas–Enea). [add] only appends; [result] gives
-   keys and processes dense ids in flat int arrays, sorts once by (ts, rank,
-   inv, arrival), replays that order and meters how far arrival order
-   strayed from it. Precondition: written values are unique per key. *)
+(* Witness verification by sorting, not inserting: legality, sessions and
+   real time over the order the system's timestamps claim. [add] only
+   appends; [result] gives keys and processes dense ids in flat int arrays
+   ({!Check_graph.index}), sorts once by (ts, rank, inv, arrival), replays
+   that order and meters how far arrival order strayed from it.
+   Precondition: written values are unique per key. *)
 
 module W = Witness
+open Check_graph
 
 type verdict = Pass | Fail of string | Unknown of string
 
@@ -29,44 +30,6 @@ let add t x =
   t.txns.(t.n) <- x;
   t.n <- t.n + 1;
   t.settled <- None
-
-(* Txn [i]'s reads have key ids [rkey.(roff.(i))] up to
-   [rkey.(roff.(i + 1) - 1)], in list order; its writes likewise, with
-   their values in [wval]; its process has id [pid.(i)]. *)
-type ids = {
-  n_keys : int; roff : int array; rkey : int array;
-  woff : int array; wkey : int array; wval : int array;
-  n_procs : int; pid : int array;
-}
-
-(* Dense ids by first sight; a run of one name (a Gryff key) skips the table. *)
-let interner equal dummy =
-  let ids = Hashtbl.create 16 and last = ref dummy and last_id = ref (-1) in
-  let id x =
-    if !last_id < 0 || not (equal x !last) then begin
-      last := x;
-      last_id := (try Hashtbl.find ids x with Not_found -> Hashtbl.length ids);
-      if !last_id = Hashtbl.length ids then Hashtbl.add ids x !last_id
-    end;
-    !last_id
-  in
-  (id, fun () -> Hashtbl.length ids)
-
-let index txns n =
-  let key, n_keys = interner String.equal "" and proc, n_procs = interner Int.equal 0 in
-  let rec fill a j f = function [] -> () | x :: l -> a.(j) <- f x; fill a (j + 1) f l in
-  let flatten field f =
-    let off = Array.make (n + 1) 0 in
-    for i = 0 to n - 1 do off.(i + 1) <- off.(i) + List.length (field txns.(i)) done;
-    let a = Array.make off.(n) 0 in
-    for i = 0 to n - 1 do fill a off.(i) f (field txns.(i)) done;
-    (off, a)
-  in
-  let roff, rkey = flatten (fun x -> x.W.reads) (fun (k, _) -> key k) in
-  let woff, wkey = flatten (fun x -> x.W.writes) (fun (k, _) -> key k) in
-  let wval = snd (flatten (fun x -> x.W.writes) snd) in
-  let pid = Array.init n (fun i -> proc txns.(i).W.proc) in
-  { n_keys = n_keys (); roff; rkey; woff; wkey; wval; n_procs = n_procs (); pid }
 
 exception Violation of string
 
@@ -143,15 +106,6 @@ let check_rt mode txns ix ord =
         done)
       ord
 
-(* [seq]'s members grouped by [group], in [seq]'s order within a group. *)
-let group_by n_groups group seq =
-  let next = Array.make (n_groups + 1) 0 and by = Array.make (Array.length seq) 0 in
-  Array.iter (fun e -> next.(group.(e) + 1) <- next.(group.(e) + 1) + 1) seq;
-  for g = 1 to n_groups do next.(g) <- next.(g) + next.(g - 1) done;
-  Array.iter
-    (fun e -> by.(next.(group.(e))) <- e; next.(group.(e)) <- next.(group.(e)) + 1) seq;
-  by
-
 let meter txns n ix ord sess =
   let size = 1 + max n (max (Array.length ix.rkey) (Array.length ix.wkey)) in
   let fen = Array.make size 0 and slot = Array.make size 0 and hi = Array.make size 0 in
@@ -190,7 +144,7 @@ let meter txns n ix ord sess =
     let seq = Array.make (Array.length key) 0 and m = ref 0 in
     let put i = for j = off.(i + 1) - 1 downto off.(i) do seq.(!m) <- j; incr m done in
     Array.iter (fun i -> if keep i then put i) ord;
-    let by = group_by ix.n_keys key (Array.sub seq 0 !m) in
+    let by = snd (group_by ix.n_keys key (Array.sub seq 0 !m)) in
     family (Array.length key) by (fun a b -> key.(a) = key.(b))
   in
   family n ord (fun _ _ -> true);
@@ -205,24 +159,9 @@ let settle t =
   | None ->
     let txns = t.txns and n = t.n in
     let ix = index txns n in
-    (* Stable sorts; arrival order is usually sorted already. *)
-    let sort cmp a =
-      let rec sorted q = q >= n || (cmp a.(q - 1) a.(q) <= 0 && sorted (q + 1)) in
-      if not (sorted 1) then Array.stable_sort cmp a
-    in
-    let ord = Array.init n Fun.id in
-    sort (fun i j ->
-        let a = txns.(i) and b = txns.(j) in
-        if a.W.ts <> b.W.ts then Int.compare a.W.ts b.W.ts
-        else if a.W.rank <> b.W.rank then Int.compare a.W.rank b.W.rank
-        else Int.compare a.W.inv b.W.inv) ord;
+    let ord, sess = orders txns n ix in
     let pos = Array.make n 0 in
     Array.iteri (fun p i -> pos.(i) <- p) ord;
-    (* Each process's txns in (inv, arrival) order. *)
-    let sess = group_by ix.n_procs ix.pid (Array.init n Fun.id) in
-    sort (fun i j ->
-        if ix.pid.(i) <> ix.pid.(j) then Int.compare ix.pid.(i) ix.pid.(j)
-        else Int.compare txns.(i).W.inv txns.(j).W.inv) sess;
     let verdict =
       match
         check_legal txns ix ord;

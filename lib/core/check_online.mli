@@ -1,8 +1,9 @@
 (** Witness verification over a recorded history, by sorting.
 
-    Same semantics as {!Witness.check} — legality, session order, and the
-    mode's real-time constraint over the serialization order claimed by the
-    system's timestamps. Records are appended as the harness recorded them;
+    Legality, session order, and the mode's real-time constraint over the
+    serialization order claimed by the system's timestamps — the whole
+    claimed order, not just each key's write order as {!Check_graph}
+    trusts, so a [Pass] here implies an [Ok] there. Records are appended as the harness recorded them;
     {!result} then sorts them once by the claimed order (ts, rank, inv,
     arrival) and replays it, so every history gets a [Pass] or a [Fail], in
     O(m log m) time for [m] records and key occurrences.

@@ -108,7 +108,7 @@ let constraint_edges (h : Txn_history.t) model =
     !acc
   in
   match model with
-  | Strict_serializable -> all_rt ()
+  | Strict_serializable -> process_order_edges h @ all_rt ()
   | Process_ordered -> process_order_edges h
   | Rss -> Causal.edges (causal h) @ regular_rt_edges h
   | Regular_vv -> regular_rt_edges h
@@ -247,11 +247,14 @@ let search (h : Txn_history.t) edges included max_states =
   | Budget -> Unknown
 
 let check ?(max_states = 2_000_000) h model =
-  let edges = constraint_edges h model in
-  (* A cycle in the mandatory edges means no total order exists at all. *)
-  match Causal.of_edges ~n:(n_txns h) edges with
+  (* A cycle in the mandatory edges, the causal order's included, means no
+     total order exists at all. *)
+  match constraint_edges h model with
   | exception Invalid_argument _ -> Unsat
-  | _ -> search h edges (included_txns h) max_states
+  | edges -> (
+    match Causal.of_edges ~n:(n_txns h) edges with
+    | exception Invalid_argument _ -> Unsat
+    | _ -> search h edges (included_txns h) max_states)
 
 let satisfies ?max_states h model =
   match check ?max_states h model with

@@ -6,10 +6,13 @@
     the model's mandatory order edges. The checkers enumerate candidate
     orders with memoized DFS, so they are exact but meant for small histories
     (tests, examples, paper figures — tens of transactions). Large simulated
-    runs use {!Witness} instead.
+    runs use {!Check_graph} instead, which fixes each key's write order to
+    the one the system claims.
 
     Models implemented (§3.4 and Appendix A):
-    - {!Strict_serializable} — real-time order between all pairs.
+    - {!Strict_serializable} — real-time order between all pairs, and each
+      process's order (a process's next transaction may start at the tick
+      its previous one returned).
     - {!Process_ordered} — each process's order only (PO serializability /
       sequential consistency for registers).
     - {!Rss} — causal order (process ∪ message ∪ reads-from, transitive)

@@ -14,173 +14,3 @@ type txn = {
 type mode = [ `Strict | `Rss | `Sequential ]
 
 let mutator_rank ~writes = if writes = [] then 1 else 0
-
-let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
-
-(* Positions of txns sorted by (ts, rank, inv, index). *)
-let order txns =
-  let n = Array.length txns in
-  let idx = Array.init n (fun i -> i) in
-  Array.sort
-    (fun a b ->
-      let ta = txns.(a) and tb = txns.(b) in
-      let c = compare ta.ts tb.ts in
-      if c <> 0 then c
-      else
-        let c = compare ta.rank tb.rank in
-        if c <> 0 then c
-        else
-          let c = compare ta.inv tb.inv in
-          if c <> 0 then c else compare a b)
-    idx;
-  let pos = Array.make n 0 in
-  Array.iteri (fun p i -> pos.(i) <- p) idx;
-  (idx, pos)
-
-let check_legal txns idx =
-  let store : (key, value) Hashtbl.t = Hashtbl.create 1024 in
-  let exception Violation of string in
-  try
-    Array.iter
-      (fun i ->
-        let x = txns.(i) in
-        if x.resp <> max_int then
-          List.iter
-            (fun (k, v) ->
-              let cur = Hashtbl.find_opt store k in
-              if cur <> v then
-                raise
-                  (Violation
-                     (Fmt.str
-                        "legality: txn %d read %s=%s but order implies %s (ts=%d)"
-                        i k
-                        (match v with None -> "nil" | Some v -> string_of_int v)
-                        (match cur with None -> "nil" | Some v -> string_of_int v)
-                        x.ts)))
-            x.reads;
-        List.iter (fun (k, v) -> Hashtbl.replace store k v) x.writes)
-      idx;
-    Ok ()
-  with Violation m -> Error m
-
-let check_sessions txns pos =
-  let by_proc = Hashtbl.create 64 in
-  let exception Violation of string in
-  try
-    Array.iteri
-      (fun i x ->
-        let prev = try Hashtbl.find by_proc x.proc with Not_found -> [] in
-        Hashtbl.replace by_proc x.proc ((x.inv, i) :: prev))
-      txns;
-    Hashtbl.iter
-      (fun proc ops ->
-        let ops = List.sort compare ops in
-        let rec walk = function
-          | (_, a) :: ((_, b) :: _ as rest) ->
-            if pos.(a) > pos.(b) then
-              raise
-                (Violation
-                   (Fmt.str "session order: process %d's txns %d and %d inverted"
-                      proc a b));
-            walk rest
-          | [ _ ] | [] -> ()
-        in
-        walk ops)
-      by_proc;
-    Ok ()
-  with Violation m -> Error m
-
-(* Regular real-time constraint among mutators: scanning the order, every
-   completed mutator's response must not precede the invocation of any
-   earlier-positioned mutator. *)
-let check_rt_mutators txns idx =
-  let exception Violation of string in
-  try
-    let max_inv = ref min_int in
-    Array.iter
-      (fun i ->
-        let x = txns.(i) in
-        if x.writes <> [] then begin
-          if x.resp < !max_inv then
-            raise
-              (Violation
-                 (Fmt.str
-                    "real-time: mutator %d (resp=%d) serialized after a mutator invoked at %d"
-                    i x.resp !max_inv));
-          if x.inv > !max_inv then max_inv := x.inv
-        end)
-      idx;
-    Ok ()
-  with Violation m -> Error m
-
-(* Regular real-time constraint between writers of a key and its readers. *)
-let check_rt_conflicts txns idx =
-  let exception Violation of string in
-  (* max invocation among readers of each key, seen so far in order *)
-  let max_reader_inv : (key, int) Hashtbl.t = Hashtbl.create 1024 in
-  try
-    Array.iter
-      (fun i ->
-        let x = txns.(i) in
-        List.iter
-          (fun (k, _) ->
-            match Hashtbl.find_opt max_reader_inv k with
-            | Some m when x.resp < m ->
-              raise
-                (Violation
-                   (Fmt.str
-                      "real-time: writer %d of %s (resp=%d) serialized after a reader invoked at %d"
-                      i k x.resp m))
-            | Some _ | None -> ())
-          x.writes;
-        List.iter
-          (fun (k, _) ->
-            match Hashtbl.find_opt max_reader_inv k with
-            | Some m when m >= x.inv -> ()
-            | Some _ | None -> Hashtbl.replace max_reader_inv k x.inv)
-          x.reads)
-      idx;
-    Ok ()
-  with Violation m -> Error m
-
-(* Full real-time order: no txn may be serialized after one it entirely
-   precedes in real time. *)
-let check_rt_all txns idx =
-  let exception Violation of string in
-  try
-    let max_inv = ref min_int in
-    Array.iter
-      (fun i ->
-        let x = txns.(i) in
-        if x.resp < !max_inv then
-          raise
-            (Violation
-               (Fmt.str
-                  "real-time: txn %d (resp=%d) serialized after a txn invoked at %d"
-                  i x.resp !max_inv));
-        if x.inv > !max_inv then max_inv := x.inv)
-      idx;
-    Ok ()
-  with Violation m -> Error m
-
-let check_edges pos edges =
-  let rec walk = function
-    | [] -> Ok ()
-    | (a, b) :: rest ->
-      if pos.(a) >= pos.(b) then
-        Error (Fmt.str "causal edge: txn %d must be serialized before %d" a b)
-      else walk rest
-  in
-  walk edges
-
-let check ?(edges = []) ~mode txns =
-  let idx, pos = order txns in
-  let* () = check_legal txns idx in
-  let* () = check_sessions txns pos in
-  let* () = check_edges pos edges in
-  match mode with
-  | `Sequential -> Ok ()
-  | `Rss ->
-    let* () = check_rt_mutators txns idx in
-    check_rt_conflicts txns idx
-  | `Strict -> check_rt_all txns idx

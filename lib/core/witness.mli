@@ -1,22 +1,11 @@
-(** Linear-time consistency verification for large simulated runs.
+(** Recorded transactions and the serialization order the system claims.
 
-    The search checkers in {!Check_txn} are exponential; runs with hundreds
-    of thousands of transactions need something cheaper. The protocols we
-    simulate all produce a natural serialization witness — Spanner's commit /
-    snapshot timestamps, Gryff's carstamps — so instead of searching for an
-    order we {e verify the order the system claims}:
-
-    + legality: replaying the order, every read sees the latest write;
-    + session order: each process's transactions appear in program order;
-    + the regular real-time constraint: a completed mutator precedes every
-      mutator and every conflicting reader that follows it in real time
-      (for [`Rss]); or full real-time order (for [`Strict]); or nothing
-      beyond sessions (for [`Sequential]);
-    + any explicitly supplied causal edges (message passing).
-
-    All checks run in O(n log n). A pass proves the run satisfies the model
-    (the witness order is an explicit serialization); a failure pinpoints the
-    first violated obligation. *)
+    The protocols we simulate all produce a natural serialization witness —
+    Spanner's commit / snapshot timestamps, Gryff's carstamps — and record
+    it with each transaction. Two checkers read these records:
+    {!Check_online} verifies the one order the timestamps claim, and
+    {!Check_graph} takes only each key's write order from them and decides
+    the model over everything else. *)
 
 type key = string
 type value = int
@@ -32,10 +21,8 @@ type txn = {
 }
 
 type mode = [ `Strict | `Rss | `Sequential ]
-
-val check : ?edges:(int * int) list -> mode:mode -> txn array -> (unit, string) result
-(** [edges] are indices into the array: [(a, b)] requires [a] to be
-    serialized before [b] (out-of-band causality). *)
+(** The real-time rule: every pair of transactions ([`Strict]), the regular
+    one of RSS/RSC ([`Rss]), or none beyond sessions ([`Sequential]). *)
 
 val mutator_rank : writes:(key * value) list -> int
 (** 0 for mutators, 1 for read-only — the conventional [rank]. *)

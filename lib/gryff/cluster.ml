@@ -65,70 +65,21 @@ let set_record_hook t f = t.record_hook <- f
 
 let records t = Array.of_list (List.rev t.record_list)
 
-(* Verify each key's subhistory in carstamp order, keys in ascending order.
-   Carstamps are dense-ranked into witness timestamps; mutators sort before
-   the reads of their value. *)
-let check_records ~mode records =
-  let by_key = Hashtbl.create 64 in
-  List.iter
-    (fun r ->
-      let prev = try Hashtbl.find by_key r.g_key with Not_found -> [] in
-      Hashtbl.replace by_key r.g_key (r :: prev))
-    records;
-  let mode = match mode with Config.Lin -> `Strict | Config.Rsc -> `Rss in
-  let check_key key rs =
-    let stamps =
-      List.map (fun r -> r.g_cs) rs
-      |> List.sort_uniq Carstamp.compare
-      |> Array.of_list
-    in
-    let rank cs =
-      (* binary search for the dense rank *)
-      let lo = ref 0 and hi = ref (Array.length stamps - 1) in
-      while !lo < !hi do
-        let mid = (!lo + !hi) / 2 in
-        if Carstamp.compare stamps.(mid) cs < 0 then lo := mid + 1 else hi := mid
-      done;
-      !lo
-    in
-    let key_name = string_of_int key in
-    let txns =
-      List.map
-        (fun r ->
-          let reads =
-            match r.g_kind with
-            | Read | Rmw -> [ (key_name, r.g_observed) ]
-            | Write -> []
-          in
-          let writes =
-            match (r.g_kind, r.g_written) with
-            | (Write | Rmw), Some v -> [ (key_name, v) ]
-            | (Write | Rmw), None -> []
-            | Read, _ -> []
-          in
-          {
-            Rss_core.Witness.proc = r.g_proc;
-            reads;
-            writes;
-            inv = r.g_inv;
-            resp = r.g_resp;
-            ts = rank r.g_cs;
-            rank = (match r.g_kind with Read -> 1 | Write | Rmw -> 0);
-          })
-        rs
-      |> Array.of_list
-    in
-    match Rss_core.Witness.check ~mode txns with
-    | Ok () -> Ok ()
-    | Error m -> Error (Fmt.str "key %d: %s" key m)
-  in
-  Hashtbl.fold (fun key rs acc -> (key, rs) :: acc) by_key []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-  |> List.fold_left
-       (fun acc (key, rs) -> match acc with Error _ -> acc | Ok () -> check_key key rs)
-       (Ok ())
+(* A register record as a one-op witness transaction: carstamp as the
+   claimed order, a read ranked after the mutator of its carstamp. *)
+let witness_txn r =
+  let key = string_of_int r.g_key in
+  let writes = match (r.g_kind, r.g_written) with Read, _ | _, None -> [] | _, Some v -> [ (key, v) ] in
+  { Rss_core.Witness.proc = r.g_proc;
+    reads = (if r.g_kind = Write then [] else [ (key, r.g_observed) ]);
+    writes; inv = r.g_inv; resp = r.g_resp; ts = Carstamp.pack r.g_cs;
+    rank = (if r.g_kind = Read then 1 else 0) }
 
-let check_history t = check_records ~mode:t.config.Config.mode t.record_list
+let check_records ~mode records =
+  let mode = match mode with Config.Lin -> `Strict | Config.Rsc -> `Rss in
+  Result.map ignore (Rss_core.Check_graph.check ~mode (Array.map witness_txn records))
+
+let check_history t = check_records ~mode:t.config.Config.mode (records t)
 
 type stats = {
   reads : int;

@@ -1,11 +1,10 @@
 (** Assembly of a simulated Gryff / Gryff-RSC deployment, with history
-    recording and per-key witness checking.
+    recording and its offline check.
 
-    Carstamps are per-key, so large runs are verified per key: each key's
-    operations must be legal, session-monotone, and respect the regular
-    real-time constraint in carstamp order (the RSC restriction to one key;
-    [Lin] mode checks the full real-time order instead). Cross-key causality
-    is exercised by the search-checker tests on small histories. *)
+    Carstamps order only one key's writes, so the offline check
+    ({!check_records}) takes each key's write order from them and decides
+    the model across keys with {!Rss_core.Check_graph}: RSC for [Rsc],
+    linearizability for [Lin]. *)
 
 type t
 
@@ -44,13 +43,17 @@ val fresh_value : t -> int
 val records : t -> record array
 
 val check_history : t -> (unit, string) result
+(** {!check_records} over the cluster's collected history. *)
 
-val check_records : mode:Config.mode -> record list -> (unit, string) result
-(** Check an explicit record set against [mode]'s model instead of a
-    cluster's collected history: each key's records through
-    {!Rss_core.Witness.check}, keys in ascending order, so an [Error] names
-    the smallest failing key. The independent per-key oracle that tests
-    compare [Harness.judge] against; driven runs are never judged by it. *)
+val witness_txn : record -> Rss_core.Witness.txn
+(** A record as a one-op transaction on key [string_of_int g_key], its
+    packed carstamp as [ts], reads ranked after mutators. *)
+
+val check_records : mode:Config.mode -> record array -> (unit, string) result
+(** Check a record set against [mode]'s model with one
+    {!Rss_core.Check_graph} call over the whole history, so cross-key
+    violations such as IRIW are caught. The independent oracle of tests,
+    fuzzers and examples; driven runs are judged by [Harness.judge]. *)
 
 (** {2 Tracing} *)
 

@@ -299,9 +299,13 @@ val judge : mode:Rss_core.Witness.mode -> Run.history -> Run.verdict * (int * in
     {!Rss_core.Check_online}, which sorts it by commit timestamp and replays
     it; the records' recording order only feeds the work meter. A Gryff
     history is judged per key (carstamps order only one key's writes): each
-    key's records, in recording order, go through their own checker, keys
-    in ascending order and one checker alive at a time. The Gryff verdict
-    is the smallest failing key's [Fail], else [Pass]. *)
+    key's records ({!Gryff.Cluster.witness_txn}), in recording order, go
+    through their own checker, keys in ascending order and one checker
+    alive at a time. The Gryff verdict is the smallest failing key's
+    [Fail], else [Pass]. RSC is not local, so this judge cannot see a
+    cross-key violation such as IRIW; the offline oracle of {!Gryff.Cluster}
+    decides the model across keys. The judge stays per key while
+    perfbench's traced run mirrors it and pins its [check.*] counters. *)
 
 val stale_control : Chaos.Audit.protocol -> Run.t -> Run.verdict option
 (** Corrupt one completed read of the run's history to an older version and

@@ -102,4 +102,5 @@ let ro s ~keys k =
 
 let records t = Array.of_list (List.rev t.record_list)
 
-let check_history t = Rss_core.Witness.check ~mode:`Sequential (records t)
+let check_history t =
+  Result.map ignore (Rss_core.Check_graph.check ~mode:`Sequential (records t))

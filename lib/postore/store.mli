@@ -42,4 +42,5 @@ val records : t -> Rss_core.Witness.txn array
 (** History with witness timestamps = log positions. *)
 
 val check_history : t -> (unit, string) result
-(** Verifies PO serializability ([`Sequential] witness mode). *)
+(** Verifies PO serializability with {!Rss_core.Check_graph}
+    ([`Sequential] mode, each key's write order fixed by log position). *)

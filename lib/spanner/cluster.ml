@@ -69,7 +69,7 @@ let check_history t =
   let mode =
     match t.config.Config.mode with Config.Strict -> `Strict | Config.Rss -> `Rss
   in
-  Rss_core.Witness.check ~mode (records t)
+  Result.map ignore (Rss_core.Check_graph.check ~mode (records t))
 
 type stats = {
   rw_committed : int;

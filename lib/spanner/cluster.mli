@@ -33,7 +33,8 @@ val records : t -> Rss_core.Witness.txn array
 
 val check_history : t -> (unit, string) result
 (** Verify the collected history against the cluster's own consistency model
-    (strict serializability or RSS) using the timestamp witness. *)
+    (strict serializability or RSS) with {!Rss_core.Check_graph}, each
+    key's write order fixed by commit timestamps. *)
 
 (** {2 Tracing} *)
 

@@ -270,6 +270,16 @@ let check_verified label r =
   | Harness.Run.Fail m | Harness.Run.Unknown m ->
     Alcotest.failf "%s: consistency violation: %s" label m
 
+(* A second opinion on Gryff runs: the run's judge goes key by key, the
+   offline oracle decides the model across keys. *)
+let check_across_keys label protocol r =
+  match (Chaos.Audit.deployment protocol, r.Harness.Run.records) with
+  | Chaos.Audit.Gryff_wan c, Harness.Run.Gryff_ops a -> (
+    match Gryff.Cluster.check_records ~mode:c.Gryff.Config.mode a with
+    | Ok () -> ()
+    | Error m -> Alcotest.failf "%s: cross-key violation: %s" label m)
+  | _ -> ()
+
 let test_audit_battery () =
   List.iter
     (fun protocol ->
@@ -283,6 +293,7 @@ let test_audit_battery () =
           let label = Chaos.Audit.protocol_name protocol ^ "/" ^ kind in
           let r = audit protocol ~schedule ~n_slots:6 ~duration_s:5.0 ~seed:7 in
           check_verified label r;
+          check_across_keys label protocol r;
           check bool (label ^ ": liveness resumed after heal") true
             (Harness.liveness_ok ~min_post_quiet:5 r);
           check int
@@ -548,6 +559,7 @@ let test_failover_battery () =
                   ~duration_s:8.0 ~seed
               in
               check_verified label r;
+              check_across_keys label protocol r;
               check bool (label ^ ": liveness resumed after recovery") true
                 (Harness.liveness_ok r))
             [ 3; 5; 9 ])

@@ -7,6 +7,8 @@ module T = Rss_core.Txn_history
 module CT = Rss_core.Check_txn
 module CR = Rss_core.Check_reg
 module W = Rss_core.Witness
+module CO = Rss_core.Check_online
+module CG = Rss_core.Check_graph
 
 let check = Alcotest.check
 let bool = Alcotest.bool
@@ -617,8 +619,10 @@ let prop_witness_is_valid_order =
                | _ -> true (* dropped incomplete op *)))
 
 (* ------------------------------------------------------------------ *)
-(* Witness checker                                                     *)
+(* Witness records: the claimed order, checked by Check_online          *)
 (* ------------------------------------------------------------------ *)
+
+let passes ~mode txns = CO.check ~mode txns = CO.Pass
 
 let wtxn ?(proc = 0) ?(reads = []) ?(writes = []) ~inv ~resp ~ts () =
   {
@@ -642,9 +646,9 @@ let test_witness_legal_run () =
   in
   List.iter
     (fun mode ->
-      match W.check ~mode txns with
-      | Ok () -> ()
-      | Error m -> Alcotest.fail m)
+      match CO.check ~mode txns with
+      | CO.Pass -> ()
+      | CO.Fail m | CO.Unknown m -> Alcotest.fail m)
     [ `Strict; `Rss; `Sequential ]
 
 let test_witness_bad_read () =
@@ -654,8 +658,7 @@ let test_witness_bad_read () =
       wtxn ~proc:1 ~reads:[ ("x", None) ] ~inv:20 ~resp:30 ~ts:25 ();
     |]
   in
-  check bool "legality violation detected" true
-    (match W.check ~mode:`Sequential txns with Error _ -> true | Ok () -> false)
+  check bool "legality violation detected" false (passes ~mode:`Sequential txns)
 
 let test_witness_session_violation () =
   let txns =
@@ -664,8 +667,7 @@ let test_witness_session_violation () =
       wtxn ~proc:0 ~reads:[ ("x", None) ] ~inv:20 ~resp:30 ~ts:40 ();
     |]
   in
-  check bool "session inversion detected" true
-    (match W.check ~mode:`Sequential txns with Error _ -> true | Ok () -> false)
+  check bool "session inversion detected" false (passes ~mode:`Sequential txns)
 
 let test_witness_rss_vs_strict_stale_ro () =
   (* An RO serialized before a mutator that rt-precedes it: strict mode must
@@ -676,18 +678,15 @@ let test_witness_rss_vs_strict_stale_ro () =
       wtxn ~proc:1 ~reads:[ ("y", None) ] ~inv:20 ~resp:30 ~ts:50 ();
     |]
   in
-  check bool "RSS ok without conflict" true
-    (match W.check ~mode:`Rss no_conflict with Ok () -> true | Error _ -> false);
-  check bool "strict flags rt inversion" true
-    (match W.check ~mode:`Strict no_conflict with Error _ -> true | Ok () -> false);
+  check bool "RSS ok without conflict" true (passes ~mode:`Rss no_conflict);
+  check bool "strict flags rt inversion" false (passes ~mode:`Strict no_conflict);
   let conflict =
     [|
       wtxn ~proc:0 ~writes:[ ("x", 1) ] ~inv:0 ~resp:10 ~ts:100 ();
       wtxn ~proc:1 ~reads:[ ("x", None) ] ~inv:20 ~resp:30 ~ts:50 ();
     |]
   in
-  check bool "RSS flags conflicting stale read" true
-    (match W.check ~mode:`Rss conflict with Error _ -> true | Ok () -> false)
+  check bool "RSS flags conflicting stale read" false (passes ~mode:`Rss conflict)
 
 let test_witness_rt_mutators () =
   let txns =
@@ -696,20 +695,21 @@ let test_witness_rt_mutators () =
       wtxn ~proc:1 ~writes:[ ("y", 1) ] ~inv:20 ~resp:30 ~ts:50 ();
     |]
   in
-  check bool "mutator rt inversion flagged by RSS" true
-    (match W.check ~mode:`Rss txns with Error _ -> true | Ok () -> false)
+  check bool "mutator rt inversion flagged by RSS" false (passes ~mode:`Rss txns)
 
+(* Out-of-band edges are graph edges: a read of nil that a message puts
+   after the key's only write closes a cycle. *)
 let test_witness_causal_edges () =
   let txns =
     [|
       wtxn ~proc:0 ~writes:[ ("x", 1) ] ~inv:0 ~resp:10 ~ts:100 ();
-      wtxn ~proc:1 ~reads:[ ("y", None) ] ~inv:20 ~resp:30 ~ts:50 ();
+      wtxn ~proc:1 ~reads:[ ("x", None) ] ~inv:20 ~resp:30 ~ts:50 ();
     |]
   in
-  check bool "explicit edge flagged" true
-    (match W.check ~edges:[ (0, 1) ] ~mode:`Sequential txns with
-    | Error _ -> true
-    | Ok () -> false)
+  check bool "no edge, no cycle" true (Result.is_ok (CG.check ~mode:`Sequential txns));
+  check (Alcotest.result Alcotest.reject Alcotest.string) "explicit edge flagged"
+    (Error "cycle: txn 0 -msg-> txn 1 -rw-> txn 0")
+    (CG.check ~edges:[ (0, 1) ] ~mode:`Sequential txns)
 
 let test_witness_incomplete_resp () =
   (* resp = max_int: no real-time obligations, reads ignored? (reads of
@@ -720,8 +720,7 @@ let test_witness_incomplete_resp () =
       wtxn ~proc:1 ~reads:[ ("x", None) ] ~inv:20 ~resp:30 ~ts:50 ();
     |]
   in
-  check bool "incomplete mutator imposes nothing" true
-    (match W.check ~mode:`Strict txns with Ok () -> true | Error _ -> false)
+  check bool "incomplete mutator imposes nothing" true (passes ~mode:`Strict txns)
 
 let test_witness_rank_breaks_ties () =
   (* RO sharing a mutator's timestamp reads its write: mutator must sort
@@ -732,10 +731,9 @@ let test_witness_rank_breaks_ties () =
       wtxn ~proc:1 ~reads:[ ("x", Some 1) ] ~inv:20 ~resp:30 ~ts:42 ();
     |]
   in
-  check bool "tie broken mutator-first" true
-    (match W.check ~mode:`Rss txns with Ok () -> true | Error _ -> false)
+  check bool "tie broken mutator-first" true (passes ~mode:`Rss txns)
 
-(* Cross-validation: if the linear-time witness accepts an order for a
+(* Cross-validation: if the claimed-order check accepts an order for a
    history, the exact search checker must find the corresponding model
    satisfiable (the witness is a sufficient certificate). *)
 let prop_witness_implies_search =
@@ -764,10 +762,217 @@ let prop_witness_implies_search =
       in
       List.for_all
         (fun (mode, model) ->
-          match W.check ~mode records with
-          | Error _ -> true
-          | Ok () -> txn_sat h model)
+          (not (passes ~mode records)) || txn_sat h model)
         pairs)
+
+(* ------------------------------------------------------------------ *)
+(* Check_graph: the model over a fixed write order                     *)
+(* ------------------------------------------------------------------ *)
+
+(* A transactional history as witness records. The claimed order [ts] is
+   the first value written, else the first value read (0 for nil),
+   readers ranked after writers: on register histories, whose values grow
+   with each write, a version number like a carstamp. *)
+let witness_of (h : T.t) =
+  Array.map
+    (fun (x : T.txn) ->
+      {
+        W.proc = x.T.proc;
+        reads = x.T.reads;
+        writes = x.T.writes;
+        inv = x.T.inv;
+        resp = Option.value x.T.resp ~default:max_int;
+        ts =
+          (match (x.T.writes, x.T.reads) with
+          | (_, v) :: _, _ | [], (_, Some v) :: _ -> v
+          | [], _ -> 0);
+        rank = W.mutator_rank ~writes:x.T.writes;
+      })
+    h.T.txns
+
+let graph_modes =
+  [ (`Strict, CR.Linearizable, CT.Strict_serializable);
+    (`Rss, CR.Rsc, CT.Rss);
+    (`Sequential, CR.Sequential, CT.Process_ordered) ]
+
+let mode_name = function `Strict -> "strict" | `Rss -> "rss" | `Sequential -> "seq"
+
+let contains s sub =
+  let n = String.length sub in
+  let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+  at 0
+
+(* IRIW: the writes of x and y are still in flight; reader A sees x new,
+   then y old; reader B sees y new, then x old. Each key alone has a
+   valid order, so a per-key check passes; no total order exists. The
+   cycle is po/rf/rw; under [`Strict] one reader always returns before
+   the other's second read starts, so a shorter cycle takes an rt edge. *)
+let iriw ~rng =
+  let gap () = 1 + Sim.Rng.int rng 20 in
+  let session proc id k1 k2 =
+    let i1 = gap () in
+    let r1 = i1 + gap () in
+    let i2 = r1 + gap () in
+    let r2 = i2 + gap () in
+    [ H.read ~id ~proc ~key:k1 ~value:1 ~inv:i1 ~resp:r1 ();
+      H.read ~id:(id + 1) ~proc ~key:k2 ~inv:i2 ~resp:r2 () ]
+  in
+  H.make
+    ([ H.write ~id:0 ~proc:0 ~key:"x" ~value:1 ~inv:0 ();
+       H.write ~id:1 ~proc:1 ~key:"y" ~value:1 ~inv:0 () ]
+    @ session 2 2 "x" "y" @ session 3 4 "y" "x")
+
+let test_graph_iriw () =
+  let rng = Sim.Rng.make 31 in
+  for _ = 1 to 50 do
+    let h = iriw ~rng in
+    let txns = witness_of (T.of_history h) in
+    List.iter
+      (fun (mode, reg, _) ->
+        check bool "exhaustive search rejects IRIW" false (reg_sat h reg);
+        match CG.check ~mode txns with
+        | Ok _ -> Alcotest.failf "%s: graph accepts IRIW" (mode_name mode)
+        | Error m ->
+          List.iter
+            (fun k -> check bool (Fmt.str "%s: %s names %s" (mode_name mode) m k) true (contains m k))
+            ([ "-rf->"; "-rw->" ] @ if mode = `Strict then [] else [ "-po->" ]);
+          if mode <> `Strict then
+            check bool (Fmt.str "%s: no rt edge in %s" (mode_name mode) m) false (contains m "-rt->"))
+      graph_modes;
+    (* Per key, with version timestamps, the claimed order is valid. *)
+    List.iter
+      (fun k ->
+        let on_k = List.filter (fun x -> List.mem_assoc k x.W.reads || List.mem_assoc k x.W.writes) in
+        check bool ("per-key check passes on " ^ k) true
+          (passes ~mode:`Rss (Array.of_list (on_k (Array.to_list txns)))))
+      [ "x"; "y" ]
+  done
+
+(* New/old inversion: reader 1 sees the new value, then reader 2, invoked
+   after reader 1 returned, sees the old one. Regular while the write is in
+   flight (RSC), never linearizable; once the write has completed before
+   reader 2 starts, RSC rejects it too. Sequential consistency accepts
+   both. *)
+let test_graph_inversion () =
+  let rng = Sim.Rng.make 37 in
+  for _ = 1 to 50 do
+    let gap () = 1 + Sim.Rng.int rng 20 in
+    let i1 = gap () in
+    let r1 = i1 + gap () in
+    let i2 = r1 + gap () in
+    let r2 = i2 + gap () in
+    List.iter
+      (fun in_flight ->
+        let resp = if in_flight then None else Some (i2 - 1) in
+        let h =
+          H.make
+            [ H.write ~id:0 ~proc:0 ~key:"x" ~value:1 ~inv:0 ?resp ();
+              H.read ~id:1 ~proc:1 ~key:"x" ~value:1 ~inv:i1 ~resp:r1 ();
+              H.read ~id:2 ~proc:2 ~key:"x" ~inv:i2 ~resp:r2 () ]
+        in
+        let txns = witness_of (T.of_history h) in
+        List.iter
+          (fun (mode, reg, _) ->
+            let expect = mode = `Sequential || (mode = `Rss && in_flight) in
+            let label = Fmt.str "%s, write %s" (mode_name mode) (if in_flight then "in flight" else "done") in
+            check bool (label ^ ": exhaustive") expect (reg_sat h reg);
+            check bool (label ^ ": graph") expect (Result.is_ok (CG.check ~mode txns)))
+          graph_modes)
+      [ true; false ]
+  done
+
+(* An rmw that writes back the value it read (a counter read through an
+   rmw) leaves a run of writers of one value; a read of the value reads
+   the run, and still precedes the next value. *)
+let test_graph_write_back () =
+  let txns =
+    [|
+      wtxn ~proc:0 ~writes:[ ("x", 1) ] ~inv:0 ~resp:10 ~ts:1 ();
+      wtxn ~proc:1 ~reads:[ ("x", Some 1) ] ~writes:[ ("x", 1) ] ~inv:20 ~resp:30 ~ts:2 ();
+      wtxn ~proc:2 ~reads:[ ("x", Some 1) ] ~inv:40 ~resp:50 ~ts:2 ();
+      wtxn ~proc:0 ~writes:[ ("x", 2) ] ~inv:60 ~resp:70 ~ts:3 ();
+    |]
+  in
+  let stale = Array.append txns [| wtxn ~proc:2 ~reads:[ ("x", Some 1) ] ~inv:80 ~resp:90 ~ts:2 () |] in
+  List.iter
+    (fun (mode, _, _) ->
+      check bool (mode_name mode ^ ": write-back passes") true (Result.is_ok (CG.check ~mode txns));
+      check bool (mode_name mode ^ ": stale read of the run") (mode = `Sequential)
+        (Result.is_ok (CG.check ~mode stale)))
+    graph_modes
+
+(* Random small histories in which each key is written at most once, so
+   the write order is forced and the graph decides the model exactly.
+   Processes run one op at a time; an incomplete op is its process's
+   last. Reads pick nil or the key's value, written or not. *)
+let gen_forced ~rng ~txn =
+  let n_keys = 1 + Sim.Rng.int rng 4 and n_procs = 1 + Sim.Rng.int rng 3 in
+  let key k = Printf.sprintf "k%d" k in
+  let written = Array.make n_keys false in
+  let clock = Array.make n_procs 0 and stopped = Array.make n_procs false in
+  let read k = (key k, if Sim.Rng.bool rng 0.5 then Some (100 + k) else None) in
+  let rec gen acc id =
+    let live = List.filter (fun p -> not stopped.(p)) (List.init n_procs Fun.id) in
+    if id = 2 + Sim.Rng.int rng 6 || live = [] then List.rev acc
+    else begin
+      let proc = List.nth live (Sim.Rng.int rng (List.length live)) in
+      let inv = clock.(proc) + Sim.Rng.int rng 6 in
+      let incomplete = Sim.Rng.bool rng 0.1 in
+      let resp = if incomplete then None else Some (inv + 1 + Sim.Rng.int rng 12) in
+      clock.(proc) <- Option.value resp ~default:inv;
+      stopped.(proc) <- incomplete;
+      let keys = List.filter (fun _ -> Sim.Rng.bool rng 0.5) (List.init n_keys Fun.id) in
+      let keys = if keys = [] || not txn then [ Sim.Rng.int rng n_keys ] else keys in
+      let writes =
+        List.filter_map
+          (fun k ->
+            if written.(k) || Sim.Rng.bool rng 0.5 then None
+            else (written.(k) <- true; Some (key k, 100 + k)))
+          keys
+      in
+      let reads = List.filter_map (fun k -> if Sim.Rng.bool rng 0.6 then Some (read k) else None) keys in
+      let reads = if reads = [] && writes = [] then [ read (List.hd keys) ] else reads in
+      gen (T.rw ~id ~proc ~reads ~writes ~inv ?resp () :: acc) (id + 1)
+    end
+  in
+  T.make (gen [] 0)
+
+let test_graph_forced_order_exact () =
+  let rng = Sim.Rng.make 41 in
+  let sat = ref 0 and unsat = ref 0 in
+  for seed = 1 to 600 do
+    let txn = seed mod 2 = 0 in
+    let h = gen_forced ~rng ~txn in
+    let txns = witness_of h in
+    List.iter
+      (fun (mode, _, model) ->
+        let exact = txn_sat h model and graph = CG.check ~mode txns in
+        if exact then incr sat else incr unsat;
+        if exact <> Result.is_ok graph then
+          Alcotest.failf "seed %d %s: exact %b, graph %s:@.%a" seed (mode_name mode) exact
+            (match graph with Ok _ -> "Ok" | Error m -> m)
+            Fmt.(array ~sep:cut T.pp_txn) h.T.txns)
+      graph_modes
+  done;
+  check bool (Fmt.str "both verdicts exercised (%d sat, %d unsat)" !sat !unsat) true
+    (!sat > 300 && !unsat > 300)
+
+(* With several writes per key the write order is the claimed one, so a
+   graph [Ok] proves the model, and its order replays as a [Pass]. *)
+let prop_graph_ok_implies_search =
+  QCheck.Test.make ~name:"graph Ok => search Sat" ~count:300 (QCheck.make gen_history)
+    (fun params ->
+      let h = T.of_history (build_history params) in
+      let txns = witness_of h in
+      List.for_all
+        (fun (mode, _, model) ->
+          match CG.check ~mode txns with
+          | Error _ -> true
+          | Ok order ->
+            let replay = Array.copy txns in
+            Array.iteri (fun p i -> replay.(i) <- { txns.(i) with W.ts = p }) order;
+            txn_sat h model && passes ~mode replay)
+        graph_modes)
 
 (* ------------------------------------------------------------------ *)
 (* MWR-Weak regularity (Appendix A, Shao et al.)                       *)
@@ -895,7 +1100,7 @@ let prop_witness_sequential_histories_pass =
               })
       in
       List.for_all
-        (fun mode -> W.check ~mode txns = Ok ())
+        (fun mode -> passes ~mode txns)
         [ `Strict; `Rss; `Sequential ])
 
 let prop_witness_detects_corruption =
@@ -918,8 +1123,7 @@ let prop_witness_detects_corruption =
       let wrong = if victim = 1 then 20 else 10 in
       bad.(victim) <-
         { (good.(victim)) with W.reads = [ ("k", Some wrong) ] };
-      W.check ~mode:`Sequential good = Ok ()
-      && W.check ~mode:`Sequential bad <> Ok ())
+      passes ~mode:`Sequential good && not (passes ~mode:`Sequential bad))
 
 (* ------------------------------------------------------------------ *)
 (* libRSS                                                              *)
@@ -1083,6 +1287,15 @@ let suites =
         qt prop_witness_sequential_histories_pass;
         qt prop_witness_detects_corruption;
         qt prop_witness_implies_search;
+      ] );
+    ( "core.check_graph",
+      [
+        Alcotest.test_case "IRIW fails in every mode" `Quick test_graph_iriw;
+        Alcotest.test_case "new/old inversion" `Quick test_graph_inversion;
+        Alcotest.test_case "write-back rmw" `Quick test_graph_write_back;
+        Alcotest.test_case "forced write order is exact" `Quick
+          test_graph_forced_order_exact;
+        qt prop_graph_ok_implies_search;
       ] );
     ( "core.check_mwr",
       [

@@ -148,6 +148,24 @@ let test_corpus_replays () =
       | Ok r ->
         check bool (path ^ " replays to its expected verdict") true
           r.Explore.Corpus.matches;
+        (* The offline oracle, across keys, agrees: the safe repro passes
+           and the unsafe ones fail on a cycle. *)
+        let i = r.Explore.Corpus.entry.Explore.Corpus.input in
+        (match r.Explore.Corpus.outcome.Explore.Exec.run.Harness.Run.records with
+        | Harness.Run.Gryff_ops a -> (
+          let mode =
+            match i.Explore.Exec.protocol with
+            | Chaos.Audit.Gryff_lin -> Gryff.Config.Lin
+            | _ -> Gryff.Config.Rsc
+          in
+          match (Gryff.Cluster.check_records ~mode a, r.Explore.Corpus.entry.Explore.Corpus.expected) with
+          | Ok (), "pass" -> ()
+          | Error m, "pass" -> Alcotest.failf "%s: cross-key violation: %s" path m
+          | Error m, _ ->
+            check bool (path ^ ": the oracle names a cycle") true
+              (String.starts_with ~prefix:"cycle: " m)
+          | Ok (), _ -> Alcotest.failf "%s: the oracle passes a failing run" path)
+        | Harness.Run.Spanner_txns _ -> ());
         (* The one-line summary names the timeout exactly when it differs
            from the base input's (the slow-node repro runs with 600 ms). *)
         let i = r.Explore.Corpus.entry.Explore.Corpus.input in

@@ -57,9 +57,11 @@ let gryff_fuzz_one ~mode ~seed =
       match Sim.Rng.int wl 3 with
       | 0 -> Gryff.Client.read c ~key (fun _ -> k ())
       | 1 ->
-        (* Cluster-allocated values never collide with rmw counter results
-           (history checking derives reads-from from values). *)
-        let value = Gryff.Cluster.fresh_value cluster in
+        (* Written values must be unique per key (history checking derives
+           reads-from from values). Writes space cluster-allocated values
+           10^6 apart, so an rmw counter's x + 1 never reaches the next
+           write's value. *)
+        let value = 1_000_000 * Gryff.Cluster.fresh_value cluster in
         Gryff.Client.write c ~key ~value (fun _ -> k ())
       | _ ->
         Gryff.Client.rmw c ~key

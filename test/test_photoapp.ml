@@ -86,7 +86,7 @@ let test_po_session_monotone () =
   check bool "prefix only advances" true (monotone (-1) positions)
 
 let test_po_fails_stronger_witness () =
-  (* Force a manifestly stale read, then confirm the RSS witness flags the
+  (* Force a manifestly stale read, then confirm the RSS check flags the
      PO store's history (calibrating that the checkers catch what PO
      serializability permits). *)
   let found = ref false in
@@ -106,8 +106,8 @@ let test_po_fails_stronger_witness () =
       (match Postore.Store.check_history store with
       | Ok () -> ()
       | Error m -> Alcotest.fail ("PO witness should accept: " ^ m));
-      match Rss_core.Witness.check ~mode:`Rss (Postore.Store.records store) with
-      | Ok () -> Alcotest.fail "RSS witness accepted a stale read"
+      match Rss_core.Check_graph.check ~mode:`Rss (Postore.Store.records store) with
+      | Ok _ -> Alcotest.fail "RSS check accepted a stale read"
       | Error _ -> ()
     end;
     incr seed

@@ -1,14 +1,15 @@
 (* Scale-pass guarantees: (1) the online checker (Rss_core.Check_online)
-   agrees with the offline witness checker on large batteries of random
-   histories, valid and mutated-invalid, across all three modes, always
-   with a definitive verdict; its work meter equals a brute-force count of
-   its definition, and every Pass it gives on a small history is one the
-   exhaustive search (Rss_core.Check_txn) accepts; (2) seeded protocol
-   traces are byte-identical to the golden digests captured before the
-   lib/sim hot-path optimisation — and stay identical whichever check mode
-   observes them; (3) the judge that runs after the drain gives the
-   verdicts and work counters of checkers fed record by record as the run
-   recorded them. *)
+   and the offline graph checker (Rss_core.Check_graph), given the claimed
+   order as a chain of edges, agree exactly on large batteries of random
+   histories, valid and mutated-invalid, across all three modes; every
+   order the graph checker returns replays as a Check_online Pass; the
+   work meter equals a brute-force count of its definition, and every
+   Pass on a small history is one the exhaustive search (Rss_core.Check_txn)
+   accepts; (2) seeded protocol traces are byte-identical to the golden
+   digests captured before the lib/sim hot-path optimisation — and stay
+   identical whichever check mode observes them; (3) the judge that runs
+   after the drain gives the verdicts and work counters of checkers fed
+   record by record as the run recorded them. *)
 
 let check = Alcotest.check
 let bool = Alcotest.bool
@@ -17,6 +18,7 @@ let string = Alcotest.string
 
 module W = Rss_core.Witness
 module CO = Rss_core.Check_online
+module CG = Rss_core.Check_graph
 
 (* {1 Random history generation}
 
@@ -164,26 +166,48 @@ let mutate ~rng ~max_val txns =
 
 let modes = [ (`Sequential, "seq"); (`Rss, "rss"); (`Strict, "strict") ]
 
-let agree_name = function
-  | Ok () -> "valid"
-  | Error _ -> "invalid"
+let show = function
+  | CO.Pass -> "pass"
+  | CO.Fail m -> "fail: " ^ m
+  | CO.Unknown m -> "unknown: " ^ m
 
-(* Online must return a definitive verdict that matches the offline checker
-   exactly. *)
+(* The claimed order (ts, rank, inv, index) as a chain of edges: with it,
+   the graph is acyclic exactly when the claimed order is a valid
+   witness. *)
+let claimed_chain txns =
+  let ord = Array.init (Array.length txns) Fun.id in
+  let key i = (txns.(i).W.ts, txns.(i).W.rank, txns.(i).W.inv) in
+  Array.stable_sort (fun i j -> compare (key i) (key j)) ord;
+  List.init (max 0 (Array.length ord - 1)) (fun q -> (ord.(q), ord.(q + 1)))
+
+(* A certificate: the order, as timestamps, is a claimed order that
+   Check_online passes. *)
+let replays ~mode txns order =
+  let replay = Array.copy txns in
+  Array.iteri (fun p i -> replay.(i) <- { (txns.(i)) with W.ts = p }) order;
+  CO.check ~mode replay = CO.Pass
+
+(* Online and the graph with the claimed order as a chain must give the
+   same verdict; every graph order must replay; and a valid claimed order
+   is one of the graph's orders, so the graph alone must pass it too. *)
 let assert_agreement ~what ~mode ~mode_name ~seed txns =
-  let offline = W.check ~mode txns in
+  let label = Printf.sprintf "%s mode=%s seed=%d" what mode_name seed in
+  let graph ?edges () =
+    match CG.check ?edges ~mode txns with
+    | Error m -> Error m
+    | Ok order ->
+      if not (replays ~mode txns order) then Alcotest.failf "%s: order does not replay" label;
+      Ok ()
+  in
   let online = CO.check ~mode txns in
-  match (offline, online) with
-  | Ok (), CO.Pass | Error _, CO.Fail _ -> ()
-  | _, CO.Unknown m ->
-    Alcotest.failf "%s mode=%s seed=%d: online Unknown (%s) with offline %s"
-      what mode_name seed m (agree_name offline)
-  | Ok (), CO.Fail m ->
-    Alcotest.failf "%s mode=%s seed=%d: online Fail (%s) but offline valid"
-      what mode_name seed m
-  | Error m, CO.Pass ->
-    Alcotest.failf "%s mode=%s seed=%d: online Pass but offline invalid (%s)"
-      what mode_name seed m
+  (match (online, graph ~edges:(claimed_chain txns) ()) with
+  | CO.Pass, Ok () | CO.Fail _, Error _ -> ()
+  | CO.Pass, Error m -> Alcotest.failf "%s: online Pass but graph %s" label m
+  | v, _ -> Alcotest.failf "%s: online %s but graph Ok" label (show v));
+  if online = CO.Pass then
+    match graph () with
+    | Ok () -> ()
+    | Error m -> Alcotest.failf "%s: graph rejects a valid claimed order: %s" label m
 
 let test_agreement_valid () =
   List.iter
@@ -195,11 +219,11 @@ let test_agreement_valid () =
             ~n_procs:(1 + Sim.Rng.int rng 6)
             ~n_keys:(1 + Sim.Rng.int rng 6) ()
         in
-        (match W.check ~mode txns with
-        | Ok () -> ()
-        | Error m ->
+        (match CO.check ~mode txns with
+        | CO.Pass -> ()
+        | v ->
           Alcotest.failf "generator produced invalid %s history (seed %d): %s"
-            mode_name seed m);
+            mode_name seed (show v));
         assert_agreement ~what:"valid" ~mode ~mode_name ~seed txns
       done)
     modes
@@ -217,7 +241,7 @@ let test_agreement_mutated () =
         in
         let txns = mutate ~rng ~max_val txns in
         incr total;
-        if W.check ~mode txns <> Ok () then incr invalid;
+        if CO.check ~mode txns <> CO.Pass then incr invalid;
         assert_agreement ~what:"mutated" ~mode ~mode_name ~seed txns
       done)
     modes;
@@ -311,12 +335,12 @@ let test_agreement_first_sight () =
           gen_first_sight ~rng ~n:(20 + Sim.Rng.int rng 120)
             ~n_procs:(1 + Sim.Rng.int rng 6)
         in
-        (match W.check ~mode txns with
-        | Ok () -> ()
-        | Error m ->
+        (match CO.check ~mode txns with
+        | CO.Pass -> ()
+        | v ->
           Alcotest.failf "first-sight generator produced invalid %s history \
                           (seed %d): %s"
-            mode_name seed m);
+            mode_name seed (show v));
         assert_agreement ~what:"first-sight valid" ~mode ~mode_name ~seed txns;
         assert_agreement ~what:"first-sight mutated" ~mode ~mode_name ~seed
           (mutate ~rng ~max_val txns)
@@ -360,7 +384,10 @@ let test_cyclic_history_fails () =
        txn ~proc:2 ~reads:[ ("z", Some 7) ] ~inv:5 ~resp:6 ~ts:20 ();
        txn ~proc:2 ~writes:[ ("z", 7) ] ~inv:7 ~resp:8 ~ts:15 () |]
   in
-  check bool "offline rejects the claimed order" true (W.check ~mode:`Rss txns <> Ok ());
+  check bool "the graph rejects the claimed order" true
+    (Result.is_error (CG.check ~edges:(claimed_chain txns) ~mode:`Rss txns));
+  check (Alcotest.result Alcotest.reject string) "the graph names the cycle"
+    (Error "cycle: txn 2 -po-> txn 3 -rf-> txn 2") (CG.check ~mode:`Rss txns);
   match CO.check ~mode:`Rss txns with
   | CO.Fail m ->
     check string "session-order failure"
@@ -577,31 +604,36 @@ let test_passes_are_exact () =
   in
   List.iter
     (fun (mode, mode_name) ->
-      let passes = ref 0 in
+      let passes = ref 0 and graph_passes = ref 0 in
       for seed = 1 to 1500 do
         let rng = Sim.Rng.make (seed + (0xe4ac7 * Hashtbl.hash mode_name)) in
         let txns = gen_small ~rng in
-        match CO.check ~mode txns with
-        | CO.Fail _ | CO.Unknown _ -> ()
-        | CO.Pass -> (
-          incr passes;
+        let online = CO.check ~mode txns = CO.Pass in
+        let graph = Result.is_ok (CG.check ~mode txns) in
+        if online then incr passes;
+        if graph then incr graph_passes;
+        if online || graph then begin
           let h =
             Array.mapi (fun id x -> Rss_core.Txn_history.of_witness ~id x) txns
             |> Array.to_list |> Rss_core.Txn_history.make
           in
+          let who = if online then "online" else "graph" in
           match Rss_core.Check_txn.check h (exact mode) with
           | Rss_core.Check_txn.Sat _ -> ()
           | Rss_core.Check_txn.Unsat ->
-            Alcotest.failf "mode=%s seed=%d: online Pass but exact Unsat:@.%a" mode_name
-              seed
+            Alcotest.failf "mode=%s seed=%d: %s Pass but exact Unsat:@.%a" mode_name seed
+              who
               Fmt.(array ~sep:cut Rss_core.Txn_history.pp_txn)
               h.Rss_core.Txn_history.txns
           | Rss_core.Check_txn.Unknown ->
-            Alcotest.failf "mode=%s seed=%d: exact search gave up" mode_name seed)
+            Alcotest.failf "mode=%s seed=%d: exact search gave up" mode_name seed
+        end
       done;
       check bool
-        (Fmt.str "%s: passes exercised (%d)" mode_name !passes)
-        true (!passes > 150))
+        (Fmt.str "%s: passes exercised (%d online, %d graph)" mode_name !passes
+           !graph_passes)
+        true
+        (!passes > 150 && !graph_passes >= !passes))
     modes
 
 (* {1 Golden seeded traces}
@@ -688,7 +720,9 @@ let test_golden_gryff_trace () =
 
 (* Online checking must be passive: a [`No_check] and an [`Online] run of
    one seed record the same history on the same schedule — and the online
-   verdict must agree with the offline oracle on that very history. *)
+   verdict must agree with the offline oracle on that very history: the
+   graph over the whole history, and exactly, given the claimed order, on
+   the Spanner history and on each Gryff key. *)
 let test_online_checking_is_passive () =
   let same label off on =
     check int (label ^ ": same simulated duration") off.Harness.Run.duration_us
@@ -712,7 +746,9 @@ let test_online_checking_is_passive () =
   let off = run `No_check and on = run `Online in
   same "spanner" off on;
   (match on.Harness.Run.records with
-  | Harness.Run.Spanner_txns a -> agrees "spanner" on (W.check ~mode:`Rss a)
+  | Harness.Run.Spanner_txns a ->
+    agrees "spanner" on (Result.map ignore (CG.check ~mode:`Rss a));
+    assert_agreement ~what:"spanner run" ~mode:`Rss ~mode_name:"rss" ~seed:7 a
   | Harness.Run.Gryff_ops _ -> assert false);
   let g cm =
     Harness.gryff_wan
@@ -724,8 +760,15 @@ let test_online_checking_is_passive () =
   same "gryff" goff gon;
   (match gon.Harness.Run.records with
   | Harness.Run.Gryff_ops a ->
-    agrees "gryff" gon
-      (Gryff.Cluster.check_records ~mode:Gryff.Config.Rsc (Array.to_list a))
+    agrees "gryff" gon (Gryff.Cluster.check_records ~mode:Gryff.Config.Rsc a);
+    let keys = List.sort_uniq Int.compare (Array.to_list (Array.map (fun r -> r.Gryff.Cluster.g_key) a)) in
+    List.iter
+      (fun k ->
+        let on_k = List.filter (fun r -> r.Gryff.Cluster.g_key = k) (Array.to_list a) in
+        assert_agreement ~what:(Printf.sprintf "gryff run, key %d" k) ~mode:`Rss
+          ~mode_name:"rss" ~seed:9
+          (Array.of_list (List.map Gryff.Cluster.witness_txn on_k)))
+      keys
   | Harness.Run.Spanner_txns _ -> assert false)
 
 (* {1 The post-drain judge}
@@ -798,11 +841,6 @@ let arrival_judge ~mode history =
         CO.Pass by_key
     in
     (verdict, totals (List.map snd by_key))
-
-let show = function
-  | CO.Pass -> "pass"
-  | CO.Fail m -> "fail: " ^ m
-  | CO.Unknown m -> "unknown: " ^ m
 
 let same_judgement label ~mode (r : Harness.Run.t) =
   let v, (added, work, disp) = arrival_judge ~mode r.Harness.Run.records in
@@ -960,18 +998,25 @@ let test_judge_smallest_failing_key () =
   check bool "a negative key is corrupted" true (lo < 0);
   judge_names_key lo (corrupt_two a ~lo ~hi)
 
-(* The offline per-key oracle names the same key as the judge, whichever
-   of the next sixteen keys is corrupted beside it. *)
-let test_oracle_smallest_failing_key () =
+(* The offline oracle judges the whole history at once, so it names the
+   first bad read in recording order, whichever of the next sixteen keys
+   is corrupted beside key [lo]; the judge still names [lo]. *)
+let test_oracle_names_bad_read () =
   let a, keys = remapped_gryff () in
   let lo = List.nth keys 1 in
   List.iter
     (fun hi ->
       let bad = corrupt_two a ~lo ~hi in
       judge_names_key lo bad;
-      match Gryff.Cluster.check_records ~mode:Gryff.Config.Rsc (Array.to_list bad) with
-      | Error m -> names_key "oracle" lo m
-      | Ok () -> Alcotest.fail "corrupted history not caught by the oracle")
+      let i = ref 0 in
+      while bad.(!i) = a.(!i) do incr i done;
+      check
+        (Alcotest.result Alcotest.unit string)
+        "oracle names the first bad read"
+        (Error
+           (Printf.sprintf "legality: txn %d read %d=-1 but no txn wrote it" !i
+              bad.(!i).Gryff.Cluster.g_key))
+        (Gryff.Cluster.check_records ~mode:Gryff.Config.Rsc bad))
     (List.filteri (fun j _ -> j >= 2 && j < 18) keys)
 
 let suites =
@@ -1012,8 +1057,8 @@ let suites =
           test_judge_stale_controls;
         Alcotest.test_case "fail names the smallest key" `Quick
           test_judge_smallest_failing_key;
-        Alcotest.test_case "oracle names the smallest key" `Quick
-          test_oracle_smallest_failing_key;
+        Alcotest.test_case "oracle names the bad read" `Quick
+          test_oracle_names_bad_read;
       ] );
     ( "scale.golden",
       [
