@@ -12,32 +12,53 @@ type ids = {
 }
 
 (* Dense ids by first sight; a run of one name (a Gryff key) skips the table. *)
-let interner equal dummy =
-  let ids = Hashtbl.create 16 and last = ref dummy and last_id = ref (-1) in
-  let id x =
-    if !last_id < 0 || not (equal x !last) then begin
-      last := x;
-      last_id := (try Hashtbl.find ids x with Not_found -> Hashtbl.length ids);
-      if !last_id = Hashtbl.length ids then Hashtbl.add ids x !last_id
-    end;
-    !last_id
-  in
-  (id, fun () -> Hashtbl.length ids)
+module Interner (K : Hashtbl.HashedType) = struct
+  module H = Hashtbl.Make (K)
+
+  let make size dummy =
+    let ids = H.create size and last = ref dummy and last_id = ref (-1) in
+    let id x =
+      if !last_id < 0 || not (K.equal x !last) then begin
+        last := x;
+        last_id := (try H.find ids x with Not_found -> H.length ids);
+        if !last_id = H.length ids then H.add ids x !last_id
+      end;
+      !last_id
+    in
+    (id, fun () -> H.length ids)
+end
+
+module Keys = Interner (String)
+module Procs = Interner (struct type t = int let equal = Int.equal let hash x = x land max_int end)
+
+let iota n =
+  let a = Array.make n 0 in
+  for i = 1 to n - 1 do a.(i) <- i done;
+  a
+
+(* The members of [0, n) that [keep] keeps, ascending. *)
+let select n keep =
+  let a = Array.make n 0 and m = ref 0 in
+  for i = 0 to n - 1 do if keep i then (a.(!m) <- i; incr m) done;
+  Array.sub a 0 !m
 
 let index txns n =
-  let key, n_keys = interner String.equal "" and proc, n_procs = interner Int.equal 0 in
-  let rec fill a j f = function [] -> () | x :: l -> a.(j) <- f x; fill a (j + 1) f l in
-  let flatten field f =
+  let key, n_keys = Keys.make n "" and proc, n_procs = Procs.make 16 0 in
+  let offsets field =
     let off = Array.make (n + 1) 0 in
     for i = 0 to n - 1 do off.(i + 1) <- off.(i) + List.length (field txns.(i)) done;
-    let a = Array.make off.(n) 0 in
-    for i = 0 to n - 1 do fill a off.(i) f (field txns.(i)) done;
-    (off, a)
+    off
   in
-  let roff, rkey = flatten (fun x -> x.W.reads) (fun (k, _) -> key k) in
-  let woff, wkey = flatten (fun x -> x.W.writes) (fun (k, _) -> key k) in
-  let wval = snd (flatten (fun x -> x.W.writes) snd) in
-  let pid = Array.init n (fun i -> proc txns.(i).W.proc) in
+  let roff = offsets (fun x -> x.W.reads) and woff = offsets (fun x -> x.W.writes) in
+  let rkey = Array.make roff.(n) 0 and wkey = Array.make woff.(n) 0 in
+  let wval = Array.make woff.(n) 0 and pid = Array.make n 0 in
+  let rec reads j = function [] -> () | (k, _) :: l -> rkey.(j) <- key k; reads (j + 1) l in
+  let rec writes j = function
+    | [] -> ()
+    | (k, v) :: l -> wkey.(j) <- key k; wval.(j) <- v; writes (j + 1) l
+  in
+  for i = 0 to n - 1 do reads roff.(i) txns.(i).W.reads done;
+  for i = 0 to n - 1 do writes woff.(i) txns.(i).W.writes; pid.(i) <- proc txns.(i).W.proc done;
   { n_keys = n_keys (); roff; rkey; woff; wkey; wval; n_procs = n_procs (); pid }
 
 let group_by n_groups group seq =
@@ -51,20 +72,55 @@ let group_by n_groups group seq =
   done;
   (off, by)
 
-let orders txns n ix =
-  (* Stable sorts; arrival order is usually sorted already. *)
-  let sort cmp a =
-    let rec sorted q = q >= n || (cmp a.(q - 1) a.(q) <= 0 && sorted (q + 1)) in
-    if not (sorted 1) then Array.stable_sort cmp a
+(* A stable merge sort of int arrays, so that no write goes through
+   [caml_modify]: the upper half sorts into a scratch half as long, the
+   lower half into the top of [a], and the two merge up from the bottom.
+   Arrival order is usually sorted already, and then nothing moves. *)
+let sort_ints cmp a =
+  let n = Array.length a in
+  let rec sorted q = q >= n || (cmp a.(q - 1) a.(q) <= 0 && sorted (q + 1)) in
+  (* Merge [s1.(i1 ..< e1)] and [s2.(i2 ..< e2)] into [d] from [k]; one of
+     them may sit at the top of [d], where the blit of its rest is a no-op. *)
+  let rec merge s1 i1 e1 s2 i2 e2 d k =
+    if i1 = e1 then Array.blit s2 i2 d k (e2 - i2)
+    else if i2 = e2 then Array.blit s1 i1 d k (e1 - i1)
+    else if cmp s1.(i1) s2.(i2) <= 0 then (d.(k) <- s1.(i1); merge s1 (i1 + 1) e1 s2 i2 e2 d (k + 1))
+    else (d.(k) <- s2.(i2); merge s1 i1 e1 s2 (i2 + 1) e2 d (k + 1))
   in
-  let ord = Array.init n Fun.id in
-  sort (fun i j ->
+  (* Sort [src.(s ..< s + len)] into [dst.(d ..< d + len)]. *)
+  let rec sort_into src s dst d len =
+    if len <= 6 then
+      for i = 0 to len - 1 do
+        let x = src.(s + i) and j = ref (d + i - 1) in
+        while !j >= d && cmp dst.(!j) x > 0 do dst.(!j + 1) <- dst.(!j); decr j done;
+        dst.(!j + 1) <- x
+      done
+    else begin
+      let l1 = len / 2 in
+      let l2 = len - l1 in
+      sort_into src (s + l1) dst (d + l1) l2;
+      sort_into src s src (s + l2) l1;
+      merge src (s + l2) (s + len) dst (d + l1) (d + len) dst d
+    end
+  in
+  if not (sorted 1) then begin
+    let l1 = n / 2 in
+    let l2 = n - l1 in
+    let t = Array.make l2 0 in
+    sort_into a l1 t 0 l2;
+    sort_into a 0 a l2 l1;
+    merge a l2 n t 0 l2 a 0
+  end
+
+let orders txns n ix =
+  let ord = iota n in
+  sort_ints (fun i j ->
       let a = txns.(i) and b = txns.(j) in
       if a.W.ts <> b.W.ts then Int.compare a.W.ts b.W.ts
       else if a.W.rank <> b.W.rank then Int.compare a.W.rank b.W.rank
       else Int.compare a.W.inv b.W.inv) ord;
-  let sess = snd (group_by ix.n_procs ix.pid (Array.init n Fun.id)) in
-  sort (fun i j ->
+  let sess = snd (group_by ix.n_procs ix.pid (iota n)) in
+  sort_ints (fun i j ->
       if ix.pid.(i) <> ix.pid.(j) then Int.compare ix.pid.(i) ix.pid.(j)
       else Int.compare txns.(i).W.inv txns.(j).W.inv) sess;
   (ord, sess)
@@ -81,7 +137,7 @@ let po = 0 and ww = 1 and rf = 2 and rw = 3 and msg = 4 and rt = 5
 
 let edge g k a b =
   if g.m = Array.length g.src then begin
-    let grow a = Array.append a (Array.make (max 16 g.m) 0) in
+    let grow a = let b = Array.make (max 16 (2 * g.m)) 0 in Array.blit a 0 b 0 g.m; b in
     g.src <- grow g.src; g.dst <- grow g.dst; g.kind <- grow g.kind
   end;
   g.src.(g.m) <- a; g.dst.(g.m) <- b; g.kind.(g.m) <- k;
@@ -94,8 +150,8 @@ let edge g k a b =
    its group that responded before its invocation. *)
 let rt_chain g txns (sg, st) (dg, dt) =
   let resp s = txns.(st.(s)).W.resp in
-  let s = Array.of_list (List.filter (fun s -> resp s <> max_int) (List.init (Array.length st) Fun.id)) in
-  Array.sort
+  let s = select (Array.length st) (fun s -> resp s <> max_int) in
+  sort_ints
     (fun a b -> if sg.(a) <> sg.(b) then Int.compare sg.(a) sg.(b) else Int.compare (resp a) (resp b))
     s;
   let base = g.nodes in
@@ -137,21 +193,29 @@ let build ~edges ~mode txns =
      (an rmw writing back what it read) reads as one write: [at] maps
      (key, value) to the run's first position, [after q] is the first
      position past [q]'s run. *)
-  let last = Array.make ix.n_keys (-1) and seq = ref [] in
+  let last = Array.make ix.n_keys (-1) and seq = Array.make (Array.length ix.wkey) 0 and m = ref 0 in
   Array.iter
     (fun i ->
       for j = ix.woff.(i + 1) - 1 downto ix.woff.(i) do
-        if last.(ix.wkey.(j)) <> i then (last.(ix.wkey.(j)) <- i; seq := j :: !seq)
+        if last.(ix.wkey.(j)) <> i then (last.(ix.wkey.(j)) <- i; seq.(!m) <- j; incr m)
       done)
     ord;
-  let first, by = group_by ix.n_keys ix.wkey (Array.of_list (List.rev !seq)) in
+  let first, by = group_by ix.n_keys ix.wkey (Array.sub seq 0 !m) in
   let same q = q > first.(ix.wkey.(by.(q))) && ix.wval.(by.(q - 1)) = ix.wval.(by.(q)) in
   let rec after q = if q + 1 < Array.length by && same (q + 1) then after (q + 1) else q + 1 in
-  let at = Hashtbl.create (Array.length by) in
+  (* Open addressing over (key, value, position) triples, at most half full. *)
+  let mask = (let c = ref 16 in while !c < 2 * Array.length by do c := 2 * !c done; !c - 1) in
+  let at = Array.make (3 * (mask + 1)) (-1) in
+  let rec slot k v h =
+    if at.(3 * h) < 0 || (at.(3 * h) = k && at.(3 * h + 1) = v) then h
+    else slot k v ((h + 1) land mask)
+  in
+  let slot k v = slot k v ((k * 65599 + v) land mask) in
   Array.iteri
     (fun q j ->
-      if q > first.(ix.wkey.(j)) then edge g ww wtxn.(by.(q - 1)) wtxn.(j);
-      if not (same q) then Hashtbl.replace at (ix.wkey.(j), ix.wval.(j)) q)
+      let k = ix.wkey.(j) and v = ix.wval.(j) in
+      if q > first.(k) then edge g ww wtxn.(by.(q - 1)) wtxn.(j);
+      if not (same q) then (let h = slot k v in at.(3 * h) <- k; at.(3 * h + 1) <- v; at.(3 * h + 2) <- q))
     by;
   (* A complete read gets rf from its run and rw to the writer after it. *)
   for i = 0 to n - 1 do
@@ -162,17 +226,20 @@ let build ~edges ~mode txns =
           let q =
             match v with
             | None -> first.(k)
-            | Some v -> (
-              match Hashtbl.find_opt at (k, v) with
-              | None -> raise (Illegal (Fmt.str "legality: txn %d read %s=%d but no txn wrote it" i key v))
-              | Some q -> edge g rf wtxn.(by.(q)) i; after q)
+            | Some v ->
+              let h = slot k v in
+              if at.(3 * h) < 0 then
+                raise (Illegal (Fmt.str "legality: txn %d read %s=%d but no txn wrote it" i key v));
+              let q = at.(3 * h + 2) in
+              edge g rf wtxn.(by.(q)) i;
+              after q
           in
           if q < first.(k + 1) && wtxn.(by.(q)) <> i then edge g rw i wtxn.(by.(q)))
         txns.(i).W.reads
   done;
   List.iter (fun (a, b) -> edge g msg a b) edges;
-  let all = Array.init n Fun.id in
-  let muts = Array.of_seq (Seq.filter (fun i -> ix.woff.(i + 1) > ix.woff.(i)) (Array.to_seq all)) in
+  let all = iota n in
+  let muts = select n (fun i -> ix.woff.(i + 1) > ix.woff.(i)) in
   let one a = (Array.make (Array.length a) 0, a) in
   (match mode with
   | `Sequential -> ()
@@ -183,7 +250,7 @@ let build ~edges ~mode txns =
   g
 
 let cycle g n (off, out) stuck =
-  let ioff, into = group_by g.nodes g.dst (Array.init g.m Fun.id) in
+  let ioff, into = group_by g.nodes g.dst (iota g.m) in
   let seen = Array.make g.nodes false in
   let rec back v =
     if seen.(v) then v
@@ -218,7 +285,7 @@ let check ?(edges = []) ~mode txns =
   match build ~edges ~mode txns with
   | exception Illegal m -> Error m
   | g ->
-    let (off, out) as fwd = group_by g.nodes g.src (Array.init g.m Fun.id) in
+    let (off, out) as fwd = group_by g.nodes g.src (iota g.m) in
     let indeg = Array.make g.nodes 0 and queue = Array.make g.nodes 0 and tail = ref 0 in
     for e = 0 to g.m - 1 do indeg.(g.dst.(e)) <- indeg.(g.dst.(e)) + 1 done;
     let push v = if indeg.(v) = 0 then (queue.(!tail) <- v; incr tail) in

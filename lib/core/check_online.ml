@@ -25,8 +25,11 @@ let create ~mode () = { mode; txns = [||]; n = 0; settled = None }
 let n_added t = t.n
 
 let add t x =
-  if t.n = Array.length t.txns then
-    t.txns <- Array.init (max 8 (2 * t.n)) (fun i -> if i < t.n then t.txns.(i) else x);
+  if t.n = Array.length t.txns then begin
+    let a = Array.make (Int.max 8 (2 * t.n)) x in
+    Array.blit t.txns 0 a 0 t.n;
+    t.txns <- a
+  end;
   t.txns.(t.n) <- x;
   t.n <- t.n + 1;
   t.settled <- None
@@ -78,18 +81,19 @@ let check_legal txns ix ord =
    was invoked. Then, under [`Rss], no writer of a key responds before an
    earlier-placed reader of it (incomplete ones too) was invoked. *)
 let check_rt mode txns ix ord =
-  let what = if mode = `Strict then "txn" else "mutator" and max_inv = ref min_int in
+  let strict = match mode with `Strict -> true | `Rss | `Sequential -> false in
+  let what = if strict then "txn" else "mutator" and max_inv = ref min_int in
   Array.iter
     (fun i ->
       let x = txns.(i) in
-      if mode = `Strict || x.W.writes <> [] then begin
+      if strict || ix.woff.(i + 1) > ix.woff.(i) then begin
         if x.W.resp < !max_inv then
           violation "real-time: %s %d (resp=%d) serialized after a %s invoked at %d"
             what i x.W.resp what !max_inv;
-        max_inv := max !max_inv x.W.inv
+        max_inv := Int.max !max_inv x.W.inv
       end)
     ord;
-  if mode = `Rss then
+  if not strict then
     let max_reader_inv = Array.make ix.n_keys min_int in
     Array.iter
       (fun i ->
@@ -102,12 +106,12 @@ let check_rt mode txns ix ord =
                invoked at %d" i (fst (List.nth x.W.writes (j - ix.woff.(i)))) x.W.resp m
         done;
         for j = ix.roff.(i) to ix.roff.(i + 1) - 1 do
-          max_reader_inv.(ix.rkey.(j)) <- max max_reader_inv.(ix.rkey.(j)) x.W.inv
+          max_reader_inv.(ix.rkey.(j)) <- Int.max max_reader_inv.(ix.rkey.(j)) x.W.inv
         done)
       ord
 
 let meter txns n ix ord sess =
-  let size = 1 + max n (max (Array.length ix.rkey) (Array.length ix.wkey)) in
+  let size = 1 + Int.max n (Int.max (Array.length ix.rkey) (Array.length ix.wkey)) in
   let fen = Array.make size 0 and slot = Array.make size 0 and hi = Array.make size 0 in
   let work = ref 0 and max_d = ref 0 in
   (* Fenwick index [s + 1] counts slot [s]; [below s 0] sums slots < s. *)
@@ -116,23 +120,33 @@ let meter txns n ix ord sess =
   (* [by] lists a family's members [0, count) group-major, sorted within a
      group ([same] tells whether two share one); members it leaves out are
      skipped. Inserted in index (arrival) order, each member displaces the
-     inserted members after it in its group: none if [by] is in index order. *)
+     inserted members after it in its group: none if the group is in index
+     order, so only the members of out-of-order groups are counted. *)
   let family count by same =
-    let len = Array.length by and in_order = ref true in
+    let len = Array.length by and bad = ref false and any = ref false in
     Array.fill slot 0 count (-1);
-    for q = len - 1 downto 0 do
-      slot.(by.(q)) <- q;
-      let next = q + 1 < len && same by.(q) by.(q + 1) in
-      hi.(by.(q)) <- (if next then hi.(by.(q + 1)) else q + 1);
-      if next && by.(q) > by.(q + 1) then in_order := false
+    for q = len - 1 downto -1 do
+      let next = q >= 0 && q + 1 < len && same by.(q) by.(q + 1) in
+      (* The group at [q + 1] is complete: skip it if it is in order. *)
+      if (not next) && q + 1 < len then begin
+        if !bad then any := true
+        else for p = q + 1 to hi.(by.(q + 1)) - 1 do slot.(by.(p)) <- -1 done;
+        bad := false
+      end;
+      if q >= 0 then begin
+        let e = by.(q) in
+        slot.(e) <- q;
+        hi.(e) <- (if next then hi.(by.(q + 1)) else q + 1);
+        if next && e > by.(q + 1) then bad := true
+      end
     done;
-    if not !in_order then begin
+    if !any then begin
       Array.fill fen 0 size 0;
       for e = 0 to count - 1 do
         if slot.(e) >= 0 then begin
           let d = below hi.(e) 0 - below (slot.(e) + 1) 0 in
           work := !work + d;
-          max_d := max !max_d d;
+          max_d := Int.max !max_d d;
           bump (slot.(e) + 1)
         end
       done
@@ -171,7 +185,7 @@ let settle t =
             violation "session order: process %d's txns %d and %d inverted"
               txns.(a).W.proc a b
         done;
-        if t.mode <> `Sequential then check_rt t.mode txns ix ord
+        match t.mode with `Sequential -> () | (`Strict | `Rss) as mode -> check_rt mode txns ix ord
       with () -> Pass | exception Violation m -> Fail m
     in
     let work, max_displacement = meter txns n ix ord sess in

@@ -35,6 +35,11 @@ val write :
     to account for writes whose acknowledgements a fault swallowed). *)
 
 val rmw : t -> key:int -> f:(int option -> int) -> (Protocol.rmw_result -> unit) -> unit
+(** [f] maps the value read to the value written. It runs at every replica
+    that executes the instance, so it must be pure and deterministic: the
+    same input gives the same output, and it has no side effects. A value
+    drawn inside [f] (such as {!Cluster.fresh_value}) differs between
+    replicas, and the recorded write is then not the value they applied. *)
 
 val fence : t -> (unit -> unit) -> unit
 (** §7.1: write back the pending dependencies so future reads anywhere
