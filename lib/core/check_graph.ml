@@ -148,28 +148,33 @@ let edge g k a b =
    sorted by (group, resp), each source feeds its own barrier, a group's
    barriers form a chain, and a destination hangs off the last barrier of
    its group that responded before its invocation. *)
-let rt_chain g txns (sg, st) (dg, dt) =
-  let resp s = txns.(st.(s)).W.resp in
-  let s = select (Array.length st) (fun s -> resp s <> max_int) in
+let rt_chain g txns n_groups (sg, st) (dg, dt) =
+  let resp = Array.make (Array.length st) 0 in
+  Array.iteri (fun s t -> resp.(s) <- txns.(t).W.resp) st;
+  (* Grouped first by a counting sort; within a group, arrival order is
+     nearly response order, so the sort moves little. *)
+  let s = snd (group_by n_groups sg (select (Array.length st) (fun s -> resp.(s) <> max_int))) in
   sort_ints
-    (fun a b -> if sg.(a) <> sg.(b) then Int.compare sg.(a) sg.(b) else Int.compare (resp a) (resp b))
+    (fun a b -> if sg.(a) <> sg.(b) then Int.compare sg.(a) sg.(b) else Int.compare resp.(a) resp.(b))
     s;
+  (* Chain position [q]'s group and response, flat for the searches. *)
+  let k = Array.length s in
+  let cg = Array.make k 0 and cr = Array.make k 0 in
+  for q = 0 to k - 1 do cg.(q) <- sg.(s.(q)); cr.(q) <- resp.(s.(q)) done;
   let base = g.nodes in
-  g.nodes <- base + Array.length s;
-  Array.iteri
-    (fun q a ->
-      edge g rt st.(a) (base + q);
-      if q > 0 && sg.(s.(q - 1)) = sg.(a) then edge g rt (base + q - 1) (base + q))
-    s;
+  g.nodes <- base + k;
+  for q = 0 to k - 1 do
+    edge g rt st.(s.(q)) (base + q);
+    if q > 0 && cg.(q - 1) = cg.(q) then edge g rt (base + q - 1) (base + q)
+  done;
   Array.iteri
     (fun d grp ->
-      let inv = txns.(dt.(d)).W.inv and lo = ref (-1) and hi = ref (Array.length s) in
+      let inv = txns.(dt.(d)).W.inv and lo = ref (-1) and hi = ref k in
       while !hi - !lo > 1 do
-        let a = s.((!lo + !hi) / 2) in
-        if sg.(a) < grp || (sg.(a) = grp && resp a < inv) then lo := (!lo + !hi) / 2
-        else hi := (!lo + !hi) / 2
+        let q = (!lo + !hi) / 2 in
+        if cg.(q) < grp || (cg.(q) = grp && cr.(q) < inv) then lo := q else hi := q
       done;
-      if !lo >= 0 && sg.(s.(!lo)) = grp then edge g rt (base + !lo) dt.(d))
+      if !lo >= 0 && cg.(!lo) = grp then edge g rt (base + !lo) dt.(d))
     dg
 
 exception Illegal of string
@@ -243,10 +248,10 @@ let build ~edges ~mode txns =
   let one a = (Array.make (Array.length a) 0, a) in
   (match mode with
   | `Sequential -> ()
-  | `Strict -> rt_chain g txns (one all) (one all)
+  | `Strict -> rt_chain g txns 1 (one all) (one all)
   | `Rss ->
-    rt_chain g txns (one muts) (one muts);
-    rt_chain g txns (ix.wkey, wtxn) (ix.rkey, rtxn));
+    rt_chain g txns 1 (one muts) (one muts);
+    rt_chain g txns ix.n_keys (ix.wkey, wtxn) (ix.rkey, rtxn));
   g
 
 let cycle g n (off, out) stuck =
