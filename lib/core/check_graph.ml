@@ -72,10 +72,12 @@ let group_by n_groups group seq =
   done;
   (off, by)
 
-(* A stable merge sort of int arrays, so that no write goes through
-   [caml_modify]: the upper half sorts into a scratch half as long, the
-   lower half into the top of [a], and the two merge up from the bottom.
-   Arrival order is usually sorted already, and then nothing moves. *)
+(* A stable merge sort of int arrays. [Array.stable_sort] writes through
+   [caml_modify] and allocates a closure per merge, about two minor words
+   per element; this one allocates only its scratch. The upper half sorts
+   into a scratch half as long, the lower half into the top of [a], and
+   the two merge up from the bottom. Arrival order is usually sorted
+   already, and then nothing moves. *)
 let sort_ints cmp a =
   let n = Array.length a in
   let rec sorted q = q >= n || (cmp a.(q - 1) a.(q) <= 0 && sorted (q + 1)) in
@@ -137,7 +139,7 @@ let po = 0 and ww = 1 and rf = 2 and rw = 3 and msg = 4 and rt = 5
 
 let edge g k a b =
   if g.m = Array.length g.src then begin
-    let grow a = let b = Array.make (max 16 (2 * g.m)) 0 in Array.blit a 0 b 0 g.m; b in
+    let grow a = let b = Array.make (Int.max 16 (2 * g.m)) 0 in Array.blit a 0 b 0 g.m; b in
     g.src <- grow g.src; g.dst <- grow g.dst; g.kind <- grow g.kind
   end;
   g.src.(g.m) <- a; g.dst.(g.m) <- b; g.kind.(g.m) <- k;
@@ -148,12 +150,10 @@ let edge g k a b =
    sorted by (group, resp), each source feeds its own barrier, a group's
    barriers form a chain, and a destination hangs off the last barrier of
    its group that responded before its invocation. *)
-let rt_chain g txns n_groups (sg, st) (dg, dt) =
+let rt_chain g txns (sg, st) (dg, dt) =
   let resp = Array.make (Array.length st) 0 in
   Array.iteri (fun s t -> resp.(s) <- txns.(t).W.resp) st;
-  (* Grouped first by a counting sort; within a group, arrival order is
-     nearly response order, so the sort moves little. *)
-  let s = snd (group_by n_groups sg (select (Array.length st) (fun s -> resp.(s) <> max_int))) in
+  let s = select (Array.length st) (fun s -> resp.(s) <> max_int) in
   sort_ints
     (fun a b -> if sg.(a) <> sg.(b) then Int.compare sg.(a) sg.(b) else Int.compare resp.(a) resp.(b))
     s;
@@ -248,10 +248,10 @@ let build ~edges ~mode txns =
   let one a = (Array.make (Array.length a) 0, a) in
   (match mode with
   | `Sequential -> ()
-  | `Strict -> rt_chain g txns 1 (one all) (one all)
+  | `Strict -> rt_chain g txns (one all) (one all)
   | `Rss ->
-    rt_chain g txns 1 (one muts) (one muts);
-    rt_chain g txns ix.n_keys (ix.wkey, wtxn) (ix.rkey, rtxn));
+    rt_chain g txns (one muts) (one muts);
+    rt_chain g txns (ix.wkey, wtxn) (ix.rkey, rtxn));
   g
 
 let cycle g n (off, out) stuck =

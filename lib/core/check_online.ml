@@ -81,7 +81,7 @@ let check_legal txns ix ord =
    was invoked. Then, under [`Rss], no writer of a key responds before an
    earlier-placed reader of it (incomplete ones too) was invoked. *)
 let check_rt mode txns ix ord =
-  let strict = match mode with `Strict -> true | `Rss | `Sequential -> false in
+  let strict = match mode with `Strict -> true | `Rss -> false in
   let what = if strict then "txn" else "mutator" and max_inv = ref min_int in
   Array.iter
     (fun i ->
