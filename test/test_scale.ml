@@ -1148,10 +1148,12 @@ let test_split_generator_coverage () =
 
 (* {2 Allocation pins}
 
-   The judge's minor words per record on two fixed histories, within 10%
+   The judge's minor words per record on two fixed histories, within 5%
    of the pinned figure. [Gc.minor_words] is exact; the minor counts of
    [Gc.counters] and [Gc.quick_stat] only move at minor collections. A
-   per-record conversion that comes back moves the figure out of the band;
+   per-record conversion that comes back moves the figure out of the band
+   (a [string_of_int] per Gryff record reads 33.89, +6%), as does
+   [Array.stable_sort] in the claimed-order sort (spanner-dc reads 2.33);
    a change that moves it on purpose updates the figure. *)
 
 let judge_minor_words history =
@@ -1166,7 +1168,7 @@ let test_judge_allocation_pins () =
     check bool
       (Printf.sprintf "%s: minor words per record %.2f, pinned %.2f" label got pinned)
       true
-      (Float.abs (got -. pinned) <= 0.1 *. pinned)
+      (Float.abs (got -. pinned) <= 0.05 *. pinned)
   in
   pin "gryff-dc" 31.92 (judge_gryff_dc ()).Harness.Run.records;
   pin "spanner-dc" 0.272 (judge_spanner_dc ()).Harness.Run.records
