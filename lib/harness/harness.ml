@@ -320,10 +320,10 @@ let judge_one ~mode feed =
 
 (* Gryff record indices grouped by key, keys ascending, recording order
    within a key: a counting sort over key ranks. Keys spanning at most
-   [n / 2] values, as every driven run's do, rank by their distance from
-   the smallest, and the sort then allocates no more than the [n + n / 2]
-   words a merge sort of the indices would; sparser keys rank by their
-   place among the distinct keys. *)
+   [n / 2] values (a run of many ops over few keys) rank by their distance
+   from the smallest, and the sort then allocates no more than the
+   [n + n / 2] words a merge sort of the indices would; sparser keys rank
+   by their place among the distinct keys. *)
 module Key_ranks = Hashtbl.Make (Int)
 
 let by_key (a : Gryff.Cluster.record array) =
