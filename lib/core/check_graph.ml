@@ -43,7 +43,7 @@ let select n keep =
   Array.sub a 0 !m
 
 let index txns n =
-  let key, n_keys = Keys.make n "" and proc, n_procs = Procs.make 16 0 in
+  let key, n_keys = Keys.make 16 "" and proc, n_procs = Procs.make 16 0 in
   let offsets field =
     let off = Array.make (n + 1) 0 in
     for i = 0 to n - 1 do off.(i + 1) <- off.(i) + List.length (field txns.(i)) done;
@@ -62,14 +62,8 @@ let index txns n =
   { n_keys = n_keys (); roff; rkey; woff; wkey; wval; n_procs = n_procs (); pid }
 
 let group_by n_groups group seq =
-  let off = Array.make (n_groups + 1) 0 and by = Array.make (Array.length seq) 0 in
-  Array.iter (fun e -> off.(group.(e)) <- off.(group.(e)) + 1) seq;
-  for g = 1 to n_groups do off.(g) <- off.(g) + off.(g - 1) done;
-  for q = Array.length seq - 1 downto 0 do
-    let g = group.(seq.(q)) in
-    off.(g) <- off.(g) - 1;
-    by.(off.(g)) <- seq.(q)
-  done;
+  let off, by = Group.by n_groups (Array.length seq) (fun q -> group.(seq.(q))) in
+  Array.iteri (fun p q -> by.(p) <- seq.(q)) by;
   (off, by)
 
 (* A stable merge sort of int arrays. [Array.stable_sort] writes through
@@ -121,7 +115,7 @@ let orders txns n ix =
       if a.W.ts <> b.W.ts then Int.compare a.W.ts b.W.ts
       else if a.W.rank <> b.W.rank then Int.compare a.W.rank b.W.rank
       else Int.compare a.W.inv b.W.inv) ord;
-  let sess = snd (group_by ix.n_procs ix.pid (iota n)) in
+  let sess = snd (Group.by ix.n_procs n (fun i -> ix.pid.(i))) in
   sort_ints (fun i j ->
       if ix.pid.(i) <> ix.pid.(j) then Int.compare ix.pid.(i) ix.pid.(j)
       else Int.compare txns.(i).W.inv txns.(j).W.inv) sess;
@@ -150,12 +144,10 @@ let edge g k a b =
    sorted by (group, resp), each source feeds its own barrier, a group's
    barriers form a chain, and a destination hangs off the last barrier of
    its group that responded before its invocation. *)
-let rt_chain g txns n_groups (sg, st) (dg, dt) =
+let rt_chain g txns (sg, st) (dg, dt) =
   let resp = Array.make (Array.length st) 0 in
   Array.iteri (fun s t -> resp.(s) <- txns.(t).W.resp) st;
-  (* Grouped first by a counting sort; within a group, arrival order is
-     nearly response order, so the sort moves little. *)
-  let s = snd (group_by n_groups sg (select (Array.length st) (fun s -> resp.(s) <> max_int))) in
+  let s = select (Array.length st) (fun s -> resp.(s) <> max_int) in
   sort_ints
     (fun a b -> if sg.(a) <> sg.(b) then Int.compare sg.(a) sg.(b) else Int.compare resp.(a) resp.(b))
     s;
@@ -250,14 +242,14 @@ let build ~edges ~mode txns =
   let one a = (Array.make (Array.length a) 0, a) in
   (match mode with
   | `Sequential -> ()
-  | `Strict -> rt_chain g txns 1 (one all) (one all)
+  | `Strict -> rt_chain g txns (one all) (one all)
   | `Rss ->
-    rt_chain g txns 1 (one muts) (one muts);
-    rt_chain g txns ix.n_keys (ix.wkey, wtxn) (ix.rkey, rtxn));
+    rt_chain g txns (one muts) (one muts);
+    rt_chain g txns (ix.wkey, wtxn) (ix.rkey, rtxn));
   g
 
 let cycle g n (off, out) stuck =
-  let ioff, into = group_by g.nodes g.dst (iota g.m) in
+  let ioff, into = Group.by g.nodes g.m (fun e -> g.dst.(e)) in
   let seen = Array.make g.nodes false in
   let rec back v =
     if seen.(v) then v
@@ -292,7 +284,7 @@ let check ?(edges = []) ~mode txns =
   match build ~edges ~mode txns with
   | exception Illegal m -> Error m
   | g ->
-    let (off, out) as fwd = group_by g.nodes g.src (iota g.m) in
+    let (off, out) as fwd = Group.by g.nodes g.m (fun e -> g.src.(e)) in
     let indeg = Array.make g.nodes 0 and queue = Array.make g.nodes 0 and tail = ref 0 in
     for e = 0 to g.m - 1 do indeg.(g.dst.(e)) <- indeg.(g.dst.(e)) + 1 done;
     let push v = if indeg.(v) = 0 then (queue.(!tail) <- v; incr tail) in

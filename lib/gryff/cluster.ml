@@ -67,8 +67,7 @@ let records t = Array.of_list (List.rev t.record_list)
 
 (* A register record as a one-op witness transaction: carstamp as the
    claimed order, a read ranked after the mutator of its carstamp. *)
-let witness_txn ?key r =
-  let key = match key with Some k -> k | None -> string_of_int r.g_key in
+let witness_txn ~key r =
   let writes = match (r.g_kind, r.g_written) with Read, _ | _, None -> [] | _, Some v -> [ (key, v) ] in
   { Rss_core.Witness.proc = r.g_proc;
     reads = (if r.g_kind = Write then [] else [ (key, r.g_observed) ]);
@@ -77,7 +76,8 @@ let witness_txn ?key r =
 
 let check_records ~mode records =
   let mode = match mode with Config.Lin -> `Strict | Config.Rsc -> `Rss in
-  Result.map ignore (Rss_core.Check_graph.check ~mode (Array.map witness_txn records))
+  let txn r = witness_txn ~key:(string_of_int r.g_key) r in
+  Result.map ignore (Rss_core.Check_graph.check ~mode (Array.map txn records))
 
 let check_history t = check_records ~mode:t.config.Config.mode (records t)
 

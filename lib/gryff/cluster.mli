@@ -45,11 +45,11 @@ val records : t -> record array
 val check_history : t -> (unit, string) result
 (** {!check_records} over the cluster's collected history. *)
 
-val witness_txn : ?key:string -> record -> Rss_core.Witness.txn
-(** A record as a one-op transaction on key [key] (default
-    [string_of_int g_key]; a caller converting many records of one key
-    passes that string once), its packed carstamp as [ts], reads ranked
-    after mutators. *)
+val witness_txn : key:string -> record -> Rss_core.Witness.txn
+(** A record as a one-op transaction on key [key], which is
+    [string_of_int g_key] (passed in, so a caller converting many records
+    of one key builds that string once), its packed carstamp as [ts], reads
+    ranked after mutators. *)
 
 val check_records : mode:Config.mode -> record array -> (unit, string) result
 (** Check a record set against [mode]'s model with one

@@ -319,38 +319,19 @@ let judge_one ~mode feed =
       Rss_core.Check_online.max_displacement oc ) )
 
 (* Gryff record indices grouped by key, keys ascending, recording order
-   within a key: a counting sort over key ranks. Keys spanning at most
-   [n / 2] values (a run of many ops over few keys) rank by their distance
-   from the smallest, and the sort then allocates no more than the
-   [n + n / 2] words a merge sort of the indices would; sparser keys rank
-   by their place among the distinct keys. *)
+   within a key: a counting sort over each key's place among the sorted
+   distinct keys, so keys need be neither dense nor non-negative. *)
 module Key_ranks = Hashtbl.Make (Int)
 
 let by_key (a : Gryff.Cluster.record array) =
-  let n = Array.length a and lo = ref max_int and hi = ref min_int in
-  Array.iter (fun r -> lo := Int.min !lo r.Gryff.Cluster.g_key; hi := Int.max !hi r.g_key) a;
-  let span = !hi - !lo in
-  let rank, n_ranks =
-    if n > 0 && span >= 0 && span <= n / 2 then ((fun k -> k - !lo), span + 1)
-    else begin
-      let ranks = Key_ranks.create 64 in
-      Array.iter (fun r -> Key_ranks.replace ranks r.Gryff.Cluster.g_key 0) a;
-      let keys = Array.of_seq (Key_ranks.to_seq_keys ranks) in
-      Array.sort Int.compare keys;
-      Array.iteri (fun i k -> Key_ranks.replace ranks k i) keys;
-      (Key_ranks.find ranks, Array.length keys)
-    end
-  in
-  let off = Array.make (n_ranks + 1) 0 and by = Array.make n 0 in
-  Array.iter (fun r -> let g = rank r.Gryff.Cluster.g_key + 1 in off.(g) <- off.(g) + 1) a;
-  for g = 1 to n_ranks do off.(g) <- off.(g) + off.(g - 1) done;
-  Array.iteri
-    (fun i r ->
-      let g = rank r.Gryff.Cluster.g_key in
-      by.(off.(g)) <- i;
-      off.(g) <- off.(g) + 1)
-    a;
-  by
+  let ranks = Key_ranks.create 64 in
+  Array.iter (fun r -> Key_ranks.replace ranks r.Gryff.Cluster.g_key 0) a;
+  let keys = Array.of_seq (Key_ranks.to_seq_keys ranks) in
+  Array.sort Int.compare keys;
+  Array.iteri (fun i k -> Key_ranks.replace ranks k i) keys;
+  snd
+    (Rss_core.Group.by (Array.length keys) (Array.length a) (fun i ->
+         Key_ranks.find ranks a.(i).Gryff.Cluster.g_key))
 
 (* A Spanner history is judged whole against its mode's witness order, a
    Gryff history per key (carstamps order one key's writes): each key's
@@ -370,9 +351,10 @@ let judge ~mode = function
         let k = key lo in
         let hi = ref lo in
         while !hi < n && key !hi = k do incr hi done;
-        let witness = Gryff.Cluster.witness_txn ~key:(string_of_int k) in
+        let key = string_of_int k in
         let v, (a', w', d') =
-          judge_one ~mode (fun add -> for p = lo to !hi - 1 do add (witness a.(by.(p))) done)
+          judge_one ~mode (fun add ->
+              for p = lo to !hi - 1 do add (Gryff.Cluster.witness_txn ~key a.(by.(p))) done)
         in
         let verdict =
           match (verdict, v) with

@@ -767,7 +767,7 @@ let test_online_checking_is_passive () =
         let on_k = List.filter (fun r -> r.Gryff.Cluster.g_key = k) (Array.to_list a) in
         assert_agreement ~what:(Printf.sprintf "gryff run, key %d" k) ~mode:`Rss
           ~mode_name:"rss" ~seed:9
-          (Array.of_list (List.map Gryff.Cluster.witness_txn on_k)))
+          (Array.of_list (List.map (Gryff.Cluster.witness_txn ~key:(string_of_int k)) on_k)))
       keys
   | Harness.Run.Spanner_txns _ -> assert false)
 
@@ -1122,11 +1122,9 @@ let prop_judge_matches_sorted_split =
         [ `Rss; `Strict ])
 
 (* The generator reaches what the property is about: failing histories,
-   several failing keys, both grouping paths (keys spanning at most half
-   as many values as there are records, and sparser ones) and extreme
-   keys. *)
+   several failing keys and extreme keys. *)
 let test_split_generator_coverage () =
-  let fails = ref 0 and several = ref 0 and extreme = ref 0 and dense = ref 0 in
+  let fails = ref 0 and several = ref 0 and extreme = ref 0 in
   for seed = 0 to 399 do
     let a = gen_gryff_ops seed in
     let keys = List.sort_uniq Int.compare (Array.to_list (Array.map (fun r -> r.Gryff.Cluster.g_key) a)) in
@@ -1139,13 +1137,11 @@ let test_split_generator_coverage () =
     in
     if failing <> [] then incr fails;
     if List.length failing >= 2 then incr several;
-    if List.mem min_int keys && List.mem max_int keys then incr extreme;
-    let span = List.nth keys (List.length keys - 1) - List.hd keys in
-    if span >= 0 && span <= Array.length a / 2 then incr dense
+    if List.mem min_int keys && List.mem max_int keys then incr extreme
   done;
-  check bool (Printf.sprintf "failing (%d), several failing keys (%d), extreme (%d), dense (%d)"
-                !fails !several !extreme !dense)
-    true (!fails > 80 && !several > 15 && !extreme > 5 && !dense > 80 && !dense < 320)
+  check bool (Printf.sprintf "failing (%d), several failing keys (%d), extreme (%d)"
+                !fails !several !extreme)
+    true (!fails > 80 && !several > 15 && !extreme > 5)
 
 (* {2 Allocation pins}
 
@@ -1153,8 +1149,8 @@ let test_split_generator_coverage () =
    of the pinned figure. [Gc.minor_words] is exact; the minor counts of
    [Gc.counters] and [Gc.quick_stat] only move at minor collections. A
    per-record conversion that comes back moves the figure out of the band
-   (a [string_of_int] per Gryff record reads 33.89, +6%), as does
-   [Array.stable_sort] in the claimed-order sort (spanner-dc reads 2.33);
+   (a [string_of_int] per Gryff record reads 32.58, +6.5%), as does
+   [Array.stable_sort] in the claimed-order sort (spanner-dc reads 2.38);
    a change that moves it on purpose updates the figure. *)
 
 let judge_minor_words history =
@@ -1171,8 +1167,8 @@ let test_judge_allocation_pins () =
       true
       (Float.abs (got -. pinned) <= 0.05 *. pinned)
   in
-  pin "gryff-dc" 31.92 (judge_gryff_dc ()).Harness.Run.records;
-  pin "spanner-dc" 0.272 (judge_spanner_dc ()).Harness.Run.records
+  pin "gryff-dc" 30.58 (judge_gryff_dc ()).Harness.Run.records;
+  pin "spanner-dc" 0.324 (judge_spanner_dc ()).Harness.Run.records
 
 let suites =
   [
