@@ -42,8 +42,11 @@ let select n keep =
   for i = 0 to n - 1 do if keep i then (a.(!m) <- i; incr m) done;
   Array.sub a 0 !m
 
+(* The key table starts at one bucket per transaction: a history over
+   many keys then resizes it rarely, and one over few keys finds each in
+   a short chain. *)
 let index txns n =
-  let key, n_keys = Keys.make 16 "" and proc, n_procs = Procs.make 16 0 in
+  let key, n_keys = Keys.make n "" and proc, n_procs = Procs.make 16 0 in
   let offsets field =
     let off = Array.make (n + 1) 0 in
     for i = 0 to n - 1 do off.(i + 1) <- off.(i) + List.length (field txns.(i)) done;

@@ -326,7 +326,8 @@ module Key_ranks = Hashtbl.Make (Int)
 let by_key (a : Gryff.Cluster.record array) =
   let ranks = Key_ranks.create 64 in
   Array.iter (fun r -> Key_ranks.replace ranks r.Gryff.Cluster.g_key 0) a;
-  let keys = Array.of_seq (Key_ranks.to_seq_keys ranks) in
+  let keys = Array.make (Key_ranks.length ranks) 0 and m = ref 0 in
+  Key_ranks.iter (fun k _ -> keys.(!m) <- k; incr m) ranks;
   Array.sort Int.compare keys;
   Array.iteri (fun i k -> Key_ranks.replace ranks k i) keys;
   snd
