@@ -319,20 +319,30 @@ let judge_one ~mode feed =
       Rss_core.Check_online.max_displacement oc ) )
 
 (* Gryff record indices grouped by key, keys ascending, recording order
-   within a key: a counting sort over each key's place among the sorted
-   distinct keys, so keys need be neither dense nor non-negative. *)
+   within a key: a counting sort over key ranks. Keys spanning at most
+   [n / 2] values (a run of many ops over few keys) rank by their distance
+   from the smallest: no table, and no more than the [n + n / 2] words a
+   merge sort of the indices would allocate. Sparser keys rank by their
+   place among the sorted distinct keys, found in a hash table. *)
 module Key_ranks = Hashtbl.Make (Int)
 
 let by_key (a : Gryff.Cluster.record array) =
-  let ranks = Key_ranks.create 64 in
-  Array.iter (fun r -> Key_ranks.replace ranks r.Gryff.Cluster.g_key 0) a;
-  let keys = Array.make (Key_ranks.length ranks) 0 and m = ref 0 in
-  Key_ranks.iter (fun k _ -> keys.(!m) <- k; incr m) ranks;
-  Array.sort Int.compare keys;
-  Array.iteri (fun i k -> Key_ranks.replace ranks k i) keys;
-  snd
-    (Rss_core.Group.by (Array.length keys) (Array.length a) (fun i ->
-         Key_ranks.find ranks a.(i).Gryff.Cluster.g_key))
+  let n = Array.length a and lo = ref max_int and hi = ref min_int in
+  Array.iter (fun r -> lo := Int.min !lo r.Gryff.Cluster.g_key; hi := Int.max !hi r.g_key) a;
+  let lo = !lo and span = !hi - !lo in
+  if n > 0 && span >= 0 && span <= n / 2 then
+    snd (Rss_core.Group.by (span + 1) n (fun i -> a.(i).Gryff.Cluster.g_key - lo))
+  else begin
+    let ranks = Key_ranks.create 64 in
+    Array.iter (fun r -> Key_ranks.replace ranks r.Gryff.Cluster.g_key 0) a;
+    let keys = Array.make (Key_ranks.length ranks) 0 and m = ref 0 in
+    Key_ranks.iter (fun k _ -> keys.(!m) <- k; incr m) ranks;
+    Array.sort Int.compare keys;
+    Array.iteri (fun i k -> Key_ranks.replace ranks k i) keys;
+    snd
+      (Rss_core.Group.by (Array.length keys) n (fun i ->
+           Key_ranks.find ranks a.(i).Gryff.Cluster.g_key))
+  end
 
 (* A Spanner history is judged whole against its mode's witness order, a
    Gryff history per key (carstamps order one key's writes): each key's
