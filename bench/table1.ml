@@ -2,64 +2,6 @@
    model, measured by running the photo-sharing application over
    strict-serializable Spanner, Spanner-RSS, and the PO-serializable store. *)
 
-let merge a (b : Photoapp.App.tally) =
-  a.Photoapp.App.adds <- a.Photoapp.App.adds + b.Photoapp.App.adds;
-  a.i1_checks <- a.Photoapp.App.i1_checks + b.Photoapp.App.i1_checks;
-  a.i1_violations <- a.i1_violations + b.Photoapp.App.i1_violations;
-  a.i2_checks <- a.i2_checks + b.Photoapp.App.i2_checks;
-  a.i2_violations <- a.i2_violations + b.Photoapp.App.i2_violations;
-  a.a2_trials <- a.a2_trials + b.Photoapp.App.a2_trials;
-  a.a2_anomalies <- a.a2_anomalies + b.Photoapp.App.a2_anomalies;
-  a.a3_trials <- a.a3_trials + b.Photoapp.App.a3_trials;
-  a.a3_anomalies <- a.a3_anomalies + b.Photoapp.App.a3_anomalies;
-  a.a3_window_us <- a.a3_window_us + b.Photoapp.App.a3_window_us
-
-let empty () =
-  {
-    Photoapp.App.adds = 0;
-    i1_checks = 0;
-    i1_violations = 0;
-    i2_checks = 0;
-    i2_violations = 0;
-    a2_trials = 0;
-    a2_anomalies = 0;
-    a3_trials = 0;
-    a3_anomalies = 0;
-    a3_window_us = 0;
-  }
-
-let run_store ~rounds ~seeds store_kind =
-  let acc = empty () in
-  let name = ref "" in
-  List.iter
-    (fun seed ->
-      let engine = Sim.Engine.create () in
-      let rng = Sim.Rng.make seed in
-      let store =
-        match store_kind with
-        | `Strict ->
-          Photoapp.App.spanner_store
-            (Spanner.Cluster.create engine ~rng:(Sim.Rng.split rng)
-               (Spanner.Config.wan3 ~mode:Spanner.Config.Strict ()))
-        | `Rss ->
-          Photoapp.App.spanner_store
-            (Spanner.Cluster.create engine ~rng:(Sim.Rng.split rng)
-               (Spanner.Config.wan3 ~mode:Spanner.Config.Rss ()))
-        | `Po ->
-          Photoapp.App.po_store
-            (Postore.Store.create engine ~rng:(Sim.Rng.split rng) ())
-      in
-      name := store.Photoapp.App.store_name;
-      let t =
-        Photoapp.App.run_scenarios engine ~rng ~store
-          ~causality:Photoapp.App.No_causality ~users:4 ~rounds
-          ~queue_rtt_us:2_000 ~call_latency_us:1_000
-      in
-      Sim.Engine.run ~max_events:100_000_000 engine;
-      merge acc t)
-    seeds;
-  (!name, acc)
-
 let verdict ~violations ~checks ~always_label =
   if checks = 0 then "(no checks)"
   else if violations = 0 then always_label
@@ -69,7 +11,7 @@ let run ?(rounds = 50) ?(seeds = [ 31; 32; 33; 34; 35; 36; 37; 38 ]) () =
   Fmt.pr "=== Table 1: invariants and anomalies of the photo-sharing app ===@.";
   Fmt.pr "(measured over %d seeds x %d rounds per store; cells are violations/checks)@.@."
     (List.length seeds) rounds;
-  let rows = List.map (run_store ~rounds ~seeds) [ `Strict; `Rss; `Po ] in
+  let rows = List.map (Photoapp.App.run_store ~rounds ~seeds) [ `Strict; `Rss; `Po ] in
   Fmt.pr "  %-18s | %10s %10s | %12s %14s@." "consistency" "I1" "I2" "A2" "A3";
   List.iter
     (fun (name, t) ->

@@ -5,74 +5,15 @@
 
    Run with: dune exec examples/photo_sharing.exe *)
 
-type row = {
-  name : string;
-  tally : Photoapp.App.tally;
-}
-
-let run_store ~seeds ~rounds store_kind =
-  let merged =
-    {
-      Photoapp.App.adds = 0;
-      i1_checks = 0;
-      i1_violations = 0;
-      i2_checks = 0;
-      i2_violations = 0;
-      a2_trials = 0;
-      a2_anomalies = 0;
-      a3_trials = 0;
-      a3_anomalies = 0;
-      a3_window_us = 0;
-    }
-  in
-  let name = ref "" in
-  List.iter
-    (fun seed ->
-      let engine = Sim.Engine.create () in
-      let rng = Sim.Rng.make seed in
-      let store =
-        match store_kind with
-        | `Strict ->
-          Photoapp.App.spanner_store
-            (Spanner.Cluster.create engine ~rng:(Sim.Rng.split rng)
-               (Spanner.Config.wan3 ~mode:Spanner.Config.Strict ()))
-        | `Rss ->
-          Photoapp.App.spanner_store
-            (Spanner.Cluster.create engine ~rng:(Sim.Rng.split rng)
-               (Spanner.Config.wan3 ~mode:Spanner.Config.Rss ()))
-        | `Po ->
-          Photoapp.App.po_store
-            (Postore.Store.create engine ~rng:(Sim.Rng.split rng) ())
-      in
-      name := store.Photoapp.App.store_name;
-      let t =
-        Photoapp.App.run_scenarios engine ~rng ~store
-          ~causality:Photoapp.App.No_causality ~users:4 ~rounds
-          ~queue_rtt_us:2_000 ~call_latency_us:1_000
-      in
-      Sim.Engine.run ~max_events:50_000_000 engine;
-      merged.Photoapp.App.adds <- merged.Photoapp.App.adds + t.Photoapp.App.adds;
-      merged.i1_checks <- merged.i1_checks + t.Photoapp.App.i1_checks;
-      merged.i1_violations <- merged.i1_violations + t.Photoapp.App.i1_violations;
-      merged.i2_checks <- merged.i2_checks + t.Photoapp.App.i2_checks;
-      merged.i2_violations <- merged.i2_violations + t.Photoapp.App.i2_violations;
-      merged.a2_trials <- merged.a2_trials + t.Photoapp.App.a2_trials;
-      merged.a2_anomalies <- merged.a2_anomalies + t.Photoapp.App.a2_anomalies;
-      merged.a3_trials <- merged.a3_trials + t.Photoapp.App.a3_trials;
-      merged.a3_anomalies <- merged.a3_anomalies + t.Photoapp.App.a3_anomalies;
-      merged.a3_window_us <- merged.a3_window_us + t.Photoapp.App.a3_window_us)
-    seeds;
-  { name = !name; tally = merged }
-
 let () =
   Fmt.pr "Photo-sharing app over three consistency models (Table 1).@.";
   Fmt.pr "Each cell is violations/checks (invariants) or anomalies/trials.@.@.";
   let seeds = [ 11; 12; 13; 14; 15; 16 ] in
   let rounds = 50 in
-  let rows = List.map (run_store ~seeds ~rounds) [ `Strict; `Rss; `Po ] in
+  let rows = List.map (Photoapp.App.run_store ~seeds ~rounds) [ `Strict; `Rss; `Po ] in
   Fmt.pr "  %-18s %10s %10s %12s %12s@." "store" "I1" "I2" "A2 (stale)" "A3 (relayed)";
   List.iter
-    (fun { name; tally = t } ->
+    (fun (name, t) ->
       Fmt.pr "  %-18s %6d/%-4d %6d/%-4d %7d/%-4d %7d/%-4d@." name
         t.Photoapp.App.i1_violations t.Photoapp.App.i1_checks
         t.Photoapp.App.i2_violations t.Photoapp.App.i2_checks

@@ -65,6 +65,5 @@ val apply :
     disabled); [on_fault] fires as each event is injected — audit drivers
     use it to count faults and log. *)
 
-val pp_fault : Format.formatter -> fault -> unit
 val pp_event : Format.formatter -> event -> unit
 val pp : Format.formatter -> t -> unit

@@ -17,8 +17,6 @@ type model =
 val all_models : model list
 val model_name : model -> string
 
-val to_txn_model : model -> Check_txn.model
-
 val check : ?max_states:int -> History.t -> model -> Check_txn.result
 
 val satisfies : ?max_states:int -> History.t -> model -> bool option

@@ -62,9 +62,3 @@ val record_decision :
   unit
 (** Record Accept/Commit attributes (creating the instance if unknown), then
     execute every instance whose dependencies allow (on commit). *)
-
-val try_execute : t -> unit
-(** Deterministically execute committed instances, EPaxos-style: an instance
-    runs only once its whole dependency closure is committed; strongly
-    connected components run dependencies-first, members in (seq, id) order.
-    Results apply to the register store. *)

@@ -45,10 +45,11 @@ module Run = struct
   let completed t =
     List.fold_left (fun acc (_, r) -> acc + Stats.Recorder.count r) 0 t.latencies
 
-  let n_records t =
-    match t.records with
+  let history_length = function
     | Spanner_txns a -> Array.length a
     | Gryff_ops a -> Array.length a
+
+  let n_records t = history_length t.records
 
   let print_latencies ?(header = "latency (ms)") t =
     Stats.Summary.print_latency_table ~header ~rows:t.latencies ()
@@ -752,10 +753,7 @@ let drive ~env ?prepare ~seed ~duration_s ~model ~site_of ~latencies ~warmup_s
   net_metrics reg ~faults:!faults d.net;
   durable_metrics reg ~dctl ~scrub;
   let records = d.records () in
-  add reg "op.history_records"
-    (match records with
-    | Run.Spanner_txns a -> Array.length a
-    | Run.Gryff_ops a -> Array.length a);
+  add reg "op.history_records" (Run.history_length records);
   let t0_check = Sys.time () in
   let check =
     match env.Env.check with

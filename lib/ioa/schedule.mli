@@ -19,8 +19,6 @@ val projection : t -> proc:int -> Action.t list
 val equivalent : t -> t -> bool
 (** §3.1 equivalence: identical projections for every process. *)
 
-val procs : t -> int list
-
 val causal :
   ?reads_from:(int * int) list -> t -> Rss_core.Causal.t
 (** Potential causality over action {e indices} (§C.1.8): process order,

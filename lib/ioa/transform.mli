@@ -27,7 +27,3 @@ val lemma_c5 :
     sort last. [reads_from] are causal edges between action indices (derived
     from the service's reads-from relation). Errors if S contradicts
     causality (the premise of the lemma fails). *)
-
-val check_sequential : Schedule.t -> bool
-(** Are the system-facing actions sequential (each invoke immediately
-    resolved before any other operation begins)? *)

@@ -225,22 +225,23 @@ let a3_trial engine store queue ~causality ~call_latency_us ~user ~index tally k
   in
   alice_poll 25
 
+let zero_tally () =
+  {
+    adds = 0;
+    i1_checks = 0;
+    i1_violations = 0;
+    i2_checks = 0;
+    i2_violations = 0;
+    a2_trials = 0;
+    a2_anomalies = 0;
+    a3_trials = 0;
+    a3_anomalies = 0;
+    a3_window_us = 0;
+  }
+
 let run_scenarios engine ~rng ~store ~causality ~users ~rounds ~queue_rtt_us
     ~call_latency_us =
-  let tally =
-    {
-      adds = 0;
-      i1_checks = 0;
-      i1_violations = 0;
-      i2_checks = 0;
-      i2_violations = 0;
-      a2_trials = 0;
-      a2_anomalies = 0;
-      a3_trials = 0;
-      a3_anomalies = 0;
-      a3_window_us = 0;
-    }
-  in
+  let tally = zero_tally () in
   let queue = Mqueue.create engine ~rtt_us:queue_rtt_us in
   let worker_session = store.new_session () in
   (* Per-user photo counters; all regular adds for a user go through one
@@ -288,3 +289,40 @@ let run_scenarios engine ~rng ~store ~causality ~users ~rounds ~queue_rtt_us
       in
       drain ());
   tally
+
+let run_store ~rounds ~seeds kind =
+  let sum = zero_tally () in
+  let name = ref "" in
+  List.iter
+    (fun seed ->
+      let engine = Sim.Engine.create () in
+      let rng = Sim.Rng.make seed in
+      let spanner mode =
+        spanner_store
+          (Spanner.Cluster.create engine ~rng:(Sim.Rng.split rng)
+             (Spanner.Config.wan3 ~mode ()))
+      in
+      let store =
+        match kind with
+        | `Strict -> spanner Spanner.Config.Strict
+        | `Rss -> spanner Spanner.Config.Rss
+        | `Po -> po_store (Postore.Store.create engine ~rng:(Sim.Rng.split rng) ())
+      in
+      name := store.store_name;
+      let t =
+        run_scenarios engine ~rng ~store ~causality:No_causality ~users:4 ~rounds
+          ~queue_rtt_us:2_000 ~call_latency_us:1_000
+      in
+      Sim.Engine.run ~max_events:100_000_000 engine;
+      sum.adds <- sum.adds + t.adds;
+      sum.i1_checks <- sum.i1_checks + t.i1_checks;
+      sum.i1_violations <- sum.i1_violations + t.i1_violations;
+      sum.i2_checks <- sum.i2_checks + t.i2_checks;
+      sum.i2_violations <- sum.i2_violations + t.i2_violations;
+      sum.a2_trials <- sum.a2_trials + t.a2_trials;
+      sum.a2_anomalies <- sum.a2_anomalies + t.a2_anomalies;
+      sum.a3_trials <- sum.a3_trials + t.a3_trials;
+      sum.a3_anomalies <- sum.a3_anomalies + t.a3_anomalies;
+      sum.a3_window_us <- sum.a3_window_us + t.a3_window_us)
+    seeds;
+  (!name, sum)

@@ -66,3 +66,11 @@ val run_scenarios :
 (** Schedules [rounds] rounds of interleaved add-photo / observe-and-call /
     worker activity for [users] users; run the engine to completion, then
     read the tally. *)
+
+val run_store :
+  rounds:int -> seeds:int list -> [ `Strict | `Rss | `Po ] -> string * tally
+(** Table 1's measurement for one store: per seed, a fresh engine and a
+    fresh store ([wan3] Spanner in strict or RSS mode, or the PO store),
+    {!run_scenarios} with no causality, 4 users, a 2 ms queue round trip and
+    1 ms calls, drained. Returns the store's name and the tally summed over
+    [seeds]. *)

@@ -3,9 +3,8 @@ type site = int
 type drop_cause = Crash | Partition | Loss
 
 (* Per-directed-link fault state. All fields default to the healthy value;
-   the send path only draws random numbers for a fault that is armed, so a
-   fault-free run consumes exactly the same RNG stream as before the fault
-   model existed (seeded experiments stay byte-identical). *)
+   the transmit step only draws random numbers for a fault that is armed,
+   so a fault-free run's RNG stream does not depend on the fault model. *)
 type link = {
   mutable blocked : bool;
   mutable loss : float;
@@ -15,7 +14,7 @@ type link = {
   mutable reorder_max_us : int;
   (* Batching buffer — only touched when a batching policy is installed, so
      an unbatched run never reads or writes these fields on the send path. *)
-  mutable q : (int * (int -> unit)) list;  (* (bytes, handler), newest first *)
+  mutable q : (int -> unit) list;  (* handlers, newest first *)
   mutable q_n : int;
   mutable q_bytes : int;
   mutable q_armed : bool;
@@ -54,10 +53,8 @@ type t = {
   mutable n_dropped_loss : int;
   mutable n_duplicated : int;
   mutable n_delayed : int;
-  (* Tracing sink. With the [disabled] sink installed (the default) the
-     send path is the exact pre-observability code: same RNG draws, same
-     schedule order, no allocation. Hop names are precomputed per link at
-     [set_tracer] so traced sends don't build strings per message. *)
+  (* Tracing sink, [disabled] by default. Hop names are precomputed per
+     link at [set_tracer] so traced sends don't build strings per message. *)
   mutable tracer : Obs.Trace.t;
   mutable hop_names : string array array;
   (* Batching policy + accounting. [None] (the default) makes [post]
@@ -202,68 +199,6 @@ let drop_name = function
   | Partition -> "net.drop.partition"
   | Loss -> "net.drop.loss"
 
-let send ?(bytes = 64) t ~src ~dst handler =
-  let tr = t.tracer in
-  if not (Obs.Trace.enabled tr) then begin
-    (* Untraced fast path — byte-identical to the pre-observability send:
-       same RNG draw order, same schedule order, no allocation. *)
-    match classify t ~src ~dst with
-    | Some cause -> count_drop t cause
-    | None ->
-      t.n_messages <- t.n_messages + 1;
-      t.n_bytes <- t.n_bytes + bytes;
-      Engine.schedule ~kind:"net.deliver" t.engine
-        ~after:(sample_delay t ~src ~dst)
-        handler;
-      let l = t.links.(src).(dst) in
-      if l.dup > 0.0 && Rng.bool t.rng l.dup then begin
-        t.n_duplicated <- t.n_duplicated + 1;
-        Engine.schedule ~kind:"net.deliver" t.engine
-          ~after:(sample_delay t ~src ~dst)
-          handler
-      end
-  end
-  else begin
-    (* Traced path: identical RNG/schedule behaviour, plus one hop span
-       per delivery (parented to the ambient span of the sender) that
-       becomes the ambient parent of whatever the handler does. *)
-    match classify t ~src ~dst with
-    | Some cause ->
-      count_drop t cause;
-      Obs.Trace.instant ~site:dst tr ~name:(drop_name cause)
-        ~ts:(Engine.now t.engine)
-    | None ->
-      t.n_messages <- t.n_messages + 1;
-      t.n_bytes <- t.n_bytes + bytes;
-      let now = Engine.now t.engine in
-      let deliver delay =
-        let sp =
-          Obs.Trace.begin_span ~site:dst tr ~kind:Obs.Trace.Net_hop
-            ~name:t.hop_names.(src).(dst) ~ts:now
-        in
-        Obs.Trace.end_span tr sp ~ts:(now + delay);
-        Engine.schedule ~kind:"net.deliver" t.engine ~after:delay (fun () ->
-            Obs.Trace.with_current tr sp handler)
-      in
-      deliver (sample_delay t ~src ~dst);
-      let l = t.links.(src).(dst) in
-      if l.dup > 0.0 && Rng.bool t.rng l.dup then begin
-        t.n_duplicated <- t.n_duplicated + 1;
-        deliver (sample_delay t ~src ~dst)
-      end
-  end
-
-(* {2 Batching}
-
-   [post] enqueues onto the directed link's buffer; a flush turns the whole
-   buffer into one envelope that pays one classify (so drop/dup faults apply
-   per envelope, charged once to the usual per-cause counters), one delay
-   sample, and one delivery event that runs the member handlers in posted
-   order, each told its index so the destination can amortize service cost
-   across the envelope. With no policy installed [post] routes through
-   [send] — same RNG draws, same schedule — so batching off is
-   byte-identical to the unbatched network. *)
-
 let set_batching t policy =
   (match policy with
   | Some p ->
@@ -286,7 +221,71 @@ let record_flush t l cause =
   | Flush_size -> t.b_flush_size <- t.b_flush_size + 1
   | Flush_idle -> t.b_flush_idle <- t.b_flush_idle + 1
 
-let rec flush t ~src ~dst ~adaptive cause =
+(* {2 Transmit}
+
+   The one step every delivery takes (a plain [send], an unbatched [post]
+   and a flushed envelope alike), so the fault model and its RNG order are
+   written once: classify the link (only the loss draw is random), count
+   the drop or charge the wire, sample the delay (jitter, reorder),
+   schedule one arrival, then draw the duplicate, which samples its own
+   delay. Tracing draws and schedules nothing: it adds a drop instant or
+   runs the arrival under a [Net_hop] span, so traced and untraced runs
+   schedule the same events at the same times.
+
+   An envelope ([~envelope:true]) counts itself in flight on its link until
+   it lands; landing, an adaptive one re-flushes what the link buffered
+   meanwhile (a group-commit heartbeat), outside the hop span. [deliver] is
+   a top-level function rather than a closure built per message, so an
+   untraced lone message schedules its handler as is. *)
+
+let rec transmit t ~src ~dst ~bytes ~envelope ~adaptive run =
+  match classify t ~src ~dst with
+  | Some cause ->
+    count_drop t cause;
+    if Obs.Trace.enabled t.tracer then
+      Obs.Trace.instant ~site:dst t.tracer ~name:(drop_name cause)
+        ~ts:(Engine.now t.engine)
+  | None ->
+    t.n_messages <- t.n_messages + 1;
+    t.n_bytes <- t.n_bytes + bytes;
+    deliver t ~src ~dst ~envelope ~adaptive run (sample_delay t ~src ~dst);
+    let l = t.links.(src).(dst) in
+    if l.dup > 0.0 && Rng.bool t.rng l.dup then begin
+      t.n_duplicated <- t.n_duplicated + 1;
+      deliver t ~src ~dst ~envelope ~adaptive run (sample_delay t ~src ~dst)
+    end
+
+and deliver t ~src ~dst ~envelope ~adaptive run delay =
+  let tr = t.tracer in
+  let hop =
+    if not (Obs.Trace.enabled tr) then run
+    else begin
+      (* The hop is parented to the sender's ambient span and becomes the
+         ambient parent of whatever the handlers do. *)
+      let now = Engine.now t.engine in
+      let sp =
+        Obs.Trace.begin_span ~site:dst tr ~kind:Obs.Trace.Net_hop
+          ~name:t.hop_names.(src).(dst) ~ts:now
+      in
+      Obs.Trace.end_span tr sp ~ts:(now + delay);
+      fun () -> Obs.Trace.with_current tr sp run
+    end
+  in
+  let action =
+    if not envelope then hop
+    else begin
+      let l = t.links.(src).(dst) in
+      l.inflight <- l.inflight + 1;
+      fun () ->
+        l.inflight <- l.inflight - 1;
+        hop ();
+        if adaptive && l.inflight = 0 && l.q_n > 0 then
+          flush t ~src ~dst ~adaptive Flush_idle
+    end
+  in
+  Engine.schedule ~kind:"net.deliver" t.engine ~after:delay action
+
+and flush t ~src ~dst ~adaptive cause =
   let l = t.links.(src).(dst) in
   if l.q_n > 0 then begin
     record_flush t l cause;
@@ -295,56 +294,19 @@ let rec flush t ~src ~dst ~adaptive cause =
     l.q <- [];
     l.q_n <- 0;
     l.q_bytes <- 0;
-    let tr = t.tracer in
-    match classify t ~src ~dst with
-    | Some cause ->
-      count_drop t cause;
-      if Obs.Trace.enabled tr then
-        Obs.Trace.instant ~site:dst tr ~name:(drop_name cause)
-          ~ts:(Engine.now t.engine)
-    | None ->
-      t.n_messages <- t.n_messages + 1;
-      t.n_bytes <- t.n_bytes + bytes;
-      let now = Engine.now t.engine in
-      let deliver delay =
-        l.inflight <- l.inflight + 1;
-        let run_members () =
-          List.iteri (fun i (_bytes, h) -> h i) members
-        in
-        let body =
-          if not (Obs.Trace.enabled tr) then run_members
-          else begin
-            (* One hop span per envelope; every member handler runs under
-               it, so spans opened inside chain to the envelope's hop. *)
-            let sp =
-              Obs.Trace.begin_span ~site:dst tr ~kind:Obs.Trace.Net_hop
-                ~name:t.hop_names.(src).(dst) ~ts:now
-            in
-            Obs.Trace.end_span tr sp ~ts:(now + delay);
-            fun () -> Obs.Trace.with_current tr sp run_members
-          end
-        in
-        Engine.schedule ~kind:"net.deliver" t.engine ~after:delay (fun () ->
-            l.inflight <- l.inflight - 1;
-            body ();
-            (* Group-commit heartbeat: once the link drains, ship whatever
-               accumulated while the previous envelope was in flight. *)
-            if adaptive && l.inflight = 0 && l.q_n > 0 then
-              flush t ~src ~dst ~adaptive Flush_idle)
-      in
-      deliver (sample_delay t ~src ~dst);
-      if l.dup > 0.0 && Rng.bool t.rng l.dup then begin
-        t.n_duplicated <- t.n_duplicated + 1;
-        deliver (sample_delay t ~src ~dst)
-      end
+    transmit t ~src ~dst ~bytes ~envelope:true ~adaptive (fun () ->
+        List.iteri (fun i h -> h i) members)
   end
+
+let send ?(bytes = 64) t ~src ~dst handler =
+  transmit t ~src ~dst ~bytes ~envelope:false ~adaptive:false handler
 
 let post ?(bytes = 64) t ~src ~dst handler =
   match t.policy with
   | None -> send ~bytes t ~src ~dst (fun () -> handler 0)
   | Some p ->
     let l = t.links.(src).(dst) in
-    l.q <- (bytes, handler) :: l.q;
+    l.q <- handler :: l.q;
     l.q_n <- l.q_n + 1;
     l.q_bytes <- l.q_bytes + bytes;
     if p.adaptive && l.inflight = 0 then
@@ -375,8 +337,8 @@ let batch_max_members t = t.b_max_members
 
 let batch_sizes t = t.b_sizes
 
-(* {2 Crashes} — kept API; the send path treats a crashed site as every one
-   of its links (in and out) being severed, charged to the crash counter. *)
+(* {2 Crashes} — the transmit step treats a crashed site as every one of
+   its links (in and out) being severed, charged to the crash counter. *)
 
 let set_down t site = t.down.(site) <- true
 

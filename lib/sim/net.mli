@@ -61,9 +61,12 @@ val send : ?bytes:int -> t -> src:site -> dst:site -> (unit -> unit) -> unit
     {!envelope_header_bytes} plus the sum of its members' bytes; {!send}
     and un-batched {!post} charge exactly the message's bytes.
 
-    With no policy installed (the default), {!post} routes through {!send}
-    — same RNG draws, same schedule order — so seeded runs with batching
-    off are byte-identical to the pre-batching network. *)
+    {!send}, un-batched {!post} and a flushed envelope take one transmit
+    step: classify the link, count the drop or charge the wire, sample the
+    delay, schedule the arrival, then draw the duplicate, which samples its
+    own delay. So with no policy installed (the default) {!post} draws and
+    schedules exactly as {!send} does, and an envelope meets the same
+    faults as a lone message. *)
 
 type policy = {
   batch_us : int;  (** flush deadline: first enqueue arms a timer this far out *)
@@ -109,9 +112,11 @@ val batch_sizes : t -> Stats.Recorder.t
     the destination site, parented to the sender's ambient span, and the
     delivery handler runs with that hop as the ambient span — so spans
     opened inside the handler chain to the hop that carried the message.
-    Dropped messages record an instant marker instead. With the default
-    [Obs.Trace.disabled] sink, {!send} is byte-identical to the untraced
-    network (same RNG draws, same schedule, no allocation). *)
+    Dropped messages record an instant marker instead. Tracing draws no
+    randomness and schedules nothing: a traced run delivers the same
+    messages at the same times as an untraced one, batched or not. With
+    the default [Obs.Trace.disabled] sink the transmit step schedules the
+    handler itself, with no closure per message. *)
 
 val set_tracer : t -> Obs.Trace.t -> unit
 val tracer : t -> Obs.Trace.t
@@ -181,7 +186,7 @@ val clear_link_faults : t -> unit
 (** {2 Fault counters} *)
 
 val messages_dropped : t -> int
-(** Total drops, all causes — the pre-fault-model counter, preserved. *)
+(** Total drops, all causes. *)
 
 val dropped_crash : t -> int
 val dropped_partition : t -> int

@@ -276,21 +276,3 @@ let release_all t ~txn =
   Hashtbl.remove t.priorities txn;
   List.iter (fun k -> Sim.Engine.schedule t.engine ~after:0 (fun () -> k Aborted)) aborted;
   List.iter (fun key -> process_queue t key) affected
-
-let pp_state ppf t =
-  Hashtbl.iter
-    (fun key e ->
-      if e.readers <> [] || e.writer <> None || e.queue <> [] then
-        Fmt.pf ppf "key %d: readers=[%a] writer=%a queue=[%a]@."
-          key
-          Fmt.(list ~sep:sp int)
-          e.readers
-          Fmt.(option ~none:(any "-") int)
-          e.writer
-          Fmt.(
-            list ~sep:sp (fun ppf r ->
-                Fmt.pf ppf "%d%s(p=%d,%d)" r.txn
-                  (match r.kind with Read -> "r" | Write -> "w")
-                  (fst r.priority) (snd r.priority)))
-          e.queue)
-    t.table

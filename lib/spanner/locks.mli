@@ -61,6 +61,3 @@ val any_busy_in : t -> lo:int -> hi:int -> bool
     queued request? The placement drain polls this until the fenced range
     is quiescent. *)
 
-val pp_state : Format.formatter -> t -> unit
-(** Diagnostic dump of holders and queued requests per key (non-empty
-    entries only). *)

@@ -96,6 +96,8 @@ let read_version_at t ~key ~ts =
   | None -> None
   | Some versions -> List.find_opt (fun (v : Types.version) -> v.Types.ts <= ts) versions
 
+(* Raises [Invalid_argument] if [ts] does not exceed the key's newest
+   version (the per-key monotonicity invariant). *)
 let apply_write t ~key ~ts ~writer ~value =
   let versions = try Hashtbl.find t.store key with Not_found -> [] in
   (match versions with

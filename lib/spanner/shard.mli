@@ -71,10 +71,6 @@ val create :
 val read_version_at : t -> key:int -> ts:int -> Types.version option
 (** Latest committed version with [ts' <= ts]. *)
 
-val apply_write : t -> key:int -> ts:int -> writer:int -> value:int -> unit
-(** Raises [Invalid_argument] if [ts] does not exceed the key's newest
-    version (the per-key monotonicity invariant). *)
-
 val advance_max_write_ts : t -> int -> unit
 
 val choose_prepare_ts : t -> int

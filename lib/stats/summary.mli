@@ -1,12 +1,5 @@
 (** Tabular reporting of latency distributions and throughput. *)
 
-val tail_points : float list
-(** The percentile ladder used by the figures:
-    50, 90, 95, 99, 99.5, 99.9. *)
-
-val row_ms : Recorder.t -> float list -> float list
-(** Percentiles of the recorder, in milliseconds. *)
-
 val print_latency_table :
   header:string -> rows:(string * Recorder.t) list -> ?points:float list -> unit -> unit
 (** Print one row per named recorder, columns = percentile ladder (ms). *)

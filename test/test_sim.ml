@@ -548,6 +548,167 @@ let test_net_message_accounting () =
   check int "messages" 2 (Sim.Net.messages_sent net);
   check int "bytes" 150 (Sim.Net.bytes_sent net)
 
+(* Minor words per delivered message on an untraced, fault-free network
+   with a no-op handler. All 4 words of [send] are the jitter draw's; the
+   transmit step and the engine event allocate nothing, so a closure built
+   per message shows here (it reads 14). [post] without a batching policy
+   pays one more closure, the [fun () -> handler 0] adapter. Sends go out
+   in rounds of 1000 so the engine's arrays reach their final size in a
+   warm-up round. *)
+let net_words_per_message deliver =
+  let e, net = mk_net ~jitter:0.02 () in
+  let round () =
+    for i = 1 to 1000 do
+      deliver net ~src:(i land 1) ~dst:1
+    done;
+    Sim.Engine.run e
+  in
+  round ();
+  let n_rounds = 100 in
+  let before = Gc.minor_words () in
+  for _ = 1 to n_rounds do
+    round ()
+  done;
+  let words = Gc.minor_words () -. before in
+  check int "all delivered" ((n_rounds + 1) * 1000) (Sim.Net.messages_sent net);
+  words /. float_of_int (n_rounds * 1000)
+
+let test_net_allocation () =
+  let noop () = () and noop_i (_ : int) = () in
+  let send =
+    net_words_per_message (fun net ~src ~dst -> Sim.Net.send net ~src ~dst noop)
+  in
+  let post =
+    net_words_per_message (fun net ~src ~dst -> Sim.Net.post net ~src ~dst noop_i)
+  in
+  check (Alcotest.float 0.0) "send: minor words per message" 4.0 send;
+  check (Alcotest.float 0.0) "unbatched post: minor words per message" 8.0 post
+
+(* Traced and untraced delivery must be the same run: one seeded traffic
+   pattern over four sites with every link fault armed (loss, duplication
+   and reorder on every link, a latency spike on one, one blocked link and
+   one crashed site), sent once without and once with a live tracer. *)
+type net_run = {
+  log : (int * int * int * int) list;  (* (message, member index, dst, time) *)
+  counters : (string * int) list;
+  trace : Obs.Trace.t;
+}
+
+let faulty_run ~traced ~batch ~use_post =
+  let e = Sim.Engine.create () in
+  let rtt =
+    [| [| 0.2; 10.0; 30.0; 50.0 |]; [| 10.0; 0.2; 20.0; 40.0 |];
+       [| 30.0; 20.0; 0.2; 60.0 |]; [| 50.0; 40.0; 60.0; 0.2 |] |]
+  in
+  let net = Sim.Net.create e ~rng:(Sim.Rng.make 7) ~rtt_ms:rtt () in
+  for src = 0 to 3 do
+    for dst = 0 to 3 do
+      Sim.Net.set_loss net ~src ~dst 0.1;
+      Sim.Net.set_dup net ~src ~dst 0.2;
+      Sim.Net.set_reorder net ~src ~dst ~prob:0.3 ~max_extra_us:8_000
+    done
+  done;
+  Sim.Net.set_extra_delay net ~src:1 ~dst:2 3_000;
+  Sim.Net.block_link net ~src:0 ~dst:2;
+  Sim.Net.set_down net 3;
+  Sim.Net.set_batching net batch;
+  let trace = if traced then Obs.Trace.create () else Obs.Trace.disabled in
+  Sim.Net.set_tracer net trace;
+  let log = ref [] in
+  let rec transmit ~id ~src ~dst ~bytes =
+    let delivered i =
+      log := (id, i, dst, Sim.Engine.now e) :: !log;
+      (* Every third message is answered, so deliveries send from inside
+         hop spans and replies meet envelopes still in flight. *)
+      if id mod 3 = 0 && id < 10_000 then
+        transmit ~id:(id + 10_000) ~src:dst ~dst:src ~bytes:(bytes + 1)
+    in
+    if use_post then Sim.Net.post ~bytes net ~src ~dst delivered
+    else Sim.Net.send ~bytes net ~src ~dst (fun () -> delivered 0)
+  in
+  let pick = Sim.Rng.make 11 in
+  for id = 0 to 1_999 do
+    let src = Sim.Rng.int pick 4 and dst = Sim.Rng.int pick 4 in
+    Sim.Engine.schedule e ~after:(id * 150) (fun () ->
+        transmit ~id ~src ~dst ~bytes:(40 + (id mod 50)))
+  done;
+  Sim.Engine.run e;
+  let counters =
+    Sim.Net.
+      [ ("sent", messages_sent net); ("bytes", bytes_sent net);
+        ("dropped", messages_dropped net); ("crash", dropped_crash net);
+        ("partition", dropped_partition net); ("loss", dropped_loss net);
+        ("duplicated", messages_duplicated net);
+        ("delayed", messages_delayed net); ("envelopes", batch_envelopes net);
+        ("members", batch_members net); ("deadline", batch_flush_deadline net);
+        ("size", batch_flush_size net); ("idle", batch_flush_idle net);
+        ("max_members", batch_max_members net) ]
+  in
+  { log = List.rev !log; counters; trace }
+
+let test_net_traced_matches_untraced () =
+  let cases =
+    [ ("send", None, false);
+      ("unbatched post", None, true);
+      ("post with deadline and size flushes",
+       Some { Sim.Net.batch_us = 2_000; batch_max = 4; adaptive = false }, true);
+      ("adaptive post",
+       Some { Sim.Net.batch_us = 2_000; batch_max = 4; adaptive = true }, true) ]
+  in
+  List.iter
+    (fun (name, batch, use_post) ->
+      let plain = faulty_run ~traced:false ~batch ~use_post in
+      let traced = faulty_run ~traced:true ~batch ~use_post in
+      let fired counter = List.assoc counter plain.counters > 0 in
+      let fired_all = List.for_all fired in
+      check bool (name ^ ": every fault fired") true
+        (fired_all [ "crash"; "partition"; "loss"; "duplicated"; "delayed" ]);
+      (match batch with
+      | Some { Sim.Net.adaptive = false; _ } ->
+        check bool (name ^ ": deadline and size flushes") true
+          (fired_all [ "deadline"; "size" ])
+      | Some { Sim.Net.adaptive = true; _ } ->
+        check bool (name ^ ": idle flushes") true (fired "idle")
+      | None -> ());
+      check bool (name ^ ": same handler order and times") true
+        (plain.log = traced.log);
+      check
+        Alcotest.(list (pair string int))
+        (name ^ ": same counters") plain.counters traced.counters;
+      check int (name ^ ": untraced run records nothing") 0
+        (Obs.Trace.n_spans plain.trace);
+      let spans = Array.to_list (Obs.Trace.spans traced.trace) in
+      (* One delivery event runs member 0 of its envelope exactly once. *)
+      let deliveries =
+        List.filter_map
+          (fun (_, i, dst, ts) -> if i = 0 then Some (dst, ts) else None)
+          plain.log
+      in
+      let hops =
+        List.filter_map
+          (fun s ->
+            if s.Obs.Trace.kind = Obs.Trace.Net_hop && not s.Obs.Trace.is_instant
+            then Some (s.Obs.Trace.site, s.Obs.Trace.end_ts)
+            else None)
+          spans
+      in
+      check bool (name ^ ": one hop span per delivery") true
+        (List.sort compare deliveries = List.sort compare hops);
+      let instants cause =
+        List.length
+          (List.filter
+             (fun s -> s.Obs.Trace.is_instant && s.Obs.Trace.name = cause)
+             spans)
+      in
+      List.iter
+        (fun cause ->
+          check int
+            (name ^ ": one drop instant per " ^ cause ^ " drop")
+            (List.assoc cause plain.counters)
+            (instants ("net.drop." ^ cause)))
+        [ "crash"; "partition"; "loss" ])
+    cases
+
 (* ------------------------------------------------------------------ *)
 (* Truetime                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -953,6 +1114,9 @@ let suites =
         Alcotest.test_case "triangular matrix" `Quick test_net_triangular_matrix;
         Alcotest.test_case "jitter bounds" `Quick test_net_jitter_bounds;
         Alcotest.test_case "message accounting" `Quick test_net_message_accounting;
+        Alcotest.test_case "minor words per message" `Quick test_net_allocation;
+        Alcotest.test_case "traced matches untraced under faults" `Quick
+          test_net_traced_matches_untraced;
       ] );
     ( "sim.truetime",
       [
