@@ -397,6 +397,7 @@ let check_trace_cmd =
     Arg.(value & opt int 2_000_000 & info [ "budget" ] ~doc:"Search state budget.")
   in
   let run path model budget =
+    if budget <= 0 then (Fmt.epr "error: --budget must be positive@."; exit 1);
     match Rss_core.Trace.load ~path with
     | Error m ->
       Fmt.epr "error: %s@." m;

@@ -1,23 +1,24 @@
-open History
+open Txn_history
 
 (* Real-time: a completes before b is invoked. *)
 let rt_before a b = match a.resp with None -> false | Some r -> r < b.inv
 
-(* Feasibility of one read observing [value] (possibly None): among the
-   writes to its key, is there a serialization (consistent with real time)
-   placing its writer last before it?
+let written_value x = match x.writes with [ (_, v) ] -> Some v | _ -> None
+
+(* Feasibility of one read of [key] observing [value] (possibly None): among
+   the writes to its key, is there a serialization (consistent with real
+   time) placing its writer last before it?
    - value = Some v from writer w: infeasible iff the read wholly precedes w,
      or some same-key write is real-time-forced strictly between w and the
      read.
    - value = None: infeasible iff some same-key write wholly precedes the
      read. *)
-let read_feasible ~key_writes reader value =
+let read_feasible ~key ~key_writes reader value =
   match value with
   | None ->
     if List.exists (fun w -> rt_before w reader) key_writes then
       Error
-        (Fmt.str "op %d read nil but a write to %s completed before it" reader.id
-           reader.key)
+        (Fmt.str "op %d read nil but a write to %s completed before it" reader.id key)
     else Ok ()
   | Some v -> (
     match List.find_opt (fun w -> written_value w = Some v) key_writes with
@@ -31,33 +32,41 @@ let read_feasible ~key_writes reader value =
           key_writes
       then
         Error
-          (Fmt.str
-             "op %d read a value overwritten before it started (key %s)"
-             reader.id reader.key)
+          (Fmt.str "op %d read a value overwritten before it started (key %s)"
+             reader.id key)
       else Ok ())
 
-let check_weak (h : History.t) =
-  (* Writes per key (rmws both read and write). *)
-  let writes_of_key = Hashtbl.create 16 in
-  Array.iter
-    (fun o ->
-      if is_mutator o then
-        Hashtbl.replace writes_of_key o.key
-          (o :: (try Hashtbl.find writes_of_key o.key with Not_found -> [])))
-    h.ops;
-  let key_writes key = try Hashtbl.find writes_of_key key with Not_found -> [] in
-  Array.fold_left
-    (fun acc o ->
-      match acc with
-      | Error _ -> acc
-      | Ok () ->
-        if not (is_complete o) then Ok ()
-        else (
-          match observed_value o with
-          | None -> Ok ()
-          | Some value ->
-            let others = List.filter (fun w -> w.id <> o.id) (key_writes o.key) in
-            read_feasible ~key_writes:others o value))
-    (Ok ()) h.ops
+(* A read, a write or an rmw: at most one read and one write, of one key. *)
+let one_key x =
+  match (x.reads, x.writes) with
+  | [ _ ], [] | [], [ _ ] -> true
+  | [ (k, _) ], [ (k', _) ] -> k = k'
+  | _ -> false
+
+let check_weak (h : Txn_history.t) =
+  match Array.find_opt (fun x -> not (one_key x)) h.txns with
+  | Some x -> Error (Fmt.str "txn %d is not a one-key read, write or rmw" x.id)
+  | None ->
+    (* Writes per key (rmws both read and write). *)
+    let writes_of_key = Hashtbl.create 16 in
+    Array.iter
+      (fun x ->
+        match x.writes with
+        | [ (k, _) ] ->
+          Hashtbl.replace writes_of_key k
+            (x :: (try Hashtbl.find writes_of_key k with Not_found -> []))
+        | _ -> ())
+      h.txns;
+    let key_writes key = try Hashtbl.find writes_of_key key with Not_found -> [] in
+    let result = ref (Ok ()) in
+    Array.iter
+      (fun x ->
+        match (!result, x.reads) with
+        | Ok (), [ (key, value) ] when is_complete x ->
+          let others = List.filter (fun w -> w.id <> x.id) (key_writes key) in
+          result := read_feasible ~key ~key_writes:others x value
+        | _ -> ())
+      h.txns;
+    !result
 
 let satisfies_weak h = match check_weak h with Ok () -> true | Error _ -> false

@@ -13,11 +13,13 @@
     constrain {e pairs} of serializations and are not implemented; see
     DESIGN.md. *)
 
-val check_weak : History.t -> (unit, string) result
+val check_weak : Txn_history.t -> (unit, string) result
 (** [Ok ()] iff every complete read (and rmw observation) admits such a
     serialization: the write it reads from is not forced to be overwritten
     before the read (no same-key write real-time-between them), reads-from
     never points real-time-backwards, and nil reads have no same-key write
-    wholly before them. Incomplete operations impose nothing. *)
+    wholly before them. Incomplete operations impose nothing. The history
+    must be a register history: [Error] names the first txn that is not a
+    one-key read, write or rmw (see {!Txn_history.read}). *)
 
-val satisfies_weak : History.t -> bool
+val satisfies_weak : Txn_history.t -> bool

@@ -23,7 +23,16 @@
       constraint.
     - {!Crdb} — process order plus real-time order between conflicting pairs.
     - {!Osc_u} — process order plus real-time edges {e into} writes
-      (operations preceding a write are ordered before it). *)
+      (operations preceding a write are ordered before it).
+
+    Register histories are checked as histories of one-key transactions
+    (built with {!Txn_history.read}, {!Txn_history.write} and
+    {!Txn_history.rmw}): a read is a one-key read-only transaction, a write
+    a blind one-key read-write transaction, an rmw a one-key transaction
+    that reads and writes. Under this embedding the transactional models
+    coincide with their register counterparts: strict serializability ↔
+    linearizability, PO serializability ↔ sequential consistency, RSS ↔
+    RSC; {!Regular_vv} and {!Osc_u} are VV-regularity and OSC(U). *)
 
 type model =
   | Strict_serializable

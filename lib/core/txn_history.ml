@@ -17,6 +17,15 @@ let ro ~id ~proc ~reads ~inv ?resp () = { id; proc; reads; writes = []; inv; res
 let rw ~id ~proc ?(reads = []) ~writes ~inv ?resp () =
   { id; proc; reads; writes; inv; resp }
 
+let read ~id ~proc ~key ?value ~inv ?resp () =
+  ro ~id ~proc ~reads:[ (key, value) ] ~inv ?resp ()
+
+let write ~id ~proc ~key ~value ~inv ?resp () =
+  rw ~id ~proc ~writes:[ (key, value) ] ~inv ?resp ()
+
+let rmw ~id ~proc ~key ?observed ~result ~inv ?resp () =
+  rw ~id ~proc ~reads:[ (key, observed) ] ~writes:[ (key, result) ] ~inv ?resp ()
+
 let n_txns t = Array.length t.txns
 
 let txn t i = t.txns.(i)
@@ -97,23 +106,6 @@ let make ?(msg_edges = []) txns =
     (match validate t with
     | Ok () -> t
     | Error m -> invalid_arg ("Txn_history.make: " ^ m))
-
-let of_history (h : History.t) =
-  let txns =
-    Array.to_list h.History.ops
-    |> List.map (fun (o : History.op) ->
-           match o.History.kind with
-           | History.Read v ->
-             ro ~id:o.id ~proc:o.proc ~reads:[ (o.key, v) ] ~inv:o.inv
-               ?resp:o.resp ()
-           | History.Write v ->
-             rw ~id:o.id ~proc:o.proc ~writes:[ (o.key, v) ] ~inv:o.inv
-               ?resp:o.resp ()
-           | History.Rmw (obs, res) ->
-             rw ~id:o.id ~proc:o.proc ~reads:[ (o.key, obs) ]
-               ~writes:[ (o.key, res) ] ~inv:o.inv ?resp:o.resp ())
-  in
-  make ~msg_edges:h.History.msg_edges txns
 
 let of_witness ~id (w : Witness.txn) =
   {

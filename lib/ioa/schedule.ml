@@ -64,8 +64,7 @@ let equivalent a b =
   let ps = List.sort_uniq compare (procs a @ procs b) in
   List.for_all (fun proc -> projection a ~proc = projection b ~proc) ps
 
-let causal ?(reads_from = []) t =
-  let n = Array.length t in
+let edges ?(reads_from = []) t =
   let edges = ref reads_from in
   (* Process order: chain consecutive actions of each process. *)
   let last_of_proc = Hashtbl.create 8 in
@@ -107,12 +106,18 @@ let causal ?(reads_from = []) t =
       in
       pair send_idxs recv_idxs)
     sends;
+  let n = Array.length t in
   List.iter
     (fun (a, b) ->
+      if a < 0 || b >= n then
+        invalid_arg (Fmt.str "Schedule.edges: edge (%d,%d) out of range" a b);
       if a >= b then
-        invalid_arg (Fmt.str "Schedule.causal: edge (%d,%d) against schedule order" a b))
+        invalid_arg (Fmt.str "Schedule.edges: edge (%d,%d) against schedule order" a b))
     !edges;
-  Rss_core.Causal.of_edges ~n !edges
+  !edges
+
+let causal ?reads_from t =
+  Rss_core.Causal.of_edges ~n:(Array.length t) (edges ?reads_from t)
 
 let commutable (a : Action.t) (b : Action.t) =
   let send_side = function Action.Sendto _ | Action.Sent _ -> true | _ -> false in

@@ -19,13 +19,16 @@ val projection : t -> proc:int -> Action.t list
 val equivalent : t -> t -> bool
 (** §3.1 equivalence: identical projections for every process. *)
 
-val causal :
-  ?reads_from:(int * int) list -> t -> Rss_core.Causal.t
-(** Potential causality over action {e indices} (§C.1.8): process order,
-    the k-th [sendto] on a channel to its k-th [received] (FIFO pairing),
-    caller-supplied reads-from edges between action indices, transitively
-    closed. Raises [Invalid_argument] if an edge points backwards in the
-    schedule (not a real execution). *)
+val edges : ?reads_from:(int * int) list -> t -> (int * int) list
+(** The direct causal edges between action {e indices} (§C.1.8): process
+    order, the k-th [sendto] on a channel to its k-th [received] (FIFO
+    pairing), and caller-supplied reads-from edges. Every edge points
+    forward, so the schedule is a topological order of them. Raises
+    [Invalid_argument] if an edge is out of range or points backwards in
+    the schedule (not a real execution). *)
+
+val causal : ?reads_from:(int * int) list -> t -> Rss_core.Causal.t
+(** Potential causality: {!edges}, transitively closed. *)
 
 val swap_adjacent : t -> int -> (t, string) result
 (** [swap_adjacent t k] exchanges actions [k] and [k+1] when Lemmas C.1-C.4

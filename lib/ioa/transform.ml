@@ -45,37 +45,35 @@ let lemma_c5 ~(sched : Schedule.t) ~serialization ?(reads_from = []) () =
     | Action.Received _ ->
       None
   in
-  (* The premise: S must respect potential causality between operations. *)
-  let causal =
-    match Schedule.causal ~reads_from sched with
-    | c -> c
-    | exception Invalid_argument m -> invalid_arg m
+  (* One forward pass over the schedule, a topological order of its direct
+     causal edges: [m.(i)] is the S-maximal position among i and its causal
+     predecessors, held by action [holder.(i)]. The premise (S respects
+     potential causality) fails where a system-facing action's own
+     position is below its predecessors' maximum. *)
+  let preds = Array.make n [] in
+  List.iter
+    (fun (a, b) -> preds.(b) <- a :: preds.(b))
+    (Schedule.edges ~reads_from sched);
+  let m = Array.make n (-1) and holder = Array.make n (-1) in
+  let rec pass i =
+    if i = n then Ok ()
+    else begin
+      List.iter
+        (fun p -> if m.(p) > m.(i) then (m.(i) <- m.(p); holder.(i) <- holder.(p)))
+        preds.(i);
+      match s_position sched.(i) with
+      | Some own when own < m.(i) ->
+        Error (Fmt.str "S orders action %d before %d against causality" i holder.(i))
+      | Some own ->
+        m.(i) <- own;
+        holder.(i) <- i;
+        pass (i + 1)
+      | None -> pass (i + 1)
+    end
   in
-  let contradiction = ref None in
-  for i = 0 to n - 1 do
-    for j = 0 to n - 1 do
-      if !contradiction = None && Rss_core.Causal.precedes causal i j then
-        match (s_position sched.(i), s_position sched.(j)) with
-        | Some pi, Some pj when pi > pj ->
-          contradiction :=
-            Some (Fmt.str "S orders action %d before %d against causality" j i)
-        | _ -> ()
-    done
-  done;
-  match !contradiction with
-  | Some m -> Error m
-  | None ->
-    (* M(i): the S-maximal system-facing position causally at-or-before i.
-       The schedule itself is a topological order of the causal DAG, so one
-       forward pass with direct predecessors suffices; we use full
-       reachability for clarity at these sizes. *)
-    let m = Array.make n (-1) in
-    for i = 0 to n - 1 do
-      (match s_position sched.(i) with Some p -> m.(i) <- p | None -> ());
-      for j = 0 to i - 1 do
-        if Rss_core.Causal.precedes causal j i && m.(j) > m.(i) then m.(i) <- m.(j)
-      done
-    done;
+  match pass 0 with
+  | Error _ as e -> e
+  | Ok () ->
     (* Stable sort by M — the ≺ / ≡ order of the proof. *)
     let order = Array.init n (fun i -> i) in
     Array.sort

@@ -16,19 +16,6 @@ let read s ~key k =
 let write s ~key ~value k = Store.rw s ~reads:[] ~writes:[ (key, value) ] (fun _ -> k ())
 
 let history t =
-  let records = Store.records t in
-  let ops =
-    Array.to_list records
-    |> List.mapi (fun i (r : Rss_core.Witness.txn) ->
-           let resp = if r.Rss_core.Witness.resp = max_int then None else Some r.Rss_core.Witness.resp in
-           match (r.Rss_core.Witness.reads, r.Rss_core.Witness.writes) with
-           | [], [ (key, v) ] ->
-             Rss_core.History.write ~id:i ~proc:r.Rss_core.Witness.proc ~key
-               ~value:v ~inv:r.Rss_core.Witness.inv ?resp ()
-           | [ (key, v) ], [] ->
-             Rss_core.History.read ~id:i ~proc:r.Rss_core.Witness.proc ~key
-               ?value:v ~inv:r.Rss_core.Witness.inv ?resp ()
-           | _ ->
-             invalid_arg "Registers.history: multi-key operation in register run")
-  in
-  Rss_core.History.make ops
+  Store.records t |> Array.to_list
+  |> List.mapi (fun id r -> Rss_core.Txn_history.of_witness ~id r)
+  |> Rss_core.Txn_history.make

@@ -24,6 +24,6 @@ val read : session -> key:string -> (int option -> unit) -> unit
 val write : session -> key:string -> value:int -> (unit -> unit) -> unit
 (** Values must stay unique per key across the run for history checking. *)
 
-val history : t -> Rss_core.History.t
-(** The run as a register history (for the search checkers; keep runs
-    small). *)
+val history : t -> Rss_core.Txn_history.t
+(** The run as a register history of one-key transactions (for the search
+    checkers; keep runs small). *)

@@ -2,10 +2,8 @@
    witness verification, and libRSS. Several histories encode scenarios from
    the paper (Fig. 4, Table 1's I2, Appendix A's model separations). *)
 
-module H = Rss_core.History
 module T = Rss_core.Txn_history
 module CT = Rss_core.Check_txn
-module CR = Rss_core.Check_reg
 module W = Rss_core.Witness
 module CO = Rss_core.Check_online
 module CG = Rss_core.Check_graph
@@ -16,8 +14,12 @@ let int = Alcotest.int
 
 let sat = function CT.Sat _ -> true | CT.Unsat -> false | CT.Unknown -> failwith "unknown"
 
-let reg_sat h m = sat (CR.check h m)
 let txn_sat h m = sat (CT.check h m)
+
+(* The register models under the one-key embedding: linearizability,
+   sequential consistency, RSC, VV-regularity and OSC(U). *)
+let reg_models =
+  CT.[ Strict_serializable; Process_ordered; Rss; Regular_vv; Osc_u ]
 
 (* ------------------------------------------------------------------ *)
 (* History construction and validation                                 *)
@@ -25,31 +27,31 @@ let txn_sat h m = sat (CT.check h m)
 
 let test_history_validate_ok () =
   let h =
-    H.make
+    T.make
       [
-        H.write ~id:0 ~proc:0 ~key:"x" ~value:1 ~inv:0 ~resp:10 ();
-        H.read ~id:1 ~proc:1 ~key:"x" ~value:1 ~inv:20 ~resp:30 ();
+        T.write ~id:0 ~proc:0 ~key:"x" ~value:1 ~inv:0 ~resp:10 ();
+        T.read ~id:1 ~proc:1 ~key:"x" ~value:1 ~inv:20 ~resp:30 ();
       ]
   in
-  check int "two ops" 2 (H.n_ops h)
+  check int "two ops" 2 (T.n_txns h)
 
 let test_history_duplicate_write_rejected () =
   Alcotest.check_raises "duplicate value per key"
-    (Invalid_argument "History.make: duplicate write of 1 to x") (fun () ->
+    (Invalid_argument "Txn_history.make: duplicate write of 1 to x") (fun () ->
       ignore
-        (H.make
+        (T.make
            [
-             H.write ~id:0 ~proc:0 ~key:"x" ~value:1 ~inv:0 ~resp:10 ();
-             H.write ~id:1 ~proc:1 ~key:"x" ~value:1 ~inv:20 ~resp:30 ();
+             T.write ~id:0 ~proc:0 ~key:"x" ~value:1 ~inv:0 ~resp:10 ();
+             T.write ~id:1 ~proc:1 ~key:"x" ~value:1 ~inv:20 ~resp:30 ();
            ]))
 
 let test_history_overlapping_process_rejected () =
   let bad () =
     ignore
-      (H.make
+      (T.make
          [
-           H.write ~id:0 ~proc:0 ~key:"x" ~value:1 ~inv:0 ~resp:20 ();
-           H.read ~id:1 ~proc:0 ~key:"x" ~inv:10 ~resp:30 ();
+           T.write ~id:0 ~proc:0 ~key:"x" ~value:1 ~inv:0 ~resp:20 ();
+           T.read ~id:1 ~proc:0 ~key:"x" ~inv:10 ~resp:30 ();
          ])
   in
   check bool "raises" true
@@ -58,11 +60,11 @@ let test_history_overlapping_process_rejected () =
 let test_history_msg_edge_time_checked () =
   let bad () =
     ignore
-      (H.make
+      (T.make
          ~msg_edges:[ (1, 0) ]
          [
-           H.write ~id:0 ~proc:0 ~key:"x" ~value:1 ~inv:0 ~resp:10 ();
-           H.read ~id:1 ~proc:1 ~key:"x" ~value:1 ~inv:20 ~resp:30 ();
+           T.write ~id:0 ~proc:0 ~key:"x" ~value:1 ~inv:0 ~resp:10 ();
+           T.read ~id:1 ~proc:1 ~key:"x" ~value:1 ~inv:20 ~resp:30 ();
          ])
   in
   check bool "edge against time rejected" true
@@ -70,13 +72,39 @@ let test_history_msg_edge_time_checked () =
 
 let test_history_incomplete_last_op_ok () =
   let h =
-    H.make
+    T.make
       [
-        H.write ~id:0 ~proc:0 ~key:"x" ~value:1 ~inv:0 ~resp:10 ();
-        H.write ~id:1 ~proc:0 ~key:"y" ~value:2 ~inv:20 ();
+        T.write ~id:0 ~proc:0 ~key:"x" ~value:1 ~inv:0 ~resp:10 ();
+        T.write ~id:1 ~proc:0 ~key:"y" ~value:2 ~inv:20 ();
       ]
   in
-  check bool "incomplete tail op accepted" true (not (H.is_complete (H.op h 1)))
+  check bool "incomplete tail op accepted" true (not (T.is_complete (T.txn h 1)))
+
+let test_history_empty () =
+  let h = T.make [] in
+  check int "no txns" 0 (T.n_txns h);
+  check bool "no edges" true (h.T.msg_edges = [])
+
+(* A register history survives the trace format: a nil read, a write and
+   an rmw come back as the same one-key txns with the same verdicts. *)
+let test_register_trace_roundtrip () =
+  let h =
+    T.make ~msg_edges:[ (0, 2) ]
+      [
+        T.read ~id:0 ~proc:0 ~key:"x" ~inv:0 ~resp:10 ();
+        T.write ~id:1 ~proc:1 ~key:"x" ~value:1 ~inv:5 ~resp:30 ();
+        T.rmw ~id:2 ~proc:2 ~key:"x" ~observed:1 ~result:2 ~inv:20 ~resp:40 ();
+      ]
+  in
+  match Rss_core.Trace.of_string (Rss_core.Trace.to_string h) with
+  | Error m -> Alcotest.fail m
+  | Ok h' ->
+    check bool "same txns" true (h'.T.txns = h.T.txns);
+    check bool "same edges" true (h'.T.msg_edges = h.T.msg_edges);
+    List.iter
+      (fun m ->
+        check bool (CT.model_name m ^ " verdict") (txn_sat h m) (txn_sat h' m))
+      CT.all_models
 
 (* ------------------------------------------------------------------ *)
 (* Causal                                                              *)
@@ -140,152 +168,154 @@ let prop_causal_closure_transitive =
 (* ------------------------------------------------------------------ *)
 
 let seq_wr =
-  H.make
+  T.make
     [
-      H.write ~id:0 ~proc:0 ~key:"x" ~value:1 ~inv:0 ~resp:10 ();
-      H.read ~id:1 ~proc:1 ~key:"x" ~value:1 ~inv:20 ~resp:30 ();
+      T.write ~id:0 ~proc:0 ~key:"x" ~value:1 ~inv:0 ~resp:10 ();
+      T.read ~id:1 ~proc:1 ~key:"x" ~value:1 ~inv:20 ~resp:30 ();
     ]
 
 let test_sequential_history_all_models () =
   List.iter
     (fun m ->
-      check bool (CR.model_name m ^ " accepts sequential history") true
-        (reg_sat seq_wr m))
-    CR.all_models
+      check bool (CT.model_name m ^ " accepts sequential history") true
+        (txn_sat seq_wr m))
+    reg_models
 
 let stale_read_after_write =
   (* w completes, then a read by another process misses it. *)
-  H.make
+  T.make
     [
-      H.write ~id:0 ~proc:0 ~key:"x" ~value:1 ~inv:0 ~resp:10 ();
-      H.read ~id:1 ~proc:1 ~key:"x" ~inv:20 ~resp:30 ();
+      T.write ~id:0 ~proc:0 ~key:"x" ~value:1 ~inv:0 ~resp:10 ();
+      T.read ~id:1 ~proc:1 ~key:"x" ~inv:20 ~resp:30 ();
     ]
 
 let test_stale_read_model_split () =
-  check bool "linearizability rejects" false (reg_sat stale_read_after_write Linearizable);
-  check bool "RSC rejects (regular rt)" false (reg_sat stale_read_after_write Rsc);
-  check bool "VV-regular rejects" false (reg_sat stale_read_after_write Regular_vv);
-  check bool "sequential allows" true (reg_sat stale_read_after_write Sequential);
-  check bool "OSC(U) allows (Fig. 13 shape)" true (reg_sat stale_read_after_write Osc_u)
+  check bool "linearizability rejects" false
+    (txn_sat stale_read_after_write Strict_serializable);
+  check bool "RSC rejects (regular rt)" false (txn_sat stale_read_after_write Rss);
+  check bool "VV-regular rejects" false (txn_sat stale_read_after_write Regular_vv);
+  check bool "sequential allows" true (txn_sat stale_read_after_write Process_ordered);
+  check bool "OSC(U) allows (Fig. 13 shape)" true (txn_sat stale_read_after_write Osc_u)
 
 let concurrent_write_read_old =
   (* The paper's Fig. 4 / A3 shape: while w is in flight, r1 sees the new
      value; a causally-unrelated r2 later returns the old one. RSC allows
      it (only causally-later reads are constrained); linearizability does
      not. *)
-  H.make
+  T.make
     [
-      H.write ~id:0 ~proc:0 ~key:"x" ~value:1 ~inv:0 ~resp:100 ();
-      H.read ~id:1 ~proc:1 ~key:"x" ~value:1 ~inv:10 ~resp:20 ();
-      H.read ~id:2 ~proc:2 ~key:"x" ~inv:30 ~resp:40 ();
+      T.write ~id:0 ~proc:0 ~key:"x" ~value:1 ~inv:0 ~resp:100 ();
+      T.read ~id:1 ~proc:1 ~key:"x" ~value:1 ~inv:10 ~resp:20 ();
+      T.read ~id:2 ~proc:2 ~key:"x" ~inv:30 ~resp:40 ();
     ]
 
 let test_concurrent_write_read_old () =
-  check bool "linearizability rejects" false (reg_sat concurrent_write_read_old Linearizable);
-  check bool "RSC allows" true (reg_sat concurrent_write_read_old Rsc);
-  check bool "sequential allows" true (reg_sat concurrent_write_read_old Sequential)
+  check bool "linearizability rejects" false
+    (txn_sat concurrent_write_read_old Strict_serializable);
+  check bool "RSC allows" true (txn_sat concurrent_write_read_old Rss);
+  check bool "sequential allows" true (txn_sat concurrent_write_read_old Process_ordered)
 
 let concurrent_write_read_old_causal =
   (* Same, but r1's observer tells r2's process (message edge): now RSC must
      reject — exactly the paper's "Alice sees Charlie's photo and calls Bob"
      anomaly A3 becoming a causal violation. *)
-  H.make
+  T.make
     ~msg_edges:[ (1, 2) ]
     [
-      H.write ~id:0 ~proc:0 ~key:"x" ~value:1 ~inv:0 ~resp:100 ();
-      H.read ~id:1 ~proc:1 ~key:"x" ~value:1 ~inv:10 ~resp:20 ();
-      H.read ~id:2 ~proc:2 ~key:"x" ~inv:30 ~resp:40 ();
+      T.write ~id:0 ~proc:0 ~key:"x" ~value:1 ~inv:0 ~resp:100 ();
+      T.read ~id:1 ~proc:1 ~key:"x" ~value:1 ~inv:10 ~resp:20 ();
+      T.read ~id:2 ~proc:2 ~key:"x" ~inv:30 ~resp:40 ();
     ]
 
 let test_concurrent_write_causal_read () =
   check bool "RSC rejects when causally related" false
-    (reg_sat concurrent_write_read_old_causal Rsc);
+    (txn_sat concurrent_write_read_old_causal Rss);
   check bool "VV-regular still allows (no causality)" true
-    (reg_sat concurrent_write_read_old_causal Regular_vv);
+    (txn_sat concurrent_write_read_old_causal Regular_vv);
   check bool "sequential still allows" true
-    (reg_sat concurrent_write_read_old_causal Sequential)
+    (txn_sat concurrent_write_read_old_causal Process_ordered)
 
 let test_read_own_concurrent_write () =
   (* A read concurrent with a write may return either old or new value. *)
   let old_v =
-    H.make
+    T.make
       [
-        H.write ~id:0 ~proc:0 ~key:"x" ~value:1 ~inv:0 ~resp:100 ();
-        H.read ~id:1 ~proc:1 ~key:"x" ~inv:10 ~resp:20 ();
+        T.write ~id:0 ~proc:0 ~key:"x" ~value:1 ~inv:0 ~resp:100 ();
+        T.read ~id:1 ~proc:1 ~key:"x" ~inv:10 ~resp:20 ();
       ]
   in
   let new_v =
-    H.make
+    T.make
       [
-        H.write ~id:0 ~proc:0 ~key:"x" ~value:1 ~inv:0 ~resp:100 ();
-        H.read ~id:1 ~proc:1 ~key:"x" ~value:1 ~inv:10 ~resp:20 ();
+        T.write ~id:0 ~proc:0 ~key:"x" ~value:1 ~inv:0 ~resp:100 ();
+        T.read ~id:1 ~proc:1 ~key:"x" ~value:1 ~inv:10 ~resp:20 ();
       ]
   in
   List.iter
     (fun m ->
-      check bool (CR.model_name m ^ " old ok") true (reg_sat old_v m);
-      check bool (CR.model_name m ^ " new ok") true (reg_sat new_v m))
-    CR.all_models
+      check bool (CT.model_name m ^ " old ok") true (txn_sat old_v m);
+      check bool (CT.model_name m ^ " new ok") true (txn_sat new_v m))
+    reg_models
 
 let test_rmw_atomicity () =
   (* Two rmws both observing the same base value cannot both be serialized:
      one must see the other's result. *)
   let lost_update =
-    H.make
+    T.make
       [
-        H.write ~id:0 ~proc:0 ~key:"x" ~value:10 ~inv:0 ~resp:5 ();
-        H.rmw ~id:1 ~proc:1 ~key:"x" ~observed:10 ~result:11 ~inv:10 ~resp:20 ();
-        H.rmw ~id:2 ~proc:2 ~key:"x" ~observed:10 ~result:12 ~inv:12 ~resp:22 ();
+        T.write ~id:0 ~proc:0 ~key:"x" ~value:10 ~inv:0 ~resp:5 ();
+        T.rmw ~id:1 ~proc:1 ~key:"x" ~observed:10 ~result:11 ~inv:10 ~resp:20 ();
+        T.rmw ~id:2 ~proc:2 ~key:"x" ~observed:10 ~result:12 ~inv:12 ~resp:22 ();
       ]
   in
   List.iter
     (fun m ->
-      check bool (CR.model_name m ^ " rejects lost update") false
-        (reg_sat lost_update m))
-    CR.all_models;
+      check bool (CT.model_name m ^ " rejects lost update") false
+        (txn_sat lost_update m))
+    reg_models;
   let chained =
-    H.make
+    T.make
       [
-        H.write ~id:0 ~proc:0 ~key:"x" ~value:10 ~inv:0 ~resp:5 ();
-        H.rmw ~id:1 ~proc:1 ~key:"x" ~observed:10 ~result:11 ~inv:10 ~resp:20 ();
-        H.rmw ~id:2 ~proc:2 ~key:"x" ~observed:11 ~result:12 ~inv:12 ~resp:22 ();
+        T.write ~id:0 ~proc:0 ~key:"x" ~value:10 ~inv:0 ~resp:5 ();
+        T.rmw ~id:1 ~proc:1 ~key:"x" ~observed:10 ~result:11 ~inv:10 ~resp:20 ();
+        T.rmw ~id:2 ~proc:2 ~key:"x" ~observed:11 ~result:12 ~inv:12 ~resp:22 ();
       ]
   in
-  check bool "chained rmws linearizable" true (reg_sat chained Linearizable)
+  check bool "chained rmws linearizable" true (txn_sat chained Strict_serializable)
 
 let test_incomplete_write_observed () =
   (* An incomplete write whose value was read must be serialized. *)
   let h =
-    H.make
+    T.make
       [
-        H.write ~id:0 ~proc:0 ~key:"x" ~value:1 ~inv:0 ();
-        H.read ~id:1 ~proc:1 ~key:"x" ~value:1 ~inv:10 ~resp:20 ();
-        H.read ~id:2 ~proc:1 ~key:"x" ~value:1 ~inv:30 ~resp:40 ();
+        T.write ~id:0 ~proc:0 ~key:"x" ~value:1 ~inv:0 ();
+        T.read ~id:1 ~proc:1 ~key:"x" ~value:1 ~inv:10 ~resp:20 ();
+        T.read ~id:2 ~proc:1 ~key:"x" ~value:1 ~inv:30 ~resp:40 ();
       ]
   in
-  check bool "observed pending write ok" true (reg_sat h Linearizable);
+  check bool "observed pending write ok" true (txn_sat h Strict_serializable);
   (* But flip-flopping back to nil after observing it is never allowed. *)
   let flip =
-    H.make
+    T.make
       [
-        H.write ~id:0 ~proc:0 ~key:"x" ~value:1 ~inv:0 ();
-        H.read ~id:1 ~proc:1 ~key:"x" ~value:1 ~inv:10 ~resp:20 ();
-        H.read ~id:2 ~proc:1 ~key:"x" ~inv:30 ~resp:40 ();
+        T.write ~id:0 ~proc:0 ~key:"x" ~value:1 ~inv:0 ();
+        T.read ~id:1 ~proc:1 ~key:"x" ~value:1 ~inv:10 ~resp:20 ();
+        T.read ~id:2 ~proc:1 ~key:"x" ~inv:30 ~resp:40 ();
       ]
   in
   check bool "session flip-flop rejected even by sequential" false
-    (reg_sat flip Sequential)
+    (txn_sat flip Process_ordered)
 
 let test_incomplete_unobserved_dropped () =
   let h =
-    H.make
+    T.make
       [
-        H.write ~id:0 ~proc:0 ~key:"x" ~value:1 ~inv:0 ();
-        H.read ~id:1 ~proc:1 ~key:"x" ~inv:10 ~resp:20 ();
+        T.write ~id:0 ~proc:0 ~key:"x" ~value:1 ~inv:0 ();
+        T.read ~id:1 ~proc:1 ~key:"x" ~inv:10 ~resp:20 ();
       ]
   in
   check bool "unobserved pending write may not take effect" true
-    (reg_sat h Linearizable)
+    (txn_sat h Strict_serializable)
 
 (* ------------------------------------------------------------------ *)
 (* Appendix A separations (register case)                              *)
@@ -295,24 +325,24 @@ let fig14_shape =
   (* RSC allows; OSC(U) and MWR-RF forbid (r1 rt-precedes w1 yet must be
      serialized after it). w2 is concurrent with r1 and its value is seen
      early; w1 lands between; P4 then observes w1 before w2. *)
-  H.make
+  T.make
     [
-      H.write ~id:0 ~proc:2 ~key:"x" ~value:2 ~inv:5 ~resp:50 ();
+      T.write ~id:0 ~proc:2 ~key:"x" ~value:2 ~inv:5 ~resp:50 ();
       (* w2 *)
-      H.read ~id:1 ~proc:0 ~key:"x" ~value:2 ~inv:0 ~resp:10 ();
+      T.read ~id:1 ~proc:0 ~key:"x" ~value:2 ~inv:0 ~resp:10 ();
       (* r1 *)
-      H.write ~id:2 ~proc:1 ~key:"x" ~value:1 ~inv:20 ~resp:30 ();
+      T.write ~id:2 ~proc:1 ~key:"x" ~value:1 ~inv:20 ~resp:30 ();
       (* w1 *)
-      H.read ~id:3 ~proc:3 ~key:"x" ~value:1 ~inv:32 ~resp:38 ();
+      T.read ~id:3 ~proc:3 ~key:"x" ~value:1 ~inv:32 ~resp:38 ();
       (* r2 *)
-      H.read ~id:4 ~proc:3 ~key:"x" ~value:2 ~inv:42 ~resp:48 ();
+      T.read ~id:4 ~proc:3 ~key:"x" ~value:2 ~inv:42 ~resp:48 ();
       (* r3 *)
     ]
 
 let test_fig14_rsc_vs_oscu () =
-  check bool "RSC allows" true (reg_sat fig14_shape Rsc);
-  check bool "VV-regular allows" true (reg_sat fig14_shape Regular_vv);
-  check bool "OSC(U) rejects" false (reg_sat fig14_shape Osc_u)
+  check bool "RSC allows" true (txn_sat fig14_shape Rss);
+  check bool "VV-regular allows" true (txn_sat fig14_shape Regular_vv);
+  check bool "OSC(U) rejects" false (txn_sat fig14_shape Osc_u)
 
 let test_rsc_between_lin_and_sc () =
   (* RSC sits strictly between: everything linearizable is RSC; stale
@@ -320,13 +350,13 @@ let test_rsc_between_lin_and_sc () =
      (test_concurrent_write_read_old); causal misses separate SC from RSC
      (test_concurrent_write_causal_read). This test pins the lattice on the
      canonical histories. *)
-  check bool "lin => rsc on seq history" true (reg_sat seq_wr Rsc);
+  check bool "lin => rsc on seq history" true (txn_sat seq_wr Rss);
   check bool "rsc !=> lin" true
-    (reg_sat concurrent_write_read_old Rsc
-    && not (reg_sat concurrent_write_read_old Linearizable));
+    (txn_sat concurrent_write_read_old Rss
+    && not (txn_sat concurrent_write_read_old Strict_serializable));
   check bool "sc !=> rsc" true
-    (reg_sat concurrent_write_read_old_causal Sequential
-    && not (reg_sat concurrent_write_read_old_causal Rsc))
+    (txn_sat concurrent_write_read_old_causal Process_ordered
+    && not (txn_sat concurrent_write_read_old_causal Rss))
 
 (* ------------------------------------------------------------------ *)
 (* Transactional checker                                               *)
@@ -474,15 +504,15 @@ let test_satisfies_surfaces_unknown () =
   | Some ok -> Alcotest.failf "expected None on a 1-state budget, got %b" ok);
   check bool "full budget proves it" true
     (CT.satisfies h CT.Process_ordered = Some true);
-  (* Same through the register-model wrapper. *)
+  (* Same on a register history. *)
   let reg =
-    H.make
+    T.make
       [
-        H.write ~id:0 ~proc:0 ~key:"x" ~value:1 ~inv:0 ~resp:10 ();
-        H.read ~id:1 ~proc:1 ~key:"x" ~value:1 ~inv:20 ~resp:30 ();
+        T.write ~id:0 ~proc:0 ~key:"x" ~value:1 ~inv:0 ~resp:10 ();
+        T.read ~id:1 ~proc:1 ~key:"x" ~value:1 ~inv:20 ~resp:30 ();
       ]
   in
-  check bool "Check_reg full budget" true (CR.satisfies reg CR.Rsc = Some true)
+  check bool "register history full budget" true (CT.satisfies reg CT.Rss = Some true)
 
 let test_witness_order_returned () =
   match CT.check fig4_history CT.Rss with
@@ -530,25 +560,25 @@ let build_history (n, seed) =
       if Sim.Rng.bool rng 0.5 then begin
         incr next_val;
         Hashtbl.replace store key !next_val;
-        H.write ~id:i ~proc:i ~key ~value:!next_val ~inv ~resp ()
+        T.write ~id:i ~proc:i ~key ~value:!next_val ~inv ~resp ()
       end
       else
-        H.read ~id:i ~proc:i ~key ?value:(Hashtbl.find_opt store key) ~inv ~resp ()
+        T.read ~id:i ~proc:i ~key ?value:(Hashtbl.find_opt store key) ~inv ~resp ()
     in
     ops := op :: !ops
   done;
-  H.make (List.rev !ops)
+  T.make (List.rev !ops)
 
 let prop_model_lattice =
   QCheck.Test.make ~name:"model lattice: lin => rsc => {sc, vv-regular}" ~count:150
     (QCheck.make gen_history) (fun params ->
       let h = build_history params in
-      let s m = reg_sat h m in
+      let s m = txn_sat h m in
       (* Implications that must hold on any time-valid history. *)
-      ((not (s CR.Linearizable)) || s CR.Rsc)
-      && ((not (s CR.Rsc)) || s CR.Sequential)
-      && ((not (s CR.Rsc)) || s CR.Regular_vv)
-      && ((not (s CR.Linearizable)) || s CR.Osc_u))
+      ((not (s CT.Strict_serializable)) || s CT.Rss)
+      && ((not (s CT.Rss)) || s CT.Process_ordered)
+      && ((not (s CT.Rss)) || s CT.Regular_vv)
+      && ((not (s CT.Strict_serializable)) || s CT.Osc_u))
 
 let prop_serial_position_order_always_sat =
   QCheck.Test.make ~name:"non-overlapping histories satisfy every model" ~count:100
@@ -566,20 +596,20 @@ let prop_serial_position_order_always_sat =
           if Sim.Rng.bool rng 0.5 then begin
             incr next_val;
             Hashtbl.replace store key !next_val;
-            H.write ~id:i ~proc:i ~key ~value:!next_val ~inv ~resp ()
+            T.write ~id:i ~proc:i ~key ~value:!next_val ~inv ~resp ()
           end
           else
-            H.read ~id:i ~proc:i ~key ?value:(Hashtbl.find_opt store key) ~inv ~resp ()
+            T.read ~id:i ~proc:i ~key ?value:(Hashtbl.find_opt store key) ~inv ~resp ()
         in
         ops := op :: !ops
       done;
-      let h = H.make (List.rev !ops) in
-      List.for_all (fun m -> reg_sat h m) CR.all_models)
+      let h = T.make (List.rev !ops) in
+      List.for_all (fun m -> txn_sat h m) reg_models)
 
 let prop_edges_only_constrain =
   QCheck.Test.make ~name:"adding a msg edge never makes an unsat history sat" ~count:100
     (QCheck.make gen_history) (fun params ->
-      let h = T.of_history (build_history params) in
+      let h = build_history params in
       let n = T.n_txns h in
       if n < 2 then true
       else begin
@@ -606,7 +636,7 @@ let prop_edges_only_constrain =
 let prop_witness_is_valid_order =
   QCheck.Test.make ~name:"returned witness respects constraint edges" ~count:100
     (QCheck.make gen_history) (fun params ->
-      let h = T.of_history (build_history params) in
+      let h = build_history params in
       match CT.check h CT.Rss with
       | CT.Unsat | CT.Unknown -> true
       | CT.Sat order ->
@@ -739,8 +769,7 @@ let test_witness_rank_breaks_ties () =
 let prop_witness_implies_search =
   QCheck.Test.make ~name:"witness Ok => search Sat" ~count:120
     (QCheck.make gen_history) (fun params ->
-      let hreg = build_history params in
-      let h = T.of_history hreg in
+      let h = build_history params in
       let n = T.n_txns h in
       (* Claim the serialization "sort by invocation time": build witness
          records with ts = inv. *)
@@ -791,9 +820,7 @@ let witness_of (h : T.t) =
     h.T.txns
 
 let graph_modes =
-  [ (`Strict, CR.Linearizable, CT.Strict_serializable);
-    (`Rss, CR.Rsc, CT.Rss);
-    (`Sequential, CR.Sequential, CT.Process_ordered) ]
+  [ (`Strict, CT.Strict_serializable); (`Rss, CT.Rss); (`Sequential, CT.Process_ordered) ]
 
 let mode_name = function `Strict -> "strict" | `Rss -> "rss" | `Sequential -> "seq"
 
@@ -814,22 +841,22 @@ let iriw ~rng =
     let r1 = i1 + gap () in
     let i2 = r1 + gap () in
     let r2 = i2 + gap () in
-    [ H.read ~id ~proc ~key:k1 ~value:1 ~inv:i1 ~resp:r1 ();
-      H.read ~id:(id + 1) ~proc ~key:k2 ~inv:i2 ~resp:r2 () ]
+    [ T.read ~id ~proc ~key:k1 ~value:1 ~inv:i1 ~resp:r1 ();
+      T.read ~id:(id + 1) ~proc ~key:k2 ~inv:i2 ~resp:r2 () ]
   in
-  H.make
-    ([ H.write ~id:0 ~proc:0 ~key:"x" ~value:1 ~inv:0 ();
-       H.write ~id:1 ~proc:1 ~key:"y" ~value:1 ~inv:0 () ]
+  T.make
+    ([ T.write ~id:0 ~proc:0 ~key:"x" ~value:1 ~inv:0 ();
+       T.write ~id:1 ~proc:1 ~key:"y" ~value:1 ~inv:0 () ]
     @ session 2 2 "x" "y" @ session 3 4 "y" "x")
 
 let test_graph_iriw () =
   let rng = Sim.Rng.make 31 in
   for _ = 1 to 50 do
     let h = iriw ~rng in
-    let txns = witness_of (T.of_history h) in
+    let txns = witness_of h in
     List.iter
-      (fun (mode, reg, _) ->
-        check bool "exhaustive search rejects IRIW" false (reg_sat h reg);
+      (fun (mode, model) ->
+        check bool "exhaustive search rejects IRIW" false (txn_sat h model);
         match CG.check ~mode txns with
         | Ok _ -> Alcotest.failf "%s: graph accepts IRIW" (mode_name mode)
         | Error m ->
@@ -865,17 +892,17 @@ let test_graph_inversion () =
       (fun in_flight ->
         let resp = if in_flight then None else Some (i2 - 1) in
         let h =
-          H.make
-            [ H.write ~id:0 ~proc:0 ~key:"x" ~value:1 ~inv:0 ?resp ();
-              H.read ~id:1 ~proc:1 ~key:"x" ~value:1 ~inv:i1 ~resp:r1 ();
-              H.read ~id:2 ~proc:2 ~key:"x" ~inv:i2 ~resp:r2 () ]
+          T.make
+            [ T.write ~id:0 ~proc:0 ~key:"x" ~value:1 ~inv:0 ?resp ();
+              T.read ~id:1 ~proc:1 ~key:"x" ~value:1 ~inv:i1 ~resp:r1 ();
+              T.read ~id:2 ~proc:2 ~key:"x" ~inv:i2 ~resp:r2 () ]
         in
-        let txns = witness_of (T.of_history h) in
+        let txns = witness_of h in
         List.iter
-          (fun (mode, reg, _) ->
+          (fun (mode, model) ->
             let expect = mode = `Sequential || (mode = `Rss && in_flight) in
             let label = Fmt.str "%s, write %s" (mode_name mode) (if in_flight then "in flight" else "done") in
-            check bool (label ^ ": exhaustive") expect (reg_sat h reg);
+            check bool (label ^ ": exhaustive") expect (txn_sat h model);
             check bool (label ^ ": graph") expect (Result.is_ok (CG.check ~mode txns)))
           graph_modes)
       [ true; false ]
@@ -895,7 +922,7 @@ let test_graph_write_back () =
   in
   let stale = Array.append txns [| wtxn ~proc:2 ~reads:[ ("x", Some 1) ] ~inv:80 ~resp:90 ~ts:2 () |] in
   List.iter
-    (fun (mode, _, _) ->
+    (fun (mode, _) ->
       check bool (mode_name mode ^ ": write-back passes") true (Result.is_ok (CG.check ~mode txns));
       check bool (mode_name mode ^ ": stale read of the run") (mode = `Sequential)
         (Result.is_ok (CG.check ~mode stale)))
@@ -945,7 +972,7 @@ let test_graph_forced_order_exact () =
     let h = gen_forced ~rng ~txn in
     let txns = witness_of h in
     List.iter
-      (fun (mode, _, model) ->
+      (fun (mode, model) ->
         let exact = txn_sat h model and graph = CG.check ~mode txns in
         if exact then incr sat else incr unsat;
         if exact <> Result.is_ok graph then
@@ -962,10 +989,10 @@ let test_graph_forced_order_exact () =
 let prop_graph_ok_implies_search =
   QCheck.Test.make ~name:"graph Ok => search Sat" ~count:300 (QCheck.make gen_history)
     (fun params ->
-      let h = T.of_history (build_history params) in
+      let h = build_history params in
       let txns = witness_of h in
       List.for_all
-        (fun (mode, _, model) ->
+        (fun (mode, model) ->
           match CG.check ~mode txns with
           | Error _ -> true
           | Ok order ->
@@ -991,23 +1018,23 @@ let test_mwr_no_total_order_needed () =
      the write is still in flight. Every total-order model rejects it;
      MWR-Weak does not (each read has its own serialization). *)
   let flip =
-    H.make
+    T.make
       [
-        H.write ~id:0 ~proc:0 ~key:"x" ~value:1 ~inv:0 ();
-        H.read ~id:1 ~proc:1 ~key:"x" ~value:1 ~inv:10 ~resp:20 ();
-        H.read ~id:2 ~proc:1 ~key:"x" ~inv:30 ~resp:40 ();
+        T.write ~id:0 ~proc:0 ~key:"x" ~value:1 ~inv:0 ();
+        T.read ~id:1 ~proc:1 ~key:"x" ~value:1 ~inv:10 ~resp:20 ();
+        T.read ~id:2 ~proc:1 ~key:"x" ~inv:30 ~resp:40 ();
       ]
   in
-  check bool "sequential rejects flip" false (reg_sat flip Sequential);
+  check bool "sequential rejects flip" false (txn_sat flip Process_ordered);
   check bool "MWR-Weak allows flip" true (mwr flip)
 
 let test_mwr_overwritten_value () =
   let h =
-    H.make
+    T.make
       [
-        H.write ~id:0 ~proc:0 ~key:"x" ~value:1 ~inv:0 ~resp:10 ();
-        H.write ~id:1 ~proc:1 ~key:"x" ~value:2 ~inv:20 ~resp:30 ();
-        H.read ~id:2 ~proc:2 ~key:"x" ~value:1 ~inv:40 ~resp:50 ();
+        T.write ~id:0 ~proc:0 ~key:"x" ~value:1 ~inv:0 ~resp:10 ();
+        T.write ~id:1 ~proc:1 ~key:"x" ~value:2 ~inv:20 ~resp:30 ();
+        T.read ~id:2 ~proc:2 ~key:"x" ~value:1 ~inv:40 ~resp:50 ();
       ]
   in
   check bool "reading an overwritten value rejected" false (mwr h)
@@ -1016,40 +1043,52 @@ let test_mwr_concurrent_overwrite_ok () =
   (* If the second write is still concurrent with the read, the old value is
      fine: w2 is not forced between w1 and r. *)
   let h =
-    H.make
+    T.make
       [
-        H.write ~id:0 ~proc:0 ~key:"x" ~value:1 ~inv:0 ~resp:10 ();
-        H.write ~id:1 ~proc:1 ~key:"x" ~value:2 ~inv:20 ~resp:100 ();
-        H.read ~id:2 ~proc:2 ~key:"x" ~value:1 ~inv:40 ~resp:50 ();
+        T.write ~id:0 ~proc:0 ~key:"x" ~value:1 ~inv:0 ~resp:10 ();
+        T.write ~id:1 ~proc:1 ~key:"x" ~value:2 ~inv:20 ~resp:100 ();
+        T.read ~id:2 ~proc:2 ~key:"x" ~value:1 ~inv:40 ~resp:50 ();
       ]
   in
   check bool "concurrent overwrite allows old value" true (mwr h)
 
 let test_mwr_unwritten_value () =
   let h =
-    H.make
+    T.make
       [
-        H.write ~id:0 ~proc:0 ~key:"x" ~value:1 ~inv:0 ~resp:10 ();
-        H.read ~id:1 ~proc:1 ~key:"x" ~value:99 ~inv:20 ~resp:30 ();
+        T.write ~id:0 ~proc:0 ~key:"x" ~value:1 ~inv:0 ~resp:10 ();
+        T.read ~id:1 ~proc:1 ~key:"x" ~value:99 ~inv:20 ~resp:30 ();
       ]
   in
   check bool "unwritten value rejected" false (mwr h)
 
+let test_mwr_rejects_multi_key_txn () =
+  let h =
+    T.make
+      [
+        T.write ~id:0 ~proc:0 ~key:"x" ~value:1 ~inv:0 ~resp:10 ();
+        T.ro ~id:1 ~proc:1 ~reads:[ ("x", Some 1); ("y", None) ] ~inv:20 ~resp:30 ();
+      ]
+  in
+  check (Alcotest.result Alcotest.unit Alcotest.string) "two-key txn named"
+    (Error "txn 1 is not a one-key read, write or rmw")
+    (Rss_core.Check_mwr.check_weak h)
+
 let test_mwr_rmw_observation () =
   let bad =
-    H.make
+    T.make
       [
-        H.write ~id:0 ~proc:0 ~key:"x" ~value:1 ~inv:0 ~resp:10 ();
-        H.rmw ~id:1 ~proc:1 ~key:"x" ~result:5 ~inv:20 ~resp:30 ();
+        T.write ~id:0 ~proc:0 ~key:"x" ~value:1 ~inv:0 ~resp:10 ();
+        T.rmw ~id:1 ~proc:1 ~key:"x" ~result:5 ~inv:20 ~resp:30 ();
       ]
   in
   (* rmw observed None despite a completed write: rejected. *)
   check bool "rmw nil observation rejected" false (mwr bad);
   let good =
-    H.make
+    T.make
       [
-        H.write ~id:0 ~proc:0 ~key:"x" ~value:1 ~inv:0 ~resp:10 ();
-        H.rmw ~id:1 ~proc:1 ~key:"x" ~observed:1 ~result:5 ~inv:20 ~resp:30 ();
+        T.write ~id:0 ~proc:0 ~key:"x" ~value:1 ~inv:0 ~resp:10 ();
+        T.rmw ~id:1 ~proc:1 ~key:"x" ~observed:1 ~result:5 ~inv:20 ~resp:30 ();
       ]
   in
   check bool "rmw chained observation ok" true (mwr good)
@@ -1058,13 +1097,13 @@ let prop_lin_implies_mwr =
   QCheck.Test.make ~name:"linearizable => MWR-Weak" ~count:150
     (QCheck.make gen_history) (fun params ->
       let h = build_history params in
-      (not (reg_sat h Linearizable)) || mwr h)
+      (not (txn_sat h Strict_serializable)) || mwr h)
 
 let prop_vv_regular_implies_mwr =
   QCheck.Test.make ~name:"VV-regular => MWR-Weak" ~count:150
     (QCheck.make gen_history) (fun params ->
       let h = build_history params in
-      (not (reg_sat h Regular_vv)) || mwr h)
+      (not (txn_sat h Regular_vv)) || mwr h)
 
 let prop_witness_sequential_histories_pass =
   QCheck.Test.make ~name:"witness accepts any sequential history (all modes)" ~count:150
@@ -1226,6 +1265,9 @@ let suites =
           test_history_overlapping_process_rejected;
         Alcotest.test_case "msg edge vs time" `Quick test_history_msg_edge_time_checked;
         Alcotest.test_case "incomplete tail ok" `Quick test_history_incomplete_last_op_ok;
+        Alcotest.test_case "empty history" `Quick test_history_empty;
+        Alcotest.test_case "register trace round trip" `Quick
+          test_register_trace_roundtrip;
       ] );
     ( "core.causal",
       [
@@ -1307,6 +1349,7 @@ let suites =
           test_mwr_concurrent_overwrite_ok;
         Alcotest.test_case "unwritten value" `Quick test_mwr_unwritten_value;
         Alcotest.test_case "rmw observations" `Quick test_mwr_rmw_observation;
+        Alcotest.test_case "multi-key txn rejected" `Quick test_mwr_rejects_multi_key_txn;
         qt prop_lin_implies_mwr;
         qt prop_vv_regular_implies_mwr;
       ] );

@@ -470,28 +470,15 @@ let test_small_run_full_rsc_search () =
   let records = Gryff.Cluster.records cluster in
   let n = Array.length records in
   check bool "small but non-trivial" true (n > 4 && n < 40);
-  let ops =
+  let h =
     Array.to_list records
-    |> List.mapi (fun i (r : Gryff.Cluster.record) ->
+    |> List.mapi (fun id (r : Gryff.Cluster.record) ->
            let key = string_of_int r.Gryff.Cluster.g_key in
-           match r.Gryff.Cluster.g_kind with
-           | Gryff.Cluster.Read ->
-             Rss_core.History.read ~id:i ~proc:r.Gryff.Cluster.g_proc ~key
-               ?value:r.Gryff.Cluster.g_observed ~inv:r.Gryff.Cluster.g_inv
-               ~resp:r.Gryff.Cluster.g_resp ()
-           | Gryff.Cluster.Write ->
-             Rss_core.History.write ~id:i ~proc:r.Gryff.Cluster.g_proc ~key
-               ~value:(Option.get r.Gryff.Cluster.g_written)
-               ~inv:r.Gryff.Cluster.g_inv ~resp:r.Gryff.Cluster.g_resp ()
-           | Gryff.Cluster.Rmw ->
-             Rss_core.History.rmw ~id:i ~proc:r.Gryff.Cluster.g_proc ~key
-               ?observed:r.Gryff.Cluster.g_observed
-               ~result:(Option.get r.Gryff.Cluster.g_written)
-               ~inv:r.Gryff.Cluster.g_inv ~resp:r.Gryff.Cluster.g_resp ())
+           Rss_core.Txn_history.of_witness ~id (Gryff.Cluster.witness_txn ~key r))
+    |> Rss_core.Txn_history.make
   in
-  let h = Rss_core.History.make ops in
   check bool "run satisfies RSC (search checker)" true
-    (Rss_core.Check_reg.satisfies ~max_states:5_000_000 h Rss_core.Check_reg.Rsc
+    (Rss_core.Check_txn.satisfies ~max_states:5_000_000 h Rss_core.Check_txn.Rss
     = Some true)
 
 let suites =

@@ -291,6 +291,83 @@ let prop_transform_random_execs =
         | Error _ -> false
         | Ok r -> r.Transform.equivalent && r.Transform.valid && r.Transform.sequential))
 
+(* Lemma C.5 as first written, over the transitive closure: the premise
+   compares every causally ordered pair of system-facing actions, and M(i)
+   is the largest S-position among i and everything causally before it.
+   [None] when the premise fails, else the transformed schedule. *)
+let reference_c5 ~sched ~serialization =
+  let n = Array.length sched in
+  let c = Schedule.causal sched in
+  let pos = Hashtbl.create 16 in
+  List.iteri (fun p op -> Hashtbl.replace pos op p) serialization;
+  let unserialized = 2 * List.length serialization in
+  let s_position = function
+    | Action.Invoke { op; _ } ->
+      Some (match Hashtbl.find_opt pos op with Some p -> 2 * p | None -> unserialized)
+    | Action.Response { op; _ } ->
+      Some (match Hashtbl.find_opt pos op with Some p -> (2 * p) + 1 | None -> unserialized + 1)
+    | _ -> None
+  in
+  let own i = Option.value (s_position sched.(i)) ~default:(-1) in
+  let premise = ref true and m = Array.init n own in
+  for i = 0 to n - 1 do
+    for j = 0 to n - 1 do
+      if Rss_core.Causal.precedes c i j then begin
+        (match (s_position sched.(i), s_position sched.(j)) with
+        | Some pi, Some pj when pi > pj -> premise := false
+        | _ -> ());
+        m.(j) <- max m.(j) (own i)
+      end
+    done
+  done;
+  if not !premise then None
+  else begin
+    let order = Array.init n Fun.id in
+    Array.stable_sort (fun a b -> compare m.(a) m.(b)) order;
+    Some (Array.map (fun i -> sched.(i)) order)
+  end
+
+(* The linear pass against the reference, on the response-order
+   serialization (always causal) and a shuffled one (often not), some ops
+   left out; [Some ok] is the agreed verdict, [None] a disagreement. *)
+let c5_against_reference (n_procs, seed) =
+  let sched = build_random_exec (n_procs, seed) in
+  let by_response =
+    Array.to_list sched
+    |> List.filter_map (function Action.Response { op; _ } -> Some op | _ -> None)
+  in
+  let rng = Sim.Rng.make (seed + 1) in
+  let shuffled = Array.of_list by_response in
+  Sim.Rng.shuffle rng shuffled;
+  let shuffled =
+    List.filteri (fun i _ -> i > 0 || Sim.Rng.bool rng 0.5) (Array.to_list shuffled)
+  in
+  List.map
+    (fun serialization ->
+      match (Transform.lemma_c5 ~sched ~serialization (), reference_c5 ~sched ~serialization) with
+      | Ok r, Some t when r.Transform.transformed = t -> Some true
+      | Error _, None -> Some false
+      | _ -> None)
+    [ by_response; shuffled ]
+
+let prop_transform_matches_reference =
+  QCheck.Test.make ~name:"lemma C.5 pass matches the closure" ~count:300
+    (QCheck.make gen_params) (fun params ->
+      List.for_all Option.is_some (c5_against_reference params))
+
+let test_transform_reference_both_verdicts () =
+  let ok = ref 0 and refused = ref 0 in
+  for seed = 1 to 200 do
+    List.iter
+      (function
+        | Some true -> incr ok
+        | Some false -> incr refused
+        | None -> Alcotest.failf "seed %d: pass and closure disagree" seed)
+      (c5_against_reference (2 + (seed mod 3), seed))
+  done;
+  check bool (Fmt.str "both verdicts (%d Ok, %d Error)" !ok !refused) true
+    (!ok > 50 && !refused > 50)
+
 let prop_random_swaps_preserve_execution =
   QCheck.Test.make ~name:"commutation lemmas on random executions" ~count:120
     (QCheck.make QCheck.Gen.(pair gen_params (int_bound 50))) (fun (params, k) ->
@@ -546,5 +623,8 @@ let suites =
         Alcotest.test_case "channel traffic moves" `Quick
           test_transform_moves_channel_traffic;
         QCheck_alcotest.to_alcotest prop_transform_random_execs;
+        QCheck_alcotest.to_alcotest prop_transform_matches_reference;
+        Alcotest.test_case "pass vs closure, both verdicts" `Quick
+          test_transform_reference_both_verdicts;
       ] );
   ]

@@ -168,13 +168,13 @@ let test_osc_registers_satisfy_oscu () =
     check bool
       (Fmt.str "seed %d satisfies OSC(U)" seed)
       true
-      (Rss_core.Check_reg.satisfies ~max_states:5_000_000 h Rss_core.Check_reg.Osc_u
+      (Rss_core.Check_txn.satisfies ~max_states:5_000_000 h Rss_core.Check_txn.Osc_u
       = Some true);
     check bool
       (Fmt.str "seed %d satisfies sequential" seed)
       true
-      (Rss_core.Check_reg.satisfies ~max_states:5_000_000 h
-         Rss_core.Check_reg.Sequential
+      (Rss_core.Check_txn.satisfies ~max_states:5_000_000 h
+         Rss_core.Check_txn.Process_ordered
       = Some true)
   done
 
@@ -186,13 +186,13 @@ let test_osc_registers_not_rsc () =
   while (not !found) && !seed <= 40 do
     let h = osc_register_run ~seed:!seed ~n_ops:5 in
     if
-      Rss_core.Check_reg.satisfies ~max_states:5_000_000 h Rss_core.Check_reg.Rsc
+      Rss_core.Check_txn.satisfies ~max_states:5_000_000 h Rss_core.Check_txn.Rss
       = Some false
     then begin
       found := true;
       check bool "the same run satisfies OSC(U)" true
-        (Rss_core.Check_reg.satisfies ~max_states:5_000_000 h
-           Rss_core.Check_reg.Osc_u
+        (Rss_core.Check_txn.satisfies ~max_states:5_000_000 h
+           Rss_core.Check_txn.Osc_u
         = Some true)
     end;
     incr seed
