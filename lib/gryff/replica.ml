@@ -19,13 +19,15 @@ type instance = {
 type t = {
   replica_id : int;
   station : Sim.Station.t;
-  values : (int, value option * Carstamp.t) Hashtbl.t;
+  values : (value option * Carstamp.t) Sim.Int_table.t;
+  (* Keyed by (replica, counter) pairs, as are [try_execute]'s scratch
+     tables, so these stay stdlib tables. *)
   instances : (instance_id, instance) Hashtbl.t;
-  per_key : (int, instance_id list) Hashtbl.t;
+  per_key : instance_id list Sim.Int_table.t;
   (* Result of the most recently executed rmw per key: execution applies f
      to the max of the agreed base and this tail, which is deterministic
      because interfering instances execute in one global order. *)
-  exec_tail : (int, value * Carstamp.t) Hashtbl.t;
+  exec_tail : (value * Carstamp.t) Sim.Int_table.t;
   mutable next_inst : int;
   mutable executed_hook : instance -> unit;
 }
@@ -34,24 +36,23 @@ let create engine (config : Config.t) ~replica_id =
   {
     replica_id;
     station = Sim.Station.create engine ~service_time_us:config.Config.service_time_us;
-    values = Hashtbl.create 4096;
+    values = Sim.Int_table.create ();
     instances = Hashtbl.create 256;
-    per_key = Hashtbl.create 256;
-    exec_tail = Hashtbl.create 256;
+    per_key = Sim.Int_table.create ();
+    exec_tail = Sim.Int_table.create ();
     next_inst = 0;
     executed_hook = (fun _ -> ());
   }
 
-let get t key =
-  match Hashtbl.find_opt t.values key with
-  | None -> (None, Carstamp.zero)
-  | Some vc -> vc
+let unwritten = (None, Carstamp.zero)
+
+let get t key = try Sim.Int_table.find t.values key with Not_found -> unwritten
 
 let apply t ~key ~value ~cs =
   let _, cur = get t key in
-  if Carstamp.(cs > cur) then Hashtbl.replace t.values key (Some value, cs)
+  if Carstamp.(cs > cur) then Sim.Int_table.replace t.values key (Some value, cs)
 
-let interf t key = try Hashtbl.find t.per_key key with Not_found -> []
+let interf t key = try Sim.Int_table.find t.per_key key with Not_found -> []
 
 let max_interf_seq t key =
   List.fold_left
@@ -63,7 +64,7 @@ let max_interf_seq t key =
 
 let register t inst =
   Hashtbl.replace t.instances inst.inst_id inst;
-  Hashtbl.replace t.per_key inst.i_key (inst.inst_id :: interf t inst.i_key)
+  Sim.Int_table.replace t.per_key inst.i_key (inst.inst_id :: interf t inst.i_key)
 
 let fresh_instance t ~key ~f =
   let id = (t.replica_id, t.next_inst) in
@@ -212,7 +213,7 @@ let try_execute t =
       let exec_one id =
         let inst = Hashtbl.find t.instances id in
         let base_eff =
-          match Hashtbl.find_opt t.exec_tail inst.i_key with
+          match Sim.Int_table.find_opt t.exec_tail inst.i_key with
           | Some (v, cs) when Carstamp.(cs > snd inst.i_base) -> (Some v, cs)
           | Some _ | None -> inst.i_base
         in
@@ -220,7 +221,7 @@ let try_execute t =
         let new_v = inst.i_f old_v in
         let cs = Carstamp.for_rmw ~base:base_cs in
         apply t ~key:inst.i_key ~value:new_v ~cs;
-        Hashtbl.replace t.exec_tail inst.i_key (new_v, cs);
+        Sim.Int_table.replace t.exec_tail inst.i_key (new_v, cs);
         inst.i_result <- Some (new_v, cs);
         inst.i_observed <- old_v;
         inst.i_status <- Executed;

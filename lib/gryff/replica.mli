@@ -26,10 +26,10 @@ type instance = {
 type t = {
   replica_id : int;
   station : Sim.Station.t;
-  values : (int, value option * Carstamp.t) Hashtbl.t;
+  values : (value option * Carstamp.t) Sim.Int_table.t;
   instances : (instance_id, instance) Hashtbl.t;
-  per_key : (int, instance_id list) Hashtbl.t;
-  exec_tail : (int, value * Carstamp.t) Hashtbl.t;
+  per_key : instance_id list Sim.Int_table.t;
+  exec_tail : (value * Carstamp.t) Sim.Int_table.t;
       (** result of the most recently executed rmw per key *)
   mutable next_inst : int;
   mutable executed_hook : instance -> unit;

@@ -325,8 +325,6 @@ let judge_one ~mode feed =
    from the smallest: no table, and no more than the [n + n / 2] words a
    merge sort of the indices would allocate. Sparser keys rank by their
    place among the sorted distinct keys, found in a hash table. *)
-module Key_ranks = Hashtbl.Make (Int)
-
 let by_key (a : Gryff.Cluster.record array) =
   let n = Array.length a and lo = ref max_int and hi = ref min_int in
   Array.iter (fun r -> lo := Int.min !lo r.Gryff.Cluster.g_key; hi := Int.max !hi r.g_key) a;
@@ -334,15 +332,15 @@ let by_key (a : Gryff.Cluster.record array) =
   if n > 0 && span >= 0 && span <= n / 2 then
     snd (Rss_core.Group.by (span + 1) n (fun i -> a.(i).Gryff.Cluster.g_key - lo))
   else begin
-    let ranks = Key_ranks.create 64 in
-    Array.iter (fun r -> Key_ranks.replace ranks r.Gryff.Cluster.g_key 0) a;
-    let keys = Array.make (Key_ranks.length ranks) 0 and m = ref 0 in
-    Key_ranks.iter (fun k _ -> keys.(!m) <- k; incr m) ranks;
+    let ranks = Sim.Int_table.create () in
+    Array.iter (fun r -> Sim.Int_table.replace ranks r.Gryff.Cluster.g_key 0) a;
+    let keys = Array.make (Sim.Int_table.length ranks) 0 in
+    ignore (Sim.Int_table.fold (fun k _ m -> keys.(m) <- k; m + 1) ranks 0);
     Array.sort Int.compare keys;
-    Array.iteri (fun i k -> Key_ranks.replace ranks k i) keys;
+    Array.iteri (fun i k -> Sim.Int_table.replace ranks k i) keys;
     snd
       (Rss_core.Group.by (Array.length keys) n (fun i ->
-           Key_ranks.find ranks a.(i).Gryff.Cluster.g_key))
+           Sim.Int_table.find ranks a.(i).Gryff.Cluster.g_key))
   end
 
 (* A Spanner history is judged whole against its mode's witness order, a
@@ -386,20 +384,20 @@ let judge ~mode = function
    exactly how complete(α) treats a stopped client. The tracker holds only
    ops not yet acknowledged; the sweep visits them in issue order. *)
 module Unacked = struct
-  type 'a t = { live : (int, 'a) Hashtbl.t; mutable next : int }
+  type 'a t = { live : 'a Sim.Int_table.t; mutable next : int }
 
-  let create () = { live = Hashtbl.create 64; next = 0 }
+  let create () = { live = Sim.Int_table.create (); next = 0 }
 
   let add t x =
     let id = t.next in
     t.next <- id + 1;
-    Hashtbl.add t.live id x;
+    Sim.Int_table.replace t.live id x;
     id
 
-  let ack t id = Hashtbl.remove t.live id
+  let ack t id = Sim.Int_table.remove t.live id
 
   let in_issue_order t =
-    Hashtbl.fold (fun id x acc -> (id, x) :: acc) t.live []
+    Sim.Int_table.fold (fun id x acc -> (id, x) :: acc) t.live []
     |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
     |> List.map snd
 end
@@ -704,14 +702,14 @@ let drive ~env ?prepare ~seed ~duration_s ~model ~site_of ~latencies ~warmup_s
   let count name = Obs.Metrics.incr (Obs.Metrics.counter reg name) in
   let completed = Obs.Metrics.counter reg "op.completed" in
   let post_heal = Obs.Metrics.counter reg "op.post_heal_completed" in
-  let sessions = Hashtbl.create 64 in
+  let sessions = Sim.Int_table.create () in
   let session client =
-    match Hashtbl.find sessions client with
+    match Sim.Int_table.find sessions client with
     | s -> s
     | exception Not_found ->
       let client' = d.new_client ~site:(site_of client) in
       let s = { client = client'; kind = 0; t0 = 0; dead = false } in
-      Hashtbl.add sessions client s;
+      Sim.Int_table.replace sessions client s;
       s
   in
   let body ~client k =
@@ -740,7 +738,7 @@ let drive ~env ?prepare ~seed ~duration_s ~model ~site_of ~latencies ~warmup_s
   | Slots { n_slots; timeout_us } ->
     Workload.Client_model.slots engine ~n_slots ~timeout_us ~body ~until
       ~on_timeout:(fun ~client ->
-        let s = Hashtbl.find sessions client in
+        let s = Sim.Int_table.find sessions client in
         s.dead <- true;
         count "op.timed_out";
         count ("op.timed_out." ^ d.kinds.(s.kind));

@@ -28,7 +28,7 @@ type 'a member = {
   m_site : int;
   m_store : Sim.Durable.t;
   m_log : 'a entry Sim.Durable.log;
-  m_stash : (int, 'a entry) Hashtbl.t;  (* out-of-order appends (volatile) *)
+  m_stash : 'a entry Sim.Int_table.t;  (* out-of-order appends (volatile) *)
   mutable m_view : int;  (* mirrored to [m_store] on every change *)
   mutable m_status : status;
   mutable m_last_heard : int;  (* last leader contact (follower side) *)
@@ -60,7 +60,7 @@ type 'a t = {
   members : 'a member array;  (* index 0 = initial leader *)
   n : int;
   majority : int;
-  pending : (int, pending) Hashtbl.t;  (* by log index, current view only *)
+  pending : pending Sim.Int_table.t;  (* by log index, current view only *)
   heard : int array;  (* leader-side lease: last ack/pong per member *)
   mutable view : int;  (* routing view: the last *activated* leadership *)
   mutable next_id : int;  (* next [e_id] *)
@@ -96,7 +96,7 @@ let create net ?station ~leader_site ~replica_sites () =
           m_site = site;
           m_store = store;
           m_log = Sim.Durable.log store;
-          m_stash = Hashtbl.create 8;
+          m_stash = Sim.Int_table.create ();
           m_view = 0;
           m_status = Normal;
           m_last_heard = 0;
@@ -118,7 +118,7 @@ let create net ?station ~leader_site ~replica_sites () =
     members;
     n;
     majority = (n / 2) + 1;
-    pending = Hashtbl.create 64;
+    pending = Sim.Int_table.create ();
     heard = Array.make n 0;
     view = 0;
     next_id = 0;
@@ -245,7 +245,7 @@ let verify_storage t (m : 'a member) =
 
 let install_log t (m : 'a member) entries =
   Sim.Durable.replace m.m_log entries;
-  Hashtbl.reset m.m_stash;
+  Sim.Int_table.reset m.m_stash;
   (let n = Sim.Durable.length m.m_log in
    m.m_installed <-
      (if n = 0 then no_install
@@ -291,7 +291,7 @@ let credit t ~from idx pd =
   pd.pd_acks <- pd.pd_acks + 1;
   if (not pd.pd_fired) && pd.pd_acks >= t.majority - 1 then begin
     pd.pd_fired <- true;
-    Hashtbl.remove t.pending idx;
+    Sim.Int_table.remove t.pending idx;
     pd.pd_k ()
   end
 
@@ -305,11 +305,11 @@ let send_ack t (m : 'a member) ~to_m ~view ~idx ~id =
           || (to_m.m_status = Normal && view = to_m.m_view)
         then begin
           t.heard.(m.m_idx) <- now t;
-          match Hashtbl.find_opt t.pending idx with
-          | Some pd when pd.pd_id = id ->
+          match Sim.Int_table.find t.pending idx with
+          | pd when pd.pd_id = id ->
             if pd.pd_acked.(m.m_idx) then t.n_dup_acks <- t.n_dup_acks + 1
             else credit t ~from:m.m_idx idx pd
-          | Some _ | None -> ()
+          | _ | (exception Not_found) -> ()
         end
       in
       match t.station with
@@ -389,9 +389,9 @@ let recv_append t (m : 'a member) ~from ~idx ~entry =
         (* Drain any reordered successors that were stashed. *)
         let rec drain () =
           let len = Sim.Durable.length m.m_log in
-          match Hashtbl.find_opt m.m_stash len with
+          match Sim.Int_table.find_opt m.m_stash len with
           | Some e ->
-            Hashtbl.remove m.m_stash len;
+            Sim.Int_table.remove m.m_stash len;
             follow m e;
             send_ack t m ~to_m:from ~view:e.e_view ~idx:len ~id:e.e_id;
             drain ()
@@ -400,7 +400,7 @@ let recv_append t (m : 'a member) ~from ~idx ~entry =
         drain ()
       end
       else begin
-        Hashtbl.replace m.m_stash idx entry;
+        Sim.Int_table.replace m.m_stash idx entry;
         request_catchup t m
       end
     end
@@ -430,7 +430,7 @@ let replicate t ?(bytes = 128) payload k =
       }
     in
     pd.pd_acked.(lm.m_idx) <- true;
-    Hashtbl.replace t.pending idx pd;
+    Sim.Int_table.replace t.pending idx pd;
     Array.iter
       (fun m ->
         if m.m_idx <> lm.m_idx then
@@ -450,7 +450,7 @@ let maybe_activate t (m : 'a member) cfg =
     t.leader_idx <- m.m_idx;
     t.serve_after <- now t + cfg.grace_us;
     Array.fill t.heard 0 t.n (now t);
-    Hashtbl.reset t.pending;  (* older-view proposals never commit *)
+    Sim.Int_table.reset t.pending;  (* older-view proposals never commit *)
     t.n_view_changes <- t.n_view_changes + 1;
     if t.vc_detect_at >= 0 then begin
       let d = now t - t.vc_detect_at in
@@ -622,11 +622,12 @@ let recv_pong t (m : 'a member) ~from ~view ~inst =
     t.heard.(from) <- now t;
     if
       m.m_idx = t.leader_idx && view = t.view && inst.i_view = view
-      && Hashtbl.length t.pending > 0
+      && Sim.Int_table.length t.pending > 0
       && inst.i_idx < Sim.Durable.length m.m_log
       && (Sim.Durable.get m.m_log inst.i_idx).e_id = inst.i_id
     then
-      Hashtbl.fold
+      (* Credited in index order: the fold's own order is free. *)
+      Sim.Int_table.fold
         (fun idx pd acc ->
           if idx <= inst.i_idx && not pd.pd_acked.(from) then (idx, pd) :: acc
           else acc)
@@ -688,7 +689,7 @@ let rec tick t (m : 'a member) () =
             crash intact — and let catch-up repair the rest. *)
          m.m_was_down <- false;
          m.m_status <- Normal;
-         Hashtbl.reset m.m_stash;
+         Sim.Int_table.reset m.m_stash;
          m.m_last_heard <- now t;
          verify_storage t m;
          request_catchup t m

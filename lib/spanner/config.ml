@@ -69,31 +69,49 @@ let replicate_us t ~shard =
   if needed = 0 then 0
   else List.nth rtts (needed - 1)
 
-let estimate_commit_latency_us t ~client_site ~participants =
-  let latency_with_coord coord =
-    let prepare_paths =
-      List.filter_map
-        (fun p ->
-          if p = coord then None
-          else
-            Some
-              (one_way_us t client_site t.leader_site.(p)
-              + replicate_us t ~shard:p
-              + one_way_us t t.leader_site.(p) t.leader_site.(coord)))
-        participants
-    in
-    let to_coord = one_way_us t client_site t.leader_site.(coord) in
-    let slowest = List.fold_left max to_coord prepare_paths in
-    slowest
-    + replicate_us t ~shard:coord
-    + one_way_us t t.leader_site.(coord) client_site
+(* Every term of the estimate depends only on the static layout, so the
+   one-way delays and majority replication times are computed once; the
+   returned function only adds and compares them. The first of equally
+   fast coordinators wins. *)
+let estimator t =
+  let n_sites = Array.length t.rtt_ms in
+  let one_way =
+    Array.init n_sites (fun a -> Array.init n_sites (fun b -> one_way_us t a b))
   in
-  match participants with
-  | [] -> invalid_arg "estimate_commit_latency_us: no participants"
-  | first :: rest ->
-    List.fold_left
-      (fun (best, best_lat) coord ->
-        let lat = latency_with_coord coord in
-        if lat < best_lat then (coord, lat) else (best, best_lat))
-      (first, latency_with_coord first)
-      rest
+  let repl = Array.init t.n_shards (fun shard -> replicate_us t ~shard) in
+  let leader = t.leader_site in
+  (* The slowest path into [coord]: the client's own, or a participant's
+     prepare (client to its leader, replication, leader to [coord]). *)
+  let rec slowest client coord acc = function
+    | [] -> acc
+    | p :: ps ->
+      let acc =
+        if p = coord then acc
+        else
+          Int.max acc
+            (one_way.(client).(leader.(p)) + repl.(p)
+            + one_way.(leader.(p)).(leader.(coord)))
+      in
+      slowest client coord acc ps
+  in
+  let latency client participants coord =
+    let lc = leader.(coord) in
+    slowest client coord one_way.(client).(lc) participants
+    + repl.(coord) + one_way.(lc).(client)
+  in
+  let rec best client participants coord lat = function
+    | [] -> (coord, lat)
+    | c :: cs ->
+      let l = latency client participants c in
+      if l < lat then best client participants c l cs
+      else best client participants coord lat cs
+  in
+  fun ~client_site ~participants ->
+    match participants with
+    | [] -> invalid_arg "estimate_commit_latency_us: no participants"
+    | first :: rest ->
+      best client_site participants first
+        (latency client_site participants first)
+        rest
+
+let estimate_commit_latency_us t = estimator t

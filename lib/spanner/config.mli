@@ -47,3 +47,8 @@ val estimate_commit_latency_us : t -> client_site:int -> participants:int list -
     minimizing the client-observed commit latency, and that base latency
     (excluding commit wait). Matches the paper's client-side t_ee
     estimation from minimum observed round-trip times. *)
+
+val estimator : t -> client_site:int -> participants:int list -> int * int
+(** [estimator t] is [estimate_commit_latency_us t] with every term that
+    depends only on [t] computed once, up front: stage it once per cluster
+    and apply it per transaction. *)

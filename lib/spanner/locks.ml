@@ -18,10 +18,10 @@ type entry = {
 
 type t = {
   engine : Sim.Engine.t;
-  table : (int, entry) Hashtbl.t;
-  held : (int, (int * kind) list) Hashtbl.t;  (* txn -> locks *)
-  queued : (int, int list) Hashtbl.t;  (* txn -> keys with queued requests *)
-  priorities : (int, int * int) Hashtbl.t;
+  table : entry Sim.Int_table.t;
+  held : (int * kind) list Sim.Int_table.t;  (* txn -> locks *)
+  queued : int list Sim.Int_table.t;  (* txn -> keys with queued requests *)
+  priorities : (int * int) Sim.Int_table.t;
   is_prepared : int -> bool;
   is_wounded : int -> bool;
   wound : int -> unit;
@@ -30,7 +30,8 @@ type t = {
   (* Wakeup machinery: keys whose queues need re-examination. A single
      drain loop owns queue processing; nested calls (wound chains inside
      try_acquire) only mark keys dirty, so no wakeup can be lost to
-     re-entrancy. *)
+     re-entrancy. A stdlib table: [pick]'s fold order decides which dirty
+     key is scanned next, so it reaches the schedule. *)
   dirty : (int, unit) Hashtbl.t;
   mutable last_dirty : int;  (* the key most recently marked dirty *)
   mutable draining : bool;
@@ -39,10 +40,10 @@ type t = {
 let create engine ~is_prepared ~is_wounded ~wound ~wound_prepared =
   {
     engine;
-    table = Hashtbl.create 256;
-    held = Hashtbl.create 64;
-    queued = Hashtbl.create 64;
-    priorities = Hashtbl.create 64;
+    table = Sim.Int_table.create ();
+    held = Sim.Int_table.create ();
+    queued = Sim.Int_table.create ();
+    priorities = Sim.Int_table.create ();
     is_prepared;
     is_wounded;
     wound;
@@ -54,20 +55,22 @@ let create engine ~is_prepared ~is_wounded ~wound ~wound_prepared =
   }
 
 let entry t key =
-  match Hashtbl.find_opt t.table key with
-  | Some e -> e
-  | None ->
+  match Sim.Int_table.find t.table key with
+  | e -> e
+  | exception Not_found ->
     let e = { readers = []; writer = None; queue = [] } in
-    Hashtbl.add t.table key e;
+    Sim.Int_table.replace t.table key e;
     e
 
 let holds_read t ~key ~txn =
-  match Hashtbl.find_opt t.table key with
-  | None -> false
-  | Some e -> List.mem txn e.readers || e.writer = Some txn
+  match Sim.Int_table.find t.table key with
+  | e -> List.mem txn e.readers || e.writer = Some txn
+  | exception Not_found -> false
 
 let holds_write t ~key ~txn =
-  match Hashtbl.find_opt t.table key with None -> false | Some e -> e.writer = Some txn
+  match Sim.Int_table.find t.table key with
+  | e -> e.writer = Some txn
+  | exception Not_found -> false
 
 let wounds_inflicted t = t.wounds
 
@@ -75,9 +78,9 @@ let wounds_inflicted t = t.wounds
    drain: a fenced range is quiescent only once every read/write lock in it
    has been released (commit wait then bounds the holders' commit
    timestamps below the migration timestamp) and no request is parked
-   waiting to become a holder. *)
+   waiting to become a holder. The fold only ORs, so its order is free. *)
 let any_busy_in t ~lo ~hi =
-  Hashtbl.fold
+  Sim.Int_table.fold
     (fun key e acc ->
       acc
       || (key >= lo && key < hi
@@ -85,13 +88,11 @@ let any_busy_in t ~lo ~hi =
     t.table false
 
 let priority_of t txn =
-  match Hashtbl.find_opt t.priorities txn with
-  | Some p -> p
-  | None -> (max_int, txn)
+  try Sim.Int_table.find t.priorities txn with Not_found -> (max_int, txn)
 
 let record_held t txn key kind =
-  let prev = try Hashtbl.find t.held txn with Not_found -> [] in
-  Hashtbl.replace t.held txn ((key, kind) :: prev)
+  let prev = try Sim.Int_table.find t.held txn with Not_found -> [] in
+  Sim.Int_table.replace t.held txn ((key, kind) :: prev)
 
 (* Remove [txn]'s locks and queued requests; returns affected keys and the
    continuations of its aborted queued requests. Only the keys the txn
@@ -100,9 +101,9 @@ let record_held t txn key kind =
 let strip t txn =
   let affected = ref [] in
   let aborted_ks = ref [] in
-  (match Hashtbl.find_opt t.held txn with
-  | None -> ()
-  | Some locks ->
+  (match Sim.Int_table.find t.held txn with
+  | exception Not_found -> ()
+  | locks ->
     List.iter
       (fun (key, _) ->
         let e = entry t key in
@@ -110,10 +111,10 @@ let strip t txn =
         if e.writer = Some txn then e.writer <- None;
         affected := key :: !affected)
       locks;
-    Hashtbl.remove t.held txn);
-  (match Hashtbl.find_opt t.queued txn with
-  | None -> ()
-  | Some keys ->
+    Sim.Int_table.remove t.held txn);
+  (match Sim.Int_table.find t.queued txn with
+  | exception Not_found -> ()
+  | keys ->
     List.iter
       (fun key ->
         let e = entry t key in
@@ -125,7 +126,7 @@ let strip t txn =
           affected := key :: !affected
         end)
       (List.sort_uniq compare keys);
-    Hashtbl.remove t.queued txn);
+    Sim.Int_table.remove t.queued txn);
   (List.sort_uniq compare !affected, !aborted_ks)
 
 (* Conflicting holders for a request, excluding the requester itself. *)
@@ -251,14 +252,14 @@ and process_queue t key =
   end
 
 let acquire t kind ~key ~txn ~priority k =
-  Hashtbl.replace t.priorities txn priority;
+  Sim.Int_table.replace t.priorities txn priority;
   if t.is_wounded txn then Sim.Engine.schedule t.engine ~after:0 (fun () -> k Aborted)
   else begin
     let req = { txn; kind; priority; enqueued_at = Sim.Engine.now t.engine; k } in
     let e = entry t key in
     e.queue <- e.queue @ [ req ];
-    let prev = try Hashtbl.find t.queued txn with Not_found -> [] in
-    Hashtbl.replace t.queued txn (key :: prev);
+    let prev = try Sim.Int_table.find t.queued txn with Not_found -> [] in
+    Sim.Int_table.replace t.queued txn (key :: prev);
     process_queue t key
   end
 
@@ -267,12 +268,12 @@ let acquire_read t ~key ~txn ~priority k = acquire t Read ~key ~txn ~priority k
 let acquire_write t ~key ~txn ~priority k = acquire t Write ~key ~txn ~priority k
 
 let restore_write t ~key ~txn ~priority =
-  Hashtbl.replace t.priorities txn priority;
+  Sim.Int_table.replace t.priorities txn priority;
   (entry t key).writer <- Some txn;
   record_held t txn key Write
 
 let release_all t ~txn =
   let affected, aborted = strip t txn in
-  Hashtbl.remove t.priorities txn;
+  Sim.Int_table.remove t.priorities txn;
   List.iter (fun k -> Sim.Engine.schedule t.engine ~after:0 (fun () -> k Aborted)) aborted;
   List.iter (fun key -> process_queue t key) affected

@@ -31,7 +31,13 @@ type ctx = {
   config : Config.t;
   txns : Types.table;
   shards : Shard.t array;
-  coord_states : (int, coord_state) Hashtbl.t;
+  coord_states : coord_state Sim.Int_table.t;
+  estimate : client_site:int -> participants:int list -> int * int;
+      (* [Config.estimator config], staged once *)
+  by_shard : (int, int list) Hashtbl.t;
+      (* [group_by_shard]'s scratch table, emptied on every call. A stdlib
+         table: its fold order is the order of the returned groups, which
+         sets the send order and breaks coordinator ties. *)
   mutable n_rw_committed : int;
   mutable n_rw_aborted_attempts : int;
   mutable n_ro : int;
@@ -46,7 +52,7 @@ type ctx = {
   place_stats : migration_stats;
   mutable n_redirects : int;  (* ops bounced off a non-owning shard *)
   mutable n_fence_blocked : int;  (* lock acquisitions refused by a fence *)
-  fence_bounced : (int, unit) Hashtbl.t;
+  fence_bounced : unit Sim.Int_table.t;
       (* attempts refused by a fence, marked shard-side and consumed by the
          client's retry — stands in for a "fenced" error code on the abort
          reply. A fence holds for the drain + barrier (seconds), so these
@@ -109,8 +115,11 @@ let route ?view ctx key =
 
 let refresh_view = function Some v -> Place.Directory.refresh v | None -> ()
 
+(* [reset] takes the table back to its 16 buckets, so every call folds in
+   the order a fresh table would. *)
 let group_by_shard ?view ctx keys =
-  let tbl = Hashtbl.create 8 in
+  let tbl = ctx.by_shard in
+  Hashtbl.reset tbl;
   List.iter
     (fun key ->
       let s = route ?view ctx key in
@@ -144,9 +153,9 @@ type rw_result = {
 }
 
 let coord_state ctx txn =
-  match Hashtbl.find_opt ctx.coord_states txn with
-  | Some cs -> cs
-  | None ->
+  match Sim.Int_table.find ctx.coord_states txn with
+  | cs -> cs
+  | exception Not_found ->
     let cs =
       {
         cs_expected = None;
@@ -164,7 +173,7 @@ let coord_state ctx txn =
         cs_settled = false;
       }
     in
-    Hashtbl.add ctx.coord_states txn cs;
+    Sim.Int_table.replace ctx.coord_states txn cs;
     cs
 
 (* Drop the 2PC state once no more messages can reference it. With failover
@@ -178,7 +187,7 @@ let coord_gc ctx txn cs =
     when cs.cs_decided
          && cs.cs_votes >= e
          && (cs.cs_settled || not ctx.failover) ->
-    Hashtbl.remove ctx.coord_states txn
+    Sim.Int_table.remove ctx.coord_states txn
   | Some _ | None -> ()
 
 (* Acquire write locks for [keys] one at a time (CPS). *)
@@ -237,7 +246,7 @@ let release_at_shard ctx shard ~txn outcome =
 let handle_status ctx shard ~txn =
   match Shard.decided shard txn with
   | Some (out, _) -> `Decided out
-  | None -> if Hashtbl.mem ctx.coord_states txn then `Pending else `Unknown
+  | None -> if Sim.Int_table.mem ctx.coord_states txn then `Pending else `Unknown
 
 let rec handle_vote ctx coord_shard ~txn ~vote_view outcome =
   let cs = coord_state ctx txn in
@@ -371,11 +380,11 @@ and decide_commit ctx coord_shard ~txn =
    No flow, as for [rw_txn]'s terminate: both ask how a commit already sent
    ended, and giving up early would force an abort on a possible commit. *)
 let resolve_in_doubt ctx shard txn =
-  if Shard.prepared shard txn <> None && not (Hashtbl.mem shard.Shard.in_doubt txn)
+  if Shard.prepared shard txn <> None && not (Sim.Int_table.mem shard.Shard.in_doubt txn)
   then
     match (ctx.rpc, Shard.prepared shard txn) with
     | Some rpc, Some p ->
-      Hashtbl.replace shard.Shard.in_doubt txn ();
+      Sim.Int_table.replace shard.Shard.in_doubt txn ();
       Sim.Rpc.call ~name:"rpc.resolve_in_doubt" rpc
         ~attempt:(fun ~attempt:n ~ok ->
           to_shard ctx ~src:shard.Shard.leader_site ~bytes:32 p.Shard.p_coord
@@ -393,14 +402,14 @@ let resolve_in_doubt ctx shard txn =
                   meta.Types.outcome <- Some Types.Aborted;
                 reply Types.Aborted
               | `Pending when n >= 5 -> (
-                match Hashtbl.find_opt ctx.coord_states txn with
+                match Sim.Int_table.find_opt ctx.coord_states txn with
                 | Some cs when not cs.cs_decided ->
                   decide_abort ctx csh ~txn;
                   reply Types.Aborted
                 | Some _ | None -> ())
               | `Pending | `Unknown -> ()))
         ~on_result:(fun res ->
-          Hashtbl.remove shard.Shard.in_doubt txn;
+          Sim.Int_table.remove shard.Shard.in_doubt txn;
           match res with
           | Some out ->
             ctx.n_in_doubt_resolved <- ctx.n_in_doubt_resolved + 1;
@@ -438,7 +447,7 @@ let participant_prepare ctx shard ~txn ~priority ~writes_here ~tee ~coord =
   else if List.exists (fun (key, _) -> Shard.fenced shard key) writes_here
   then begin
     ctx.n_fence_blocked <- ctx.n_fence_blocked + 1;
-    Hashtbl.replace ctx.fence_bounced txn ();
+    Sim.Int_table.replace ctx.fence_bounced txn ();
     vote `Abort
   end
   else if Types.is_wounded ctx.txns txn then vote `Abort
@@ -526,7 +535,7 @@ let coordinator_request ctx coord_shard ~txn ~priority ~writes_here ~tee
       else if List.exists (fun (key, _) -> Shard.fenced coord_shard key) writes_here
       then begin
         ctx.n_fence_blocked <- ctx.n_fence_blocked + 1;
-        Hashtbl.replace ctx.fence_bounced txn ();
+        Sim.Int_table.replace ctx.fence_bounced txn ();
         true
       end
       else false
@@ -595,7 +604,7 @@ let coordinator_request ctx coord_shard ~txn ~priority ~writes_here ~tee
    cannot commit behind our back without the coordinator knowing). *)
 let wound_prepared ctx shard txn =
   Types.wound ctx.txns txn;
-  match Hashtbl.find_opt ctx.coord_states txn with
+  match Sim.Int_table.find_opt ctx.coord_states txn with
   | Some cs when (not cs.cs_decided) && cs.cs_coord >= 0 ->
     decide_abort ctx ctx.shards.(cs.cs_coord) ~txn
   | Some _ -> ()
@@ -612,15 +621,16 @@ let on_shard_leader_change ctx shard ~leader_site ~committed =
   shard.Shard.leader_site <- leader_site;
   Shard.rebuild shard ~entries:committed;
   Shard.advance_max_write_ts shard (Sim.Truetime.now ctx.tt).Sim.Truetime.latest;
+  (* The sweep only removes, so the fold's order is free. *)
   let stale =
-    Hashtbl.fold
+    Sim.Int_table.fold
       (fun txn cs acc ->
         if cs.cs_coord = shard.Shard.shard_id && not cs.cs_settled then
           txn :: acc
         else acc)
       ctx.coord_states []
   in
-  List.iter (fun txn -> Hashtbl.remove ctx.coord_states txn) stale;
+  List.iter (fun txn -> Sim.Int_table.remove ctx.coord_states txn) stale;
   let survivors = Shard.prepared_txns shard in
   List.iter
     (fun txn ->
@@ -656,7 +666,9 @@ let make_ctx engine net tt txns config =
       config;
       txns;
       shards;
-      coord_states = Hashtbl.create 1024;
+      coord_states = Sim.Int_table.create ();
+      estimate = Config.estimator config;
+      by_shard = Hashtbl.create 8;
       n_rw_committed = 0;
       n_rw_aborted_attempts = 0;
       n_ro = 0;
@@ -683,7 +695,7 @@ let make_ctx engine net tt txns config =
         };
       n_redirects = 0;
       n_fence_blocked = 0;
-      fence_bounced = Hashtbl.create 64;
+      fence_bounced = Sim.Int_table.create ();
       flow = Sim.Flow.create net;
     }
   in
@@ -740,7 +752,7 @@ let handle_rw_read ctx shard ~txn ~priority ~keys
   end
   else if List.exists (Shard.fenced shard) keys then begin
     ctx.n_fence_blocked <- ctx.n_fence_blocked + 1;
-    Hashtbl.replace ctx.fence_bounced txn ();
+    Sim.Int_table.replace ctx.fence_bounced txn ();
     reply None
   end
   else if Types.is_wounded ctx.txns txn then reply None
@@ -756,7 +768,7 @@ let handle_terminate ctx shard ~txn ~reply =
   match Shard.decided shard txn with
   | Some (out, mt) -> reply (`Decided (out, mt))
   | None -> (
-    match Hashtbl.find_opt ctx.coord_states txn with
+    match Sim.Int_table.find_opt ctx.coord_states txn with
     | Some cs when cs.cs_decided -> reply `Pending
     | Some cs ->
       decide_abort ctx shard ~txn;
@@ -806,7 +818,7 @@ let rw_txn ?(on_attempt = fun (_ : int) -> ()) ?deadline_us ?view ctx
         (List.map fst write_shards @ List.map fst read_shards)
     in
     let coord, est_latency =
-      Config.estimate_commit_latency_us ctx.config ~client_site
+      ctx.estimate ~client_site
         ~participants:(List.map fst write_shards)
     in
     let meta = Types.fresh ctx.txns ~proc ~priority in
@@ -846,8 +858,8 @@ let rw_txn ?(on_attempt = fun (_ : int) -> ()) ?deadline_us ?view ctx
          locks on the hot keys that starves the writers the drain itself is
          waiting on (the retry keeps its first-attempt priority, so a
          fence-stuck session outranks every later transaction it touches). *)
-      let fence_hit = Hashtbl.mem ctx.fence_bounced txn in
-      Hashtbl.remove ctx.fence_bounced txn;
+      let fence_hit = Sim.Int_table.mem ctx.fence_bounced txn in
+      Sim.Int_table.remove ctx.fence_bounced txn;
       incr attempts;
       let shift = min !attempts (if fence_hit then 9 else 5) in
       let backoff = (5_000 * (1 lsl shift)) + (txn mod 5_000) in
@@ -1110,6 +1122,8 @@ let rec ro_once ?view ?expires ctx ~client_site ~t_min ~keys k =
   let t_read = (Sim.Truetime.now ctx.tt).Sim.Truetime.latest in
   let by_shard = group_by_shard ?view ctx keys in
   let pending_fast = ref (List.length by_shard) in
+  (* Per-op scratch tables, kept on the stdlib: [resolve_from_committed]'s
+     iteration order decides the order in which skipped txns resolve. *)
   let versions : (int, Types.version list) Hashtbl.t = Hashtbl.create 8 in
   (* Newest timestamp per key among the fast-path values only: t_snap must
      be computed from Alg. 2's V, not from slow-path resolutions (whose
@@ -1433,12 +1447,12 @@ let rec snapshot_read ?view ctx ~client_site ~ts ~keys k =
    are the sources the driver must fence and drain. Per-key lookup because
    earlier migrations may have fragmented the range across owners. *)
 let migration_sources ctx ~lo ~hi ~dst =
-  let seen = Hashtbl.create 8 in
+  let seen = Sim.Int_table.create () in
   for key = lo to hi - 1 do
     let o = Place.Directory.owner ctx.directory key in
-    if o <> dst && not (Hashtbl.mem seen o) then Hashtbl.add seen o ()
+    if o <> dst then Sim.Int_table.replace seen o ()
   done;
-  List.sort compare (Hashtbl.fold (fun o () acc -> o :: acc) seen [])
+  List.sort compare (Sim.Int_table.fold (fun o () acc -> o :: acc) seen [])
 
 (* Migrate [lo, hi) to [dst]; the protocol and the RSS argument are in
    protocol.mli. The control loop runs co-located with the shard leaders it
@@ -1479,18 +1493,18 @@ let migrate ?(no_fence = false) ctx ~lo ~hi ~dst =
       ~ts:(now ()) ~site:dst
   in
   let sources = migration_sources ctx ~lo ~hi ~dst in
-  let fenced_at : (int, int) Hashtbl.t = Hashtbl.create 4 in
+  let fenced_at : int Sim.Int_table.t = Sim.Int_table.create () in
   let moved = ref 0 in
   let retries_left = ref migrate_max_retries in
   let finish ok =
     List.iter
       (fun src ->
-        (match Hashtbl.find_opt fenced_at src with
+        (match Sim.Int_table.find_opt fenced_at src with
         | Some t0 ->
           let held = now () - t0 in
           stats.fence_hold_us <- stats.fence_hold_us + held;
           if held > stats.max_fence_hold_us then stats.max_fence_hold_us <- held;
-          Hashtbl.remove fenced_at src
+          Sim.Int_table.remove fenced_at src
         | None -> ());
         Shard.clear_fence ctx.shards.(src))
       sources;
@@ -1506,7 +1520,8 @@ let migrate ?(no_fence = false) ctx ~lo ~hi ~dst =
   let rec do_source src k_done =
     if (not no_fence) && not (fence_ok src) then begin
       Shard.set_fence ctx.shards.(src) ~lo ~hi;
-      if not (Hashtbl.mem fenced_at src) then Hashtbl.replace fenced_at src (now ())
+      if not (Sim.Int_table.mem fenced_at src) then
+        Sim.Int_table.replace fenced_at src (now ())
     end;
     drain src (now ()) k_done
   and drain src t0 k_done =

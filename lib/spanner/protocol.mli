@@ -36,7 +36,12 @@ type ctx = {
   config : Config.t;
   txns : Types.table;
   shards : Shard.t array;
-  coord_states : (int, coord_state) Hashtbl.t;  (** per-txn 2PC state *)
+  coord_states : coord_state Sim.Int_table.t;  (** per-txn 2PC state *)
+  estimate : client_site:int -> participants:int list -> int * int;
+      (** {!Config.estimator} of [config], staged once *)
+  by_shard : (int, int list) Hashtbl.t;
+      (** scratch table of the per-shard key grouping; a stdlib table
+          because its fold order sets the send order *)
   mutable n_rw_committed : int;
   mutable n_rw_aborted_attempts : int;
   mutable n_ro : int;
@@ -53,7 +58,7 @@ type ctx = {
   place_stats : migration_stats;
   mutable n_redirects : int;  (** ops bounced off a non-owning shard *)
   mutable n_fence_blocked : int;  (** lock acquisitions refused by a fence *)
-  fence_bounced : (int, unit) Hashtbl.t;
+  fence_bounced : unit Sim.Int_table.t;
       (** attempts refused by a fence — stands in for a "fenced" error code
           on the abort reply; the client's retry consumes it and backs off
           far longer than for a wound (the fence holds for drain + barrier) *)

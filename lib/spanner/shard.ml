@@ -17,10 +17,12 @@ type fence = { f_lo : int; f_hi : int; f_since : int }
 (* The prepared table and, per key, how many of its entries write that key
    here. The counts let [conflicting_prepared] answer the common "nobody
    writes these keys" case without scanning [by_txn]. Only this module
-   mutates either table, so they cannot drift apart. *)
+   mutates either table, so they cannot drift apart. [by_txn] stays a
+   stdlib table because its fold order feeds in-doubt resolution (see the
+   .mli). *)
 type prepared_set = {
   by_txn : (int, prepared) Hashtbl.t;
-  writers : (int, int) Hashtbl.t;
+  writers : int Sim.Int_table.t;
 }
 
 type t = {
@@ -32,10 +34,10 @@ type t = {
   station : Sim.Station.t;
   repl : Types.repl_entry Replication.Group.t;
   mutable locks : Locks.t;
-  store : (int, Types.version list) Hashtbl.t;
+  store : Types.version list Sim.Int_table.t;
   prepared_set : prepared_set;
-  decided_tbl : (int, Types.outcome * int) Hashtbl.t;  (* outcome, max_tee *)
-  in_doubt : (int, unit) Hashtbl.t;  (* status queries in flight *)
+  decided_tbl : (Types.outcome * int) Sim.Int_table.t;  (* outcome, max_tee *)
+  in_doubt : unit Sim.Int_table.t;  (* status queries in flight *)
   mutable max_write_ts : int;
   mutable fence : fence option;
   mutable n_ro_served : int;
@@ -66,7 +68,7 @@ let create engine net tt txns (config : Config.t) ~shard_id =
       ~replica_sites:config.Config.replica_sites.(shard_id)
       ()
   in
-  let prepared_set = { by_txn = Hashtbl.create 64; writers = Hashtbl.create 16 } in
+  let prepared_set = { by_txn = Hashtbl.create 64; writers = Sim.Int_table.create () } in
   let wound_prepared_hook = ref (fun (_ : int) -> ()) in
   let locks = make_locks engine txns prepared_set wound_prepared_hook in
   {
@@ -78,10 +80,10 @@ let create engine net tt txns (config : Config.t) ~shard_id =
     station;
     repl;
     locks;
-    store = Hashtbl.create 16;
+    store = Sim.Int_table.create ();
     prepared_set;
-    decided_tbl = Hashtbl.create 64;
-    in_doubt = Hashtbl.create 8;
+    decided_tbl = Sim.Int_table.create ();
+    in_doubt = Sim.Int_table.create ();
     max_write_ts = 0;
     fence = None;
     n_ro_served = 0;
@@ -92,14 +94,14 @@ let create engine net tt txns (config : Config.t) ~shard_id =
   }
 
 let read_version_at t ~key ~ts =
-  match Hashtbl.find_opt t.store key with
-  | None -> None
-  | Some versions -> List.find_opt (fun (v : Types.version) -> v.Types.ts <= ts) versions
+  match Sim.Int_table.find t.store key with
+  | exception Not_found -> None
+  | versions -> List.find_opt (fun (v : Types.version) -> v.Types.ts <= ts) versions
 
 (* Raises [Invalid_argument] if [ts] does not exceed the key's newest
    version (the per-key monotonicity invariant). *)
 let apply_write t ~key ~ts ~writer ~value =
-  let versions = try Hashtbl.find t.store key with Not_found -> [] in
+  let versions = try Sim.Int_table.find t.store key with Not_found -> [] in
   (match versions with
   | { Types.ts = newest; writer = prev; _ } :: _ when newest >= ts ->
     invalid_arg
@@ -107,7 +109,7 @@ let apply_write t ~key ~ts ~writer ~value =
          "Shard.apply_write: non-monotonic commit ts %d (txn %d) after %d (txn %d) on key %d"
          ts writer newest prev key)
   | _ -> ());
-  Hashtbl.replace t.store key ({ Types.ts; writer; value } :: versions)
+  Sim.Int_table.replace t.store key ({ Types.ts; writer; value } :: versions)
 
 let advance_max_write_ts t ts = if ts > t.max_write_ts then t.max_write_ts <- ts
 
@@ -119,8 +121,9 @@ let choose_prepare_ts t =
 let count_writes ps p delta =
   List.iter
     (fun (key, _) ->
-      let n = delta + Option.value (Hashtbl.find_opt ps.writers key) ~default:0 in
-      if n = 0 then Hashtbl.remove ps.writers key else Hashtbl.replace ps.writers key n)
+      let n = delta + (try Sim.Int_table.find ps.writers key with Not_found -> 0) in
+      if n = 0 then Sim.Int_table.remove ps.writers key
+      else Sim.Int_table.replace ps.writers key n)
     p.p_writes
 
 let remove_prepared ps txn =
@@ -150,7 +153,7 @@ let prepared_txns t = List.sort compare (fold_prepared t (fun p acc -> p.p_txn :
 (* The index only skips the fold when it would return []; see the .mli for
    why the fold's order must not change. *)
 let conflicting_prepared t ~keys ~max_tp =
-  if not (List.exists (fun k -> Hashtbl.mem t.prepared_set.writers k) keys) then []
+  if not (List.exists (fun k -> Sim.Int_table.mem t.prepared_set.writers k) keys) then []
   else begin
     t.n_prepared_scans <- t.n_prepared_scans + 1;
     fold_prepared t
@@ -193,8 +196,9 @@ let prepared_in_range t ~lo ~hi =
     (fun p acc -> acc || List.exists (fun (k, _) -> k >= lo && k < hi) p.p_writes)
     false
 
+(* The fold's order is free: what it collects is sorted. *)
 let snapshot_range t ~lo ~hi ~owned =
-  Hashtbl.fold
+  Sim.Int_table.fold
     (fun key versions acc ->
       if key >= lo && key < hi && owned key then (key, versions) :: acc else acc)
     t.store []
@@ -215,15 +219,15 @@ let install_versions t entries =
   in
   List.iter
     (fun (key, versions) ->
-      let existing = try Hashtbl.find t.store key with Not_found -> [] in
-      Hashtbl.replace t.store key (merge existing versions))
+      let existing = try Sim.Int_table.find t.store key with Not_found -> [] in
+      Sim.Int_table.replace t.store key (merge existing versions))
     entries;
   List.length entries
 
-let decided t txn = Hashtbl.find_opt t.decided_tbl txn
+let decided t txn = Sim.Int_table.find_opt t.decided_tbl txn
 
 let set_decided t ~txn outcome ~max_tee =
-  Hashtbl.replace t.decided_tbl txn (outcome, max_tee)
+  Sim.Int_table.replace t.decided_tbl txn (outcome, max_tee)
 
 (* New leader: replace every volatile structure with what the replicated
    log supports. Prepares with a logged outcome resolve; the rest are the
@@ -238,17 +242,17 @@ let set_decided t ~txn outcome ~max_tee =
 let rebuild t ~entries =
   t.n_rebuilds <- t.n_rebuilds + 1;
   Hashtbl.reset t.prepared_set.by_txn;
-  Hashtbl.reset t.prepared_set.writers;
-  Hashtbl.reset t.store;
-  Hashtbl.reset t.decided_tbl;
-  Hashtbl.reset t.in_doubt;
+  Sim.Int_table.reset t.prepared_set.writers;
+  Sim.Int_table.reset t.store;
+  Sim.Int_table.reset t.decided_tbl;
+  Sim.Int_table.reset t.in_doubt;
   t.max_write_ts <- 0;
   t.fence <- None;
   t.locks <- make_locks t.engine t.txns t.prepared_set t.wound_prepared_hook;
   List.iter
     (function
       | Types.Rprepare r ->
-        if not (Hashtbl.mem t.decided_tbl r.r_txn) then
+        if not (Sim.Int_table.mem t.decided_tbl r.r_txn) then
           add_prepared t
             {
               p_txn = r.r_txn;
@@ -261,8 +265,8 @@ let rebuild t ~entries =
             };
         advance_max_write_ts t r.r_tp
       | Types.Routcome r ->
-        if not (Hashtbl.mem t.decided_tbl r.r_txn) then begin
-          Hashtbl.replace t.decided_tbl r.r_txn (r.r_out, r.r_max_tee);
+        if not (Sim.Int_table.mem t.decided_tbl r.r_txn) then begin
+          Sim.Int_table.replace t.decided_tbl r.r_txn (r.r_out, r.r_max_tee);
           ignore (remove_prepared t.prepared_set r.r_txn);
           match r.r_out with
           | Types.Committed tc ->

@@ -45,12 +45,12 @@ type t = {
   station : Sim.Station.t;
   repl : Types.repl_entry Replication.Group.t;
   mutable locks : Locks.t;
-  store : (int, Types.version list) Hashtbl.t;
+  store : Types.version list Sim.Int_table.t;
   prepared_set : prepared_set;
-  decided_tbl : (int, Types.outcome * int) Hashtbl.t;
+  decided_tbl : (Types.outcome * int) Sim.Int_table.t;
       (** per-txn decided outcome and max t_ee; answers terminate/status
           queries and deduplicates outcome deliveries *)
-  in_doubt : (int, unit) Hashtbl.t;
+  in_doubt : unit Sim.Int_table.t;
       (** txns with a coordinator status query in flight *)
   mutable max_write_ts : int;
   mutable fence : fence option;

@@ -45,14 +45,14 @@ type meta = {
 }
 
 type table = {
-  metas : (int, meta) Hashtbl.t;
+  metas : meta Sim.Int_table.t;
   mutable next_id : int;
   mutable next_tiebreak : int;
   mutable n_wounds : int;
 }
 
 let table_create () =
-  { metas = Hashtbl.create 1024; next_id = 0; next_tiebreak = 0; n_wounds = 0 }
+  { metas = Sim.Int_table.create (); next_id = 0; next_tiebreak = 0; n_wounds = 0 }
 
 let tiebreak t =
   let x = t.next_tiebreak in
@@ -63,10 +63,10 @@ let fresh t ~proc ~priority =
   let id = t.next_id in
   t.next_id <- t.next_id + 1;
   let m = { id; proc; priority; wounded = false; outcome = None } in
-  Hashtbl.add t.metas id m;
+  Sim.Int_table.replace t.metas id m;
   m
 
-let find t id = Hashtbl.find t.metas id
+let find t id = Sim.Int_table.find t.metas id
 
 let wound t id =
   let m = find t id in

@@ -40,6 +40,72 @@ let test_config_coordinator_choice () =
   check bool "latency plausible" true (lat > 150_000 && lat < 220_000);
   check bool "coordinator among participants" true (coord = 0 || coord = 1)
 
+(* The estimate as it was written before it was staged: per call, from
+   the config's RTT matrix. [Config.estimator] must agree with it on every
+   ordered participant list (order matters: the first of equally fast
+   coordinators wins) from every site. *)
+let reference_estimate (c : Spanner.Config.t) ~client_site ~participants =
+  let module C = Spanner.Config in
+  let one_way a b = Sim.Engine.ms c.C.rtt_ms.(a).(b) / 2 in
+  let latency_with_coord coord =
+    let prepare_paths =
+      List.filter_map
+        (fun p ->
+          if p = coord then None
+          else
+            Some
+              (one_way client_site c.C.leader_site.(p)
+              + C.replicate_us c ~shard:p
+              + one_way c.C.leader_site.(p) c.C.leader_site.(coord)))
+        participants
+    in
+    let to_coord = one_way client_site c.C.leader_site.(coord) in
+    List.fold_left max to_coord prepare_paths
+    + C.replicate_us c ~shard:coord
+    + one_way c.C.leader_site.(coord) client_site
+  in
+  match participants with
+  | [] -> assert false
+  | first :: rest ->
+    List.fold_left
+      (fun (best, best_lat) coord ->
+        let lat = latency_with_coord coord in
+        if lat < best_lat then (coord, lat) else (best, best_lat))
+      (first, latency_with_coord first)
+      rest
+
+let test_config_staged_estimator () =
+  (* Every ordered list of distinct shards, empty list excluded. *)
+  let rec arrangements pool =
+    List.concat_map
+      (fun x ->
+        let rest = List.filter (( <> ) x) pool in
+        [ x ] :: List.map (fun l -> x :: l) (arrangements rest))
+      pool
+  in
+  let agree name (c : Spanner.Config.t) =
+    let est = Spanner.Config.estimator c in
+    let lists = arrangements (List.init c.Spanner.Config.n_shards Fun.id) in
+    for client_site = 0 to Array.length c.Spanner.Config.rtt_ms - 1 do
+      List.iter
+        (fun participants ->
+          let label =
+            Printf.sprintf "%s from site %d over [%s]" name client_site
+              (String.concat ";" (List.map string_of_int participants))
+          in
+          check (Alcotest.pair int int) label
+            (reference_estimate c ~client_site ~participants)
+            (est ~client_site ~participants))
+        lists
+    done;
+    List.length lists
+  in
+  check int "wan3 lists" 15 (agree "wan3" (Spanner.Config.wan3 ~mode:Spanner.Config.Rss ()));
+  check int "single-dc lists" 64
+    (agree "single_dc"
+       (Spanner.Config.single_dc ~mode:Spanner.Config.Rss ~n_shards:4
+          ~service_time_us:0 ()))
+
 let test_single_dc_config () =
   let c = Spanner.Config.single_dc ~mode:Spanner.Config.Strict ~n_shards:8 ~service_time_us:20 () in
   check int "shards" 8 c.Spanner.Config.n_shards;
@@ -825,6 +891,8 @@ let suites =
       [
         Alcotest.test_case "replication latency" `Quick test_config_replication_latency;
         Alcotest.test_case "coordinator choice" `Quick test_config_coordinator_choice;
+        Alcotest.test_case "staged estimator matches per-call estimate" `Quick
+          test_config_staged_estimator;
         Alcotest.test_case "single-dc config" `Quick test_single_dc_config;
       ] );
     ( "spanner.basic",
