@@ -97,53 +97,94 @@ let make_ctx engine net config =
 let to_client ctx ~src ?(bytes = 64) ~dst handler =
   Sim.Net.post ~bytes ctx.net ~src ~dst (fun _env_idx -> handler ())
 
-(* [expires] and [reject] pass through to {!Sim.Flow.ingress}; [reject] is
-   supplied on client-facing request legs only. *)
-let to_replica ctx ~src ?(bytes = 64) ?expires ?reject replica_id handler =
+(* Internal replica-bound traffic: never refused, so it passes no
+   [reject] to {!Sim.Flow.ingress}. *)
+let to_replica ctx ~src replica_id handler =
   let r = ctx.replicas.(replica_id) in
-  Sim.Net.post ~bytes ctx.net ~src ~dst:replica_id (fun env_idx ->
+  Sim.Net.post ctx.net ~src ~dst:replica_id (fun env_idx ->
       Sim.Flow.ingress ctx.flow r.Replica.station ~tracer:ctx.tracer ~src
-        ~dst:replica_id ?expires ?reject env_idx (fun () -> handler r))
+        ~dst:replica_id env_idx (fun () -> handler r))
 
-(* One request/reply exchange with a replica. With retransmission armed
-   ([retrans <> None]) the exchange rides an {!Sim.Rpc} call: a lost request
-   or reply is re-sent after a deadline with capped backoff, so the phase
-   survives up to f crashed replicas (the quorum collector only needs the
-   live ones to answer). Only valid for idempotent handlers — base reads,
-   carstamp queries and propagates are (carstamp max-merge makes re-applying
-   a write a no-op); rmw pre-accepts are not and stay bare. *)
-let exchange ctx ~src ?bytes ?expires replica_id ~(request : Replica.t -> 'a)
-    ~(reply : 'a -> unit) =
-  (* The leg's sends, the first one included, across NACK re-offers and
-     Rpc re-attempts alike: Flow caps the total at [Sim.Flow.max_sends]. *)
-  let sends = ref 1 in
-  let attempt ~attempt:_ ~ok:deliver =
-    (* With admission control armed, a shed leg re-offers to the same
-       replica after the server-suggested backoff (the quorum keeps
-       forming from the others meanwhile), bounded by the retry budget and
-       the resend cap; giving up just leaves this replica out of the
-       quorum. An expired leg gives up outright — its deadline has
-       passed. *)
-    let rec send () =
-      to_replica ctx ~src ?bytes ?expires ~reject replica_id (fun r ->
-          let resp = request r in
-          to_client ctx ~src:replica_id ~dst:src (fun () -> deliver resp))
-    and reject = function
-      | Sim.Flow.Expired -> ()
-      | Sim.Flow.Pushback pb ->
-        Sim.Flow.retry ctx.flow ?expires ~sends ~after_us:pb.retry_after_us send
-    in
-    send ()
+(* A quorum phase: what every request/reply leg of one fan-out shares.
+   The op builds it once; a leg adds only its replica. *)
+type 'a phase = {
+  src : int;  (* the client's site *)
+  expires : int option;
+  request : Replica.t -> 'a;  (* the replica-side handler *)
+  reply : 'a -> unit;  (* the phase's quorum collector *)
+}
+
+(* One leg's request and its reply, delivered to [deliver]. Refusals
+   re-enter through [reject], present only on legs that can be refused. *)
+let post_leg ctx ph i ?reject deliver =
+  Sim.Net.post ctx.net ~src:ph.src ~dst:i (fun env_idx ->
+      Sim.Flow.ingress ctx.flow ctx.replicas.(i).Replica.station
+        ~tracer:ctx.tracer ~src:ph.src ~dst:i ?expires:ph.expires ?reject
+        env_idx (fun () ->
+          let resp = ph.request ctx.replicas.(i) in
+          Sim.Net.post ctx.net ~src:i ~dst:ph.src (fun _env_idx ->
+              deliver resp)))
+
+(* A refusable leg. With admission control armed, a shed leg re-offers to
+   the same replica after the server-suggested backoff (the quorum keeps
+   forming from the others meanwhile), bounded by the retry budget and the
+   resend cap; giving up just leaves this replica out of the quorum. An
+   expired leg gives up outright — its deadline has passed. [sends] counts
+   the leg's sends, the first one included, across NACK re-offers and Rpc
+   re-attempts alike: Flow caps the total at [Sim.Flow.max_sends]. *)
+let refusable_leg ctx ph i ~sends deliver =
+  let rec send () = post_leg ctx ph i ~reject deliver
+  and reject = function
+    | Sim.Flow.Expired -> ()
+    | Sim.Flow.Pushback pb ->
+      Sim.Flow.retry ctx.flow ?expires:ph.expires ~sends
+        ~after_us:pb.retry_after_us send
+  in
+  send ()
+
+(* One request/reply exchange with replica [i]. With retransmission armed
+   ([retrans <> None]) the exchange rides an {!Sim.Rpc} call: a lost
+   request or reply is re-sent after a deadline with capped backoff, so
+   the phase survives up to f crashed replicas (the quorum collector only
+   needs the live ones to answer). Only valid for idempotent handlers —
+   base reads, carstamp queries and propagates are (carstamp max-merge
+   makes re-applying a write a no-op); rmw pre-accepts are not and stay
+   bare. A leg allocates a send count only if it can be re-sent, and a
+   [reject] only if it can be refused; by default it can be neither. *)
+let exchange ctx ph i =
+  let refusable =
+    Sim.Flow.may_refuse ctx.replicas.(i).Replica.station ~expires:ph.expires
   in
   match ctx.retrans with
-  | None -> attempt ~attempt:1 ~ok:reply
   | Some rpc ->
-    Sim.Rpc.call ~name:"rpc.exchange" ~flow:ctx.flow ?expires ~sends rpc
-      ~attempt ~on_result:(function Some resp -> reply resp | None -> ())
+    let sends = ref 1 in
+    Sim.Rpc.call ~name:"rpc.exchange" ?expires:ph.expires ~sends rpc
+      ~attempt:(fun ~attempt:_ ~ok ->
+        if refusable then refusable_leg ctx ph i ~sends ok
+        else post_leg ctx ph i ok)
+      ~on_result:(function Some resp -> ph.reply resp | None -> ())
+  | None ->
+    if refusable then refusable_leg ctx ph i ~sends:(ref 1) ph.reply
+    else post_leg ctx ph i ph.reply
+
+(* Every replica, in replica-id order. *)
+let fan_out ctx ph =
+  for i = 0 to Array.length ctx.replicas - 1 do
+    exchange ctx ph i
+  done
+
+(* The replicas at ring positions [lo, hi): the client's own site is
+   position 0, then come the next replica ids, wrapping. *)
+let ring_out ctx ph lo hi =
+  let n = Array.length ctx.replicas in
+  for j = lo to hi - 1 do
+    exchange ctx ph ((ph.src + j) mod n)
+  done
 
 let enable_retrans ctx ~rng =
   let rpc =
-    Sim.Rpc.create ctx.engine ~rng ~timeout_us:300_000 ~max_attempts:8 ()
+    Sim.Rpc.create ctx.engine ~rng ~flow:ctx.flow ~timeout_us:300_000
+      ~max_attempts:8 ()
   in
   Sim.Rpc.set_tracer rpc ctx.tracer;
   ctx.retrans <- Some rpc
@@ -175,16 +216,13 @@ let quorum_collector ~quorum k =
    write's second phase, or a fence. *)
 let propagate ?expires ctx ~client_site ~key ~value ~cs k =
   let quorum = Config.quorum ctx.config in
-  let on_ack = quorum_collector ~quorum (fun _ -> k ()) in
-  Array.iteri
-    (fun i _ ->
-      exchange ctx ~src:client_site ?expires i
-        ~request:(fun r ->
-          match value with
-          | Some v -> Replica.apply r ~key ~value:v ~cs
-          | None -> ())
-        ~reply:(fun () -> on_ack ()))
-    ctx.replicas
+  fan_out ctx
+    {
+      src = client_site;
+      expires;
+      request = (fun r -> Replica.apply r ~key ~value ~cs);
+      reply = quorum_collector ~quorum (fun _ -> k ());
+    }
 
 (* ------------------------------------------------------------------ *)
 (* Reads (Algorithm 3 / 4)                                             *)
@@ -232,7 +270,7 @@ let read ?deadline_us ctx ~client_site ~cid:_ ~deps ~key k =
           else Obs.Trace.none
         in
         Obs.Trace.with_current tr sp (fun () ->
-            propagate ?expires ctx ~client_site ~key ~value:(Some v) ~cs:best_cs
+            propagate ?expires ctx ~client_site ~key ~value:v ~cs:best_cs
               (fun () ->
                 Obs.Trace.end_span tr sp ~ts:(Sim.Engine.now ctx.engine);
                 k { r_value = best_v; r_cs = best_cs; r_rounds = 2; r_dep = None }))
@@ -256,15 +294,16 @@ let read ?deadline_us ctx ~client_site ~cid:_ ~deps ~key k =
         k { r_value = None; r_cs = best_cs; r_rounds = 1; r_dep = None }
     end
   in
-  let on_reply = quorum_collector ~quorum process in
-  let send_to ~hedge i =
-    exchange ctx ~src:client_site ?expires i
-      ~request:(fun r ->
-        apply_deps r deps;
-        Replica.get r key)
-      ~reply:(fun resp ->
-        if hedge && not !complete then hedge_won := true;
-        on_reply resp)
+  let ph =
+    {
+      src = client_site;
+      expires;
+      request =
+        (fun r ->
+          apply_deps r deps;
+          Replica.get r key);
+      reply = quorum_collector ~quorum process;
+    }
   in
   (* Fan-out policy. [Fan_all] (default, the historical behavior) asks every
      replica and keeps the first quorum of replies — maximal implicit
@@ -276,23 +315,30 @@ let read ?deadline_us ctx ~client_site ~cid:_ ~deps ~key k =
      the remaining replicas and lets the first quorum win — the classic
      tail-tolerant middle ground. *)
   let n = Array.length ctx.replicas in
-  let ring = List.init n (fun j -> (client_site + j) mod n) in
   match ctx.fanout with
   | Fan_all ->
     (* Replica-id order, NOT ring order: this is the historical behavior
        and seeded schedules are golden-digested against it. *)
-    Array.iteri (fun i _ -> send_to ~hedge:false i) ctx.replicas
-  | Fan_quorum -> List.iteri (fun j i -> if j < quorum then send_to ~hedge:false i) ring
+    fan_out ctx ph
+  | Fan_quorum -> ring_out ctx ph 0 quorum
   | Hedged ->
-    List.iteri (fun j i -> if j < quorum then send_to ~hedge:false i) ring;
-    let rest = List.filteri (fun j _ -> j >= quorum) ring in
-    if rest <> [] then
+    ring_out ctx ph 0 quorum;
+    if quorum < n then
       Sim.Engine.schedule ~kind:"txn.hedge" ctx.engine
         ~after:(max 1 (Sim.Flow.hedge_us ctx.flow))
         (fun () ->
           if not !complete then begin
             Sim.Flow.hedge_issued ctx.flow;
-            List.iter (send_to ~hedge:true) rest
+            let hedge =
+              {
+                ph with
+                reply =
+                  (fun resp ->
+                    if not !complete then hedge_won := true;
+                    ph.reply resp);
+              }
+            in
+            ring_out ctx hedge quorum n
           end)
 
 (* ------------------------------------------------------------------ *)
@@ -312,21 +358,22 @@ let write ?(on_apply = fun (_ : Carstamp.t) -> ()) ?deadline_us ctx ~client_site
        observed even if the client never hears the acks, so chaos audits
        record the chosen carstamp for post-hoc history accounting. *)
     on_apply cs;
-    propagate ?expires ctx ~client_site ~key ~value:(Some value) ~cs (fun () ->
+    propagate ?expires ctx ~client_site ~key ~value ~cs (fun () ->
         k { w_cs = cs })
   in
   let process replies =
     phase2 (List.fold_left (fun acc cs -> Carstamp.max acc cs) Carstamp.zero replies)
   in
-  let on_reply = quorum_collector ~quorum process in
-  Array.iteri
-    (fun i _ ->
-      exchange ctx ~src:client_site ?expires i
-        ~request:(fun r ->
+  fan_out ctx
+    {
+      src = client_site;
+      expires;
+      request =
+        (fun r ->
           apply_deps r deps;
-          snd (Replica.get r key))
-        ~reply:on_reply)
-    ctx.replicas
+          snd (Replica.get r key));
+      reply = quorum_collector ~quorum process;
+    }
 
 (* ------------------------------------------------------------------ *)
 (* Read-modify-writes (Algorithm 5)                                    *)
@@ -438,7 +485,7 @@ let rec fence ctx ~client_site ~deps k =
   match deps with
   | [] -> k ()
   | { d_key; d_value; d_cs } :: rest ->
-    propagate ctx ~client_site ~key:d_key ~value:(Some d_value) ~cs:d_cs (fun () ->
+    propagate ctx ~client_site ~key:d_key ~value:d_value ~cs:d_cs (fun () ->
         fence ctx ~client_site ~deps:rest k)
 
 (* ------------------------------------------------------------------ *)

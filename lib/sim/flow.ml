@@ -153,6 +153,11 @@ let ingress t station ~tracer ~src ~dst ?expires ?reject env_idx job =
         t.shed <- t.shed + 1;
         nack t ~src ~dst k (Pushback pb)))
 
+let may_refuse station ~expires =
+  match (expires, Station.limits station) with
+  | None, None -> false
+  | Some _, _ | _, Some _ -> true
+
 let max_sends = 8
 
 (* The budget is asked last, so only a re-offer that will really be sent

@@ -92,6 +92,12 @@ val ingress :
     acks) passes no [reject] and is never shed — refusing a commit-phase
     message would strand prepared participants. *)
 
+val may_refuse : Station.t -> expires:int option -> bool
+(** Can {!ingress} refuse a leg with this [expires] at [station]? Only if
+    expiry drops stamped it ([Some]) or the station has admission limits.
+    A sender need not build a [reject] continuation for a leg that cannot
+    be refused. *)
+
 val serve : tracer:Obs.Trace.t -> Station.t -> int -> (unit -> unit) -> unit
 (** [serve ~tracer station env_idx job]: the ingress without expiry or
     admission — amortized cost, span carry, FIFO service. For internal

@@ -30,14 +30,18 @@
 type t
 
 val create :
-  Engine.t -> rng:Rng.t -> ?timeout_us:int -> ?max_backoff_us:int ->
-  ?max_attempts:int -> unit -> t
+  Engine.t -> rng:Rng.t -> ?flow:Flow.t -> ?timeout_us:int ->
+  ?max_backoff_us:int -> ?max_attempts:int -> unit -> t
 (** Defaults: 500 ms first-attempt timeout (above the worst WAN round trip
-    in the paper's deployments), 2 s backoff cap, 8 attempts. *)
+    in the paper's deployments), 2 s backoff cap, 8 attempts.
+
+    A helper for a client's calls is created with its [flow]: each
+    re-attempt the attempt cap allows is then decided by {!Flow.may_retry}
+    as its timer fires. Server-side recovery and outcome queries, which
+    are no client re-offers, use a helper without one. *)
 
 val call :
   ?name:string ->
-  ?flow:Flow.t ->
   ?expires:int ->
   ?sends:int ref ->
   t ->
@@ -47,14 +51,13 @@ val call :
     to [ok]; it may be invoked several times, so the remote handler must be
     idempotent. [on_result] fires exactly once: [Some v] with the first
     reply, or [None] after the attempt budget is exhausted or a re-attempt
-    is refused.
+    is refused. A call's state is one record, and [ok] is one closure for
+    every attempt.
 
-    A client's call passes its [flow]: each re-attempt the attempt cap
-    allows is then decided by {!Flow.may_retry} as its timer fires, with
-    the op's [expires] and the request's [sends] (for callers that also
-    re-offer inside an attempt). A refusal settles the call with [None]
-    and counts as abandoned, not exhausted. Server-side recovery, which
-    is no client re-offer, passes no [flow].
+    On a helper created with a [flow], {!Flow.may_retry} sees the op's
+    [expires] and the request's [sends] (for callers that also re-offer
+    inside an attempt). A refusal settles the call with [None] and counts
+    as abandoned, not exhausted.
 
     With a tracer installed (see {!set_tracer}) each call records one
     [Rpc] span named [name] (default ["rpc.call"]) that stays the ambient

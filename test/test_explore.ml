@@ -311,9 +311,6 @@ let rpc_attempt_times ?budget ?expires ~seed ~timeout_us ~max_backoff_us
     ~max_attempts ~first_succeeds () =
   let engine = Sim.Engine.create () in
   let rng = Sim.Rng.make seed in
-  let rpc =
-    Sim.Rpc.create engine ~rng ~timeout_us ~max_backoff_us ~max_attempts ()
-  in
   let flow =
     if budget = None && expires = None then None
     else begin
@@ -332,9 +329,13 @@ let rpc_attempt_times ?budget ?expires ~seed ~timeout_us ~max_backoff_us
       Some f
     end
   in
+  let rpc =
+    Sim.Rpc.create engine ~rng ?flow ~timeout_us ~max_backoff_us ~max_attempts
+      ()
+  in
   let times = ref [] in
   let result = ref `Pending in
-  Sim.Rpc.call ?flow ?expires rpc
+  Sim.Rpc.call ?expires rpc
     ~attempt:(fun ~attempt ~ok ->
       times := (attempt, Sim.Engine.now engine) :: !times;
       if first_succeeds && attempt = 1 then

@@ -188,10 +188,11 @@ let test_retry_charges_only_sent_reoffers () =
    the attempt numbers that ran and the result. *)
 let unanswered_call e flow ?expires () =
   let rpc =
-    Sim.Rpc.create e ~rng:(Sim.Rng.make 5) ~timeout_us:1_000 ~max_attempts:8 ()
+    Sim.Rpc.create e ~rng:(Sim.Rng.make 5) ~flow ~timeout_us:1_000
+      ~max_attempts:8 ()
   in
   let attempts = ref [] and result = ref `Pending in
-  Sim.Rpc.call ~flow ?expires rpc
+  Sim.Rpc.call ?expires rpc
     ~attempt:(fun ~attempt ~ok:_ -> attempts := attempt :: !attempts)
     ~on_result:(fun r ->
       result := match r with Some () -> `Reply | None -> `Settled_none);
@@ -784,6 +785,50 @@ let test_hedged_reads_win_under_slow_node () =
   check int "deterministic hedge wins" fs.Gryff.Cluster.hedge_wins
     fs2.Gryff.Cluster.hedge_wins
 
+(* [Fan_quorum]: each read asks exactly [quorum] replicas, the client's
+   own site first and then the next replica ids, wrapping; a mixed run
+   under it is judged Pass. *)
+let test_fan_quorum_reads () =
+  let engine = Sim.Engine.create () in
+  let config =
+    Gryff.Config.single_dc ~mode:Gryff.Config.Rsc ~service_time_us:10 ()
+  in
+  let cluster = Gryff.Cluster.create engine ~rng:(Sim.Rng.make 5) config in
+  Gryff.Protocol.set_read_fanout (Gryff.Cluster.ctx cluster)
+    Gryff.Protocol.Fan_quorum;
+  let client = Gryff.Client.create cluster ~site:3 in
+  let n_reads = 20 in
+  let rec reads k =
+    if k < n_reads then Gryff.Client.read client ~key:k (fun _ -> reads (k + 1))
+  in
+  reads 0;
+  Sim.Engine.run engine;
+  check (Alcotest.list int) "jobs per replica: sites 3, 4 and 0 serve every read"
+    [ n_reads; 0; 0; n_reads; n_reads ]
+    (List.map Sim.Station.jobs (Gryff.Cluster.stations cluster));
+  check int "a request and a reply per leg" (2 * 3 * n_reads)
+    (Sim.Net.messages_sent (Gryff.Cluster.net cluster));
+  let env =
+    Harness.Env.(
+      default
+      |> with_flow
+           (Some
+              {
+                Harness.fl_admission = None;
+                fl_drop_expired = false;
+                fl_hedge_us = 0;
+                fl_budget = None;
+                fl_gryff_fanout = Some Gryff.Protocol.Fan_quorum;
+              }))
+  in
+  let r =
+    Harness.gryff_dc ~env ~mode:Gryff.Config.Rsc ~service_time_us:10
+      ~n_clients:20 ~conflict:0.3 ~write_ratio:0.3 ~n_keys:200 ~duration_s:0.5
+      ~seed:3 ()
+  in
+  check bool "ops completed" true (Harness.Run.completed r > 1_000);
+  check bool "judged Pass" true (Harness.Run.passed r)
+
 let suites =
   [
     ( "flow",
@@ -806,6 +851,8 @@ let suites =
           test_flow_off_is_byte_identical;
         Alcotest.test_case "hedged reads win under slow node" `Slow
           test_hedged_reads_win_under_slow_node;
+        Alcotest.test_case "fan_quorum reads ask the nearest quorum" `Quick
+          test_fan_quorum_reads;
         Alcotest.test_case "rpc re-attempt past its deadline is abandoned"
           `Quick test_rpc_reattempt_past_deadline;
         Alcotest.test_case "rpc re-attempt denied by a dry budget" `Quick

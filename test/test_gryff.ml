@@ -481,6 +481,62 @@ let test_small_run_full_rsc_search () =
     (Rss_core.Check_txn.satisfies ~max_states:5_000_000 h Rss_core.Check_txn.Rss
     = Some true)
 
+(* ------------------------------------------------------------------ *)
+(* Allocation                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* Minor words per read and per write on a seeded five-replica single-DC
+   deployment: one client at site 0, no deps, one key, each op run to
+   completion before the next. A round of 100 ops warms the engine's
+   arrays, then 1000 ops are counted. Every read fans out to all five
+   replicas and every write makes two such rounds, so a closure built per
+   leg shows here five or ten times. Retransmission armed, every leg also
+   rides a [Sim.Rpc] call. The figures are the dev profile's (tier-1
+   builds every module with [-opaque]); a change that moves them names
+   the move. *)
+let gryff_words_per_op ~retrans =
+  let engine = Sim.Engine.create () in
+  let config =
+    Gryff.Config.single_dc ~mode:Gryff.Config.Rsc ~service_time_us:10 ()
+  in
+  let cluster = Gryff.Cluster.create engine ~rng:(Sim.Rng.make 42) config in
+  if retrans then Gryff.Cluster.enable_retrans cluster ~rng:(Sim.Rng.make 43) ();
+  let ctx = Gryff.Cluster.ctx cluster in
+  let per_op op =
+    let round () =
+      for _ = 1 to 100 do
+        op ();
+        run engine
+      done
+    in
+    round ();
+    let before = Gc.minor_words () in
+    for _ = 1 to 10 do
+      round ()
+    done;
+    (Gc.minor_words () -. before) /. 1000.
+  in
+  let write =
+    per_op (fun () ->
+        Gryff.Protocol.write ctx ~client_site:0 ~cid:1 ~deps:[] ~key:7 ~value:99
+          ignore)
+  in
+  let read =
+    per_op (fun () ->
+        Gryff.Protocol.read ctx ~client_site:0 ~cid:1 ~deps:[] ~key:7 ignore)
+  in
+  (read, write)
+
+let test_allocation_per_op () =
+  let read, write = gryff_words_per_op ~retrans:false in
+  let read_rt, write_rt = gryff_words_per_op ~retrans:true in
+  check (Alcotest.float 0.0) "read: minor words" 275.0 read;
+  check (Alcotest.float 0.0) "write: minor words" 526.0 write;
+  check (Alcotest.float 0.0) "read, retransmission armed: minor words" 520.0
+    read_rt;
+  check (Alcotest.float 0.0) "write, retransmission armed: minor words"
+    1016.0 write_rt
+
 let suites =
   [
     ( "gryff.carstamp",
@@ -503,6 +559,7 @@ let suites =
           test_rsc_read_one_round_under_conflict;
         Alcotest.test_case "rsc: dep lifecycle" `Quick test_rsc_dep_created_and_cleared;
         Alcotest.test_case "rsc: session monotone" `Quick test_rsc_session_reads_monotone;
+        Alcotest.test_case "minor words per op" `Quick test_allocation_per_op;
       ] );
     ( "gryff.rmw",
       [

@@ -1,0 +1,64 @@
+(* Structural checks over the source tree: each case greps for a path
+   the design deleted or confined to one module, so tier-1 catches it
+   coming back. The tree is staged under dune's build directory by
+   [(deps (source_tree ...))] in test/dune; [dune exec] from the project
+   root reads the source tree directly. *)
+
+let check = Alcotest.check
+
+let root = if Sys.file_exists "lib" && Sys.is_directory "lib" then "." else ".."
+
+(* Dune's build products next to a library's sources: its object and
+   merlin directories (hidden), archives and alias module. They are not
+   part of the source tree and may name functions the sources only reach
+   through inlining. *)
+let build_product name =
+  name.[0] = '.'
+  || List.exists (Filename.check_suffix name)
+       [ ".a"; ".cma"; ".cmxa"; ".cmxs"; ".ml-gen" ]
+
+let rec files dir =
+  Sys.readdir dir |> Array.to_list |> List.sort compare
+  |> List.concat_map (fun name ->
+         let path = Filename.concat dir name in
+         if build_product name then []
+         else if Sys.is_directory path then files path
+         else [ path ])
+
+let lines path =
+  In_channel.with_open_bin path In_channel.input_all |> String.split_on_char '\n'
+
+(* Every [file:line: text] under [dirs] (relative to the project root)
+   that matches [re], as [grep -rnE] prints it. *)
+let grep re dirs =
+  List.concat_map
+    (fun dir ->
+      files (Filename.concat root dir)
+      |> List.concat_map (fun path ->
+             List.mapi (fun i l -> (i + 1, l)) (lines path)
+             |> List.filter_map (fun (n, l) ->
+                    match Str.search_forward re l 0 with
+                    | _ -> Some (Printf.sprintf "%s:%d: %s" path n l)
+                    | exception Not_found -> None)))
+    dirs
+
+let none_found what hits =
+  check (Alcotest.list Alcotest.string) what [] hits
+
+(* One ingress path. Admission, expiry drops, station cost and retry
+   budgets are decided only in Sim.Flow (lib/sim); the protocols and the
+   replication layer call it instead of the station and budget. *)
+let test_one_ingress_path () =
+  none_found
+    "overload decision outside Sim.Flow under lib/spanner, lib/gryff or \
+     lib/replication"
+    (grep
+       (Str.regexp
+          {|Station\.try_submit\|Station\.amortized\|Budget\.try_take\|backlog_us|})
+       [ "lib/spanner"; "lib/gryff"; "lib/replication" ])
+
+let suites =
+  [
+    ( "structure",
+      [ Alcotest.test_case "one ingress path" `Quick test_one_ingress_path ] );
+  ]
