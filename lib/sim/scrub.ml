@@ -26,7 +26,7 @@ let start engine ~station ~ctl ?(tracer = Obs.Trace.disabled) ~period_us
     | stores ->
       let t = List.nth stores (!cursor mod List.length stores) in
       incr cursor;
-      Station.submit station (fun () ->
+      Station.submit ~cost:(Station.service_time_us station) station (fun () ->
           let scanned, flagged =
             Durable.scrub t ~on_flag:(fun v ->
                 Obs.Trace.instant tracer ~kind:Obs.Trace.Repair

@@ -67,8 +67,7 @@ let backlog_us t =
 
 let queue_depth t = t.n_queued
 
-let submit ?cost t job =
-  let cost = match cost with None -> t.service_time_us | Some c -> c in
+let submit ~cost t job =
   let cost = cost * t.slowdown in
   t.n_jobs <- t.n_jobs + 1;
   if t.observe then begin
@@ -88,10 +87,10 @@ let submit ?cost t job =
         job ())
   end
 
-let try_submit ?cost t job =
+let try_submit ~cost t job =
   match t.limits with
   | None ->
-    submit ?cost t job;
+    submit ~cost t job;
     Admitted
   | Some l ->
     let backlog = backlog_us t in
@@ -102,7 +101,7 @@ let try_submit ?cost t job =
       Shed { retry_after_us = max t.service_time_us backlog }
     end
     else begin
-      submit ?cost t job;
+      submit ~cost t job;
       Admitted
     end
 

@@ -41,11 +41,12 @@ val create : Engine.t -> service_time_us:int -> t
 val service_time_us : t -> int
 (** The default per-job cost this station was created with. *)
 
-val submit : ?cost:int -> t -> (unit -> unit) -> unit
-(** Enqueue a job; it runs when the station reaches it. [cost] overrides the
-    default service time for this job. Never sheds. *)
+val submit : cost:int -> t -> (unit -> unit) -> unit
+(** Enqueue a job costing [cost] microseconds of service (before
+    {!set_slowdown}); it runs when the station reaches it. Callers that
+    charge the default pass {!service_time_us}. Never sheds. *)
 
-val try_submit : ?cost:int -> t -> (unit -> unit) -> admit
+val try_submit : cost:int -> t -> (unit -> unit) -> admit
 (** Like {!submit}, but consults the installed {!limits} first and sheds
     (without enqueueing) when the queue depth or projected sojourn exceeds
     them. Without limits installed this is exactly {!submit}. *)

@@ -10,16 +10,19 @@ type request = {
   k : grant -> unit;
 }
 
+(* [writer] is [no_writer] when the key has no write holder. *)
 type entry = {
   mutable readers : int list;
-  mutable writer : int option;
+  mutable writer : int;
   mutable queue : request list;  (* FIFO: head = oldest *)
 }
 
+let no_writer = min_int
+
 type t = {
   engine : Sim.Engine.t;
-  table : entry Sim.Int_table.t;
-  held : (int * kind) list Sim.Int_table.t;  (* txn -> locks *)
+  table : entry Sim.Int_table.t;  (* live entries only: see [retire] *)
+  held : int list Sim.Int_table.t;  (* txn -> keys it holds, ascending *)
   queued : int list Sim.Int_table.t;  (* txn -> keys with queued requests *)
   priorities : (int * int) Sim.Int_table.t;
   is_prepared : int -> bool;
@@ -30,8 +33,9 @@ type t = {
   (* Wakeup machinery: keys whose queues need re-examination. A single
      drain loop owns queue processing; nested calls (wound chains inside
      try_acquire) only mark keys dirty, so no wakeup can be lost to
-     re-entrancy. A stdlib table: [pick]'s fold order decides which dirty
-     key is scanned next, so it reaches the schedule. *)
+     re-entrancy. A stdlib table: [drain]'s fold order decides which dirty
+     key is scanned next, so it reaches the schedule. Outside a drain it is
+     empty. *)
   dirty : (int, unit) Hashtbl.t;
   mutable last_dirty : int;  (* the key most recently marked dirty *)
   mutable draining : bool;
@@ -58,18 +62,29 @@ let entry t key =
   match Sim.Int_table.find t.table key with
   | e -> e
   | exception Not_found ->
-    let e = { readers = []; writer = None; queue = [] } in
+    let e = { readers = []; writer = no_writer; queue = [] } in
     Sim.Int_table.replace t.table key e;
     e
 
+let idle e = e.writer = no_writer && e.readers = [] && e.queue = []
+
+(* An entry with no holder and no waiter leaves the table; [entry] makes a
+   fresh one when the key is locked again. Removal from an [Int_table] is
+   order-free, and only [scan_key] (at the top of a drain) and
+   [release_all] outside a drain call this, so no caller still holds the
+   entry. *)
+let retire t key e = if idle e then Sim.Int_table.remove t.table key
+
+let live_entries t = Sim.Int_table.length t.table
+
 let holds_read t ~key ~txn =
   match Sim.Int_table.find t.table key with
-  | e -> List.mem txn e.readers || e.writer = Some txn
+  | e -> List.mem txn e.readers || e.writer = txn
   | exception Not_found -> false
 
 let holds_write t ~key ~txn =
   match Sim.Int_table.find t.table key with
-  | e -> e.writer = Some txn
+  | e -> e.writer = txn
   | exception Not_found -> false
 
 let wounds_inflicted t = t.wounds
@@ -81,186 +96,270 @@ let wounds_inflicted t = t.wounds
    waiting to become a holder. The fold only ORs, so its order is free. *)
 let any_busy_in t ~lo ~hi =
   Sim.Int_table.fold
-    (fun key e acc ->
-      acc
-      || (key >= lo && key < hi
-          && (e.readers <> [] || e.writer <> None || e.queue <> [])))
+    (fun key e acc -> acc || (key >= lo && key < hi && not (idle e)))
     t.table false
 
 let priority_of t txn =
   try Sim.Int_table.find t.priorities txn with Not_found -> (max_int, txn)
 
-let record_held t txn key kind =
+(* The lexicographic order on (first-issue time, tiebreak) priorities. *)
+let older (a1, a2) (b1, b2) = a1 < b1 || (a1 = b1 && a2 < b2)
+
+let no_younger (a1, a2) (b1, b2) = a1 < b1 || (a1 = b1 && a2 <= b2)
+
+let rec insert_key key = function
+  | k :: rest as l -> if key < k then key :: l else k :: insert_key key rest
+  | [] -> [ key ]
+
+let record_held t txn key =
   let prev = try Sim.Int_table.find t.held txn with Not_found -> [] in
-  Sim.Int_table.replace t.held txn ((key, kind) :: prev)
+  if not (List.mem key prev) then Sim.Int_table.replace t.held txn (insert_key key prev)
 
-(* Remove [txn]'s locks and queued requests; returns affected keys and the
-   continuations of its aborted queued requests. Only the keys the txn
-   touched are visited (the [held] and [queued] indexes) — scanning the
-   whole table would make releases O(keyspace). *)
+(* [l] without [x]; the tail after [x] is shared. *)
+let rec remove_int x = function
+  | y :: rest -> if y = x then rest else y :: remove_int x rest
+  | [] -> []
+
+let rec remove_req req = function
+  | r :: rest -> if r == req then rest else r :: remove_req req rest
+  | [] -> []
+
+let rec has_request_of txn = function
+  | r :: rest -> r.txn = txn || has_request_of txn rest
+  | [] -> false
+
+let rec without_requests_of txn = function
+  | r :: rest ->
+    if r.txn = txn then without_requests_of txn rest
+    else r :: without_requests_of txn rest
+  | [] -> []
+
+(* Prepends the continuations of [txn]'s requests, so the last one in the
+   queue comes first. *)
+let rec continuations_of txn acc = function
+  | r :: rest -> continuations_of txn (if r.txn = txn then r.k :: acc else acc) rest
+  | [] -> acc
+
+(* A held key's entry can be gone: {!restore_write} may take a key over
+   from a holder that still lists it, and the entry retires once the new
+   holder is done. *)
+let rec unhold t txn = function
+  | key :: rest ->
+    (match Sim.Int_table.find t.table key with
+    | exception Not_found -> ()
+    | e ->
+      if List.mem txn e.readers then e.readers <- remove_int txn e.readers;
+      if e.writer = txn then e.writer <- no_writer);
+    unhold t txn rest
+  | [] -> ()
+
+(* The queued keys, ascending, whose queue holds a request of [txn]; their
+   continuations are prepended to [aborted] key by key. *)
+let rec unqueue t txn keys ~affected ~aborted =
+  match keys with
+  | [] -> (affected, aborted)
+  | key :: rest -> (
+    match Sim.Int_table.find t.table key with
+    | e when has_request_of txn e.queue ->
+      let aborted = continuations_of txn aborted e.queue in
+      e.queue <- without_requests_of txn e.queue;
+      unqueue t txn rest ~affected:(key :: affected) ~aborted
+    | _ | (exception Not_found) -> unqueue t txn rest ~affected ~aborted)
+
+let rec abort_all t = function
+  | k :: rest ->
+    Sim.Engine.schedule t.engine ~after:0 (fun () -> k Aborted);
+    abort_all t rest
+  | [] -> ()
+
+(* Remove [txn]'s locks and queued requests, schedule the aborts of its
+   queued requests, and return the affected keys in ascending order. Only
+   the keys the txn touched are visited (the [held] and [queued] indexes) —
+   scanning the whole table would make releases O(keyspace). *)
 let strip t txn =
-  let affected = ref [] in
-  let aborted_ks = ref [] in
-  (match Sim.Int_table.find t.held txn with
-  | exception Not_found -> ()
-  | locks ->
-    List.iter
-      (fun (key, _) ->
-        let e = entry t key in
-        if List.mem txn e.readers then e.readers <- List.filter (( <> ) txn) e.readers;
-        if e.writer = Some txn then e.writer <- None;
-        affected := key :: !affected)
-      locks;
-    Sim.Int_table.remove t.held txn);
-  (match Sim.Int_table.find t.queued txn with
-  | exception Not_found -> ()
+  let held =
+    match Sim.Int_table.find t.held txn with
+    | exception Not_found -> []
+    | keys ->
+      unhold t txn keys;
+      Sim.Int_table.remove t.held txn;
+      keys
+  in
+  match Sim.Int_table.find t.queued txn with
+  | exception Not_found -> held
   | keys ->
-    List.iter
-      (fun key ->
-        let e = entry t key in
-        if List.exists (fun r -> r.txn = txn) e.queue then begin
-          List.iter
-            (fun r -> if r.txn = txn then aborted_ks := r.k :: !aborted_ks)
-            e.queue;
-          e.queue <- List.filter (fun r -> r.txn <> txn) e.queue;
-          affected := key :: !affected
-        end)
-      (List.sort_uniq compare keys);
-    Sim.Int_table.remove t.queued txn);
-  (List.sort_uniq compare !affected, !aborted_ks)
+    Sim.Int_table.remove t.queued txn;
+    let affected, aborted =
+      unqueue t txn (List.sort_uniq Int.compare keys) ~affected:[] ~aborted:[]
+    in
+    abort_all t aborted;
+    if affected = [] then held else List.sort_uniq Int.compare (List.rev_append affected held)
 
-(* Conflicting holders for a request, excluding the requester itself. *)
-let conflicting_holders e req =
-  match req.kind with
-  | Read -> ( match e.writer with Some w when w <> req.txn -> [ w ] | _ -> [])
-  | Write ->
-    let ws = match e.writer with Some w when w <> req.txn -> [ w ] | _ -> [] in
-    ws @ List.filter (( <> ) req.txn) e.readers
+let rec only txn = function r :: rest -> r = txn && only txn rest | [] -> true
+
+(* No holder but [txn] itself stands in the way of [kind]. *)
+let no_conflict e kind txn =
+  (e.writer = no_writer || e.writer = txn)
+  && match kind with Read -> true | Write -> only txn e.readers
 
 (* A read must also wait behind an older queued writer (writer anti-starvation). *)
-let older_queued_writer e req =
-  req.kind = Read
-  && List.exists
-       (fun r -> r.kind = Write && r.txn <> req.txn && r.priority < req.priority)
-       e.queue
+let rec older_queued_writer req = function
+  | r :: rest ->
+    (r.kind = Write && r.txn <> req.txn && older r.priority req.priority)
+    || older_queued_writer req rest
+  | [] -> false
 
 let mark_dirty t key =
   Hashtbl.replace t.dirty key ();
   t.last_dirty <- key
 
-(* Evaluate one request: wound what can be wounded, report whether the
-   request is now grantable and whether any state changed. Wounding a victim
-   marks every key it blocked dirty (including this one — the owning drain
-   loop re-scans it). *)
-let rec try_acquire t key req =
-  let e = entry t key in
-  let holders = conflicting_holders e req in
-  let blocked = ref false in
-  let wounded_any = ref false in
-  List.iter
-    (fun h ->
-      if t.is_prepared h then begin
-        (* Cannot abort a prepared holder unilaterally: escalate to its 2PC
-           coordinator if we outrank it, and wait either way. *)
-        if req.priority < priority_of t h then t.wound_prepared h;
-        blocked := true
-      end
-      else if req.priority <= priority_of t h then begin
-        (* Priorities are (first-issue time, unique tiebreak) and retries
-           keep the first attempt's, so an equal-priority holder is an
-           earlier attempt of the same logical transaction — already
-           aborted, its lock leaked by a lost release. Wound it too, or the
-           retry waits on itself forever. *)
-        t.wounds <- t.wounds + 1;
-        t.wound h;
-        let affected, aborted = strip t h in
-        List.iter
-          (fun k -> Sim.Engine.schedule t.engine ~after:0 (fun () -> k Aborted))
-          aborted;
-        wounded_any := true;
-        List.iter (mark_dirty t) affected
-      end
-      else blocked := true)
-    holders;
-  let grantable = (not !blocked) && not (older_queued_writer e req) in
-  (grantable, !wounded_any)
+let rec mark_all_dirty t = function
+  | key :: rest ->
+    mark_dirty t key;
+    mark_all_dirty t rest
+  | [] -> ()
 
-and grant t key req =
-  let e = entry t key in
-  (match req.kind with
-  | Read -> if not (List.mem req.txn e.readers) then e.readers <- req.txn :: e.readers
-  | Write -> e.writer <- Some req.txn);
-  record_held t req.txn key req.kind;
+(* [try_acquire]'s result bits. *)
+let blocked = 1
+
+let wounded = 2
+
+(* Confront one conflicting holder [h]: wound it if it can be wounded,
+   otherwise record that the request is blocked. Wounding a victim marks
+   every key it blocked dirty (including this one — the owning drain loop
+   re-scans it). *)
+let confront t req h flags =
+  if h = req.txn then flags
+  else if t.is_prepared h then begin
+    (* Cannot abort a prepared holder unilaterally: escalate to its 2PC
+       coordinator if we outrank it, and wait either way. *)
+    if older req.priority (priority_of t h) then t.wound_prepared h;
+    flags lor blocked
+  end
+  else if no_younger req.priority (priority_of t h) then begin
+    (* Priorities are (first-issue time, unique tiebreak) and retries
+       keep the first attempt's, so an equal-priority holder is an
+       earlier attempt of the same logical transaction — already
+       aborted, its lock leaked by a lost release. Wound it too, or the
+       retry waits on itself forever. *)
+    t.wounds <- t.wounds + 1;
+    t.wound h;
+    mark_all_dirty t (strip t h);
+    flags lor wounded
+  end
+  else flags lor blocked
+
+let rec confront_readers t req readers flags =
+  match readers with
+  | h :: rest -> confront_readers t req rest (confront t req h flags)
+  | [] -> flags
+
+(* Evaluate one request: wound what can be wounded (the writer first, then
+   the readers as they stood before any wound), and report whether the
+   request is still blocked and whether anything was wounded. *)
+let try_acquire t e req =
+  let readers = e.readers in
+  let flags = if e.writer = no_writer then 0 else confront t req e.writer 0 in
+  let flags =
+    match req.kind with Read -> flags | Write -> confront_readers t req readers flags
+  in
+  if flags land blocked = 0 && req.kind = Read && older_queued_writer req e.queue
+  then flags lor blocked
+  else flags
+
+let granted_now = Granted { blocked_us = 0 }
+
+let hold t key e kind txn =
+  (match kind with
+  | Read -> if not (List.mem txn e.readers) then e.readers <- txn :: e.readers
+  | Write -> e.writer <- txn);
+  record_held t txn key
+
+let grant t key e req =
+  hold t key e req.kind req.txn;
   let blocked_us = Sim.Engine.now t.engine - req.enqueued_at in
-  Sim.Engine.schedule t.engine ~after:0 (fun () -> req.k (Granted { blocked_us }))
+  let g = if blocked_us = 0 then granted_now else Granted { blocked_us } in
+  let k = req.k in
+  Sim.Engine.schedule t.engine ~after:0 (fun () -> k g)
 
 (* One scan of a key's queue in FIFO order: abort wounded waiters, grant
    every request compatible with the current holders, keep the rest. The
    queue is mutated in place (requests identified physically) so nested
-   wound chains stay coherent. Marks the key dirty again when anything
-   changed. Scanning past blocked requests lets a younger writer wait
-   without stalling readers behind it — and conversely — which plain
-   stop-at-head FIFO would deadlock on. *)
-and scan_key t key =
-  let e = entry t key in
-  let progressed = ref false in
-  List.iter
-    (fun req ->
-      if List.memq req e.queue then
-        if t.is_wounded req.txn then begin
-          e.queue <- List.filter (fun r -> r != req) e.queue;
-          Sim.Engine.schedule t.engine ~after:0 (fun () -> req.k Aborted);
-          progressed := true
-        end
-        else begin
-          let grantable, wounded = try_acquire t key req in
-          if wounded then progressed := true;
-          if grantable then begin
-            e.queue <- List.filter (fun r -> r != req) e.queue;
-            grant t key req;
-            progressed := true
-          end
-        end)
-    e.queue;
-  if !progressed then mark_dirty t key
+   wound chains stay coherent. Scanning past blocked requests lets a
+   younger writer wait without stalling readers behind it — and conversely
+   — which plain stop-at-head FIFO would deadlock on. Returns whether
+   anything changed. *)
+let rec scan t key e progressed = function
+  | [] -> progressed
+  | req :: rest ->
+    if not (List.memq req e.queue) then scan t key e progressed rest
+    else if t.is_wounded req.txn then begin
+      e.queue <- remove_req req e.queue;
+      let k = req.k in
+      Sim.Engine.schedule t.engine ~after:0 (fun () -> k Aborted);
+      scan t key e true rest
+    end
+    else
+      let flags = try_acquire t e req in
+      if flags land blocked = 0 then begin
+        e.queue <- remove_req req e.queue;
+        grant t key e req;
+        scan t key e true rest
+      end
+      else scan t key e (progressed || flags land wounded <> 0) rest
 
-(* Mark a key for processing and, unless a drain loop already owns the
-   table, drain until no key is dirty. *)
-and process_queue t key =
-  mark_dirty t key;
-  if not t.draining then begin
+(* Scan a key; when anything changed, mark it dirty again, otherwise let an
+   idle entry retire. *)
+let scan_key t key =
+  match Sim.Int_table.find t.table key with
+  | exception Not_found -> ()
+  | e -> if scan t key e false e.queue then mark_dirty t key else retire t key e
+
+(* Scan dirty keys until none is left. The fold visits every bucket. With
+   one dirty key it can only return that key, which is usually the last one
+   marked; the fold is left to pick among two or more. *)
+let rec drain t =
+  match Hashtbl.length t.dirty with
+  | 0 -> t.draining <- false
+  | n ->
+    let k =
+      if n = 1 && Hashtbl.mem t.dirty t.last_dirty then t.last_dirty
+      else Hashtbl.fold (fun k () _ -> k) t.dirty t.last_dirty
+    in
+    Hashtbl.remove t.dirty k;
+    scan_key t k;
+    drain t
+
+(* Process one key's queue. Inside a drain, only mark it. Outside one the
+   dirty table is empty, so marking the key and picking it again would
+   leave the table as it was: scan it at once, then drain what the scan
+   marked. *)
+let process_queue t key =
+  if t.draining then mark_dirty t key
+  else begin
     t.draining <- true;
-    (* The fold visits every bucket. With no dirty key it can only
-       return [None], and with one it can only return that key, which is
-       usually the last one marked; the fold is left to pick among two or
-       more. *)
-    let pick () =
-      match Hashtbl.length t.dirty with
-      | 0 -> None
-      | 1 when Hashtbl.mem t.dirty t.last_dirty -> Some t.last_dirty
-      | _ -> Hashtbl.fold (fun k () _ -> Some k) t.dirty None
-    in
-    let rec drain () =
-      match pick () with
-      | None -> t.draining <- false
-      | Some k ->
-        Hashtbl.remove t.dirty k;
-        scan_key t k;
-        drain ()
-    in
-    drain ()
+    scan_key t key;
+    drain t
   end
 
 let acquire t kind ~key ~txn ~priority k =
   Sim.Int_table.replace t.priorities txn priority;
   if t.is_wounded txn then Sim.Engine.schedule t.engine ~after:0 (fun () -> k Aborted)
   else begin
-    let req = { txn; kind; priority; enqueued_at = Sim.Engine.now t.engine; k } in
     let e = entry t key in
-    e.queue <- e.queue @ [ req ];
-    let prev = try Sim.Int_table.find t.queued txn with Not_found -> [] in
-    Sim.Int_table.replace t.queued txn (key :: prev);
-    process_queue t key
+    if (not t.draining) && e.queue = [] && no_conflict e kind txn then begin
+      (* Uncontended: queueing the request and draining would grant it at
+         once, with nothing blocked and nothing wounded. *)
+      hold t key e kind txn;
+      Sim.Engine.schedule t.engine ~after:0 (fun () -> k granted_now)
+    end
+    else begin
+      let req = { txn; kind; priority; enqueued_at = Sim.Engine.now t.engine; k } in
+      e.queue <- e.queue @ [ req ];
+      let prev = try Sim.Int_table.find t.queued txn with Not_found -> [] in
+      Sim.Int_table.replace t.queued txn (key :: prev);
+      process_queue t key
+    end
   end
 
 let acquire_read t ~key ~txn ~priority k = acquire t Read ~key ~txn ~priority k
@@ -269,11 +368,20 @@ let acquire_write t ~key ~txn ~priority k = acquire t Write ~key ~txn ~priority 
 
 let restore_write t ~key ~txn ~priority =
   Sim.Int_table.replace t.priorities txn priority;
-  (entry t key).writer <- Some txn;
-  record_held t txn key Write
+  (entry t key).writer <- txn;
+  record_held t txn key
+
+(* Outside a drain, a key whose queue is empty has nothing to scan: it only
+   retires if it is idle. *)
+let rec release_keys t = function
+  | key :: rest ->
+    (match Sim.Int_table.find t.table key with
+    | exception Not_found -> ()
+    | e -> if e.queue = [] then retire t key e else process_queue t key);
+    release_keys t rest
+  | [] -> ()
 
 let release_all t ~txn =
-  let affected, aborted = strip t txn in
+  let affected = strip t txn in
   Sim.Int_table.remove t.priorities txn;
-  List.iter (fun k -> Sim.Engine.schedule t.engine ~after:0 (fun () -> k Aborted)) aborted;
-  List.iter (fun key -> process_queue t key) affected
+  if t.draining then mark_all_dirty t affected else release_keys t affected

@@ -61,3 +61,7 @@ val any_busy_in : t -> lo:int -> hi:int -> bool
     queued request? The placement drain polls this until the fenced range
     is quiescent. *)
 
+
+val live_entries : t -> int
+(** Keys with a lock holder or a queued request. An entry leaves the table
+    as soon as it has neither, so a drained run ends with none. *)

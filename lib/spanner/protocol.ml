@@ -115,18 +115,36 @@ let route ?view ctx key =
 
 let refresh_view = function Some v -> Place.Directory.refresh v | None -> ()
 
+let rec group_into ?view ctx tbl = function
+  | key :: rest ->
+    let s = route ?view ctx key in
+    let prev = try Hashtbl.find tbl s with Not_found -> [] in
+    Hashtbl.replace tbl s (key :: prev);
+    group_into ?view ctx tbl rest
+  | [] -> ()
+
 (* [reset] takes the table back to its 16 buckets, so every call folds in
    the order a fresh table would. *)
 let group_by_shard ?view ctx keys =
   let tbl = ctx.by_shard in
   Hashtbl.reset tbl;
-  List.iter
-    (fun key ->
-      let s = route ?view ctx key in
-      let prev = try Hashtbl.find tbl s with Not_found -> [] in
-      Hashtbl.replace tbl s (key :: prev))
-    keys;
+  group_into ?view ctx tbl keys;
   Hashtbl.fold (fun s keys acc -> (s, keys) :: acc) tbl []
+
+(* The keys grouped at [shard_id], or none. *)
+let rec keys_at shard_id = function
+  | (s, keys) :: rest -> if s = shard_id then keys else keys_at shard_id rest
+  | [] -> []
+
+(* The (key, value) pairs of [writes] for [keys], in the order of [keys]. *)
+let rec writes_for keys writes =
+  match keys with
+  | key :: rest -> write_of key writes :: writes_for rest writes
+  | [] -> []
+
+and write_of key = function
+  | ((k, _) as w) :: rest -> if k = key then w else write_of key rest
+  | [] -> invalid_arg "Protocol.writes_for: key not written"
 
 (* Wait until [ts] is definitely past: TT.now.earliest > ts. The sleep
    length is an estimate from the current ε, so re-check on wake: if ε was
@@ -742,9 +760,7 @@ let handle_rw_read ctx shard ~txn ~priority ~keys
       Locks.acquire_read shard.Shard.locks ~key ~txn ~priority (function
         | Locks.Aborted -> reply None
         | Locks.Granted _ ->
-          let v = Shard.read_version_at shard ~key ~ts:max_int in
-          let observed = Option.map (fun (v : Types.version) -> v.Types.value) v in
-          loop rest ((key, observed) :: acc))
+          loop rest ((key, Shard.read_value_at shard ~key ~ts:max_int) :: acc))
   in
   if List.exists (fun key -> not (owns ctx shard key)) keys then begin
     ctx.n_redirects <- ctx.n_redirects + 1;
@@ -796,9 +812,9 @@ let rw_txn ?(on_attempt = fun (_ : int) -> ()) ?deadline_us ?view ctx
     ~client_site ~proc ~read_keys ~writes k =
   if writes = [] then invalid_arg "Protocol.rw_txn: empty write set";
   let write_keys = List.map fst writes in
-  if List.length (List.sort_uniq compare write_keys) <> List.length write_keys then
+  if List.length (List.sort_uniq Int.compare write_keys) <> List.length write_keys then
     invalid_arg "Protocol.rw_txn: duplicate write keys";
-  let read_keys = List.sort_uniq compare read_keys in
+  let read_keys = List.sort_uniq Int.compare read_keys in
   (* Retries keep this first-attempt priority (classic wound-wait), and the
      tiebreak makes priorities a strict total order. *)
   let priority = (Sim.Engine.now ctx.engine, Types.tiebreak ctx.txns) in
@@ -811,16 +827,13 @@ let rw_txn ?(on_attempt = fun (_ : int) -> ()) ?deadline_us ?view ctx
     (* Routing is re-derived per attempt from the client's cached view:
        an attempt bounced off a moved range refreshes the view in [retry]
        and the next attempt addresses the new owner. *)
-    let write_shards = group_by_shard ?view ctx (List.map fst writes) in
+    let write_shards = group_by_shard ?view ctx write_keys in
     let read_shards = group_by_shard ?view ctx read_keys in
+    let write_ids = List.map fst write_shards in
     let participant_ids =
-      List.sort_uniq compare
-        (List.map fst write_shards @ List.map fst read_shards)
+      List.sort_uniq Int.compare (List.rev_append (List.map fst read_shards) write_ids)
     in
-    let coord, est_latency =
-      ctx.estimate ~client_site
-        ~participants:(List.map fst write_shards)
-    in
+    let coord, est_latency = ctx.estimate ~client_site ~participants:write_ids in
     let meta = Types.fresh ctx.txns ~proc ~priority in
     let txn = meta.Types.id in
     on_attempt txn;
@@ -967,11 +980,7 @@ let rw_txn ?(on_attempt = fun (_ : int) -> ()) ?deadline_us ?view ctx
       in
       List.iter
         (fun shard_id ->
-          let writes_here =
-            match List.assoc_opt shard_id write_shards with
-            | None -> []
-            | Some keys -> List.map (fun key -> (key, List.assoc key writes)) keys
-          in
+          let writes_here = writes_for (keys_at shard_id write_shards) writes in
           if shard_id = coord then
             to_shard ctx ~src:client_site shard_id (fun sh ->
                 coordinator_request ctx sh ~txn ~priority ~writes_here ~tee
@@ -1047,6 +1056,10 @@ type fast_reply = {
 
 type slow_reply = { sr_txn : int; sr_outcome : Types.outcome }
 
+let rec versions_at shard ts = function
+  | key :: rest -> (key, Shard.read_version_at shard ~key ~ts) :: versions_at shard ts rest
+  | [] -> []
+
 (* Shard-side RO handler (Algorithm 2). In Strict mode every conflicting
    prepared transaction with tp <= t_read blocks; in RSS mode only those
    that must be observed (tp <= t_min) or could have ended before the RO
@@ -1058,180 +1071,232 @@ let handle_ro ctx shard ~keys ~t_read ~t_min ~(fast : fast_reply -> unit)
      timestamps exceed t_read, so Alg. 2's "wait until t_read <= MaxWriteTS"
      never blocks at a leader. *)
   Shard.advance_max_write_ts shard t_read;
-  let p0 = Shard.conflicting_prepared shard ~keys ~max_tp:t_read in
-  let blocking =
-    match ctx.config.Config.mode with
-    | Config.Strict -> p0
-    | Config.Rss ->
-      List.filter
-        (fun (p : Shard.prepared) -> p.Shard.p_tp <= t_min || p.Shard.p_tee <= t_read)
-        p0
-  in
-  if blocking <> [] then shard.Shard.n_ro_blocked <- shard.Shard.n_ro_blocked + 1;
-  let tr = ctx.tracer in
-  let block_sp =
-    if Obs.Trace.enabled tr && blocking <> [] then
-      Obs.Trace.begin_span ~site:shard.Shard.leader_site tr
-        ~kind:Obs.Trace.Phase ~name:"ro.block" ~ts:(Sim.Engine.now ctx.engine)
-    else Obs.Trace.none
-  in
-  (* With failover armed a conflicting prepare may be orphaned (its
-     coordinator's leader died); kick off in-doubt resolution so the read
-     does not wait on a decision nobody is driving. *)
-  if ctx.failover then
-    List.iter
-      (fun (p : Shard.prepared) -> resolve_in_doubt ctx shard p.Shard.p_txn)
-      p0;
-  let finish () =
-    Obs.Trace.end_span tr block_sp ~ts:(Sim.Engine.now ctx.engine);
-    let remaining =
-      List.filter
-        (fun (p : Shard.prepared) -> Shard.prepared shard p.Shard.p_txn <> None)
-        p0
+  match Shard.conflicting_prepared shard ~keys ~max_tp:t_read with
+  | [] ->
+    (* Nothing prepared conflicts: nothing blocks, is skipped or waited on. *)
+    fast { fr_values = versions_at shard t_read keys; fr_skipped = [] }
+  | p0 ->
+    let blocking =
+      match ctx.config.Config.mode with
+      | Config.Strict -> p0
+      | Config.Rss ->
+        List.filter
+          (fun (p : Shard.prepared) -> p.Shard.p_tp <= t_min || p.Shard.p_tee <= t_read)
+          p0
     in
-    let values =
-      List.map (fun key -> (key, Shard.read_version_at shard ~key ~ts:t_read)) keys
+    if blocking <> [] then shard.Shard.n_ro_blocked <- shard.Shard.n_ro_blocked + 1;
+    let tr = ctx.tracer in
+    let block_sp =
+      if Obs.Trace.enabled tr && blocking <> [] then
+        Obs.Trace.begin_span ~site:shard.Shard.leader_site tr
+          ~kind:Obs.Trace.Phase ~name:"ro.block" ~ts:(Sim.Engine.now ctx.engine)
+      else Obs.Trace.none
     in
-    let skipped =
-      List.map
+    (* With failover armed a conflicting prepare may be orphaned (its
+       coordinator's leader died); kick off in-doubt resolution so the read
+       does not wait on a decision nobody is driving. *)
+    if ctx.failover then
+      List.iter
+        (fun (p : Shard.prepared) -> resolve_in_doubt ctx shard p.Shard.p_txn)
+        p0;
+    let finish () =
+      Obs.Trace.end_span tr block_sp ~ts:(Sim.Engine.now ctx.engine);
+      let remaining =
+        List.filter
+          (fun (p : Shard.prepared) -> Shard.prepared shard p.Shard.p_txn <> None)
+          p0
+      in
+      let values = versions_at shard t_read keys in
+      let skipped =
+        List.map
+          (fun (p : Shard.prepared) ->
+            let writes = List.filter (fun (k, _) -> List.mem k keys) p.Shard.p_writes in
+            (p.Shard.p_txn, p.Shard.p_tp, writes))
+          remaining
+      in
+      fast { fr_values = values; fr_skipped = skipped };
+      List.iter
         (fun (p : Shard.prepared) ->
-          let writes = List.filter (fun (k, _) -> List.mem k keys) p.Shard.p_writes in
-          (p.Shard.p_txn, p.Shard.p_tp, writes))
+          Shard.wait_prepared shard p (fun outcome ->
+              slow { sr_txn = p.Shard.p_txn; sr_outcome = outcome }))
         remaining
     in
-    fast { fr_values = values; fr_skipped = skipped };
+    (match blocking with
+    | [] -> finish ()
+    | _ ->
+      let pending = ref (List.length blocking) in
+      List.iter
+        (fun p ->
+          Shard.wait_prepared shard p (fun _ ->
+              decr pending;
+              if !pending = 0 then finish ()))
+        blocking)
+
+(* One RO attempt's client-side state. The values a shard returns stay in
+   its fast reply's list; versions learnt by resolving a skipped txn go to
+   [learnt]. The skipped txns and the slow outcomes that overtook their
+   shard's fast reply are association lists used as maps: nothing that
+   reaches the result depends on their order. A skipped txn's resolution
+   only adds versions and removes the txn, [min_skipped_tp] is a minimum,
+   and [read] picks each key's newest version at or below t_snap, which is
+   unique because a key's commit timestamps are distinct. *)
+type ro_state = {
+  ro_keys : int list;
+  ro_t_read : int;
+  ro_t_min : int;
+  ro_k : ro_result -> unit;
+  mutable pending_fast : int;
+  mutable fast_values : (int * Types.version option) list list;
+  mutable learnt : (int * Types.version) list;
+  (* Newest timestamp among the fast-path values only: t_snap must be
+     computed from Alg. 2's V, not from slow-path resolutions (whose commit
+     timestamps may exceed t_read). *)
+  mutable fast_newest : int;
+  mutable skipped : (int * int * (int * int) list) list;  (* txn, tp, writes *)
+  mutable early_outcomes : (int * Types.outcome) list;
+  mutable went_slow : bool;
+  mutable finished : bool;
+  mutable t_snap : int;
+}
+
+let rec skipped_find txn = function
+  | ((t, _, _) as s) :: rest -> if t = txn then Some s else skipped_find txn rest
+  | [] -> None
+
+let rec skipped_remove txn = function
+  | ((t, _, _) as s) :: rest -> if t = txn then rest else s :: skipped_remove txn rest
+  | [] -> []
+
+let rec early_remove txn = function
+  | ((t, _) as e) :: rest -> if t = txn then rest else e :: early_remove txn rest
+  | [] -> []
+
+let learn st ~txn ~tc writes =
+  List.iter
+    (fun (key, value) ->
+      st.learnt <- (key, { Types.ts = tc; writer = txn; value }) :: st.learnt)
+    writes
+
+let ro_resolve st txn outcome =
+  match skipped_find txn st.skipped with
+  | None -> st.early_outcomes <- (txn, outcome) :: early_remove txn st.early_outcomes
+  | Some (_, _, writes) -> (
+    st.skipped <- skipped_remove txn st.skipped;
+    match outcome with
+    | Types.Aborted -> ()
+    | Types.Committed tc -> learn st ~txn ~tc writes)
+
+(* §6 optimization 1: a committed version returned by one shard reveals the
+   commit timestamp of a transaction another shard skipped. *)
+let resolve_from_committed st =
+  if st.skipped <> [] then begin
+    let found = ref [] in
+    let note (v : Types.version) =
+      if skipped_find v.Types.writer st.skipped <> None then
+        found := (v.Types.writer, v.Types.ts) :: !found
+    in
     List.iter
-      (fun (p : Shard.prepared) ->
-        Shard.wait_prepared shard p (fun outcome ->
-            slow { sr_txn = p.Shard.p_txn; sr_outcome = outcome }))
-      remaining
+      (List.iter (fun (_, v) -> match v with Some v -> note v | None -> ()))
+      st.fast_values;
+    List.iter (fun (_, v) -> note v) st.learnt;
+    List.iter (fun (txn, tc) -> ro_resolve st txn (Types.Committed tc)) !found
+  end
+
+let min_skipped_tp st =
+  List.fold_left (fun acc (_, tp, _) -> min tp acc) max_int st.skipped
+
+let better st key (best : Types.version option) k (v : Types.version) =
+  if k = key && v.Types.ts <= st.t_snap then
+    match best with
+    | Some b when b.Types.ts >= v.Types.ts -> best
+    | _ -> Some v
+  else best
+
+let rec best_fast st key best = function
+  | (k, Some v) :: rest -> best_fast st key (better st key best k v) rest
+  | (_, None) :: rest -> best_fast st key best rest
+  | [] -> best
+
+let rec best_learnt st key best = function
+  | (k, v) :: rest -> best_learnt st key (better st key best k v) rest
+  | [] -> best
+
+let rec best_in st key best = function
+  | vs :: rest -> best_in st key (best_fast st key best vs) rest
+  | [] -> best
+
+let read st key =
+  match best_learnt st key (best_in st key None st.fast_values) st.learnt with
+  | Some (v : Types.version) -> (key, Some v.Types.value)
+  | None -> (key, None)
+
+let ro_finish ctx st =
+  st.finished <- true;
+  let reads = List.map (read st) st.ro_keys in
+  if st.went_slow then ctx.n_ro_slow <- ctx.n_ro_slow + 1;
+  let witness_ts =
+    match ctx.config.Config.mode with
+    | Config.Strict -> st.ro_t_read
+    | Config.Rss -> max st.t_snap st.ro_t_min
   in
-  match blocking with
-  | [] -> finish ()
-  | _ ->
-    let pending = ref (List.length blocking) in
+  st.ro_k { ro_snap_ts = witness_ts; ro_reads = reads; ro_slow = st.went_slow }
+
+let check_done ctx st =
+  if (not st.finished) && st.pending_fast = 0 then
+    if min_skipped_tp st > st.t_snap then ro_finish ctx st else st.went_slow <- true
+
+let on_slow ctx st sr =
+  ro_resolve st sr.sr_txn sr.sr_outcome;
+  check_done ctx st
+
+let rec newest_of newest = function
+  | (_, Some (v : Types.version)) :: rest -> newest_of (Int.max newest v.Types.ts) rest
+  | (_, None) :: rest -> newest_of newest rest
+  | [] -> newest
+
+let on_fast ctx st fr =
+  st.fast_values <- fr.fr_values :: st.fast_values;
+  st.fast_newest <- newest_of st.fast_newest fr.fr_values;
+  if fr.fr_skipped <> [] then
     List.iter
-      (fun p ->
-        Shard.wait_prepared shard p (fun _ ->
-            decr pending;
-            if !pending = 0 then finish ()))
-      blocking
+      (fun ((txn, _, writes) as s) ->
+        match List.assoc_opt txn st.early_outcomes with
+        | Some outcome -> (
+          st.early_outcomes <- early_remove txn st.early_outcomes;
+          match outcome with
+          | Types.Aborted -> ()
+          | Types.Committed tc -> learn st ~txn ~tc writes)
+        | None -> st.skipped <- s :: skipped_remove txn st.skipped)
+      fr.fr_skipped;
+  st.pending_fast <- st.pending_fast - 1;
+  if st.pending_fast = 0 then begin
+    (* CalculateSnapshotTS: the earliest time at which a (fast) value is
+       known for every key. *)
+    st.t_snap <- st.fast_newest;
+    resolve_from_committed st;
+    check_done ctx st
+  end
 
 let rec ro_once ?view ?expires ctx ~client_site ~t_min ~keys k =
   ctx.n_ro <- ctx.n_ro + 1;
   let t_read = (Sim.Truetime.now ctx.tt).Sim.Truetime.latest in
   let by_shard = group_by_shard ?view ctx keys in
-  let pending_fast = ref (List.length by_shard) in
-  (* Per-op scratch tables, kept on the stdlib: [resolve_from_committed]'s
-     iteration order decides the order in which skipped txns resolve. *)
-  let versions : (int, Types.version list) Hashtbl.t = Hashtbl.create 8 in
-  (* Newest timestamp per key among the fast-path values only: t_snap must
-     be computed from Alg. 2's V, not from slow-path resolutions (whose
-     commit timestamps may exceed t_read). *)
-  let fast_newest = ref 0 in
-  let skipped : (int, int * (int * int) list) Hashtbl.t = Hashtbl.create 8 in
-  (* Slow replies that overtook their shard's fast reply on the network. *)
-  let early_outcomes : (int, Types.outcome) Hashtbl.t = Hashtbl.create 4 in
-  let went_slow = ref false in
-  let finished = ref false in
-  let t_snap = ref 0 in
-  let add_version key (v : Types.version) =
-    let prev = try Hashtbl.find versions key with Not_found -> [] in
-    Hashtbl.replace versions key (v :: prev)
-  in
-  let resolve txn outcome =
-    match Hashtbl.find_opt skipped txn with
-    | None -> Hashtbl.replace early_outcomes txn outcome
-    | Some (_tp, writes) ->
-      Hashtbl.remove skipped txn;
-      (match outcome with
-      | Types.Aborted -> ()
-      | Types.Committed tc ->
-        List.iter
-          (fun (key, value) -> add_version key { Types.ts = tc; writer = txn; value })
-          writes)
-  in
-  (* §6 optimization 1: a committed version returned by one shard reveals the
-     commit timestamp of a transaction another shard skipped. *)
-  let resolve_from_committed () =
-    let found = ref [] in
-    Hashtbl.iter
-      (fun _ vs ->
-        List.iter
-          (fun (v : Types.version) ->
-            if Hashtbl.mem skipped v.Types.writer then
-              found := (v.Types.writer, v.Types.ts) :: !found)
-          vs)
-      versions;
-    List.iter (fun (txn, tc) -> resolve txn (Types.Committed tc)) !found
-  in
-  let min_skipped_tp () = Hashtbl.fold (fun _ (tp, _) acc -> min tp acc) skipped max_int in
-  let finish () =
-    finished := true;
-    let reads =
-      List.map
-        (fun key ->
-          let vs = try Hashtbl.find versions key with Not_found -> [] in
-          let best =
-            List.fold_left
-              (fun acc (v : Types.version) ->
-                if v.Types.ts <= !t_snap then
-                  match acc with
-                  | Some (b : Types.version) when b.Types.ts >= v.Types.ts -> acc
-                  | _ -> Some v
-                else acc)
-              None vs
-          in
-          (key, Option.map (fun (v : Types.version) -> v.Types.value) best))
-        keys
-    in
-    if !went_slow then ctx.n_ro_slow <- ctx.n_ro_slow + 1;
-    let witness_ts =
-      match ctx.config.Config.mode with
-      | Config.Strict -> t_read
-      | Config.Rss -> max !t_snap t_min
-    in
-    k { ro_snap_ts = witness_ts; ro_reads = reads; ro_slow = !went_slow }
-  in
-  let check_done () =
-    if (not !finished) && !pending_fast = 0 then
-      if min_skipped_tp () > !t_snap then finish () else went_slow := true
-  in
-  let on_slow sr =
-    resolve sr.sr_txn sr.sr_outcome;
-    check_done ()
-  in
-  let on_fast fr =
-    List.iter
-      (fun (key, v) ->
-        match v with
-        | None -> ()
-        | Some v ->
-          add_version key v;
-          if v.Types.ts > !fast_newest then fast_newest := v.Types.ts)
-      fr.fr_values;
-    List.iter
-      (fun (txn, tp, writes) ->
-        match Hashtbl.find_opt early_outcomes txn with
-        | Some outcome ->
-          Hashtbl.remove early_outcomes txn;
-          (match outcome with
-          | Types.Aborted -> ()
-          | Types.Committed tc ->
-            List.iter
-              (fun (key, value) ->
-                add_version key { Types.ts = tc; writer = txn; value })
-              writes)
-        | None -> Hashtbl.replace skipped txn (tp, writes))
-      fr.fr_skipped;
-    decr pending_fast;
-    if !pending_fast = 0 then begin
-      (* CalculateSnapshotTS: the earliest time at which a (fast) value is
-         known for every key. *)
-      t_snap := !fast_newest;
-      resolve_from_committed ();
-      check_done ()
-    end
+  let st =
+    {
+      ro_keys = keys;
+      ro_t_read = t_read;
+      ro_t_min = t_min;
+      ro_k = k;
+      pending_fast = List.length by_shard;
+      fast_values = [];
+      learnt = [];
+      fast_newest = 0;
+      skipped = [];
+      early_outcomes = [];
+      went_slow = false;
+      finished = false;
+      t_snap = 0;
+    }
   in
   (* A shard that no longer owns some requested key bounces the whole RO:
      the client refreshes its view and re-issues with a fresh t_read.
@@ -1240,8 +1305,8 @@ let rec ro_once ?view ?expires ctx ~client_site ~t_min ~keys k =
      fence only blocks lock acquisition — so reads stay available through
      the whole handoff. *)
   let bounce () =
-    if not !finished then begin
-      finished := true;
+    if not st.finished then begin
+      st.finished <- true;
       refresh_view view;
       ro_once ?view ?expires ctx ~client_site ~t_min ~keys k
     end
@@ -1253,13 +1318,13 @@ let rec ro_once ?view ?expires ctx ~client_site ~t_min ~keys k =
      and the deadline can still be met — otherwise fast-fail. *)
   let reject = function
     | Sim.Flow.Expired ->
-      if not !finished then begin
-        finished := true;
+      if not st.finished then begin
+        st.finished <- true;
         Sim.Flow.abandon ctx.flow
       end
     | Sim.Flow.Pushback pb ->
-      if not !finished then begin
-        finished := true;
+      if not st.finished then begin
+        st.finished <- true;
         Sim.Flow.retry ctx.flow ?expires ~after_us:pb.retry_after_us (fun () ->
             ro_once ?view ?expires ctx ~client_site ~t_min ~keys k)
       end
@@ -1276,10 +1341,10 @@ let rec ro_once ?view ?expires ctx ~client_site ~t_min ~keys k =
             handle_ro ctx sh ~keys:shard_keys ~t_read ~t_min
               ~fast:(fun fr ->
                 to_client ctx ~src:sh.Shard.leader_site ~dst:client_site
-                  (fun () -> on_fast fr))
+                  (fun () -> on_fast ctx st fr))
               ~slow:(fun sr ->
                 to_client ctx ~src:sh.Shard.leader_site ~dst:client_site
-                  (fun () -> on_slow sr))))
+                  (fun () -> on_slow ctx st sr))))
     by_shard
 
 (* A read-only transaction, optionally re-issued from scratch (fresh

@@ -93,10 +93,24 @@ let create engine net tt txns (config : Config.t) ~shard_id =
     wound_prepared_hook;
   }
 
+(* The first (newest) version at or below [ts]; versions are newest-first. *)
+let rec newest_at ts = function
+  | (v : Types.version) :: rest -> if v.Types.ts <= ts then Some v else newest_at ts rest
+  | [] -> None
+
+let rec value_at ts = function
+  | (v : Types.version) :: rest -> if v.Types.ts <= ts then Some v.Types.value else value_at ts rest
+  | [] -> None
+
 let read_version_at t ~key ~ts =
   match Sim.Int_table.find t.store key with
   | exception Not_found -> None
-  | versions -> List.find_opt (fun (v : Types.version) -> v.Types.ts <= ts) versions
+  | versions -> newest_at ts versions
+
+let read_value_at t ~key ~ts =
+  match Sim.Int_table.find t.store key with
+  | exception Not_found -> None
+  | versions -> value_at ts versions
 
 (* Raises [Invalid_argument] if [ts] does not exceed the key's newest
    version (the per-key monotonicity invariant). *)
@@ -148,7 +162,7 @@ let prepared t txn = Hashtbl.find_opt t.prepared_set.by_txn txn
 
 let fold_prepared t f init = Hashtbl.fold (fun _ p acc -> f p acc) t.prepared_set.by_txn init
 
-let prepared_txns t = List.sort compare (fold_prepared t (fun p acc -> p.p_txn :: acc) [])
+let prepared_txns t = List.sort Int.compare (fold_prepared t (fun p acc -> p.p_txn :: acc) [])
 
 (* The index only skips the fold when it would return []; see the .mli for
    why the fold's order must not change. *)

@@ -71,6 +71,9 @@ val create :
 val read_version_at : t -> key:int -> ts:int -> Types.version option
 (** Latest committed version with [ts' <= ts]. *)
 
+val read_value_at : t -> key:int -> ts:int -> int option
+(** The value of {!read_version_at}. *)
+
 val advance_max_write_ts : t -> int -> unit
 
 val choose_prepare_ts : t -> int

@@ -80,7 +80,7 @@ let test_admission_sheds_past_queue_bound () =
   Sim.Station.set_limits st (Some { Sim.Station.max_queue = 3; max_sojourn_us = 1_000_000 });
   let admitted = ref 0 and shed = ref 0 in
   for _ = 1 to 8 do
-    match Sim.Station.try_submit st (fun () -> ()) with
+    match Sim.Station.try_submit ~cost:(Sim.Station.service_time_us st) st (fun () -> ()) with
     | Sim.Station.Admitted -> incr admitted
     | Sim.Station.Shed pb ->
       incr shed;
@@ -101,7 +101,7 @@ let test_admission_sheds_past_sojourn_bound () =
   Sim.Station.set_limits st
     (Some { Sim.Station.max_queue = 1000; max_sojourn_us = 1_000 });
   let verdicts =
-    List.init 5 (fun _ -> Sim.Station.try_submit st (fun () -> ()))
+    List.init 5 (fun _ -> Sim.Station.try_submit ~cost:(Sim.Station.service_time_us st) st (fun () -> ()))
   in
   (* Backlogs at arrival: 0, 400, 800 admitted; 1200 exceeds the bound. *)
   let admitted =
@@ -114,7 +114,7 @@ let test_no_limits_never_sheds () =
   let e = Sim.Engine.create () in
   let st = Sim.Station.create e ~service_time_us:50 in
   for _ = 1 to 100 do
-    match Sim.Station.try_submit st (fun () -> ()) with
+    match Sim.Station.try_submit ~cost:(Sim.Station.service_time_us st) st (fun () -> ()) with
     | Sim.Station.Admitted -> ()
     | Sim.Station.Shed _ -> Alcotest.fail "shed without limits"
   done;
@@ -565,11 +565,11 @@ let test_with_flow_validates () =
 let test_slowdown_scales_service () =
   let e = Sim.Engine.create () in
   let st = Sim.Station.create e ~service_time_us:10 in
-  Sim.Station.submit st (fun () -> ());
+  Sim.Station.submit ~cost:(Sim.Station.service_time_us st) st (fun () -> ());
   Sim.Station.set_slowdown st 7;
-  Sim.Station.submit st (fun () -> ());
+  Sim.Station.submit ~cost:(Sim.Station.service_time_us st) st (fun () -> ());
   Sim.Station.set_slowdown st 1;
-  Sim.Station.submit st (fun () -> ());
+  Sim.Station.submit ~cost:(Sim.Station.service_time_us st) st (fun () -> ());
   Sim.Engine.run e;
   check int "10 + 70 + 10" 90 (Sim.Station.busy_us st);
   Alcotest.check_raises "factor must be >= 1"

@@ -530,12 +530,12 @@ let gryff_words_per_op ~retrans =
 let test_allocation_per_op () =
   let read, write = gryff_words_per_op ~retrans:false in
   let read_rt, write_rt = gryff_words_per_op ~retrans:true in
-  check (Alcotest.float 0.0) "read: minor words" 275.0 read;
-  check (Alcotest.float 0.0) "write: minor words" 526.0 write;
-  check (Alcotest.float 0.0) "read, retransmission armed: minor words" 520.0
+  check (Alcotest.float 0.0) "read: minor words" 265.0 read;
+  check (Alcotest.float 0.0) "write: minor words" 506.0 write;
+  check (Alcotest.float 0.0) "read, retransmission armed: minor words" 510.0
     read_rt;
   check (Alcotest.float 0.0) "write, retransmission armed: minor words"
-    1016.0 write_rt
+    996.0 write_rt
 
 let suites =
   [

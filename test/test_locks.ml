@@ -255,6 +255,282 @@ let test_wound_chain_order () =
   check bool "victim wounded" true (Hashtbl.mem h.wounded 20);
   check (Alcotest.list int) "grant order" [ 10; 34; 31; 35; 25; 32; 33 ] (List.rev !fired)
 
+(* ------------------------------------------------------------------ *)
+(* Differential test against the reference lock table                  *)
+(* ------------------------------------------------------------------ *)
+
+(* [Locks_ref] is the lock table as it stood before its uncontended fast
+   paths, its entry retirement and its allocation-free scans, kept
+   verbatim. Both tables run the same generated sequence of acquires,
+   releases, restored writes (taking a key over from a holder, which a
+   rebuild never does but the table tolerates), wounds and prepared marks
+   over a few txns and keys, with
+   equal priorities among them; each has its own engine and callback
+   state. After every step, the trace records each side's delivered
+   grants (sim time, request, outcome), its wound and escalation calls,
+   and what it answers to [holds_read], [holds_write], [any_busy_in] and
+   [wounds_inflicted]. A wound or an escalation may react at once, inside
+   the drain that raised it, by releasing the victim (as a coordinator's
+   abort does) or by issuing another acquire, so nested releases and
+   acquires are driven too. Each reaction fires once: a nested acquire
+   blocked behind the same prepared holder would otherwise escalate again
+   on every re-scan. *)
+
+type diff_kind = Rd | Wr
+
+type reaction = Nothing | Abort_victim | Nested of diff_kind * int * int
+
+type diff_op =
+  | Acquire of diff_kind * int * int  (* kind, key, txn *)
+  | Release of int
+  | Restore of int * int  (* key, txn *)
+  | Wound of int
+  | Prepare of int
+  | Unprepare of int
+  | Run
+  | Advance of int
+
+type scenario = {
+  prios : (int * int) array;  (* per txn *)
+  on_wound : reaction array;  (* per wounded txn *)
+  on_escalate : reaction array;  (* per escalated txn *)
+  ops : diff_op list;
+}
+
+let n_diff_txns = 5
+
+let n_diff_keys = 4
+
+let pp_kind = function Rd -> "read" | Wr -> "write"
+
+let pp_diff_op = function
+  | Acquire (k, key, txn) -> Printf.sprintf "acquire %s key %d txn %d" (pp_kind k) key txn
+  | Release txn -> Printf.sprintf "release %d" txn
+  | Restore (key, txn) -> Printf.sprintf "restore write key %d txn %d" key txn
+  | Wound txn -> Printf.sprintf "wound %d" txn
+  | Prepare txn -> Printf.sprintf "prepare %d" txn
+  | Unprepare txn -> Printf.sprintf "unprepare %d" txn
+  | Run -> "run"
+  | Advance n -> Printf.sprintf "advance %d" n
+
+let pp_scenario s =
+  let prio i (p, b) = Printf.sprintf "txn %d: priority (%d, %d)" i p b in
+  let reaction what i = function
+    | Nothing -> Printf.sprintf "txn %d %s: nothing" i what
+    | Abort_victim -> Printf.sprintf "txn %d %s: release it" i what
+    | Nested (k, key, txn) ->
+      Printf.sprintf "txn %d %s: acquire %s key %d txn %d" i what (pp_kind k) key txn
+  in
+  String.concat "\n"
+    (Array.to_list (Array.mapi prio s.prios)
+    @ Array.to_list (Array.mapi (reaction "wounded") s.on_wound)
+    @ Array.to_list (Array.mapi (reaction "escalated") s.on_escalate)
+    @ List.map pp_diff_op s.ops)
+
+let gen_scenario =
+  let open QCheck.Gen in
+  let kind = oneofl [ Rd; Wr ] in
+  let key = int_bound (n_diff_keys - 1) and txn = int_bound (n_diff_txns - 1) in
+  let op =
+    frequency
+      [
+        (8, map3 (fun k key txn -> Acquire (k, key, txn)) kind key txn);
+        (3, map (fun t -> Release t) txn);
+        (1, map2 (fun key t -> Restore (key, t)) key txn);
+        (1, map (fun t -> Wound t) txn);
+        (2, map (fun t -> Prepare t) txn);
+        (1, map (fun t -> Unprepare t) txn);
+        (2, return Run);
+        (1, map (fun n -> Advance n) (int_range 1 5));
+      ]
+  in
+  let reaction =
+    frequency
+      [
+        (2, return Nothing);
+        (2, return Abort_victim);
+        (2, map3 (fun k key txn -> Nested (k, key, txn)) kind key txn);
+      ]
+  in
+  let reactions = array_repeat n_diff_txns reaction in
+  map3
+    (fun prios (on_wound, on_escalate) ops -> { prios; on_wound; on_escalate; ops })
+    (array_repeat n_diff_txns (pair (int_bound 2) (int_bound 1)))
+    (pair reactions reactions)
+    (list_size (int_range 1 40) op)
+
+(* One implementation under test, driven through the same operations. *)
+type side = {
+  engine : Sim.Engine.t;
+  trace : string list ref;  (* newest first *)
+  acquire : diff_kind -> key:int -> txn:int -> unit;
+  release : int -> unit;
+  restore : key:int -> txn:int -> unit;
+  wound : int -> unit;
+  set_prepared : int -> bool -> unit;
+  observe : unit -> string;
+}
+
+(* The callback state and the knot through which a wound or an escalation
+   reacts with the table that raised it. [make] builds the table from the four
+   callbacks and returns its acquire, release-and-restore and observation
+   functions. *)
+let side scenario make =
+  let engine = Sim.Engine.create () in
+  let trace = ref [] in
+  let log s = trace := s :: !trace in
+  let prepared = Hashtbl.create 8 and wounded = Hashtbl.create 8 in
+  let next_req = ref 0 in
+  let on_wound = Array.copy scenario.on_wound in
+  let on_escalate = Array.copy scenario.on_escalate in
+  let ops = ref None in
+  let get () = Option.get !ops in
+  let acquire kind ~key ~txn =
+    let req = !next_req in
+    incr next_req;
+    let acq, _, _ = get () in
+    acq kind ~key ~txn ~priority:scenario.prios.(txn) (fun outcome ->
+        log (Printf.sprintf "t=%d req %d: %s" (Sim.Engine.now engine) req outcome))
+  in
+  let release txn =
+    let _, (rel, _), _ = get () in
+    rel txn
+  in
+  let react reactions txn =
+    let reaction = reactions.(txn) in
+    reactions.(txn) <- Nothing;
+    match reaction with
+    | Nothing -> ()
+    | Abort_victim ->
+      Hashtbl.replace wounded txn ();
+      Hashtbl.remove prepared txn;
+      release txn
+    | Nested (kind, key, t) -> acquire kind ~key ~txn:t
+  in
+  let table_ops =
+    make engine
+      ~is_prepared:(fun txn -> Hashtbl.mem prepared txn)
+      ~is_wounded:(fun txn -> Hashtbl.mem wounded txn)
+      ~wound:(fun txn ->
+        log (Printf.sprintf "wound %d" txn);
+        Hashtbl.replace wounded txn ();
+        react on_wound txn)
+      ~wound_prepared:(fun txn ->
+        log (Printf.sprintf "escalate %d" txn);
+        react on_escalate txn)
+  in
+  ops := Some table_ops;
+  {
+    engine;
+    trace;
+    acquire;
+    release;
+    restore =
+      (fun ~key ~txn ->
+        let _, (_, restore), _ = get () in
+        restore ~key ~txn ~priority:scenario.prios.(txn));
+    wound = (fun txn -> Hashtbl.replace wounded txn ());
+    set_prepared =
+      (fun txn b ->
+        if b then Hashtbl.replace prepared txn () else Hashtbl.remove prepared txn);
+    observe =
+      (fun () ->
+        let _, _, obs = get () in
+        obs ());
+  }
+
+let observe_with ~holds_read ~holds_write ~any_busy_in ~wounds () =
+  let b = Buffer.create 64 in
+  for key = 0 to n_diff_keys - 1 do
+    for txn = 0 to n_diff_txns - 1 do
+      Buffer.add_char b
+        (match (holds_read ~key ~txn, holds_write ~key ~txn) with
+        | false, false -> '.'
+        | true, false -> 'r'
+        | false, true -> 'w'
+        | true, true -> 'W')
+    done;
+    Buffer.add_char b ' '
+  done;
+  List.iter
+    (fun (lo, hi) -> Buffer.add_char b (if any_busy_in ~lo ~hi then 'B' else '-'))
+    [ (0, 1); (1, 2); (2, 3); (3, 4); (0, 2); (1, 4); (0, n_diff_keys) ];
+  Printf.bprintf b " wounds=%d" (wounds ());
+  Buffer.contents b
+
+let ref_side scenario =
+  side scenario (fun engine ~is_prepared ~is_wounded ~wound ~wound_prepared ->
+      let t = Locks_ref.create engine ~is_prepared ~is_wounded ~wound ~wound_prepared in
+      let acq kind ~key ~txn ~priority report =
+        let k = function
+          | Locks_ref.Granted { blocked_us } ->
+            report (Printf.sprintf "granted after %d" blocked_us)
+          | Locks_ref.Aborted -> report "aborted"
+        in
+        match kind with
+        | Rd -> Locks_ref.acquire_read t ~key ~txn ~priority k
+        | Wr -> Locks_ref.acquire_write t ~key ~txn ~priority k
+      in
+      ( acq,
+        ((fun txn -> Locks_ref.release_all t ~txn), Locks_ref.restore_write t),
+        observe_with
+          ~holds_read:(Locks_ref.holds_read t)
+          ~holds_write:(Locks_ref.holds_write t)
+          ~any_busy_in:(Locks_ref.any_busy_in t)
+          ~wounds:(fun () -> Locks_ref.wounds_inflicted t) ))
+
+let new_side scenario =
+  side scenario (fun engine ~is_prepared ~is_wounded ~wound ~wound_prepared ->
+      let t =
+        Spanner.Locks.create engine ~is_prepared ~is_wounded ~wound ~wound_prepared
+      in
+      let acq kind ~key ~txn ~priority report =
+        let k = function
+          | Spanner.Locks.Granted { blocked_us } ->
+            report (Printf.sprintf "granted after %d" blocked_us)
+          | Spanner.Locks.Aborted -> report "aborted"
+        in
+        match kind with
+        | Rd -> Spanner.Locks.acquire_read t ~key ~txn ~priority k
+        | Wr -> Spanner.Locks.acquire_write t ~key ~txn ~priority k
+      in
+      ( acq,
+        ((fun txn -> Spanner.Locks.release_all t ~txn), Spanner.Locks.restore_write t),
+        observe_with
+          ~holds_read:(Spanner.Locks.holds_read t)
+          ~holds_write:(Spanner.Locks.holds_write t)
+          ~any_busy_in:(Spanner.Locks.any_busy_in t)
+          ~wounds:(fun () -> Spanner.Locks.wounds_inflicted t) ))
+
+let run_side s ops =
+  let step op =
+    (match op with
+    | Acquire (kind, key, txn) -> s.acquire kind ~key ~txn
+    | Release txn -> s.release txn
+    | Restore (key, txn) -> s.restore ~key ~txn
+    | Wound txn -> s.wound txn
+    | Prepare txn -> s.set_prepared txn true
+    | Unprepare txn -> s.set_prepared txn false
+    | Run -> Sim.Engine.run s.engine
+    | Advance n ->
+      Sim.Engine.schedule s.engine ~after:n ignore;
+      Sim.Engine.run s.engine);
+    s.trace := s.observe () :: !(s.trace)
+  in
+  List.iter step (ops @ [ Run ]);
+  List.rev !(s.trace)
+
+let prop_matches_reference =
+  QCheck.Test.make ~name:"matches the reference table step by step" ~count:2000
+    (QCheck.make ~print:pp_scenario gen_scenario)
+    (fun sc ->
+      let expected = run_side (ref_side sc) sc.ops in
+      let got = run_side (new_side sc) sc.ops in
+      if expected = got then true
+      else
+        QCheck.Test.fail_reportf "reference:\n%s\n\nlock table:\n%s"
+          (String.concat "\n" expected) (String.concat "\n" got))
+
 let suites =
   [
     ( "spanner.locks",
@@ -281,5 +557,7 @@ let suites =
         Alcotest.test_case "single-key release order" `Quick
           test_single_key_release_order;
         Alcotest.test_case "wound chain grant order" `Quick test_wound_chain_order;
+        QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 37 |])
+          prop_matches_reference;
       ] );
   ]

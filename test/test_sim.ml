@@ -920,7 +920,7 @@ let test_station_queueing () =
   let st = Sim.Station.create e ~service_time_us:10 in
   let finish = Array.make 3 (-1) in
   for i = 0 to 2 do
-    Sim.Station.submit st (fun () -> finish.(i) <- Sim.Engine.now e)
+    Sim.Station.submit ~cost:(Sim.Station.service_time_us st) st (fun () -> finish.(i) <- Sim.Engine.now e)
   done;
   Sim.Engine.run e;
   check (Alcotest.array int) "serialized" [| 10; 20; 30 |] finish;
@@ -931,9 +931,9 @@ let test_station_idle_gap () =
   let e = Sim.Engine.create () in
   let st = Sim.Station.create e ~service_time_us:10 in
   let t2 = ref (-1) in
-  Sim.Station.submit st (fun () -> ());
+  Sim.Station.submit ~cost:(Sim.Station.service_time_us st) st (fun () -> ());
   Sim.Engine.schedule e ~after:100 (fun () ->
-      Sim.Station.submit st (fun () -> t2 := Sim.Engine.now e));
+      Sim.Station.submit ~cost:(Sim.Station.service_time_us st) st (fun () -> t2 := Sim.Engine.now e));
   Sim.Engine.run e;
   check int "idle station starts immediately" 110 !t2
 
@@ -941,7 +941,7 @@ let test_station_zero_cost () =
   let e = Sim.Engine.create () in
   let st = Sim.Station.create e ~service_time_us:0 in
   let ran = ref false in
-  Sim.Station.submit st (fun () -> ran := true);
+  Sim.Station.submit ~cost:(Sim.Station.service_time_us st) st (fun () -> ran := true);
   check bool "runs synchronously" true !ran
 
 (* ------------------------------------------------------------------ *)

@@ -885,6 +885,96 @@ let test_small_run_exact_search () =
       (Spanner.Config.Strict, Rss_core.Check_txn.Strict_serializable);
     ]
 
+(* ------------------------------------------------------------------ *)
+(* Allocation and lock-table footprint                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Minor words per RO and per RW txn on a seeded single-DC Spanner-RSS
+   cluster (four shards, 10 µs service time) with one client at site 0:
+   each txn runs to completion before the next, so no lock is contended
+   and no prepare is skipped. A round of 100 txns of each kind warms the
+   engine's and the history's arrays, then 1000 of each are counted,
+   exactly (an RW's count is not the same for every txn). The
+   RO reads keys on three shards; the RW reads two keys and writes two,
+   one of them read, over three shards. The figures are the dev
+   profile's (tier-1 builds every module with [-opaque]); a change that
+   moves them names the move. *)
+let spanner_words_per_txn () =
+  let engine = Sim.Engine.create () in
+  let config =
+    Spanner.Config.single_dc ~mode:Spanner.Config.Rss ~n_shards:4 ~service_time_us:10 ()
+  in
+  let cluster = Spanner.Cluster.create engine ~rng:(Sim.Rng.make 42) config in
+  let client = Spanner.Client.create cluster ~site:0 in
+  let ro () = Spanner.Client.ro client ~keys:[ 1; 2; 3 ] ignore in
+  let rw () = Spanner.Client.rw client ~read_keys:[ 1; 2 ] ~write_keys:[ 2; 3 ] ignore in
+  let round op =
+    for _ = 1 to 100 do
+      op ();
+      run engine
+    done
+  in
+  round ro;
+  round rw;
+  let per_txn op =
+    let before = Gc.minor_words () in
+    for _ = 1 to 10 do
+      round op
+    done;
+    int_of_float (Gc.minor_words () -. before)
+  in
+  let ro_words = per_txn ro in
+  let rw_words = per_txn rw in
+  (ro_words, rw_words)
+
+let test_allocation_per_txn () =
+  let ro, rw = spanner_words_per_txn () in
+  check int "ro: minor words per 1000 txns" 507_000 ro;
+  check int "rw: minor words per 1000 txns" 1_852_738 rw
+
+(* A lock entry leaves its shard's table once it has no holder and no
+   waiter, so a drained run ends with every table empty. The run mirrors
+   [Harness.spanner_dc] (four shards, 10 µs service time, 16 closed-loop
+   clients at site 0, uniform Retwis over 2 000 keys), which does not hand
+   out its cluster: 0.3 simulated seconds of wound-wait contention, then
+   the drain. *)
+let test_lock_tables_drain_empty () =
+  let engine = Sim.Engine.create () in
+  let rng = Sim.Rng.make 7 in
+  let config =
+    Spanner.Config.single_dc ~mode:Spanner.Config.Rss ~n_shards:4 ~service_time_us:10 ()
+  in
+  let cluster = Spanner.Cluster.create engine ~rng config in
+  let retwis = Workload.Retwis.create ~rng:(Sim.Rng.split rng) ~n_keys:2_000 ~theta:0.0 in
+  let clients = Array.init 16 (fun _ -> Spanner.Client.create cluster ~site:0) in
+  let completed = ref 0 in
+  Workload.Client_model.closed_loop engine ~n_clients:16
+    ~body:(fun ~client k ->
+      let c = clients.(client) in
+      let txn = Workload.Retwis.sample retwis in
+      let finish _ =
+        incr completed;
+        k ()
+      in
+      if Workload.Retwis.is_read_only txn then
+        Spanner.Client.ro c ~keys:txn.Workload.Retwis.read_keys finish
+      else
+        Spanner.Client.rw c ~read_keys:txn.Workload.Retwis.read_keys
+          ~write_keys:txn.Workload.Retwis.write_keys finish)
+    ~until:(Sim.Engine.sec 0.3) ();
+  run engine;
+  let ctx = Spanner.Cluster.ctx cluster in
+  let stats = Spanner.Cluster.stats cluster in
+  check bool "ran thousands of txns" true (!completed > 2_000);
+  check bool "with wounds" true (stats.Spanner.Cluster.wounds > 0);
+  Array.iteri
+    (fun i sh ->
+      check int
+        (Printf.sprintf "shard %d: live lock entries" i)
+        0
+        (Spanner.Locks.live_entries sh.Spanner.Shard.locks))
+    ctx.Spanner.Protocol.shards
+
 let suites =
   [
     ( "spanner.config",
@@ -953,5 +1043,10 @@ let suites =
           test_small_run_exact_search;
         Alcotest.test_case "determinism" `Slow test_determinism;
         Alcotest.test_case "stop failure history" `Quick test_stop_failure_history;
+      ] );
+    ( "spanner.footprint",
+      [
+        Alcotest.test_case "minor words per op" `Quick test_allocation_per_txn;
+        Alcotest.test_case "lock tables drain empty" `Quick test_lock_tables_drain_empty;
       ] );
   ]

@@ -57,8 +57,41 @@ let test_one_ingress_path () =
           {|Station\.try_submit\|Station\.amortized\|Budget\.try_take\|backlog_us|})
        [ "lib/spanner"; "lib/gryff"; "lib/replication" ])
 
+(* Typed int tables. Per-op protocol state keyed by ints lives in
+   Sim.Int_table. The stdlib Hashtbls left in these files are the ones
+   whose fold order reaches the schedule (Locks.dirty, Shard's prepared
+   table, group_by_shard's table) and Gryff's tables keyed by instance-id
+   pairs; a new one must say why here. *)
+let test_typed_int_tables () =
+  let creates path =
+    List.length
+      (List.filter
+         (fun l ->
+           match Str.search_forward (Str.regexp_string "Hashtbl.create") l 0 with
+           | _ -> true
+           | exception Not_found -> false)
+         (lines (Filename.concat root path)))
+  in
+  List.iter
+    (fun (path, at_most) ->
+      let got = creates path in
+      if got > at_most then
+        Alcotest.failf "%s creates %d stdlib Hashtbls; at most %d are documented"
+          path got at_most)
+    [
+      ("lib/spanner/locks.ml", 1);
+      ("lib/spanner/shard.ml", 1);
+      ("lib/spanner/types.ml", 0);
+      ("lib/spanner/protocol.ml", 1);
+      ("lib/gryff/replica.ml", 5);
+      ("lib/replication/group.ml", 0);
+    ]
+
 let suites =
   [
     ( "structure",
-      [ Alcotest.test_case "one ingress path" `Quick test_one_ingress_path ] );
+      [
+        Alcotest.test_case "one ingress path" `Quick test_one_ingress_path;
+        Alcotest.test_case "typed int tables" `Quick test_typed_int_tables;
+      ] );
   ]
