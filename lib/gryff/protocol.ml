@@ -106,8 +106,10 @@ let to_replica ctx ~src replica_id handler =
         ~dst:replica_id env_idx (fun () -> handler r))
 
 (* A quorum phase: what every request/reply leg of one fan-out shares.
-   The op builds it once; a leg adds only its replica. *)
+   The op builds it once; a leg adds only its replica. Under
+   retransmission the phase is each leg's {!Sim.Rpc} context. *)
 type 'a phase = {
+  ctx : ctx;
   src : int;  (* the client's site *)
   expires : int option;
   request : Replica.t -> 'a;  (* the replica-side handler *)
@@ -115,32 +117,51 @@ type 'a phase = {
 }
 
 (* One leg's request and its reply, delivered to [deliver]. Refusals
-   re-enter through [reject], present only on legs that can be refused. *)
-let post_leg ctx ph i ?reject deliver =
-  Sim.Net.post ctx.net ~src:ph.src ~dst:i (fun env_idx ->
+   re-enter through [reject], present only on legs that can be refused.
+   The hops read the context from [ph], so they do not capture it too. *)
+let post_leg ph i ?reject deliver =
+  Sim.Net.post ph.ctx.net ~src:ph.src ~dst:i (fun env_idx ->
+      let ctx = ph.ctx in
       Sim.Flow.ingress ctx.flow ctx.replicas.(i).Replica.station
         ~tracer:ctx.tracer ~src:ph.src ~dst:i ?expires:ph.expires ?reject
         env_idx (fun () ->
+          let ctx = ph.ctx in
           let resp = ph.request ctx.replicas.(i) in
           Sim.Net.post ctx.net ~src:i ~dst:ph.src (fun _env_idx ->
               deliver resp)))
+
+let refusable ph i =
+  Sim.Flow.may_refuse ph.ctx.replicas.(i).Replica.station ~expires:ph.expires
 
 (* A refusable leg. With admission control armed, a shed leg re-offers to
    the same replica after the server-suggested backoff (the quorum keeps
    forming from the others meanwhile), bounded by the retry budget and the
    resend cap; giving up just leaves this replica out of the quorum. An
-   expired leg gives up outright — its deadline has passed. [sends] counts
-   the leg's sends, the first one included, across NACK re-offers and Rpc
-   re-attempts alike: Flow caps the total at [Sim.Flow.max_sends]. *)
-let refusable_leg ctx ph i ~sends deliver =
-  let rec send () = post_leg ctx ph i ~reject deliver
+   expired leg gives up outright — its deadline has passed. [retry] is
+   the re-offer: it counts the leg's sends, the first one included, across
+   NACK re-offers and Rpc re-attempts alike, and Flow caps the total at
+   [Sim.Flow.max_sends]. *)
+let refusable_leg ph i ~retry deliver =
+  let rec send () = post_leg ph i ~reject deliver
   and reject = function
     | Sim.Flow.Expired -> ()
-    | Sim.Flow.Pushback pb ->
-      Sim.Flow.retry ctx.flow ?expires:ph.expires ~sends
-        ~after_us:pb.retry_after_us send
+    | Sim.Flow.Pushback pb -> retry ~after_us:pb.retry_after_us send
   in
   send ()
+
+(* A retransmitted leg's attempt, reply and failure: built once, shared by
+   every leg of every phase. A NACK re-offer counts in the call's sends.
+   Whether a leg can be refused is fixed once the flow is armed, before
+   traffic, so each attempt may ask it again. *)
+let leg_attempt c =
+  let ph = Sim.Rpc.ctx c and i = Sim.Rpc.id c in
+  if refusable ph i then
+    refusable_leg ph i ~retry:(Sim.Rpc.resend c) (Sim.Rpc.ok c)
+  else post_leg ph i (Sim.Rpc.ok c)
+
+let leg_reply ph resp = ph.reply resp
+
+let leg_fail _ = ()
 
 (* One request/reply exchange with replica [i]. With retransmission armed
    ([retrans <> None]) the exchange rides an {!Sim.Rpc} call: a lost
@@ -149,36 +170,33 @@ let refusable_leg ctx ph i ~sends deliver =
    needs the live ones to answer). Only valid for idempotent handlers —
    base reads, carstamp queries and propagates are (carstamp max-merge
    makes re-applying a write a no-op); rmw pre-accepts are not and stay
-   bare. A leg allocates a send count only if it can be re-sent, and a
-   [reject] only if it can be refused; by default it can be neither. *)
-let exchange ctx ph i =
-  let refusable =
-    Sim.Flow.may_refuse ctx.replicas.(i).Replica.station ~expires:ph.expires
-  in
-  match ctx.retrans with
+   bare. Such a leg allocates the call record and its two closures; a
+   bare leg allocates a send count and a [reject] only if it can be
+   refused, and by default it cannot. *)
+let exchange ph i =
+  match ph.ctx.retrans with
   | Some rpc ->
-    let sends = ref 1 in
-    Sim.Rpc.call ~name:"rpc.exchange" ?expires:ph.expires ~sends rpc
-      ~attempt:(fun ~attempt:_ ~ok ->
-        if refusable then refusable_leg ctx ph i ~sends ok
-        else post_leg ctx ph i ok)
-      ~on_result:(function Some resp -> ph.reply resp | None -> ())
+    Sim.Rpc.call ~name:"rpc.exchange" ?expires:ph.expires rpc ph i
+      ~attempt:leg_attempt ~on_reply:leg_reply ~on_fail:leg_fail
   | None ->
-    if refusable then refusable_leg ctx ph i ~sends:(ref 1) ph.reply
-    else post_leg ctx ph i ph.reply
+    if refusable ph i then
+      refusable_leg ph i
+        ~retry:(Sim.Flow.retry ph.ctx.flow ?expires:ph.expires ~sends:(ref 1))
+        ph.reply
+    else post_leg ph i ph.reply
 
 (* Every replica, in replica-id order. *)
-let fan_out ctx ph =
-  for i = 0 to Array.length ctx.replicas - 1 do
-    exchange ctx ph i
+let fan_out ph =
+  for i = 0 to Array.length ph.ctx.replicas - 1 do
+    exchange ph i
   done
 
 (* The replicas at ring positions [lo, hi): the client's own site is
    position 0, then come the next replica ids, wrapping. *)
-let ring_out ctx ph lo hi =
-  let n = Array.length ctx.replicas in
+let ring_out ph lo hi =
+  let n = Array.length ph.ctx.replicas in
   for j = lo to hi - 1 do
-    exchange ctx ph ((ph.src + j) mod n)
+    exchange ph ((ph.src + j) mod n)
   done
 
 let enable_retrans ctx ~rng =
@@ -216,8 +234,9 @@ let quorum_collector ~quorum k =
    write's second phase, or a fence. *)
 let propagate ?expires ctx ~client_site ~key ~value ~cs k =
   let quorum = Config.quorum ctx.config in
-  fan_out ctx
+  fan_out
     {
+      ctx;
       src = client_site;
       expires;
       request = (fun r -> Replica.apply r ~key ~value ~cs);
@@ -296,6 +315,7 @@ let read ?deadline_us ctx ~client_site ~cid:_ ~deps ~key k =
   in
   let ph =
     {
+      ctx;
       src = client_site;
       expires;
       request =
@@ -319,10 +339,10 @@ let read ?deadline_us ctx ~client_site ~cid:_ ~deps ~key k =
   | Fan_all ->
     (* Replica-id order, NOT ring order: this is the historical behavior
        and seeded schedules are golden-digested against it. *)
-    fan_out ctx ph
-  | Fan_quorum -> ring_out ctx ph 0 quorum
+    fan_out ph
+  | Fan_quorum -> ring_out ph 0 quorum
   | Hedged ->
-    ring_out ctx ph 0 quorum;
+    ring_out ph 0 quorum;
     if quorum < n then
       Sim.Engine.schedule ~kind:"txn.hedge" ctx.engine
         ~after:(max 1 (Sim.Flow.hedge_us ctx.flow))
@@ -338,7 +358,7 @@ let read ?deadline_us ctx ~client_site ~cid:_ ~deps ~key k =
                     ph.reply resp);
               }
             in
-            ring_out ctx hedge quorum n
+            ring_out hedge quorum n
           end)
 
 (* ------------------------------------------------------------------ *)
@@ -364,8 +384,9 @@ let write ?(on_apply = fun (_ : Carstamp.t) -> ()) ?deadline_us ctx ~client_site
   let process replies =
     phase2 (List.fold_left (fun acc cs -> Carstamp.max acc cs) Carstamp.zero replies)
   in
-  fan_out ctx
+  fan_out
     {
+      ctx;
       src = client_site;
       expires;
       request =

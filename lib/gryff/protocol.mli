@@ -126,9 +126,10 @@ val fence : ctx -> client_site:int -> deps:dep list -> (unit -> unit) -> unit
       from the other replicas meanwhile. Giving up just leaves that
       replica out of the quorum, as does an expired leg.
     - With retransmission armed, a timed-out leg is re-sent only if
-      {!Sim.Flow.may_retry} allows it. NACK re-offers and timeout
-      re-attempts count the same sends, so a leg reaches its replica at
-      most {!Sim.Flow.max_sends} times.
+      {!Sim.Flow.may_resend} allows it. NACK re-offers
+      ({!Sim.Rpc.resend}) and timeout re-attempts count the same sends,
+      in the leg's {!Sim.Rpc} call, so a leg reaches its replica at most
+      {!Sim.Flow.max_sends} times.
     - Hedging applies to the [Hedged] fan-out only. *)
 
 val stations : ctx -> Sim.Station.t list

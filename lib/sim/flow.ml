@@ -162,24 +162,32 @@ let max_sends = 8
 
 (* The budget is asked last, so only a re-offer that will really be sent
    takes a token (or counts a denial). *)
-let may_retry t ?expires ?sends ~after_us () =
-  let under_cap = match sends with None -> true | Some n -> !n < max_sends in
+let may_resend t ~expires ~sends ~after_us =
   let in_time =
     match expires with
     | None -> true
     | Some e -> Engine.now t.engine + after_us < e
   in
   let ok =
-    under_cap && in_time
+    sends < max_sends && in_time
     && (match t.budget with None -> true | Some b -> Budget.try_take b)
   in
-  if not ok then t.abandoned <- t.abandoned + 1
-  else Option.iter incr sends;
+  if not ok then t.abandoned <- t.abandoned + 1;
   ok
 
+let may_retry t ?expires ?sends ~after_us () =
+  match sends with
+  | None -> may_resend t ~expires ~sends:0 ~after_us
+  | Some n ->
+    let ok = may_resend t ~expires ~sends:!n ~after_us in
+    if ok then incr n;
+    ok
+
+let backoff t ~after_us k =
+  Engine.schedule ~kind:"txn.backoff" t.engine ~after:after_us k
+
 let retry t ?expires ?sends ~after_us k =
-  if may_retry t ?expires ?sends ~after_us () then
-    Engine.schedule ~kind:"txn.backoff" t.engine ~after:after_us k
+  if may_retry t ?expires ?sends ~after_us () then backoff t ~after_us k
 
 let abandon t = t.abandoned <- t.abandoned + 1
 let hedge_issued t = t.hedges <- t.hedges + 1

@@ -2,9 +2,10 @@
     server admits a request and whether a client re-sends work.
 
     Both protocols route every server-bound message through {!ingress},
-    and every client re-offer asks {!may_retry} first, whatever triggered
-    it: a NACK ({!retry}), a {!Rpc} timeout, or Spanner's failover RO
-    re-issue. So Spanner and Gryff shed, expire and retry by the same
+    and every client re-offer asks {!may_resend} first ({!may_retry} and
+    {!retry} ask it too), whatever triggered it: a NACK ({!retry}, or
+    {!Rpc.resend} inside a call), a {!Rpc} timeout, or Spanner's failover
+    RO re-issue. So Spanner and Gryff shed, expire and retry by the same
     rules. A [t] holds one deployment's policy knobs and its counters.
 
     {2 The ingress}
@@ -27,7 +28,7 @@
     is made. *)
 
 (** Fleet-wide retry budget: a token bucket that caps retry
-    {e amplification}. Each re-offer {!may_retry} passes spends one token;
+    {e amplification}. Each re-offer {!may_resend} passes spends one token;
     a dry bucket turns re-offers into fast-fails instead of a retry storm.
     Refill is lazy integer arithmetic over simulated time: no events, no
     randomness. *)
@@ -70,7 +71,7 @@ val arm :
 (** Install a policy before traffic flows: [admission] limits on every
     station in [stations], expiry drops, the hedge delay ([0] = no
     hedging; [Invalid_argument] if negative) and the fleet-wide retry
-    budget shared by every {!may_retry}. *)
+    budget shared by every {!may_resend}. *)
 
 val hedge_us : t -> int
 val budget : t -> Budget.t option
@@ -115,6 +116,16 @@ val may_retry :
     once, so re-offers decided before earlier ones went out still stop at
     the cap; a refusal counts the work as abandoned. Unarmed (no budget,
     no [expires]), every re-offer under the cap passes. *)
+
+val may_resend :
+  t -> expires:int option -> sends:int -> after_us:int -> bool
+(** {!may_retry} for a caller that keeps its own send count: [sends] is
+    how many times the work went out so far. A pass does not count the
+    send; the caller does (a {!Rpc} call keeps the count in its record). *)
+
+val backoff : t -> after_us:int -> (unit -> unit) -> unit
+(** The ["txn.backoff"] event of a re-offer that {!may_resend} passed:
+    [k] runs after [after_us]. *)
 
 val retry :
   t -> ?expires:int -> ?sends:int ref -> after_us:int -> (unit -> unit) ->

@@ -157,12 +157,7 @@ let count_drop t = function
 
 let sample_delay t ~src ~dst =
   let base = t.one_way_us.(src).(dst) in
-  let d =
-    if t.jitter <= 0.0 then base
-    else
-      let factor = 1.0 +. Rng.float t.rng t.jitter in
-      int_of_float (float_of_int base *. factor)
-  in
+  let d = if t.jitter <= 0.0 then base else Rng.jittered t.rng base t.jitter in
   let l = t.links.(src).(dst) in
   let injected =
     (if l.extra_us > 0 then l.extra_us else 0)

@@ -10,7 +10,8 @@ let int t n = Random.State.int t n
    draw, scaled by 2^-53 and drawn again while zero. Computed here, from the
    same draws, the value is identical, and [uniform] is inlined into
    [float], [bool] and [exponential], so the draw is not boxed on its way
-   to them: [bool] allocates nothing and [float] only its result. Only the
+   to them: [bool] and [jittered] allocate nothing and [float] only its
+   result. Only the
    redraw, which a zero draw needs once in 2^53 calls, returns a boxed
    float. *)
 let rec redraw t =
@@ -22,6 +23,10 @@ let[@inline] uniform t =
   if Int64.equal n 0L then redraw t else Int64.to_float n *. 0x1.p-53
 
 let float t x = uniform t *. x
+
+(* [float t jitter] spelt out, so the draw stays unboxed. *)
+let jittered t base jitter =
+  int_of_float (float_of_int base *. (1.0 +. (uniform t *. jitter)))
 
 let bool t p = uniform t < p
 

@@ -21,6 +21,12 @@ val uniform : t -> float
 val float : t -> float -> float
 (** [float t x] is uniform in [\[0, x)]. *)
 
+val jittered : t -> int -> float -> int
+(** [jittered t base j] is [base] scaled by a factor uniform in
+    [\[1, 1 + j)], truncated: [int_of_float (float_of_int base *. (1.0 +.
+    float t j))]. It makes the same draw and float operations as that
+    expression, without boxing the draw across modules. *)
+
 val bool : t -> float -> bool
 (** [bool t p] is [true] with probability [p]. *)
 

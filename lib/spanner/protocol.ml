@@ -403,8 +403,9 @@ let resolve_in_doubt ctx shard txn =
     match (ctx.rpc, Shard.prepared shard txn) with
     | Some rpc, Some p ->
       Sim.Int_table.replace shard.Shard.in_doubt txn ();
-      Sim.Rpc.call ~name:"rpc.resolve_in_doubt" rpc
-        ~attempt:(fun ~attempt:n ~ok ->
+      Sim.Rpc.call ~name:"rpc.resolve_in_doubt" rpc shard txn
+        ~attempt:(fun c ->
+          let n = Sim.Rpc.attempt c and ok = Sim.Rpc.ok c in
           to_shard ctx ~src:shard.Shard.leader_site ~bytes:32 p.Shard.p_coord
             (fun csh ->
               let reply out =
@@ -426,13 +427,11 @@ let resolve_in_doubt ctx shard txn =
                   reply Types.Aborted
                 | Some _ | None -> ())
               | `Pending | `Unknown -> ()))
-        ~on_result:(fun res ->
+        ~on_reply:(fun shard out ->
           Sim.Int_table.remove shard.Shard.in_doubt txn;
-          match res with
-          | Some out ->
-            ctx.n_in_doubt_resolved <- ctx.n_in_doubt_resolved + 1;
-            release_at_shard ctx shard ~txn out
-          | None -> ())
+          ctx.n_in_doubt_resolved <- ctx.n_in_doubt_resolved + 1;
+          release_at_shard ctx shard ~txn out)
+        ~on_fail:(fun shard -> Sim.Int_table.remove shard.Shard.in_doubt txn)
     | _ -> ()
 
 (* Participant prepare: validate, lock, choose tp, replicate, vote. The §6
@@ -896,16 +895,17 @@ let rw_txn ?(on_attempt = fun (_ : int) -> ()) ?deadline_us ?view ctx
       | None -> retry txn
       | Some rpc ->
         (* No flow: an outcome query, exempt as [resolve_in_doubt] is. *)
-        Sim.Rpc.call ~name:"rpc.terminate" rpc
-          ~attempt:(fun ~attempt:_ ~ok ->
+        Sim.Rpc.call ~name:"rpc.terminate" rpc () txn
+          ~attempt:(fun c ->
+            let ok = Sim.Rpc.ok c in
             to_shard ctx ~src:client_site ~bytes:32 coord (fun csh ->
                 handle_terminate ctx csh ~txn ~reply:(function
                   | `Decided (out, mt) ->
                     to_client ctx ~src:csh.Shard.leader_site ~bytes:32
                       ~dst:client_site (fun () -> ok (out, mt))
                   | `Pending -> ())))
-          ~on_result:(function
-            | Some (Types.Committed tc, mt) ->
+          ~on_reply:(fun () -> function
+            | Types.Committed tc, mt ->
               ctx.n_terminate_commits <- ctx.n_terminate_commits + 1;
               ctx.n_rw_committed <- ctx.n_rw_committed + 1;
               (* The coordinator (or its successor) holds a durable commit;
@@ -920,26 +920,26 @@ let rw_txn ?(on_attempt = fun (_ : int) -> ()) ?deadline_us ?view ctx
                 (max tc (mt - Sim.Truetime.epsilon ctx.tt))
                 (fun () ->
                   k { rw_commit_ts = tc; rw_txn_id = txn; rw_reads = !observed })
-            | Some (Types.Aborted, _) ->
+            | Types.Aborted, _ ->
               ctx.n_rw_aborted_attempts <- ctx.n_rw_aborted_attempts + 1;
-              retry txn
-            | None ->
-              (* Out of attempts with the outcome unknown: the coordinator
-                 may still commit, so a participant that prepared keeps its
-                 prepared writes and asks the coordinator itself (in-doubt
-                 resolution). Every other participant holds only this
-                 attempt's read locks or queued requests — the deadline can
-                 fire before any prepare is sent — and no coordinator
-                 record will ever release them: release those, as an
-                 abandoned txn must not strand waiters. *)
-              Sim.Flow.abandon ctx.flow;
-              List.iter
-                (fun shard_id ->
-                  to_shard ctx ~src:client_site ~bytes:32 shard_id (fun sh ->
-                      if Shard.prepared sh txn <> None then
-                        resolve_in_doubt ctx sh txn
-                      else release_at_shard ctx sh ~txn Types.Aborted))
-                participant_ids)
+              retry txn)
+          ~on_fail:(fun () ->
+            (* Out of attempts with the outcome unknown: the coordinator
+               may still commit, so a participant that prepared keeps its
+               prepared writes and asks the coordinator itself (in-doubt
+               resolution). Every other participant holds only this
+               attempt's read locks or queued requests — the deadline can
+               fire before any prepare is sent — and no coordinator
+               record will ever release them: release those, as an
+               abandoned txn must not strand waiters. *)
+            Sim.Flow.abandon ctx.flow;
+            List.iter
+              (fun shard_id ->
+                to_shard ctx ~src:client_site ~bytes:32 shard_id (fun sh ->
+                    if Shard.prepared sh txn <> None then
+                      resolve_in_doubt ctx sh txn
+                    else release_at_shard ctx sh ~txn Types.Aborted))
+              participant_ids)
     in
     (match deadline_us with
     | Some d when ctx.failover ->

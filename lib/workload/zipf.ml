@@ -12,23 +12,26 @@ type t = {
   s : float;
 }
 
+(* The helpers are inlined into [sample], so a key draw does not box its
+   floats on the way through them. *)
+
 (* (log1p x) / x, stable near 0. *)
-let helper1 x =
+let[@inline] helper1 x =
   if Float.abs x > 1e-8 then Float.log1p x /. x
   else 1.0 -. (x /. 2.0) +. (x *. x /. 3.0) -. (x *. x *. x /. 4.0)
 
 (* (expm1 x) / x, stable near 0. *)
-let helper2 x =
+let[@inline] helper2 x =
   if Float.abs x > 1e-8 then Float.expm1 x /. x
   else 1.0 +. (x /. 2.0) +. (x *. x /. 6.0) +. (x *. x *. x /. 24.0)
 
-let h_integral ~theta x =
+let[@inline] h_integral ~theta x =
   let log_x = log x in
   helper2 ((1.0 -. theta) *. log_x) *. log_x
 
-let h ~theta x = exp (-.theta *. log x)
+let[@inline] h ~theta x = exp (-.theta *. log x)
 
-let h_integral_inverse ~theta x =
+let[@inline] h_integral_inverse ~theta x =
   let t = x *. (1.0 -. theta) in
   let t = if t < -1.0 then -1.0 else t in
   exp (helper1 t *. x)

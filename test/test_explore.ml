@@ -335,13 +335,14 @@ let rpc_attempt_times ?budget ?expires ~seed ~timeout_us ~max_backoff_us
   in
   let times = ref [] in
   let result = ref `Pending in
-  Sim.Rpc.call ?expires rpc
-    ~attempt:(fun ~attempt ~ok ->
+  Sim.Rpc.call ?expires rpc () 0
+    ~attempt:(fun c ->
+      let attempt = Sim.Rpc.attempt c and ok = Sim.Rpc.ok c in
       times := (attempt, Sim.Engine.now engine) :: !times;
       if first_succeeds && attempt = 1 then
         Sim.Engine.schedule engine ~after:1_000 (fun () -> ok ()))
-    ~on_result:(fun r ->
-      result := (match r with Some () -> `Ok | None -> `Exhausted));
+    ~on_reply:(fun () () -> result := `Ok)
+    ~on_fail:(fun () -> result := `Exhausted);
   Sim.Engine.run engine;
   (List.rev !times, !result, rng)
 
@@ -438,10 +439,12 @@ let test_rpc_reply_after_exhaustion () =
       ~max_backoff_us:1_000 ~max_attempts:2 ()
   in
   let results = ref [] in
-  Sim.Rpc.call rpc
-    ~attempt:(fun ~attempt ~ok ->
+  Sim.Rpc.call rpc () 0
+    ~attempt:(fun c ->
+      let attempt = Sim.Rpc.attempt c and ok = Sim.Rpc.ok c in
       Sim.Engine.schedule engine ~after:5_000 (fun () -> ok attempt))
-    ~on_result:(fun r -> results := r :: !results);
+    ~on_reply:(fun () r -> results := Some r :: !results)
+    ~on_fail:(fun () -> results := None :: !results);
   Sim.Engine.run engine;
   check int "exhausted once" 1 (Sim.Rpc.exhausted rpc);
   check bool "only the None" true (!results = [ None ])
@@ -458,14 +461,18 @@ let test_rpc_settle_cancels_timeout () =
   in
   let pending_at_result = ref [] in
   let call ~answer_from ~delay =
-    Sim.Rpc.call rpc
-      ~attempt:(fun ~attempt ~ok ->
+    let on_result r =
+      check bool "answered" true (r <> None);
+      pending_at_result := Sim.Engine.pending engine :: !pending_at_result
+    in
+    Sim.Rpc.call rpc () 0
+      ~attempt:(fun c ->
+        let attempt = Sim.Rpc.attempt c and ok = Sim.Rpc.ok c in
         if attempt >= answer_from then
           if delay = 0 then ok attempt
           else Sim.Engine.schedule engine ~after:delay (fun () -> ok attempt))
-      ~on_result:(fun r ->
-        check bool "answered" true (r <> None);
-        pending_at_result := Sim.Engine.pending engine :: !pending_at_result)
+      ~on_reply:(fun () r -> on_result (Some r))
+      ~on_fail:(fun () -> on_result None)
   in
   call ~answer_from:1 ~delay:500;
   Sim.Engine.run engine;

@@ -192,10 +192,10 @@ let unanswered_call e flow ?expires () =
       ~max_attempts:8 ()
   in
   let attempts = ref [] and result = ref `Pending in
-  Sim.Rpc.call ?expires rpc
-    ~attempt:(fun ~attempt ~ok:_ -> attempts := attempt :: !attempts)
-    ~on_result:(fun r ->
-      result := match r with Some () -> `Reply | None -> `Settled_none);
+  Sim.Rpc.call ?expires rpc () 0
+    ~attempt:(fun c -> attempts := Sim.Rpc.attempt c :: !attempts)
+    ~on_reply:(fun () () -> result := `Reply)
+    ~on_fail:(fun () -> result := `Settled_none);
   Sim.Engine.run e;
   (rpc, List.rev !attempts, !result)
 

@@ -491,7 +491,8 @@ let test_small_run_full_rsc_search () =
    arrays, then 1000 ops are counted. Every read fans out to all five
    replicas and every write makes two such rounds, so a closure built per
    leg shows here five or ten times. Retransmission armed, every leg also
-   rides a [Sim.Rpc] call. The figures are the dev profile's (tier-1
+   rides a [Sim.Rpc] call, which adds 23 words: the call record and its
+   reply and timeout closures. The figures are the dev profile's (tier-1
    builds every module with [-opaque]); a change that moves them names
    the move. *)
 let gryff_words_per_op ~retrans =
@@ -530,12 +531,12 @@ let gryff_words_per_op ~retrans =
 let test_allocation_per_op () =
   let read, write = gryff_words_per_op ~retrans:false in
   let read_rt, write_rt = gryff_words_per_op ~retrans:true in
-  check (Alcotest.float 0.0) "read: minor words" 265.0 read;
-  check (Alcotest.float 0.0) "write: minor words" 506.0 write;
-  check (Alcotest.float 0.0) "read, retransmission armed: minor words" 510.0
+  check (Alcotest.float 0.0) "read: minor words" 236.0 read;
+  check (Alcotest.float 0.0) "write: minor words" 448.0 write;
+  check (Alcotest.float 0.0) "read, retransmission armed: minor words" 351.0
     read_rt;
   check (Alcotest.float 0.0) "write, retransmission armed: minor words"
-    996.0 write_rt
+    678.0 write_rt
 
 let suites =
   [

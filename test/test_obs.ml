@@ -212,11 +212,13 @@ let test_rpc_retransmission_keeps_parent () =
   Sim.Engine.schedule engine ~after:60_000 (fun () ->
       Sim.Net.unblock_link net ~src:0 ~dst:1);
   let got = ref None in
-  Sim.Rpc.call ~name:"rpc.test" rpc
-    ~attempt:(fun ~attempt:_ ~ok ->
+  Sim.Rpc.call ~name:"rpc.test" rpc () 0
+    ~attempt:(fun c ->
+      let ok = Sim.Rpc.ok c in
       Sim.Net.send net ~src:0 ~dst:1 (fun () ->
           Sim.Net.send net ~src:1 ~dst:0 (fun () -> ok ())))
-    ~on_result:(fun r -> got := r);
+    ~on_reply:(fun () r -> got := Some r)
+    ~on_fail:(fun () -> got := None);
   Sim.Engine.run engine;
   check bool "retransmission succeeded" true (!got = Some ());
   check bool "at least one retry" true (Sim.Rpc.retries rpc >= 1);

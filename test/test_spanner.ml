@@ -929,8 +929,8 @@ let spanner_words_per_txn () =
 
 let test_allocation_per_txn () =
   let ro, rw = spanner_words_per_txn () in
-  check int "ro: minor words per 1000 txns" 507_000 ro;
-  check int "rw: minor words per 1000 txns" 1_852_738 rw
+  check int "ro: minor words per 1000 txns" 495_000 ro;
+  check int "rw: minor words per 1000 txns" 1_812_738 rw
 
 (* A lock entry leaves its shard's table once it has no holder and no
    waiter, so a drained run ends with every table empty. The run mirrors

@@ -8,14 +8,15 @@ let check = Alcotest.check
 
 let root = if Sys.file_exists "lib" && Sys.is_directory "lib" then "." else ".."
 
-(* Dune's build products next to a library's sources: its object and
-   merlin directories (hidden), archives and alias module. They are not
-   part of the source tree and may name functions the sources only reach
-   through inlining. *)
+(* Dune's build products next to a library's or an executable's
+   sources: its object and merlin directories (hidden), archives, alias
+   module and executables, and the [_build] directory a test run writes
+   its logs to. They are not part of the source tree and may name
+   functions the sources only reach through inlining. *)
 let build_product name =
-  name.[0] = '.'
+  name.[0] = '.' || name = "_build"
   || List.exists (Filename.check_suffix name)
-       [ ".a"; ".cma"; ".cmxa"; ".cmxs"; ".ml-gen" ]
+       [ ".a"; ".cma"; ".cmxa"; ".cmxs"; ".ml-gen"; ".exe"; ".bc" ]
 
 let rec files dir =
   Sys.readdir dir |> Array.to_list |> List.sort compare
@@ -57,6 +58,22 @@ let test_one_ingress_path () =
           {|Station\.try_submit\|Station\.amortized\|Budget\.try_take\|backlog_us|})
        [ "lib/spanner"; "lib/gryff"; "lib/replication" ])
 
+(* One retry path. Sim.Flow decides every client re-offer, whatever
+   triggered it: a NACK, an Rpc timeout or Spanner's failover RO
+   re-issue. It owns the retry budget, so Spanner and Gryff spend it by
+   the same rules; Sim.Rpc only retransmits. Today the compiler already
+   rejects both patterns (Rpc has no Budget, flow.mli hides try_take);
+   the case catches a later change that re-creates a budget in Rpc or
+   re-exports try_take, both of which would build. *)
+let test_one_retry_path () =
+  let flow_ml = Filename.concat root "lib/sim/flow.ml" ^ ":" in
+  let dirs = [ "lib"; "bin"; "bench"; "test" ] in
+  none_found "retry decision outside Sim.Flow under lib, bin, bench or test"
+    (grep (Str.regexp {|Rpc\.Budget|}) dirs
+    @ List.filter
+        (fun hit -> not (String.starts_with ~prefix:flow_ml hit))
+        (grep (Str.regexp {|Budget\.try_take|}) dirs))
+
 (* Typed int tables. Per-op protocol state keyed by ints lives in
    Sim.Int_table. The stdlib Hashtbls left in these files are the ones
    whose fold order reaches the schedule (Locks.dirty, Shard's prepared
@@ -92,6 +109,7 @@ let suites =
     ( "structure",
       [
         Alcotest.test_case "one ingress path" `Quick test_one_ingress_path;
+        Alcotest.test_case "one retry path" `Quick test_one_retry_path;
         Alcotest.test_case "typed int tables" `Quick test_typed_int_tables;
       ] );
   ]
